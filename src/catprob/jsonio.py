@@ -173,11 +173,11 @@ def metspace_to_obj(x):
 
 
 def metspace_from_obj(obj, what="metric space"):
-    points = [_atom_from_json(p) for p in _need(obj, "points", what)]
+    raw_points = _need(obj, "points", what)
+    dist = _need(obj, "dist", what)
     try:
-        return FinPseudometricSpace(
-            points, _need(obj, "dist", what), tol=obj.get("tol", 0)
-        )
+        points = [_atom_from_json(p) for p in raw_points]
+        return FinPseudometricSpace(points, dist, tol=obj.get("tol", 0))
     except Exception as exc:
         raise ParseError("%s: %s" % (what, exc)) from exc
 

@@ -5,12 +5,20 @@ coproduct, chain-infimum coequalizer, sum-metric tensor, sup-metric hom over
 a supplied family of maps, currying both ways, scaling, metric reflection.
 Distances may be `math.inf`; addition and comparisons saturate there, so the
 tables stay exact rationals everywhere else.
+
+An exact table (tol == 0) takes ints, `Fraction`s, "num/den" strings and
+infinity (`math.inf` or "inf"); bools, None, finite floats and anything else
+raise InvalidMetric.  Its axiom scan runs on Python ints: every finite entry
+over the table's common denominator, with infinity standing in as
+2*max + 1.  Float tables (tol > 0) are scanned literally, with tol slack.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import scalar
 from .errors import (
@@ -28,10 +36,20 @@ MAX_PRODUCT_POINTS = 10 ** 6
 
 
 def _coerce_dist(value, tol):
-    if value == INF or (isinstance(value, str) and value.strip() == "inf"):
-        return INF
+    if type(value) is int or type(value) is Fraction:
+        return value
     if isinstance(value, str):
-        return scalar.parse_rational(value)
+        text = value.strip()
+        if text == "inf":
+            return INF
+        try:
+            return scalar.parse_rational(text)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidMetric("not a distance: %r" % (value,)) from None
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, float)):
+        raise InvalidMetric("not a distance: %r" % (value,))
+    if value == INF:
+        return INF
     if isinstance(value, float) and tol == 0:
         # exact tables hold Fractions; a finite float here is a type slip
         raise InvalidMetric("finite float %r in an exact distance table" % value)
@@ -45,11 +63,12 @@ class FinPseudometricSpace:
     default tol=0 all checks are exact.
     """
 
-    __slots__ = ("points", "dist", "tol")
+    __slots__ = ("points", "dist", "tol", "_index")
 
     def __init__(self, points, dist, tol=0):
         points = tuple(points)
-        if len(set(points)) != len(points):
+        index = {p: i for i, p in enumerate(points)}
+        if len(index) != len(points):
             raise InvalidMetric("duplicate point labels")
         n = len(points)
         rows = [list(r) for r in dist]
@@ -58,31 +77,20 @@ class FinPseudometricSpace:
         table = tuple(
             tuple(_coerce_dist(v, tol) for v in row) for row in rows
         )
-        for i in range(n):
-            if not scalar.eq(table[i][i], 0, tol):
-                raise InvalidMetric("d(%r,%r) = %s != 0" % (points[i], points[i], table[i][i]))
-            for j in range(n):
-                if table[i][j] != INF and table[i][j] < 0:
-                    raise InvalidMetric("negative distance at (%r,%r)" % (points[i], points[j]))
-                if not _sym_eq(table[i][j], table[j][i], tol):
-                    raise InvalidMetric(
-                        "asymmetry at (%r,%r): %s vs %s"
-                        % (points[i], points[j], table[i][j], table[j][i])
-                    )
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if not _tri_ok(table[i][j], table[i][k], table[k][j], tol):
-                        raise InvalidMetric(
-                            "triangle violated: d(%r,%r) > d(%r,%r) + d(%r,%r)"
-                            % (points[i], points[j], points[i], points[k], points[k], points[j])
-                        )
+        # a table the int scan rejects is scanned again literally, which
+        # raises the first failure in scan order
+        if tol != 0 or not _exact_axioms_hold(table):
+            _literal_scan(points, table, tol)
         self.points = points
         self.dist = table
         self.tol = tol
+        self._index = index
 
     def distance(self, x, y):
-        return self.dist[self.points.index(x)][self.points.index(y)]
+        try:
+            return self.dist[self._index[x]][self._index[y]]
+        except (KeyError, TypeError):
+            raise DomainMismatch("points %r, %r: not both in the space" % (x, y)) from None
 
     @property
     def size(self):
@@ -102,6 +110,60 @@ class FinPseudometricSpace:
 
     def __repr__(self):
         return "FinPseudometricSpace(points=%r)" % (self.points,)
+
+
+def _exact_axioms_hold(table):
+    """All axioms of an exact table, decided on ints.
+
+    Entries are scaled to ints over the common denominator and INF becomes
+    top = 2*max + 1.  Once the entries are known to be non-negative, top
+    keeps d(i,j) <= d(i,k) + d(k,j) true exactly when the saturating
+    inequality holds: a sum with an INF term is at least top, which no entry
+    exceeds, and a finite sum is at most 2*max < top.
+    """
+    den = math.lcm(*{v.denominator for row in table for v in row if v is not INF})
+    scaled = [
+        [None if v is INF else v.numerator * (den // v.denominator) for v in row]
+        for row in table
+    ]
+    top = 2 * max((v for row in scaled for v in row if v is not None), default=0) + 1
+    rows = [[top if v is None else v for v in row] for row in scaled]
+    n = len(rows)
+    if any(rows[i][i] for i in range(n)) or min(map(min, rows), default=0) < 0:
+        return False
+    if list(map(list, zip(*rows))) != rows:
+        return False
+    # symmetric, so column j is row j and (j, i) repeats (i, j)
+    add = operator.add
+    for i, ri in enumerate(rows):
+        for j in range(i + 1, n):
+            if ri[j] > min(map(add, ri, rows[j])):
+                return False
+    return True
+
+
+def _literal_scan(points, table, tol):
+    """Raise InvalidMetric for the first axiom failure, in scan order."""
+    n = len(points)
+    for i in range(n):
+        if not scalar.eq(table[i][i], 0, tol):
+            raise InvalidMetric("d(%r,%r) = %s != 0" % (points[i], points[i], table[i][i]))
+        for j in range(n):
+            if table[i][j] != INF and table[i][j] < 0:
+                raise InvalidMetric("negative distance at (%r,%r)" % (points[i], points[j]))
+            if not _sym_eq(table[i][j], table[j][i], tol):
+                raise InvalidMetric(
+                    "asymmetry at (%r,%r): %s vs %s"
+                    % (points[i], points[j], table[i][j], table[j][i])
+                )
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not _tri_ok(table[i][j], table[i][k], table[k][j], tol):
+                    raise InvalidMetric(
+                        "triangle violated: d(%r,%r) > d(%r,%r) + d(%r,%r)"
+                        % (points[i], points[j], points[i], points[k], points[k], points[j])
+                    )
 
 
 def _sym_eq(a, b, tol):
@@ -129,15 +191,15 @@ class LipschitzMap:
         if missing:
             raise DomainMismatch("assignment missing points %r" % (missing[:4],))
         for p, q in assign.items():
-            if q not in dst.points:
+            if q not in dst._index:
                 raise DomainMismatch("image point %r not in target" % (q,))
         tol = max(src.tol, dst.tol)
+        image = [dst._index[assign[x]] for x in src.points]
         for i, x in enumerate(src.points):
+            image_row = dst.dist[image[i]]
             for j, y in enumerate(src.points):
                 dxy = src.dist[i][j]
-                fx = dst.points.index(assign[x])
-                fy = dst.points.index(assign[y])
-                dfxy = dst.dist[fx][fy]
+                dfxy = image_row[image[j]]
                 if dxy == INF:
                     continue
                 if dfxy == INF or not scalar.le(dfxy, dxy, tol):
@@ -225,8 +287,8 @@ def equalizer(f, g):
         raise NotParallel("equalizer needs a parallel pair")
     src = f.src
     keep = [p for p in src.points if f.assign[p] == g.assign[p]]
-    pos = {p: src.points.index(p) for p in keep}
-    table = [[src.dist[pos[x]][pos[y]] for y in keep] for x in keep]
+    pos = [src._index[p] for p in keep]
+    table = [[src.dist[i][j] for j in pos] for i in pos]
     sub = FinPseudometricSpace(keep, table, tol=src.tol)
     incl = LipschitzMap(sub, src, {p: p for p in keep})
     return sub, incl
@@ -240,19 +302,12 @@ def coproduct(spaces):
     if not spaces:
         raise ValueError("coproduct of an empty family is not supported")
     tol = max(s.tol for s in spaces)
-    points = []
-    for i, s in enumerate(spaces):
-        points.extend((i, p) for p in s.points)
-    table = []
-    for (i, x) in points:
-        row = []
-        for (j, y) in points:
-            if i != j:
-                row.append(INF)
-            else:
-                s = spaces[i]
-                row.append(s.dist[s.points.index(x)][s.points.index(y)])
-        table.append(row)
+    cells = [(i, a) for i, s in enumerate(spaces) for a in range(s.size)]
+    points = [(i, spaces[i].points[a]) for i, a in cells]
+    table = [
+        [spaces[i].dist[a][b] if i == j else INF for j, b in cells]
+        for i, a in cells
+    ]
     return FinPseudometricSpace(points, table, tol=tol)
 
 
@@ -290,7 +345,7 @@ def coequalizer(f, g):
             parent[max(ri, rj)] = min(ri, rj)
 
     for x in f.src.points:
-        union(Y.points.index(f.assign[x]), Y.points.index(g.assign[x]))
+        union(Y._index[f.assign[x]], Y._index[g.assign[x]])
     roots = sorted({find(i) for i in range(Y.size)})
     class_of = {i: roots.index(find(i)) for i in range(Y.size)}
     members = [
@@ -342,29 +397,34 @@ def coequalizer(f, g):
             if one != chain[ci][cj]:
                 gaps.append((members[ci], members[cj], one, chain[ci][cj]))
     quot = FinPseudometricSpace(members, chain, tol=Y.tol)
-    proj = LipschitzMap(Y, quot, {p: members[class_of[Y.points.index(p)]] for p in Y.points})
+    proj = LipschitzMap(Y, quot, {p: members[class_of[i]] for i, p in enumerate(Y.points)})
     return CoequalizerResult(quot, proj, tuple(gaps))
 
 
 # -- monoidal structure -----------------------------------------------------------
 
-def tensor(x_space, y_space):
-    """Pair points with the sum metric."""
+def _tensor_table(x_space, y_space):
+    """Points and sum-metric rows of the tensor, before validation."""
     count = x_space.size * y_space.size
     if count > MAX_PRODUCT_POINTS:
         raise ProductTooLarge("tensor would have more than %d points" % MAX_PRODUCT_POINTS)
-    tol = max(x_space.tol, y_space.tol)
-    points = list(itertools.product(x_space.points, y_space.points))
+    cells = list(itertools.product(range(x_space.size), range(y_space.size)))
+    points = tuple((x_space.points[i], y_space.points[j]) for i, j in cells)
     table = []
-    for (x1, y1) in points:
-        i1, j1 = x_space.points.index(x1), y_space.points.index(y1)
+    for i1, j1 in cells:
         row = []
-        for (x2, y2) in points:
-            dx = x_space.dist[i1][x_space.points.index(x2)]
-            dy = y_space.dist[j1][y_space.points.index(y2)]
+        for i2, j2 in cells:
+            dx = x_space.dist[i1][i2]
+            dy = y_space.dist[j1][j2]
             row.append(INF if dx == INF or dy == INF else dx + dy)
-        table.append(row)
-    return FinPseudometricSpace(points, table, tol=tol)
+        table.append(tuple(row))
+    return points, tuple(table)
+
+
+def tensor(x_space, y_space):
+    """Pair points with the sum metric."""
+    points, table = _tensor_table(x_space, y_space)
+    return FinPseudometricSpace(points, table, tol=max(x_space.tol, y_space.tol))
 
 
 def hom_distance(f, g):
@@ -374,7 +434,7 @@ def hom_distance(f, g):
     best, witness = 0, None
     dst = f.dst
     for p in f.src.points:
-        d = dst.dist[dst.points.index(f.assign[p])][dst.points.index(g.assign[p])]
+        d = dst.dist[dst._index[f.assign[p]]][dst._index[g.assign[p]]]
         if witness is None or (best != INF and (d == INF or d > best)):
             best, witness = d, p
     if witness is None:  # empty source: all maps coincide
@@ -421,7 +481,7 @@ def curry(h, x_space, y_space):
     per-point maps and the outer assignment into the sup metric are validated
     1-Lipschitz (they are, by the sum-metric inequality).
     """
-    if h.src != tensor(x_space, y_space):
+    if (h.src.points, h.src.dist) != _tensor_table(x_space, y_space):
         raise DomainMismatch("map source is not the tensor of the given spaces")
     per = {}
     for x in x_space.points:
@@ -495,7 +555,7 @@ def metric_reflection(space):
     ]
     quot = FinPseudometricSpace(members, table, tol=space.tol)
     proj = LipschitzMap(
-        space, quot, {p: members[class_of[space.points.index(p)]] for p in space.points}
+        space, quot, {p: members[class_of[i]] for i, p in enumerate(space.points)}
     )
     return quot, proj
 

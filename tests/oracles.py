@@ -67,3 +67,35 @@ def integral_abs_by_refinement(ground, step_values, depth, refine=16):
             x = Fraction(j, n) + Fraction(2 * k + 1, 2 * refine * n)
             total += abs(ground.value_at(x) - c)
     return total / Fraction(refine * n)
+
+
+def metric_axiom_error(points, table):
+    """First axiom failure of an exact distance table, as the message the
+    constructor raises, or None when the table is an extended pseudometric.
+
+    Checks run in the literal order: per row, the diagonal and then each
+    entry for sign and symmetry; then every triangle (i, j, k).  A sum with
+    an infinite term is infinite, and an infinite d(i,j) fails against any
+    finite sum.
+    """
+    inf = float("inf")
+    n = len(points)
+    for i in range(n):
+        if table[i][i] != 0:
+            return "d(%r,%r) = %s != 0" % (points[i], points[i], table[i][i])
+        for j in range(n):
+            if table[i][j] < 0:
+                return "negative distance at (%r,%r)" % (points[i], points[j])
+            if table[i][j] != table[j][i]:
+                return "asymmetry at (%r,%r): %s vs %s" % (
+                    points[i], points[j], table[i][j], table[j][i]
+                )
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                via = table[i][k] + table[k][j]
+                if via != inf and table[i][j] > via:
+                    return "triangle violated: d(%r,%r) > d(%r,%r) + d(%r,%r)" % (
+                        points[i], points[j], points[i], points[k], points[k], points[j]
+                    )
+    return None

@@ -108,6 +108,14 @@ def test_metcat_rejects_bad_table(tmp_path, capsys):
     assert code == 2
 
 
+def test_metcat_malformed_points_is_parse_error(tmp_path, capsys):
+    obj = {"points": 3, "dist": [["0"]]}
+    jsonio.write_json(obj, str(tmp_path / "space.json"))
+    code = main(["metcat", "--space", str(tmp_path / "space.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_suites_pass(capsys):
     for cmd in ("check-appendix", "check-naturality", "check-lipschitz"):
         code, out = run(capsys, cmd, "--seed", "42", "--trials", "40")

@@ -29,10 +29,49 @@ from catprob.metcat import (
 )
 from catprob.sampling import rand_lipschitz_map, rand_metric_space
 
+from oracles import metric_axiom_error
+
 
 @st.composite
 def seeded_rng(draw):
     return random.Random(draw(st.integers(0, 2**32 - 1)))
+
+
+_distances = st.one_of(
+    st.just(INF),
+    st.integers(0, 6),
+    st.builds(F, st.integers(1, 12), st.sampled_from([2, 3, 4])),
+    st.builds(F, st.integers(0, 24), st.sampled_from([5, 6, 12])),
+)
+_defects = st.one_of(
+    _distances,
+    st.integers(-3, -1),
+    st.builds(F, st.integers(-6, -1), st.sampled_from([2, 3, 5])),
+)
+
+
+@st.composite
+def axiom_tables(draw):
+    """1-5 point tables: symmetric draws, sometimes closed under shortest
+    paths (hence valid), then up to two entries overwritten, each alone or
+    with its mirror, which can leave a nonzero diagonal, asymmetry, a
+    negative entry or a broken triangle."""
+    n = draw(st.integers(1, 5))
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(_distances)
+    if draw(st.booleans()):
+        for m in range(n):
+            for i in range(n):
+                for j in range(n):
+                    d[i][j] = min(d[i][j], d[i][m] + d[m][j])
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        d[i][j] = draw(_defects)
+        if draw(st.booleans()):
+            d[j][i] = d[i][j]
+    return d
 
 
 def two_point(gap):
@@ -69,6 +108,32 @@ class TestAxioms:
     def test_inf_allowed(self):
         s = FinPseudometricSpace(["a", "b"], [[0, INF], [INF, 0]])
         assert s.distance("a", "b") == INF
+
+    @pytest.mark.parametrize("entry", [True, None, "x"])
+    def test_unrepresentable_entry_rejected(self, entry):
+        with pytest.raises(errors.InvalidMetric):
+            FinPseudometricSpace(["a", "b"], [[0, entry], [entry, 0]])
+
+    def test_symmetric_negative_rejected(self):
+        with pytest.raises(errors.InvalidMetric, match="negative distance"):
+            FinPseudometricSpace(["a", "b"], [[0, -1], [-1, 0]])
+
+    def test_distance_to_unknown_point(self):
+        with pytest.raises(errors.DomainMismatch):
+            two_point(F(1)).distance("p", "z")
+
+    @settings(max_examples=400, deadline=None)
+    @given(axiom_tables())
+    def test_scan_matches_literal_oracle(self, table):
+        points = ["p%d" % i for i in range(len(table))]
+        want = metric_axiom_error(points, table)
+        try:
+            space = FinPseudometricSpace(points, table)
+        except errors.InvalidMetric as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+            assert space.dist == tuple(map(tuple, table))
 
 
 class TestProduct:
