@@ -2,8 +2,12 @@
 
 Core value types: FiniteProbSpace, MeasurePreservingMap, FiniteMeasure,
 FiniteRandomVariable, FiltrationDiagram, Martingale, ConsistentMeasureFamily,
-FinPseudometricSpace, LipschitzMap.  Everything is immutable, exact on the
-rational backend, and tolerance-checked on the float backend.
+FinPseudometricSpace, LipschitzMap.  Everything is immutable: tables are
+tuples, and the keyed tables (`MeasurePreservingMap.assign`,
+`LipschitzMap.assign`, `FiltrationDiagram.spaces` and `.connect`,
+`Martingale.family`, `ConsistentMeasureFamily.family`) are read-only
+mappings, so the checks made at construction hold for good.  Values are
+exact on the rational backend and tolerance-checked on the float backend.
 """
 
 from . import errors

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import scalar
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     NotAChain,
     SpaceMismatch,
 )
-from .finmeas import FiniteMeasure, bound_check, pushforward, rn_derivative
+from .finmeas import FiniteMeasure, bound_check, pushforward, rn_derivative, tv_distance
 from .finprob import MeasurePreservingMap, compose, identity_map
 from .finrv import (
     FiniteRandomVariable,
@@ -67,9 +68,11 @@ class FiltrationDiagram:
     closure is taken.  `connect` may omit composite and reflexive pairs:
     reflexive entries are filled with identities, composites by composition
     (functoriality makes any path equivalent; `validate` cross-checks).
+    `spaces` and `connect` are read-only mappings.  `backend` is that of the
+    first element's space and `tol` the largest tolerance over the levels.
     """
 
-    __slots__ = ("elements", "leq", "spaces", "connect", "top")
+    __slots__ = ("elements", "leq", "spaces", "connect", "top", "backend", "tol")
 
     def __init__(self, elements, leq, spaces, connect, top=None, check=True):
         elements = tuple(elements)
@@ -80,7 +83,9 @@ class FiltrationDiagram:
         missing = [e for e in elements if e not in spaces]
         if missing:
             raise InvalidDiagram("no space for elements %r" % (missing[:4],))
-        self.spaces = {e: spaces[e] for e in elements}
+        self.spaces = MappingProxyType({e: spaces[e] for e in elements})
+        self.backend = self.spaces[elements[0]].backend
+        self.tol = max(self.spaces[e].tol for e in elements)
         table = dict(connect)
         for e in elements:
             if (e, e) not in table:
@@ -102,7 +107,7 @@ class FiltrationDiagram:
                             table[(i, j)] = compose(table[(k, j)], table[(i, k)])
                             changed = True
                             break
-        self.connect = table
+        self.connect = MappingProxyType(table)
         self.top = top
         if check:
             report = validate(self)
@@ -183,10 +188,6 @@ class FiltrationDiagram:
             and self.top == other.top
         )
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __repr__(self):
         return "FiltrationDiagram(elements=%r, top=%r)" % (self.elements, self.top)
 
@@ -225,16 +226,6 @@ def validate(d):
             problems.append("connecting map %r <= %r has wrong endpoints" % (i, j))
         if i == j and any(m.assign[a] != a for a in m.src.atoms):
             problems.append("reflexive connect at %r is not the identity" % (i,))
-        # re-run the pushforward condition defensively
-        pushed = {b: m.dst.zero for b in m.dst.atoms}
-        for a in m.src.atoms:
-            pushed[m.assign[a]] += m.src.weight(a)
-        for b in m.dst.atoms:
-            if not scalar.eq(pushed[b], m.dst.weight(b), m.dst.tol):
-                problems.append(
-                    "connect %r <= %r is not measure preserving at %r" % (i, j, b)
-                )
-                break
     # functoriality over all ordered triples
     for i in els:
         for j in els:
@@ -309,41 +300,39 @@ def is_martingale(family, d):
     for i in d.elements:
         if family[i].space != d.spaces[i]:
             raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
-    tol = max(d.spaces[e].tol for e in d.elements)
-    zero = d.spaces[d.elements[0]].zero
+    zero = scalar.zero(d.backend)
     residual, worst = zero, None
     for (i, j) in d.covering_pairs():
         r = l1_distance(cond_exp(family[j], d.connect[(i, j)]), family[i])
         if r > residual:
             residual, worst = r, (i, j)
-    return MartingaleCheck(ok=scalar.eq(residual, zero, tol), residual=residual, worst_pair=worst)
+    return MartingaleCheck(ok=scalar.eq(residual, zero, d.tol), residual=residual, worst_pair=worst)
 
 
 class Martingale:
-    """Level-indexed random variables, consistent under conditional expectation."""
+    """Level-indexed random variables (read-only), consistent under conditional expectation."""
 
     __slots__ = ("diagram", "family", "bound")
 
     def __init__(self, diagram, family, bound=None, check=True):
         if set(family) != set(diagram.elements):
             raise IndexMismatch("family is not indexed by the diagram's elements")
-        family = {i: family[i] for i in diagram.elements}
+        family = MappingProxyType({i: family[i] for i in diagram.elements})
         if bound is None:
             bound = max(
                 (max_value(family[i]) for i in diagram.elements),
-                default=scalar.zero(diagram.spaces[diagram.elements[0]].backend),
+                default=scalar.zero(diagram.backend),
             )
         else:
-            bound = scalar.coerce(bound, diagram.spaces[diagram.elements[0]].backend)
+            bound = scalar.coerce(bound, diagram.backend)
         if bound < 0:
             raise NegativeValue("bound must be nonnegative")
         self.diagram = diagram
         self.family = family
         self.bound = bound
         if check:
-            tol = max(diagram.spaces[e].tol for e in diagram.elements)
             for i in diagram.elements:
-                if not scalar.le(max_value(family[i]), bound, tol):
+                if not scalar.le(max_value(family[i]), bound, diagram.tol):
                     raise Inconsistent("level %r exceeds the bound %s" % (i, bound))
             chk = is_martingale(family, diagram)
             if not chk.ok:
@@ -359,15 +348,15 @@ class Martingale:
 
 
 class ConsistentMeasureFamily:
-    """Level-indexed measures, consistent under pushforward, all below bound*P."""
+    """Level-indexed measures (read-only), consistent under pushforward, all below bound*P."""
 
     __slots__ = ("diagram", "family", "bound")
 
     def __init__(self, diagram, family, bound=None, check=True):
         if set(family) != set(diagram.elements):
             raise IndexMismatch("family is not indexed by the diagram's elements")
-        family = {i: family[i] for i in diagram.elements}
-        backend = diagram.spaces[diagram.elements[0]].backend
+        family = MappingProxyType({i: family[i] for i in diagram.elements})
+        backend = diagram.backend
         if bound is None:
             bound = scalar.zero(backend)
             for i in diagram.elements:
@@ -383,19 +372,14 @@ class ConsistentMeasureFamily:
         self.family = family
         self.bound = bound
         if check:
-            tol = max(diagram.spaces[e].tol for e in diagram.elements)
             for i in diagram.elements:
                 if family[i].space != diagram.spaces[i]:
                     raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
                 if bound > 0 and not bound_check(family[i], bound):
                     raise Inconsistent("level %r exceeds bound * base weights" % (i,))
             for (i, j) in diagram.covering_pairs():
-                pushed = pushforward(family[j], diagram.connect[(i, j)])
-                gap = sum(
-                    (abs(x - y) for x, y in zip(pushed.mass, family[i].mass)),
-                    scalar.zero(backend),
-                )
-                if not scalar.eq(gap, scalar.zero(backend), tol):
+                gap = tv_distance(pushforward(family[j], diagram.connect[(i, j)]), family[i])
+                if not scalar.eq(gap, scalar.zero(backend), diagram.tol):
                     raise Inconsistent(
                         "restriction fails at %r <= %r with residual %s" % (i, j, gap)
                     )
@@ -474,11 +458,9 @@ def cauchy_certificate(m, eps):
     """
     d = m.diagram
     order = d.chain_order()
-    backend = d.spaces[order[0]].backend
-    eps = scalar.coerce(eps, backend)
+    eps = scalar.coerce(eps, d.backend)
     if eps <= 0:
         raise ValueError("tolerance must be positive")
-    tol = max(d.spaces[e].tol for e in order)
     moments = [(i, second_moment(m.family[i])) for i in order]
     if d.top is not None:
         cap = moments[-1][1]
@@ -487,12 +469,25 @@ def cauchy_certificate(m, eps):
     table = tuple((i, g, cap - g) for i, g in moments)
     target = eps * eps
     for i, g in moments:
-        if scalar.le(cap - g, target, tol):
+        if scalar.le(cap - g, target, d.tol):
             return CauchyCertificate(index=i, table=table, cap=cap)
     tail = cap - moments[-1][1]
     raise NoCertificate(
         "tail gap %s exceeds eps^2 = %s" % (tail, target), tail_gap=tail
     )
+
+
+def _finest_map(d):
+    """The finest level and the map onto it from the top, whose fibers are singletons."""
+    if not generation_ok(d):
+        raise GenerationFailure("level fibers do not separate the top atoms")
+    finest = d.maximum()
+    fm = d.connect.get((finest, d.top))
+    if fm is None:
+        raise GenerationFailure("no map from the top onto the finest level")
+    if len(set(fm.assign.values())) < len(fm.assign):
+        raise GenerationFailure("finest level map has a non-singleton fiber")
+    return finest, fm
 
 
 def martingale_limit(m):
@@ -506,25 +501,14 @@ def martingale_limit(m):
     d = m.diagram
     if d.top is None:
         raise NoTopElement("martingale limit needs a designated top element")
-    if not generation_ok(d):
-        raise GenerationFailure("level fibers do not separate the top atoms")
+    finest, fm = _finest_map(d)
     chk = is_martingale(m.family, d)
     if not chk.ok:
         raise Inconsistent("not a martingale: residual %s at %r" % (chk.residual, chk.worst_pair))
-    finest = d.maximum()
-    fm = d.connect.get((finest, d.top))
-    if fm is None:
-        raise GenerationFailure("no map from the top onto the finest level")
-    fibers = {}
-    for a in fm.src.atoms:
-        fibers.setdefault(fm.assign[a], []).append(a)
-    if any(len(v) > 1 for v in fibers.values()):
-        raise GenerationFailure("finest level map has a non-singleton fiber")
     x = pullback(m.family[finest], fm)
-    tol = max(d.spaces[e].tol for e in d.elements)
     for i in d.elements:
         gap = l1_distance(cond_exp(x, d.to_top(i)), m.family[i])
-        if not scalar.eq(gap, x.space.zero, tol):
+        if not scalar.eq(gap, x.space.zero, d.tol):
             raise Inconsistent("reconstructed limit misses level %r by %s" % (i, gap))
     return x
 
@@ -534,30 +518,14 @@ def kolmogorov_extend(fam):
     d = fam.diagram
     if d.top is None:
         raise NoTopElement("extension needs a designated top element")
-    if not generation_ok(d):
-        raise GenerationFailure("level fibers do not separate the top atoms")
-    finest = d.maximum()
-    fm = d.connect.get((finest, d.top))
-    if fm is None:
-        raise GenerationFailure("no map from the top onto the finest level")
-    fibers = {}
-    for a in fm.src.atoms:
-        fibers.setdefault(fm.assign[a], []).append(a)
-    if any(len(v) > 1 for v in fibers.values()):
-        raise GenerationFailure("finest level map has a non-singleton fiber")
+    finest, fm = _finest_map(d)
     mu_fine = fam.family[finest]
     mu = FiniteMeasure(
         d.spaces[d.top], [mu_fine.mass_of(fm.assign[a]) for a in fm.src.atoms]
     )
-    backend = d.spaces[d.top].backend
-    tol = max(d.spaces[e].tol for e in d.elements)
     for i in d.elements:
-        pushed = pushforward(mu, d.to_top(i))
-        gap = sum(
-            (abs(x - y) for x, y in zip(pushed.mass, fam.family[i].mass)),
-            scalar.zero(backend),
-        )
-        if not scalar.eq(gap, scalar.zero(backend), tol):
+        gap = tv_distance(pushforward(mu, d.to_top(i)), fam.family[i])
+        if not scalar.eq(gap, mu.space.zero, d.tol):
             raise Inconsistent("extension misses level %r by %s" % (i, gap))
     if fam.bound > 0 and not bound_check(mu, fam.bound):
         raise InvariantViolation("extension violates the family bound")
@@ -616,7 +584,7 @@ def isometry_report(m1, m2, x1, x2, finest_map=None):
     bound = x1.space.zero
     for x in (x1, x2):
         bound += l1_distance(x, pullback(cond_exp(x, finest_map), finest_map))
-    tol = max(x1.space.tol, max(d.spaces[e].tol for e in d.elements))
+    tol = max(x1.space.tol, d.tol)
     return IsometryReport(
         sup_levels=sup,
         limit_distance=dist,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from . import scalar
 from .errors import NegativeValue, NotAbsolutelyContinuous, SpaceMismatch
+from .finprob import _fiber_sums
 from .finrv import FiniteRandomVariable
 
 
@@ -54,10 +55,6 @@ class FiniteMeasure:
             return NotImplemented
         return self.space == other.space and self.mass == other.mass
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self):
         return hash((self.space, self.mass))
 
@@ -92,10 +89,7 @@ def pushforward(mu, s):
     """Image measure along s: each target atom collects its fiber's mass."""
     if mu.space != s.src:
         raise SpaceMismatch("measure does not live on the map's source")
-    sums = {b: s.dst.zero for b in s.dst.atoms}
-    for a in s.src.atoms:
-        sums[s.assign[a]] += mu.mass_of(a)
-    return FiniteMeasure(s.dst, [sums[b] for b in s.dst.atoms])
+    return FiniteMeasure(s.dst, _fiber_sums(s.src, s.assign, mu.mass, s.dst.atoms))
 
 
 def bound_check(mu, r):

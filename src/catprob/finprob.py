@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 from . import scalar
 from .errors import (
@@ -47,10 +48,12 @@ class FiniteProbSpace:
             raise DuplicateAtom("atom %r occurs more than once" % (dup,))
         if backend not in scalar.BACKENDS:
             raise ValueError("unknown backend %r" % backend)
-        if tol is None:
-            tol = 0 if backend == scalar.EXACT else scalar.DEFAULT_TOL
+        if tol is not None:
+            scalar.check_tol(tol)
         if backend == scalar.EXACT:
             tol = 0
+        elif tol is None:
+            tol = scalar.DEFAULT_TOL
         raw = list(weights)
         if len(raw) != len(atoms):
             raise ValueError(
@@ -102,10 +105,6 @@ class FiniteProbSpace:
             and self.backend == other.backend
         )
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self):
         return hash((self.atoms, self.weights, self.backend))
 
@@ -129,8 +128,16 @@ def uniform_space(atoms, backend=scalar.EXACT):
     return FiniteProbSpace(atoms, [w] * n, backend=backend)
 
 
+def _fiber_sums(src, assign, values, targets):
+    """Per target atom, the sum of `values` (one per source atom) over its fiber."""
+    sums = dict.fromkeys(targets, src.zero)
+    for a, v in zip(src.atoms, values):
+        sums[assign[a]] += v
+    return [sums[b] for b in targets]
+
+
 class MeasurePreservingMap:
-    """Atom assignment src -> dst whose pushforward matches the dst weights."""
+    """Atom assignment src -> dst (read-only) whose pushforward matches the dst weights."""
 
     __slots__ = ("src", "dst", "assign")
 
@@ -146,18 +153,15 @@ class MeasurePreservingMap:
         for a, b in assign.items():
             if b not in dst._index:
                 raise DomainMismatch("image atom %r not in target space" % (b,))
-        pushed = {b: dst.zero for b in dst.atoms}
-        for a in src.atoms:
-            pushed[assign[a]] += src.weight(a)
-        for b in dst.atoms:
-            if not scalar.eq(pushed[b], dst.weight(b), dst.tol):
+        pushed = _fiber_sums(src, assign, src.weights, dst.atoms)
+        for b, p, w in zip(dst.atoms, pushed, dst.weights):
+            if not scalar.eq(p, w, dst.tol):
                 raise NotMeasurePreserving(
-                    "atom %r receives mass %s, target weight is %s"
-                    % (b, pushed[b], dst.weight(b))
+                    "atom %r receives mass %s, target weight is %s" % (b, p, w)
                 )
         self.src = src
         self.dst = dst
-        self.assign = {a: assign[a] for a in src.atoms}
+        self.assign = MappingProxyType({a: assign[a] for a in src.atoms})
 
     def __call__(self, atom):
         return self.assign[atom]
@@ -171,15 +175,11 @@ class MeasurePreservingMap:
             and self.assign == other.assign
         )
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self):
         return hash((self.src, self.dst, tuple(self.assign[a] for a in self.src.atoms)))
 
     def __repr__(self):
-        return "MeasurePreservingMap(%r)" % (self.assign,)
+        return "MeasurePreservingMap(%r)" % (dict(self.assign),)
 
 
 def make_map(src, dst, assign):

@@ -45,10 +45,6 @@ class FiniteRandomVariable:
             return NotImplemented
         return self.space == other.space and self.values == other.values
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self):
         return hash((self.space, self.values))
 

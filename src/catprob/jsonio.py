@@ -8,6 +8,7 @@ objects keyed by str(label); the declared label arrays keep the original
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import scalar
@@ -39,6 +40,8 @@ def _scalar_to_json(x, backend):
 
 def _key_lookup(labels, table, what):
     """Resolve a str-keyed JSON object against declared labels."""
+    if not isinstance(table, dict):
+        raise ParseError("%s: expected an object keyed by label" % what)
     byname = {}
     for label in labels:
         name = str(label)
@@ -62,6 +65,17 @@ def _need(obj, key, what):
     return obj[key]
 
 
+@contextmanager
+def _guard(what):
+    """Report any failure other than a ParseError as a ParseError about `what`."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except Exception as exc:
+        raise ParseError("%s: %s" % (what, exc)) from exc
+
+
 # -- spaces ------------------------------------------------------------------------
 
 
@@ -75,20 +89,18 @@ def space_to_obj(s):
 
 
 def space_from_obj(obj, what="space"):
-    atoms = [_atom_from_json(a) for a in _need(obj, "atoms", what)]
+    raw_atoms = _need(obj, "atoms", what)
     weights = _need(obj, "weights", what)
-    backend = obj.get("backend")
-    if backend is None:
-        backend = (
-            scalar.EXACT
-            if all(isinstance(w, (str, int)) for w in weights)
-            else scalar.FLOAT
-        )
-    tol = obj.get("tol")
-    try:
-        return FiniteProbSpace(atoms, weights, backend=backend, tol=tol)
-    except Exception as exc:
-        raise ParseError("%s: %s" % (what, exc)) from exc
+    with _guard(what):
+        atoms = [_atom_from_json(a) for a in raw_atoms]
+        backend = obj.get("backend")
+        if backend is None:
+            backend = (
+                scalar.EXACT
+                if all(isinstance(w, (str, int)) for w in weights)
+                else scalar.FLOAT
+            )
+        return FiniteProbSpace(atoms, weights, backend=backend, tol=obj.get("tol"))
 
 
 # -- maps --------------------------------------------------------------------------
@@ -106,11 +118,8 @@ def map_from_obj(obj, what="map"):
     src = space_from_obj(_need(obj, "src", what), what + ".src")
     dst = space_from_obj(_need(obj, "dst", what), what + ".dst")
     raw = _key_lookup(src.atoms, _need(obj, "assign", what), what + ".assign")
-    assign = {a: _atom_from_json(b) for a, b in raw.items()}
-    try:
-        return MeasurePreservingMap(src, dst, assign)
-    except Exception as exc:
-        raise ParseError("%s: %s" % (what, exc)) from exc
+    with _guard(what):
+        return MeasurePreservingMap(src, dst, {a: _atom_from_json(b) for a, b in raw.items()})
 
 
 # -- measures and random variables ---------------------------------------------------
@@ -124,14 +133,12 @@ def measure_to_obj(mu):
 
 
 def measure_from_obj(obj, space=None, what="measure"):
-    if space is None:
-        space = space_from_obj(_need(obj, "space", what), what + ".space")
-    elif "space" in obj and space_from_obj(obj["space"], what + ".space") != space:
-        raise ParseError("%s: embedded space disagrees with the supplied one" % what)
-    try:
+    with _guard(what):
+        if space is None:
+            space = space_from_obj(_need(obj, "space", what), what + ".space")
+        elif "space" in obj and space_from_obj(obj["space"], what + ".space") != space:
+            raise ParseError("%s: embedded space disagrees with the supplied one" % what)
         return FiniteMeasure(space, _need(obj, "mass", what))
-    except Exception as exc:
-        raise ParseError("%s: %s" % (what, exc)) from exc
 
 
 def rv_to_obj(f):
@@ -144,10 +151,8 @@ def rv_to_obj(f):
 def rv_from_obj(obj, space=None, what="rv"):
     if space is None:
         space = space_from_obj(_need(obj, "space", what), what + ".space")
-    try:
+    with _guard(what):
         return FiniteRandomVariable(space, _need(obj, "values", what))
-    except Exception as exc:
-        raise ParseError("%s: %s" % (what, exc)) from exc
 
 
 # -- metric spaces --------------------------------------------------------------------
@@ -175,11 +180,9 @@ def metspace_to_obj(x):
 def metspace_from_obj(obj, what="metric space"):
     raw_points = _need(obj, "points", what)
     dist = _need(obj, "dist", what)
-    try:
+    with _guard(what):
         points = [_atom_from_json(p) for p in raw_points]
         return FinPseudometricSpace(points, dist, tol=obj.get("tol", 0))
-    except Exception as exc:
-        raise ParseError("%s: %s" % (what, exc)) from exc
 
 
 # -- diagrams and families -------------------------------------------------------------
@@ -217,38 +220,34 @@ def diagram_to_obj(d):
 
 
 def diagram_from_obj(obj, what="diagram"):
-    elements = [_atom_from_json(e) for e in _need(obj, "elements", what)]
-    spaces_raw = _key_lookup(elements, _need(obj, "spaces", what), what + ".spaces")
-    spaces = {
-        e: space_from_obj(spaces_raw[e], "%s.spaces[%s]" % (what, e)) for e in elements
-    }
-    leq = [
-        (_atom_from_json(i), _atom_from_json(j)) for i, j in _need(obj, "leq", what)
-    ]
-    connect = {}
-    for entry in _need(obj, "connect", what):
-        i = _atom_from_json(_need(entry, "lo", what + ".connect"))
-        j = _atom_from_json(_need(entry, "hi", what + ".connect"))
-        if j not in spaces or i not in spaces:
-            raise ParseError("%s.connect: unknown pair (%r, %r)" % (what, i, j))
-        raw = _key_lookup(
-            spaces[j].atoms, _need(entry, "assign", what + ".connect"), what + ".connect"
-        )
-        assign = {a: _atom_from_json(b) for a, b in raw.items()}
-        try:
-            connect[(i, j)] = MeasurePreservingMap(spaces[j], spaces[i], assign)
-        except Exception as exc:
-            raise ParseError("%s.connect (%r, %r): %s" % (what, i, j, exc)) from exc
-    top = obj.get("top")
-    top = None if top is None else _atom_from_json(top)
-    try:
+    with _guard(what):
+        elements = [_atom_from_json(e) for e in _need(obj, "elements", what)]
+        spaces_raw = _key_lookup(elements, _need(obj, "spaces", what), what + ".spaces")
+        spaces = {
+            e: space_from_obj(spaces_raw[e], "%s.spaces[%s]" % (what, e)) for e in elements
+        }
+        leq = [
+            (_atom_from_json(i), _atom_from_json(j)) for i, j in _need(obj, "leq", what)
+        ]
+        connect = {}
+        for entry in _need(obj, "connect", what):
+            i = _atom_from_json(_need(entry, "lo", what + ".connect"))
+            j = _atom_from_json(_need(entry, "hi", what + ".connect"))
+            if j not in spaces or i not in spaces:
+                raise ParseError("%s.connect: unknown pair (%r, %r)" % (what, i, j))
+            raw = _key_lookup(
+                spaces[j].atoms, _need(entry, "assign", what + ".connect"), what + ".connect"
+            )
+            assign = {a: _atom_from_json(b) for a, b in raw.items()}
+            with _guard("%s.connect (%r, %r)" % (what, i, j)):
+                connect[(i, j)] = MeasurePreservingMap(spaces[j], spaces[i], assign)
+        top = obj.get("top")
+        top = None if top is None else _atom_from_json(top)
         return FiltrationDiagram(elements, leq, spaces, connect, top=top)
-    except Exception as exc:
-        raise ParseError("%s: %s" % (what, exc)) from exc
 
 
 def martingale_to_obj(m):
-    backend = m.diagram.spaces[m.diagram.elements[0]].backend
+    backend = m.diagram.backend
     return {
         "diagram": diagram_to_obj(m.diagram),
         "family": {
@@ -266,14 +265,12 @@ def martingale_from_obj(obj, what="martingale"):
         i: rv_from_obj({"values": fam_raw[i]}, space=d.spaces[i], what="%s.family[%s]" % (what, i))
         for i in d.elements
     }
-    try:
+    with _guard(what):
         return Martingale(d, family, bound=obj.get("bound"))
-    except Exception as exc:
-        raise ParseError("%s: %s" % (what, exc)) from exc
 
 
 def measure_family_to_obj(fam):
-    backend = fam.diagram.spaces[fam.diagram.elements[0]].backend
+    backend = fam.diagram.backend
     return {
         "diagram": diagram_to_obj(fam.diagram),
         "family": {
@@ -293,10 +290,8 @@ def measure_family_from_obj(obj, what="measure family"):
         )
         for i in d.elements
     }
-    try:
+    with _guard(what):
         return ConsistentMeasureFamily(d, family, bound=obj.get("bound"))
-    except Exception as exc:
-        raise ParseError("%s: %s" % (what, exc)) from exc
 
 
 # -- file helpers ------------------------------------------------------------------------

@@ -11,6 +11,7 @@ infinity (`math.inf` or "inf"); bools, None, finite floats and anything else
 raise InvalidMetric.  Its axiom scan runs on Python ints: every finite entry
 over the table's common denominator, with infinity standing in as
 2*max + 1.  Float tables (tol > 0) are scanned literally, with tol slack.
+Neither kind takes nan or -inf, and `tol` must be a finite real >= 0.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import scalar
 from .errors import (
@@ -46,7 +48,13 @@ def _coerce_dist(value, tol):
             return scalar.parse_rational(text)
         except (ValueError, ZeroDivisionError):
             raise InvalidMetric("not a distance: %r" % (value,)) from None
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, float)):
+    # nan (the only value unequal to itself) and -inf are not distances either
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, Fraction, float))
+        or value != value
+        or value == -INF
+    ):
         raise InvalidMetric("not a distance: %r" % (value,))
     if value == INF:
         return INF
@@ -66,6 +74,7 @@ class FinPseudometricSpace:
     __slots__ = ("points", "dist", "tol", "_index")
 
     def __init__(self, points, dist, tol=0):
+        scalar.check_tol(tol)
         points = tuple(points)
         index = {p: i for i, p in enumerate(points)}
         if len(index) != len(points):
@@ -100,10 +109,6 @@ class FinPseudometricSpace:
         if not isinstance(other, FinPseudometricSpace):
             return NotImplemented
         return self.points == other.points and self.dist == other.dist
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __hash__(self):
         return hash((self.points, self.dist))
@@ -181,7 +186,7 @@ def _tri_ok(dij, dik, dkj, tol):
 
 
 class LipschitzMap:
-    """Point assignment that never expands distances (1-Lipschitz)."""
+    """Point assignment (read-only) that never expands distances (1-Lipschitz)."""
 
     __slots__ = ("src", "dst", "assign")
 
@@ -209,7 +214,7 @@ class LipschitzMap:
                     )
         self.src = src
         self.dst = dst
-        self.assign = {p: assign[p] for p in src.points}
+        self.assign = MappingProxyType({p: assign[p] for p in src.points})
 
     def __call__(self, point):
         return self.assign[point]
@@ -223,12 +228,8 @@ class LipschitzMap:
             and self.assign == other.assign
         )
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __repr__(self):
-        return "LipschitzMap(%r)" % (self.assign,)
+        return "LipschitzMap(%r)" % (dict(self.assign),)
 
 
 def identity_lipschitz(space):
@@ -311,6 +312,55 @@ def coproduct(spaces):
     return FinPseudometricSpace(points, table, tol=tol)
 
 
+def _partition(points, pairs):
+    """Classes of the equivalence on positions generated by `pairs`.
+
+    Returns (class_of, members): the class number of each position and the
+    points of each class in position order.  Classes are numbered by their
+    least position.
+    """
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    class_of, members = [], []
+    for i, p in enumerate(points):
+        r = find(i)  # the least position of i's class, so class_of[r] is known
+        c = len(members) if r == i else class_of[r]
+        if r == i:
+            members.append([])
+        members[c].append(p)
+        class_of.append(c)
+    return class_of, [tuple(m) for m in members]
+
+
+def _min_plus_closure(table):
+    """Close a square table (list of lists) under paths, in place; INF is no edge."""
+    n = len(table)
+    for m in range(n):
+        row_m = table[m]
+        for i in range(n):
+            dim = table[i][m]
+            if dim == INF:
+                continue
+            row_i = table[i]
+            for j in range(n):
+                dmj = row_m[j]
+                if dmj == INF:
+                    continue
+                alt = dim + dmj
+                if row_i[j] == INF or alt < row_i[j]:
+                    row_i[j] = alt
+
+
 @dataclass
 class CoequalizerResult:
     space: FinPseudometricSpace
@@ -331,27 +381,9 @@ def coequalizer(f, g):
     if f.src != g.src or f.dst != g.dst:
         raise NotParallel("coequalizer needs a parallel pair")
     Y = f.dst
-    parent = list(range(Y.size))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for x in f.src.points:
-        union(Y._index[f.assign[x]], Y._index[g.assign[x]])
-    roots = sorted({find(i) for i in range(Y.size)})
-    class_of = {i: roots.index(find(i)) for i in range(Y.size)}
-    members = [
-        tuple(Y.points[i] for i in range(Y.size) if class_of[i] == c)
-        for c in range(len(roots))
-    ]
+    class_of, members = _partition(
+        Y.points, ((Y._index[f.assign[x]], Y._index[g.assign[x]]) for x in f.src.points)
+    )
     k = len(members)
     base = [[(0 if i == j else INF) for j in range(k)] for i in range(k)]
     for i in range(Y.size):
@@ -364,18 +396,7 @@ def coequalizer(f, g):
                 base[ci][cj] = d
                 base[cj][ci] = d
     chain = [row[:] for row in base]
-    for m in range(k):
-        for i in range(k):
-            dim = chain[i][m]
-            if dim == INF:
-                continue
-            for j in range(k):
-                dmj = chain[m][j]
-                if dmj == INF:
-                    continue
-                alt = dim + dmj
-                if chain[i][j] == INF or alt < chain[i][j]:
-                    chain[i][j] = alt
+    _min_plus_closure(chain)
     # single-intermediate value, for the discrepancy report
     gaps = []
     for ci in range(k):
@@ -529,30 +550,17 @@ def metric_reflection(space):
     same space (idempotence).
     """
     n = space.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if scalar.eq(space.dist[i][j], 0, space.tol):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    roots = sorted({find(i) for i in range(n)})
-    class_of = {i: roots.index(find(i)) for i in range(n)}
-    members = [
-        tuple(space.points[i] for i in range(n) if class_of[i] == c)
-        for c in range(len(roots))
-    ]
-    table = [
-        [space.dist[roots[i]][roots[j]] for j in range(len(roots))]
-        for i in range(len(roots))
-    ]
+    class_of, members = _partition(
+        space.points,
+        (
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if scalar.eq(space.dist[i][j], 0, space.tol)
+        ),
+    )
+    reps = [space._index[m[0]] for m in members]
+    table = [[space.dist[i][j] for j in reps] for i in reps]
     quot = FinPseudometricSpace(members, table, tol=space.tol)
     proj = LipschitzMap(
         space, quot, {p: members[class_of[i]] for i, p in enumerate(space.points)}

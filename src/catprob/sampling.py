@@ -15,7 +15,7 @@ from . import scalar
 from .diagram import FiltrationDiagram
 from .errors import NotMeasurePreserving
 from .finmeas import FiniteMeasure
-from .finprob import FiniteProbSpace, MeasurePreservingMap
+from .finprob import FiniteProbSpace, MeasurePreservingMap, _fiber_sums
 from .finrv import FiniteRandomVariable
 
 _DENOMS = (4, 8, 16, 32, 64, 12, 24, 48, 60)
@@ -83,12 +83,9 @@ def rand_quotient(rng, src, max_classes=None):
     used = sorted(set(assign.values()))
     relabel = {c: t for t, c in enumerate(used)}
     assign = {a: relabel[c] for a, c in assign.items()}
-    sums = {}
-    for a in src.atoms:
-        sums[assign[a]] = sums.get(assign[a], src.zero) + src.weight(a)
     dst = FiniteProbSpace(
         range(len(used)),
-        [sums[t] for t in range(len(used))],
+        _fiber_sums(src, assign, src.weights, range(len(used))),
         backend=src.backend,
         tol=src.tol or None,
     )
@@ -169,7 +166,7 @@ def rand_commuting_triangle(rng, omega):
 def rand_metric_space(rng, max_points=4, max_den=8):
     """Random finite pseudometric space via the shortest-path closure of a
     random symmetric weight table (which always satisfies the axioms)."""
-    from .metcat import INF, FinPseudometricSpace
+    from .metcat import INF, FinPseudometricSpace, _min_plus_closure
 
     n = rng.randint(1, max_points)
     raw = [[None] * n for _ in range(n)]
@@ -181,17 +178,8 @@ def rand_metric_space(rng, max_points=4, max_den=8):
             else:
                 raw[i][j] = Fraction(rng.randint(0, 4 * max_den), max_den)
             raw[j][i] = raw[i][j]
-    # Floyd-Warshall closure turns any symmetric table into a pseudometric
-    for m in range(n):
-        for i in range(n):
-            if raw[i][m] == INF:
-                continue
-            for j in range(n):
-                if raw[m][j] == INF:
-                    continue
-                alt = raw[i][m] + raw[m][j]
-                if raw[i][j] == INF or alt < raw[i][j]:
-                    raw[i][j] = alt
+    # the shortest-path closure turns any symmetric table into a pseudometric
+    _min_plus_closure(raw)
     return FinPseudometricSpace(range(n), raw)
 
 

@@ -9,6 +9,7 @@ raises BackendMismatch instead of coercing.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf, isfinite
 
 from .errors import BackendMismatch
 
@@ -24,7 +25,7 @@ def coerce(value, backend):
 
     Exact backend accepts ints, Fractions and "num/den" strings; floats are
     rejected because binary floats silently lose exactness.  Float backend
-    accepts any real and returns a float.
+    accepts any finite real and returns a float.  Neither takes a bool.
     """
     if backend == EXACT:
         if isinstance(value, bool):
@@ -39,10 +40,20 @@ def coerce(value, backend):
             )
         raise BackendMismatch("cannot use %r as an exact scalar" % (value,))
     if backend == FLOAT:
-        if isinstance(value, str):
-            return float(parse_rational(value))
-        return float(value)
+        if type(value) is not float:
+            if isinstance(value, bool):
+                raise BackendMismatch("booleans are not scalars")
+            value = float(parse_rational(value) if isinstance(value, str) else value)
+        if not isfinite(value):
+            raise ValueError("%r is not a finite scalar" % (value,))
+        return value
     raise ValueError("unknown backend %r" % backend)
+
+
+def check_tol(tol):
+    """Raise ValueError unless `tol` is a finite real >= 0 (a bool is not one)."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)) or not 0 <= tol < inf:
+        raise ValueError("tol must be a finite real >= 0, not %r" % (tol,))
 
 
 def parse_rational(text):

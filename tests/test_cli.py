@@ -161,3 +161,47 @@ def test_out_flag_writes_file(tmp_path, skew_measure_file):
     target = tmp_path / "report.json"
     assert main(["rn", "--measure", skew_measure_file, "--out", str(target)]) == 0
     assert json.loads(target.read_text())["roundtrip_residual"] == "0"
+
+
+def _exit_and_error(tmp_path, capsys, name, obj, *argv):
+    path = str(tmp_path / name)
+    jsonio.write_json(obj, path)
+    code = main([a if a != "FILE" else path for a in argv])
+    return code, capsys.readouterr().err
+
+
+def test_metcat_tol_true_is_parse_error(tmp_path, capsys):
+    obj = {"points": ["a", "b"], "dist": [["0", "1"], ["2", "0"]], "tol": True}
+    code, err = _exit_and_error(tmp_path, capsys, "space.json", obj, "metcat", "--space", "FILE")
+    assert code == 2
+    assert err.startswith("error: ") and "tol must be" in err
+
+
+def test_rn_atoms_not_a_list_is_parse_error(tmp_path, capsys):
+    obj = {"space": {"atoms": 3, "weights": ["1"]}, "mass": ["1"]}
+    code, err = _exit_and_error(tmp_path, capsys, "mu.json", obj, "rn", "--measure", "FILE")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_mapdist_assign_list_is_parse_error(tmp_path, capsys):
+    s = make_space(["a", "b"], ["1/2", "1/2"])
+    obj = jsonio.map_to_obj(make_map(s, s, {"a": "a", "b": "b"}))
+    jsonio.write_json(obj, str(tmp_path / "ok.json"))
+    obj["assign"] = ["a", "b"]
+    code, err = _exit_and_error(
+        tmp_path, capsys, "f.json", obj, "mapdist", "--first", "FILE",
+        "--second", str(tmp_path / "ok.json"),
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_extend_three_entry_leq_pair_is_parse_error(tmp_path, capsys):
+    d, _ = make_dyadic(DyadicGround.affine(0, 1), 2)
+    mu = make_measure(d.spaces[2], ["1/8", "1/16", "1/4", "1/8"])
+    obj = jsonio.measure_family_to_obj(restrict_measure(mu, d))
+    obj["diagram"]["leq"][0].append(0)
+    code, err = _exit_and_error(tmp_path, capsys, "fam.json", obj, "extend", "--family", "FILE")
+    assert code == 2
+    assert err.startswith("error: ")

@@ -114,6 +114,12 @@ class TestAxioms:
         with pytest.raises(errors.InvalidMetric):
             FinPseudometricSpace(["a", "b"], [[0, entry], [entry, 0]])
 
+    @pytest.mark.parametrize("tol", [0, 1e-9])
+    @pytest.mark.parametrize("entry", [-INF, float("nan")])
+    def test_non_finite_entry_is_not_a_distance(self, entry, tol):
+        with pytest.raises(errors.InvalidMetric, match="not a distance"):
+            FinPseudometricSpace(["a", "b"], [[0, entry], [entry, 0]], tol=tol)
+
     def test_symmetric_negative_rejected(self):
         with pytest.raises(errors.InvalidMetric, match="negative distance"):
             FinPseudometricSpace(["a", "b"], [[0, -1], [-1, 0]])

@@ -1,0 +1,141 @@
+"""Contracts shared by every value type: read-only storage, ==/!= agreement,
+and the one tolerance check both kinds of space run."""
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from catprob import errors, scalar
+from catprob.diagram import DyadicGround, FiltrationDiagram, make_dyadic, restrict_measure
+from catprob.finmeas import FiniteMeasure, make_measure
+from catprob.finprob import make_map, make_space, uniform_space
+from catprob.finrv import FiniteRandomVariable, make_rv
+from catprob.metcat import FinPseudometricSpace, LipschitzMap, identity_lipschitz
+
+
+def _dyadic():
+    return make_dyadic(DyadicGround.affine(0, 1), 2)
+
+
+class TestFrozenStorage:
+    def test_map_assign(self):
+        m = make_map(uniform_space(2), uniform_space(1), {0: 0, 1: 0})
+        with pytest.raises(TypeError):
+            m.assign[0] = 1
+        with pytest.raises(TypeError):
+            del m.assign[0]
+
+    def test_lipschitz_assign(self):
+        f = identity_lipschitz(FinPseudometricSpace(["a", "b"], [[0, 1], [1, 0]]))
+        with pytest.raises(TypeError):
+            f.assign["a"] = "b"
+
+    def test_diagram_spaces_and_connect(self):
+        d, _ = _dyadic()
+        with pytest.raises(TypeError):
+            d.spaces[0] = uniform_space(1)
+        with pytest.raises(TypeError):
+            d.connect[(0, 1)] = d.connect[(0, 0)]
+
+    def test_martingale_family(self):
+        d, m = _dyadic()
+        with pytest.raises(TypeError):
+            m.family[0] = m.family[0]
+
+    def test_measure_family(self):
+        d, _ = _dyadic()
+        fam = restrict_measure(make_measure(d.spaces[2], ["1/8", "1/8", "1/4", "1/2"]), d)
+        with pytest.raises(TypeError):
+            fam.family[0] = fam.family[0]
+
+    def test_diagram_numeric_model(self):
+        u2 = make_space([0, 1], [0.5, 0.5], backend=scalar.FLOAT, tol=1e-6)
+        u1 = make_space([0], [1.0], backend=scalar.FLOAT)
+        d = FiltrationDiagram.chain([u1, u2], [make_map(u2, u1, {0: 0, 1: 0})])
+        assert (d.backend, d.tol) == (scalar.FLOAT, 1e-6)
+
+
+def _values():
+    """(a, b, c) per value type: a == b, a != c, all built independently."""
+    s = uniform_space(2)
+    t = make_space([0, 1], ["1/4", "3/4"])
+    one = uniform_space(1)
+    swap = {0: 1, 1: 0}
+    x = FinPseudometricSpace(["a", "b"], [[0, 1], [1, 0]])
+    y = FinPseudometricSpace(["a", "b"], [[0, 2], [2, 0]])
+    d2, _ = _dyadic()
+    d1, _ = make_dyadic(DyadicGround.affine(0, 1), 1)
+    return [
+        (uniform_space(2), s, t),
+        (make_map(s, one, {0: 0, 1: 0}), make_map(s, one, {0: 0, 1: 0}), make_map(s, s, swap)),
+        (make_rv(s, [1, 2]), FiniteRandomVariable(s, [1, 2]), make_rv(s, [2, 1])),
+        (make_measure(s, ["1/4", 0]), FiniteMeasure(s, ["1/4", 0]), make_measure(s, [0, "1/4"])),
+        (x, FinPseudometricSpace(["a", "b"], [[0, 1], [1, 0]]), y),
+        (
+            identity_lipschitz(x),
+            LipschitzMap(x, x, {"a": "a", "b": "b"}),
+            LipschitzMap(x, x, {"a": "b", "b": "a"}),
+        ),
+        (d2, _dyadic()[0], d1),
+    ]
+
+
+_CASES = _values()
+
+
+@pytest.mark.parametrize("a, b, c", _CASES, ids=[type(case[0]).__name__ for case in _CASES])
+def test_ne_is_the_negation_of_eq(a, b, c):
+    for u, v in ((a, b), (a, c), (b, c), (a, a)):
+        assert (u != v) is (not (u == v))
+    assert a == b and a != c
+    assert a != "foreign" and not (a == "foreign")
+    assert a != 0
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [True, -1, -1e-9, math.nan, math.inf, "0", None])
+    def test_metric_space_rejects(self, tol):
+        with pytest.raises(ValueError, match="tol must be"):
+            FinPseudometricSpace(["a", "b"], [[0, 0], [0, 0]], tol=tol)
+
+    def test_metric_tol_true_does_not_hide_asymmetry(self):
+        with pytest.raises(ValueError):
+            FinPseudometricSpace(["a", "b"], [["0", "1"], ["2", "0"]], tol=True)
+
+    def test_negative_tol_is_not_a_weight_sum_mismatch(self):
+        with pytest.raises(ValueError, match="tol must be"):
+            make_space(["a", "b"], [0.5, 0.5], backend=scalar.FLOAT, tol=-1e-3)
+
+    @pytest.mark.parametrize("tol", [True, math.nan, math.inf, "1e-9"])
+    def test_prob_space_rejects(self, tol):
+        with pytest.raises(ValueError, match="tol must be"):
+            make_space(["a", "b"], [0.5, 0.5], backend=scalar.FLOAT, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-6, F(1, 10**6)])
+    def test_accepted(self, tol):
+        assert make_space(["a"], [1.0], backend=scalar.FLOAT, tol=tol).tol == tol
+        assert FinPseudometricSpace(["a"], [[0]], tol=tol).tol == tol
+
+
+class TestFloatScalars:
+    def _space(self):
+        return make_space(["a", "b"], [0.5, 0.5], backend=scalar.FLOAT)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rv_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="not a finite scalar"):
+            FiniteRandomVariable(self._space(), [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_measure_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="not a finite scalar"):
+            FiniteMeasure(self._space(), [bad, 0.0])
+
+    def test_bool_weights_rejected(self):
+        with pytest.raises(errors.BackendMismatch):
+            make_space(["a", "b"], [True, False], backend=scalar.FLOAT)
+
+    def test_finite_values_unchanged(self):
+        s = self._space()
+        assert FiniteRandomVariable(s, [1, F(1, 4)]).values == (1.0, 0.25)
+        assert make_rv(s, ["3/4", 0.5]).values == (0.75, 0.5)
