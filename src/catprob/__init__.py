@@ -21,7 +21,6 @@ from .diagram import (
     MartingaleCheck,
     cauchy_certificate,
     dyadic_error,
-    generation_ok,
     induced_martingale,
     is_martingale,
     isometry_report,

@@ -168,8 +168,7 @@ def cmd_martingale(args):
     if args.ground in _GROUNDS:
         ground = _GROUNDS[args.ground]()
     else:
-        obj = jsonio.read_json(args.ground)
-        ground = DyadicGround(obj["breakpoints"], obj["values"])
+        ground = jsonio.ground_from_obj(jsonio.read_json(args.ground))
     depth = args.depth
     _, mart = make_dyadic(ground, depth)
     moments = [second_moment(mart.family[t]) for t in range(depth + 1)]
@@ -225,13 +224,14 @@ def cmd_extend(args):
 def cmd_mapdist(args):
     f = jsonio.map_from_obj(jsonio.read_json(args.first))
     g = jsonio.map_from_obj(jsonio.read_json(args.second))
-    scale_factor = args.bound if args.bound is not None else "1"
-    d = map_distance(f, g, scale=scale_factor)
-    payload = {
-        "distance": _fmt(d),
-        "scale": _fmt(scalar.coerce(scale_factor, f.src.backend)),
-        "as_equal": as_equal(f, g),
-    }
+    try:
+        scale = scalar.coerce("1" if args.bound is None else args.bound, f.src.backend)
+    except (ValueError, ZeroDivisionError):
+        scale = None
+    if scale is None or scale <= 0:
+        raise CatprobError("--bound must be a positive 'num/den', not %r" % (args.bound,))
+    d = map_distance(f, g, scale=scale)
+    payload = {"distance": _fmt(d), "scale": _fmt(scale), "as_equal": as_equal(f, g)}
     rows = [["distance", "scale", "as_equal"], [_fmt(d), payload["scale"], payload["as_equal"]]]
     _emit(payload, rows, args)
     return 0

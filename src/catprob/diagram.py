@@ -2,11 +2,13 @@
 
 A diagram is a finite directed poset of spaces with compatible connecting
 maps (finer level -> coarser level).  An optional designated top element is
-the master space; its maps to the levels induce martingales by conditional
-expectation, and the engine inverts that construction: reconstructing the
-top-level data from a consistent family (martingale limit / measure
-extension), certifying convergence through second-moment gaps, and running
-the dyadic ground-truth experiments where every quantity has a closed form.
+the master space and the poset maximum; its maps to the levels induce
+martingales by conditional expectation, and the engine inverts that
+construction: reading the top-level data off a consistent family (martingale
+limit / measure extension) after checking it against every level, certifying
+convergence through second-moment gaps, and running the dyadic ground-truth
+experiments where every quantity has a closed form.  Every diagram and
+family is validated when it is built.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from .errors import (
     DepthTooLarge,
     DiagramMismatch,
     DomainMismatch,
-    GenerationFailure,
     Inconsistent,
     IndexMismatch,
     InvalidDiagram,
@@ -31,7 +32,7 @@ from .errors import (
     NotAChain,
     SpaceMismatch,
 )
-from .finmeas import FiniteMeasure, bound_check, pushforward, rn_derivative, tv_distance
+from .finmeas import bound_check, pushforward, rn_derivative, tv_distance
 from .finprob import MeasurePreservingMap, compose, identity_map
 from .finrv import (
     FiniteRandomVariable,
@@ -74,11 +75,15 @@ class FiltrationDiagram:
 
     __slots__ = ("elements", "leq", "spaces", "connect", "top", "backend", "tol")
 
-    def __init__(self, elements, leq, spaces, connect, top=None, check=True):
+    def __init__(self, elements, leq, spaces, connect, top=None):
         elements = tuple(elements)
         if not elements:
             raise InvalidDiagram("a diagram needs at least one element")
         self.elements = elements
+        leq = tuple(leq)
+        stray = [p for p in leq if p[0] not in elements or p[1] not in elements]
+        if stray:
+            raise InvalidDiagram("order pairs name non-elements: %r" % (stray[:4],))
         self.leq = _closure(elements, leq)
         missing = [e for e in elements if e not in spaces]
         if missing:
@@ -109,13 +114,12 @@ class FiltrationDiagram:
                             break
         self.connect = MappingProxyType(table)
         self.top = top
-        if check:
-            report = validate(self)
-            if not report.ok:
-                raise InvalidDiagram("; ".join(report.problems[:6]))
+        report = validate(self)
+        if not report.ok:
+            raise InvalidDiagram("; ".join(report.problems[:6]))
 
     @classmethod
-    def chain(cls, spaces_list, step_maps, labels=None, top=True, check=True):
+    def chain(cls, spaces_list, step_maps, labels=None, top=True):
         """Chain diagram: spaces coarse to fine, step_maps[t]: level t+1 -> level t."""
         n = len(spaces_list)
         if labels is None:
@@ -133,7 +137,6 @@ class FiltrationDiagram:
             dict(zip(labels, spaces_list)),
             connect,
             top=labels[-1] if top else None,
-            check=check,
         )
 
     def le(self, i, j):
@@ -217,6 +220,9 @@ def validate(d):
     if len(backends) > 1:
         problems.append("mixed numeric backends across levels")
     # connect coverage and endpoints
+    for p in d.connect:
+        if p not in d.leq:
+            problems.append("connecting map for %r outside the order" % (p,))
     for (i, j) in sorted(d.leq, key=lambda p: (els.index(p[0]), els.index(p[1]))):
         m = d.connect.get((i, j))
         if m is None:
@@ -251,31 +257,7 @@ def validate(d):
             problems.append("top %r is not an element" % (d.top,))
         elif not all(d.le(i, d.top) for i in els):
             problems.append("top %r is not the poset maximum" % (d.top,))
-        elif not generation_ok(d):
-            problems.append("level fibers do not separate the top atoms")
     return DiagramReport(ok=not problems, problems=tuple(problems))
-
-
-def generation_ok(d):
-    """Whether the join of the level-fiber partitions of the top space is discrete.
-
-    Two top atoms fall in the same join block iff every level map sends them
-    to the same atom; the join is discrete iff the signatures are distinct.
-    """
-    if d.top is None:
-        return False
-    top_space = d.spaces[d.top]
-    seen = set()
-    for a in top_space.atoms:
-        sig = tuple(
-            d.connect[(i, d.top)].assign[a]
-            for i in d.elements
-            if (i, d.top) in d.connect
-        )
-        if sig in seen:
-            return False
-        seen.add(sig)
-    return True
 
 
 # -- martingales -------------------------------------------------------------------
@@ -314,7 +296,7 @@ class Martingale:
 
     __slots__ = ("diagram", "family", "bound")
 
-    def __init__(self, diagram, family, bound=None, check=True):
+    def __init__(self, diagram, family, bound=None):
         if set(family) != set(diagram.elements):
             raise IndexMismatch("family is not indexed by the diagram's elements")
         family = MappingProxyType({i: family[i] for i in diagram.elements})
@@ -330,15 +312,14 @@ class Martingale:
         self.diagram = diagram
         self.family = family
         self.bound = bound
-        if check:
-            for i in diagram.elements:
-                if not scalar.le(max_value(family[i]), bound, diagram.tol):
-                    raise Inconsistent("level %r exceeds the bound %s" % (i, bound))
-            chk = is_martingale(family, diagram)
-            if not chk.ok:
-                raise Inconsistent(
-                    "consistency fails at %r with residual %s" % (chk.worst_pair, chk.residual)
-                )
+        for i in diagram.elements:
+            if not scalar.le(max_value(family[i]), bound, diagram.tol):
+                raise Inconsistent("level %r exceeds the bound %s" % (i, bound))
+        chk = is_martingale(family, diagram)
+        if not chk.ok:
+            raise Inconsistent(
+                "consistency fails at %r with residual %s" % (chk.worst_pair, chk.residual)
+            )
 
     def level(self, i):
         return self.family[i]
@@ -352,7 +333,7 @@ class ConsistentMeasureFamily:
 
     __slots__ = ("diagram", "family", "bound")
 
-    def __init__(self, diagram, family, bound=None, check=True):
+    def __init__(self, diagram, family, bound=None):
         if set(family) != set(diagram.elements):
             raise IndexMismatch("family is not indexed by the diagram's elements")
         family = MappingProxyType({i: family[i] for i in diagram.elements})
@@ -371,18 +352,17 @@ class ConsistentMeasureFamily:
         self.diagram = diagram
         self.family = family
         self.bound = bound
-        if check:
-            for i in diagram.elements:
-                if family[i].space != diagram.spaces[i]:
-                    raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
-                if bound > 0 and not bound_check(family[i], bound):
-                    raise Inconsistent("level %r exceeds bound * base weights" % (i,))
-            for (i, j) in diagram.covering_pairs():
-                gap = tv_distance(pushforward(family[j], diagram.connect[(i, j)]), family[i])
-                if not scalar.eq(gap, scalar.zero(backend), diagram.tol):
-                    raise Inconsistent(
-                        "restriction fails at %r <= %r with residual %s" % (i, j, gap)
-                    )
+        for i in diagram.elements:
+            if family[i].space != diagram.spaces[i]:
+                raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
+            if bound > 0 and not bound_check(family[i], bound):
+                raise Inconsistent("level %r exceeds bound * base weights" % (i,))
+        for (i, j) in diagram.covering_pairs():
+            gap = tv_distance(pushforward(family[j], diagram.connect[(i, j)]), family[i])
+            if not scalar.eq(gap, scalar.zero(backend), diagram.tol):
+                raise Inconsistent(
+                    "restriction fails at %r <= %r with residual %s" % (i, j, gap)
+                )
 
     def level(self, i):
         return self.family[i]
@@ -477,35 +457,17 @@ def cauchy_certificate(m, eps):
     )
 
 
-def _finest_map(d):
-    """The finest level and the map onto it from the top, whose fibers are singletons."""
-    if not generation_ok(d):
-        raise GenerationFailure("level fibers do not separate the top atoms")
-    finest = d.maximum()
-    fm = d.connect.get((finest, d.top))
-    if fm is None:
-        raise GenerationFailure("no map from the top onto the finest level")
-    if len(set(fm.assign.values())) < len(fm.assign):
-        raise GenerationFailure("finest level map has a non-singleton fiber")
-    return finest, fm
-
-
 def martingale_limit(m):
-    """The unique top-level random variable inducing the martingale.
+    """The unique top-level random variable inducing the martingale: its top level.
 
-    Requires a designated top whose level fibers jointly separate atoms; the
-    finest level then has singleton fibers and the limit is its data pulled
-    back along the finest map.  The full induced family is recomputed and
-    compared level by level, so a forged input cannot slip through.
+    Requires a designated top.  The top level is conditioned down onto every
+    level and compared with the family there: on the float backend the
+    constructor's covering-pair check lets drift add up along a path.
     """
     d = m.diagram
     if d.top is None:
         raise NoTopElement("martingale limit needs a designated top element")
-    finest, fm = _finest_map(d)
-    chk = is_martingale(m.family, d)
-    if not chk.ok:
-        raise Inconsistent("not a martingale: residual %s at %r" % (chk.residual, chk.worst_pair))
-    x = pullback(m.family[finest], fm)
+    x = m.family[d.top]
     for i in d.elements:
         gap = l1_distance(cond_exp(x, d.to_top(i)), m.family[i])
         if not scalar.eq(gap, x.space.zero, d.tol):
@@ -514,21 +476,18 @@ def martingale_limit(m):
 
 
 def kolmogorov_extend(fam):
-    """The unique top-level measure restricting to every level of the family."""
+    """The unique top-level measure restricting to every level: the family's top level.
+
+    The top level is pushed onto every level and compared with the family there.
+    """
     d = fam.diagram
     if d.top is None:
         raise NoTopElement("extension needs a designated top element")
-    finest, fm = _finest_map(d)
-    mu_fine = fam.family[finest]
-    mu = FiniteMeasure(
-        d.spaces[d.top], [mu_fine.mass_of(fm.assign[a]) for a in fm.src.atoms]
-    )
+    mu = fam.family[d.top]
     for i in d.elements:
         gap = tv_distance(pushforward(mu, d.to_top(i)), fam.family[i])
         if not scalar.eq(gap, mu.space.zero, d.tol):
             raise Inconsistent("extension misses level %r by %s" % (i, gap))
-    if fam.bound > 0 and not bound_check(mu, fam.bound):
-        raise InvariantViolation("extension violates the family bound")
     return mu
 
 
@@ -577,7 +536,7 @@ def isometry_report(m1, m2, x1, x2, finest_map=None):
             raise DomainMismatch(
                 "limits do not live on the diagram's top; pass finest_map explicitly"
             )
-        finest_map = d.connect[(d.maximum(), d.top)]
+        finest_map = d.connect[(d.top, d.top)]
     else:
         if finest_map.src != x1.space or finest_map.dst != d.spaces[d.maximum()]:
             raise DomainMismatch("finest_map must send the limits' space onto the finest level")

@@ -64,10 +64,6 @@ class NoTopElement(CatprobError):
     """The operation needs a designated top (master) space."""
 
 
-class GenerationFailure(CatprobError):
-    """The join of the level fibers does not separate the top atoms."""
-
-
 class Inconsistent(CatprobError):
     """A candidate family fails the consistency (martingale/measure) check."""
 

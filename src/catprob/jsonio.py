@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import scalar
-from .diagram import ConsistentMeasureFamily, FiltrationDiagram, Martingale
+from .diagram import ConsistentMeasureFamily, DyadicGround, FiltrationDiagram, Martingale
 from .errors import ParseError
 from .finmeas import FiniteMeasure
 from .finprob import FiniteProbSpace, MeasurePreservingMap
@@ -292,6 +292,17 @@ def measure_family_from_obj(obj, what="measure family"):
     }
     with _guard(what):
         return ConsistentMeasureFamily(d, family, bound=obj.get("bound"))
+
+
+# -- dyadic grounds ---------------------------------------------------------------------
+
+
+def ground_from_obj(obj, what="ground"):
+    """A dyadic ground function from {"breakpoints": [...], "values": [...]}."""
+    breakpoints = _need(obj, "breakpoints", what)
+    values = _need(obj, "values", what)
+    with _guard(what):
+        return DyadicGround(breakpoints, values)
 
 
 # -- file helpers ------------------------------------------------------------------------

@@ -205,3 +205,37 @@ def test_extend_three_entry_leq_pair_is_parse_error(tmp_path, capsys):
     code, err = _exit_and_error(tmp_path, capsys, "fam.json", obj, "extend", "--family", "FILE")
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bound", ["abc", "nan", "1/0", "-1", "0"])
+def test_mapdist_bad_bound_is_error(tmp_path, capsys, bound):
+    s = make_space(["a", "b"], ["1/2", "1/2"])
+    obj = jsonio.map_to_obj(make_map(s, s, {"a": "a", "b": "b"}))
+    code, err = _exit_and_error(
+        tmp_path, capsys, "f.json", obj, "mapdist", "--first", "FILE", "--second", "FILE",
+        "--bound", bound,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "--bound" in err
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"breakpoints": [0, 1]},
+        {"breakpoints": ["x", 1], "values": [0, 1]},
+        [0, 1],
+    ],
+)
+def test_martingale_malformed_ground_file_is_parse_error(tmp_path, capsys, obj):
+    code, err = _exit_and_error(tmp_path, capsys, "g.json", obj, "martingale", "--ground", "FILE")
+    assert code == 2
+    assert err.startswith("error: ground: ")
+
+
+def test_martingale_ground_file_matches_builtin(tmp_path, capsys):
+    path = str(tmp_path / "tent.json")
+    jsonio.write_json({"breakpoints": [0, "1/2", 1], "values": [0, 1, 0]}, path)
+    _, from_file = run(capsys, "martingale", "--ground", path, "--depth", "4", "--format", "csv")
+    _, builtin = run(capsys, "martingale", "--ground", "tent", "--depth", "4", "--format", "csv")
+    assert from_file == builtin

@@ -13,7 +13,6 @@ from catprob.diagram import (
     Martingale,
     cauchy_certificate,
     dyadic_error,
-    generation_ok,
     induced_martingale,
     is_martingale,
     isometry_report,
@@ -60,29 +59,12 @@ class TestValidate:
         d, _ = make_dyadic(IDENTITY, 2)
         assert validate(d).ok
 
-    def test_corrupted_connect_reports_triple(self):
-        u4, u2 = uniform_space(4), uniform_space(2)
-        pair = make_map(u4, u2, {0: 0, 1: 0, 2: 1, 3: 1})
-        ident = make_map(u2, u2, {0: 0, 1: 1})
-        swapped = make_map(u4, u2, {0: 1, 1: 1, 2: 0, 3: 0})
-        d = FiltrationDiagram(
-            [0, 1, 2],
-            [(0, 1), (1, 2)],
-            {0: u2, 1: u2, 2: u4},
-            {(0, 1): ident, (1, 2): pair, (0, 2): swapped},
-            top=2,
-            check=False,
-        )
-        report = validate(d)
-        assert not report.ok
-        assert any("functoriality" in p for p in report.problems)
-
     def test_constructor_rejects_corrupted(self):
         u4, u2 = uniform_space(4), uniform_space(2)
         pair = make_map(u4, u2, {0: 0, 1: 0, 2: 1, 3: 1})
         ident = make_map(u2, u2, {0: 0, 1: 1})
         swapped = make_map(u4, u2, {0: 1, 1: 1, 2: 0, 3: 0})
-        with pytest.raises(errors.InvalidDiagram):
+        with pytest.raises(errors.InvalidDiagram, match="functoriality fails"):
             FiltrationDiagram(
                 [0, 1, 2],
                 [(0, 1), (1, 2)],
@@ -90,6 +72,25 @@ class TestValidate:
                 {(0, 1): ident, (1, 2): pair, (0, 2): swapped},
                 top=2,
             )
+
+    def test_constructor_rejects_non_identity_reflexive_connect(self):
+        s = make_space(["a", "b", "n"], [F(1, 2), F(1, 2), 0])
+        endo = make_map(s, s, {"a": "a", "b": "b", "n": "a"})  # idempotent, not id
+        with pytest.raises(errors.InvalidDiagram, match="reflexive connect at 0 is not the identity"):
+            FiltrationDiagram([0], [], {0: s}, {(0, 0): endo}, top=0)
+
+    def test_constructor_rejects_order_pair_on_non_element(self):
+        u2 = uniform_space(2)
+        ident = identity_map(u2)
+        with pytest.raises(errors.InvalidDiagram, match="non-elements"):
+            FiltrationDiagram([0, 1], [(0, 1), (0, 5)], {0: u2, 1: u2}, {(0, 1): ident})
+
+    @pytest.mark.parametrize("pair", [(1, 0), (0, 7)])
+    def test_constructor_rejects_connect_outside_order(self, pair):
+        u2 = uniform_space(2)
+        ident = identity_map(u2)
+        with pytest.raises(errors.InvalidDiagram, match="outside the order"):
+            FiltrationDiagram([0, 1], [(0, 1)], {0: u2, 1: u2}, {(0, 1): ident, pair: ident})
 
 
 class TestInducedMartingale:
@@ -296,15 +297,6 @@ class TestMartingaleLimit:
         x = make_rv(top, [1, 2, 7])  # canonicalizes to (1, 2, 0)
         assert martingale_limit(induced_martingale(x, d)).values == (F(1), F(2), F(0))
 
-    def test_generation_failure_on_doctored_diagram(self):
-        s = make_space(["a", "b", "n"], [F(1, 2), F(1, 2), 0])
-        endo = make_map(s, s, {"a": "a", "b": "b", "n": "a"})  # idempotent, not id
-        d = FiltrationDiagram([0], [], {0: s}, {(0, 0): endo}, top=0, check=False)
-        assert not generation_ok(d)
-        m = Martingale(d, {0: constant_rv(s, 1)}, check=False)
-        with pytest.raises(errors.GenerationFailure):
-            martingale_limit(m)
-
     def test_forged_family_rejected(self):
         d = two_chain_over_uniform4()
         family = {
@@ -312,9 +304,8 @@ class TestMartingaleLimit:
             1: constant_rv(d.spaces[1], 2),
             2: constant_rv(d.spaces[2], 3),
         }
-        m = Martingale(d, family, check=False)
         with pytest.raises(errors.Inconsistent):
-            martingale_limit(m)
+            Martingale(d, family)
 
     @settings(max_examples=30, deadline=None)
     @given(seeded_rng())

@@ -1,8 +1,11 @@
+import copy
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catprob import errors, jsonio, scalar
 from catprob.diagram import DyadicGround, make_dyadic, restrict_measure
@@ -91,3 +94,88 @@ def test_parse_error_reports_location(tmp_path):
 def test_invalid_payload_wrapped_as_parse_error():
     with pytest.raises(errors.ParseError):
         jsonio.space_from_obj({"atoms": ["a", "b"], "weights": ["1/2", "1/4"]})
+
+
+# -- fuzzing: every decoder either decodes or raises ParseError ------------------------
+
+_D, _M = make_dyadic(DyadicGround([0, "1/2", 1], [0, 1, "1/2"]), 1)
+_FAM = restrict_measure(rand_measure(random.Random(1), _D.spaces[1], bound=2), _D)
+
+#: decoder -> (a valid document, the keys of its schema)
+DECODERS = {
+    jsonio.space_from_obj: (jsonio.space_to_obj(_D.spaces[1]), ("atoms", "weights", "backend", "tol")),
+    jsonio.map_from_obj: (jsonio.map_to_obj(_D.connect[(0, 1)]), ("src", "dst", "assign")),
+    jsonio.measure_from_obj: (jsonio.measure_to_obj(_FAM.family[1]), ("space", "mass")),
+    jsonio.rv_from_obj: (jsonio.rv_to_obj(_M.family[1]), ("space", "values")),
+    jsonio.metspace_from_obj: (
+        jsonio.metspace_to_obj(FinPseudometricSpace(["a", "b"], [[0, INF], [INF, 0]])),
+        ("points", "dist", "tol"),
+    ),
+    jsonio.diagram_from_obj: (jsonio.diagram_to_obj(_D), ("elements", "leq", "spaces", "connect", "top")),
+    jsonio.martingale_from_obj: (jsonio.martingale_to_obj(_M), ("diagram", "family", "bound")),
+    jsonio.measure_family_from_obj: (jsonio.measure_family_to_obj(_FAM), ("diagram", "family", "bound")),
+    jsonio.ground_from_obj: (
+        {"breakpoints": [0, "1/2", 1], "values": [0, 1, "1/2"]},
+        ("breakpoints", "values"),
+    ),
+}
+_KEYS = sorted({k for _, keys in DECODERS.values() for k in keys} | {"0", "1", "a", "lo", "hi"})
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(-2, 2, allow_nan=False)
+    | st.sampled_from(["0", "1", "1/2", "1/0", "inf", "a", "exact", "float"])
+    | st.text(max_size=3)
+)
+
+
+def _containers(kids):
+    seeded = [st.fixed_dictionaries({k: kids for k in keys}) for _, keys in DECODERS.values()]
+    return st.one_of(
+        st.lists(kids, max_size=3), st.dictionaries(st.sampled_from(_KEYS), kids, max_size=3), *seeded
+    )
+
+
+#: Any JSON value; objects are often seeded with one schema's keys.
+JSON_VALUES = st.recursive(_SCALARS, _containers, max_leaves=10)
+
+
+@st.composite
+def mutated(draw, doc):
+    """A copy of `doc` with one nested value replaced by an arbitrary JSON value."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        k = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[k]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+        else:
+            node[k] = draw(JSON_VALUES)
+            return doc
+
+
+@pytest.mark.parametrize("decode", DECODERS, ids=lambda f: f.__name__)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_decoders_are_total(decode, data):
+    valid, keys = DECODERS[decode]
+    doc = data.draw(
+        st.one_of(
+            JSON_VALUES,
+            st.fixed_dictionaries({k: JSON_VALUES for k in keys}),
+            mutated(valid),
+        )
+    )
+    try:
+        decode(doc)
+    except errors.ParseError:
+        pass
+
+
+@pytest.mark.parametrize("decode", DECODERS, ids=lambda f: f.__name__)
+def test_decoders_accept_their_valid_document(decode):
+    valid, _ = DECODERS[decode]
+    decode(copy.deepcopy(valid))
