@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,23 @@ class TestValidate:
     def test_dyadic_three_chain_valid(self):
         d, _ = make_dyadic(IDENTITY, 2)
         assert validate(d).ok
+
+    def test_corrupted_connect_reports_triple(self):
+        u4, u2 = uniform_space(4), uniform_space(2)
+        pair = make_map(u4, u2, {0: 0, 1: 0, 2: 1, 3: 1})
+        ident = make_map(u2, u2, {0: 0, 1: 1})
+        swapped = make_map(u4, u2, {0: 1, 1: 1, 2: 0, 3: 0})
+        d = FiltrationDiagram(
+            [0, 1, 2], [(0, 1), (1, 2)], {0: u2, 1: u2, 2: u4}, {(0, 1): ident, (1, 2): pair}, top=2
+        )
+        # the constructor rejects such a table, so swap it into a copy of a valid diagram
+        bad = object.__new__(FiltrationDiagram)
+        for name in FiltrationDiagram.__slots__:
+            setattr(bad, name, getattr(d, name))
+        bad.connect = MappingProxyType({**d.connect, (0, 2): swapped})
+        report = validate(bad)
+        assert not report.ok
+        assert report.problems == ("functoriality fails at 0 <= 1 <= 2 on atom 0",)
 
     def test_constructor_rejects_corrupted(self):
         u4, u2 = uniform_space(4), uniform_space(2)
