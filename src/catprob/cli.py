@@ -43,12 +43,6 @@ def _backend():
     return value
 
 
-def _fmt(x):
-    if isinstance(x, (Fraction, int)) and not isinstance(x, bool):
-        return scalar.format_rational(x)
-    return x
-
-
 def _inject_tol(obj, tol):
     """Attach a tolerance to every embedded float space lacking one."""
     if isinstance(obj, dict):
@@ -123,14 +117,14 @@ def cmd_rn(args):
     residual = tv_distance(rho(g), mu)
     ok = scalar.eq(residual, mu.space.zero, mu.space.tol)
     payload = {
-        "derivative": [_fmt(v) for v in g.values],
+        "derivative": [scalar.to_json(v) for v in g.values],
         "atoms": [str(a) for a in mu.space.atoms],
-        "roundtrip_residual": _fmt(residual),
+        "roundtrip_residual": scalar.to_json(residual),
         "ok": ok,
     }
     rows = [["atom", "derivative"]] + [
-        [str(a), _fmt(v)] for a, v in zip(mu.space.atoms, g.values)
-    ] + [["roundtrip_residual", _fmt(residual)]]
+        [str(a), scalar.to_json(v)] for a, v in zip(mu.space.atoms, g.values)
+    ] + [["roundtrip_residual", scalar.to_json(residual)]]
     _emit(payload, rows, args)
     return 0 if ok else 1
 
@@ -150,9 +144,11 @@ def cmd_condexp(args):
     ok = True
     for combo, residual in cond_exp_residuals(g, s, result):
         ok = ok and scalar.eq(residual, dst.zero, dst.tol)
-        subsets.append({"subset": [str(b) for b in combo], "residual": _fmt(residual)})
+        subsets.append(
+            {"subset": [str(b) for b in combo], "residual": scalar.to_json(residual)}
+        )
     payload = {
-        "values": [_fmt(v) for v in result.values],
+        "values": [scalar.to_json(v) for v in result.values],
         "atoms": [str(b) for b in dst.atoms],
         "subset_residuals": subsets,
         "ok": ok,
@@ -178,9 +174,9 @@ def cmd_martingale(args):
         table.append(
             {
                 "depth": t,
-                "l1_error": _fmt(dyadic_error(ground, t)),
-                "second_moment": _fmt(moments[t]),
-                "gap": _fmt(gap),
+                "l1_error": scalar.to_json(dyadic_error(ground, t)),
+                "second_moment": scalar.to_json(moments[t]),
+                "gap": scalar.to_json(gap),
             }
         )
     telescoped = sum((moments[t] - moments[t - 1] for t in range(1, depth + 1)), Fraction(0))
@@ -200,7 +196,7 @@ def cmd_extend(args):
     mu = kolmogorov_extend(fam)
     d = fam.diagram
     residuals = {
-        str(i): _fmt(tv_distance(pushforward(mu, d.to_top(i)), fam.family[i]))
+        str(i): scalar.to_json(tv_distance(pushforward(mu, d.to_top(i)), fam.family[i]))
         for i in d.elements
     }
     left = rn_derivative(mu)
@@ -208,15 +204,15 @@ def cmd_extend(args):
     square = l1_distance(left, right)
     ok = scalar.eq(square, mu.space.zero, mu.space.tol)
     payload = {
-        "extension": [_fmt(m) for m in mu.mass],
+        "extension": [scalar.to_json(m) for m in mu.mass],
         "atoms": [str(a) for a in mu.space.atoms],
         "restriction_residuals": residuals,
-        "density_square_residual": _fmt(square),
+        "density_square_residual": scalar.to_json(square),
         "ok": ok,
     }
     rows = [["level", "restriction_residual"]] + [
         [k, v] for k, v in residuals.items()
-    ] + [["density_square_residual", _fmt(square)]]
+    ] + [["density_square_residual", scalar.to_json(square)]]
     _emit(payload, rows, args)
     return 0 if ok else 1
 
@@ -231,8 +227,10 @@ def cmd_mapdist(args):
     if scale is None or scale <= 0:
         raise CatprobError("--bound must be a positive 'num/den', not %r" % (args.bound,))
     d = map_distance(f, g, scale=scale)
-    payload = {"distance": _fmt(d), "scale": _fmt(scale), "as_equal": as_equal(f, g)}
-    rows = [["distance", "scale", "as_equal"], [_fmt(d), payload["scale"], payload["as_equal"]]]
+    payload = {
+        "distance": scalar.to_json(d), "scale": scalar.to_json(scale), "as_equal": as_equal(f, g)
+    }
+    rows = [["distance", "scale", "as_equal"], [payload[k] for k in ("distance", "scale", "as_equal")]]
     _emit(payload, rows, args)
     return 0
 
@@ -271,67 +269,48 @@ def cmd_check_lipschitz(args):
     )
 
 
+_TOL = ("--tol", {"type": float, "default": scalar.DEFAULT_TOL})
+_SUITE = [("--seed", {"type": int, "default": 0}), ("--trials", {"type": int, "default": 500})]
+
+#: name -> (handler, help, the subcommand's own options); all take --format and --out
+_COMMANDS = {
+    "rn": (cmd_rn, "density of a measure plus roundtrip residual",
+           [("--measure", {"required": True}), ("--space", {"default": None}), _TOL]),
+    "condexp": (cmd_condexp, "conditional expectation along a map",
+                [("--rv", {"required": True}), ("--map", {"required": True}), _TOL]),
+    "martingale": (cmd_martingale, "dyadic convergence experiment", [
+        ("--ground", {"default": "identity",
+                      "help": "identity|constant|tent or a JSON file of breakpoints/values"}),
+        ("--depth", {"type": int, "default": 8}),
+    ]),
+    "extend": (cmd_extend, "extend a consistent measure family to the top",
+               [("--family", {"required": True}), _TOL]),
+    "mapdist": (cmd_mapdist, "metric between two parallel maps", [
+        ("--first", {"required": True}),
+        ("--second", {"required": True}),
+        ("--bound", {"default": None, "help": "bound/scale factor as 'num/den'"}),
+    ]),
+    "metcat": (cmd_metcat, "axiom scan for a finite pseudometric space",
+               [("--space", {"required": True})]),
+    "check-appendix": (cmd_check_appendix, "second-moment identity suite", _SUITE),
+    "check-naturality": (cmd_check_naturality, "density/measure correspondence suite", _SUITE),
+    "check-lipschitz": (cmd_check_lipschitz, "map-metric estimate suite", _SUITE),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="catprob",
         description="Exact calculus on finite probability spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=500)
-        p.add_argument("--depth", type=int, default=8)
-        p.add_argument("--bound", default=None, help="bound/scale factor as 'num/den'")
-        p.add_argument("--tol", type=float, default=scalar.DEFAULT_TOL)
+    for name, (func, text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
-
-    p = sub.add_parser("rn", help="density of a measure plus roundtrip residual")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--space", default=None)
-    common(p)
-    p.set_defaults(func=cmd_rn)
-
-    p = sub.add_parser("condexp", help="conditional expectation along a map")
-    p.add_argument("--rv", required=True)
-    p.add_argument("--map", required=True)
-    common(p)
-    p.set_defaults(func=cmd_condexp)
-
-    p = sub.add_parser("martingale", help="dyadic convergence experiment")
-    p.add_argument("--ground", default="identity",
-                   help="identity|constant|tent or a JSON file of breakpoints/values")
-    common(p)
-    p.set_defaults(func=cmd_martingale)
-
-    p = sub.add_parser("extend", help="extend a consistent measure family to the top")
-    p.add_argument("--family", required=True)
-    common(p)
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("mapdist", help="metric between two parallel maps")
-    p.add_argument("--first", required=True)
-    p.add_argument("--second", required=True)
-    common(p)
-    p.set_defaults(func=cmd_mapdist)
-
-    p = sub.add_parser("metcat", help="axiom scan for a finite pseudometric space")
-    p.add_argument("--space", required=True)
-    common(p)
-    p.set_defaults(func=cmd_metcat)
-
-    p = sub.add_parser("check-appendix", help="second-moment identity suite")
-    common(p)
-    p.set_defaults(func=cmd_check_appendix)
-
-    p = sub.add_parser("check-naturality", help="density/measure correspondence suite")
-    common(p)
-    p.set_defaults(func=cmd_check_naturality)
-
-    p = sub.add_parser("check-lipschitz", help="map-metric estimate suite")
-    common(p)
-    p.set_defaults(func=cmd_check_lipschitz)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -42,6 +42,7 @@ from .finrv import (
     pullback,
     second_moment,
 )
+from .scalar import EXACT
 
 #: Atom-count guard for the dyadic constructor (2^depth atoms).
 MAX_DYADIC_DEPTH = 24
@@ -562,13 +563,15 @@ class DyadicGround:
     Every integral used by the engine (interval averages, absolute-error
     integrals, second moments) has a closed form in exact rationals, so the
     dyadic experiments are oracle-grade: no quadrature error anywhere.
+    Breakpoints, values and arguments are exact scalars (`scalar.coerce`):
+    ints, Fractions and "num/den" strings, never bools or floats.
     """
 
     __slots__ = ("breakpoints", "values")
 
     def __init__(self, breakpoints, values):
-        bps = tuple(Fraction(b) for b in breakpoints)
-        vals = tuple(Fraction(v) for v in values)
+        bps = tuple(scalar.coerce(b, EXACT) for b in breakpoints)
+        vals = tuple(scalar.coerce(v, EXACT) for v in values)
         if len(bps) < 2 or len(vals) != len(bps):
             raise BadSegments("need n >= 2 breakpoints with one value each")
         if bps[0] != 0 or bps[-1] != 1:
@@ -593,7 +596,7 @@ class DyadicGround:
         return max(self.values)
 
     def value_at(self, x):
-        x = Fraction(x)
+        x = scalar.coerce(x, EXACT)
         bps, vals = self.breakpoints, self.values
         for t in range(len(bps) - 1):
             if bps[t] <= x <= bps[t + 1]:
@@ -615,19 +618,19 @@ class DyadicGround:
 
     def integral(self, lo, hi):
         """Exact integral of f over [lo,hi] (sum of trapezoids)."""
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = scalar.coerce(lo, EXACT), scalar.coerce(hi, EXACT)
         total = Fraction(0)
         for a, b, fa, fb in self._pieces(lo, hi):
             total += (b - a) * (fa + fb) / 2
         return total
 
     def interval_average(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = scalar.coerce(lo, EXACT), scalar.coerce(hi, EXACT)
         return self.integral(lo, hi) / (hi - lo)
 
     def abs_dev_integral(self, lo, hi, c):
         """Exact integral of |f - c| over [lo,hi], splitting each piece at its root."""
-        lo, hi, c = Fraction(lo), Fraction(hi), Fraction(c)
+        lo, hi, c = scalar.coerce(lo, EXACT), scalar.coerce(hi, EXACT), scalar.coerce(c, EXACT)
         total = Fraction(0)
         for a, b, fa, fb in self._pieces(lo, hi):
             ea, eb = fa - c, fb - c
@@ -647,6 +650,11 @@ def dyadic_space(depth):
     return FiniteProbSpace(range(n), [Fraction(1, n)] * n)
 
 
+def _check_depth(depth):
+    if type(depth) is not int or not 0 <= depth <= MAX_DYADIC_DEPTH:
+        raise DepthTooLarge("depth must be an int in 0..%d, not %r" % (MAX_DYADIC_DEPTH, depth))
+
+
 def make_dyadic(ground, depth):
     """Chain of dyadic quotients 0..depth with the ground function's averages.
 
@@ -656,8 +664,7 @@ def make_dyadic(ground, depth):
     """
     if not isinstance(ground, DyadicGround):
         raise BadSegments("ground must be a DyadicGround")
-    if depth < 0 or depth > MAX_DYADIC_DEPTH:
-        raise DepthTooLarge("depth must lie in 0..%d" % MAX_DYADIC_DEPTH)
+    _check_depth(depth)
     spaces = [dyadic_space(t) for t in range(depth + 1)]
     steps = [
         MeasurePreservingMap(
@@ -677,8 +684,7 @@ def make_dyadic(ground, depth):
 
 def dyadic_error(ground, depth):
     """Exact l1 distance between the ground function and its depth-n averages."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_depth(depth)
     n = 1 << depth
     total = Fraction(0)
     for j in range(n):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import scalar
 from .diagram import ConsistentMeasureFamily, DyadicGround, FiltrationDiagram, Martingale
@@ -17,7 +16,7 @@ from .errors import ParseError
 from .finmeas import FiniteMeasure
 from .finprob import FiniteProbSpace, MeasurePreservingMap
 from .finrv import FiniteRandomVariable
-from .metcat import INF, FinPseudometricSpace
+from .metcat import FinPseudometricSpace
 
 
 def _atom_to_json(a):
@@ -30,12 +29,6 @@ def _atom_from_json(a):
     if isinstance(a, list):
         return tuple(_atom_from_json(x) for x in a)
     return a
-
-
-def _scalar_to_json(x, backend):
-    if backend == scalar.EXACT:
-        return scalar.format_rational(x)
-    return float(x)
 
 
 def _key_lookup(labels, table, what):
@@ -82,7 +75,7 @@ def _guard(what):
 def space_to_obj(s):
     return {
         "atoms": [_atom_to_json(a) for a in s.atoms],
-        "weights": [_scalar_to_json(w, s.backend) for w in s.weights],
+        "weights": [scalar.to_json(w) for w in s.weights],
         "backend": s.backend,
         "tol": s.tol,
     }
@@ -128,7 +121,7 @@ def map_from_obj(obj, what="map"):
 def measure_to_obj(mu):
     return {
         "space": space_to_obj(mu.space),
-        "mass": [_scalar_to_json(m, mu.space.backend) for m in mu.mass],
+        "mass": [scalar.to_json(m) for m in mu.mass],
     }
 
 
@@ -144,7 +137,7 @@ def measure_from_obj(obj, space=None, what="measure"):
 def rv_to_obj(f):
     return {
         "space": space_to_obj(f.space),
-        "values": [_scalar_to_json(v, f.space.backend) for v in f.values],
+        "values": [scalar.to_json(v) for v in f.values],
     }
 
 
@@ -159,20 +152,9 @@ def rv_from_obj(obj, space=None, what="rv"):
 
 
 def metspace_to_obj(x):
-    rows = []
-    for row in x.dist:
-        out = []
-        for d in row:
-            if d == INF:
-                out.append("inf")
-            elif isinstance(d, (Fraction, int)):
-                out.append(scalar.format_rational(d))
-            else:
-                out.append(float(d))
-        rows.append(out)
     return {
         "points": [_atom_to_json(p) for p in x.points],
-        "dist": rows,
+        "dist": [[scalar.to_json(d) for d in row] for row in x.dist],
         "tol": x.tol,
     }
 
@@ -247,14 +229,13 @@ def diagram_from_obj(obj, what="diagram"):
 
 
 def martingale_to_obj(m):
-    backend = m.diagram.backend
     return {
         "diagram": diagram_to_obj(m.diagram),
         "family": {
-            str(i): [_scalar_to_json(v, backend) for v in m.family[i].values]
+            str(i): [scalar.to_json(v) for v in m.family[i].values]
             for i in m.diagram.elements
         },
-        "bound": _scalar_to_json(m.bound, backend),
+        "bound": scalar.to_json(m.bound),
     }
 
 
@@ -270,14 +251,13 @@ def martingale_from_obj(obj, what="martingale"):
 
 
 def measure_family_to_obj(fam):
-    backend = fam.diagram.backend
     return {
         "diagram": diagram_to_obj(fam.diagram),
         "family": {
-            str(i): [_scalar_to_json(v, backend) for v in fam.family[i].mass]
+            str(i): [scalar.to_json(v) for v in fam.family[i].mass]
             for i in fam.diagram.elements
         },
-        "bound": _scalar_to_json(fam.bound, backend),
+        "bound": scalar.to_json(fam.bound),
     }
 
 

@@ -3,15 +3,20 @@
 Constructions: sup-metric product, equalizer subspace, infinity-separated
 coproduct, chain-infimum coequalizer, sum-metric tensor, sup-metric hom over
 a supplied family of maps, currying both ways, scaling, metric reflection.
-Distances may be `math.inf`; addition and comparisons saturate there, so the
-tables stay exact rationals everywhere else.
+Distances may be infinite; every table holds infinity as the one object
+`INF` (`math.inf`) and tests it by identity.  Addition and comparisons
+saturate there.
 
-An exact table (tol == 0) takes ints, `Fraction`s, "num/den" strings and
-infinity (`math.inf` or "inf"); bools, None, finite floats and anything else
-raise InvalidMetric.  Its axiom scan runs on Python ints: every finite entry
-over the table's common denominator, with infinity standing in as
-2*max + 1.  Float tables (tol > 0) are scanned literally, with tol slack.
-Neither kind takes nan or -inf, and `tol` must be a finite real >= 0.
+Distances follow the numeric model of `scalar`, the one the probability
+side and the dyadic grounds use.  The backend comes from `tol`: tol == 0
+makes an exact table, which `scalar.coerce` fills with Fractions from ints,
+Fractions and "num/den" strings; tol > 0 makes a float table, which holds
+floats.  Infinity (`math.inf` or "inf") is taken on both; bools, None, nan,
+-inf, finite floats in an exact table and anything else raise InvalidMetric.
+The exact axiom scan runs on Python ints: every finite entry over the
+table's common denominator, with infinity standing in as 2*max + 1.  Float
+tables are scanned literally, with tol slack.  `tol` must be a finite
+real >= 0.
 """
 from __future__ import annotations
 
@@ -19,11 +24,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
 from . import scalar
 from .errors import (
+    BackendMismatch,
     DomainMismatch,
     InvalidMetric,
     NotLipschitz,
@@ -37,44 +42,28 @@ INF = math.inf
 MAX_PRODUCT_POINTS = 10 ** 6
 
 
-def _coerce_dist(value, tol):
-    if type(value) is int or type(value) is Fraction:
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if text == "inf":
+def _coerce_dist(value, backend):
+    try:
+        return scalar.coerce(value, backend)
+    except (ValueError, ZeroDivisionError, BackendMismatch) as exc:
+        if value == INF or value == "inf":
             return INF
-        try:
-            return scalar.parse_rational(text)
-        except (ValueError, ZeroDivisionError):
-            raise InvalidMetric("not a distance: %r" % (value,)) from None
-    # nan (the only value unequal to itself) and -inf are not distances either
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, Fraction, float))
-        or value != value
-        or value == -INF
-    ):
-        raise InvalidMetric("not a distance: %r" % (value,))
-    if value == INF:
-        return INF
-    if isinstance(value, float) and tol == 0:
-        # exact tables hold Fractions; a finite float here is a type slip
-        raise InvalidMetric("finite float %r in an exact distance table" % value)
-    return value
+        raise InvalidMetric("not a distance: %r (%s)" % (value, exc)) from None
 
 
 class FinPseudometricSpace:
     """Ordered finite point set with a symmetric distance table.
 
-    `tol` > 0 relaxes the axiom checks for float-valued tables; with the
-    default tol=0 all checks are exact.
+    The backend comes from `tol`: the default tol=0 gives an exact table of
+    Fractions with exact checks, tol > 0 a float table whose axiom checks
+    are relaxed by tol.
     """
 
     __slots__ = ("points", "dist", "tol", "_index")
 
     def __init__(self, points, dist, tol=0):
         scalar.check_tol(tol)
+        self.tol = tol  # first, since it fixes the backend
         points = tuple(points)
         index = {p: i for i, p in enumerate(points)}
         if len(index) != len(points):
@@ -83,16 +72,14 @@ class FinPseudometricSpace:
         rows = [list(r) for r in dist]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InvalidMetric("distance table is not %d x %d" % (n, n))
-        table = tuple(
-            tuple(_coerce_dist(v, tol) for v in row) for row in rows
-        )
+        backend = self.backend
+        table = tuple(tuple(_coerce_dist(v, backend) for v in row) for row in rows)
         # a table the int scan rejects is scanned again literally, which
         # raises the first failure in scan order
         if tol != 0 or not _exact_axioms_hold(table):
             _literal_scan(points, table, tol)
         self.points = points
         self.dist = table
-        self.tol = tol
         self._index = index
 
     def distance(self, x, y):
@@ -100,6 +87,10 @@ class FinPseudometricSpace:
             return self.dist[self._index[x]][self._index[y]]
         except (KeyError, TypeError):
             raise DomainMismatch("points %r, %r: not both in the space" % (x, y)) from None
+
+    @property
+    def backend(self):
+        return scalar.EXACT if self.tol == 0 else scalar.FLOAT
 
     @property
     def size(self):
@@ -154,7 +145,7 @@ def _literal_scan(points, table, tol):
         if not scalar.eq(table[i][i], 0, tol):
             raise InvalidMetric("d(%r,%r) = %s != 0" % (points[i], points[i], table[i][i]))
         for j in range(n):
-            if table[i][j] != INF and table[i][j] < 0:
+            if table[i][j] is not INF and table[i][j] < 0:
                 raise InvalidMetric("negative distance at (%r,%r)" % (points[i], points[j]))
             if not _sym_eq(table[i][j], table[j][i], tol):
                 raise InvalidMetric(
@@ -172,15 +163,15 @@ def _literal_scan(points, table, tol):
 
 
 def _sym_eq(a, b, tol):
-    if a == INF or b == INF:
-        return a == b
+    if a is INF or b is INF:
+        return a is b
     return scalar.eq(a, b, tol)
 
 
 def _tri_ok(dij, dik, dkj, tol):
-    if dik == INF or dkj == INF:
+    if dik is INF or dkj is INF:
         return True
-    if dij == INF:
+    if dij is INF:
         return False
     return scalar.le(dij, dik + dkj, tol)
 
@@ -205,9 +196,9 @@ class LipschitzMap:
             for j, y in enumerate(src.points):
                 dxy = src.dist[i][j]
                 dfxy = image_row[image[j]]
-                if dxy == INF:
+                if dxy is INF:
                     continue
-                if dfxy == INF or not scalar.le(dfxy, dxy, tol):
+                if dfxy is INF or not scalar.le(dfxy, dxy, tol):
                     raise NotLipschitz(
                         "pair (%r,%r): image distance %s > source distance %s"
                         % (x, y, dfxy, dxy)
@@ -267,7 +258,7 @@ def product(spaces):
             best = 0
             for s, lookup, x, y in zip(spaces, idx, xs, ys):
                 d = s.dist[lookup[x]][lookup[y]]
-                if d == INF:
+                if d is INF:
                     best = INF
                     break
                 if d > best:
@@ -349,15 +340,15 @@ def _min_plus_closure(table):
         row_m = table[m]
         for i in range(n):
             dim = table[i][m]
-            if dim == INF:
+            if dim is INF:
                 continue
             row_i = table[i]
             for j in range(n):
                 dmj = row_m[j]
-                if dmj == INF:
+                if dmj is INF:
                     continue
                 alt = dim + dmj
-                if row_i[j] == INF or alt < row_i[j]:
+                if row_i[j] is INF or alt < row_i[j]:
                     row_i[j] = alt
 
 
@@ -392,7 +383,7 @@ def coequalizer(f, g):
             d = Y.dist[i][j]
             if ci == cj:
                 continue
-            if d != INF and (base[ci][cj] == INF or d < base[ci][cj]):
+            if d is not INF and (base[ci][cj] is INF or d < base[ci][cj]):
                 base[ci][cj] = d
                 base[cj][ci] = d
     chain = [row[:] for row in base]
@@ -410,7 +401,7 @@ def coequalizer(f, g):
                         if class_of[j] != cj:
                             continue
                         d1, d2 = Y.dist[i][m], Y.dist[m][j]
-                        if d1 == INF or d2 == INF:
+                        if d1 is INF or d2 is INF:
                             continue
                         v = d1 + d2
                         if v < one:
@@ -437,7 +428,7 @@ def _tensor_table(x_space, y_space):
         for i2, j2 in cells:
             dx = x_space.dist[i1][i2]
             dy = y_space.dist[j1][j2]
-            row.append(INF if dx == INF or dy == INF else dx + dy)
+            row.append(INF if dx is INF or dy is INF else dx + dy)
         table.append(tuple(row))
     return points, tuple(table)
 
@@ -456,7 +447,7 @@ def hom_distance(f, g):
     dst = f.dst
     for p in f.src.points:
         d = dst.dist[dst._index[f.assign[p]]][dst._index[g.assign[p]]]
-        if witness is None or (best != INF and (d == INF or d > best)):
+        if witness is None or (best is not INF and (d is INF or d > best)):
             best, witness = d, p
     if witness is None:  # empty source: all maps coincide
         return 0, None
@@ -533,10 +524,11 @@ def uncurry(per_point, x_space, y_space):
 
 def scale(space, r):
     """Multiply every distance by r > 0 (inf stays inf)."""
-    if not (r > 0):
+    r = scalar.coerce(r, space.backend)
+    if not r > 0:
         raise ValueError("scale factor must be positive")
     table = [
-        [INF if d == INF else d * r for d in row]
+        [INF if d is INF else d * r for d in row]
         for row in space.dist
     ]
     return FinPseudometricSpace(space.points, table, tol=space.tol)

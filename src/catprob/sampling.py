@@ -21,7 +21,7 @@ from .finrv import FiniteRandomVariable
 _DENOMS = (4, 8, 16, 32, 64, 12, 24, 48, 60)
 
 
-def rand_space(rng, min_atoms=2, max_atoms=8, backend=scalar.EXACT, allow_null=True):
+def rand_space(rng, min_atoms=2, max_atoms=8, backend=scalar.EXACT):
     """Random space; roughly half the draws are uniform to seed weight collisions."""
     n = rng.randint(min_atoms, max_atoms)
     atoms = tuple(range(n))
@@ -32,12 +32,6 @@ def rand_space(rng, min_atoms=2, max_atoms=8, backend=scalar.EXACT, allow_null=T
     den = rng.choice(_DENOMS)
     cuts = sorted(rng.randint(0, den) for _ in range(n - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
-    if not allow_null:
-        while 0 in parts:
-            i = parts.index(0)
-            j = max(range(n), key=lambda t: parts[t])
-            parts[i] += 1
-            parts[j] -= 1
     if backend == scalar.EXACT:
         weights = [Fraction(p, den) for p in parts]
     else:

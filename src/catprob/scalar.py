@@ -1,10 +1,14 @@
 """Dual numeric backend: exact rationals or floats with a tolerance.
 
-Every probability space picks one backend at construction and every object
-derived from it inherits the choice.  On the exact backend all comparisons
-are decidable equalities on `fractions.Fraction`; on the float backend an
-equality assertion means |a - b| <= tol.  Mixing backends in one operation
-raises BackendMismatch instead of coercing.
+This module is the one home of the number rules.  Every number comes in
+through `coerce` and goes out to JSON through `to_json`, on the probability
+side, on metric tables (whose backend comes from their tol) and on dyadic
+grounds (always exact).  Every probability space picks one backend at
+construction and every object derived from it inherits the choice.  On the
+exact backend all comparisons are decidable equalities on
+`fractions.Fraction`; on the float backend an equality assertion means
+|a - b| <= tol.  Mixing backends in one operation raises BackendMismatch
+instead of coercing.
 """
 from __future__ import annotations
 
@@ -23,11 +27,15 @@ BACKENDS = (EXACT, FLOAT)
 def coerce(value, backend):
     """Bring a user-supplied number into the backend's scalar type.
 
-    Exact backend accepts ints, Fractions and "num/den" strings; floats are
-    rejected because binary floats silently lose exactness.  Float backend
-    accepts any finite real and returns a float.  Neither takes a bool.
+    Exact backend accepts ints, Fractions (returned as they are) and
+    "num/den" strings; floats are rejected because binary floats silently
+    lose exactness.  Float backend accepts the same plus floats, and returns
+    a finite float.  Neither takes a bool; any non-number raises
+    BackendMismatch, a malformed string ValueError or ZeroDivisionError.
     """
     if backend == EXACT:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, bool):
             raise BackendMismatch("booleans are not scalars")
         if isinstance(value, (int, Fraction)):
@@ -43,11 +51,25 @@ def coerce(value, backend):
         if type(value) is not float:
             if isinstance(value, bool):
                 raise BackendMismatch("booleans are not scalars")
-            value = float(parse_rational(value) if isinstance(value, str) else value)
+            if isinstance(value, str):
+                value = parse_rational(value)
+            elif not isinstance(value, (int, float, Fraction)):
+                raise BackendMismatch("cannot use %r as a float scalar" % (value,))
+            value = float(value)
         if not isfinite(value):
             raise ValueError("%r is not a finite scalar" % (value,))
         return value
     raise ValueError("unknown backend %r" % backend)
+
+
+def to_json(x):
+    """The JSON form of a scalar: "num/den" for an int or Fraction, "inf"
+    for infinity, a JSON number for a float."""
+    if type(x) is float:  # before `== inf`, which is slow on a Fraction
+        return "inf" if x == inf else x
+    if x.denominator == 1:
+        return str(x.numerator)
+    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def check_tol(tol):
@@ -64,14 +86,6 @@ def parse_rational(text):
     if len(parts) == 2:
         return Fraction(int(parts[0]), int(parts[1]))
     raise ValueError("not a rational literal: %r" % text)
-
-
-def format_rational(q):
-    """Render a Fraction as "num/den" (or "num" when integral), bit-exact."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
 
 
 def zero(backend):

@@ -239,3 +239,52 @@ def test_martingale_ground_file_matches_builtin(tmp_path, capsys):
     _, from_file = run(capsys, "martingale", "--ground", path, "--depth", "4", "--format", "csv")
     _, builtin = run(capsys, "martingale", "--ground", "tent", "--depth", "4", "--format", "csv")
     assert from_file == builtin
+
+
+def test_martingale_ground_file_rejects_bool_and_float(tmp_path, capsys):
+    obj = {"breakpoints": [0, 1], "values": [True, 0.1]}
+    code, err = _exit_and_error(
+        tmp_path, capsys, "g.json", obj, "martingale", "--ground", "FILE", "--depth", "1"
+    )
+    assert code == 2
+    assert err.startswith("error: ground: ")
+
+
+#: the arguments each subcommand requires, and the options of its own
+_REQUIRED = {
+    "rn": ["--measure", "m.json"],
+    "condexp": ["--rv", "r.json", "--map", "m.json"],
+    "martingale": [],
+    "extend": ["--family", "f.json"],
+    "mapdist": ["--first", "f.json", "--second", "g.json"],
+    "metcat": ["--space", "s.json"],
+    "check-appendix": [],
+    "check-naturality": [],
+    "check-lipschitz": [],
+}
+_OWN = {
+    "rn": {"--tol"},
+    "condexp": {"--tol"},
+    "extend": {"--tol"},
+    "martingale": {"--depth"},
+    "mapdist": {"--bound"},
+    "check-appendix": {"--seed", "--trials"},
+    "check-naturality": {"--seed", "--trials"},
+    "check-lipschitz": {"--seed", "--trials"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (command, option)
+        for command in _REQUIRED
+        for option in ("--seed", "--trials", "--depth", "--bound", "--tol")
+        if option not in _OWN.get(command, ())
+    ],
+)
+def test_foreign_option_exits_2(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_REQUIRED[command], option, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % option in capsys.readouterr().err

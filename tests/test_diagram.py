@@ -524,6 +524,12 @@ class TestDyadic:
         with pytest.raises(errors.DepthTooLarge):
             make_dyadic(IDENTITY, 25)
 
+    @pytest.mark.parametrize("depth", [-1, 25, True, 2.0])
+    @pytest.mark.parametrize("engine", [make_dyadic, dyadic_error])
+    def test_one_depth_guard(self, engine, depth):
+        with pytest.raises(errors.DepthTooLarge, match="depth must be an int in 0..24"):
+            engine(IDENTITY, depth)
+
     def test_bad_segments(self):
         with pytest.raises(errors.BadSegments):
             DyadicGround([0, "1/2"], [1, 1])  # does not reach 1

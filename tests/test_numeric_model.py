@@ -1,0 +1,119 @@
+"""One numeric model: every number enters through `scalar.coerce` and leaves
+through `scalar.to_json`, on the probability side, the metric side and the
+dyadic grounds alike."""
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from catprob import errors, scalar
+from catprob.diagram import DyadicGround
+from catprob.finprob import make_space
+from catprob.metcat import INF, FinPseudometricSpace, scale
+
+
+def _exact_entry(v):
+    return FinPseudometricSpace(["a", "b"], [[0, v], [v, 0]])
+
+
+def _float_entry(v):
+    return FinPseudometricSpace(["a", "b"], [[0, v], [v, 0]], tol=1e-9)
+
+
+def _ground_value(v):
+    return DyadicGround([0, 1], [v, 1])
+
+
+def _scale_factor(v):
+    return scale(_exact_entry(1), v)
+
+
+def _float_weight(v):
+    return make_space(["a", "b"], [v, 0.5], backend=scalar.FLOAT)
+
+
+#: (entry point, it takes binary floats, the error a metric table raises instead)
+_ENTRY_POINTS = [
+    (_exact_entry, False, errors.InvalidMetric),
+    (_float_entry, True, errors.InvalidMetric),
+    (_ground_value, False, None),
+    (_scale_factor, False, None),
+    (_float_weight, True, None),
+]
+_BAD_INPUTS = [
+    (True, errors.BackendMismatch),
+    (None, errors.BackendMismatch),
+    (0.5, errors.BackendMismatch),
+    ("x", ValueError),
+    ("1/0", ZeroDivisionError),
+]
+
+
+@pytest.mark.parametrize(
+    "enter, value, error",
+    [
+        pytest.param(enter, value, wrapped or error, id="%s-%r" % (enter.__name__[1:], value))
+        for enter, takes_floats, wrapped in _ENTRY_POINTS
+        for value, error in _BAD_INPUTS
+        if not (takes_floats and isinstance(value, float))
+    ],
+)
+def test_entry_points_share_the_number_rules(enter, value, error):
+    with pytest.raises(error):
+        enter(value)
+
+
+class TestStoredTypes:
+    def test_exact_table_holds_fractions(self):
+        x = FinPseudometricSpace(["a", "b", "c"], [[0, 1, INF], [1, 0, "inf"], [INF, math.inf, 0]])
+        assert x.backend == scalar.EXACT
+        assert x.dist[0][1] == 1 and type(x.dist[0][1]) is F
+        assert all(d is INF or type(d) is F for row in x.dist for d in row)
+
+    def test_float_table_holds_floats(self):
+        x = FinPseudometricSpace(["a", "b"], [[0, F(1, 3)], ["1/3", 0]], tol=1e-9)
+        assert x.backend == scalar.FLOAT
+        assert x.dist == ((0.0, 1 / 3), (1 / 3, 0.0))
+        assert all(type(d) is float for row in x.dist for d in row)
+
+    def test_infinity_is_the_one_object(self):
+        for tol in (0, 1e-9):
+            x = FinPseudometricSpace(["a", "b"], [[0, "inf"], [float("inf"), 0]], tol=tol)
+            assert x.dist[0][1] is INF and x.dist[1][0] is INF
+
+    def test_scale_takes_the_factor_in_the_table_backend(self):
+        assert scale(_exact_entry(1), "5/2").dist[0][1] == F(5, 2)
+        assert scale(_float_entry(1), "1/2").dist[0][1] == 0.5
+
+    def test_ground_keeps_exact_values(self):
+        g = DyadicGround([0, "1/3", 1], [1, F(1, 2), "2"])
+        assert g.breakpoints == (0, F(1, 3), 1) and g.values == (1, F(1, 2), 2)
+        assert all(type(v) is F for v in g.breakpoints + g.values)
+
+    def test_ground_rejects_decimal_strings(self):
+        with pytest.raises(ValueError):
+            DyadicGround([0, "0.5", 1], [0, 1, 0])
+
+
+def test_exact_coerce_returns_a_fraction_as_it_is():
+    q = F(1, 3)
+    assert scalar.coerce(q, scalar.EXACT) is q
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (F(1, 3), "1/3"),
+        (F(-7, 2), "-7/2"),
+        (F(4), "4"),
+        (0, "0"),
+        (-3, "-3"),
+        (INF, "inf"),
+        (math.inf, "inf"),
+        (0.25, 0.25),
+        (0.0, 0.0),
+    ],
+)
+def test_to_json(value, text):
+    out = scalar.to_json(value)
+    assert out == text and type(out) is type(text)
