@@ -21,6 +21,7 @@ from .diagram import (
     MartingaleCheck,
     cauchy_certificate,
     dyadic_error,
+    dyadic_experiment,
     induced_martingale,
     is_martingale,
     isometry_report,

@@ -17,9 +17,8 @@ from fractions import Fraction
 from . import jsonio, scalar, suites
 from .diagram import (
     DyadicGround,
-    dyadic_error,
+    dyadic_experiment,
     kolmogorov_extend,
-    make_dyadic,
     martingale_limit,
     rn_family,
 )
@@ -166,7 +165,7 @@ def cmd_martingale(args):
     else:
         ground = jsonio.ground_from_obj(jsonio.read_json(args.ground))
     depth = args.depth
-    _, mart = make_dyadic(ground, depth)
+    _, mart, errors = dyadic_experiment(ground, depth)
     moments = [second_moment(mart.family[t]) for t in range(depth + 1)]
     table = []
     for t in range(depth + 1):
@@ -174,7 +173,7 @@ def cmd_martingale(args):
         table.append(
             {
                 "depth": t,
-                "l1_error": scalar.to_json(dyadic_error(ground, t)),
+                "l1_error": scalar.to_json(errors[t]),
                 "second_moment": scalar.to_json(moments[t]),
                 "gap": scalar.to_json(gap),
             }

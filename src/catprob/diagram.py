@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor, lcm
 from types import MappingProxyType
 
 from . import scalar
@@ -33,7 +34,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .finmeas import bound_check, pushforward, rn_derivative, tv_distance
-from .finprob import MeasurePreservingMap, compose, identity_map
+from .finprob import MeasurePreservingMap, compose, identity_map, uniform_space
 from .finrv import (
     FiniteRandomVariable,
     cond_exp,
@@ -44,23 +45,21 @@ from .finrv import (
 )
 from .scalar import EXACT
 
-#: Atom-count guard for the dyadic constructor (2^depth atoms).
-MAX_DYADIC_DEPTH = 24
+#: Depth guard for the dyadic engine (2^depth atoms): `catprob martingale` at
+#: depth 18 takes about 27 s and 560 MB on 2 CPUs, and each level doubles both.
+MAX_DYADIC_DEPTH = 18
 
 
 def _closure(elements, pairs):
-    """Reflexive-transitive closure of the declared order pairs."""
-    leq = {(e, e) for e in elements}
-    leq.update((i, j) for i, j in pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in list(leq):
-            for (k, l) in list(leq):
-                if j == k and (i, l) not in leq:
-                    leq.add((i, l))
-                    changed = True
-    return frozenset(leq)
+    """Reflexive-transitive closure of the order pairs: one Warshall pass over k."""
+    above = {e: {e} for e in elements}
+    for i, j in pairs:
+        above[i].add(j)
+    for k in elements:
+        for i in elements:
+            if k in above[i]:
+                above[i] |= above[k]
+    return frozenset((i, j) for i in elements for j in above[i])
 
 
 class FiltrationDiagram:
@@ -145,8 +144,9 @@ class FiltrationDiagram:
 
     def covering_pairs(self):
         """Pairs i < j with nothing strictly between."""
+        rank = {e: t for t, e in enumerate(self.elements)}
         out = []
-        for (i, j) in sorted(self.leq, key=lambda p: (self.elements.index(p[0]), self.elements.index(p[1]))):
+        for (i, j) in sorted(self.leq, key=lambda p: (rank[p[0]], rank[p[1]])):
             if i == j:
                 continue
             if any(
@@ -224,7 +224,7 @@ def validate(d):
     for p in d.connect:
         if p not in d.leq:
             problems.append("connecting map for %r outside the order" % (p,))
-    for (i, j) in sorted(d.leq, key=lambda p: (els.index(p[0]), els.index(p[1]))):
+    for (i, j) in sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]])):
         m = d.connect.get((i, j))
         if m is None:
             problems.append("missing connecting map for %r <= %r" % (i, j))
@@ -644,27 +644,52 @@ class DyadicGround:
 
 def dyadic_space(depth):
     """2^depth equal-weight atoms labeled 0..2^depth-1."""
-    from .finprob import FiniteProbSpace
-
-    n = 1 << depth
-    return FiniteProbSpace(range(n), [Fraction(1, n)] * n)
+    return uniform_space(1 << depth)
 
 
-def _check_depth(depth):
+def _dyadic_tables(ground, depth):
+    """Every level's cell averages and exact l1 error, from one breakpoint walk.
+
+    The prefix integral F is quadratic in the finest grid index k on each
+    piece, so one walk gives every F(k/2^depth) as ints over one denominator,
+    and a level's averages are differences of F on its own grid.  A cell of
+    width h inside a piece of slope s adds h|f(b) - f(a)|/4 = |s|h^2/4 to the
+    l1 error; only cells a breakpoint splits go through `abs_dev_integral`.
+    """
     if type(depth) is not int or not 0 <= depth <= MAX_DYADIC_DEPTH:
         raise DepthTooLarge("depth must be an int in 0..%d, not %r" % (MAX_DYADIC_DEPTH, depth))
+    n = 1 << depth
+    bps, vals = ground.breakpoints, ground.values
+    pieces, base = [], Fraction(0)  # base: the integral of f up to the piece
+    for a, b, fa, fb in zip(bps, bps[1:], vals, vals[1:]):
+        s = (fb - fa) / (b - a)
+        # F(k/n) = base + fa (x - a) + s (x - a)^2 / 2 = c0 + c1 k + c2 k^2
+        pieces.append((a, b, s, (base - fa * a + s * a * a / 2, (fa - s * a) / n, s / (2 * n * n))))
+        base += (b - a) * (fa + fb) / 2
+    den = lcm(*(c.denominator for *_, coeffs in pieces for c in coeffs))
+    prefix = []  # den * F(k/n); a grid point on a breakpoint goes to the left piece
+    for a, b, s, coeffs in pieces:
+        c0, c1, c2 = (c.numerator * (den // c.denominator) for c in coeffs)
+        prefix.extend(c0 + k * (c1 + k * c2) for k in range(len(prefix), floor(b * n) + 1))
+    levels, errors = [], []
+    for t in range(depth + 1):
+        m, ends = 1 << t, prefix[:: n >> t]
+        averages = [Fraction((hi - lo) * m, den) for lo, hi in zip(ends, ends[1:])]
+        inside = [(abs(s), floor(b * m) - ceil(a * m)) for a, b, s, _ in pieces]
+        total = sum((s * cells for s, cells in inside if cells > 0), Fraction(0)) / (4 * m * m)
+        for j in sorted({floor(b * m) for b in bps[1:-1] if (b * m).denominator != 1}):
+            total += ground.abs_dev_integral(Fraction(j, m), Fraction(j + 1, m), averages[j])
+        levels.append(averages)
+        errors.append(total)
+    return levels, errors
 
 
-def make_dyadic(ground, depth):
-    """Chain of dyadic quotients 0..depth with the ground function's averages.
-
-    Level t has 2^t atoms; the step map halves indices; the martingale level
-    t value at atom j is the exact average of the ground function over
-    [j/2^t, (j+1)/2^t].  The top is the finest level.
-    """
+def dyadic_experiment(ground, depth):
+    """`make_dyadic`'s diagram and martingale, and `dyadic_error` at every
+    level 0..depth, from one pass of the dyadic engine."""
     if not isinstance(ground, DyadicGround):
         raise BadSegments("ground must be a DyadicGround")
-    _check_depth(depth)
+    levels, errors = _dyadic_tables(ground, depth)
     spaces = [dyadic_space(t) for t in range(depth + 1)]
     steps = [
         MeasurePreservingMap(
@@ -673,24 +698,26 @@ def make_dyadic(ground, depth):
         for t in range(depth)
     ]
     diagram = FiltrationDiagram.chain(spaces, steps, top=True)
-    family = {}
-    for t in range(depth + 1):
-        n = 1 << t
-        vals = [ground.interval_average(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
-        family[t] = FiniteRandomVariable(spaces[t], vals)
-    mart = Martingale(diagram, family, bound=ground.bound())
-    return diagram, mart
+    family = {t: FiniteRandomVariable(spaces[t], levels[t]) for t in range(depth + 1)}
+    return diagram, Martingale(diagram, family, bound=ground.bound()), errors
+
+
+def make_dyadic(ground, depth):
+    """Chain of dyadic quotients 0..depth with the ground function's averages.
+
+    Level t has 2^t atoms; the step map halves indices; the martingale level
+    t value at atom j is the exact average of the ground function over
+    [j/2^t, (j+1)/2^t].  The top is the finest level.  All levels come from
+    one breakpoint walk (the exact prefix integral on the finest grid).
+    """
+    return dyadic_experiment(ground, depth)[:2]
 
 
 def dyadic_error(ground, depth):
-    """Exact l1 distance between the ground function and its depth-n averages."""
-    _check_depth(depth)
-    n = 1 << depth
-    total = Fraction(0)
-    for j in range(n):
-        lo, hi = Fraction(j, n), Fraction(j + 1, n)
-        total += ground.abs_dev_integral(lo, hi, ground.interval_average(lo, hi))
-    return total
+    """Exact l1 distance between the ground function and its depth-n averages,
+    from the same one-pass engine: a cell inside one affine piece contributes
+    h|f(b) - f(a)|/4, and only cells a breakpoint splits are integrated."""
+    return _dyadic_tables(ground, depth)[1][depth]
 
 
 # -- second-moment identity suite ---------------------------------------------------

@@ -82,9 +82,6 @@ class FiniteProbSpace:
     def weight(self, atom):
         return self.weights[self._index[atom]]
 
-    def is_null(self, atom):
-        return self.weights[self._index[atom]] == 0
-
     @property
     def zero(self):
         return scalar.zero(self.backend)
@@ -196,8 +193,12 @@ def compose(f, g):
     if f.dst != g.src:
         raise DomainMismatch("codomain of the first map differs from domain of the second")
     assign = {a: g.assign[f.assign[a]] for a in f.src.atoms}
-    # the validating constructor re-checks the pushforward condition
-    return MeasurePreservingMap(f.src, g.dst, assign)
+    if f.src.backend != scalar.EXACT:  # within-tol drift adds up along a path
+        return MeasurePreservingMap(f.src, g.dst, assign)
+    # exact pushforward is functorial, so the composite preserves measure
+    h = object.__new__(MeasurePreservingMap)
+    h.src, h.dst, h.assign = f.src, g.dst, MappingProxyType(assign)
+    return h
 
 
 def _require_parallel(f, g):

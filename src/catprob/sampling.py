@@ -8,7 +8,6 @@ variants by weight-preserving relabelings plus rejection.
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from . import scalar
@@ -37,11 +36,6 @@ def rand_space(rng, min_atoms=2, max_atoms=8, backend=scalar.EXACT):
     else:
         weights = [p / den for p in parts]
     return FiniteProbSpace(atoms, weights, backend=backend)
-
-
-def rand_rational(rng, max_den=64):
-    den = rng.choice(_DENOMS)
-    return Fraction(rng.randint(0, max_den), den)
 
 
 def rand_rv(rng, space, bound=1):

@@ -69,6 +69,26 @@ def integral_abs_by_refinement(ground, step_values, depth, refine=16):
     return total / Fraction(refine * n)
 
 
+def dyadic_tables_per_cell(ground, depth):
+    """Every level's cell averages and l1 error, one cell at a time.
+
+    Level t averages each of its 2^t cells with its own `interval_average`
+    and sums each cell's `abs_dev_integral` against that average: 2^t
+    interval scans per level, against the library's single walk.
+    """
+    levels, errors = [], []
+    for t in range(depth + 1):
+        n = 1 << t
+        cells = [(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
+        averages = [ground.interval_average(lo, hi) for lo, hi in cells]
+        levels.append(averages)
+        errors.append(sum(
+            (ground.abs_dev_integral(lo, hi, c) for (lo, hi), c in zip(cells, averages)),
+            Fraction(0),
+        ))
+    return levels, errors
+
+
 def metric_axiom_error(points, table):
     """First axiom failure of an exact distance table, as the message the
     constructor raises, or None when the table is an extended pseudometric.

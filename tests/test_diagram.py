@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from catprob import errors
 from catprob.diagram import (
+    MAX_DYADIC_DEPTH,
     ConsistentMeasureFamily,
     DyadicGround,
     FiltrationDiagram,
     Martingale,
     cauchy_certificate,
     dyadic_error,
+    dyadic_experiment,
     induced_martingale,
     is_martingale,
     isometry_report,
@@ -31,7 +33,7 @@ from catprob.finprob import MeasurePreservingMap, identity_map, make_map, make_s
 from catprob.finrv import cond_exp, constant_rv, l1_distance, make_rv, pullback, second_moment
 from catprob.sampling import rand_measure, rand_refining_chain, rand_rv, rand_space
 
-from oracles import integral_abs_by_refinement
+from oracles import dyadic_tables_per_cell, integral_abs_by_refinement
 
 
 @st.composite
@@ -48,6 +50,21 @@ def two_chain_over_uniform4():
 
 
 IDENTITY = DyadicGround.affine(0, 1)
+
+
+@st.composite
+def dyadic_grounds(draw):
+    """Grounds with 2-5 breakpoints: dyadic ones land on grid points at fine
+    levels and inside cells at coarse ones, others stay inside cells; values
+    with zeros make f - c change sign inside a cell."""
+    dyadic = st.integers(1, 63).map(lambda j: F(j, 64))
+    other = st.sampled_from([3, 5, 7, 9, 11, 21]).flatmap(
+        lambda d: st.integers(1, d - 1).map(lambda j: F(j, d))
+    )
+    inner = draw(st.sets(st.one_of(dyadic, other), max_size=3))
+    bps = [0] + sorted(inner) + [1]
+    value = st.one_of(st.just(0), st.builds(F, st.integers(0, 12), st.integers(1, 6)))
+    return DyadicGround(bps, [draw(value) for _ in bps])
 
 
 class TestValidate:
@@ -524,11 +541,47 @@ class TestDyadic:
         with pytest.raises(errors.DepthTooLarge):
             make_dyadic(IDENTITY, 25)
 
-    @pytest.mark.parametrize("depth", [-1, 25, True, 2.0])
+    @pytest.mark.parametrize("depth", [-1, 25, True, 2.0, MAX_DYADIC_DEPTH + 1])
     @pytest.mark.parametrize("engine", [make_dyadic, dyadic_error])
     def test_one_depth_guard(self, engine, depth):
-        with pytest.raises(errors.DepthTooLarge, match="depth must be an int in 0..24"):
+        with pytest.raises(errors.DepthTooLarge, match="depth must be an int in 0..18"):
             engine(IDENTITY, depth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dyadic_grounds(), st.integers(0, 8))
+    def test_engine_matches_per_cell_oracle(self, ground, depth):
+        levels, errors_ = dyadic_tables_per_cell(ground, depth)
+        _, m, engine_errors = dyadic_experiment(ground, depth)
+        assert [list(m.family[t].values) for t in range(depth + 1)] == levels
+        assert engine_errors == errors_
+        _, m2 = make_dyadic(ground, depth)
+        assert m2.family == m.family
+        assert dyadic_error(ground, depth) == errors_[depth]
+
+    def test_breakpoint_call_counts_do_not_double(self, monkeypatch):
+        # work on the ground stays O(breakpoints x depth), not O(2^depth)
+        calls = {"n": 0}
+        for name in ("value_at", "abs_dev_integral", "interval_average"):
+            method = getattr(DyadicGround, name)
+
+            def counted(self, *args, _method=method):
+                calls["n"] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(DyadicGround, name, counted)
+        g = DyadicGround([0, "1/3", "1/2", "5/7", 1], [0, 3, 1, "1/2", 2])
+        counts = {}
+        for depth in (9, 10):
+            calls["n"] = 0
+            make_dyadic(g, depth)
+            dyadic_error(g, depth)
+            counts[depth] = calls["n"]
+        # per level and call: under `pieces` split cells, each one
+        # abs_dev_integral plus two value_at per piece it meets
+        pieces = len(g.breakpoints) - 1
+        per_level = 2 * pieces * (1 + 2 * pieces)
+        assert 0 < counts[9] <= per_level * (9 + 1)
+        assert counts[10] - counts[9] <= per_level
 
     def test_bad_segments(self):
         with pytest.raises(errors.BadSegments):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from catprob import errors, scalar
 from catprob.finprob import (
+    MeasurePreservingMap,
     as_equal,
     compose,
     identity_map,
@@ -119,12 +120,37 @@ class TestCompose:
     @settings(max_examples=40, deadline=None)
     @given(seeded_rng())
     def test_composites_stay_measure_preserving(self, rng):
-        # the validating constructor re-runs the pushforward check
         space = rand_space(rng)
         f = rand_quotient(rng, space)
         g = rand_quotient(rng, f.dst)
         h = compose(f, g)
         assert h.src == space and h.dst == g.dst
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeded_rng())
+    def test_exact_composite_equals_validated_map(self, rng):
+        # exact composites skip the pushforward re-check; building the same
+        # assignment through the validating constructor must agree
+        space = rand_space(rng)
+        f = rand_parallel_map(rng, rand_quotient(rng, space))
+        g = rand_parallel_map(rng, rand_quotient(rng, f.dst))
+        h = compose(f, g)
+        composite = {a: g.assign[f.assign[a]] for a in space.atoms}
+        checked = MeasurePreservingMap(space, g.dst, composite)
+        assert h == checked and hash(h) == hash(checked)
+        assert tuple(h.assign.items()) == tuple(checked.assign.items())
+        with pytest.raises(TypeError):
+            h.assign[space.atoms[0]] = None
+
+    def test_float_drift_past_tol_is_rejected(self):
+        # each map is within tol, their composite is not: drift adds up
+        tol, drift = 1e-9, 0.8e-9
+        a = make_space([0, 1], [0.5 + drift, 0.5 - drift], backend=scalar.FLOAT, tol=tol)
+        b = make_space([0, 1], [0.5, 0.5], backend=scalar.FLOAT, tol=tol)
+        c = make_space([0, 1], [0.5 - drift, 0.5 + drift], backend=scalar.FLOAT, tol=tol)
+        f, g = make_map(a, b, {0: 0, 1: 1}), make_map(b, c, {0: 0, 1: 1})
+        with pytest.raises(errors.NotMeasurePreserving):
+            compose(f, g)
 
 
 class TestAsEqual:
