@@ -33,10 +33,12 @@ from .errors import (
     NotAChain,
     SpaceMismatch,
 )
-from .finmeas import bound_check, pushforward, rn_derivative, tv_distance
+from .finmeas import _density_bound, bound_check, pushforward, rn_derivative, tv_distance
 from .finprob import MeasurePreservingMap, compose, identity_map, uniform_space
 from .finrv import (
     FiniteRandomVariable,
+    _cross_moment,
+    _mean_square_diff,
     cond_exp,
     l1_distance,
     max_value,
@@ -340,12 +342,10 @@ class ConsistentMeasureFamily:
         family = MappingProxyType({i: family[i] for i in diagram.elements})
         backend = diagram.backend
         if bound is None:
-            bound = scalar.zero(backend)
-            for i in diagram.elements:
-                mu, sp = family[i], diagram.spaces[i]
-                for w, m in zip(sp.weights, mu.mass):
-                    if w > 0 and m / w > bound:
-                        bound = m / w
+            bound = max(
+                (_density_bound(family[i]) for i in diagram.elements),
+                default=scalar.zero(backend),
+            )
         else:
             bound = scalar.coerce(bound, backend)
         if bound < 0:
@@ -406,10 +406,7 @@ def second_moment_gap(m, i, j):
     xi, xj = m.family[i], m.family[j]
     gap = second_moment(xj) - second_moment(xi)
     lifted = pullback(xi, d.connect[(i, j)])
-    cross = xj.space.zero
-    for w, a, b in zip(xj.space.weights, xj.values, lifted.values):
-        diff = a - b
-        cross += w * diff * diff
+    cross = _mean_square_diff(xj.space, xj.values, lifted.values)
     tol = max(xi.space.tol, xj.space.tol)
     if not scalar.eq(gap, cross, tol):
         raise InvariantViolation(
@@ -802,12 +799,8 @@ def second_moment_identity_report(x, fine, coarse, step):
             product_ok = False
             break
     # (cross moment) E[sf*sg] = sum of squared coarse values against coarse weights
-    e_cross = omega.zero
-    for w, vf, vg in zip(omega.weights, sf.values, sg.values):
-        e_cross += w * vf * vg
-    coarse_sq = omega.zero
-    for b in b_atoms:
-        coarse_sq += c_g.value(b) ** 2 * coarse.dst.weight(b)
+    e_cross = _cross_moment(omega, sf.values, sg.values)
+    coarse_sq = _cross_moment(coarse.dst, c_g.values, c_g.values)
     cross_ok = scalar.eq(e_cross, coarse_sq, tol)
     # (square expansion) pointwise squares expand over the fibers
     square_ok = True
@@ -821,19 +814,14 @@ def second_moment_identity_report(x, fine, coarse, step):
             square_ok = False
             break
     # (moment values) both second moments against the quotient weights
-    fine_sq = omega.zero
-    for a in a_atoms:
-        fine_sq += c_f.value(a) ** 2 * fine.dst.weight(a)
+    fine_sq = _cross_moment(fine.dst, c_f.values, c_f.values)
     m_sf = second_moment(sf)
     m_sg = second_moment(sg)
     values_ok = scalar.eq(m_sg, coarse_sq, tol) and scalar.eq(m_sf, fine_sq, tol)
     # (monotonicity) coarse moment never exceeds fine moment
     mono_ok = scalar.le(m_sg, m_sf, tol)
     # (gap identity) moment gap equals the mean-square increment
-    increment = omega.zero
-    for w, vf, vg in zip(omega.weights, sf.values, sg.values):
-        diff = vf - vg
-        increment += w * diff * diff
+    increment = _mean_square_diff(omega, sf.values, sg.values)
     gap_ok = scalar.eq(m_sf - m_sg, increment, tol)
     return SecondMomentIdentities(
         product_expansion=product_ok,

@@ -8,10 +8,12 @@ the weights / divide by the weights, atom by atom.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import scalar
 from .errors import NegativeValue, NotAbsolutelyContinuous, SpaceMismatch
 from .finprob import _fiber_sums
-from .finrv import FiniteRandomVariable
+from .finrv import FiniteRandomVariable, _common
 
 
 class FiniteMeasure:
@@ -79,6 +81,9 @@ def tv_distance(mu, nu):
     """Atomwise sum of |mu_a - nu_a| (equals the partition supremum)."""
     if mu.space != nu.space:
         raise SpaceMismatch("measures live on different spaces")
+    if mu.space.backend == scalar.EXACT:
+        den, xs, ys = _common(mu.mass, nu.mass)
+        return Fraction(sum(abs(x - y) for x, y in zip(xs, ys)), den)
     total = mu.space.zero
     for x, y in zip(mu.mass, nu.mass):
         total += x - y if x >= y else y - x
@@ -89,7 +94,12 @@ def pushforward(mu, s):
     """Image measure along s: each target atom collects its fiber's mass."""
     if mu.space != s.src:
         raise SpaceMismatch("measure does not live on the map's source")
-    return FiniteMeasure(s.dst, _fiber_sums(s.src, s.assign, mu.mass, s.dst.atoms))
+    if mu.space.backend == scalar.EXACT:
+        den, ms = scalar.scaled(mu.mass)
+        out = [Fraction(p, den) for p in _fiber_sums(s.src, s.assign, ms, s.dst.atoms)]
+    else:
+        out = _fiber_sums(s.src, s.assign, mu.mass, s.dst.atoms, 0.0)
+    return FiniteMeasure(s.dst, out)
 
 
 def bound_check(mu, r):
@@ -97,11 +107,34 @@ def bound_check(mu, r):
     r = scalar.coerce(r, mu.space.backend)
     if r <= 0:
         raise ValueError("bound must be positive")
-    tol = mu.space.tol
-    for w, m in zip(mu.space.weights, mu.mass):
+    space = mu.space
+    if space.backend == scalar.EXACT:
+        # m / mden <= r * w / wden, cross-multiplied
+        (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass)
+        lhs, rhs = wden * r.denominator, mden * r.numerator
+        return all(m * lhs <= w * rhs for w, m in zip(ws, ms))
+    tol = space.tol
+    for w, m in zip(space.weights, mu.mass):
         if not scalar.le(m, r * w, tol):
             return False
     return True
+
+
+def _density_bound(mu):
+    """Largest mu_a / p_a over the positive-weight atoms (0 when none carries mass)."""
+    space = mu.space
+    if space.backend == scalar.EXACT:
+        (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass)
+        num, den = 0, 1  # the best m / w so far, compared cross-multiplied
+        for w, m in zip(ws, ms):
+            if w and m * den > num * w:
+                num, den = m, w
+        return Fraction(num * wden, den * mden)
+    best = space.zero
+    for w, m in zip(space.weights, mu.mass):
+        if w > 0 and m / w > best:
+            best = m / w
+    return best
 
 
 def truncate_measure(mu, n):
@@ -119,7 +152,12 @@ def truncate_measure(mu, n):
 def rho(g):
     """Density to measure: mass_a = g_a * p_a."""
     space = g.space
-    return FiniteMeasure(space, [v * w for v, w in zip(g.values, space.weights)])
+    if space.backend == scalar.EXACT:
+        (wden, ws), (den, xs) = space._scaled, scalar.scaled(g.values)
+        out = [Fraction(x * w, den * wden) for x, w in zip(xs, ws)]
+    else:
+        out = [v * w for v, w in zip(g.values, space.weights)]
+    return FiniteMeasure(space, out)
 
 
 def rn_derivative(mu):
@@ -129,7 +167,9 @@ def rn_derivative(mu):
     invariant of FiniteMeasure so no error case remains here.
     """
     space = mu.space
-    out = []
-    for w, m in zip(space.weights, mu.mass):
-        out.append(space.zero if w == 0 else m / w)
+    if space.backend == scalar.EXACT:
+        (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass)
+        out = [Fraction(m * wden, mden * w) if w else space.zero for w, m in zip(ws, ms)]
+    else:
+        out = [space.zero if w == 0 else m / w for w, m in zip(space.weights, mu.mass)]
     return FiniteRandomVariable(space, out)

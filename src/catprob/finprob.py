@@ -10,7 +10,6 @@ subset enumeration over the codomain.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from types import MappingProxyType
 
 from . import scalar
@@ -31,10 +30,12 @@ class FiniteProbSpace:
     """Ordered finite set of atoms with a probability weight per atom.
 
     Immutable after construction; all derived objects hold a reference and
-    compare spaces by value (atoms, weights, backend).
+    compare spaces by value (atoms, weights, backend).  An exact space also
+    keeps its weights over their common denominator (`scalar.scaled`), the
+    form the exact kernels compute with.
     """
 
-    __slots__ = ("atoms", "weights", "backend", "tol", "_index")
+    __slots__ = ("atoms", "weights", "backend", "tol", "_index", "_scaled")
 
     def __init__(self, atoms, weights, backend=scalar.EXACT, tol=None):
         atoms = tuple(atoms)
@@ -63,13 +64,15 @@ class FiniteProbSpace:
         for a, w in zip(atoms, ws):
             if w < 0:
                 raise NegativeWeight("weight of atom %r is %s < 0" % (a, w))
-        total = sum(ws, scalar.zero(backend))
+        scaled = scalar.scaled(ws) if backend == scalar.EXACT else None
+        total = Fraction(sum(scaled[1]), scaled[0]) if scaled else sum(ws, 0.0)
         if not scalar.eq(total, scalar.one(backend), tol):
             raise WeightSumMismatch("weights sum to %s, expected 1" % (total,))
         self.atoms = atoms
         self.weights = ws
         self.backend = backend
         self.tol = tol
+        self._scaled = scaled
         self._index = {a: i for i, a in enumerate(atoms)}
 
     @property
@@ -125,12 +128,48 @@ def uniform_space(atoms, backend=scalar.EXACT):
     return FiniteProbSpace(atoms, [w] * n, backend=backend)
 
 
-def _fiber_sums(src, assign, values, targets):
-    """Per target atom, the sum of `values` (one per source atom) over its fiber."""
-    sums = dict.fromkeys(targets, src.zero)
+def _fiber_sums(src, assign, values, targets, zero=0):
+    """Per target atom, `zero` plus the sum of `values` (one per source atom)
+    over its fiber."""
+    sums = dict.fromkeys(targets, zero)
     for a, v in zip(src.atoms, values):
         sums[assign[a]] += v
     return [sums[b] for b in targets]
+
+
+def _check_pushforward(src, dst, assign):
+    """Raise NotMeasurePreserving unless `assign` pushes src's weights onto dst's.
+
+    Exact spaces compare cross-multiplied int fiber sums, so a valid map
+    builds no Fraction.
+    """
+    if src.backend == scalar.EXACT:
+        (sden, sws), (dden, dws) = src._scaled, dst._scaled
+        pushed = _fiber_sums(src, assign, sws, dst.atoms)
+        bad = [
+            (b, Fraction(p, sden))
+            for b, p, w in zip(dst.atoms, pushed, dws)
+            if p * dden != w * sden
+        ]
+    else:
+        pushed = _fiber_sums(src, assign, src.weights, dst.atoms, 0.0)
+        bad = [
+            (b, p)
+            for b, p, w in zip(dst.atoms, pushed, dst.weights)
+            if not scalar.eq(p, w, dst.tol)
+        ]
+    if bad:
+        b, p = bad[0]
+        raise NotMeasurePreserving(
+            "atom %r receives mass %s, target weight is %s" % (b, p, dst.weight(b))
+        )
+
+
+def _valid_map(src, dst, assign):
+    """A map known to preserve measure, built without re-checking it."""
+    h = object.__new__(MeasurePreservingMap)
+    h.src, h.dst, h.assign = src, dst, MappingProxyType(assign)
+    return h
 
 
 class MeasurePreservingMap:
@@ -150,12 +189,7 @@ class MeasurePreservingMap:
         for a, b in assign.items():
             if b not in dst._index:
                 raise DomainMismatch("image atom %r not in target space" % (b,))
-        pushed = _fiber_sums(src, assign, src.weights, dst.atoms)
-        for b, p, w in zip(dst.atoms, pushed, dst.weights):
-            if not scalar.eq(p, w, dst.tol):
-                raise NotMeasurePreserving(
-                    "atom %r receives mass %s, target weight is %s" % (b, p, w)
-                )
+        _check_pushforward(src, dst, assign)
         self.src = src
         self.dst = dst
         self.assign = MappingProxyType({a: assign[a] for a in src.atoms})
@@ -185,7 +219,8 @@ def make_map(src, dst, assign):
 
 
 def identity_map(space):
-    return MeasurePreservingMap(space, space, {a: a for a in space.atoms})
+    """The identity on `space`; it preserves measure by definition, so no fiber is summed."""
+    return _valid_map(space, space, {a: a for a in space.atoms})
 
 
 def compose(f, g):
@@ -196,9 +231,7 @@ def compose(f, g):
     if f.src.backend != scalar.EXACT:  # within-tol drift adds up along a path
         return MeasurePreservingMap(f.src, g.dst, assign)
     # exact pushforward is functorial, so the composite preserves measure
-    h = object.__new__(MeasurePreservingMap)
-    h.src, h.dst, h.assign = f.src, g.dst, MappingProxyType(assign)
-    return h
+    return _valid_map(f.src, g.dst, assign)
 
 
 def _require_parallel(f, g):
@@ -223,10 +256,13 @@ def map_distance(f, g, scale=1):
     An atom a contributes to the subset A exactly when A separates f(a)
     from g(a), so the supremum is a maximum cut over the conflict graph on
     codomain atoms (edge weight = source mass sent to differing images).
-    All subsets of the conflicting atoms are enumerated with a Gray-code
-    walk (one flip per step, exact rescaled-integer arithmetic), so the
-    MAX_ENUM_CODOMAIN cap stays practical.  `scale` multiplies the result
-    (the metric family is the same up to a positive factor).
+    A max cut is the sum of the max cuts of the graph's connected
+    components.  A bipartite component is cut whole; each other component
+    has all its subsets enumerated, on its own, by a Gray-code walk (one
+    flip per step, on ints over the common denominator on the exact
+    backend), so the MAX_ENUM_CODOMAIN cap stays practical.  `scale`
+    multiplies the result (the metric family is the same up to a positive
+    factor).
     """
     _require_parallel(f, g)
     src, dst = f.src, f.dst
@@ -238,53 +274,58 @@ def map_distance(f, g, scale=1):
             "codomain has %d atoms; enumeration capped at %d"
             % (dst.size, MAX_ENUM_CODOMAIN)
         )
+    exact = src.backend == scalar.EXACT
+    den, weights = src._scaled if exact else (1, src.weights)
     edges = {}
-    for a in src.atoms:
-        w = src.weight(a)
+    for a, w in zip(src.atoms, weights):
         if w == 0:
             continue
         u, v = dst.index(f.assign[a]), dst.index(g.assign[a])
         if u == v:
             continue
         key = (u, v) if u < v else (v, u)
-        edges[key] = edges.get(key, src.zero) + w
-    zero = src.zero
-    if not edges:
-        return zero * scale
-    verts = sorted({u for e in edges for u in e})
+        edges[key] = edges.get(key, 0) + w
+    adj = {}
+    for (u, v), w in sorted(edges.items()):
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    best = 0 if exact else 0.0
+    side = {}  # two-colouring by breadth-first search, one component at a time
+    for root in sorted(adj):
+        if root in side:
+            continue
+        side[root] = False
+        comp, bipartite, weight = [root], True, 0
+        for u in comp:
+            for v, w in adj[u]:
+                if v not in side:
+                    side[v] = not side[u]
+                    comp.append(v)
+                elif side[v] == side[u]:
+                    bipartite = False
+                if u < v:
+                    weight += w
+        best += weight if bipartite else _max_cut(sorted(comp), adj)
+    if exact:
+        return Fraction(best * scale.numerator, den * scale.denominator)
+    return best * scale
+
+
+def _max_cut(verts, adj):
+    """Max cut of one connected component, by a Gray-code walk over the
+    subsets of verts[1:]; verts[0] stays outside (complementary subsets cut
+    the same edges)."""
     pos = {u: i for i, u in enumerate(verts)}
-    if src.backend == scalar.EXACT:
-        denom = 1
-        for m in edges.values():
-            denom = denom * m.denominator // gcd(denom, m.denominator)
-
-        def weight_of(m):
-            return m.numerator * (denom // m.denominator)
-
-    else:
-        denom = None
-
-        def weight_of(m):
-            return m
-    adj = [[] for _ in verts]
-    for (u, v), m in sorted(edges.items()):
-        w = weight_of(m)
-        adj[pos[u]].append((pos[v], w))
-        adj[pos[v]].append((pos[u], w))
-    # Gray-code walk over subsets of verts[1:]; vertex 0 stays outside
-    # (complementary subsets cut the same edges)
-    k = len(verts)
-    side = [False] * k
+    nbrs = [[(pos[v], w) for v, w in adj[u]] for u in verts]
+    side = [False] * len(verts)
     cut = 0
     best = 0
-    for step in range(1, 1 << (k - 1)):
+    for step in range(1, 1 << (len(verts) - 1)):
         v = (step & -step).bit_length()  # trailing zeros of step, plus one
         side[v] = not side[v]
         sv = side[v]
-        for u, w in adj[v]:
+        for u, w in nbrs[v]:
             cut += w if side[u] != sv else -w
         if cut > best:
             best = cut
-    if denom is not None:
-        return Fraction(best, denom) * scale
-    return best * scale
+    return best

@@ -6,8 +6,12 @@ stored tables is exactly almost-sure equality.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import mul
+
 from . import scalar
 from .errors import NegativeValue, SpaceMismatch
+from .finprob import _fiber_sums
 
 
 class FiniteRandomVariable:
@@ -65,26 +69,67 @@ def _require_same_space(f, g):
         raise SpaceMismatch("random variables live on different spaces")
 
 
+def _integral(space, nums, den):
+    """Integral of the values nums[a] / den against an exact space's
+    weights: int products over the common denominators, one Fraction."""
+    wden, ws = space._scaled
+    return Fraction(sum(map(mul, ws, nums)), wden * den)
+
+
+def _common(xs, ys):
+    """Two exact value tables over one common denominator: (den, xnums, ynums)."""
+    den, nums = scalar.scaled(xs + ys)
+    return den, nums[: len(xs)], nums[len(xs) :]
+
+
 def l1_distance(f, g):
     """Integral of |f - g| against the space's weights."""
     _require_same_space(f, g)
-    total = f.space.zero
-    for w, x, y in zip(f.space.weights, f.values, g.values):
+    space = f.space
+    if space.backend == scalar.EXACT:
+        den, xs, ys = _common(f.values, g.values)
+        return _integral(space, [abs(x - y) for x, y in zip(xs, ys)], den)
+    total = space.zero
+    for w, x, y in zip(space.weights, f.values, g.values):
         total += w * (x - y if x >= y else y - x)
     return total
 
 
 def expectation(f):
-    total = f.space.zero
-    for w, x in zip(f.space.weights, f.values):
+    space = f.space
+    if space.backend == scalar.EXACT:
+        den, xs = scalar.scaled(f.values)
+        return _integral(space, xs, den)
+    total = space.zero
+    for w, x in zip(space.weights, f.values):
         total += w * x
     return total
 
 
 def second_moment(f):
-    total = f.space.zero
-    for w, x in zip(f.space.weights, f.values):
-        total += w * x * x
+    return _cross_moment(f.space, f.values, f.values)
+
+
+def _cross_moment(space, xs, ys):
+    """Integral of the product of two value tables on `space`."""
+    if space.backend == scalar.EXACT:
+        den, xs, ys = _common(xs, ys)
+        return _integral(space, list(map(mul, xs, ys)), den * den)
+    total = space.zero
+    for w, x, y in zip(space.weights, xs, ys):
+        total += w * x * y
+    return total
+
+
+def _mean_square_diff(space, xs, ys):
+    """Integral of the squared difference of two value tables on `space`."""
+    if space.backend == scalar.EXACT:
+        den, xs, ys = _common(xs, ys)
+        return _integral(space, [(x - y) * (x - y) for x, y in zip(xs, ys)], den * den)
+    total = space.zero
+    for w, x, y in zip(space.weights, xs, ys):
+        diff = x - y
+        total += w * diff * diff
     return total
 
 
@@ -107,15 +152,20 @@ def cond_exp(g, s):
     if g.space != s.src:
         raise SpaceMismatch("random variable does not live on the map's source")
     src, dst = s.src, s.dst
-    sums = {b: src.zero for b in dst.atoms}
-    for a in src.atoms:
-        w = src.weight(a)
-        if w != 0:
-            sums[s.assign[a]] += w * g.value(a)
-    out = []
-    for b in dst.atoms:
-        q = dst.weight(b)
-        out.append(dst.zero if q == 0 else sums[b] / q)
+    if src.backend == scalar.EXACT:
+        # per target atom: sum of w * x over the fiber / sum of w over the fiber
+        ws = src._scaled[1]
+        den, xs = scalar.scaled(g.values)
+        mass = _fiber_sums(src, s.assign, ws, dst.atoms)
+        moment = _fiber_sums(src, s.assign, map(mul, ws, xs), dst.atoms)
+        out = [Fraction(mx, den * m) if m else dst.zero for m, mx in zip(mass, moment)]
+    else:
+        sums = {b: src.zero for b in dst.atoms}
+        for a in src.atoms:
+            w = src.weight(a)
+            if w != 0:
+                sums[s.assign[a]] += w * g.value(a)
+        out = [dst.zero if q == 0 else sums[b] / q for b, q in zip(dst.atoms, dst.weights)]
     return FiniteRandomVariable(dst, out)
 
 

@@ -17,6 +17,11 @@ The exact axiom scan runs on Python ints: every finite entry over the
 table's common denominator, with infinity standing in as 2*max + 1.  Float
 tables are scanned literally, with tol slack.  `tol` must be a finite
 real >= 0.
+
+`product`, `tensor` and `coproduct` take one backend, as the probability
+side does, and raise BackendMismatch on mixed inputs.  A hom space holds
+target distances, so it takes its target's tol; a LipschitzMap may join
+spaces of different backends.
 """
 from __future__ import annotations
 
@@ -117,13 +122,10 @@ def _exact_axioms_hold(table):
     inequality holds: a sum with an INF term is at least top, which no entry
     exceeds, and a finite sum is at most 2*max < top.
     """
-    den = math.lcm(*{v.denominator for row in table for v in row if v is not INF})
-    scaled = [
-        [None if v is INF else v.numerator * (den // v.denominator) for v in row]
-        for row in table
-    ]
-    top = 2 * max((v for row in scaled for v in row if v is not None), default=0) + 1
-    rows = [[top if v is None else v for v in row] for row in scaled]
+    _, nums = scalar.scaled([v for row in table for v in row if v is not INF])
+    top = 2 * max(nums, default=0) + 1
+    finite = iter(nums)
+    rows = [[top if v is INF else next(finite) for v in row] for row in table]
     n = len(rows)
     if any(rows[i][i] for i in range(n)) or min(map(min, rows), default=0) < 0:
         return False
@@ -177,7 +179,12 @@ def _tri_ok(dij, dik, dkj, tol):
 
 
 class LipschitzMap:
-    """Point assignment (read-only) that never expands distances (1-Lipschitz)."""
+    """Point assignment (read-only) that never expands distances (1-Lipschitz).
+
+    Source and target may have different backends (curry sends an exact
+    tensor factor into a float hom space); the check then allows the larger
+    tol.
+    """
 
     __slots__ = ("src", "dst", "assign")
 
@@ -246,7 +253,7 @@ def product(spaces):
         count *= s.size
         if count > MAX_PRODUCT_POINTS:
             raise ProductTooLarge("product would have more than %d points" % MAX_PRODUCT_POINTS)
-    tol = max(s.tol for s in spaces)
+    _, tol = scalar.same_backend(*spaces)
     points = list(itertools.product(*(s.points for s in spaces)))
     idx = [
         {p: i for i, p in enumerate(s.points)} for s in spaces
@@ -293,7 +300,7 @@ def coproduct(spaces):
     spaces = list(spaces)
     if not spaces:
         raise ValueError("coproduct of an empty family is not supported")
-    tol = max(s.tol for s in spaces)
+    _, tol = scalar.same_backend(*spaces)
     cells = [(i, a) for i, s in enumerate(spaces) for a in range(s.size)]
     points = [(i, spaces[i].points[a]) for i, a in cells]
     table = [
@@ -435,8 +442,9 @@ def _tensor_table(x_space, y_space):
 
 def tensor(x_space, y_space):
     """Pair points with the sum metric."""
+    _, tol = scalar.same_backend(x_space, y_space)
     points, table = _tensor_table(x_space, y_space)
-    return FinPseudometricSpace(points, table, tol=max(x_space.tol, y_space.tol))
+    return FinPseudometricSpace(points, table, tol=tol)
 
 
 def hom_distance(f, g):
@@ -468,7 +476,7 @@ def hom(maps):
     for m in maps[1:]:
         if m.src != maps[0].src or m.dst != maps[0].dst:
             raise NotParallel("hom maps must share source and target")
-    tol = max(maps[0].src.tol, maps[0].dst.tol)
+    tol = maps[0].dst.tol  # the distances are the target's
     n = len(maps)
     table = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -8,12 +8,13 @@ construction and every object derived from it inherits the choice.  On the
 exact backend all comparisons are decidable equalities on
 `fractions.Fraction`; on the float backend an equality assertion means
 |a - b| <= tol.  Mixing backends in one operation raises BackendMismatch
-instead of coercing.
+instead of coercing.  Exact kernels compute on ints over one common
+denominator (`scaled`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, isfinite
+from math import inf, isfinite, lcm
 
 from .errors import BackendMismatch
 
@@ -88,12 +89,28 @@ def parse_rational(text):
     raise ValueError("not a rational literal: %r" % text)
 
 
+def scaled(xs):
+    """Write exact scalars over one common denominator: (den, numerators).
+
+    `den` is the least common multiple of the denominators (1 for no
+    scalars) and xs[i] == Fraction(nums[i], den).  The exact kernels do
+    their sums, products and comparisons on these ints and build one
+    Fraction per result.
+    """
+    pairs = [x.as_integer_ratio() for x in xs]
+    den = lcm(*[d for _, d in pairs])
+    return den, tuple([n * (den // d) for n, d in pairs])
+
+
+_EXACT_ZERO, _EXACT_ONE = Fraction(0), Fraction(1)
+
+
 def zero(backend):
-    return Fraction(0) if backend == EXACT else 0.0
+    return _EXACT_ZERO if backend == EXACT else 0.0
 
 
 def one(backend):
-    return Fraction(1) if backend == EXACT else 1.0
+    return _EXACT_ONE if backend == EXACT else 1.0
 
 
 def eq(a, b, tol):

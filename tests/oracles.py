@@ -52,6 +52,107 @@ def map_distance_literal(f, g):
     return best
 
 
+# -- literal per-atom loops for the exact kernels ------------------------------
+#
+# Each loop does scalar arithmetic atom by atom, in the order of the float
+# kernels, so on the float backend it must agree with the library to the
+# bit and on the exact backend to the exact value.
+
+
+def pushforward_literal(values, s):
+    """Per target atom, the sum of `values` (one per source atom) over its fiber."""
+    out = []
+    for b in s.dst.atoms:
+        total = s.src.zero
+        for a, v in zip(s.src.atoms, values):
+            if s.assign[a] == b:
+                total += v
+        out.append(total)
+    return out
+
+
+def pushforward_mismatch_literal(src, dst, assign):
+    """First target atom whose fiber mass differs from its weight (beyond
+    tol), with that mass; None when the assignment preserves measure."""
+    for b, w in zip(dst.atoms, dst.weights):
+        mass = src.zero
+        for a, p in zip(src.atoms, src.weights):
+            if assign[a] == b:
+                mass += p
+        if abs(mass - w) > dst.tol:
+            return b, mass
+    return None
+
+
+def cond_exp_literal(g, s):
+    """Per target atom: sum of weight * value over its fiber / its weight (0 if null)."""
+    out = []
+    for b, q in zip(s.dst.atoms, s.dst.weights):
+        total = s.src.zero
+        for a, w, x in zip(s.src.atoms, s.src.weights, g.values):
+            if s.assign[a] == b:
+                total += w * x
+        out.append(s.dst.zero if q == 0 else total / q)
+    return out
+
+
+def l1_literal(f, g):
+    total = f.space.zero
+    for w, x, y in zip(f.space.weights, f.values, g.values):
+        total += w * abs(x - y)
+    return total
+
+
+def tv_literal(mu, nu):
+    total = mu.space.zero
+    for x, y in zip(mu.mass, nu.mass):
+        total += abs(x - y)
+    return total
+
+
+def expectation_literal(f):
+    total = f.space.zero
+    for w, x in zip(f.space.weights, f.values):
+        total += w * x
+    return total
+
+
+def cross_moment_literal(space, xs, ys):
+    """Integral of x * y; the second moment when ys is xs."""
+    total = space.zero
+    for w, x, y in zip(space.weights, xs, ys):
+        total += w * x * y
+    return total
+
+
+def mean_square_diff_literal(space, xs, ys):
+    total = space.zero
+    for w, x, y in zip(space.weights, xs, ys):
+        total += w * (x - y) * (x - y)
+    return total
+
+
+def rho_literal(g):
+    return [x * w for x, w in zip(g.values, g.space.weights)]
+
+
+def rn_literal(mu):
+    return [mu.space.zero if w == 0 else m / w for w, m in zip(mu.space.weights, mu.mass)]
+
+
+def bound_check_literal(mu, r):
+    return all(m <= r * w + mu.space.tol for w, m in zip(mu.space.weights, mu.mass))
+
+
+def density_bound_literal(mu):
+    """Largest mass / weight over the positive-weight atoms (0 if none)."""
+    best = mu.space.zero
+    for w, m in zip(mu.space.weights, mu.mass):
+        if w > 0 and m / w > best:
+            best = m / w
+    return best
+
+
 def integral_abs_by_refinement(ground, step_values, depth, refine=16):
     """Midpoint-sum approximation of the l1 error of a depth-n step function.
 

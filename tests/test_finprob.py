@@ -72,6 +72,17 @@ class TestMakeMap:
         m = identity_map(s)
         assert m.assign == {"a": "a", "b": "b"}
 
+    @settings(max_examples=40, deadline=None)
+    @given(seeded_rng(), st.sampled_from(scalar.BACKENDS))
+    def test_identity_equals_the_validated_map(self, rng, backend):
+        s = rand_space(rng, min_atoms=1, backend=backend)
+        m = identity_map(s)
+        ref = MeasurePreservingMap(s, s, {a: a for a in s.atoms})
+        assert m == ref and hash(m) == hash(ref)
+        assert list(m.assign.items()) == list(ref.assign.items())
+        with pytest.raises(TypeError):
+            m.assign[s.atoms[0]] = s.atoms[0]
+
     def test_three_to_one_collapse(self):
         # pushforward: 3 * 1/4 = 3/4 on the heavy atom
         u4 = uniform_space(4)
@@ -252,6 +263,39 @@ class TestMapDistance:
             rng.shuffle(perm)
             g = make_map(src, dst, {a: perm[a] % k for a in src.atoms})
             assert map_distance(f, g) == map_distance_literal(f, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeded_rng(), st.sampled_from(scalar.BACKENDS))
+    def test_components_match_literal_enumeration(self, rng, backend):
+        # a conflict graph of several components (odd cycles, even cycles,
+        # paths) plus atoms outside it: each edge (u, v) is a pair of source
+        # atoms swapped between f and g, so both maps push the same weights
+        exact = backend == scalar.EXACT
+        edges, start = [], 0
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(2, 5)
+            ring = list(range(start, start + size))
+            edges += zip(ring, ring[1:] + ring[:1] if rng.random() < 0.6 else ring[1:])
+            start += size
+        isolated = rng.randint(0, 2)
+        masses = [rng.randint(1, 9) for _ in edges] + [rng.randint(0, 9) for _ in range(isolated)]
+        total = 2 * sum(masses[: len(edges)]) + sum(masses[len(edges) :])
+        weight = (lambda m: F(m, total)) if exact else (lambda m: m / total)
+        src_w, f_assign, g_assign, dst_w = [], {}, {}, [0] * (start + isolated)
+        for (u, v), m in zip(edges, masses):
+            for a, b in ((u, v), (v, u)):
+                f_assign[len(src_w)], g_assign[len(src_w)] = a, b
+                src_w.append(m)
+                dst_w[a] += m
+        for i, m in enumerate(masses[len(edges) :]):
+            f_assign[len(src_w)] = g_assign[len(src_w)] = start + i
+            src_w.append(m)
+            dst_w[start + i] += m
+        src = make_space(range(len(src_w)), [weight(m) for m in src_w], backend=backend)
+        dst = make_space(range(len(dst_w)), [weight(m) for m in dst_w], backend=backend)
+        f, g = make_map(src, dst, f_assign), make_map(src, dst, g_assign)
+        got, want = map_distance(f, g), map_distance_literal(f, g)
+        assert got == want if exact else abs(got - want) <= 1e-12
 
     def test_fast_at_the_codomain_cap(self):
         from time import perf_counter

@@ -74,8 +74,8 @@ def axiom_tables(draw):
     return d
 
 
-def two_point(gap):
-    return FinPseudometricSpace(["p", "q"], [[0, gap], [gap, 0]])
+def two_point(gap, tol=0):
+    return FinPseudometricSpace(["p", "q"], [[0, gap], [gap, 0]], tol=tol)
 
 
 def all_lipschitz_maps(src, dst):
@@ -188,6 +188,11 @@ class TestProduct:
         assert factoring == [induced]
 
 
+    def test_mixed_backends_raise(self):
+        with pytest.raises(errors.BackendMismatch):
+            product([two_point(F(1)), two_point(1.0, tol=1e-9)])
+
+
 class TestEqualizer:
     def test_equal_maps_give_whole_space(self):
         x = two_point(F(1))
@@ -254,6 +259,11 @@ class TestCoproduct:
             for a in x.points:
                 for b in x.points:
                     assert c.distance((i, a), (i, b)) == x.distance(a, b)
+
+
+    def test_mixed_backends_raise(self):
+        with pytest.raises(errors.BackendMismatch):
+            coproduct([two_point(F(1)), two_point(1.0, tol=1e-9)])
 
 
 class TestCoequalizer:
@@ -347,6 +357,11 @@ class TestTensor:
         coproduct([x, y])
 
 
+    def test_mixed_backends_raise(self):
+        with pytest.raises(errors.BackendMismatch):
+            tensor(two_point(F(1)), two_point(1.0, tol=1e-9))
+
+
 class TestHom:
     def test_single_map(self):
         x = two_point(F(1))
@@ -369,6 +384,20 @@ class TestHom:
         d, witness = hom_distance(f, g)
         assert d == F(1)
         assert witness == "q"
+
+
+    def test_tol_is_the_targets(self):
+        exact, floaty = two_point(F(1)), two_point(1.0, tol=1e-6)
+        into_exact = hom([LipschitzMap(floaty, exact, {"p": "p", "q": c}) for c in "pq"])
+        assert into_exact.space.tol == 0 and into_exact.space.dist[0][1] == F(1)
+        into_float = hom([LipschitzMap(exact, floaty, {"p": "p", "q": c}) for c in "pq"])
+        assert into_float.space.tol == 1e-6 and into_float.space.dist[0][1] == 1.0
+
+    def test_lipschitz_map_may_cross_backends(self):
+        # the check allows the larger tol: 1 + 1e-7 <= 1 within 1e-6
+        LipschitzMap(two_point(F(1)), two_point(1 + 1e-7, tol=1e-6), {"p": "p", "q": "q"})
+        with pytest.raises(errors.NotLipschitz):
+            LipschitzMap(two_point(F(1)), two_point(1.1, tol=1e-6), {"p": "p", "q": "q"})
 
 
 class TestCurry:
@@ -397,6 +426,15 @@ class TestCurry:
         z = rand_metric_space(rng, max_points=4)
         h = rand_lipschitz_map(rng, tensor(x, y), z)
         res = curry(h, x, y)
+        assert uncurry(res.per_point, x, y).assign == h.assign
+
+
+    def test_exact_factors_float_target(self):
+        x, y = two_point(F(1)), two_point(F(2))
+        z = two_point(1.5, tol=1e-9)
+        h = LipschitzMap(tensor(x, y), z, {pt: pt[1] for pt in tensor(x, y).points})
+        res = curry(h, x, y)
+        assert res.hom_result.space.tol == z.tol
         assert uncurry(res.per_point, x, y).assign == h.assign
 
 
