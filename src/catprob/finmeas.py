@@ -9,11 +9,12 @@ the weights / divide by the weights, atom by atom.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 
 from . import scalar
 from .errors import NegativeValue, NotAbsolutelyContinuous, SpaceMismatch
 from .finprob import _fiber_sums
-from .finrv import FiniteRandomVariable, _common
+from .finrv import FiniteRandomVariable
 
 
 class FiniteMeasure:
@@ -34,11 +35,11 @@ class FiniteMeasure:
                     "%d masses for a %d-atom space" % (len(raw), space.size)
                 )
         vals = []
-        for a, m in zip(space.atoms, raw):
+        for a, m, w in zip(space.atoms, raw, space._scaled[1]):
             m = scalar.coerce(m, space.backend)
             if m < 0:
                 raise NegativeValue("mass at atom %r is %s < 0" % (a, m))
-            if space.weight(a) == 0 and m != 0:
+            if not w and m != 0:
                 raise NotAbsolutelyContinuous(
                     "atom %r has weight 0 but mass %s" % (a, m)
                 )
@@ -50,7 +51,9 @@ class FiniteMeasure:
         return self.mass[self.space.index(atom)]
 
     def total(self):
-        return sum(self.mass, self.space.zero)
+        backend = self.space.backend
+        den, nums = scalar.scaled(self.mass, backend)
+        return scalar.divider(backend)(scalar.total(nums), den)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMeasure):
@@ -81,25 +84,19 @@ def tv_distance(mu, nu):
     """Atomwise sum of |mu_a - nu_a| (equals the partition supremum)."""
     if mu.space != nu.space:
         raise SpaceMismatch("measures live on different spaces")
-    if mu.space.backend == scalar.EXACT:
-        den, xs, ys = _common(mu.mass, nu.mass)
-        return Fraction(sum(abs(x - y) for x, y in zip(xs, ys)), den)
-    total = mu.space.zero
-    for x, y in zip(mu.mass, nu.mass):
-        total += x - y if x >= y else y - x
-    return total
+    backend = mu.space.backend
+    den, xs, ys = scalar.scaled_pair(mu.mass, nu.mass, backend)
+    return scalar.divider(backend)(scalar.total(map(abs, map(sub, xs, ys))), den)
 
 
 def pushforward(mu, s):
     """Image measure along s: each target atom collects its fiber's mass."""
     if mu.space != s.src:
         raise SpaceMismatch("measure does not live on the map's source")
-    if mu.space.backend == scalar.EXACT:
-        den, ms = scalar.scaled(mu.mass)
-        out = [Fraction(p, den) for p in _fiber_sums(s.src, s.assign, ms, s.dst.atoms)]
-    else:
-        out = _fiber_sums(s.src, s.assign, mu.mass, s.dst.atoms, 0.0)
-    return FiniteMeasure(s.dst, out)
+    den, ms = scalar.scaled(mu.mass, mu.space.backend)
+    div = scalar.divider(mu.space.backend)
+    pushed = _fiber_sums(s.src, s.assign, ms, s.dst.atoms)
+    return FiniteMeasure(s.dst, [div(p, den) for p in pushed])
 
 
 def bound_check(mu, r):
@@ -108,14 +105,12 @@ def bound_check(mu, r):
     if r <= 0:
         raise ValueError("bound must be positive")
     space = mu.space
-    if space.backend == scalar.EXACT:
-        # m / mden <= r * w / wden, cross-multiplied
-        (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass)
-        lhs, rhs = wden * r.denominator, mden * r.numerator
-        return all(m * lhs <= w * rhs for w, m in zip(ws, ms))
-    tol = space.tol
-    for w, m in zip(space.weights, mu.mass):
-        if not scalar.le(m, r * w, tol):
+    # m / mden <= (rnum / rden) * (w / wden), cross-multiplied
+    (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass, space.backend)
+    rden, (rnum,) = scalar.scaled([r], space.backend)
+    lhs, rhs, tol = wden * rden, mden * rnum, space.tol
+    for w, m in zip(ws, ms):
+        if not scalar.le(m * lhs, w * rhs, tol):
             return False
     return True
 
@@ -123,6 +118,7 @@ def bound_check(mu, r):
 def _density_bound(mu):
     """Largest mu_a / p_a over the positive-weight atoms (0 when none carries mass)."""
     space = mu.space
+    # floats divide: a cross-multiplied float maximum may pick another atom within rounding
     if space.backend == scalar.EXACT:
         (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass)
         num, den = 0, 1  # the best m / w so far, compared cross-multiplied
@@ -152,12 +148,9 @@ def truncate_measure(mu, n):
 def rho(g):
     """Density to measure: mass_a = g_a * p_a."""
     space = g.space
-    if space.backend == scalar.EXACT:
-        (wden, ws), (den, xs) = space._scaled, scalar.scaled(g.values)
-        out = [Fraction(x * w, den * wden) for x, w in zip(xs, ws)]
-    else:
-        out = [v * w for v, w in zip(g.values, space.weights)]
-    return FiniteMeasure(space, out)
+    (wden, ws), (den, xs) = space._scaled, scalar.scaled(g.values, space.backend)
+    div = scalar.divider(space.backend)
+    return FiniteMeasure(space, [div(x * w, den * wden) for x, w in zip(xs, ws)])
 
 
 def rn_derivative(mu):
@@ -167,9 +160,7 @@ def rn_derivative(mu):
     invariant of FiniteMeasure so no error case remains here.
     """
     space = mu.space
-    if space.backend == scalar.EXACT:
-        (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass)
-        out = [Fraction(m * wden, mden * w) if w else space.zero for w, m in zip(ws, ms)]
-    else:
-        out = [space.zero if w == 0 else m / w for w, m in zip(space.weights, mu.mass)]
+    (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass, space.backend)
+    div = scalar.divider(space.backend)
+    out = [div(m * wden, mden * w) if w else space.zero for w, m in zip(ws, ms)]
     return FiniteRandomVariable(space, out)

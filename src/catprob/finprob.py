@@ -9,7 +9,6 @@ subset enumeration over the codomain.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from . import scalar
@@ -30,9 +29,9 @@ class FiniteProbSpace:
     """Ordered finite set of atoms with a probability weight per atom.
 
     Immutable after construction; all derived objects hold a reference and
-    compare spaces by value (atoms, weights, backend).  An exact space also
-    keeps its weights over their common denominator (`scalar.scaled`), the
-    form the exact kernels compute with.
+    compare spaces by value (atoms, weights, backend).  A space also keeps
+    its weights in scaled form (`scalar.scaled`), the form the kernels
+    compute with.
     """
 
     __slots__ = ("atoms", "weights", "backend", "tol", "_index", "_scaled")
@@ -64,10 +63,12 @@ class FiniteProbSpace:
         for a, w in zip(atoms, ws):
             if w < 0:
                 raise NegativeWeight("weight of atom %r is %s < 0" % (a, w))
-        scaled = scalar.scaled(ws) if backend == scalar.EXACT else None
-        total = Fraction(sum(scaled[1]), scaled[0]) if scaled else sum(ws, 0.0)
-        if not scalar.eq(total, scalar.one(backend), tol):
-            raise WeightSumMismatch("weights sum to %s, expected 1" % (total,))
+        den, nums = scaled = scalar.scaled(ws, backend)
+        total = scalar.total(nums)
+        if not scalar.eq(total, den, tol):
+            raise WeightSumMismatch(
+                "weights sum to %s, expected 1" % (scalar.divider(backend)(total, den),)
+            )
         self.atoms = atoms
         self.weights = ws
         self.backend = backend
@@ -124,45 +125,39 @@ def uniform_space(atoms, backend=scalar.EXACT):
         atoms = range(atoms)
     atoms = tuple(atoms)
     n = len(atoms)
-    w = Fraction(1, n) if backend == scalar.EXACT else 1.0 / n
-    return FiniteProbSpace(atoms, [w] * n, backend=backend)
+    return FiniteProbSpace(atoms, [scalar.divider(backend)(1, n)] * n, backend=backend)
 
 
-def _fiber_sums(src, assign, values, targets, zero=0):
-    """Per target atom, `zero` plus the sum of `values` (one per source atom)
-    over its fiber."""
-    sums = dict.fromkeys(targets, zero)
+def _fiber_sums(src, assign, values, targets):
+    """Per target atom, the sum from 0 of `values` (one per source atom) over
+    its fiber, in source atom order."""
+    sums = dict.fromkeys(targets, 0)
     for a, v in zip(src.atoms, values):
         sums[assign[a]] += v
     return [sums[b] for b in targets]
 
 
+def _pushed_weights(src, assign, targets):
+    """The weights `assign` pushes src's weights onto, one per target atom."""
+    den, ws = src._scaled
+    div = scalar.divider(src.backend)
+    return [div(p, den) for p in _fiber_sums(src, assign, ws, targets)]
+
+
 def _check_pushforward(src, dst, assign):
     """Raise NotMeasurePreserving unless `assign` pushes src's weights onto dst's.
 
-    Exact spaces compare cross-multiplied int fiber sums, so a valid map
-    builds no Fraction.
+    Fiber sums and target weights are compared cross-multiplied, so a valid
+    exact map builds no Fraction.
     """
-    if src.backend == scalar.EXACT:
-        (sden, sws), (dden, dws) = src._scaled, dst._scaled
-        pushed = _fiber_sums(src, assign, sws, dst.atoms)
-        bad = [
-            (b, Fraction(p, sden))
-            for b, p, w in zip(dst.atoms, pushed, dws)
-            if p * dden != w * sden
-        ]
-    else:
-        pushed = _fiber_sums(src, assign, src.weights, dst.atoms, 0.0)
-        bad = [
-            (b, p)
-            for b, p, w in zip(dst.atoms, pushed, dst.weights)
-            if not scalar.eq(p, w, dst.tol)
-        ]
-    if bad:
-        b, p = bad[0]
-        raise NotMeasurePreserving(
-            "atom %r receives mass %s, target weight is %s" % (b, p, dst.weight(b))
-        )
+    (sden, sws), (dden, dws) = src._scaled, dst._scaled
+    pushed = _fiber_sums(src, assign, sws, dst.atoms)
+    for b, p, w in zip(dst.atoms, pushed, dws):
+        if not scalar.eq(p * dden, w * sden, dst.tol):
+            raise NotMeasurePreserving(
+                "atom %r receives mass %s, target weight is %s"
+                % (b, scalar.divider(src.backend)(p, sden), dst.weight(b))
+            )
 
 
 def _valid_map(src, dst, assign):
@@ -243,11 +238,10 @@ def as_equal(f, g):
     """Almost-sure equality: the atoms where the maps differ carry zero mass."""
     _require_parallel(f, g)
     src = f.src
-    mass = src.zero
-    for a in src.atoms:
-        if f.assign[a] != g.assign[a]:
-            mass += src.weight(a)
-    return scalar.eq(mass, src.zero, src.tol)
+    mass = scalar.total(
+        w for a, w in zip(src.atoms, src._scaled[1]) if f.assign[a] != g.assign[a]
+    )
+    return scalar.eq(mass, 0, src.tol)
 
 
 def map_distance(f, g, scale=1):
@@ -274,8 +268,7 @@ def map_distance(f, g, scale=1):
             "codomain has %d atoms; enumeration capped at %d"
             % (dst.size, MAX_ENUM_CODOMAIN)
         )
-    exact = src.backend == scalar.EXACT
-    den, weights = src._scaled if exact else (1, src.weights)
+    den, weights = src._scaled
     edges = {}
     for a, w in zip(src.atoms, weights):
         if w == 0:
@@ -289,7 +282,7 @@ def map_distance(f, g, scale=1):
     for (u, v), w in sorted(edges.items()):
         adj.setdefault(u, []).append((v, w))
         adj.setdefault(v, []).append((u, w))
-    best = 0 if exact else 0.0
+    best = 0
     side = {}  # two-colouring by breadth-first search, one component at a time
     for root in sorted(adj):
         if root in side:
@@ -306,9 +299,8 @@ def map_distance(f, g, scale=1):
                 if u < v:
                     weight += w
         best += weight if bipartite else _max_cut(sorted(comp), adj)
-    if exact:
-        return Fraction(best * scale.numerator, den * scale.denominator)
-    return best * scale
+    sden, (snum,) = scalar.scaled([scale], src.backend)
+    return scalar.divider(src.backend)(best * snum, den * sden)
 
 
 def _max_cut(verts, adj):

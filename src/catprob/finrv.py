@@ -6,8 +6,7 @@ stored tables is exactly almost-sure equality.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from . import scalar
 from .errors import NegativeValue, SpaceMismatch
@@ -32,12 +31,12 @@ class FiniteRandomVariable:
                     "%d values for a %d-atom space" % (len(raw), space.size)
                 )
         vals = []
-        for a, v in zip(space.atoms, raw):
+        for a, v, w in zip(space.atoms, raw, space._scaled[1]):
             v = scalar.coerce(v, space.backend)
             if v < 0:
                 raise NegativeValue("value at atom %r is %s < 0" % (a, v))
             # canonical representative: null atoms carry 0
-            vals.append(space.zero if space.weight(a) == 0 else v)
+            vals.append(v if w else space.zero)
         self.space = space
         self.values = tuple(vals)
 
@@ -69,41 +68,27 @@ def _require_same_space(f, g):
         raise SpaceMismatch("random variables live on different spaces")
 
 
-def _integral(space, nums, den):
-    """Integral of the values nums[a] / den against an exact space's
-    weights: int products over the common denominators, one Fraction."""
-    wden, ws = space._scaled
-    return Fraction(sum(map(mul, ws, nums)), wden * den)
-
-
-def _common(xs, ys):
-    """Two exact value tables over one common denominator: (den, xnums, ynums)."""
-    den, nums = scalar.scaled(xs + ys)
-    return den, nums[: len(xs)], nums[len(xs) :]
+def _integral(space, den, terms):
+    """Integral from per-atom `terms`, each a scaled weight times scaled
+    values whose denominators multiply to `den`: one fold, one division.
+    The terms come as `map` chains, which keep the per-atom operation order
+    without a Python-level loop."""
+    div = scalar.divider(space.backend)
+    return div(scalar.total(terms), space._scaled[0] * den)
 
 
 def l1_distance(f, g):
     """Integral of |f - g| against the space's weights."""
     _require_same_space(f, g)
     space = f.space
-    if space.backend == scalar.EXACT:
-        den, xs, ys = _common(f.values, g.values)
-        return _integral(space, [abs(x - y) for x, y in zip(xs, ys)], den)
-    total = space.zero
-    for w, x, y in zip(space.weights, f.values, g.values):
-        total += w * (x - y if x >= y else y - x)
-    return total
+    den, xs, ys = scalar.scaled_pair(f.values, g.values, space.backend)
+    return _integral(space, den, map(mul, space._scaled[1], map(abs, map(sub, xs, ys))))
 
 
 def expectation(f):
     space = f.space
-    if space.backend == scalar.EXACT:
-        den, xs = scalar.scaled(f.values)
-        return _integral(space, xs, den)
-    total = space.zero
-    for w, x in zip(space.weights, f.values):
-        total += w * x
-    return total
+    den, xs = scalar.scaled(f.values, space.backend)
+    return _integral(space, den, map(mul, space._scaled[1], xs))
 
 
 def second_moment(f):
@@ -111,32 +96,22 @@ def second_moment(f):
 
 
 def _cross_moment(space, xs, ys):
-    """Integral of the product of two value tables on `space`."""
-    if space.backend == scalar.EXACT:
-        den, xs, ys = _common(xs, ys)
-        return _integral(space, list(map(mul, xs, ys)), den * den)
-    total = space.zero
-    for w, x, y in zip(space.weights, xs, ys):
-        total += w * x * y
-    return total
+    """Integral of the product of two value tables on `space`, as (w * x) * y."""
+    den, xs, ys = scalar.scaled_pair(xs, ys, space.backend)
+    return _integral(space, den * den, map(mul, map(mul, space._scaled[1], xs), ys))
 
 
 def _mean_square_diff(space, xs, ys):
-    """Integral of the squared difference of two value tables on `space`."""
-    if space.backend == scalar.EXACT:
-        den, xs, ys = _common(xs, ys)
-        return _integral(space, [(x - y) * (x - y) for x, y in zip(xs, ys)], den * den)
-    total = space.zero
-    for w, x, y in zip(space.weights, xs, ys):
-        diff = x - y
-        total += w * diff * diff
-    return total
+    """Integral of the squared difference d of two value tables on `space`, as (w * d) * d."""
+    den, xs, ys = scalar.scaled_pair(xs, ys, space.backend)
+    ws_d = map(mul, space._scaled[1], map(sub, xs, ys))
+    return _integral(space, den * den, map(mul, ws_d, map(sub, xs, ys)))
 
 
 def max_value(f):
     """Largest value on positive-weight atoms (the least bound r with f <= r)."""
     best = f.space.zero
-    for w, x in zip(f.space.weights, f.values):
+    for w, x in zip(f.space._scaled[1], f.values):
         if w > 0 and x > best:
             best = x
     return best
@@ -152,20 +127,12 @@ def cond_exp(g, s):
     if g.space != s.src:
         raise SpaceMismatch("random variable does not live on the map's source")
     src, dst = s.src, s.dst
-    if src.backend == scalar.EXACT:
-        # per target atom: sum of w * x over the fiber / sum of w over the fiber
-        ws = src._scaled[1]
-        den, xs = scalar.scaled(g.values)
-        mass = _fiber_sums(src, s.assign, ws, dst.atoms)
-        moment = _fiber_sums(src, s.assign, map(mul, ws, xs), dst.atoms)
-        out = [Fraction(mx, den * m) if m else dst.zero for m, mx in zip(mass, moment)]
-    else:
-        sums = {b: src.zero for b in dst.atoms}
-        for a in src.atoms:
-            w = src.weight(a)
-            if w != 0:
-                sums[s.assign[a]] += w * g.value(a)
-        out = [dst.zero if q == 0 else sums[b] / q for b, q in zip(dst.atoms, dst.weights)]
+    # per target atom: sum of w * x over the fiber / the target weight
+    (wden, ws), (qden, qs) = src._scaled, dst._scaled
+    den, xs = scalar.scaled(g.values, src.backend)
+    moment = _fiber_sums(src, s.assign, map(mul, ws, xs), dst.atoms)
+    div = scalar.divider(src.backend)
+    out = [div(mx * qden, den * wden * q) if q else dst.zero for mx, q in zip(moment, qs)]
     return FiniteRandomVariable(dst, out)
 
 

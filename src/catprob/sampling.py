@@ -14,7 +14,7 @@ from . import scalar
 from .diagram import FiltrationDiagram
 from .errors import NotMeasurePreserving
 from .finmeas import FiniteMeasure
-from .finprob import FiniteProbSpace, MeasurePreservingMap, _fiber_sums
+from .finprob import FiniteProbSpace, MeasurePreservingMap, _pushed_weights
 from .finrv import FiniteRandomVariable
 
 _DENOMS = (4, 8, 16, 32, 64, 12, 24, 48, 60)
@@ -24,42 +24,29 @@ def rand_space(rng, min_atoms=2, max_atoms=8, backend=scalar.EXACT):
     """Random space; roughly half the draws are uniform to seed weight collisions."""
     n = rng.randint(min_atoms, max_atoms)
     atoms = tuple(range(n))
+    div = scalar.divider(backend)
     if rng.random() < 0.5:
-        if backend == scalar.EXACT:
-            return FiniteProbSpace(atoms, [Fraction(1, n)] * n, backend=backend)
-        return FiniteProbSpace(atoms, [1.0 / n] * n, backend=backend)
+        return FiniteProbSpace(atoms, [div(1, n)] * n, backend=backend)
     den = rng.choice(_DENOMS)
     cuts = sorted(rng.randint(0, den) for _ in range(n - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
-    if backend == scalar.EXACT:
-        weights = [Fraction(p, den) for p in parts]
-    else:
-        weights = [p / den for p in parts]
-    return FiniteProbSpace(atoms, weights, backend=backend)
+    return FiniteProbSpace(atoms, [div(p, den) for p in parts], backend=backend)
 
 
 def rand_rv(rng, space, bound=1):
     """Values in [0, bound] with small denominators; canonical on null atoms."""
     bound = scalar.coerce(bound, space.backend)
-    vals = []
-    for _ in range(space.size):
-        if space.backend == scalar.EXACT:
-            vals.append(bound * Fraction(rng.randint(0, 64), 64))
-        else:
-            vals.append(bound * rng.randint(0, 64) / 64.0)
-    return FiniteRandomVariable(space, vals)
+    div = scalar.divider(space.backend)
+    return FiniteRandomVariable(
+        space, [div(bound * rng.randint(0, 64), 64) for _ in range(space.size)]
+    )
 
 
 def rand_measure(rng, space, bound=1):
     """Measure below bound * weights (hence absolutely continuous)."""
     bound = scalar.coerce(bound, space.backend)
-    mass = []
-    for w in space.weights:
-        if space.backend == scalar.EXACT:
-            mass.append(bound * w * Fraction(rng.randint(0, 64), 64))
-        else:
-            mass.append(bound * w * rng.randint(0, 64) / 64.0)
-    return FiniteMeasure(space, mass)
+    div = scalar.divider(space.backend)
+    return FiniteMeasure(space, [div(bound * w * rng.randint(0, 64), 64) for w in space.weights])
 
 
 def rand_quotient(rng, src, max_classes=None):
@@ -71,9 +58,10 @@ def rand_quotient(rng, src, max_classes=None):
     used = sorted(set(assign.values()))
     relabel = {c: t for t, c in enumerate(used)}
     assign = {a: relabel[c] for a, c in assign.items()}
+    targets = range(len(used))
     dst = FiniteProbSpace(
-        range(len(used)),
-        _fiber_sums(src, assign, src.weights, range(len(used))),
+        targets,
+        _pushed_weights(src, assign, targets),
         backend=src.backend,
         tol=src.tol or None,
     )

@@ -8,13 +8,15 @@ construction and every object derived from it inherits the choice.  On the
 exact backend all comparisons are decidable equalities on
 `fractions.Fraction`; on the float backend an equality assertion means
 |a - b| <= tol.  Mixing backends in one operation raises BackendMismatch
-instead of coercing.  Exact kernels compute on ints over one common
-denominator (`scaled`).
+instead of coercing.  The probability kernels compute on one scaled form,
+(den, nums), on both backends (`scaled`, `divider`, `total`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import inf, isfinite, lcm
+from operator import add, truediv
 
 from .errors import BackendMismatch
 
@@ -89,17 +91,45 @@ def parse_rational(text):
     raise ValueError("not a rational literal: %r" % text)
 
 
-def scaled(xs):
-    """Write exact scalars over one common denominator: (den, numerators).
+def scaled(xs, backend=EXACT):
+    """Write scalars over one common denominator: (den, nums).
 
-    `den` is the least common multiple of the denominators (1 for no
-    scalars) and xs[i] == Fraction(nums[i], den).  The exact kernels do
-    their sums, products and comparisons on these ints and build one
-    Fraction per result.
+    On the exact backend `den` is the least common multiple of the
+    denominators (1 for no scalars) and xs[i] == Fraction(nums[i], den), so
+    a kernel sums, multiplies and compares ints.  On the float backend `den`
+    is 1 and `nums` is `xs` itself, not a copy: multiplying or dividing a
+    float by the int 1 is exact, so one kernel body serves both backends.
     """
+    if backend != EXACT:
+        return 1, xs
     pairs = [x.as_integer_ratio() for x in xs]
     den = lcm(*[d for _, d in pairs])
     return den, tuple([n * (den // d) for n, d in pairs])
+
+
+def scaled_pair(xs, ys, backend):
+    """Two tables over one common denominator: (den, xnums, ynums)."""
+    if backend != EXACT:
+        return 1, xs, ys
+    den, nums = scaled(xs + ys)
+    return den, nums[: len(xs)], nums[len(xs) :]
+
+
+def divider(backend):
+    """How the backend turns (num, den) into a scalar: `Fraction` on the
+    exact backend, true division on the float one.  A kernel picks it once
+    per call, not once per entry."""
+    return Fraction if backend == EXACT else truediv
+
+
+def total(terms):
+    """Left fold of `terms` from the int 0, in order.
+
+    Builtin `sum` is not used: from Python 3.12 it compensates float sums,
+    which would change the bits the kernels promise.  0 + x equals 0.0 + x
+    for every x >= 0, so a float fold gives the bits of a loop from 0.0.
+    """
+    return reduce(add, terms, 0)
 
 
 _EXACT_ZERO, _EXACT_ONE = Fraction(0), Fraction(1)

@@ -144,6 +144,32 @@ def bound_check_literal(mu, r):
     return all(m <= r * w + mu.space.tol for w, m in zip(mu.space.weights, mu.mass))
 
 
+def max_value_literal(f):
+    """Largest value over the positive-weight atoms (0 if none)."""
+    best = f.space.zero
+    for w, x in zip(f.space.weights, f.values):
+        if w > 0 and x > best:
+            best = x
+    return best
+
+
+def total_mass_literal(mu):
+    total = mu.space.zero
+    for m in mu.mass:
+        total += m
+    return total
+
+
+def as_equal_literal(f, g):
+    """The mass of the atoms where the maps differ is zero (within tol)."""
+    src = f.src
+    mass = src.zero
+    for a, w in zip(src.atoms, src.weights):
+        if f.assign[a] != g.assign[a]:
+            mass += w
+    return abs(mass - src.zero) <= src.tol
+
+
 def density_bound_literal(mu):
     """Largest mass / weight over the positive-weight atoms (0 if none)."""
     best = mu.space.zero

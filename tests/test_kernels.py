@@ -3,7 +3,8 @@
 On the exact backend every kernel must equal its oracle in `oracles.py`
 exactly; on the float backend it must match the same loop to the bit.  The
 count pins check that the exact kernels work on ints: at most one Fraction
-per output entry (one for a scalar), none for a valid map's check.
+per output entry (one for a scalar), none for a valid map's check, for
+`as_equal` or for `max_value`.
 """
 import contextlib
 import random
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, scalar
+from catprob import errors, sampling, scalar
 from catprob.finmeas import (
     FiniteMeasure,
     _density_bound,
@@ -25,7 +26,7 @@ from catprob.finmeas import (
     rn_derivative,
     tv_distance,
 )
-from catprob.finprob import FiniteProbSpace, MeasurePreservingMap
+from catprob.finprob import FiniteProbSpace, MeasurePreservingMap, as_equal
 from catprob.finrv import (
     FiniteRandomVariable,
     _cross_moment,
@@ -33,6 +34,7 @@ from catprob.finrv import (
     cond_exp,
     expectation,
     l1_distance,
+    max_value,
     second_moment,
 )
 
@@ -121,6 +123,8 @@ KERNELS = {
     "density_bound": (
         lambda c: _density_bound(c.mu), lambda c: oracles.density_bound_literal(c.mu)
     ),
+    "max_value": (lambda c: max_value(c.f), lambda c: oracles.max_value_literal(c.f)),
+    "measure_total": (lambda c: c.mu.total(), lambda c: oracles.total_mass_literal(c.mu)),
 }
 
 
@@ -168,6 +172,18 @@ def test_pushforward_check_matches_literal_loop(backend, data):
     )
 
 
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_as_equal_matches_literal_loop(backend, data):
+    """On a map against itself and against a random parallel map of it."""
+    case = data.draw(cases(backend))
+    f = case.map
+    g = sampling.rand_parallel_map(random.Random(data.draw(st.integers(0, 2**16))), f)
+    for h in (f, g):
+        assert as_equal(f, h) is oracles.as_equal_literal(f, h)
+
+
 @contextlib.contextmanager
 def fractions_built():
     """Count every Fraction constructed in the block (arithmetic included)."""
@@ -205,6 +221,12 @@ def test_exact_kernels_build_one_fraction_per_entry(data):
             result = kernel(case)
         assert count[0] <= _entries(result), (name, count[0])
     s = case.map
+    t = sampling.rand_parallel_map(random.Random(data.draw(st.integers(0, 2**16))), s)
     with fractions_built() as count:
         MeasurePreservingMap(s.src, s.dst, s.assign)
+        as_equal(s, t)
+        max_value(case.f)
     assert count[0] == 0
+    with fractions_built() as count:
+        case.mu.total()
+    assert count[0] == 1

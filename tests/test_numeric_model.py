@@ -1,12 +1,14 @@
 """One numeric model: every number enters through `scalar.coerce` and leaves
 through `scalar.to_json`, on the probability side, the metric side and the
 dyadic grounds alike."""
+import ast
+import inspect
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from catprob import errors, scalar
+from catprob import errors, finmeas, finprob, finrv, sampling, scalar
 from catprob.diagram import DyadicGround
 from catprob.finprob import make_space
 from catprob.metcat import INF, FinPseudometricSpace, scale
@@ -117,3 +119,39 @@ def test_exact_coerce_returns_a_fraction_as_it_is():
 def test_to_json(value, text):
     out = scalar.to_json(value)
     assert out == text and type(out) is type(text)
+
+
+#: The only places the probability side may test which backend it is on:
+#: the tol rule, the float re-check of a composite (drift adds up along a
+#: path) and the float maximum of the density bound.
+_BACKEND_TESTS = ["FiniteProbSpace.__init__", "compose", "_density_bound"]
+
+
+def _backend_tests(module):
+    """Qualified name of the function around each comparison against a backend."""
+    found = []
+
+    def names_backend(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.value.id == "scalar" and node.attr in ("EXACT", "FLOAT")
+        if isinstance(node, ast.Name):
+            return node.id in ("EXACT", "FLOAT")
+        return isinstance(node, ast.Constant) and node.value in scalar.BACKENDS
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Compare) and any(
+            names_backend(x) for x in [node.left] + node.comparators
+        ):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(inspect.getsource(module)), [])
+    return found
+
+
+def test_kernels_have_one_body_for_both_backends():
+    tests = [t for m in (finprob, finrv, finmeas, sampling) for t in _backend_tests(m)]
+    assert sorted(tests) == sorted(_BACKEND_TESTS)

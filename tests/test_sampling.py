@@ -1,0 +1,69 @@
+"""The samplers against their formulas written out literally.
+
+Each seed replays one draw sequence twice: once through `sampling` and once
+through the formulas below, exact values on the exact backend and float
+bits on the float one.  A change that reorders the draws or the arithmetic
+shows here.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from catprob import sampling, scalar
+
+_BOUND = Fraction(5, 3)
+
+
+def _bits(xs):
+    return [x.hex() if type(x) is float else (type(x), x) for x in xs]
+
+
+def _literal_draws(rng, backend):
+    """Weights, values, masses, the quotient's assignment and target weights."""
+    exact = backend == scalar.EXACT
+    bound = _BOUND if exact else float(_BOUND)
+    n = rng.randint(2, 8)
+    if rng.random() < 0.5:
+        weights = [Fraction(1, n)] * n if exact else [1.0 / n] * n
+    else:
+        den = rng.choice(sampling._DENOMS)
+        cuts = sorted(rng.randint(0, den) for _ in range(n - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+        weights = [Fraction(p, den) if exact else p / den for p in parts]
+    if exact:
+        values = [bound * Fraction(rng.randint(0, 64), 64) for _ in range(n)]
+        mass = [bound * w * Fraction(rng.randint(0, 64), 64) for w in weights]
+    else:
+        values = [bound * rng.randint(0, 64) / 64.0 for _ in range(n)]
+        mass = [bound * w * rng.randint(0, 64) / 64.0 for w in weights]
+    zero = Fraction(0) if exact else 0.0
+    values = [x if w else zero for w, x in zip(weights, values)]  # canonical on null atoms
+    k = rng.randint(1, n)
+    raw = [rng.randrange(k) for _ in range(n)]
+    relabel = {c: t for t, c in enumerate(sorted(set(raw)))}
+    assign = [relabel[c] for c in raw]
+    pushed = []
+    for t in range(len(relabel)):
+        total = Fraction(0) if exact else 0.0
+        for a in range(n):
+            if assign[a] == t:
+                total += weights[a]
+        pushed.append(total)
+    return weights, values, mass, assign, pushed
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@pytest.mark.parametrize("seed", range(20))
+def test_samplers_match_their_formulas(backend, seed):
+    rng = random.Random(seed)
+    space = sampling.rand_space(rng, backend=backend)
+    f = sampling.rand_rv(rng, space, bound=_BOUND)
+    mu = sampling.rand_measure(rng, space, bound=_BOUND)
+    q = sampling.rand_quotient(rng, space)
+    weights, values, mass, assign, pushed = _literal_draws(random.Random(seed), backend)
+    assert _bits(space.weights) == _bits(weights)
+    assert _bits(f.values) == _bits(values)
+    assert _bits(mu.mass) == _bits(mass)
+    assert [q.assign[a] for a in space.atoms] == assign
+    assert _bits(q.dst.weights) == _bits(pushed)
