@@ -4,8 +4,10 @@ Constructions: sup-metric product, equalizer subspace, infinity-separated
 coproduct, chain-infimum coequalizer, sum-metric tensor, sup-metric hom over
 a supplied family of maps, currying both ways, scaling, metric reflection.
 Distances may be infinite; every table holds infinity as the one object
-`INF` (`math.inf`) and tests it by identity.  Addition and comparisons
-saturate there.
+`INF` (`math.inf`).  Comparisons, `max` and `min` use Python's exact
+ordering against it, also for Fractions.  Sums saturate there through
+`_sat_add` (the closure skips INF edges), since Fraction + INF goes through
+a float and overflows.
 
 Distances follow the numeric model of `scalar`, the one the probability
 side and the dyadic grounds use.  The backend comes from `tol`: tol == 0
@@ -13,10 +15,9 @@ makes an exact table, which `scalar.coerce` fills with Fractions from ints,
 Fractions and "num/den" strings; tol > 0 makes a float table, which holds
 floats.  Infinity (`math.inf` or "inf") is taken on both; bools, None, nan,
 -inf, finite floats in an exact table and anything else raise InvalidMetric.
-The exact axiom scan runs on Python ints: every finite entry over the
-table's common denominator, with infinity standing in as 2*max + 1.  Float
-tables are scanned literally, with tol slack.  `tol` must be a finite
-real >= 0.
+One axiom scan serves both backends: on ints over an exact table's common
+denominator, with infinity as 2*max + 1, and on a float table as it is,
+with tol slack.  `tol` must be a finite real >= 0.
 
 `product`, `tensor` and `coproduct` take one backend, as the probability
 side does, and raise BackendMismatch on mixed inputs.  A hom space holds
@@ -79,10 +80,7 @@ class FinPseudometricSpace:
             raise InvalidMetric("distance table is not %d x %d" % (n, n))
         backend = self.backend
         table = tuple(tuple(_coerce_dist(v, backend) for v in row) for row in rows)
-        # a table the int scan rejects is scanned again literally, which
-        # raises the first failure in scan order
-        if tol != 0 or not _exact_axioms_hold(table):
-            _literal_scan(points, table, tol)
+        _check_axioms(points, table, tol)
         self.points = points
         self.dist = table
         self._index = index
@@ -113,69 +111,54 @@ class FinPseudometricSpace:
         return "FinPseudometricSpace(points=%r)" % (self.points,)
 
 
-def _exact_axioms_hold(table):
-    """All axioms of an exact table, decided on ints.
+def _check_axioms(points, table, tol):
+    """Raise InvalidMetric for the first axiom failure, in scan order: per
+    row i, d(i,i) = 0 and then each entry's sign and symmetry; then every
+    triangle d(i,j) <= d(i,k) + d(k,j), in (i, j, k) order.
 
-    Entries are scaled to ints over the common denominator and INF becomes
+    One table of comparable numbers serves both backends.  An exact table
+    is scaled to ints over its common denominator, with INF as
     top = 2*max + 1.  Once the entries are known to be non-negative, top
-    keeps d(i,j) <= d(i,k) + d(k,j) true exactly when the saturating
-    inequality holds: a sum with an INF term is at least top, which no entry
-    exceeds, and a finite sum is at most 2*max < top.
+    keeps the int triangle true exactly when the saturating one holds: a
+    sum with a top term is at least top, which no entry exceeds, and a
+    finite sum is at most 2*max < top.  A float table is read as it is, INF
+    included, with tol slack.  Messages print the entries of `table`.
     """
-    _, nums = scalar.scaled([v for row in table for v in row if v is not INF])
-    top = 2 * max(nums, default=0) + 1
-    finite = iter(nums)
-    rows = [[top if v is INF else next(finite) for v in row] for row in table]
-    n = len(rows)
-    if any(rows[i][i] for i in range(n)) or min(map(min, rows), default=0) < 0:
-        return False
-    if list(map(list, zip(*rows))) != rows:
-        return False
-    # symmetric, so column j is row j and (j, i) repeats (i, j)
+    n = len(table)
+    if tol == 0:
+        _, nums = scalar.scaled([v for row in table for v in row if v is not INF])
+        top = 2 * max(nums, default=0) + 1  # > 0 past row 0, whose d(0,0) = 0 is in nums
+        finite = iter(nums)
+        rows = [tuple([top if v is INF else next(finite) for v in row]) for row in table]
+        # slack is the int 0, as a 0.0 tol would make the sums floats.  Once
+        # the rows pass, the table is symmetric and triangle (j, i) repeats
+        # (i, j), so only the upper triangle is scanned.
+        slack, upper = 0, True
+    else:  # symmetric only within tol: every j, against the real columns
+        rows, slack, upper = table, tol, False
+    cols = list(zip(*rows))
+    for i, (ri, ci) in enumerate(zip(rows, cols)):
+        if abs(ri[i]) > slack:  # d(i,i) = 0, within tol on a float table
+            raise InvalidMetric("d(%r,%r) = %s != 0" % (points[i], points[i], table[i][i]))
+        if ri != ci or min(ri) < 0:  # the walk only names the failing entry
+            for j, (a, b) in enumerate(zip(ri, ci)):
+                if a < 0:
+                    raise InvalidMetric("negative distance at (%r,%r)" % (points[i], points[j]))
+                if not (a == b or scalar.eq(a, b, slack)):  # INF equals only INF
+                    raise InvalidMetric(
+                        "asymmetry at (%r,%r): %s vs %s"
+                        % (points[i], points[j], table[i][j], table[j][i])
+                    )
     add = operator.add
     for i, ri in enumerate(rows):
-        for j in range(i + 1, n):
-            if ri[j] > min(map(add, ri, rows[j])):
-                return False
-    return True
-
-
-def _literal_scan(points, table, tol):
-    """Raise InvalidMetric for the first axiom failure, in scan order."""
-    n = len(points)
-    for i in range(n):
-        if not scalar.eq(table[i][i], 0, tol):
-            raise InvalidMetric("d(%r,%r) = %s != 0" % (points[i], points[i], table[i][i]))
-        for j in range(n):
-            if table[i][j] is not INF and table[i][j] < 0:
-                raise InvalidMetric("negative distance at (%r,%r)" % (points[i], points[j]))
-            if not _sym_eq(table[i][j], table[j][i], tol):
+        for j in range(i + 1 if upper else 0, n):
+            cj = cols[j]
+            if ri[j] > min(map(add, ri, cj)) + slack:
+                k = next(k for k in range(n) if ri[j] > ri[k] + cj[k] + slack)
                 raise InvalidMetric(
-                    "asymmetry at (%r,%r): %s vs %s"
-                    % (points[i], points[j], table[i][j], table[j][i])
+                    "triangle violated: d(%r,%r) > d(%r,%r) + d(%r,%r)"
+                    % (points[i], points[j], points[i], points[k], points[k], points[j])
                 )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not _tri_ok(table[i][j], table[i][k], table[k][j], tol):
-                    raise InvalidMetric(
-                        "triangle violated: d(%r,%r) > d(%r,%r) + d(%r,%r)"
-                        % (points[i], points[j], points[i], points[k], points[k], points[j])
-                    )
-
-
-def _sym_eq(a, b, tol):
-    if a is INF or b is INF:
-        return a is b
-    return scalar.eq(a, b, tol)
-
-
-def _tri_ok(dij, dik, dkj, tol):
-    if dik is INF or dkj is INF:
-        return True
-    if dij is INF:
-        return False
-    return scalar.le(dij, dik + dkj, tol)
 
 
 class LipschitzMap:
@@ -193,19 +176,23 @@ class LipschitzMap:
         missing = [p for p in src.points if p not in assign]
         if missing:
             raise DomainMismatch("assignment missing points %r" % (missing[:4],))
+        if len(assign) > src.size:
+            extra = [p for p in assign if p not in src._index]
+            raise DomainMismatch("assignment mentions unknown points %r" % (extra[:4],))
+        position = {}
         for p, q in assign.items():
-            if q not in dst._index:
-                raise DomainMismatch("image point %r not in target" % (q,))
+            try:
+                position[p] = dst._index[q]
+            except (KeyError, TypeError):
+                raise DomainMismatch("image point %r not in target" % (q,)) from None
         tol = max(src.tol, dst.tol)
-        image = [dst._index[assign[x]] for x in src.points]
+        image = [position[x] for x in src.points]
         for i, x in enumerate(src.points):
             image_row = dst.dist[image[i]]
             for j, y in enumerate(src.points):
                 dxy = src.dist[i][j]
                 dfxy = image_row[image[j]]
-                if dxy is INF:
-                    continue
-                if dfxy is INF or not scalar.le(dfxy, dxy, tol):
+                if not scalar.le(dfxy, dxy, tol):
                     raise NotLipschitz(
                         "pair (%r,%r): image distance %s > source distance %s"
                         % (x, y, dfxy, dxy)
@@ -248,31 +235,33 @@ def product(spaces):
     spaces = list(spaces)
     if not spaces:
         raise ValueError("product of an empty family is not supported")
+    cells, points = _cells("product", spaces)
+    _, tol = scalar.same_backend(*spaces)
+    dists = [s.dist for s in spaces]
+    # the product of the factor rows gives each cell's distances in cell
+    # order; max from 0, as a loop keeping the first strictly larger one
+    table = [
+        [max(0, *ds) for ds in itertools.product(*[d[a] for d, a in zip(dists, xs)])]
+        for xs in cells
+    ]
+    return FinPseudometricSpace(points, table, tol=tol)
+
+
+def _cells(what, spaces):
+    """Index cells and points of a product or tensor, after the size guard."""
     count = 1
     for s in spaces:
         count *= s.size
         if count > MAX_PRODUCT_POINTS:
-            raise ProductTooLarge("product would have more than %d points" % MAX_PRODUCT_POINTS)
-    _, tol = scalar.same_backend(*spaces)
-    points = list(itertools.product(*(s.points for s in spaces)))
-    idx = [
-        {p: i for i, p in enumerate(s.points)} for s in spaces
-    ]
-    table = []
-    for xs in points:
-        row = []
-        for ys in points:
-            best = 0
-            for s, lookup, x, y in zip(spaces, idx, xs, ys):
-                d = s.dist[lookup[x]][lookup[y]]
-                if d is INF:
-                    best = INF
-                    break
-                if d > best:
-                    best = d
-            row.append(best)
-        table.append(row)
-    return FinPseudometricSpace(points, table, tol=tol)
+            raise ProductTooLarge("%s would have more than %d points" % (what, MAX_PRODUCT_POINTS))
+    cells = list(itertools.product(*(range(s.size) for s in spaces)))
+    return cells, tuple(itertools.product(*(s.points for s in spaces)))
+
+
+def _sat_add(a, b):
+    """a + b, saturating at INF.  A Fraction is never added to INF: that
+    converts it to a float, which overflows above about 1.8e308."""
+    return INF if a is INF or b is INF else a + b
 
 
 def projection(prod_space, spaces, i):
@@ -383,36 +372,19 @@ def coequalizer(f, g):
         Y.points, ((Y._index[f.assign[x]], Y._index[g.assign[x]]) for x in f.src.points)
     )
     k = len(members)
-    base = [[(0 if i == j else INF) for j in range(k)] for i in range(k)]
-    for i in range(Y.size):
-        for j in range(Y.size):
-            ci, cj = class_of[i], class_of[j]
-            d = Y.dist[i][j]
-            if ci == cj:
-                continue
-            if d is not INF and (base[ci][cj] is INF or d < base[ci][cj]):
-                base[ci][cj] = d
-                base[cj][ci] = d
-    chain = [row[:] for row in base]
+    chain = [[(0 if i == j else INF) for j in range(k)] for i in range(k)]
+    for ci, row in zip(class_of, Y.dist):
+        for cj, d in zip(class_of, row):
+            if ci != cj and d < chain[ci][cj]:
+                chain[ci][cj] = chain[cj][ci] = d
     _min_plus_closure(chain)
     # single-intermediate value, for the discrepancy report
-    gaps = []
+    gaps, dist, via = [], Y.dist, range(Y.size)
+    pos = [[Y._index[p] for p in m] for m in members]
     for ci in range(k):
         for cj in range(ci + 1, k):
-            one = INF
-            for i in range(Y.size):
-                if class_of[i] != ci:
-                    continue
-                for m in range(Y.size):
-                    for j in range(Y.size):
-                        if class_of[j] != cj:
-                            continue
-                        d1, d2 = Y.dist[i][m], Y.dist[m][j]
-                        if d1 is INF or d2 is INF:
-                            continue
-                        v = d1 + d2
-                        if v < one:
-                            one = v
+            sums = [_sat_add(dist[i][m], dist[m][j]) for i in pos[ci] for m in via for j in pos[cj]]
+            one = min(sums, default=INF)
             if one != chain[ci][cj]:
                 gaps.append((members[ci], members[cj], one, chain[ci][cj]))
     quot = FinPseudometricSpace(members, chain, tol=Y.tol)
@@ -424,20 +396,10 @@ def coequalizer(f, g):
 
 def _tensor_table(x_space, y_space):
     """Points and sum-metric rows of the tensor, before validation."""
-    count = x_space.size * y_space.size
-    if count > MAX_PRODUCT_POINTS:
-        raise ProductTooLarge("tensor would have more than %d points" % MAX_PRODUCT_POINTS)
-    cells = list(itertools.product(range(x_space.size), range(y_space.size)))
-    points = tuple((x_space.points[i], y_space.points[j]) for i, j in cells)
-    table = []
-    for i1, j1 in cells:
-        row = []
-        for i2, j2 in cells:
-            dx = x_space.dist[i1][i2]
-            dy = y_space.dist[j1][j2]
-            row.append(INF if dx is INF or dy is INF else dx + dy)
-        table.append(tuple(row))
-    return points, tuple(table)
+    cells, points = _cells("tensor", [x_space, y_space])
+    dx, dy = x_space.dist, y_space.dist
+    table = tuple(tuple([_sat_add(a, b) for a in dx[i] for b in dy[j]]) for i, j in cells)
+    return points, table
 
 
 def tensor(x_space, y_space):
@@ -455,11 +417,9 @@ def hom_distance(f, g):
     dst = f.dst
     for p in f.src.points:
         d = dst.dist[dst._index[f.assign[p]]][dst._index[g.assign[p]]]
-        if witness is None or (best is not INF and (d is INF or d > best)):
+        if witness is None or d > best:
             best, witness = d, p
-    if witness is None:  # empty source: all maps coincide
-        return 0, None
-    return best, witness
+    return best, witness  # (0, None) on an empty source, where all maps coincide
 
 
 @dataclass
@@ -517,6 +477,8 @@ def curry(h, x_space, y_space):
 
 def uncurry(per_point, x_space, y_space):
     """Inverse of curry: rebuild the map on the tensor from the family."""
+    if not x_space.points or any(x not in per_point for x in x_space.points):
+        raise DomainMismatch("uncurry needs a map for each point of a nonempty first factor")
     some = per_point[x_space.points[0]]
     assign = {}
     for x in x_space.points:

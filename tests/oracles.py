@@ -5,6 +5,7 @@ integrate by refinement.  They share no code path with the library versions.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 
@@ -216,33 +217,113 @@ def dyadic_tables_per_cell(ground, depth):
     return levels, errors
 
 
-def metric_axiom_error(points, table):
-    """First axiom failure of an exact distance table, as the message the
+def metric_axiom_error(points, table, tol=0):
+    """First axiom failure of a distance table, as the message the
     constructor raises, or None when the table is an extended pseudometric.
 
     Checks run in the literal order: per row, the diagonal and then each
-    entry for sign and symmetry; then every triangle (i, j, k).  A sum with
-    an infinite term is infinite, and an infinite d(i,j) fails against any
-    finite sum.
+    entry for sign and symmetry; then every triangle (i, j, k).  With
+    tol > 0 each check has tol slack: |d(i,i)| <= tol, symmetry within tol
+    (an infinite entry equals only an infinite one) and
+    d(i,j) <= d(i,k) + d(k,j) + tol.  A sum with an infinite term is
+    infinite, and an infinite d(i,j) fails against any finite sum.
     """
     inf = float("inf")
     n = len(points)
     for i in range(n):
-        if table[i][i] != 0:
+        if not abs(table[i][i]) <= tol:
             return "d(%r,%r) = %s != 0" % (points[i], points[i], table[i][i])
         for j in range(n):
-            if table[i][j] < 0:
+            a, b = table[i][j], table[j][i]
+            if a < 0:
                 return "negative distance at (%r,%r)" % (points[i], points[j])
-            if table[i][j] != table[j][i]:
-                return "asymmetry at (%r,%r): %s vs %s" % (
-                    points[i], points[j], table[i][j], table[j][i]
-                )
+            if a != b and (inf in (a, b) or abs(a - b) > tol):
+                return "asymmetry at (%r,%r): %s vs %s" % (points[i], points[j], a, b)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 via = table[i][k] + table[k][j]
-                if via != inf and table[i][j] > via:
+                if via != inf and table[i][j] > via + tol:
                     return "triangle violated: d(%r,%r) > d(%r,%r) + d(%r,%r)" % (
                         points[i], points[j], points[i], points[k], points[k], points[j]
                     )
     return None
+
+
+# Metric constructor tables, as loops over the factors' tables.  They test
+# for infinity before any sum, so no Fraction is ever added to it.
+
+def product_table_literal(spaces):
+    """Sup-metric table of the product, over the points in product order."""
+    inf = float("inf")
+    cells = list(itertools.product(*(range(s.size) for s in spaces)))
+    table = []
+    for xs in cells:
+        row = []
+        for ys in cells:
+            best = 0
+            for s, a, b in zip(spaces, xs, ys):
+                d = s.dist[a][b]
+                if d == inf:
+                    best = d
+                    break
+                if d > best:
+                    best = d
+            row.append(best)
+        table.append(row)
+    return table
+
+
+def tensor_table_literal(x_space, y_space):
+    """Sum-metric table of the tensor, over the points in product order."""
+    inf = float("inf")
+    cells = [(i, j) for i in range(x_space.size) for j in range(y_space.size)]
+    table = []
+    for i1, j1 in cells:
+        row = []
+        for i2, j2 in cells:
+            dx, dy = x_space.dist[i1][i2], y_space.dist[j1][j2]
+            row.append(inf if dx == inf or dy == inf else dx + dy)
+        table.append(row)
+    return table
+
+
+def one_step_gaps_literal(space, classes, chain):
+    """Class pairs (c1, c2, one-step value, chain value) where the best
+    single-intermediate route inf d(y1, y) + d(y, y2), y1 in c1 and y2 in
+    c2, differs from the chain distance.  `classes` are the quotient's
+    points (tuples of points of `space`), `chain` its table."""
+    inf = float("inf")
+    n = space.size
+    class_of = [next(c for c, m in enumerate(classes) if p in m) for p in space.points]
+    gaps = []
+    for ci in range(len(classes)):
+        for cj in range(ci + 1, len(classes)):
+            one = inf
+            for i in range(n):
+                if class_of[i] != ci:
+                    continue
+                for m in range(n):
+                    for j in range(n):
+                        if class_of[j] != cj:
+                            continue
+                        d1, d2 = space.dist[i][m], space.dist[m][j]
+                        if d1 == inf or d2 == inf:
+                            continue
+                        if d1 + d2 < one:
+                            one = d1 + d2
+            if one != chain[ci][cj]:
+                gaps.append((classes[ci], classes[cj], one, chain[ci][cj]))
+    return gaps
+
+
+def hom_distance_literal(f, g):
+    """Sup over source points of d(f(p), g(p)) with the first point reaching
+    it, or (0, None) on an empty source."""
+    inf = float("inf")
+    best, witness = 0, None
+    for p in f.src.points:
+        d = f.dst.distance(f.assign[p], g.assign[p])
+        if witness is None or (best != inf and (d == inf or d > best)):
+            best, witness = d, p
+    return best, witness

@@ -11,6 +11,7 @@ from catprob.metcat import (
     INF,
     FinPseudometricSpace,
     LipschitzMap,
+    _tensor_table,
     coequalizer,
     completion,
     compose_lipschitz,
@@ -29,7 +30,13 @@ from catprob.metcat import (
 )
 from catprob.sampling import rand_lipschitz_map, rand_metric_space
 
-from oracles import metric_axiom_error
+from oracles import (
+    hom_distance_literal,
+    metric_axiom_error,
+    one_step_gaps_literal,
+    product_table_literal,
+    tensor_table_literal,
+)
 
 
 @st.composite
@@ -72,6 +79,35 @@ def axiom_tables(draw):
         if draw(st.booleans()):
             d[j][i] = d[i][j]
     return d
+
+
+def on_backend(table, tol):
+    """The table as given when tol == 0, else with every finite entry as a float."""
+    return table if tol == 0 else [[v if v == INF else float(v) for v in row] for row in table]
+
+
+@st.composite
+def metric_spaces(draw, tol, min_points=1):
+    """0-3 point spaces on tol's backend: symmetric draws closed under
+    shortest paths, with INF as no edge."""
+    n = draw(st.integers(min_points, 3))
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(_distances)
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                if INF not in (d[i][m], d[m][j]):
+                    d[i][j] = min(d[i][j], d[i][m] + d[m][j])
+    return FinPseudometricSpace(["p%d" % i for i in range(n)], on_backend(d, tol), tol=tol)
+
+
+def assert_pinned(got, want, tol):
+    """Equal entry by entry; each entry INF itself or of the backend's type."""
+    assert [list(row) for row in got] == [list(row) for row in want]
+    for v in itertools.chain.from_iterable(got):
+        assert v is INF or type(v) is (F if tol == 0 else float)
 
 
 def two_point(gap, tol=0):
@@ -128,18 +164,103 @@ class TestAxioms:
         with pytest.raises(errors.DomainMismatch):
             two_point(F(1)).distance("p", "z")
 
-    @settings(max_examples=400, deadline=None)
-    @given(axiom_tables())
-    def test_scan_matches_literal_oracle(self, table):
+    @settings(max_examples=1200, deadline=None)
+    @given(
+        axiom_tables(),
+        st.sampled_from([0, 1e-9, 0.5]),
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=25, max_size=25),
+    )
+    def test_scan_matches_literal_oracle(self, table, tol, jitter):
+        # tol > 0 gives a float table, whose finite off-diagonal entries move
+        # by up to tol/2: mirror entries may differ within tol, so the
+        # triangles must read the columns
         points = ["p%d" % i for i in range(len(table))]
-        want = metric_axiom_error(points, table)
+        if tol:
+            table = [
+                [v + jitter[5 * i + j] * tol / 2 if i != j and v != INF else v
+                 for j, v in enumerate(row)]
+                for i, row in enumerate(on_backend(table, tol))
+            ]
+        want = metric_axiom_error(points, table, tol)
         try:
-            space = FinPseudometricSpace(points, table)
+            space = FinPseudometricSpace(points, table, tol=tol)
         except errors.InvalidMetric as exc:
             assert str(exc) == want
         else:
             assert want is None
             assert space.dist == tuple(map(tuple, table))
+
+
+class TestLipschitzMap:
+    def test_unknown_assignment_key_rejected(self):
+        y = two_point(F(1))
+        with pytest.raises(errors.DomainMismatch, match="mentions unknown points"):
+            LipschitzMap(y, y, {"p": "p", "q": "q", "zzz": "p"})
+
+    @pytest.mark.parametrize("image", ["zzz", ["p"], ("p", ["q"])])
+    def test_image_outside_target_rejected(self, image):
+        y = two_point(F(1))
+        with pytest.raises(errors.DomainMismatch, match="not in target"):
+            LipschitzMap(y, y, {"p": "p", "q": image})
+
+
+class TestConstructorTables:
+    """product, tensor, coequalizer gaps and hom_distance against the literal
+    loops of tests/oracles.py, on both backends, with INF entries and an
+    empty first factor."""
+
+    @pytest.mark.parametrize("tol", [0, 1e-9])
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_match_literal_loops(self, tol, data):
+        x = data.draw(metric_spaces(tol, min_points=0))
+        y = data.draw(metric_spaces(tol))
+        for spaces in ([x, y], [y, x, y]):
+            got = product(spaces)
+            assert got.points == tuple(itertools.product(*(s.points for s in spaces)))
+            assert_pinned(got.dist, product_table_literal(spaces), tol)
+        got = tensor(x, y)
+        assert got.points == tuple(itertools.product(x.points, y.points))
+        assert_pinned(got.dist, tensor_table_literal(x, y), tol)
+        assert _tensor_table(x, y) == (got.points, got.dist)
+        # every map out of a space with all distances INF is 1-Lipschitz
+        n = data.draw(st.integers(0, 3))
+        discrete = [[0 if i == j else INF for j in range(n)] for i in range(n)]
+        src = FinPseudometricSpace(range(n), discrete)
+        f, g = (
+            LipschitzMap(src, y, {i: data.draw(st.sampled_from(y.points)) for i in range(n)})
+            for _ in "fg"
+        )
+        res = coequalizer(f, g)
+        want = one_step_gaps_literal(y, res.space.points, res.space.dist)
+        assert list(res.one_step_gaps) == want
+        assert all(v is INF for gap in res.one_step_gaps for v in gap[2:] if v == INF)
+        d, witness = hom_distance(f, g)
+        assert (d, witness) == hom_distance_literal(f, g)
+        assert d is INF or d == 0 or type(d) is (F if tol == 0 else float)
+
+    def test_product_sup_starts_from_zero(self):
+        # as the literal loop: a float -0.0 distance never replaces the start 0
+        x = FinPseudometricSpace("ab", [[0, -0.0], [-0.0, 0]], tol=1e-9)
+        assert {v.hex() for row in product([x, x]).dist for v in row} == {(0.0).hex()}
+
+    def test_huge_fraction_is_never_added_to_inf(self):
+        # Fraction + INF goes through a float, which overflows at 10**400
+        big = F(10**400)
+        x = FinPseudometricSpace("ab", [[0, big], [big, 0]])
+        y = FinPseudometricSpace("pq", [[0, INF], [INF, 0]])
+        t = tensor(x, y)
+        assert t.distance(("a", "p"), ("b", "p")) == big
+        assert t.distance(("a", "p"), ("b", "q")) is INF
+        p = product([x, y])
+        assert p.distance(("a", "p"), ("b", "p")) == big
+        assert p.distance(("a", "p"), ("b", "q")) is INF
+        z = FinPseudometricSpace("abc", [[0, big, INF], [big, 0, INF], [INF, INF, 0]])
+        one = FinPseudometricSpace(["*"], [[0]])
+        for glued in "ab":
+            res = coequalizer(LipschitzMap(one, z, {"*": "a"}), LipschitzMap(one, z, {"*": glued}))
+            assert res.space.distance(res.projection("a"), res.projection("c")) is INF
+            assert res.one_step_gaps == ()
 
 
 class TestProduct:
@@ -428,6 +549,16 @@ class TestCurry:
         res = curry(h, x, y)
         assert uncurry(res.per_point, x, y).assign == h.assign
 
+
+    def test_uncurry_empty_first_factor(self):
+        empty = FinPseudometricSpace([], [])
+        with pytest.raises(errors.DomainMismatch):
+            uncurry({}, empty, two_point(F(1)))
+
+    def test_uncurry_family_missing_a_point(self):
+        x, y = two_point(F(1)), two_point(F(2))
+        with pytest.raises(errors.DomainMismatch):
+            uncurry({"p": identity_lipschitz(y)}, x, y)
 
     def test_exact_factors_float_target(self):
         x, y = two_point(F(1)), two_point(F(2))
