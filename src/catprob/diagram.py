@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
+from operator import itemgetter
 from types import MappingProxyType
 
 from . import scalar
@@ -52,6 +53,16 @@ from .scalar import EXACT
 MAX_DYADIC_DEPTH = 18
 
 
+def _covers(elements, leq, ordered):
+    """The pairs i < j of `leq` with nothing strictly between, in the order of `ordered`."""
+    return tuple(
+        (i, j)
+        for (i, j) in ordered
+        if i != j
+        and not any(k not in (i, j) and (i, k) in leq and (k, j) in leq for k in elements)
+    )
+
+
 def _closure(elements, pairs):
     """Reflexive-transitive closure of the order pairs: one Warshall pass over k."""
     above = {e: {e} for e in elements}
@@ -73,9 +84,12 @@ class FiltrationDiagram:
     (functoriality makes any path equivalent; `validate` cross-checks).
     `spaces` and `connect` are read-only mappings.  `backend` is that of the
     first element's space and `tol` the largest tolerance over the levels.
+    `covers` holds the covering pairs of the closed order, computed once in
+    rank order; functoriality on them implies it on every triple (see
+    `validate`), and the martingale and measure checks walk them.
     """
 
-    __slots__ = ("elements", "leq", "spaces", "connect", "top", "backend", "tol")
+    __slots__ = ("elements", "leq", "spaces", "connect", "top", "backend", "tol", "covers")
 
     def __init__(self, elements, leq, spaces, connect, top=None):
         elements = tuple(elements)
@@ -100,6 +114,7 @@ class FiltrationDiagram:
         # fill missing composites by composing along any available factorization
         rank = {e: t for t, e in enumerate(elements)}
         ordered = sorted(self.leq, key=lambda p: (rank[p[0]], rank[p[1]]))
+        self.covers = _covers(elements, self.leq, ordered)
         changed = True
         while changed:
             changed = False
@@ -118,7 +133,7 @@ class FiltrationDiagram:
         self.top = top
         report = validate(self)
         if not report.ok:
-            raise InvalidDiagram("; ".join(report.problems[:6]))
+            raise InvalidDiagram("; ".join(report.problems[:6]), problems=report.problems)
 
     @classmethod
     def chain(cls, spaces_list, step_maps, labels=None, top=True):
@@ -145,19 +160,8 @@ class FiltrationDiagram:
         return (i, j) in self.leq
 
     def covering_pairs(self):
-        """Pairs i < j with nothing strictly between."""
-        rank = {e: t for t, e in enumerate(self.elements)}
-        out = []
-        for (i, j) in sorted(self.leq, key=lambda p: (rank[p[0]], rank[p[1]])):
-            if i == j:
-                continue
-            if any(
-                k not in (i, j) and self.le(i, k) and self.le(k, j)
-                for k in self.elements
-            ):
-                continue
-            out.append((i, j))
-        return tuple(out)
+        """Pairs i < j with nothing strictly between, in rank order."""
+        return self.covers
 
     def maximum(self):
         for m in self.elements:
@@ -205,7 +209,20 @@ class DiagramReport:
 
 
 def validate(d):
-    """Report every violated diagram invariant; empty problem list means valid."""
+    """Report every violated diagram invariant; empty problem list means valid.
+
+    Functoriality, f_ik = f_ij . f_jk for every triple i <= j <= k, is
+    decided on the cover triples (i, l, k): each covering pair (l, k) and
+    each i < l.  Given a partial order, a map with the right endpoints for
+    every pair and identities on the diagonal, they imply every triple, by
+    induction on the length of j..k.  A triple with i = j or j = k holds by
+    the identities, and one with (j, k) covering is a cover triple.
+    Otherwise pick a covering pair (l, k) with j < l: the shorter triple
+    (i, j, l) and the cover triples (i, l, k) and (j, l, k) give
+    f_ik = f_il . f_lk = f_ij . f_jl . f_lk = f_ij . f_jk.  When an earlier
+    check fails, or a cover triple does, every triple is scanned atom by
+    atom, so the problems are those of a full scan.
+    """
     problems = []
     els = d.elements
     rank = {e: t for t, e in enumerate(els)}
@@ -235,7 +252,39 @@ def validate(d):
             problems.append("connecting map %r <= %r has wrong endpoints" % (i, j))
         if i == j and any(m.assign[a] != a for a in m.src.atoms):
             problems.append("reflexive connect at %r is not the identity" % (i,))
-    # functoriality over all ordered triples
+    # the cover triples' proof needs every check above to have passed
+    if problems or not _cover_triples_commute(d):
+        problems.extend(_functoriality_problems(d))
+    if d.top is not None:
+        if d.top not in els:
+            problems.append("top %r is not an element" % (d.top,))
+        elif not all(d.le(i, d.top) for i in els):
+            problems.append("top %r is not the poset maximum" % (d.top,))
+    return DiagramReport(ok=not problems, problems=tuple(problems))
+
+
+def _cover_triples_commute(d):
+    """Whether f_ik = f_il . f_lk on every atom of k, for each covering pair
+    (l, k) and each i < l, comparing whole image tuples read by one
+    `itemgetter` each."""
+    connect = d.connect
+    for l, k in d.covers:
+        atoms = d.spaces[k].atoms
+        at_k = itemgetter(*atoms)
+        down = at_k(connect[(l, k)].assign)
+        # an itemgetter of one key returns the value itself, not a 1-tuple
+        at_down = itemgetter(*down) if len(atoms) > 1 else itemgetter(down)
+        for i in d.elements:
+            if i != l and (i, l) in d.leq:
+                if at_down(connect[(i, l)].assign) != at_k(connect[(i, k)].assign):
+                    return False
+    return True
+
+
+def _functoriality_problems(d):
+    """The first failing atom of every triple i <= j <= k, atom by atom."""
+    problems = []
+    els = d.elements
     for i in els:
         for j in els:
             if not d.le(i, j):
@@ -255,12 +304,7 @@ def validate(d):
                             % (i, j, k, a)
                         )
                         break
-    if d.top is not None:
-        if d.top not in els:
-            problems.append("top %r is not an element" % (d.top,))
-        elif not all(d.le(i, d.top) for i in els):
-            problems.append("top %r is not the poset maximum" % (d.top,))
-    return DiagramReport(ok=not problems, problems=tuple(problems))
+    return problems
 
 
 # -- martingales -------------------------------------------------------------------
@@ -287,7 +331,7 @@ def is_martingale(family, d):
             raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
     zero = scalar.zero(d.backend)
     residual, worst = zero, None
-    for (i, j) in d.covering_pairs():
+    for (i, j) in d.covers:
         r = l1_distance(cond_exp(family[j], d.connect[(i, j)]), family[i])
         if r > residual:
             residual, worst = r, (i, j)
@@ -358,7 +402,7 @@ class ConsistentMeasureFamily:
                 raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
             if bound > 0 and not bound_check(family[i], bound):
                 raise Inconsistent("level %r exceeds bound * base weights" % (i,))
-        for (i, j) in diagram.covering_pairs():
+        for (i, j) in diagram.covers:
             gap = tv_distance(pushforward(family[j], diagram.connect[(i, j)]), family[i])
             if not scalar.eq(gap, scalar.zero(backend), diagram.tol):
                 raise Inconsistent(

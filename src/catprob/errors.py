@@ -57,7 +57,14 @@ class NegativeValue(CatprobError):
 # -- filtration diagrams -------------------------------------------------------
 
 class InvalidDiagram(CatprobError):
-    """Diagram construction failed validation."""
+    """Diagram construction failed validation; carries every problem found.
+
+    The message joins the first six problems; `problems` holds them all.
+    """
+
+    def __init__(self, message, problems=()):
+        super().__init__(message)
+        self.problems = tuple(problems)
 
 
 class NoTopElement(CatprobError):

@@ -181,9 +181,12 @@ class MeasurePreservingMap:
         extra = [a for a in assign if a not in src._index]
         if extra:
             raise DomainMismatch("assignment mentions unknown atoms %r" % (extra[:4],))
-        for a, b in assign.items():
-            if b not in dst._index:
-                raise DomainMismatch("image atom %r not in target space" % (b,))
+        try:
+            for a, b in assign.items():
+                if b not in dst._index:
+                    raise DomainMismatch("image atom %r not in target space" % (b,))
+        except TypeError:  # an unhashable image
+            raise DomainMismatch("image atom %r not in target space" % (b,)) from None
         _check_pushforward(src, dst, assign)
         self.src = src
         self.dst = dst

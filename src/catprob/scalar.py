@@ -151,10 +151,14 @@ def eq(a, b, tol):
 
 
 def le(a, b, tol):
-    """Backend-aware <=, slackened by tol on the float backend."""
+    """Backend-aware <=, slackened by tol on the float backend; exactly when
+    `b` is a Fraction beyond the float range, where `b + tol` overflows."""
     if tol == 0:
         return a <= b
-    return a <= b + tol
+    try:
+        return a <= b + tol
+    except OverflowError:
+        return a <= b + Fraction(tol)
 
 
 def same_backend(*objs):

@@ -327,3 +327,76 @@ def hom_distance_literal(f, g):
         if witness is None or (best != inf and (d == inf or d > best)):
             best, witness = d, p
     return best, witness
+
+
+def diagram_problems_literal(d):
+    """Every violated diagram invariant, in report order, with functoriality
+    scanned over every triple i <= j <= k atom by atom."""
+    problems = []
+    els = d.elements
+    rank = {e: t for t, e in enumerate(els)}
+    # order axioms (closure gives reflexivity and transitivity for free)
+    for (i, j) in sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]])):
+        if rank[i] < rank[j] and (j, i) in d.leq:
+            problems.append("antisymmetry fails: %r <= %r <= %r" % (i, j, i))
+    for i in els:
+        for j in els:
+            if rank[i] < rank[j] and not any(
+                d.le(i, k) and d.le(j, k) for k in els
+            ):
+                problems.append("no upper bound for %r, %r" % (i, j))
+    backends = {d.spaces[e].backend for e in els}
+    if len(backends) > 1:
+        problems.append("mixed numeric backends across levels")
+    # connect coverage and endpoints
+    for p in d.connect:
+        if p not in d.leq:
+            problems.append("connecting map for %r outside the order" % (p,))
+    for (i, j) in sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]])):
+        m = d.connect.get((i, j))
+        if m is None:
+            problems.append("missing connecting map for %r <= %r" % (i, j))
+            continue
+        if m.src != d.spaces[j] or m.dst != d.spaces[i]:
+            problems.append("connecting map %r <= %r has wrong endpoints" % (i, j))
+        if i == j and any(m.assign[a] != a for a in m.src.atoms):
+            problems.append("reflexive connect at %r is not the identity" % (i,))
+    # functoriality over all ordered triples
+    for i in els:
+        for j in els:
+            if not d.le(i, j):
+                continue
+            for k in els:
+                if not d.le(j, k):
+                    continue
+                mij = d.connect.get((i, j))
+                mjk = d.connect.get((j, k))
+                mik = d.connect.get((i, k))
+                if mij is None or mjk is None or mik is None:
+                    continue
+                for a in d.spaces[k].atoms:
+                    if mik.assign[a] != mij.assign[mjk.assign[a]]:
+                        problems.append(
+                            "functoriality fails at %r <= %r <= %r on atom %r"
+                            % (i, j, k, a)
+                        )
+                        break
+    if d.top is not None:
+        if d.top not in els:
+            problems.append("top %r is not an element" % (d.top,))
+        elif not all(d.le(i, d.top) for i in els):
+            problems.append("top %r is not the poset maximum" % (d.top,))
+    return tuple(problems)
+
+
+def covering_pairs_literal(d):
+    """Pairs i < j of the order with nothing strictly between, in rank order."""
+    rank = {e: t for t, e in enumerate(d.elements)}
+    out = []
+    for (i, j) in sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]])):
+        if i == j:
+            continue
+        if any(k not in (i, j) and d.le(i, k) and d.le(k, j) for k in d.elements):
+            continue
+        out.append((i, j))
+    return tuple(out)

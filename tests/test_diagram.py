@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catprob import errors
+from catprob import diagram, errors, scalar
 from catprob.diagram import (
     MAX_DYADIC_DEPTH,
     ConsistentMeasureFamily,
+    DiagramReport,
     DyadicGround,
     FiltrationDiagram,
     Martingale,
@@ -33,7 +34,12 @@ from catprob.finprob import MeasurePreservingMap, identity_map, make_map, make_s
 from catprob.finrv import cond_exp, constant_rv, l1_distance, make_rv, pullback, second_moment
 from catprob.sampling import rand_measure, rand_refining_chain, rand_rv, rand_space
 
-from oracles import dyadic_tables_per_cell, integral_abs_by_refinement
+from oracles import (
+    covering_pairs_literal,
+    diagram_problems_literal,
+    dyadic_tables_per_cell,
+    integral_abs_by_refinement,
+)
 
 
 @st.composite
@@ -126,6 +132,172 @@ class TestValidate:
         ident = identity_map(u2)
         with pytest.raises(errors.InvalidDiagram, match="outside the order"):
             FiltrationDiagram([0, 1], [(0, 1)], {0: u2, 1: u2}, {(0, 1): ident, pair: ident})
+
+
+def _closed(elements, pairs):
+    """Reflexive-transitive closure of the order pairs, by repeated joining."""
+    leq = {(e, e) for e in elements} | set(pairs)
+    while True:
+        more = {(i, k) for (i, j) in leq for (j2, k) in leq if j == j2} - leq
+        if not more:
+            return frozenset(leq)
+        leq |= more
+
+
+def _raw_diagram(elements, leq, spaces, connect, top):
+    """A diagram object with the given fields, built without validation."""
+    d = object.__new__(FiltrationDiagram)
+    d.elements, d.leq, d.top = tuple(elements), frozenset(leq), top
+    d.spaces, d.connect = MappingProxyType(dict(spaces)), MappingProxyType(dict(connect))
+    d.backend, d.tol = d.spaces[d.elements[0]].backend, max(s.tol for s in spaces.values())
+    d.covers = covering_pairs_literal(d)
+    return d
+
+
+@st.composite
+def doctored_diagrams(draw):
+    """(diagram object, constructor arguments or None) on 1-5 elements.
+
+    Posets: chains, diamonds, several elements under one top, and random
+    orders.  Every level is the uniform space on m atoms, each element e
+    carries a permutation g_e, and f_ij = g_i^-1 . g_j, so the maps commute.
+    Then one to three doctorings, some of which leave it valid: a corrupted,
+    deleted, wrongly ended or stray map, a non-identity reflexive map, a
+    float level, a reversed order pair (non-antisymmetric leq) or a top that
+    is not the maximum.
+    The constructor arguments are given when the doctored table is one the
+    constructor would keep as it is (every pair mapped, the order intact).
+    """
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["chain", "diamond", "fan", "random"]))
+    if shape == "diamond" and n >= 3:
+        gens = [(0, t) for t in range(1, n - 1)] + [(t, n - 1) for t in range(1, n - 1)]
+    elif shape == "fan":
+        gens = [(t, n - 1) for t in range(n - 1)]
+    elif shape == "random":
+        gens = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+        gens = [(a, b) for a, b in gens if a < b]
+    else:
+        gens = [(t, t + 1) for t in range(n - 1)]
+    top = n - 1
+    if shape == "random" and draw(st.booleans()):
+        top = None  # possibly without upper bounds
+    elif shape == "random":
+        gens += [(t, top) for t in range(n - 1)]
+    elements = draw(st.permutations(range(n)))  # rank order differs from the order
+    m = draw(st.integers(1, 4))
+    space = uniform_space(m)
+    perms = {e: draw(st.permutations(range(m))) for e in elements}
+    inverse = {e: {b: a for a, b in enumerate(p)} for e, p in perms.items()}
+    leq = _closed(elements, gens)
+    spaces = {e: space for e in elements}
+    connect = {
+        (i, j): make_map(space, space, {a: inverse[i][perms[j][a]] for a in range(m)})
+        for (i, j) in leq
+    }
+    intact = True
+    pairs = sorted(leq)
+    below = [(i, j) for i, j in pairs if i != j] or pairs
+    ops = ["corrupt"] * 4 + ["delete", "endpoints", "reflexive", "stray", "float", "leq", "top"]
+    for op in draw(st.lists(st.sampled_from(ops), min_size=1, max_size=3)):  # mostly corruptions
+        i, j = draw(st.sampled_from(pairs if op in ("delete", "reflexive") else below))
+        shift = draw(st.integers(1, max(1, m - 1)))  # moves every atom when m > 1
+        perm = [(a + shift) % m for a in range(m)]
+        if op == "corrupt" and (i, j) in connect and i != j:
+            old = connect[(i, j)].assign
+            connect[(i, j)] = make_map(space, space, {a: perm[old[a]] for a in range(m)})
+        elif op == "delete":
+            connect.pop((i, j), None)
+            intact = False
+        elif op == "endpoints":
+            connect[(i, j)] = identity_map(uniform_space(m, backend=scalar.FLOAT))
+        elif op == "reflexive":
+            connect[(j, j)] = make_map(space, space, dict(enumerate(perm)))
+        elif op == "stray" and i != j:
+            connect[(j, i)] = make_map(space, space, dict(enumerate(perm)))
+        elif op == "float":
+            spaces[j] = uniform_space(m, backend=scalar.FLOAT)
+        elif op == "leq" and i != j:
+            leq = _closed(elements, set(leq) | {(j, i)})
+            intact = False
+        elif op == "top":
+            top = draw(st.sampled_from(list(elements) + [n]))
+    d = _raw_diagram(elements, leq, spaces, connect, top)
+    return d, ((elements, gens, spaces, connect, top) if intact else None)
+
+
+class TestCoverTriples:
+    @settings(max_examples=500, deadline=None)
+    @given(doctored_diagrams())
+    def test_validate_matches_full_scan_oracle(self, case):
+        d, args = case
+        expected = diagram_problems_literal(d)
+        assert validate(d) == DiagramReport(ok=not expected, problems=expected)
+        if args is None:
+            return
+        try:
+            built = FiltrationDiagram(*args)
+        except errors.InvalidDiagram as exc:
+            assert exc.problems == expected
+            assert str(exc) == "; ".join(expected[:6])
+        else:
+            assert expected == ()
+            assert built.covering_pairs() == covering_pairs_literal(built)
+
+    def test_covers_match_literal_on_built_diagrams(self):
+        u1, u2 = uniform_space(1), uniform_space(2)
+        to1 = make_map(u2, u1, {0: 0, 1: 0})
+        diamond = FiltrationDiagram(
+            ["b", "l", "r", "t"],
+            [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")],
+            {"b": u1, "l": u2, "r": u2, "t": u2},
+            {("b", "l"): to1, ("b", "r"): to1, ("l", "t"): identity_map(u2),
+             ("r", "t"): identity_map(u2)},
+            top="t",
+        )
+        for d in (diamond, make_dyadic(IDENTITY, 4)[0], two_chain_over_uniform4()):
+            assert d.covers == covering_pairs_literal(d)
+        assert diamond.covers == (("b", "l"), ("b", "r"), ("l", "t"), ("r", "t"))
+
+    def test_full_scan_only_for_a_failing_diagram(self, monkeypatch):
+        # a valid chain is decided on its cover triples alone; the triple x
+        # atom scan runs once, and only to word the report of a failing one
+        calls = {"n": 0}
+        full_scan = diagram._functoriality_problems
+
+        def counted(d):
+            calls["n"] += 1
+            return full_scan(d)
+
+        monkeypatch.setattr(diagram, "_functoriality_problems", counted)
+        d, _ = make_dyadic(IDENTITY, 10)
+        assert calls["n"] == 0
+        bad = object.__new__(FiltrationDiagram)
+        for name in FiltrationDiagram.__slots__:
+            setattr(bad, name, getattr(d, name))
+        swapped = {a: b ^ 1 for a, b in d.connect[(3, 10)].assign.items()}
+        bad.connect = MappingProxyType(
+            {**d.connect, (3, 10): make_map(d.spaces[10], d.spaces[3], swapped)}
+        )
+        report = validate(bad)
+        assert calls["n"] == 1
+        # the low bit the swap flips is dropped on the way to any level below 3
+        assert report.problems == tuple(
+            "functoriality fails at 3 <= %d <= 10 on atom 0" % j for j in range(4, 10)
+        ) == diagram_problems_literal(bad)
+
+
+class TestInvalidDiagramError:
+    def test_carries_every_problem(self):
+        u1 = uniform_space(1)
+        with pytest.raises(errors.InvalidDiagram) as info:
+            FiltrationDiagram(range(5), [], {e: u1 for e in range(5)}, {})
+        problems = tuple(
+            "no upper bound for %r, %r" % (i, j) for i in range(5) for j in range(i + 1, 5)
+        )
+        assert info.value.problems == problems
+        assert len(problems) == 10
+        assert str(info.value) == "; ".join(problems[:6])
 
 
 class TestInducedMartingale:

@@ -107,6 +107,12 @@ class TestMakeMap:
         with pytest.raises(errors.BackendMismatch):
             make_map(exact, floaty, {0: 0, 1: 1})
 
+    @pytest.mark.parametrize("image", ["zzz", ["x"], ("b", ["x"])])
+    def test_image_outside_target_rejected(self, image):
+        s = make_space(["a", "b"], [F(1, 2), F(1, 2)])
+        with pytest.raises(errors.DomainMismatch, match="not in target space"):
+            MeasurePreservingMap(s, s, {"a": image, "b": "b"})
+
 
 class TestCompose:
     def test_identity_law(self):

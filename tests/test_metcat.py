@@ -203,6 +203,21 @@ class TestLipschitzMap:
         with pytest.raises(errors.DomainMismatch, match="not in target"):
             LipschitzMap(y, y, {"p": "p", "q": image})
 
+    def test_huge_exact_distance_into_a_float_space(self):
+        # the float tol is never added to a Fraction beyond the float range
+        huge = FinPseudometricSpace("ab", [[0, F(10**400)], [F(10**400), 0]])
+        target = FinPseudometricSpace("pq", [[0, 1.0], [1.0, 0]], tol=1e-9)
+        f = LipschitzMap(huge, target, {"a": "p", "b": "q"})
+        assert f.assign == {"a": "p", "b": "q"}
+        with pytest.raises(errors.NotLipschitz, match="image distance inf"):
+            LipschitzMap(huge, two_point(INF, tol=1e-9), {"a": "p", "b": "q"})
+        wide = FinPseudometricSpace("ab", [[0, INF], [INF, 0]])
+        assert LipschitzMap(wide, two_point(INF, tol=1e-9), {"a": "p", "b": "q"})
+        far = two_point(1e300, tol=1e-9)
+        assert LipschitzMap(huge, far, {"a": "p", "b": "q"})
+        with pytest.raises(errors.NotLipschitz):
+            LipschitzMap(two_point(F(1)), two_point(2.0, tol=1e-9), {"p": "p", "q": "q"})
+
 
 class TestConstructorTables:
     """product, tensor, coequalizer gaps and hom_distance against the literal
