@@ -102,8 +102,8 @@ def pushforward(mu, s):
 def bound_check(mu, r):
     """True iff mu_a <= r * p_a at every atom (atomwise suffices here)."""
     r = scalar.coerce(r, mu.space.backend)
-    if r <= 0:
-        raise ValueError("bound must be positive")
+    if r < 0:
+        raise ValueError("bound must be nonnegative")
     space = mu.space
     # m / mden <= (rnum / rden) * (w / wden), cross-multiplied
     (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass, space.backend)

@@ -58,6 +58,14 @@ def _need(obj, key, what):
     return obj[key]
 
 
+def _need_list(obj, key, what):
+    """`_need`, for a field that must be a JSON array (a string is not one)."""
+    value = _need(obj, key, what)
+    if not isinstance(value, list):
+        raise ParseError("%s: field %r must be an array" % (what, key))
+    return value
+
+
 @contextmanager
 def _guard(what):
     """Report any failure other than a ParseError as a ParseError about `what`."""
@@ -82,8 +90,8 @@ def space_to_obj(s):
 
 
 def space_from_obj(obj, what="space"):
-    raw_atoms = _need(obj, "atoms", what)
-    weights = _need(obj, "weights", what)
+    raw_atoms = _need_list(obj, "atoms", what)
+    weights = _need_list(obj, "weights", what)
     with _guard(what):
         atoms = [_atom_from_json(a) for a in raw_atoms]
         backend = obj.get("backend")
@@ -131,7 +139,7 @@ def measure_from_obj(obj, space=None, what="measure"):
             space = space_from_obj(_need(obj, "space", what), what + ".space")
         elif "space" in obj and space_from_obj(obj["space"], what + ".space") != space:
             raise ParseError("%s: embedded space disagrees with the supplied one" % what)
-        return FiniteMeasure(space, _need(obj, "mass", what))
+        return FiniteMeasure(space, _need_list(obj, "mass", what))
 
 
 def rv_to_obj(f):
@@ -145,7 +153,7 @@ def rv_from_obj(obj, space=None, what="rv"):
     if space is None:
         space = space_from_obj(_need(obj, "space", what), what + ".space")
     with _guard(what):
-        return FiniteRandomVariable(space, _need(obj, "values", what))
+        return FiniteRandomVariable(space, _need_list(obj, "values", what))
 
 
 # -- metric spaces --------------------------------------------------------------------
@@ -160,8 +168,8 @@ def metspace_to_obj(x):
 
 
 def metspace_from_obj(obj, what="metric space"):
-    raw_points = _need(obj, "points", what)
-    dist = _need(obj, "dist", what)
+    raw_points = _need_list(obj, "points", what)
+    dist = _need_list(obj, "dist", what)
     with _guard(what):
         points = [_atom_from_json(p) for p in raw_points]
         return FinPseudometricSpace(points, dist, tol=obj.get("tol", 0))
@@ -203,16 +211,16 @@ def diagram_to_obj(d):
 
 def diagram_from_obj(obj, what="diagram"):
     with _guard(what):
-        elements = [_atom_from_json(e) for e in _need(obj, "elements", what)]
+        elements = [_atom_from_json(e) for e in _need_list(obj, "elements", what)]
         spaces_raw = _key_lookup(elements, _need(obj, "spaces", what), what + ".spaces")
         spaces = {
             e: space_from_obj(spaces_raw[e], "%s.spaces[%s]" % (what, e)) for e in elements
         }
         leq = [
-            (_atom_from_json(i), _atom_from_json(j)) for i, j in _need(obj, "leq", what)
+            (_atom_from_json(i), _atom_from_json(j)) for i, j in _need_list(obj, "leq", what)
         ]
         connect = {}
-        for entry in _need(obj, "connect", what):
+        for entry in _need_list(obj, "connect", what):
             i = _atom_from_json(_need(entry, "lo", what + ".connect"))
             j = _atom_from_json(_need(entry, "hi", what + ".connect"))
             if j not in spaces or i not in spaces:
@@ -228,50 +236,42 @@ def diagram_from_obj(obj, what="diagram"):
         return FiltrationDiagram(elements, leq, spaces, connect, top=top)
 
 
-def martingale_to_obj(m):
-    return {
-        "diagram": diagram_to_obj(m.diagram),
-        "family": {
-            str(i): [scalar.to_json(v) for v in m.family[i].values]
-            for i in m.diagram.elements
-        },
-        "bound": scalar.to_json(m.bound),
-    }
-
-
-def martingale_from_obj(obj, what="martingale"):
-    d = diagram_from_obj(_need(obj, "diagram", what), what + ".diagram")
-    fam_raw = _key_lookup(d.elements, _need(obj, "family", what), what + ".family")
-    family = {
-        i: rv_from_obj({"values": fam_raw[i]}, space=d.spaces[i], what="%s.family[%s]" % (what, i))
-        for i in d.elements
-    }
-    with _guard(what):
-        return Martingale(d, family, bound=obj.get("bound"))
-
-
-def measure_family_to_obj(fam):
+def _family_to_obj(fam, attr):
     return {
         "diagram": diagram_to_obj(fam.diagram),
         "family": {
-            str(i): [scalar.to_json(v) for v in fam.family[i].mass]
+            str(i): [scalar.to_json(v) for v in getattr(fam.family[i], attr)]
             for i in fam.diagram.elements
         },
         "bound": scalar.to_json(fam.bound),
     }
 
 
-def measure_family_from_obj(obj, what="measure family"):
+def _family_from_obj(obj, what, family_type, level_type):
     d = diagram_from_obj(_need(obj, "diagram", what), what + ".diagram")
     fam_raw = _key_lookup(d.elements, _need(obj, "family", what), what + ".family")
-    family = {
-        i: measure_from_obj(
-            {"mass": fam_raw[i]}, space=d.spaces[i], what="%s.family[%s]" % (what, i)
-        )
-        for i in d.elements
-    }
+    family = {}
+    for i in d.elements:
+        with _guard("%s.family[%s]" % (what, i)):
+            family[i] = level_type(d.spaces[i], _need_list(fam_raw, i, what + ".family"))
     with _guard(what):
-        return ConsistentMeasureFamily(d, family, bound=obj.get("bound"))
+        return family_type(d, family, bound=obj.get("bound"))
+
+
+def martingale_to_obj(m):
+    return _family_to_obj(m, "values")
+
+
+def martingale_from_obj(obj, what="martingale"):
+    return _family_from_obj(obj, what, Martingale, FiniteRandomVariable)
+
+
+def measure_family_to_obj(fam):
+    return _family_to_obj(fam, "mass")
+
+
+def measure_family_from_obj(obj, what="measure family"):
+    return _family_from_obj(obj, what, ConsistentMeasureFamily, FiniteMeasure)
 
 
 # -- dyadic grounds ---------------------------------------------------------------------
@@ -279,8 +279,8 @@ def measure_family_from_obj(obj, what="measure family"):
 
 def ground_from_obj(obj, what="ground"):
     """A dyadic ground function from {"breakpoints": [...], "values": [...]}."""
-    breakpoints = _need(obj, "breakpoints", what)
-    values = _need(obj, "values", what)
+    breakpoints = _need_list(obj, "breakpoints", what)
+    values = _need_list(obj, "values", what)
     with _guard(what):
         return DyadicGround(breakpoints, values)
 

@@ -1,12 +1,21 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
 These stay deliberately literal: enumerate partitions, enumerate subsets,
-integrate by refinement.  They share no code path with the library versions.
+integrate by refinement.  They share no code path with the library versions,
+except the copies of the old family constructors at the end, which call the
+library's kernels as those constructors did.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
+
+from catprob import scalar
+from catprob.diagram import is_martingale
+from catprob.errors import IndexMismatch, Inconsistent, NegativeValue, SpaceMismatch
+from catprob.finmeas import _density_bound, bound_check, pushforward, tv_distance
+from catprob.finrv import max_value
 
 
 def set_partitions(items):
@@ -400,3 +409,62 @@ def covering_pairs_literal(d):
             continue
         out.append((i, j))
     return tuple(out)
+
+
+# -- the two level-family constructors, one body per side -------------------------
+#
+# Literal copies of `Martingale.__init__` and `ConsistentMeasureFamily.__init__`
+# from before the two sides shared one construction.  Each returns the stored
+# family, the bound and the repr, or raises what the constructor raised.
+
+
+def martingale_literal(diagram, family, bound=None):
+    if set(family) != set(diagram.elements):
+        raise IndexMismatch("family is not indexed by the diagram's elements")
+    family = MappingProxyType({i: family[i] for i in diagram.elements})
+    if bound is None:
+        bound = max(
+            (max_value(family[i]) for i in diagram.elements),
+            default=scalar.zero(diagram.backend),
+        )
+    else:
+        bound = scalar.coerce(bound, diagram.backend)
+    if bound < 0:
+        raise NegativeValue("bound must be nonnegative")
+    for i in diagram.elements:
+        if not scalar.le(max_value(family[i]), bound, diagram.tol):
+            raise Inconsistent("level %r exceeds the bound %s" % (i, bound))
+    chk = is_martingale(family, diagram)
+    if not chk.ok:
+        raise Inconsistent(
+            "consistency fails at %r with residual %s" % (chk.worst_pair, chk.residual)
+        )
+    return family, bound, "Martingale(levels=%r, bound=%s)" % (list(family), bound)
+
+
+def measure_family_literal(diagram, family, bound=None):
+    if set(family) != set(diagram.elements):
+        raise IndexMismatch("family is not indexed by the diagram's elements")
+    family = MappingProxyType({i: family[i] for i in diagram.elements})
+    backend = diagram.backend
+    if bound is None:
+        bound = max(
+            (_density_bound(family[i]) for i in diagram.elements),
+            default=scalar.zero(backend),
+        )
+    else:
+        bound = scalar.coerce(bound, backend)
+    if bound < 0:
+        raise NegativeValue("bound must be nonnegative")
+    for i in diagram.elements:
+        if family[i].space != diagram.spaces[i]:
+            raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
+        if bound > 0 and not bound_check(family[i], bound):
+            raise Inconsistent("level %r exceeds bound * base weights" % (i,))
+    for (i, j) in diagram.covers:
+        gap = tv_distance(pushforward(family[j], diagram.connect[(i, j)]), family[i])
+        if not scalar.eq(gap, scalar.zero(backend), diagram.tol):
+            raise Inconsistent(
+                "restriction fails at %r <= %r with residual %s" % (i, j, gap)
+            )
+    return family, bound, "ConsistentMeasureFamily(levels=%r, bound=%s)" % (list(family), bound)

@@ -73,3 +73,11 @@ def test_random_small_item_under_the_tracer(bench):
     )
     assert metrics["diagram.validate.calls"] > 0
     assert metrics["finrv.cond_exp.calls"] > 0
+    # the tracer only wraps classes with an `__init__` of their own
+    for name in (
+        "diagram.Martingale",
+        "diagram.ConsistentMeasureFamily",
+        "diagram.martingale_limit",
+        "diagram.kolmogorov_extend",
+    ):
+        assert metrics[name + ".calls"] > 0, name

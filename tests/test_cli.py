@@ -207,6 +207,36 @@ def test_extend_three_entry_leq_pair_is_parse_error(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def _dyadic_family_obj(mass):
+    d, _ = make_dyadic(DyadicGround.affine(0, 1), 2)
+    return jsonio.measure_family_to_obj(restrict_measure(make_measure(d.spaces[2], mass), d))
+
+
+def test_extend_zero_bound_is_the_familys_error(tmp_path, capsys):
+    obj = _dyadic_family_obj(["1/8", "1/16", "1/4", "1/8"])
+    obj["bound"] = "0"
+    code, err = _exit_and_error(tmp_path, capsys, "fam.json", obj, "extend", "--family", "FILE")
+    assert code == 2
+    assert err == "error: measure family: level 0 exceeds bound * base weights\n"
+
+
+def test_rn_mass_string_is_parse_error(tmp_path, capsys):
+    # a string is not an array of one-character masses
+    obj = {"space": {"atoms": ["a", "b"], "weights": ["1/2", "1/2"]}, "mass": "11"}
+    code, err = _exit_and_error(tmp_path, capsys, "mu.json", obj, "rn", "--measure", "FILE")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_extend_level_string_is_parse_error(tmp_path, capsys):
+    obj = _dyadic_family_obj(["1/4"] * 4)
+    assert obj["family"]["0"] == ["1"]
+    obj["family"]["0"] = "1"
+    code, err = _exit_and_error(tmp_path, capsys, "fam.json", obj, "extend", "--family", "FILE")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("bound", ["abc", "nan", "1/0", "-1", "0"])
 def test_mapdist_bad_bound_is_error(tmp_path, capsys, bound):
     s = make_space(["a", "b"], ["1/2", "1/2"])

@@ -29,16 +29,27 @@ from catprob.diagram import (
     second_moment_identity_report,
     validate,
 )
-from catprob.finmeas import base_measure, rn_derivative, zero_measure
+from catprob.finmeas import FiniteMeasure, base_measure, rn_derivative, zero_measure
 from catprob.finprob import MeasurePreservingMap, identity_map, make_map, make_space, uniform_space
-from catprob.finrv import cond_exp, constant_rv, l1_distance, make_rv, pullback, second_moment
+from catprob.finrv import (
+    FiniteRandomVariable,
+    cond_exp,
+    constant_rv,
+    l1_distance,
+    make_rv,
+    pullback,
+    second_moment,
+)
 from catprob.sampling import rand_measure, rand_refining_chain, rand_rv, rand_space
 
 from oracles import (
+    bound_check_literal,
     covering_pairs_literal,
     diagram_problems_literal,
     dyadic_tables_per_cell,
     integral_abs_by_refinement,
+    martingale_literal,
+    measure_family_literal,
 )
 
 
@@ -825,3 +836,115 @@ class TestConsistentMeasureFamily:
         d = two_chain_over_uniform4()
         fam = restrict_measure(base_measure(d.spaces[2]), d)
         assert fam.bound == 1
+
+    def test_zero_bound_rejects_positive_mass(self):
+        d = two_chain_over_uniform4()
+        family = dict(restrict_measure(base_measure(d.spaces[2]), d).family)
+        with pytest.raises(errors.Inconsistent) as err:
+            ConsistentMeasureFamily(d, family, bound=0)
+        assert str(err.value) == "level 0 exceeds bound * base weights"
+
+    def test_zero_bound_accepts_the_zero_family(self):
+        d = two_chain_over_uniform4()
+        fam = ConsistentMeasureFamily(d, {i: zero_measure(d.spaces[i]) for i in d.elements}, 0)
+        assert fam.bound == 0 and kolmogorov_extend(fam) == zero_measure(d.spaces[2])
+
+
+#: the faults a doctored family can carry, one or more at a time
+FAULTS = ("index", "space", "bound", "cover")
+
+
+@st.composite
+def doctored_families(draw):
+    """(is a martingale, diagram, family, bound): a consistent family of
+    either side over a random chain, then up to two faults from FAULTS."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    backend = draw(st.sampled_from(scalar.BACKENDS))
+    top = rand_space(rng, min_atoms=2, max_atoms=6, backend=backend)
+    d = rand_refining_chain(rng, top, rng.randint(1, 3))
+    martingale = draw(st.booleans())
+    if martingale:
+        levels = dict(induced_martingale(rand_rv(rng, top, bound=2), d).family)
+    else:
+        levels = dict(restrict_measure(rand_measure(rng, top, bound=2), d).family)
+    family, bound = dict(levels), None
+    quarter = scalar.coerce("1/4", backend)
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2, unique=True)):
+        i, j = draw(st.permutations(d.elements))[:2]
+        if fault == "index" and draw(st.booleans()):
+            del family[i]
+        elif fault == "index":
+            family["stray"] = levels[j]
+        elif fault == "space":
+            family[i] = levels[j]
+        elif fault == "bound":
+            bound = draw(st.sampled_from(["-1/2", "0", "1/8", "1/2", "1", "2"]))
+        else:  # off by a quarter on the heaviest atom: inconsistent on a cover
+            x = levels[i]
+            a = max(range(x.space.size), key=x.space.weights.__getitem__)
+            if martingale:
+                values = list(x.values)
+                values[a] += quarter
+                family[i] = FiniteRandomVariable(x.space, values)
+            else:
+                mass = list(x.mass)
+                mass[a] += quarter * x.space.weights[a]
+                family[i] = FiniteMeasure(x.space, mass)
+    return martingale, d, family, bound
+
+
+def _outcome(build, d, family, bound):
+    """(type, message) of the exception, else (family, bound type, bound, repr)."""
+    try:
+        built = build(d, family, bound)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(built, tuple):
+        family, bound, text = built
+    else:
+        family, bound, text = built.family, built.bound, repr(built)
+    return dict(family), type(bound), bound, text
+
+
+class TestLevelFamiliesMatchTheOldConstructors:
+    """Both family types against literal copies of their constructors from
+    before the two sides shared one construction: the same exception type and
+    message, or the same family, bound and repr.  The one intended change is
+    a bound of 0, which the measure side now checks like any other."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doctored_families())
+    def test_constructors_match(self, case):
+        martingale, d, family, bound = case
+        if martingale:
+            new, old = Martingale, martingale_literal
+        else:
+            new, old = ConsistentMeasureFamily, measure_family_literal
+        got, want = _outcome(new, d, family, bound), _outcome(old, d, family, bound)
+        if got != want and not martingale and bound == "0":
+            first = next(i for i in d.elements if not bound_check_literal(family[i], 0))
+            want = (errors.Inconsistent, "level %r exceeds bound * base weights" % (first,))
+        assert got == want
+
+    def test_top_to_levels_and_back_keep_their_messages(self):
+        d = two_chain_over_uniform4()
+        topless = FiltrationDiagram.chain(
+            [d.spaces[t] for t in range(3)], [d.connect[(t, t + 1)] for t in range(2)], top=False
+        )
+        x, mu = make_rv(d.spaces[2], [0, 1, 2, 3]), base_measure(d.spaces[2])
+        m, fam = Martingale(topless, induced_martingale(x, d).family), restrict_measure(mu, d)
+        topless_fam = ConsistentMeasureFamily(topless, fam.family)
+        top_needed = "%s needs a designated top element"
+        wrong_space = "%s does not live on the top space"
+        cases = [
+            (lambda: induced_martingale(x, topless), top_needed % "induced martingale"),
+            (lambda: restrict_measure(mu, topless), top_needed % "restriction"),
+            (lambda: martingale_limit(m), top_needed % "martingale limit"),
+            (lambda: kolmogorov_extend(topless_fam), top_needed % "extension"),
+            (lambda: induced_martingale(m.family[1], d), wrong_space % "random variable"),
+            (lambda: restrict_measure(fam.family[1], d), wrong_space % "measure"),
+        ]
+        for call, message in cases:
+            with pytest.raises(errors.CatprobError) as err:
+                call()
+            assert str(err.value) == message

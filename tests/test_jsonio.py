@@ -179,3 +179,62 @@ def test_decoders_are_total(decode, data):
 def test_decoders_accept_their_valid_document(decode):
     valid, _ = DECODERS[decode]
     decode(copy.deepcopy(valid))
+
+
+#: (decoder, key path of an array field in its valid document)
+ARRAY_FIELDS = [
+    (jsonio.space_from_obj, ("atoms",)),
+    (jsonio.space_from_obj, ("weights",)),
+    (jsonio.measure_from_obj, ("mass",)),
+    (jsonio.rv_from_obj, ("values",)),
+    (jsonio.metspace_from_obj, ("points",)),
+    (jsonio.metspace_from_obj, ("dist",)),
+    (jsonio.diagram_from_obj, ("elements",)),
+    (jsonio.diagram_from_obj, ("leq",)),
+    (jsonio.diagram_from_obj, ("connect",)),
+    (jsonio.martingale_from_obj, ("family", "0")),
+    (jsonio.measure_family_from_obj, ("family", "1")),
+    (jsonio.ground_from_obj, ("breakpoints",)),
+    (jsonio.ground_from_obj, ("values",)),
+]
+
+
+@pytest.mark.parametrize(
+    "decode, path", ARRAY_FIELDS, ids=lambda x: x.__name__ if callable(x) else ".".join(x)
+)
+def test_string_for_an_array_is_parse_error(decode, path):
+    doc = copy.deepcopy(DECODERS[decode][0])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "1" * len(node[path[-1]])
+    with pytest.raises(errors.ParseError, match="must be an array"):
+        decode(doc)
+
+
+def test_values_string_is_not_read_per_character():
+    s = make_space(["a", "b"], ["1/2", "1/2"])
+    with pytest.raises(errors.ParseError, match="'values' must be an array"):
+        jsonio.rv_from_obj({"space": jsonio.space_to_obj(s), "values": "37"})
+
+
+def test_parse_error_keeps_the_invalid_diagram_as_its_cause():
+    # five unrelated elements: every pair lacks an upper bound, ten problems
+    u1 = jsonio.space_to_obj(uniform_space(1))
+    obj = {
+        "diagram": {
+            "elements": list(range(5)),
+            "leq": [],
+            "spaces": {str(e): u1 for e in range(5)},
+            "connect": [],
+            "top": None,
+        },
+        "family": {str(e): ["1"] for e in range(5)},
+    }
+    with pytest.raises(errors.ParseError) as err:
+        jsonio.measure_family_from_obj(obj)
+    cause = err.value.__cause__
+    assert isinstance(cause, errors.InvalidDiagram)
+    assert len(cause.problems) == 10
+    assert all(p.startswith("no upper bound for ") for p in cause.problems)
+    assert str(err.value).count("no upper bound") == 6

@@ -118,7 +118,8 @@ KERNELS = {
     "rho": (lambda c: rho(c.f).mass, lambda c: oracles.rho_literal(c.f)),
     "rn_derivative": (lambda c: rn_derivative(c.mu).values, lambda c: oracles.rn_literal(c.mu)),
     "bound_check": (
-        lambda c: bound_check(c.mu, c.r), lambda c: oracles.bound_check_literal(c.mu, c.r)
+        lambda c: [bound_check(c.mu, r) for r in (c.r, 0)],
+        lambda c: [oracles.bound_check_literal(c.mu, r) for r in (c.r, 0)],
     ),
     "density_bound": (
         lambda c: _density_bound(c.mu), lambda c: oracles.density_bound_literal(c.mu)
