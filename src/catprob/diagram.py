@@ -442,7 +442,7 @@ def second_moment_gap(m, i, j):
     xi, xj = m.family[i], m.family[j]
     gap = second_moment(xj) - second_moment(xi)
     lifted = pullback(xi, d.connect[(i, j)])
-    cross = _mean_square_diff(xj.space, xj.values, lifted.values)
+    cross = _mean_square_diff(xj, lifted)
     tol = max(xi.space.tol, xj.space.tol)
     if not scalar.eq(gap, cross, tol):
         raise InvariantViolation(
@@ -681,7 +681,8 @@ def _dyadic_tables(ground, depth):
 
     The prefix integral F is quadratic in the finest grid index k on each
     piece, so one walk gives every F(k/2^depth) as ints over one denominator,
-    and a level's averages are differences of F on its own grid.  A cell of
+    and a level's averages are differences of F on its own grid, kept as a
+    scaled form (den, nums) for `FiniteRandomVariable._from_scaled`.  A cell of
     width h inside a piece of slope s adds h|f(b) - f(a)|/4 = |s|h^2/4 to the
     l1 error; only cells a breakpoint splits go through `abs_dev_integral`.
     """
@@ -703,12 +704,13 @@ def _dyadic_tables(ground, depth):
     levels, errors = [], []
     for t in range(depth + 1):
         m, ends = 1 << t, prefix[:: n >> t]
-        averages = [Fraction((hi - lo) * m, den) for lo, hi in zip(ends, ends[1:])]
+        averages = [(hi - lo) * m for lo, hi in zip(ends, ends[1:])]  # over den
         inside = [(abs(s), floor(b * m) - ceil(a * m)) for a, b, s, _ in pieces]
         total = sum((s * cells for s, cells in inside if cells > 0), Fraction(0)) / (4 * m * m)
         for j in sorted({floor(b * m) for b in bps[1:-1] if (b * m).denominator != 1}):
-            total += ground.abs_dev_integral(Fraction(j, m), Fraction(j + 1, m), averages[j])
-        levels.append(averages)
+            lo, hi = Fraction(j, m), Fraction(j + 1, m)
+            total += ground.abs_dev_integral(lo, hi, Fraction(averages[j], den))
+        levels.append((den, averages))
         errors.append(total)
     return levels, errors
 
@@ -727,7 +729,7 @@ def dyadic_experiment(ground, depth):
         for t in range(depth)
     ]
     diagram = FiltrationDiagram.chain(spaces, steps, top=True)
-    family = {t: FiniteRandomVariable(spaces[t], levels[t]) for t in range(depth + 1)}
+    family = {t: FiniteRandomVariable._from_scaled(spaces[t], *levels[t]) for t in range(depth + 1)}
     return diagram, Martingale(diagram, family, bound=ground.bound()), errors
 
 
@@ -831,8 +833,8 @@ def second_moment_identity_report(x, fine, coarse, step):
             product_ok = False
             break
     # (cross moment) E[sf*sg] = sum of squared coarse values against coarse weights
-    e_cross = _cross_moment(omega, sf.values, sg.values)
-    coarse_sq = _cross_moment(coarse.dst, c_g.values, c_g.values)
+    e_cross = _cross_moment(sf, sg)
+    coarse_sq = _cross_moment(c_g, c_g)
     cross_ok = scalar.eq(e_cross, coarse_sq, tol)
     # (square expansion) pointwise squares expand over the fibers
     square_ok = True
@@ -846,14 +848,14 @@ def second_moment_identity_report(x, fine, coarse, step):
             square_ok = False
             break
     # (moment values) both second moments against the quotient weights
-    fine_sq = _cross_moment(fine.dst, c_f.values, c_f.values)
+    fine_sq = _cross_moment(c_f, c_f)
     m_sf = second_moment(sf)
     m_sg = second_moment(sg)
     values_ok = scalar.eq(m_sg, coarse_sq, tol) and scalar.eq(m_sf, fine_sq, tol)
     # (monotonicity) coarse moment never exceeds fine moment
     mono_ok = scalar.le(m_sg, m_sf, tol)
     # (gap identity) moment gap equals the mean-square increment
-    increment = _mean_square_diff(omega, sf.values, sg.values)
+    increment = _mean_square_diff(sf, sg)
     gap_ok = scalar.eq(m_sf - m_sg, increment, tol)
     return SecondMomentIdentities(
         product_expansion=product_ok,

@@ -9,51 +9,38 @@ the weights / divide by the weights, atom by atom.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 from . import scalar
-from .errors import NegativeValue, NotAbsolutelyContinuous, SpaceMismatch
+from .errors import SpaceMismatch
 from .finprob import _fiber_sums
-from .finrv import FiniteRandomVariable
+from .finrv import FiniteRandomVariable, _check, _entries
 
 
 class FiniteMeasure:
-    """Atom-indexed nonnegative masses; zero wherever the base weight is zero."""
+    """Atom-indexed nonnegative masses; zero wherever the base weight is zero.
+    Kept also in scaled form, `_scaled == scalar.scaled(mass)`, for the kernels."""
 
-    __slots__ = ("space", "mass")
+    __slots__ = ("space", "mass", "_scaled")
 
     def __init__(self, space, mass):
-        if isinstance(mass, dict):
-            missing = [a for a in space.atoms if a not in mass]
-            if missing:
-                raise SpaceMismatch("mass missing for atoms %r" % (missing[:4],))
-            raw = [mass[a] for a in space.atoms]
-        else:
-            raw = list(mass)
-            if len(raw) != space.size:
-                raise SpaceMismatch(
-                    "%d masses for a %d-atom space" % (len(raw), space.size)
-                )
-        vals = []
-        for a, m, w in zip(space.atoms, raw, space._scaled[1]):
-            m = scalar.coerce(m, space.backend)
-            if m < 0:
-                raise NegativeValue("mass at atom %r is %s < 0" % (a, m))
-            if not w and m != 0:
-                raise NotAbsolutelyContinuous(
-                    "atom %r has weight 0 but mass %s" % (a, m)
-                )
-            vals.append(m)
         self.space = space
-        self.mass = tuple(vals)
+        self.mass, self._scaled = _entries(space, mass, ("mass", "mass", "masses"), False)
+
+    @classmethod
+    def _from_scaled(cls, space, den, nums):
+        """Build from a kernel's ints (den, nums), with `__init__`'s checks."""
+        mu = object.__new__(cls)
+        mu.space = space
+        nums = _check(space, den, nums, "mass", False)
+        mu.mass, mu._scaled = scalar.lowest(den, nums, space.backend)
+        return mu
 
     def mass_of(self, atom):
         return self.mass[self.space.index(atom)]
 
     def total(self):
-        backend = self.space.backend
-        den, nums = scalar.scaled(self.mass, backend)
-        return scalar.divider(backend)(scalar.total(nums), den)
+        return scalar.divider(self.space.backend)(scalar.total(self._scaled[1]), self._scaled[0])
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMeasure):
@@ -84,30 +71,26 @@ def tv_distance(mu, nu):
     """Atomwise sum of |mu_a - nu_a| (equals the partition supremum)."""
     if mu.space != nu.space:
         raise SpaceMismatch("measures live on different spaces")
-    backend = mu.space.backend
-    den, xs, ys = scalar.scaled_pair(mu.mass, nu.mass, backend)
-    return scalar.divider(backend)(scalar.total(map(abs, map(sub, xs, ys))), den)
+    den, xs, ys = scalar.common(mu._scaled, nu._scaled)
+    return scalar.divider(mu.space.backend)(scalar.total(map(abs, map(sub, xs, ys))), den)
 
 
 def pushforward(mu, s):
     """Image measure along s: each target atom collects its fiber's mass."""
     if mu.space != s.src:
         raise SpaceMismatch("measure does not live on the map's source")
-    den, ms = scalar.scaled(mu.mass, mu.space.backend)
-    div = scalar.divider(mu.space.backend)
-    pushed = _fiber_sums(s.src, s.assign, ms, s.dst.atoms)
-    return FiniteMeasure(s.dst, [div(p, den) for p in pushed])
+    den, ms = mu._scaled
+    return FiniteMeasure._from_scaled(s.dst, den, _fiber_sums(s.src, s.assign, ms, s.dst.atoms))
 
 
 def bound_check(mu, r):
     """True iff mu_a <= r * p_a at every atom (atomwise suffices here)."""
-    r = scalar.coerce(r, mu.space.backend)
-    if r < 0:
-        raise ValueError("bound must be nonnegative")
     space = mu.space
+    rden, (rnum,) = scalar.scaled([scalar.coerce(r, space.backend)], space.backend)
+    if rnum < 0:
+        raise ValueError("bound must be nonnegative")
     # m / mden <= (rnum / rden) * (w / wden), cross-multiplied
-    (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass, space.backend)
-    rden, (rnum,) = scalar.scaled([r], space.backend)
+    (wden, ws), (mden, ms) = space._scaled, mu._scaled
     lhs, rhs, tol = wden * rden, mden * rnum, space.tol
     for w, m in zip(ws, ms):
         if not scalar.le(m * lhs, w * rhs, tol):
@@ -120,7 +103,7 @@ def _density_bound(mu):
     space = mu.space
     # floats divide: a cross-multiplied float maximum may pick another atom within rounding
     if space.backend == scalar.EXACT:
-        (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass)
+        (wden, ws), (mden, ms) = space._scaled, mu._scaled
         num, den = 0, 1  # the best m / w so far, compared cross-multiplied
         for w, m in zip(ws, ms):
             if w and m * den > num * w:
@@ -135,22 +118,20 @@ def _density_bound(mu):
 
 def truncate_measure(mu, n):
     """Meet with n times the base weights: atomwise min(mu_a, n * p_a)."""
-    n = scalar.coerce(n, mu.space.backend)
-    if n <= 0:
+    space = mu.space
+    nden, (num,) = scalar.scaled([scalar.coerce(n, space.backend)], space.backend)
+    if num <= 0:
         raise ValueError("truncation level must be positive")
-    out = []
-    for w, m in zip(mu.space.weights, mu.mass):
-        cap = n * w
-        out.append(m if m <= cap else cap)
-    return FiniteMeasure(mu.space, out)
+    wden, ws = space._scaled
+    den, ms, caps = scalar.common(mu._scaled, (nden * wden, [num * w for w in ws]))
+    return FiniteMeasure._from_scaled(space, den, [min(m, c) for m, c in zip(ms, caps)])
 
 
 def rho(g):
     """Density to measure: mass_a = g_a * p_a."""
     space = g.space
-    (wden, ws), (den, xs) = space._scaled, scalar.scaled(g.values, space.backend)
-    div = scalar.divider(space.backend)
-    return FiniteMeasure(space, [div(x * w, den * wden) for x, w in zip(xs, ws)])
+    (wden, ws), (den, xs) = space._scaled, g._scaled
+    return FiniteMeasure._from_scaled(space, den * wden, list(map(mul, xs, ws)))
 
 
 def rn_derivative(mu):
@@ -160,7 +141,6 @@ def rn_derivative(mu):
     invariant of FiniteMeasure so no error case remains here.
     """
     space = mu.space
-    (wden, ws), (mden, ms) = space._scaled, scalar.scaled(mu.mass, space.backend)
-    div = scalar.divider(space.backend)
-    out = [div(m * wden, mden * w) if w else space.zero for w, m in zip(ws, ms)]
-    return FiniteRandomVariable(space, out)
+    (wden, ws), (mden, ms) = space._scaled, mu._scaled
+    out = scalar.ratios([m * wden for m in ms], [mden * w if w else 1 for w in ws], space.backend)
+    return FiniteRandomVariable._from_scaled(space, *out)

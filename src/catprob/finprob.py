@@ -29,12 +29,12 @@ class FiniteProbSpace:
     """Ordered finite set of atoms with a probability weight per atom.
 
     Immutable after construction; all derived objects hold a reference and
-    compare spaces by value (atoms, weights, backend).  A space also keeps
-    its weights in scaled form (`scalar.scaled`), the form the kernels
-    compute with.
+    compare spaces by value (atoms, weights, backend).  A space also keeps its
+    weights in scaled form (`scalar.scaled`), as random variables and measures
+    keep their tables: the kernels compute with these stored forms.
     """
 
-    __slots__ = ("atoms", "weights", "backend", "tol", "_index", "_scaled")
+    __slots__ = ("atoms", "weights", "backend", "tol", "_index", "_scaled", "_nulls")
 
     def __init__(self, atoms, weights, backend=scalar.EXACT, tol=None):
         atoms = tuple(atoms)
@@ -59,11 +59,11 @@ class FiniteProbSpace:
             raise ValueError(
                 "%d atoms but %d weights" % (len(atoms), len(raw))
             )
-        ws = tuple(scalar.coerce(w, backend) for w in raw)
-        for a, w in zip(atoms, ws):
-            if w < 0:
-                raise NegativeWeight("weight of atom %r is %s < 0" % (a, w))
+        ws = tuple([scalar.coerce(w, backend) for w in raw])
         den, nums = scaled = scalar.scaled(ws, backend)
+        if min(nums, default=0) < 0:  # one int test; the walk only words the error
+            a, w = next((a, w) for a, w in zip(atoms, ws) if w < 0)
+            raise NegativeWeight("weight of atom %r is %s < 0" % (a, w))
         total = scalar.total(nums)
         if not scalar.eq(total, den, tol):
             raise WeightSumMismatch(
@@ -74,6 +74,7 @@ class FiniteProbSpace:
         self.backend = backend
         self.tol = tol
         self._scaled = scaled
+        self._nulls = tuple([i for i, w in enumerate(nums) if not w]) if 0 in nums else ()
         self._index = {a: i for i, a in enumerate(atoms)}
 
     @property

@@ -9,36 +9,27 @@ from __future__ import annotations
 from operator import mul, sub
 
 from . import scalar
-from .errors import NegativeValue, SpaceMismatch
+from .errors import NegativeValue, NotAbsolutelyContinuous, SpaceMismatch
 from .finprob import _fiber_sums
 
 
 class FiniteRandomVariable:
-    """Atom-indexed table of nonnegative values on a finite space."""
+    """Atom-indexed table of nonnegative values on a finite space, kept also
+    in scaled form, `_scaled == scalar.scaled(values)`, for the kernels."""
 
-    __slots__ = ("space", "values")
+    __slots__ = ("space", "values", "_scaled")
 
     def __init__(self, space, values):
-        if isinstance(values, dict):
-            missing = [a for a in space.atoms if a not in values]
-            if missing:
-                raise SpaceMismatch("values missing for atoms %r" % (missing[:4],))
-            raw = [values[a] for a in space.atoms]
-        else:
-            raw = list(values)
-            if len(raw) != space.size:
-                raise SpaceMismatch(
-                    "%d values for a %d-atom space" % (len(raw), space.size)
-                )
-        vals = []
-        for a, v, w in zip(space.atoms, raw, space._scaled[1]):
-            v = scalar.coerce(v, space.backend)
-            if v < 0:
-                raise NegativeValue("value at atom %r is %s < 0" % (a, v))
-            # canonical representative: null atoms carry 0
-            vals.append(v if w else space.zero)
         self.space = space
-        self.values = tuple(vals)
+        self.values, self._scaled = _entries(space, values, ("value", "values", "values"))
+
+    @classmethod
+    def _from_scaled(cls, space, den, nums):
+        """Build from a kernel's ints (den, nums), with `__init__`'s checks and null-atom zeros."""
+        f = object.__new__(cls)
+        f.space = space
+        f.values, f._scaled = scalar.lowest(den, _check(space, den, nums, "value"), space.backend)
+        return f
 
     def value(self, atom):
         return self.values[self.space.index(atom)]
@@ -53,6 +44,45 @@ class FiniteRandomVariable:
 
     def __repr__(self):
         return "FiniteRandomVariable(%r)" % (list(self.values),)
+
+
+def _entries(space, table, words, null_zero=True):
+    """A user's table (a list, or a dict by atom) coerced, checked and scaled; `words` name it."""
+    if isinstance(table, dict):
+        missing = [a for a in space.atoms if a not in table]
+        if missing:
+            raise SpaceMismatch("%s missing for atoms %r" % (words[1], missing[:4]))
+        table = [table[a] for a in space.atoms]
+    elif len(table := list(table)) != space.size:
+        raise SpaceMismatch("%d %s for a %d-atom space" % (len(table), words[2], space.size))
+    coerce, backend = scalar.coerce, space.backend
+    vals = tuple([coerce(v, backend) for v in table])
+    den, nums = scaled = scalar.scaled(vals, backend)
+    nums = _check(space, den, nums, words[0], null_zero)
+    if null_zero and space._nulls:  # canonical representative: null atoms carry 0
+        vals = list(vals)
+        for i in space._nulls:
+            vals[i] = space.zero
+        return scalar.lowest(den, nums, backend, tuple(vals))
+    return vals, scaled
+
+
+def _check(space, den, nums, what, null_zero=True):
+    """Raise at a scaled table's first negative entry (or, unless `null_zero`, nonzero one on
+    a null atom; a valid table passes one C-level test); return it, zeroed there if `null_zero`."""
+    nulls = space._nulls
+    if min(nums) < 0 or not null_zero and any([nums[i] for i in nulls]):
+        div = scalar.divider(space.backend)
+        for a, n, w in zip(space.atoms, nums, space._scaled[1]):
+            if n < 0:
+                raise NegativeValue("%s at atom %r is %s < 0" % (what, a, div(n, den)))
+            if not (w or null_zero or n == 0):
+                raise NotAbsolutelyContinuous("atom %r has weight 0 but mass %s" % (a, div(n, den)))
+    if null_zero and nulls:
+        nums = list(nums)
+        for i in nulls:
+            nums[i] = 0
+    return nums
 
 
 def make_rv(space, values):
@@ -81,40 +111,37 @@ def l1_distance(f, g):
     """Integral of |f - g| against the space's weights."""
     _require_same_space(f, g)
     space = f.space
-    den, xs, ys = scalar.scaled_pair(f.values, g.values, space.backend)
+    den, xs, ys = scalar.common(f._scaled, g._scaled)
     return _integral(space, den, map(mul, space._scaled[1], map(abs, map(sub, xs, ys))))
 
 
 def expectation(f):
-    space = f.space
-    den, xs = scalar.scaled(f.values, space.backend)
-    return _integral(space, den, map(mul, space._scaled[1], xs))
+    den, xs = f._scaled
+    return _integral(f.space, den, map(mul, f.space._scaled[1], xs))
 
 
 def second_moment(f):
-    return _cross_moment(f.space, f.values, f.values)
+    return _cross_moment(f, f)
 
 
-def _cross_moment(space, xs, ys):
-    """Integral of the product of two value tables on `space`, as (w * x) * y."""
-    den, xs, ys = scalar.scaled_pair(xs, ys, space.backend)
-    return _integral(space, den * den, map(mul, map(mul, space._scaled[1], xs), ys))
+def _cross_moment(f, g):
+    """Integral of the product of two random variables on f's space, as (w * x) * y."""
+    den, xs, ys = scalar.common(f._scaled, g._scaled)
+    return _integral(f.space, den * den, map(mul, map(mul, f.space._scaled[1], xs), ys))
 
 
-def _mean_square_diff(space, xs, ys):
-    """Integral of the squared difference d of two value tables on `space`, as (w * d) * d."""
-    den, xs, ys = scalar.scaled_pair(xs, ys, space.backend)
-    ws_d = map(mul, space._scaled[1], map(sub, xs, ys))
-    return _integral(space, den * den, map(mul, ws_d, map(sub, xs, ys)))
+def _mean_square_diff(f, g):
+    """Integral of the squared difference d of two random variables on f's space, as (w * d) * d."""
+    den, xs, ys = scalar.common(f._scaled, g._scaled)
+    ws_d = map(mul, f.space._scaled[1], map(sub, xs, ys))
+    return _integral(f.space, den * den, map(mul, ws_d, map(sub, xs, ys)))
 
 
 def max_value(f):
     """Largest value on positive-weight atoms (the least bound r with f <= r)."""
-    best = f.space.zero
-    for w, x in zip(f.space._scaled[1], f.values):
-        if w > 0 and x > best:
-            best = x
-    return best
+    nums = f._scaled[1]
+    best = max(nums)  # null atoms carry 0, so they never win
+    return f.values[nums.index(best)] if best > 0 else f.space.zero
 
 
 def cond_exp(g, s):
@@ -128,27 +155,29 @@ def cond_exp(g, s):
         raise SpaceMismatch("random variable does not live on the map's source")
     src, dst = s.src, s.dst
     # per target atom: sum of w * x over the fiber / the target weight
-    (wden, ws), (qden, qs) = src._scaled, dst._scaled
-    den, xs = scalar.scaled(g.values, src.backend)
+    (wden, ws), (qden, qs), (den, xs) = src._scaled, dst._scaled, g._scaled
     moment = _fiber_sums(src, s.assign, map(mul, ws, xs), dst.atoms)
-    div = scalar.divider(src.backend)
-    out = [div(mx * qden, den * wden * q) if q else dst.zero for mx, q in zip(moment, qs)]
-    return FiniteRandomVariable(dst, out)
+    dens = [den * wden * q if q else 1 for q in qs]
+    out = scalar.ratios([mx * qden for mx in moment], dens, src.backend)
+    return FiniteRandomVariable._from_scaled(dst, *out)
 
 
 def pullback(f, s):
     """Precompose f (on the map's target) with the map: values f(s(a))."""
     if f.space != s.dst:
         raise SpaceMismatch("random variable does not live on the map's target")
-    return FiniteRandomVariable(s.src, [f.value(s.assign[a]) for a in s.src.atoms])
+    (den, nums), index = f._scaled, f.space._index
+    out = [nums[index[s.assign[a]]] for a in s.src.atoms]
+    return FiniteRandomVariable._from_scaled(s.src, den, out)
 
 
 def truncate_rv(f, n):
     """Pointwise minimum with the level n > 0."""
-    n = scalar.coerce(n, f.space.backend)
-    if n <= 0:
+    backend = f.space.backend
+    den, xs, (cap,) = scalar.common(f._scaled, scalar.scaled([scalar.coerce(n, backend)], backend))
+    if cap <= 0:
         raise ValueError("truncation level must be positive")
-    return FiniteRandomVariable(f.space, [x if x <= n else n for x in f.values])
+    return FiniteRandomVariable._from_scaled(f.space, den, [min(x, cap) for x in xs])
 
 
 def cond_exp_residuals(g, s, result=None):

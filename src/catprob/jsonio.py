@@ -58,11 +58,15 @@ def _need(obj, key, what):
     return obj[key]
 
 
-def _need_list(obj, key, what):
-    """`_need`, for a field that must be a JSON array (a string is not one)."""
+def _need_list(obj, key, what, rows=None):
+    """`_need`, for a field that must be a JSON array (a string is not one).
+    With `rows`, each entry must be an array of `rows` entries (any if 0)."""
     value = _need(obj, key, what)
     if not isinstance(value, list):
         raise ParseError("%s: field %r must be an array" % (what, key))
+    if rows is not None and not all(isinstance(r, list) and rows in (0, len(r)) for r in value):
+        shape = "%d-element arrays" % rows if rows else "arrays"
+        raise ParseError("%s: field %r must be an array of %s" % (what, key, shape))
     return value
 
 
@@ -169,7 +173,7 @@ def metspace_to_obj(x):
 
 def metspace_from_obj(obj, what="metric space"):
     raw_points = _need_list(obj, "points", what)
-    dist = _need_list(obj, "dist", what)
+    dist = _need_list(obj, "dist", what, rows=0)
     with _guard(what):
         points = [_atom_from_json(p) for p in raw_points]
         return FinPseudometricSpace(points, dist, tol=obj.get("tol", 0))
@@ -217,7 +221,8 @@ def diagram_from_obj(obj, what="diagram"):
             e: space_from_obj(spaces_raw[e], "%s.spaces[%s]" % (what, e)) for e in elements
         }
         leq = [
-            (_atom_from_json(i), _atom_from_json(j)) for i, j in _need_list(obj, "leq", what)
+            (_atom_from_json(i), _atom_from_json(j))
+            for i, j in _need_list(obj, "leq", what, rows=2)
         ]
         connect = {}
         for entry in _need_list(obj, "connect", what):

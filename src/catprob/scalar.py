@@ -9,13 +9,14 @@ exact backend all comparisons are decidable equalities on
 `fractions.Fraction`; on the float backend an equality assertion means
 |a - b| <= tol.  Mixing backends in one operation raises BackendMismatch
 instead of coercing.  The probability kernels compute on one scaled form,
-(den, nums), on both backends (`scaled`, `divider`, `total`).
+(den, nums), on both backends (`scaled`, `divider`, `total`).  Spaces, random
+variables and measures store that form when built, and kernels read it there.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import inf, isfinite, lcm
+from math import gcd, inf, isfinite, lcm
 from operator import add, truediv
 
 from .errors import BackendMismatch
@@ -99,6 +100,7 @@ def scaled(xs, backend=EXACT):
     a kernel sums, multiplies and compares ints.  On the float backend `den`
     is 1 and `nums` is `xs` itself, not a copy: multiplying or dividing a
     float by the int 1 is exact, so one kernel body serves both backends.
+    Spaces, random variables and measures store it as `_scaled`, for kernels.
     """
     if backend != EXACT:
         return 1, xs
@@ -107,12 +109,33 @@ def scaled(xs, backend=EXACT):
     return den, tuple([n * (den // d) for n, d in pairs])
 
 
-def scaled_pair(xs, ys, backend):
-    """Two tables over one common denominator: (den, xnums, ynums)."""
+def common(a, b):
+    """Two scaled forms over one denominator, (den, xnums, ynums); float forms pass as they are."""
+    (xden, xs), (yden, ys) = a, b
+    if xden == yden:
+        return xden, xs, ys
+    den = lcm(xden, yden)
+    return den, [x * (den // xden) for x in xs], [y * (den // yden) for y in ys]
+
+
+def ratios(nums, dens, backend):
+    """nums[i] / dens[i] as one scaled form (the quotients over 1 on the float backend)."""
     if backend != EXACT:
-        return 1, xs, ys
-    den, nums = scaled(xs + ys)
-    return den, nums[: len(xs)], nums[len(xs) :]
+        return 1, [n / d for n, d in zip(nums, dens)]
+    den = lcm(*dens)
+    return den, [n * (den // d) for n, d in zip(nums, dens)]
+
+
+def lowest(den, nums, backend, values=None):
+    """The scalars nums[i] / den and their scaled form in lowest terms, as
+    `scaled` gives it: (values, (den, nums)).  One division per entry unless
+    the caller has the `values`; on the float backend the form is (1, values)."""
+    if backend != EXACT:
+        values = tuple([n / den for n in nums]) if values is None else values
+        return values, (1, values)
+    g = gcd(den, *nums)
+    den, nums = den // g, tuple([n // g for n in nums])
+    return tuple([Fraction(n, den) for n in nums]) if values is None else values, (den, nums)
 
 
 def divider(backend):

@@ -177,6 +177,14 @@ def test_metcat_tol_true_is_parse_error(tmp_path, capsys):
     assert err.startswith("error: ") and "tol must be" in err
 
 
+def test_metcat_dist_row_string_is_parse_error(tmp_path, capsys):
+    # a row must be an array: "01" is not the distances 0 and 1
+    obj = {"points": ["a", "b"], "dist": ["01", "10"]}
+    code, err = _exit_and_error(tmp_path, capsys, "space.json", obj, "metcat", "--space", "FILE")
+    assert code == 2
+    assert err.startswith("error: ") and "'dist' must be an array of arrays" in err
+
+
 def test_rn_atoms_not_a_list_is_parse_error(tmp_path, capsys):
     obj = {"space": {"atoms": 3, "weights": ["1"]}, "mass": ["1"]}
     code, err = _exit_and_error(tmp_path, capsys, "mu.json", obj, "rn", "--measure", "FILE")

@@ -218,6 +218,32 @@ def test_values_string_is_not_read_per_character():
         jsonio.rv_from_obj({"space": jsonio.space_to_obj(s), "values": "37"})
 
 
+def test_dist_row_string_is_not_read_per_character():
+    # each row must be an array: "01" is not the distances 0 and 1
+    ok = {"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}
+    assert jsonio.metspace_from_obj(ok).dist[0][1] == 1
+    with pytest.raises(errors.ParseError, match="'dist' must be an array of arrays"):
+        jsonio.metspace_from_obj({"points": ["a", "b"], "dist": ["01", "10"]})
+
+
+def _two_chain_obj(leq):
+    u1 = jsonio.space_to_obj(uniform_space(1))
+    return {
+        "elements": ["a", "b"],
+        "leq": leq,
+        "spaces": {"a": u1, "b": u1},
+        "connect": [{"lo": "a", "hi": "b", "assign": {"0": 0}}],
+        "top": "b",
+    }
+
+
+@pytest.mark.parametrize("pair", ["ab", ["a"], ["a", "b", "b"], {"a": "b"}])
+def test_leq_entry_must_be_a_two_element_array(pair):
+    assert jsonio.diagram_from_obj(_two_chain_obj([["a", "b"]])).le("a", "b")
+    with pytest.raises(errors.ParseError, match="'leq' must be an array of 2-element arrays"):
+        jsonio.diagram_from_obj(_two_chain_obj([pair]))
+
+
 def test_parse_error_keeps_the_invalid_diagram_as_its_cause():
     # five unrelated elements: every pair lacks an upper bound, ten problems
     u1 = jsonio.space_to_obj(uniform_space(1))

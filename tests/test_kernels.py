@@ -4,9 +4,12 @@ On the exact backend every kernel must equal its oracle in `oracles.py`
 exactly; on the float backend it must match the same loop to the bit.  The
 count pins check that the exact kernels work on ints: at most one Fraction
 per output entry (one for a scalar), none for a valid map's check, for
-`as_equal` or for `max_value`.
+`as_equal` or for `max_value`, and no Fraction comparison at all in a kernel
+or in building a space, random variable or measure from valid input.  The
+value types keep their tables in scaled form, whichever path built them.
 """
 import contextlib
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -16,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, sampling, scalar
+from catprob import errors, jsonio, sampling, scalar
+from catprob.diagram import DyadicGround, make_dyadic
 from catprob.finmeas import (
     FiniteMeasure,
     _density_bound,
@@ -24,6 +28,7 @@ from catprob.finmeas import (
     pushforward,
     rho,
     rn_derivative,
+    truncate_measure,
     tv_distance,
 )
 from catprob.finprob import FiniteProbSpace, MeasurePreservingMap, as_equal
@@ -35,7 +40,9 @@ from catprob.finrv import (
     expectation,
     l1_distance,
     max_value,
+    pullback,
     second_moment,
+    truncate_rv,
 )
 
 
@@ -108,11 +115,11 @@ KERNELS = {
         lambda c: oracles.cross_moment_literal(c.space, c.f.values, c.f.values),
     ),
     "cross_moment": (
-        lambda c: _cross_moment(c.space, c.f.values, c.g.values),
+        lambda c: _cross_moment(c.f, c.g),
         lambda c: oracles.cross_moment_literal(c.space, c.f.values, c.g.values),
     ),
     "mean_square_diff": (
-        lambda c: _mean_square_diff(c.space, c.f.values, c.g.values),
+        lambda c: _mean_square_diff(c.f, c.g),
         lambda c: oracles.mean_square_diff_literal(c.space, c.f.values, c.g.values),
     ),
     "rho": (lambda c: rho(c.f).mass, lambda c: oracles.rho_literal(c.f)),
@@ -231,3 +238,141 @@ def test_exact_kernels_build_one_fraction_per_entry(data):
     with fractions_built() as count:
         case.mu.total()
     assert count[0] == 1
+
+
+@contextlib.contextmanager
+def fractions_compared():
+    """Count every ordering comparison (<, <=, >, >=) a Fraction takes part in."""
+    count = [0]
+    saved = F.__dict__["_richcmp"]
+
+    def counting_richcmp(self, other, op):
+        count[0] += 1
+        return saved(self, other, op)
+
+    F._richcmp = counting_richcmp
+    try:
+        yield count
+    finally:
+        F._richcmp = saved
+
+
+def test_comparison_counter_sees_both_sides():
+    with fractions_compared() as count:
+        F(1, 3) < F(1, 2)
+        0 <= F(1, 2)
+    assert count[0] == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_kernels_and_constructors_compare_no_fractions(data):
+    case = data.draw(cases(scalar.EXACT))
+    for name, (kernel, _) in KERNELS.items():
+        with fractions_compared() as count:
+            kernel(case)
+        assert count[0] == 0, name
+    space = case.space
+    raw = [x + 1 for x in case.f.values]  # nonzero on the null atoms too
+    with fractions_compared() as count:
+        FiniteProbSpace(space.atoms, space.weights)
+        FiniteRandomVariable(space, raw)
+        FiniteRandomVariable(space, dict(zip(space.atoms, raw)))
+        FiniteMeasure(space, case.mu.mass)
+    assert count[0] == 0
+
+
+def test_dyadic_levels_compare_a_constant_number_of_fractions():
+    """From depth 7 to 8 the comparisons grow by what one more level costs,
+    not with the 2^depth atoms."""
+    counts = []
+    for depth in (6, 7, 8):
+        with fractions_compared() as count:
+            make_dyadic(DyadicGround.affine(0, 1), depth)
+        counts.append(count[0])
+    assert counts[2] - counts[1] == counts[1] - counts[0] <= 16, counts
+
+
+def _keeps_scaled_form(x, table):
+    backend = x.space.backend
+    assert x._scaled == scalar.scaled(table, backend), x
+    assert type(x._scaled[1]) is tuple
+    if backend == scalar.FLOAT:
+        assert x._scaled == (1, table) and x._scaled[1] is table
+
+
+def _roundtrip(x, to_obj, from_obj):
+    return from_obj(json.loads(json.dumps(to_obj(x))))
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_value_types_keep_their_scaled_form(backend, data):
+    """User-built values, every kernel output and JSON round trips, on spaces
+    with null atoms: `_scaled` is `scalar.scaled` of the stored table."""
+    case = data.draw(cases(backend))
+    space, s = case.space, case.map
+    raw = [x + y for x, y in zip(case.f.values, case.g.values)]
+    masses = list(case.mu.mass)
+    rvs = [
+        FiniteRandomVariable(space, raw),
+        FiniteRandomVariable(space, dict(zip(space.atoms, raw))),
+        cond_exp(case.f, s),
+        pullback(cond_exp(case.g, s), s),
+        rn_derivative(case.mu),
+        truncate_rv(case.f, case.r),
+        _roundtrip(case.f, jsonio.rv_to_obj, jsonio.rv_from_obj),
+    ]
+    measures = [
+        FiniteMeasure(space, masses),
+        FiniteMeasure(space, dict(zip(space.atoms, masses))),
+        pushforward(case.mu, s),
+        rho(case.f),
+        truncate_measure(case.mu, case.r),
+        _roundtrip(case.mu, jsonio.measure_to_obj, jsonio.measure_from_obj),
+    ]
+    for f in rvs:
+        _keeps_scaled_form(f, f.values)
+    for mu in measures:
+        _keeps_scaled_form(mu, mu.mass)
+
+
+@pytest.mark.parametrize(
+    "ground", [DyadicGround.affine(0, 1), DyadicGround([0, "1/3", 1], [0, 1, "1/2"])]
+)
+def test_dyadic_levels_keep_their_scaled_form(ground):
+    _, m = make_dyadic(ground, 6)
+    for level in m.family.values():
+        _keeps_scaled_form(level, level.values)
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_both_constructors_word_a_bad_entry_alike(backend, data):
+    """A negative entry, or mass on a null atom, raises the same error through
+    `__init__` and through `_from_scaled`."""
+    case = data.draw(cases(backend))
+    space = case.space
+    i = data.draw(st.integers(0, space.size - 1))
+    values, masses = list(case.f.values), list(case.mu.mass)
+    values[i] = masses[i] = -case.r
+    faults = [
+        (FiniteRandomVariable, values, i, errors.NegativeValue, "value at atom %r is %s < 0"),
+        (FiniteMeasure, masses, i, errors.NegativeValue, "mass at atom %r is %s < 0"),
+    ]
+    if 0 in space._scaled[1]:
+        j = space._scaled[1].index(0)
+        masses = list(case.mu.mass)
+        masses[j] = case.r
+        faults.append(
+            (FiniteMeasure, masses, j, errors.NotAbsolutelyContinuous,
+             "atom %r has weight 0 but mass %s")
+        )
+    for cls, table, k, error, message in faults:
+        want = message % (space.atoms[k], table[k])
+        for build in (cls, lambda sp, t: cls._from_scaled(sp, *scalar.scaled(t, backend))):
+            with pytest.raises(error) as info:
+                build(space, table)
+            assert str(info.value) == want

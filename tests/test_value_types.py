@@ -139,3 +139,26 @@ class TestFloatScalars:
         s = self._space()
         assert FiniteRandomVariable(s, [1, F(1, 4)]).values == (1.0, 0.25)
         assert make_rv(s, ["3/4", 0.5]).values == (0.75, 0.5)
+
+
+class TestFirstBadAtom:
+    """Every entry is coerced first, as a space's weights are; then the first
+    atom, in atom order, with a negative entry or with mass on a null atom is
+    reported."""
+
+    def test_a_non_number_is_reported_before_a_negative_entry(self):
+        s = uniform_space(2)
+        for table in ([-1, 0.5], [0.5, -1]):
+            with pytest.raises(errors.BackendMismatch):
+                FiniteRandomVariable(s, table)
+            with pytest.raises(errors.BackendMismatch):
+                make_space(["a", "b"], table)
+
+    def test_the_first_bad_atom_is_reported(self):
+        s = make_space(["a", "b", "c"], [0, 1, 0])
+        with pytest.raises(errors.NotAbsolutelyContinuous, match="atom 'a' has weight 0 but mass 1"):
+            FiniteMeasure(s, [1, -1, 0])
+        with pytest.raises(errors.NegativeValue, match="mass at atom 'b' is -1 < 0"):
+            FiniteMeasure(s, [0, -1, 1])
+        with pytest.raises(errors.NegativeValue, match="value at atom 'a' is -1/2 < 0"):
+            FiniteRandomVariable(s, ["-1/2", -1, 0])
