@@ -6,7 +6,8 @@ FinPseudometricSpace, LipschitzMap.  Everything is immutable: tables are
 tuples, and the keyed tables (`MeasurePreservingMap.assign`,
 `LipschitzMap.assign`, `FiltrationDiagram.spaces` and `.connect`,
 `Martingale.family`, `ConsistentMeasureFamily.family`) are read-only
-mappings, so the checks made at construction hold for good.  Values are
+mappings, so the checks made at construction hold for good (a diagram's
+`.connect` builds each composite on first read, from maps checked then).  Values are
 exact on the rational backend and tolerance-checked on the float backend.
 """
 

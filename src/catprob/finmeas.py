@@ -32,7 +32,7 @@ class FiniteMeasure:
         """Build from a kernel's ints (den, nums), with `__init__`'s checks."""
         mu = object.__new__(cls)
         mu.space = space
-        nums = _check(space, den, nums, "mass", False)
+        _check(space, den, nums, "mass", False)
         mu.mass, mu._scaled = scalar.lowest(den, nums, space.backend)
         return mu
 

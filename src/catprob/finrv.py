@@ -28,7 +28,8 @@ class FiniteRandomVariable:
         """Build from a kernel's ints (den, nums), with `__init__`'s checks and null-atom zeros."""
         f = object.__new__(cls)
         f.space = space
-        f.values, f._scaled = scalar.lowest(den, _check(space, den, nums, "value"), space.backend)
+        _check(space, den, nums, "value")
+        f.values, f._scaled = scalar.lowest(den, nums, space.backend, zeros=space._nulls)
         return f
 
     def value(self, atom):
@@ -58,18 +59,18 @@ def _entries(space, table, words, null_zero=True):
     coerce, backend = scalar.coerce, space.backend
     vals = tuple([coerce(v, backend) for v in table])
     den, nums = scaled = scalar.scaled(vals, backend)
-    nums = _check(space, den, nums, words[0], null_zero)
+    _check(space, den, nums, words[0], null_zero)
     if null_zero and space._nulls:  # canonical representative: null atoms carry 0
         vals = list(vals)
         for i in space._nulls:
             vals[i] = space.zero
-        return scalar.lowest(den, nums, backend, tuple(vals))
+        return scalar.lowest(den, nums, backend, tuple(vals), space._nulls)
     return vals, scaled
 
 
 def _check(space, den, nums, what, null_zero=True):
     """Raise at a scaled table's first negative entry (or, unless `null_zero`, nonzero one on
-    a null atom; a valid table passes one C-level test); return it, zeroed there if `null_zero`."""
+    a null atom); a valid table passes one C-level test."""
     nulls = space._nulls
     if min(nums) < 0 or not null_zero and any([nums[i] for i in nulls]):
         div = scalar.divider(space.backend)
@@ -78,11 +79,6 @@ def _check(space, den, nums, what, null_zero=True):
                 raise NegativeValue("%s at atom %r is %s < 0" % (what, a, div(n, den)))
             if not (w or null_zero or n == 0):
                 raise NotAbsolutelyContinuous("atom %r has weight 0 but mass %s" % (a, div(n, den)))
-    if null_zero and nulls:
-        nums = list(nums)
-        for i in nulls:
-            nums[i] = 0
-    return nums
 
 
 def make_rv(space, values):

@@ -126,10 +126,15 @@ def ratios(nums, dens, backend):
     return den, [n * (den // d) for n, d in zip(nums, dens)]
 
 
-def lowest(den, nums, backend, values=None):
-    """The scalars nums[i] / den and their scaled form in lowest terms, as
-    `scaled` gives it: (values, (den, nums)).  One division per entry unless
-    the caller has the `values`; on the float backend the form is (1, values)."""
+def lowest(den, nums, backend, values=None, zeros=()):
+    """The scalars nums[i] / den, with 0 at the indices `zeros`, and their
+    scaled form in lowest terms, as `scaled` gives it: (values, (den, nums)).
+    One division per entry unless the caller has the `values` (0 at `zeros`
+    too); on the float backend the form is then (1, values), with no work."""
+    if zeros and (backend == EXACT or values is None):
+        nums = list(nums)
+        for i in zeros:
+            nums[i] = 0
     if backend != EXACT:
         values = tuple([n / den for n in nums]) if values is None else values
         return values, (1, values)

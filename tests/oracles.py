@@ -2,8 +2,8 @@
 
 These stay deliberately literal: enumerate partitions, enumerate subsets,
 integrate by refinement.  They share no code path with the library versions,
-except the copies of the old family constructors at the end, which call the
-library's kernels as those constructors did.
+except the old composite fill and the copies of the old family constructors
+at the end, which call the library's `compose` and kernels as they did.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from catprob import scalar
 from catprob.diagram import is_martingale
 from catprob.errors import IndexMismatch, Inconsistent, NegativeValue, SpaceMismatch
 from catprob.finmeas import _density_bound, bound_check, pushforward, tv_distance
+from catprob.finprob import compose, identity_map
 from catprob.finrv import max_value
 
 
@@ -409,6 +410,34 @@ def covering_pairs_literal(d):
             continue
         out.append((i, j))
     return tuple(out)
+
+
+def composite_fill_literal(elements, leq, spaces, connect):
+    """The connecting-map table `FiltrationDiagram.__init__` built before it
+    derived composites on first read: identities on the diagonal, then every
+    missing pair of the closed order `leq` composed along the first available
+    factorization, repeated to a fixpoint (it raises what `compose` raised)."""
+    table = dict(connect)
+    for e in elements:
+        if (e, e) not in table:
+            table[(e, e)] = identity_map(spaces[e])
+    rank = {e: t for t, e in enumerate(elements)}
+    ordered = sorted(leq, key=lambda p: (rank[p[0]], rank[p[1]]))
+    changed = True
+    while changed:
+        changed = False
+        for (i, j) in ordered:
+            if (i, j) in table:
+                continue
+            for k in elements:
+                if k in (i, j):
+                    continue
+                if (i, k) in leq and (k, j) in leq:
+                    if (i, k) in table and (k, j) in table:
+                        table[(i, j)] = compose(table[(k, j)], table[(i, k)])
+                        changed = True
+                        break
+    return table
 
 
 # -- the two level-family constructors, one body per side -------------------------

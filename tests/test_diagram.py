@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from operator import itemgetter
 from types import MappingProxyType
 
 import pytest
@@ -44,6 +45,7 @@ from catprob.sampling import rand_measure, rand_refining_chain, rand_rv, rand_sp
 
 from oracles import (
     bound_check_literal,
+    composite_fill_literal,
     covering_pairs_literal,
     diagram_problems_literal,
     dyadic_tables_per_cell,
@@ -167,17 +169,19 @@ def _raw_diagram(elements, leq, spaces, connect, top):
 
 @st.composite
 def doctored_diagrams(draw):
-    """(diagram object, constructor arguments or None) on 1-5 elements.
+    """(diagram object, constructor arguments) on 1-5 elements.
 
     Posets: chains, diamonds, several elements under one top, and random
     orders.  Every level is the uniform space on m atoms, each element e
-    carries a permutation g_e, and f_ij = g_i^-1 . g_j, so the maps commute.
-    Then one to three doctorings, some of which leave it valid: a corrupted,
-    deleted, wrongly ended or stray map, a non-identity reflexive map, a
-    float level, a reversed order pair (non-antisymmetric leq) or a top that
-    is not the maximum.
-    The constructor arguments are given when the doctored table is one the
-    constructor would keep as it is (every pair mapped, the order intact).
+    carries a permutation g_e, and f_ij = g_i^-1 . g_j, so the maps commute;
+    half the tables give the covering pairs only.  Then one to three
+    doctorings, some of which leave it valid: a corrupted, deleted, wrongly
+    ended or stray map, a non-identity reflexive map, a float level, a
+    reversed order pair (non-antisymmetric leq) or a top that is not the
+    maximum.
+    The constructor arguments give the same order (a reversed pair is one
+    more generator) and the same table, where a deleted map is left for the
+    constructor to derive.
     """
     n = draw(st.integers(1, 5))
     shape = draw(st.sampled_from(["chain", "diamond", "fan", "random"]))
@@ -206,7 +210,10 @@ def doctored_diagrams(draw):
         (i, j): make_map(space, space, {a: inverse[i][perms[j][a]] for a in range(m)})
         for (i, j) in leq
     }
-    intact = True
+    if draw(st.booleans()):  # give the covering pairs only, as a chain gives its steps
+        for i, j in leq:
+            if i != j and any(k not in (i, j) and (i, k) in leq and (k, j) in leq for k in elements):
+                del connect[(i, j)]
     pairs = sorted(leq)
     below = [(i, j) for i, j in pairs if i != j] or pairs
     ops = ["corrupt"] * 4 + ["delete", "endpoints", "reflexive", "stray", "float", "leq", "top"]
@@ -219,7 +226,6 @@ def doctored_diagrams(draw):
             connect[(i, j)] = make_map(space, space, {a: perm[old[a]] for a in range(m)})
         elif op == "delete":
             connect.pop((i, j), None)
-            intact = False
         elif op == "endpoints":
             connect[(i, j)] = identity_map(uniform_space(m, backend=scalar.FLOAT))
         elif op == "reflexive":
@@ -230,11 +236,11 @@ def doctored_diagrams(draw):
             spaces[j] = uniform_space(m, backend=scalar.FLOAT)
         elif op == "leq" and i != j:
             leq = _closed(elements, set(leq) | {(j, i)})
-            intact = False
+            gens = gens + [(j, i)]
         elif op == "top":
             top = draw(st.sampled_from(list(elements) + [n]))
     d = _raw_diagram(elements, leq, spaces, connect, top)
-    return d, ((elements, gens, spaces, connect, top) if intact else None)
+    return d, (elements, gens, spaces, connect, top)
 
 
 class TestCoverTriples:
@@ -244,8 +250,17 @@ class TestCoverTriples:
         d, args = case
         expected = diagram_problems_literal(d)
         assert validate(d) == DiagramReport(ok=not expected, problems=expected)
-        if args is None:
+        # the constructor reports what the old fill's whole table reported, or
+        # raises what the old fill raised
+        elements, _, spaces, connect, top = args
+        try:
+            table = composite_fill_literal(elements, d.leq, spaces, connect)
+        except errors.CatprobError as exc:
+            with pytest.raises(errors.CatprobError) as info:
+                FiltrationDiagram(*args)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
             return
+        expected = diagram_problems_literal(_raw_diagram(elements, d.leq, spaces, table, top))
         try:
             built = FiltrationDiagram(*args)
         except errors.InvalidDiagram as exc:
@@ -254,6 +269,7 @@ class TestCoverTriples:
         else:
             assert expected == ()
             assert built.covering_pairs() == covering_pairs_literal(built)
+            assert list(built.connect.items()) == list(table.items())
 
     def test_covers_match_literal_on_built_diagrams(self):
         u1, u2 = uniform_space(1), uniform_space(2)
@@ -296,6 +312,160 @@ class TestCoverTriples:
         assert report.problems == tuple(
             "functoriality fails at 3 <= %d <= 10 on atom 0" % j for j in range(4, 10)
         ) == diagram_problems_literal(bad)
+
+
+def _count_calls(monkeypatch, module, name):
+    """A counter of the calls of `module.name` from here on."""
+    calls = {"n": 0}
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls["n"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _count_cover_reads(monkeypatch):
+    """A counter of the image-tuple reads of the cover-triple scan: one per
+    covering pair, then two per triple it compares."""
+    calls = {"n": 0}
+
+    def counting_itemgetter(*keys):
+        get = itemgetter(*keys)
+
+        def counted(obj):
+            calls["n"] += 1
+            return get(obj)
+
+        return counted
+
+    monkeypatch.setattr(diagram, "itemgetter", counting_itemgetter)
+    return calls
+
+
+def _dyadic_steps(depth):
+    spaces = [diagram.dyadic_space(t) for t in range(depth + 1)]
+    steps = [
+        make_map(spaces[t + 1], spaces[t], {j: j >> 1 for j in spaces[t + 1].atoms})
+        for t in range(depth)
+    ]
+    return spaces, steps
+
+
+class TestDerivedComposites:
+    """Composites are derived on first read through the factor the old fill chose."""
+
+    def test_dyadic_build_composes_nothing(self, monkeypatch):
+        calls = _count_calls(monkeypatch, diagram, "compose")
+        d, m = make_dyadic(IDENTITY, 10)
+        assert calls["n"] == 0
+        assert d.connect.via == {(i, k): k - 1 for k in range(11) for i in range(k - 1)}
+        # a composite is built on its first read, through its factors, and kept
+        assert d.to_top(0) == make_map(d.spaces[10], d.spaces[0], {a: 0 for a in d.spaces[10].atoms})
+        assert calls["n"] == 9
+        assert d.to_top(0) is d.connect[(0, 10)]
+        assert calls["n"] == 9
+
+    @pytest.mark.parametrize("depth", [5, 6])
+    def test_chain_build_work_per_depth(self, monkeypatch, depth):
+        # steps only: no composite built and no cover triple compared; with
+        # every composite given, each of the depth(depth - 1)/2 triples is
+        calls = _count_calls(monkeypatch, diagram, "compose")
+        reads = _count_cover_reads(monkeypatch)
+        spaces, steps = _dyadic_steps(depth)
+        d = FiltrationDiagram.chain(spaces, steps)
+        assert (calls["n"], reads["n"]) == (0, depth)
+        full = dict(d.connect)
+        assert calls["n"] == depth * (depth - 1) // 2
+        calls["n"] = reads["n"] = 0
+        FiltrationDiagram(range(depth + 1), list(d.covers), dict(enumerate(spaces)), full, top=depth)
+        assert calls["n"] == 0
+        assert reads["n"] == depth + 2 * (depth * (depth - 1) // 2)
+
+    def test_missing_cover_map_is_reported_not_recursed(self):
+        u1, u2, u4 = uniform_space(1), uniform_space(2), uniform_space(4)
+        pair = make_map(u4, u2, {0: 0, 1: 0, 2: 1, 3: 1})
+        args = ([0, 1, 2], [(0, 1), (1, 2)], {0: u1, 1: u2, 2: u4}, {(1, 2): pair}, 2)
+        with pytest.raises(errors.InvalidDiagram) as info:
+            FiltrationDiagram(*args)
+        expected = ("missing connecting map for 0 <= 1", "missing connecting map for 0 <= 2")
+        assert info.value.problems == expected
+        assert str(info.value) == "; ".join(expected)
+        table = composite_fill_literal(args[0], _closed(args[0], args[1]), args[2], args[3])
+        raw = _raw_diagram(args[0], _closed(args[0], args[1]), args[2], table, 2)
+        assert diagram_problems_literal(raw) == expected
+
+    def test_wrong_endpoints_fail_as_the_old_fill_did(self):
+        u1, u2, u4, u8 = (uniform_space(n) for n in (1, 2, 4, 8))
+        collapse = make_map(u2, u1, {0: 0, 1: 0})
+        spaces = {0: u1, 1: u2, 2: u4}
+        # a step into the wrong space: composing it raises
+        into_u4 = make_map(u4, u4, {a: a for a in range(4)})
+        with pytest.raises(errors.DomainMismatch) as info:
+            FiltrationDiagram([0, 1, 2], [(0, 1), (1, 2)], spaces, {(0, 1): collapse, (1, 2): into_u4})
+        assert str(info.value) == "codomain of the first map differs from domain of the second"
+        # a step from the wrong space: the composite inherits it, and both are reported
+        from_u8 = make_map(u8, u2, {a: a // 4 for a in range(8)})
+        with pytest.raises(errors.InvalidDiagram) as info:
+            FiltrationDiagram([0, 1, 2], [(0, 1), (1, 2)], spaces, {(0, 1): collapse, (1, 2): from_u8})
+        assert info.value.problems == (
+            "connecting map 0 <= 2 has wrong endpoints",
+            "connecting map 1 <= 2 has wrong endpoints",
+        )
+
+    def test_non_chain_with_a_given_non_cover_map(self, monkeypatch):
+        u1, u2 = uniform_space(1), uniform_space(2)
+        to1, ident = make_map(u2, u1, {0: 0, 1: 0}), identity_map(u2)
+        swap = make_map(u2, u2, {0: 1, 1: 0})
+        order = [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")]
+        # a diamond over one space: b -> l -> t commutes, b -> r -> t swaps
+        spaces = {"b": u2, "l": u2, "r": u2, "t": u2}
+        steps = {("b", "l"): ident, ("b", "r"): ident, ("l", "t"): ident, ("r", "t"): swap}
+        for given in ({}, {("b", "t"): ident}):
+            connect = {**steps, **given}
+            table = composite_fill_literal(["b", "l", "r", "t"], _closed("blrt", order), spaces, connect)
+            raw = _raw_diagram("blrt", _closed("blrt", order), spaces, table, "t")
+            with pytest.raises(errors.InvalidDiagram) as info:
+                FiltrationDiagram("blrt", order, spaces, connect, top="t")
+            assert info.value.problems == diagram_problems_literal(raw)
+            assert info.value.problems == ("functoriality fails at 'b' <= 'r' <= 't' on atom 0",)
+        # a valid diamond with its composite given: nothing is derived, and the
+        # given map is compared on both cover triples through it
+        spaces = {"b": u1, "l": u2, "r": u2, "t": u2}
+        steps = {("b", "l"): to1, ("b", "r"): to1, ("l", "t"): ident, ("r", "t"): swap}
+        reads = _count_cover_reads(monkeypatch)
+        d = FiltrationDiagram("blrt", order, spaces, {**steps, ("b", "t"): to1}, top="t")
+        assert d.connect.via == {}
+        assert reads["n"] == 4 + 2 * 2
+
+    def test_float_chain_rejects_a_derived_composite_drifting_past_tol(self):
+        # each step is within tol, the composite read through both is not
+        tol, drift = 1e-9, 0.8e-9
+        a = make_space([0, 1], [0.5 + drift, 0.5 - drift], backend=scalar.FLOAT, tol=tol)
+        b = make_space([0, 1], [0.5, 0.5], backend=scalar.FLOAT, tol=tol)
+        c = make_space([0, 1], [0.5 - drift, 0.5 + drift], backend=scalar.FLOAT, tol=tol)
+        f, g = make_map(a, b, {0: 0, 1: 1}), make_map(b, c, {0: 0, 1: 1})
+        FiltrationDiagram.chain([c, b], [g])
+        FiltrationDiagram.chain([b, a], [f])
+        with pytest.raises(errors.NotMeasurePreserving) as info:
+            FiltrationDiagram.chain([c, b, a], [g, f])
+        assert str(info.value) == "atom 0 receives mass 0.5000000008, target weight is 0.4999999992"
+
+    def test_equality_compares_cover_maps_only(self, monkeypatch):
+        spaces, steps = _dyadic_steps(4)
+        derived = FiltrationDiagram.chain(spaces, steps)
+        full = dict(FiltrationDiagram.chain(spaces, steps).connect)
+        given = FiltrationDiagram(range(5), [(t, t + 1) for t in range(4)], dict(enumerate(spaces)), full, top=4)
+        calls = _count_calls(monkeypatch, diagram, "compose")
+        assert given == derived and derived == given
+        assert derived == FiltrationDiagram.chain(spaces, steps)
+        assert calls["n"] == 0
+        # the same spaces and order with another last step
+        other = make_map(spaces[4], spaces[3], {j: j % 8 for j in spaces[4].atoms})
+        assert FiltrationDiagram.chain(spaces, steps[:3] + [other]) != derived
+        assert calls["n"] == 0
 
 
 class TestInvalidDiagramError:

@@ -162,3 +162,26 @@ class TestFirstBadAtom:
             FiniteMeasure(s, [0, -1, 1])
         with pytest.raises(errors.NegativeValue, match="value at atom 'a' is -1/2 < 0"):
             FiniteRandomVariable(s, ["-1/2", -1, 0])
+
+
+class TestNullAtomZeros:
+    """Null atoms carry 0 in a user-built random variable, zeroed once."""
+
+    def test_float_table_on_a_null_atom_space(self):
+        s = make_space(["a", "n", "b"], [0.25, 0.0, 0.75], backend=scalar.FLOAT)
+        for table in ([0.1 + 0.2, 5.0, -0.0], {"a": 0.1 + 0.2, "n": "5", "b": -0.0}):
+            f = FiniteRandomVariable(s, table)
+            # the value on the null atom becomes +0.0; every other keeps its bits
+            assert [x.hex() for x in f.values] == [(0.1 + 0.2).hex(), "0x0.0p+0", "-0x0.0p+0"]
+            assert f._scaled == (1, f.values) and f._scaled[1] is f.values
+        # a kernel output is zeroed there too
+        g = FiniteRandomVariable._from_scaled(s, 1, [0.1 + 0.2, 5.0, -0.0])
+        assert [x.hex() for x in g.values] == [(0.1 + 0.2).hex(), "0x0.0p+0", "-0x0.0p+0"]
+        with pytest.raises(errors.NegativeValue, match="value at atom 'n' is -1.0 < 0"):
+            FiniteRandomVariable(s, [1.0, -1.0, 1.0])
+
+    def test_exact_table_on_a_null_atom_space(self):
+        s = make_space(["a", "n", "b"], [F(1, 4), 0, F(3, 4)])
+        f = FiniteRandomVariable(s, [F(1, 3), F(1, 7), F(1, 2)])
+        assert f.values == (F(1, 3), 0, F(1, 2))
+        assert f._scaled == (6, (2, 0, 3)) == scalar.scaled(f.values)
