@@ -115,14 +115,15 @@ def cmd_rn(args):
     g = rn_derivative(mu)
     residual = tv_distance(rho(g), mu)
     ok = scalar.eq(residual, mu.space.zero, mu.space.tol)
+    derivative = scalar.scaled_to_json(*g._scaled)
     payload = {
-        "derivative": [scalar.to_json(v) for v in g.values],
+        "derivative": derivative,
         "atoms": [str(a) for a in mu.space.atoms],
         "roundtrip_residual": scalar.to_json(residual),
         "ok": ok,
     }
     rows = [["atom", "derivative"]] + [
-        [str(a), scalar.to_json(v)] for a, v in zip(mu.space.atoms, g.values)
+        [str(a), v] for a, v in zip(mu.space.atoms, derivative)
     ] + [["roundtrip_residual", scalar.to_json(residual)]]
     _emit(payload, rows, args)
     return 0 if ok else 1
@@ -147,7 +148,7 @@ def cmd_condexp(args):
             {"subset": [str(b) for b in combo], "residual": scalar.to_json(residual)}
         )
     payload = {
-        "values": [scalar.to_json(v) for v in result.values],
+        "values": scalar.scaled_to_json(*result._scaled),
         "atoms": [str(b) for b in dst.atoms],
         "subset_residuals": subsets,
         "ok": ok,
@@ -203,7 +204,7 @@ def cmd_extend(args):
     square = l1_distance(left, right)
     ok = scalar.eq(square, mu.space.zero, mu.space.tol)
     payload = {
-        "extension": [scalar.to_json(m) for m in mu.mass],
+        "extension": scalar.scaled_to_json(*mu._scaled),
         "atoms": [str(a) for a in mu.space.atoms],
         "restriction_residuals": residuals,
         "density_square_residual": scalar.to_json(square),

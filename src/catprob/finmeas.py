@@ -14,18 +14,21 @@ from operator import mul, sub
 from . import scalar
 from .errors import SpaceMismatch
 from .finprob import _fiber_sums
-from .finrv import FiniteRandomVariable, _check, _entries
+from .finrv import FiniteRandomVariable, _check, _entries, _lazy_table
 
 
 class FiniteMeasure:
     """Atom-indexed nonnegative masses; zero wherever the base weight is zero.
-    Kept also in scaled form, `_scaled == scalar.scaled(mass)`, for the kernels."""
+    Kept also in scaled form, `_scaled == scalar.scaled(mass)`, for the kernels;
+    `mass` is read-only, stored and compared as `FiniteRandomVariable.values`."""
 
-    __slots__ = ("space", "mass", "_scaled")
+    __slots__ = ("space", "_table", "_scaled")
+
+    mass = property(_lazy_table)
 
     def __init__(self, space, mass):
         self.space = space
-        self.mass, self._scaled = _entries(space, mass, ("mass", "mass", "masses"), False)
+        self._table, self._scaled = _entries(space, mass, ("mass", "mass", "masses"), False)
 
     @classmethod
     def _from_scaled(cls, space, den, nums):
@@ -33,7 +36,7 @@ class FiniteMeasure:
         mu = object.__new__(cls)
         mu.space = space
         _check(space, den, nums, "mass", False)
-        mu.mass, mu._scaled = scalar.lowest(den, nums, space.backend)
+        mu._table, mu._scaled = scalar.lowest(den, nums, space.backend)
         return mu
 
     def mass_of(self, atom):
@@ -45,10 +48,10 @@ class FiniteMeasure:
     def __eq__(self, other):
         if not isinstance(other, FiniteMeasure):
             return NotImplemented
-        return self.space == other.space and self.mass == other.mass
+        return self.space == other.space and self._scaled == other._scaled
 
     def __hash__(self):
-        return hash((self.space, self.mass))
+        return hash((self.space, self._scaled))
 
     def __repr__(self):
         return "FiniteMeasure(%r)" % (list(self.mass),)

@@ -6,6 +6,7 @@ stored tables is exactly almost-sure equality.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import mul, sub
 
 from . import scalar
@@ -13,15 +14,29 @@ from .errors import NegativeValue, NotAbsolutelyContinuous, SpaceMismatch
 from .finprob import _fiber_sums
 
 
+def _lazy_table(x):
+    """The table of a random variable or measure; an exact kernel output
+    stores only `_scaled` and builds its Fractions here, once."""
+    if x._table is None:
+        den, nums = x._scaled
+        x._table = tuple([Fraction(n, den) for n in nums])
+    return x._table
+
+
 class FiniteRandomVariable:
     """Atom-indexed table of nonnegative values on a finite space, kept also
-    in scaled form, `_scaled == scalar.scaled(values)`, for the kernels."""
+    in scaled form, `_scaled == scalar.scaled(values)`, for the kernels.
+    `values` is read-only: a user-built table keeps the scalars it was given,
+    an exact kernel output builds its Fractions from `_scaled` on first read.
+    Equality and hashing read `_scaled`, which is canonical (in lowest terms)."""
 
-    __slots__ = ("space", "values", "_scaled")
+    __slots__ = ("space", "_table", "_scaled")
+
+    values = property(_lazy_table)
 
     def __init__(self, space, values):
         self.space = space
-        self.values, self._scaled = _entries(space, values, ("value", "values", "values"))
+        self._table, self._scaled = _entries(space, values, ("value", "values", "values"))
 
     @classmethod
     def _from_scaled(cls, space, den, nums):
@@ -29,7 +44,7 @@ class FiniteRandomVariable:
         f = object.__new__(cls)
         f.space = space
         _check(space, den, nums, "value")
-        f.values, f._scaled = scalar.lowest(den, nums, space.backend, zeros=space._nulls)
+        f._table, f._scaled = scalar.lowest(den, nums, space.backend, zeros=space._nulls)
         return f
 
     def value(self, atom):
@@ -38,10 +53,10 @@ class FiniteRandomVariable:
     def __eq__(self, other):
         if not isinstance(other, FiniteRandomVariable):
             return NotImplemented
-        return self.space == other.space and self.values == other.values
+        return self.space == other.space and self._scaled == other._scaled
 
     def __hash__(self):
-        return hash((self.space, self.values))
+        return hash((self.space, self._scaled))
 
     def __repr__(self):
         return "FiniteRandomVariable(%r)" % (list(self.values),)
@@ -135,9 +150,9 @@ def _mean_square_diff(f, g):
 
 def max_value(f):
     """Largest value on positive-weight atoms (the least bound r with f <= r)."""
-    nums = f._scaled[1]
+    den, nums = f._scaled
     best = max(nums)  # null atoms carry 0, so they never win
-    return f.values[nums.index(best)] if best > 0 else f.space.zero
+    return scalar.divider(f.space.backend)(best, den) if best > 0 else f.space.zero
 
 
 def cond_exp(g, s):

@@ -133,7 +133,7 @@ def map_from_obj(obj, what="map"):
 def measure_to_obj(mu):
     return {
         "space": space_to_obj(mu.space),
-        "mass": [scalar.to_json(m) for m in mu.mass],
+        "mass": scalar.scaled_to_json(*mu._scaled),
     }
 
 
@@ -149,7 +149,7 @@ def measure_from_obj(obj, space=None, what="measure"):
 def rv_to_obj(f):
     return {
         "space": space_to_obj(f.space),
-        "values": [scalar.to_json(v) for v in f.values],
+        "values": scalar.scaled_to_json(*f._scaled),
     }
 
 
@@ -241,12 +241,11 @@ def diagram_from_obj(obj, what="diagram"):
         return FiltrationDiagram(elements, leq, spaces, connect, top=top)
 
 
-def _family_to_obj(fam, attr):
+def _family_to_obj(fam):
     return {
         "diagram": diagram_to_obj(fam.diagram),
         "family": {
-            str(i): [scalar.to_json(v) for v in getattr(fam.family[i], attr)]
-            for i in fam.diagram.elements
+            str(i): scalar.scaled_to_json(*fam.family[i]._scaled) for i in fam.diagram.elements
         },
         "bound": scalar.to_json(fam.bound),
     }
@@ -264,7 +263,7 @@ def _family_from_obj(obj, what, family_type, level_type):
 
 
 def martingale_to_obj(m):
-    return _family_to_obj(m, "values")
+    return _family_to_obj(m)
 
 
 def martingale_from_obj(obj, what="martingale"):
@@ -272,7 +271,7 @@ def martingale_from_obj(obj, what="martingale"):
 
 
 def measure_family_to_obj(fam):
-    return _family_to_obj(fam, "mass")
+    return _family_to_obj(fam)
 
 
 def measure_family_from_obj(obj, what="measure family"):

@@ -11,6 +11,8 @@ exact backend all comparisons are decidable equalities on
 instead of coercing.  The probability kernels compute on one scaled form,
 (den, nums), on both backends (`scaled`, `divider`, `total`).  Spaces, random
 variables and measures store that form when built, and kernels read it there.
+An exact kernel output holds only its ints (`lowest`); its Fractions are built
+on first read, and `scaled_to_json` writes it out from the ints.
 """
 from __future__ import annotations
 
@@ -76,6 +78,19 @@ def to_json(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def scaled_to_json(den, nums):
+    """`[to_json(n / den) for n in nums]` from a scaled form, building no scalar:
+    per exact entry one gcd and the "num/den" text.  A den of 1 (every float
+    form) writes each entry as `to_json` does."""
+    if den == 1:
+        return [to_json(n) for n in nums]
+    out = []
+    for n in nums:
+        g = gcd(n, den)
+        out.append(str(n // g) if g == den else "%d/%d" % (n // g, den // g))
+    return out
+
+
 def check_tol(tol):
     """Raise ValueError unless `tol` is a finite real >= 0 (a bool is not one)."""
     if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)) or not 0 <= tol < inf:
@@ -127,10 +142,13 @@ def ratios(nums, dens, backend):
 
 
 def lowest(den, nums, backend, values=None, zeros=()):
-    """The scalars nums[i] / den, with 0 at the indices `zeros`, and their
-    scaled form in lowest terms, as `scaled` gives it: (values, (den, nums)).
-    One division per entry unless the caller has the `values` (0 at `zeros`
-    too); on the float backend the form is then (1, values), with no work."""
+    """The scaled form of the scalars nums[i] / den, with 0 at the indices
+    `zeros`, in lowest terms as `scaled` gives it, and the scalars:
+    (values, (den, nums)).  On the exact backend the scalars are the caller's
+    `values`, or None: no Fraction is built here, an exact kernel output
+    builds its own on first read.  On the float backend the form is
+    (1, values), with one division per entry unless the caller has them
+    (0 at `zeros` too)."""
     if zeros and (backend == EXACT or values is None):
         nums = list(nums)
         for i in zeros:
@@ -139,8 +157,7 @@ def lowest(den, nums, backend, values=None, zeros=()):
         values = tuple([n / den for n in nums]) if values is None else values
         return values, (1, values)
     g = gcd(den, *nums)
-    den, nums = den // g, tuple([n // g for n in nums])
-    return tuple([Fraction(n, den) for n in nums]) if values is None else values, (den, nums)
+    return values, (den // g, tuple([n // g for n in nums]))
 
 
 def divider(backend):

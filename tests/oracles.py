@@ -171,6 +171,48 @@ def total_mass_literal(mu):
     return total
 
 
+def value_eq_literal(x, y):
+    """Two random variables or measures are equal when they have one type and
+    one space and their tables agree atom by atom."""
+    if type(x) is not type(y) or x.space != y.space:
+        return False
+    xs, ys = (x.values, y.values) if hasattr(x, "values") else (x.mass, y.mass)
+    for a, b in zip(xs, ys):
+        if a != b:
+            return False
+    return True
+
+
+def pointwise_identities_literal(omega, fine, coarse, step, c_f, c_g, sf, sg):
+    """The product and square expansions of the second-moment report, on
+    scalars read atom by atom: (product_ok, square_ok)."""
+    tol, product_ok, square_ok = omega.tol, True, True
+    for w_atom in omega.atoms:
+        if not omega.weight(w_atom) > 0:
+            continue
+        lhs = sf.value(w_atom) * sg.value(w_atom)
+        rhs = omega.zero
+        for b in coarse.dst.atoms:
+            inner = omega.zero
+            for a in fine.dst.atoms:
+                if step.assign[a] == b and fine.assign[w_atom] == a:
+                    inner += c_f.value(a)
+            rhs += c_g.value(b) * inner
+        if not scalar.eq(lhs, rhs, tol):
+            product_ok = False
+            break
+    for w_atom in omega.atoms:
+        if not omega.weight(w_atom) > 0:
+            continue
+        if not scalar.eq(sg.value(w_atom) ** 2, c_g.value(coarse.assign[w_atom]) ** 2, tol):
+            square_ok = False
+            break
+        if not scalar.eq(sf.value(w_atom) ** 2, c_f.value(fine.assign[w_atom]) ** 2, tol):
+            square_ok = False
+            break
+    return product_ok, square_ok
+
+
 def as_equal_literal(f, g):
     """The mass of the atoms where the maps differ is zero (within tol)."""
     src = f.src

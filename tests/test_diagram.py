@@ -41,7 +41,13 @@ from catprob.finrv import (
     pullback,
     second_moment,
 )
-from catprob.sampling import rand_measure, rand_refining_chain, rand_rv, rand_space
+from catprob.sampling import (
+    rand_commuting_triangle,
+    rand_measure,
+    rand_refining_chain,
+    rand_rv,
+    rand_space,
+)
 
 from oracles import (
     bound_check_literal,
@@ -52,6 +58,7 @@ from oracles import (
     integral_abs_by_refinement,
     martingale_literal,
     measure_family_literal,
+    pointwise_identities_literal,
 )
 
 
@@ -964,6 +971,42 @@ class TestSecondMomentIdentities:
         fine, coarse, step = rand_commuting_triangle(rng, omega)
         x = rand_rv(rng, omega, bound=2)
         assert second_moment_identity_report(x, fine, coarse, step).ok
+
+    @pytest.mark.parametrize("backend", scalar.BACKENDS)
+    @settings(max_examples=60, deadline=None)
+    @given(rng=seeded_rng())
+    def test_pointwise_checks_match_literal_reads(self, backend, rng):
+        """With a lifted level kept, nudged at one atom or halved, the product
+        and square expansions (compared on scaled ints, cross-multiplied) give
+        what a check on scalars read atom by atom gives.  A halved exact level
+        keeps its numerators over twice the denominator."""
+        omega = rand_space(rng, backend=backend)
+        fine, coarse, step = rand_commuting_triangle(rng, omega)
+        x = rand_rv(rng, omega, bound=2)
+        nudge = F(1, 7) if backend == scalar.EXACT else rng.choice([1e-12, 1e-3])
+        seen = []
+
+        def record(kernel, change=None):
+            def run(f, s):
+                out = kernel(f, s)
+                if change == "nudge":
+                    values = list(out.values)
+                    values[rng.randrange(len(values))] += nudge
+                    out = FiniteRandomVariable(out.space, values)
+                elif change == "halve":
+                    out = FiniteRandomVariable(out.space, [v / 2 for v in out.values])
+                seen.append(out)
+                return out
+            return run
+
+        sf_change, sg_change = (rng.choice([None, None, "nudge", "halve"]) for _ in "fg")
+        lifts = iter([record(diagram.pullback, sf_change), record(diagram.pullback, sg_change)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagram, "cond_exp", record(diagram.cond_exp))
+            mp.setattr(diagram, "pullback", lambda f, s: next(lifts)(f, s))
+            rep = second_moment_identity_report(x, fine, coarse, step)
+        want = pointwise_identities_literal(omega, fine, coarse, step, *seen)
+        assert (rep.product_expansion, rep.square_expansion) == want
 
     def test_noncommuting_triangle_rejected(self):
         u4, u2 = uniform_space(4), uniform_space(2)

@@ -2,16 +2,15 @@
 
 On the exact backend every kernel must equal its oracle in `oracles.py`
 exactly; on the float backend it must match the same loop to the bit.  The
-count pins check that the exact kernels work on ints: at most one Fraction
-per output entry (one for a scalar), none for a valid map's check, for
-`as_equal` or for `max_value`, and no Fraction comparison at all in a kernel
-or in building a space, random variable or measure from valid input.  The
+count pins check that the exact kernels work on ints: no Fraction for a
+random variable or measure until its table is read, then at most one per
+entry; one for a scalar; none for a valid map's check or for `as_equal`, at
+most one for `max_value`; and no Fraction comparison at all in a kernel or
+in building a space, random variable or measure from valid input.  The
 value types keep their tables in scaled form, whichever path built them.
 """
 import contextlib
-import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, jsonio, sampling, scalar
+from catprob import errors, sampling, scalar
 from catprob.diagram import DyadicGround, make_dyadic
 from catprob.finmeas import (
     FiniteMeasure,
@@ -28,7 +27,6 @@ from catprob.finmeas import (
     pushforward,
     rho,
     rn_derivative,
-    truncate_measure,
     tv_distance,
 )
 from catprob.finprob import FiniteProbSpace, MeasurePreservingMap, as_equal
@@ -40,71 +38,18 @@ from catprob.finrv import (
     expectation,
     l1_distance,
     max_value,
-    pullback,
     second_moment,
-    truncate_rv,
 )
-
-
-@dataclass
-class Case:
-    space: FiniteProbSpace
-    map: MeasurePreservingMap
-    f: FiniteRandomVariable
-    g: FiniteRandomVariable
-    mu: FiniteMeasure
-    nu: FiniteMeasure
-    r: object
-
-
-_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16)
-
-
-def _fraction(rng, top):
-    """A rational in [0, top] with a mixed denominator; zero one time in four."""
-    if rng.random() < 0.25:
-        return F(0)
-    den = rng.choice(_DENOMINATORS)
-    return F(rng.randint(0, top * den), den)
-
-
-@st.composite
-def cases(draw, backend):
-    """A 1-64 atom space with null atoms and mixed denominators, a map onto a
-    space with possibly empty fibers, two random variables and two measures."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    num = (lambda q: q) if backend == scalar.EXACT else float
-    n = rng.randint(1, 64)
-    raw = [_fraction(rng, 3) for _ in range(n)]
-    if not any(raw):
-        raw[0] = F(1)
-    total = sum(raw)
-    weights = [num(q / total) for q in raw]
-    space = FiniteProbSpace(range(n), weights, backend=backend)
-    k = rng.randint(1, min(n, 8) + 1)
-    assign = {a: rng.randrange(k) for a in range(n)}
-    pushed = [space.zero] * k
-    for a, w in enumerate(weights):
-        pushed[assign[a]] += w
-    s = MeasurePreservingMap(space, FiniteProbSpace(range(k), pushed, backend=backend), assign)
-
-    def rv():
-        return FiniteRandomVariable(space, [num(_fraction(rng, 4)) for _ in range(n)])
-
-    def measure():
-        return FiniteMeasure(space, [w * num(_fraction(rng, 3)) for w in weights])
-
-    r = num(F(rng.randint(1, 32), 8))
-    return Case(space, s, rv(), rv(), measure(), measure(), r)
+from strategies import cases, every_route
 
 
 #: kernel name -> (library call, literal loop) on a Case
 KERNELS = {
     "cond_exp": (
-        lambda c: cond_exp(c.f, c.map).values, lambda c: oracles.cond_exp_literal(c.f, c.map)
+        lambda c: cond_exp(c.f, c.map), lambda c: oracles.cond_exp_literal(c.f, c.map)
     ),
     "pushforward": (
-        lambda c: pushforward(c.mu, c.map).mass,
+        lambda c: pushforward(c.mu, c.map),
         lambda c: oracles.pushforward_literal(c.mu.mass, c.map),
     ),
     "l1_distance": (lambda c: l1_distance(c.f, c.g), lambda c: oracles.l1_literal(c.f, c.g)),
@@ -122,8 +67,8 @@ KERNELS = {
         lambda c: _mean_square_diff(c.f, c.g),
         lambda c: oracles.mean_square_diff_literal(c.space, c.f.values, c.g.values),
     ),
-    "rho": (lambda c: rho(c.f).mass, lambda c: oracles.rho_literal(c.f)),
-    "rn_derivative": (lambda c: rn_derivative(c.mu).values, lambda c: oracles.rn_literal(c.mu)),
+    "rho": (lambda c: rho(c.f), lambda c: oracles.rho_literal(c.f)),
+    "rn_derivative": (lambda c: rn_derivative(c.mu), lambda c: oracles.rn_literal(c.mu)),
     "bound_check": (
         lambda c: [bound_check(c.mu, r) for r in (c.r, 0)],
         lambda c: [oracles.bound_check_literal(c.mu, r) for r in (c.r, 0)],
@@ -134,6 +79,13 @@ KERNELS = {
     "max_value": (lambda c: max_value(c.f), lambda c: oracles.max_value_literal(c.f)),
     "measure_total": (lambda c: c.mu.total(), lambda c: oracles.total_mass_literal(c.mu)),
 }
+
+
+def _table(result):
+    """A kernel's random variable or measure read as its table; any other result as it is."""
+    if isinstance(result, FiniteRandomVariable):
+        return result.values
+    return result.mass if isinstance(result, FiniteMeasure) else result
 
 
 def _bits(x):
@@ -153,7 +105,7 @@ def _same(got, want):
 def test_kernels_match_literal_loops(backend, data):
     case = data.draw(cases(backend))
     for name, (kernel, literal) in KERNELS.items():
-        got, want = kernel(case), literal(case)
+        got, want = _table(kernel(case)), literal(case)
         assert _same(got, want), (name, got, want)
 
 
@@ -227,14 +179,21 @@ def test_exact_kernels_build_one_fraction_per_entry(data):
     for name, (kernel, _) in KERNELS.items():
         with fractions_built() as count:
             result = kernel(case)
+        if isinstance(result, (FiniteRandomVariable, FiniteMeasure)):
+            assert count[0] == 0, name  # none until the table is read
+            with fractions_built() as count:
+                result = _table(result)
         assert count[0] <= _entries(result), (name, count[0])
     s = case.map
     t = sampling.rand_parallel_map(random.Random(data.draw(st.integers(0, 2**16))), s)
     with fractions_built() as count:
         MeasurePreservingMap(s.src, s.dst, s.assign)
         as_equal(s, t)
-        max_value(case.f)
     assert count[0] == 0
+    for f in (case.f, cond_exp(case.f, s)):
+        with fractions_built() as count:
+            max_value(f)
+        assert count[0] <= 1
     with fractions_built() as count:
         case.mu.total()
     assert count[0] == 1
@@ -270,7 +229,7 @@ def test_exact_kernels_and_constructors_compare_no_fractions(data):
     case = data.draw(cases(scalar.EXACT))
     for name, (kernel, _) in KERNELS.items():
         with fractions_compared() as count:
-            kernel(case)
+            _table(kernel(case))
         assert count[0] == 0, name
     space = case.space
     raw = [x + 1 for x in case.f.values]  # nonzero on the null atoms too
@@ -293,6 +252,18 @@ def test_dyadic_levels_compare_a_constant_number_of_fractions():
     assert counts[2] - counts[1] == counts[1] - counts[0] <= 16, counts
 
 
+def test_dyadic_levels_build_a_constant_number_of_fractions():
+    """Each level builds the same few Fractions (its space, l1 error, bound
+    check and residual), none per atom: a level's values stay ints."""
+    counts = []
+    for depth in (6, 7, 8):
+        with fractions_built() as count:
+            make_dyadic(DyadicGround.affine(0, 1), depth)
+        counts.append(count[0])
+    assert counts[2] - counts[1] == counts[1] - counts[0] <= 16, counts
+    assert counts[2] < 2**8 // 2, counts
+
+
 def _keeps_scaled_form(x, table):
     backend = x.space.backend
     assert x._scaled == scalar.scaled(table, backend), x
@@ -301,41 +272,14 @@ def _keeps_scaled_form(x, table):
         assert x._scaled == (1, table) and x._scaled[1] is table
 
 
-def _roundtrip(x, to_obj, from_obj):
-    return from_obj(json.loads(json.dumps(to_obj(x))))
-
-
 @pytest.mark.parametrize("backend", scalar.BACKENDS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_value_types_keep_their_scaled_form(backend, data):
     """User-built values, every kernel output and JSON round trips, on spaces
     with null atoms: `_scaled` is `scalar.scaled` of the stored table."""
-    case = data.draw(cases(backend))
-    space, s = case.space, case.map
-    raw = [x + y for x, y in zip(case.f.values, case.g.values)]
-    masses = list(case.mu.mass)
-    rvs = [
-        FiniteRandomVariable(space, raw),
-        FiniteRandomVariable(space, dict(zip(space.atoms, raw))),
-        cond_exp(case.f, s),
-        pullback(cond_exp(case.g, s), s),
-        rn_derivative(case.mu),
-        truncate_rv(case.f, case.r),
-        _roundtrip(case.f, jsonio.rv_to_obj, jsonio.rv_from_obj),
-    ]
-    measures = [
-        FiniteMeasure(space, masses),
-        FiniteMeasure(space, dict(zip(space.atoms, masses))),
-        pushforward(case.mu, s),
-        rho(case.f),
-        truncate_measure(case.mu, case.r),
-        _roundtrip(case.mu, jsonio.measure_to_obj, jsonio.measure_from_obj),
-    ]
-    for f in rvs:
-        _keeps_scaled_form(f, f.values)
-    for mu in measures:
-        _keeps_scaled_form(mu, mu.mass)
+    for x in every_route(data.draw(cases(backend))):
+        _keeps_scaled_form(x, _table(x))
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,35 @@ def test_to_json(value, text):
     assert out == text and type(out) is type(text)
 
 
+def _rho_form(weights, values):
+    """rho's kernel output before `scalar.lowest` reduces it: not in lowest terms."""
+    (wden, ws), (den, xs) = scalar.scaled(weights), scalar.scaled(values)
+    return den * wden, [x * w for x, w in zip(xs, ws)]
+
+
+@pytest.mark.parametrize(
+    "den, nums",
+    [
+        (1, [0, 0, 0]),
+        (1, [3, 0, 12]),
+        (6, [0, 6, 12, 3, 2, 5]),
+        (12, [0, 4, 8, 24]),
+        _rho_form([F(1, 2), F(1, 4), F(1, 4)], [F(2, 3), 0, F(4)]),
+        _rho_form([F(1, 6), F(1, 3), F(1, 2)], [F(3), F(3, 2), F(1, 3)]),
+    ],
+)
+def test_scaled_to_json_writes_what_to_json_writes(den, nums):
+    out = scalar.scaled_to_json(den, nums)
+    assert out == [scalar.to_json(F(n, den)) for n in nums]
+    assert all(type(x) is str for x in out)
+
+
+def test_scaled_to_json_passes_floats_through():
+    nums = (0.25, 0.0, 1 / 3, -0.0, 5.0)
+    out = scalar.scaled_to_json(1, nums)
+    assert [x.hex() for x in out] == [x.hex() for x in nums]
+
+
 #: The only places the probability side may test which backend it is on:
 #: the tol rule, the float re-check of a composite (drift adds up along a
 #: path) and the float maximum of the density bound.

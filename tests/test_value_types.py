@@ -4,13 +4,17 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from catprob import errors, scalar
 from catprob.diagram import DyadicGround, FiltrationDiagram, make_dyadic, restrict_measure
 from catprob.finmeas import FiniteMeasure, make_measure
 from catprob.finprob import make_map, make_space, uniform_space
 from catprob.finrv import FiniteRandomVariable, make_rv
 from catprob.metcat import FinPseudometricSpace, LipschitzMap, identity_lipschitz
+from strategies import cases, every_route, kernel_outputs
 
 
 def _dyadic():
@@ -185,3 +189,66 @@ class TestNullAtomZeros:
         f = FiniteRandomVariable(s, [F(1, 3), F(1, 7), F(1, 2)])
         assert f.values == (F(1, 3), 0, F(1, 2))
         assert f._scaled == (6, (2, 0, 3)) == scalar.scaled(f.values)
+
+
+def _table_name(x):
+    return "values" if isinstance(x, FiniteRandomVariable) else "mass"
+
+
+class TestLazyTables:
+    """An exact kernel output holds only `_scaled` until its table is read;
+    the table is read-only, and on floats it is `_scaled[1]` itself."""
+
+    def _check_table(self, x):
+        name, (den, nums) = _table_name(x), x._scaled
+        backend = x.space.backend
+        if backend == scalar.EXACT:
+            assert x._table is None
+        table = getattr(x, name)
+        want = tuple(scalar.divider(backend)(n, den) for n in nums)
+        assert [(type(v), v) for v in table] == [(type(v), v) for v in want]
+        assert getattr(x, name) is table
+        if backend == scalar.FLOAT:
+            assert table is nums
+        with pytest.raises(AttributeError):
+            setattr(x, name, table)
+
+    @pytest.mark.parametrize("backend", scalar.BACKENDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_kernel_outputs(self, backend, data):
+        for x in kernel_outputs(data.draw(cases(backend))):
+            self._check_table(x)
+
+    def test_dyadic_levels(self):
+        _, m = make_dyadic(DyadicGround([0, "1/3", 1], [0, 1, "1/2"]), 5)
+        for level in m.family.values():
+            self._check_table(level)
+
+    def test_user_built_tables_keep_the_given_scalars(self):
+        given_ = [F(1, 3), F(2), F(0)]
+        s = make_space(["a", "b", "c"], ["1/2", "1/4", "1/4"])
+        f, mu = FiniteRandomVariable(s, given_), FiniteMeasure(s, given_[::-1])
+        assert all(v is w for v, w in zip(f.values, given_))
+        assert all(v is w for v, w in zip(mu.mass, given_[::-1]))
+        for x in (f, mu):
+            with pytest.raises(AttributeError):
+                setattr(x, _table_name(x), ())
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_equality_and_hash_agree_with_the_tables(backend, data):
+    """`==` and `hash` read the canonical scaled form: they agree with a
+    comparison of the tables, and build no table of an unread kernel output."""
+    xs = every_route(data.draw(cases(backend)))
+    unread = [x for x in xs if x._table is None]
+    got = [[x == y for y in xs] for x in xs]
+    hashes = [hash(x) for x in xs]
+    assert all(x._table is None for x in unread)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            want = oracles.value_eq_literal(x, y)
+            assert got[i][j] is want, (x, y)
+            assert not want or hashes[i] == hashes[j], (x, y)
