@@ -4,7 +4,8 @@ Total variation is the atomwise l1 sum (the atomic partition attains the
 partition supremum on finite spaces; the brute-force supremum survives as a
 test oracle).  `rho` and `rn_derivative` are the two directions of the
 density correspondence between random variables and measures: multiply by
-the weights / divide by the weights, atom by atom.
+the weights / divide by the weights, atom by atom.  A measure and a random
+variable are one table type (`finrv._AtomTable`), built and stored alike.
 """
 from __future__ import annotations
 
@@ -14,47 +15,26 @@ from operator import mul, sub
 from . import scalar
 from .errors import SpaceMismatch
 from .finprob import _fiber_sums
-from .finrv import FiniteRandomVariable, _check, _entries, _lazy_table
+from .finrv import FiniteRandomVariable, _AtomTable
 
 
-class FiniteMeasure:
-    """Atom-indexed nonnegative masses; zero wherever the base weight is zero.
-    Kept also in scaled form, `_scaled == scalar.scaled(mass)`, for the kernels;
-    `mass` is read-only, stored and compared as `FiniteRandomVariable.values`."""
+class FiniteMeasure(_AtomTable):
+    """Nonnegative masses, one per atom, read-only as `mass`; zero wherever the
+    base weight is zero (absolute continuity is a type invariant)."""
 
-    __slots__ = ("space", "_table", "_scaled")
+    __slots__ = ()
+    _null_zero, _words = False, ("mass", "mass", "masses")
 
-    mass = property(_lazy_table)
+    mass = property(_AtomTable._read)
 
     def __init__(self, space, mass):
-        self.space = space
-        self._table, self._scaled = _entries(space, mass, ("mass", "mass", "masses"), False)
-
-    @classmethod
-    def _from_scaled(cls, space, den, nums):
-        """Build from a kernel's ints (den, nums), with `__init__`'s checks."""
-        mu = object.__new__(cls)
-        mu.space = space
-        _check(space, den, nums, "mass", False)
-        mu._table, mu._scaled = scalar.lowest(den, nums, space.backend)
-        return mu
+        _AtomTable.__init__(self, space, mass)
 
     def mass_of(self, atom):
         return self.mass[self.space.index(atom)]
 
     def total(self):
         return scalar.divider(self.space.backend)(scalar.total(self._scaled[1]), self._scaled[0])
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteMeasure):
-            return NotImplemented
-        return self.space == other.space and self._scaled == other._scaled
-
-    def __hash__(self):
-        return hash((self.space, self._scaled))
-
-    def __repr__(self):
-        return "FiniteMeasure(%r)" % (list(self.mass),)
 
 
 def make_measure(space, mass):

@@ -126,7 +126,8 @@ def uniform_space(atoms, backend=scalar.EXACT):
         atoms = range(atoms)
     atoms = tuple(atoms)
     n = len(atoms)
-    return FiniteProbSpace(atoms, [scalar.divider(backend)(1, n)] * n, backend=backend)
+    weights = [scalar.divider(backend)(1, n)] * n if n else []  # no atoms: sum 0, rejected
+    return FiniteProbSpace(atoms, weights, backend=backend)
 
 
 def _fiber_sums(src, assign, values, targets):

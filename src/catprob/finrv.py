@@ -2,7 +2,8 @@
 conditional expectation along a measure-preserving map, truncation.
 
 Values are canonicalized to 0 on weight-zero atoms, so equality of the
-stored tables is exactly almost-sure equality.
+stored tables is exactly almost-sure equality.  `_AtomTable` is the table
+type random variables share with measures (`finmeas`).
 """
 from __future__ import annotations
 
@@ -14,44 +15,71 @@ from .errors import NegativeValue, NotAbsolutelyContinuous, SpaceMismatch
 from .finprob import _fiber_sums
 
 
-def _lazy_table(x):
-    """The table of a random variable or measure; an exact kernel output
-    stores only `_scaled` and builds its Fractions here, once."""
-    if x._table is None:
-        den, nums = x._scaled
-        x._table = tuple([Fraction(n, den) for n in nums])
-    return x._table
-
-
-class FiniteRandomVariable:
-    """Atom-indexed table of nonnegative values on a finite space, kept also
-    in scaled form, `_scaled == scalar.scaled(values)`, for the kernels.
-    `values` is read-only: a user-built table keeps the scalars it was given,
-    an exact kernel output builds its Fractions from `_scaled` on first read.
-    Equality and hashing read `_scaled`, which is canonical (in lowest terms)."""
+class _AtomTable:
+    """An atom-indexed nonnegative table, what random variables and measures
+    both store: its scaled form `_scaled` (den, nums), in lowest terms as
+    `scalar.scaled` gives it, which the kernels, `==` and `hash` read.  Every
+    table is built by `_build`, from a user's table (`__init__`) or a kernel's
+    form (`_from_scaled`).  An exact table holds only ints and builds its
+    Fractions on the first read of its read-only table; a float table is
+    `_scaled[1]`.  Per type: `_null_zero` (a random variable reads 0 on a
+    weight-zero atom, a measure may carry no mass there) and the error words."""
 
     __slots__ = ("space", "_table", "_scaled")
 
-    values = property(_lazy_table)
-
-    def __init__(self, space, values):
-        self.space = space
-        self._table, self._scaled = _entries(space, values, ("value", "values", "values"))
+    def __init__(self, space, table):
+        """A list, or a dict by atom, coerced and scaled."""
+        if type(table) is not list:
+            if isinstance(table, dict):
+                missing = [a for a in space.atoms if a not in table]
+                if missing:
+                    raise SpaceMismatch("%s missing for atoms %r" % (self._words[1], missing[:4]))
+                if len(table) != len(space.atoms):
+                    unknown = [a for a in table if a not in space._index]
+                    raise SpaceMismatch("%s given for unknown atoms %r" % (self._words[1], unknown[:4]))
+                table = [table[a] for a in space.atoms]
+            elif isinstance(table, str):
+                raise SpaceMismatch("%s must be a list or a dict by atom, not a string" % self._words[1])
+            else:
+                table = list(table)
+        if len(table) != len(space.atoms):
+            raise SpaceMismatch("%d %s for a %d-atom space" % (len(table), self._words[2], space.size))
+        coerce, backend = scalar.coerce, space.backend
+        den, nums = scalar.scaled(tuple([coerce(v, backend) for v in table]), backend)
+        self._build(space, den, nums)
 
     @classmethod
     def _from_scaled(cls, space, den, nums):
-        """Build from a kernel's ints (den, nums), with `__init__`'s checks and null-atom zeros."""
-        f = object.__new__(cls)
-        f.space = space
-        _check(space, den, nums, "value")
-        f._table, f._scaled = scalar.lowest(den, nums, space.backend, zeros=space._nulls)
-        return f
+        """Build from a kernel's scaled form, with nums a list."""
+        x = object.__new__(cls)
+        x._build(space, den, nums)
+        return x
 
-    def value(self, atom):
-        return self.values[self.space.index(atom)]
+    def _build(self, space, den, nums):
+        """Store (den, nums) after one sign and null-atom check, a C-level test on a
+        valid table; only a failing table is walked, to name its first bad atom."""
+        nulls = space._nulls
+        if min(nums) < 0 or not self._null_zero and any([nums[i] for i in nulls]):
+            div = scalar.divider(space.backend)
+            for a, n, w in zip(space.atoms, nums, space._scaled[1]):
+                if n < 0:
+                    raise NegativeValue("%s at atom %r is %s < 0" % (self._words[0], a, div(n, den)))
+                if not (w or self._null_zero or n == 0):
+                    raise NotAbsolutelyContinuous("atom %r has weight 0 but mass %s" % (a, div(n, den)))
+        self.space = space
+        self._table, self._scaled = scalar.lowest(
+            den, nums, space.backend, nulls if self._null_zero else ()
+        )
+
+    def _read(self):
+        """The table; an exact one builds its Fractions here, once."""
+        if self._table is None:
+            den, nums = self._scaled
+            self._table = tuple([Fraction(n, den) for n in nums])
+        return self._table
 
     def __eq__(self, other):
-        if not isinstance(other, FiniteRandomVariable):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.space == other.space and self._scaled == other._scaled
 
@@ -59,41 +87,23 @@ class FiniteRandomVariable:
         return hash((self.space, self._scaled))
 
     def __repr__(self):
-        return "FiniteRandomVariable(%r)" % (list(self.values),)
+        return "%s(%r)" % (type(self).__name__, list(self._read()))
 
 
-def _entries(space, table, words, null_zero=True):
-    """A user's table (a list, or a dict by atom) coerced, checked and scaled; `words` name it."""
-    if isinstance(table, dict):
-        missing = [a for a in space.atoms if a not in table]
-        if missing:
-            raise SpaceMismatch("%s missing for atoms %r" % (words[1], missing[:4]))
-        table = [table[a] for a in space.atoms]
-    elif len(table := list(table)) != space.size:
-        raise SpaceMismatch("%d %s for a %d-atom space" % (len(table), words[2], space.size))
-    coerce, backend = scalar.coerce, space.backend
-    vals = tuple([coerce(v, backend) for v in table])
-    den, nums = scaled = scalar.scaled(vals, backend)
-    _check(space, den, nums, words[0], null_zero)
-    if null_zero and space._nulls:  # canonical representative: null atoms carry 0
-        vals = list(vals)
-        for i in space._nulls:
-            vals[i] = space.zero
-        return scalar.lowest(den, nums, backend, tuple(vals), space._nulls)
-    return vals, scaled
+class FiniteRandomVariable(_AtomTable):
+    """Nonnegative values, one per atom, read-only as `values`; canonically 0 on
+    weight-zero atoms, so equality of tables is almost-sure equality."""
 
+    __slots__ = ()
+    _null_zero, _words = True, ("value", "values", "values")
 
-def _check(space, den, nums, what, null_zero=True):
-    """Raise at a scaled table's first negative entry (or, unless `null_zero`, nonzero one on
-    a null atom); a valid table passes one C-level test."""
-    nulls = space._nulls
-    if min(nums) < 0 or not null_zero and any([nums[i] for i in nulls]):
-        div = scalar.divider(space.backend)
-        for a, n, w in zip(space.atoms, nums, space._scaled[1]):
-            if n < 0:
-                raise NegativeValue("%s at atom %r is %s < 0" % (what, a, div(n, den)))
-            if not (w or null_zero or n == 0):
-                raise NotAbsolutelyContinuous("atom %r has weight 0 but mass %s" % (a, div(n, den)))
+    values = property(_AtomTable._read)
+
+    def __init__(self, space, values):
+        _AtomTable.__init__(self, space, values)
+
+    def value(self, atom):
+        return self.values[self.space.index(atom)]
 
 
 def make_rv(space, values):

@@ -130,34 +130,34 @@ def map_from_obj(obj, what="map"):
 # -- measures and random variables ---------------------------------------------------
 
 
-def measure_to_obj(mu):
-    return {
-        "space": space_to_obj(mu.space),
-        "mass": scalar.scaled_to_json(*mu._scaled),
-    }
+def _table_to_obj(x, field):
+    return {"space": space_to_obj(x.space), field: scalar.scaled_to_json(*x._scaled)}
 
 
-def measure_from_obj(obj, space=None, what="measure"):
+def _table_from_obj(obj, space, what, table_type, field):
+    """A random variable or measure; an embedded space must equal a supplied one."""
     with _guard(what):
         if space is None:
             space = space_from_obj(_need(obj, "space", what), what + ".space")
         elif "space" in obj and space_from_obj(obj["space"], what + ".space") != space:
             raise ParseError("%s: embedded space disagrees with the supplied one" % what)
-        return FiniteMeasure(space, _need_list(obj, "mass", what))
+        return table_type(space, _need_list(obj, field, what))
+
+
+def measure_to_obj(mu):
+    return _table_to_obj(mu, "mass")
+
+
+def measure_from_obj(obj, space=None, what="measure"):
+    return _table_from_obj(obj, space, what, FiniteMeasure, "mass")
 
 
 def rv_to_obj(f):
-    return {
-        "space": space_to_obj(f.space),
-        "values": scalar.scaled_to_json(*f._scaled),
-    }
+    return _table_to_obj(f, "values")
 
 
 def rv_from_obj(obj, space=None, what="rv"):
-    if space is None:
-        space = space_from_obj(_need(obj, "space", what), what + ".space")
-    with _guard(what):
-        return FiniteRandomVariable(space, _need_list(obj, "values", what))
+    return _table_from_obj(obj, space, what, FiniteRandomVariable, "values")
 
 
 # -- metric spaces --------------------------------------------------------------------

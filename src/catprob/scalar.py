@@ -11,8 +11,9 @@ exact backend all comparisons are decidable equalities on
 instead of coercing.  The probability kernels compute on one scaled form,
 (den, nums), on both backends (`scaled`, `divider`, `total`).  Spaces, random
 variables and measures store that form when built, and kernels read it there.
-An exact kernel output holds only its ints (`lowest`); its Fractions are built
-on first read, and `scaled_to_json` writes it out from the ints.
+An exact random variable or measure holds only its ints (`lowest`); its
+Fractions are built on first read, and `scaled_to_json` writes it out from
+the ints.
 """
 from __future__ import annotations
 
@@ -141,23 +142,25 @@ def ratios(nums, dens, backend):
     return den, [n * (den // d) for n, d in zip(nums, dens)]
 
 
-def lowest(den, nums, backend, values=None, zeros=()):
-    """The scaled form of the scalars nums[i] / den, with 0 at the indices
-    `zeros`, in lowest terms as `scaled` gives it, and the scalars:
-    (values, (den, nums)).  On the exact backend the scalars are the caller's
-    `values`, or None: no Fraction is built here, an exact kernel output
-    builds its own on first read.  On the float backend the form is
-    (1, values), with one division per entry unless the caller has them
-    (0 at `zeros` too)."""
-    if zeros and (backend == EXACT or values is None):
+def lowest(den, nums, backend, zeros=()):
+    """(table, (den, nums)): the form with 0 at the indices `zeros`, in lowest
+    terms as `scaled` gives it, and the table to store, None on the exact
+    backend (the Fractions are built on first read) and nums on the float one.
+    A tuple is a form from `scaled`, already in lowest terms and of floats.  A
+    list is a kernel's: reduced on the exact backend, and divided out on the
+    float one, which also makes floats of the int 0s a kernel may sum to."""
+    given, exact = type(nums) is tuple, backend == EXACT
+    if zeros:
         nums = list(nums)
         for i in zeros:
-            nums[i] = 0
-    if backend != EXACT:
-        values = tuple([n / den for n in nums]) if values is None else values
-        return values, (1, values)
-    g = gcd(den, *nums)
-    return values, (den // g, tuple([n // g for n in nums]))
+            nums[i] = 0 if exact else 0.0
+    if not exact:
+        nums = tuple(nums) if given else tuple([n / den for n in nums])
+        return nums, (1, nums)
+    if zeros or not given:
+        g = gcd(den, *nums)
+        den, nums = den // g, tuple([n // g for n in nums] if g > 1 else nums)
+    return None, (den, nums)
 
 
 def divider(backend):

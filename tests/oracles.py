@@ -3,17 +3,26 @@
 These stay deliberately literal: enumerate partitions, enumerate subsets,
 integrate by refinement.  They share no code path with the library versions,
 except the old composite fill and the copies of the old family constructors
-at the end, which call the library's `compose` and kernels as they did.
+near the end, which call the library's `compose` and kernels as they did,
+and the copies of the old random-variable and measure constructors at the
+end, which call `scalar.coerce` and `scalar.scaled` as they did.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
 from catprob import scalar
 from catprob.diagram import is_martingale
-from catprob.errors import IndexMismatch, Inconsistent, NegativeValue, SpaceMismatch
+from catprob.errors import (
+    IndexMismatch,
+    Inconsistent,
+    NegativeValue,
+    NotAbsolutelyContinuous,
+    SpaceMismatch,
+)
 from catprob.finmeas import _density_bound, bound_check, pushforward, tv_distance
 from catprob.finprob import compose, identity_map
 from catprob.finrv import max_value
@@ -539,3 +548,78 @@ def measure_family_literal(diagram, family, bound=None):
                 "restriction fails at %r <= %r with residual %s" % (i, j, gap)
             )
     return family, bound, "ConsistentMeasureFamily(levels=%r, bound=%s)" % (list(family), bound)
+
+
+# -- the construction of random variables and measures before they shared one route --
+# Copies of the old `scalar.lowest`, `finrv._check` and `finrv._entries`, and of
+# the old `__init__` and `_from_scaled` of each type, which called them.  Each
+# returns what the old object stored, (table, (den, nums)), with an exact
+# kernel output's table (stored as None) built as the old property built it.
+
+
+def _old_lowest(den, nums, backend, values=None, zeros=()):
+    if zeros and (backend == scalar.EXACT or values is None):
+        nums = list(nums)
+        for i in zeros:
+            nums[i] = 0
+    if backend != scalar.EXACT:
+        values = tuple([n / den for n in nums]) if values is None else values
+        return values, (1, values)
+    g = math.gcd(den, *nums)
+    return values, (den // g, tuple([n // g for n in nums]))
+
+
+def _old_check(space, den, nums, what, null_zero=True):
+    nulls = space._nulls
+    if min(nums) < 0 or not null_zero and any([nums[i] for i in nulls]):
+        div = scalar.divider(space.backend)
+        for a, n, w in zip(space.atoms, nums, space._scaled[1]):
+            if n < 0:
+                raise NegativeValue("%s at atom %r is %s < 0" % (what, a, div(n, den)))
+            if not (w or null_zero or n == 0):
+                raise NotAbsolutelyContinuous("atom %r has weight 0 but mass %s" % (a, div(n, den)))
+
+
+def _old_entries(space, table, words, null_zero=True):
+    if isinstance(table, dict):
+        missing = [a for a in space.atoms if a not in table]
+        if missing:
+            raise SpaceMismatch("%s missing for atoms %r" % (words[1], missing[:4]))
+        table = [table[a] for a in space.atoms]
+    elif len(table := list(table)) != space.size:
+        raise SpaceMismatch("%d %s for a %d-atom space" % (len(table), words[2], space.size))
+    coerce, backend = scalar.coerce, space.backend
+    vals = tuple([coerce(v, backend) for v in table])
+    den, nums = scaled = scalar.scaled(vals, backend)
+    _old_check(space, den, nums, words[0], null_zero)
+    if null_zero and space._nulls:
+        vals = list(vals)
+        for i in space._nulls:
+            vals[i] = space.zero
+        return _old_lowest(den, nums, backend, tuple(vals), space._nulls)
+    return vals, scaled
+
+
+def _old_read(stored):
+    table, (den, nums) = stored
+    if table is None:
+        table = tuple([Fraction(n, den) for n in nums])
+    return table, (den, nums)
+
+
+def rv_init_literal(space, values):
+    return _old_read(_old_entries(space, values, ("value", "values", "values")))
+
+
+def measure_init_literal(space, mass):
+    return _old_read(_old_entries(space, mass, ("mass", "mass", "masses"), False))
+
+
+def rv_from_scaled_literal(space, den, nums):
+    _old_check(space, den, nums, "value")
+    return _old_read(_old_lowest(den, nums, space.backend, zeros=space._nulls))
+
+
+def measure_from_scaled_literal(space, den, nums):
+    _old_check(space, den, nums, "mass", False)
+    return _old_read(_old_lowest(den, nums, space.backend))

@@ -39,6 +39,15 @@ class TestMakeSpace:
         with pytest.raises(errors.WeightSumMismatch):
             make_space(["a", "b"], [F(1, 4), F(1, 4)])
 
+    @pytest.mark.parametrize("backend", scalar.BACKENDS)
+    def test_uniform_space_with_no_atoms(self, backend):
+        with pytest.raises(errors.WeightSumMismatch) as want:
+            make_space([], [], backend=backend)
+        for atoms in (0, []):
+            with pytest.raises(errors.WeightSumMismatch) as got:
+                uniform_space(atoms, backend=backend)
+            assert str(got.value) == str(want.value)
+
     def test_negative_weight(self):
         with pytest.raises(errors.NegativeWeight):
             make_space(["a", "b"], [F(-1, 4), F(5, 4)])

@@ -212,6 +212,19 @@ def test_string_for_an_array_is_parse_error(decode, path):
         decode(doc)
 
 
+@pytest.mark.parametrize(
+    "to_obj, from_obj",
+    [(jsonio.rv_to_obj, jsonio.rv_from_obj), (jsonio.measure_to_obj, jsonio.measure_from_obj)],
+)
+def test_embedded_space_must_match_a_supplied_one(to_obj, from_obj):
+    x = _M.family[1] if to_obj is jsonio.rv_to_obj else _FAM.family[1]
+    obj = json.loads(json.dumps(to_obj(x)))
+    assert from_obj(obj, space=x.space) == x
+    other = make_space(x.space.atoms, ["1/4", "3/4"])
+    with pytest.raises(errors.ParseError, match="embedded space disagrees"):
+        from_obj(obj, space=other)
+
+
 def test_values_string_is_not_read_per_character():
     s = make_space(["a", "b"], ["1/2", "1/2"])
     with pytest.raises(errors.ParseError, match="'values' must be an array"):

@@ -7,7 +7,8 @@ random variable or measure until its table is read, then at most one per
 entry; one for a scalar; none for a valid map's check or for `as_equal`, at
 most one for `max_value`; and no Fraction comparison at all in a kernel or
 in building a space, random variable or measure from valid input.  The
-value types keep their tables in scaled form, whichever path built them.
+value types keep their tables in scaled form, whichever path built them, and
+their one construction route stores or raises what the old two did.
 """
 import contextlib
 import random
@@ -320,3 +321,63 @@ def test_both_constructors_word_a_bad_entry_alike(backend, data):
             with pytest.raises(error) as info:
                 build(space, table)
             assert str(info.value) == want
+
+
+def _outcome(build, space, *args):
+    """A construction's error by type and text, or what it stores: the scaled
+    form and the table, each entry by type and value (a float by its bits)."""
+    try:
+        got = build(space, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, tuple):  # an oracle's (table, scaled form)
+        table, (den, nums) = got
+    else:
+        table, (den, nums) = _table(got), got._scaled
+    return type(table), [_bits(x) for x in table], den, type(nums), [_bits(n) for n in nums]
+
+
+#: type -> (its old `__init__`, its old `_from_scaled`), copied in `oracles.py`
+_OLD_ROUTES = {
+    FiniteRandomVariable: (oracles.rv_init_literal, oracles.rv_from_scaled_literal),
+    FiniteMeasure: (oracles.measure_init_literal, oracles.measure_from_scaled_literal),
+}
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_route_matches_the_old_constructors(backend, data):
+    """`__init__` on a list or a dict, and `_from_scaled` on a kernel's form,
+    store or raise what the old constructors did: with null atoms, a negative
+    entry, mass on a null atom, -0.0, and every input type a scalar may have."""
+    case = data.draw(cases(backend))
+    space, draw = case.space, data.draw
+    idx = st.integers(0, space.size - 1)
+    nulls = [i for i, w in enumerate(space._scaled[1]) if not w]
+    for cls, given_ in ((FiniteRandomVariable, case.f.values), (FiniteMeasure, case.mu.mass)):
+        table = list(given_)
+        for fault in draw(st.lists(st.sampled_from(["negative", "null", "-0.0", "text"]), max_size=3)):
+            i = draw(idx)
+            if fault == "negative":
+                table[i] = -case.r
+            elif fault == "null" and nulls:
+                table[draw(st.sampled_from(nulls))] = case.r
+            elif fault == "-0.0" and backend == scalar.FLOAT:
+                table[i] = -0.0
+            elif fault == "text":  # "num/den", or an int, as a user may write it
+                q = F(table[i])
+                table[i] = "%d/%d" % (q.numerator, q.denominator) if q.denominator > 1 else int(q)
+        if draw(st.booleans()):
+            table = dict(zip(space.atoms, table))
+        old_init, old_from_scaled = _OLD_ROUTES[cls]
+        assert _outcome(cls, space, table) == _outcome(old_init, space, table)
+        values = table.values() if isinstance(table, dict) else table
+        den, nums = scalar.scaled([scalar.coerce(v, backend) for v in values], backend)
+        k = draw(st.integers(1, 6))  # a kernel's form need not be in lowest terms
+        nums = [n * k for n in nums] if backend == scalar.EXACT else [
+            0 if n == 0 and draw(st.booleans()) else n for n in nums  # the int 0 of an empty fiber
+        ]
+        den *= k if backend == scalar.EXACT else 1
+        got = _outcome(cls._from_scaled, space, den, list(nums))
+        assert got == _outcome(old_from_scaled, space, den, list(nums))

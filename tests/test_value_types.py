@@ -15,6 +15,7 @@ from catprob.finprob import make_map, make_space, uniform_space
 from catprob.finrv import FiniteRandomVariable, make_rv
 from catprob.metcat import FinPseudometricSpace, LipschitzMap, identity_lipschitz
 from strategies import cases, every_route, kernel_outputs
+from test_kernels import fractions_built
 
 
 def _dyadic():
@@ -96,6 +97,14 @@ def test_ne_is_the_negation_of_eq(a, b, c):
     assert a != 0
 
 
+def test_a_random_variable_never_equals_a_measure():
+    s = uniform_space(2)
+    for table in ([0, 0], [1, "1/2"]):
+        f, mu = FiniteRandomVariable(s, table), FiniteMeasure(s, table)
+        assert f._scaled == mu._scaled
+        assert f != mu and mu != f and not (f == mu) and not (mu == f)
+
+
 class TestTolerance:
     @pytest.mark.parametrize("tol", [True, -1, -1e-9, math.nan, math.inf, "0", None])
     def test_metric_space_rejects(self, tol):
@@ -143,6 +152,25 @@ class TestFloatScalars:
         s = self._space()
         assert FiniteRandomVariable(s, [1, F(1, 4)]).values == (1.0, 0.25)
         assert make_rv(s, ["3/4", 0.5]).values == (0.75, 0.5)
+
+
+@pytest.mark.parametrize("cls", [FiniteRandomVariable, FiniteMeasure])
+class TestTableShape:
+    """A user's table is a list, or a dict by atom, with one entry per atom."""
+
+    def test_unknown_atoms_are_named(self, cls):
+        s = uniform_space(["a", "b"])
+        table = {"a": 0, "b": 0, "zz": 5, 7: 0, (1,): 0, "y": 0, "x": 0}
+        with pytest.raises(errors.SpaceMismatch, match=r"given for unknown atoms \['zz', 7, \(1,\), 'y'\]$"):
+            cls(s, table)
+
+    def test_a_string_is_not_read_per_character(self, cls):
+        with pytest.raises(errors.SpaceMismatch, match="a list or a dict by atom, not a string"):
+            cls(uniform_space(2), "12")
+
+    def test_missing_atoms_come_first(self, cls):
+        with pytest.raises(errors.SpaceMismatch, match=r"missing for atoms \['b'\]$"):
+            cls(uniform_space(["a", "b"]), {"a": 0, "zz": 0})
 
 
 class TestFirstBadAtom:
@@ -196,8 +224,9 @@ def _table_name(x):
 
 
 class TestLazyTables:
-    """An exact kernel output holds only `_scaled` until its table is read;
-    the table is read-only, and on floats it is `_scaled[1]` itself."""
+    """An exact table, user-built or a kernel output, holds only `_scaled`
+    until it is read; the table is read-only, and on floats it is `_scaled[1]`
+    itself."""
 
     def _check_table(self, x):
         name, (den, nums) = _table_name(x), x._scaled
@@ -225,13 +254,17 @@ class TestLazyTables:
         for level in m.family.values():
             self._check_table(level)
 
-    def test_user_built_tables_keep_the_given_scalars(self):
+    def test_user_built_tables_build_their_fractions_on_first_read(self):
         given_ = [F(1, 3), F(2), F(0)]
         s = make_space(["a", "b", "c"], ["1/2", "1/4", "1/4"])
-        f, mu = FiniteRandomVariable(s, given_), FiniteMeasure(s, given_[::-1])
-        assert all(v is w for v, w in zip(f.values, given_))
-        assert all(v is w for v, w in zip(mu.mass, given_[::-1]))
-        for x in (f, mu):
+        with fractions_built() as count:
+            f, mu = FiniteRandomVariable(s, given_), FiniteMeasure(s, given_[::-1])
+        assert count[0] == 0 and f._table is None and mu._table is None
+        for x, want in ((f, given_), (mu, given_[::-1])):
+            with fractions_built() as count:
+                table = getattr(x, _table_name(x))
+            assert count[0] == len(want)
+            assert [(type(v), v) for v in table] == [(type(v), v) for v in want]
             with pytest.raises(AttributeError):
                 setattr(x, _table_name(x), ())
 
