@@ -6,9 +6,9 @@ FinPseudometricSpace, LipschitzMap.  Everything is immutable: tables are
 tuples, and the keyed tables (`MeasurePreservingMap.assign`,
 `LipschitzMap.assign`, `FiltrationDiagram.spaces` and `.connect`,
 `Martingale.family`, `ConsistentMeasureFamily.family`) are read-only
-mappings, so the checks made at construction hold for good (a diagram's
-`.connect` builds each composite on first read, from maps checked then).  Values are
-exact on the rational backend and tolerance-checked on the float backend.
+mappings, so the checks made at construction hold for good (a map's `.assign`
+view and a diagram's composites are built on first read, from what was checked).
+Values are exact on the rational backend and tolerance-checked on the float backend.
 """
 
 from . import errors

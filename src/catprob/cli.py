@@ -135,7 +135,8 @@ def cmd_condexp(args):
     s = jsonio.map_from_obj(map_obj)
     rv_obj = jsonio.read_json(args.rv)
     _inject_tol(rv_obj, args.tol)
-    g = jsonio.rv_from_obj(rv_obj, space=s.src if "space" not in rv_obj else None)
+    embedded = isinstance(rv_obj, dict) and "space" in rv_obj
+    g = jsonio.rv_from_obj(rv_obj, space=None if embedded else s.src)
     result = cond_exp(g, s)
     dst = s.dst
     if dst.size > 16:

@@ -63,7 +63,7 @@ def pushforward(mu, s):
     if mu.space != s.src:
         raise SpaceMismatch("measure does not live on the map's source")
     den, ms = mu._scaled
-    return FiniteMeasure._from_scaled(s.dst, den, _fiber_sums(s.src, s.assign, ms, s.dst.atoms))
+    return FiniteMeasure._from_scaled(s.dst, den, _fiber_sums(s._images, ms, s.dst.size))
 
 
 def bound_check(mu, r):

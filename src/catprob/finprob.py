@@ -38,13 +38,10 @@ class FiniteProbSpace:
 
     def __init__(self, atoms, weights, backend=scalar.EXACT, tol=None):
         atoms = tuple(atoms)
-        if len(set(atoms)) != len(atoms):
-            seen, dup = set(), None
-            for a in atoms:
-                if a in seen:
-                    dup = a
-                    break
-                seen.add(a)
+        index = dict(zip(atoms, range(len(atoms))))
+        if len(index) != len(atoms):  # name the first atom seen a second time
+            first = {}
+            dup = next(a for i, a in enumerate(atoms) if first.setdefault(a, i) != i)
             raise DuplicateAtom("atom %r occurs more than once" % (dup,))
         if backend not in scalar.BACKENDS:
             raise ValueError("unknown backend %r" % backend)
@@ -54,13 +51,17 @@ class FiniteProbSpace:
             tol = 0
         elif tol is None:
             tol = scalar.DEFAULT_TOL
-        raw = list(weights)
-        if len(raw) != len(atoms):
-            raise ValueError(
-                "%d atoms but %d weights" % (len(atoms), len(raw))
-            )
-        ws = tuple([scalar.coerce(w, backend) for w in raw])
-        den, nums = scaled = scalar.scaled(ws, backend)
+        if type(weights) is _Equal:  # one weight, coerced and scaled once
+            w = scalar.coerce(weights[0], backend)
+            den, (num,) = scalar.scaled([w], backend)
+            ws, scaled = (w,) * len(atoms), (den, (num,) * len(atoms))
+        else:
+            raw = list(weights)
+            if len(raw) != len(atoms):
+                raise ValueError("%d atoms but %d weights" % (len(atoms), len(raw)))
+            ws = tuple([scalar.coerce(w, backend) for w in raw])
+            scaled = scalar.scaled(ws, backend)
+        den, nums = scaled
         if min(nums, default=0) < 0:  # one int test; the walk only words the error
             a, w = next((a, w) for a, w in zip(atoms, ws) if w < 0)
             raise NegativeWeight("weight of atom %r is %s < 0" % (a, w))
@@ -69,13 +70,9 @@ class FiniteProbSpace:
             raise WeightSumMismatch(
                 "weights sum to %s, expected 1" % (scalar.divider(backend)(total, den),)
             )
-        self.atoms = atoms
-        self.weights = ws
-        self.backend = backend
-        self.tol = tol
-        self._scaled = scaled
+        self.atoms, self.weights, self.backend, self.tol, self._scaled = atoms, ws, backend, tol, scaled
         self._nulls = tuple([i for i, w in enumerate(nums) if not w]) if 0 in nums else ()
-        self._index = {a: i for i, a in enumerate(atoms)}
+        self._index = index
 
     @property
     def size(self):
@@ -101,11 +98,7 @@ class FiniteProbSpace:
     def __eq__(self, other):
         if not isinstance(other, FiniteProbSpace):
             return NotImplemented
-        return (
-            self.atoms == other.atoms
-            and self.weights == other.weights
-            and self.backend == other.backend
-        )
+        return (self.atoms, self.weights, self.backend) == (other.atoms, other.weights, other.backend)
 
     def __hash__(self):
         return hash((self.atoms, self.weights, self.backend))
@@ -120,40 +113,44 @@ def make_space(atoms, weights, backend=scalar.EXACT, tol=None):
     return FiniteProbSpace(atoms, weights, backend=backend, tol=tol)
 
 
+class _Equal(tuple):
+    """The weights of `uniform_space`: its one entry on every atom."""
+
+
 def uniform_space(atoms, backend=scalar.EXACT):
     """Equal-weight space over the given labels (or over range(n) for an int)."""
     if isinstance(atoms, int):
         atoms = range(atoms)
     atoms = tuple(atoms)
     n = len(atoms)
-    weights = [scalar.divider(backend)(1, n)] * n if n else []  # no atoms: sum 0, rejected
+    weights = _Equal([scalar.divider(backend)(1, n)]) if n else []  # no atoms: sum 0, rejected
     return FiniteProbSpace(atoms, weights, backend=backend)
 
 
-def _fiber_sums(src, assign, values, targets):
-    """Per target atom, the sum from 0 of `values` (one per source atom) over
-    its fiber, in source atom order."""
-    sums = dict.fromkeys(targets, 0)
-    for a, v in zip(src.atoms, values):
-        sums[assign[a]] += v
-    return [sums[b] for b in targets]
+def _fiber_sums(images, values, size):
+    """Per target position, the sum from 0 of `values` (one per source atom)
+    over its fiber, in source atom order."""
+    sums = [0] * size
+    for b, v in zip(images, values):
+        sums[b] += v
+    return sums
 
 
-def _pushed_weights(src, assign, targets):
-    """The weights `assign` pushes src's weights onto, one per target atom."""
+def _pushed_weights(src, images, size):
+    """The weights `images` pushes src's weights onto, one per target position."""
     den, ws = src._scaled
     div = scalar.divider(src.backend)
-    return [div(p, den) for p in _fiber_sums(src, assign, ws, targets)]
+    return [div(p, den) for p in _fiber_sums(images, ws, size)]
 
 
-def _check_pushforward(src, dst, assign):
-    """Raise NotMeasurePreserving unless `assign` pushes src's weights onto dst's.
+def _check_pushforward(src, dst, images):
+    """Raise NotMeasurePreserving unless `images` pushes src's weights onto dst's.
 
     Fiber sums and target weights are compared cross-multiplied, so a valid
     exact map builds no Fraction.
     """
     (sden, sws), (dden, dws) = src._scaled, dst._scaled
-    pushed = _fiber_sums(src, assign, sws, dst.atoms)
+    pushed = _fiber_sums(images, sws, dst.size)
     for b, p, w in zip(dst.atoms, pushed, dws):
         if not scalar.eq(p * dden, w * sden, dst.tol):
             raise NotMeasurePreserving(
@@ -162,52 +159,73 @@ def _check_pushforward(src, dst, assign):
             )
 
 
-def _valid_map(src, dst, assign):
-    """A map known to preserve measure, built without re-checking it."""
+def _then(first, second):
+    """The image positions of one map followed by another, from theirs."""
+    return tuple(map(second.__getitem__, first))
+
+
+def _from_images(src, dst, images, check=True):
+    """The map sending source atom k to target atom images[k], from positions the library
+    computed: only the pushforward is checked, if the caller does not know it holds."""
+    if check:
+        _check_pushforward(src, dst, images)
     h = object.__new__(MeasurePreservingMap)
-    h.src, h.dst, h.assign = src, dst, MappingProxyType(assign)
+    h.src, h.dst, h._images, h._assign = src, dst, images, None
     return h
 
 
 class MeasurePreservingMap:
-    """Atom assignment src -> dst (read-only) whose pushforward matches the dst weights."""
+    """Atom assignment src -> dst whose pushforward matches the dst weights.
 
-    __slots__ = ("src", "dst", "assign")
+    It stores `_images`, the target position of each source atom in source
+    order (`range(n)` for an identity), which the kernels read; `assign`, the
+    read-only table by label, is built on first read and kept.
+    """
+
+    __slots__ = ("src", "dst", "_images", "_assign")
 
     def __init__(self, src, dst, assign):
         scalar.same_backend(src, dst)
         assign = dict(assign)
-        missing = [a for a in src.atoms if a not in assign]
-        if missing:
-            raise DomainMismatch("assignment missing source atoms %r" % (missing[:4],))
-        extra = [a for a in assign if a not in src._index]
-        if extra:
-            raise DomainMismatch("assignment mentions unknown atoms %r" % (extra[:4],))
         try:
-            for a, b in assign.items():
-                if b not in dst._index:
-                    raise DomainMismatch("image atom %r not in target space" % (b,))
-        except TypeError:  # an unhashable image
-            raise DomainMismatch("image atom %r not in target space" % (b,)) from None
-        _check_pushforward(src, dst, assign)
-        self.src = src
-        self.dst = dst
-        self.assign = MappingProxyType({a: assign[a] for a in src.atoms})
+            index = dst._index
+            images = tuple([index[assign[a]] for a in src.atoms])
+        except (KeyError, TypeError):  # a missing atom or a bad image
+            images = None
+        if images is None or len(assign) != len(images):  # word the first fault
+            missing = [a for a in src.atoms if a not in assign]
+            if missing:
+                raise DomainMismatch("assignment missing source atoms %r" % (missing[:4],))
+            extra = [a for a in assign if a not in src._index]
+            if extra:
+                raise DomainMismatch("assignment mentions unknown atoms %r" % (extra[:4],))
+            try:
+                for a, b in assign.items():
+                    if b not in dst._index:
+                        raise DomainMismatch("image atom %r not in target space" % (b,))
+            except TypeError:  # an unhashable image
+                raise DomainMismatch("image atom %r not in target space" % (b,)) from None
+        _check_pushforward(src, dst, images)
+        self.src, self.dst, self._images, self._assign = src, dst, images, None
+
+    @property
+    def assign(self):
+        if self._assign is None:
+            images = map(self.dst.atoms.__getitem__, self._images)
+            self._assign = MappingProxyType(dict(zip(self.src.atoms, images)))
+        return self._assign
 
     def __call__(self, atom):
-        return self.assign[atom]
+        return self.dst.atoms[self._images[self.src._index[atom]]]
 
     def __eq__(self, other):
         if not isinstance(other, MeasurePreservingMap):
             return NotImplemented
-        return (
-            self.src == other.src
-            and self.dst == other.dst
-            and self.assign == other.assign
-        )
+        # an identity holds a range
+        return (self.src, self.dst, tuple(self._images)) == (other.src, other.dst, tuple(other._images))
 
     def __hash__(self):
-        return hash((self.src, self.dst, tuple(self.assign[a] for a in self.src.atoms)))
+        return hash((self.src, self.dst, tuple(self._images)))
 
     def __repr__(self):
         return "MeasurePreservingMap(%r)" % (dict(self.assign),)
@@ -220,18 +238,16 @@ def make_map(src, dst, assign):
 
 def identity_map(space):
     """The identity on `space`; it preserves measure by definition, so no fiber is summed."""
-    return _valid_map(space, space, {a: a for a in space.atoms})
+    return _from_images(space, space, range(space.size), check=False)
 
 
 def compose(f, g):
     """Composite in diagram order: f first, then g (f: A->B, g: B->C gives A->C)."""
     if f.dst != g.src:
         raise DomainMismatch("codomain of the first map differs from domain of the second")
-    assign = {a: g.assign[f.assign[a]] for a in f.src.atoms}
-    if f.src.backend != scalar.EXACT:  # within-tol drift adds up along a path
-        return MeasurePreservingMap(f.src, g.dst, assign)
-    # exact pushforward is functorial, so the composite preserves measure
-    return _valid_map(f.src, g.dst, assign)
+    # exact pushforward is functorial, so the composite preserves measure;
+    # within-tol drift adds up along a path, so a float one is checked
+    return _from_images(f.src, g.dst, _then(f._images, g._images), f.src.backend != scalar.EXACT)
 
 
 def _require_parallel(f, g):
@@ -244,7 +260,7 @@ def as_equal(f, g):
     _require_parallel(f, g)
     src = f.src
     mass = scalar.total(
-        w for a, w in zip(src.atoms, src._scaled[1]) if f.assign[a] != g.assign[a]
+        w for w, u, v in zip(src._scaled[1], f._images, g._images) if u != v
     )
     return scalar.eq(mass, 0, src.tol)
 
@@ -275,11 +291,8 @@ def map_distance(f, g, scale=1):
         )
     den, weights = src._scaled
     edges = {}
-    for a, w in zip(src.atoms, weights):
-        if w == 0:
-            continue
-        u, v = dst.index(f.assign[a]), dst.index(g.assign[a])
-        if u == v:
+    for w, u, v in zip(weights, f._images, g._images):
+        if w == 0 or u == v:
             continue
         key = (u, v) if u < v else (v, u)
         edges[key] = edges.get(key, 0) + w

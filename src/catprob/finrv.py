@@ -41,7 +41,11 @@ class _AtomTable:
             elif isinstance(table, str):
                 raise SpaceMismatch("%s must be a list or a dict by atom, not a string" % self._words[1])
             else:
-                table = list(table)
+                try:
+                    table = list(table)
+                except TypeError:  # not iterable
+                    msg = "%s must be a list or a dict by atom, not %r" % (self._words[1], table)
+                    raise SpaceMismatch(msg) from None
         if len(table) != len(space.atoms):
             raise SpaceMismatch("%d %s for a %d-atom space" % (len(table), self._words[2], space.size))
         coerce, backend = scalar.coerce, space.backend
@@ -177,7 +181,7 @@ def cond_exp(g, s):
     src, dst = s.src, s.dst
     # per target atom: sum of w * x over the fiber / the target weight
     (wden, ws), (qden, qs), (den, xs) = src._scaled, dst._scaled, g._scaled
-    moment = _fiber_sums(src, s.assign, map(mul, ws, xs), dst.atoms)
+    moment = _fiber_sums(s._images, map(mul, ws, xs), dst.size)
     dens = [den * wden * q if q else 1 for q in qs]
     out = scalar.ratios([mx * qden for mx in moment], dens, src.backend)
     return FiniteRandomVariable._from_scaled(dst, *out)
@@ -187,9 +191,8 @@ def pullback(f, s):
     """Precompose f (on the map's target) with the map: values f(s(a))."""
     if f.space != s.dst:
         raise SpaceMismatch("random variable does not live on the map's target")
-    (den, nums), index = f._scaled, f.space._index
-    out = [nums[index[s.assign[a]]] for a in s.src.atoms]
-    return FiniteRandomVariable._from_scaled(s.src, den, out)
+    den, nums = f._scaled
+    return FiniteRandomVariable._from_scaled(s.src, den, list(map(nums.__getitem__, s._images)))
 
 
 def truncate_rv(f, n):

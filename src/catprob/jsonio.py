@@ -139,8 +139,9 @@ def _table_from_obj(obj, space, what, table_type, field):
     with _guard(what):
         if space is None:
             space = space_from_obj(_need(obj, "space", what), what + ".space")
-        elif "space" in obj and space_from_obj(obj["space"], what + ".space") != space:
-            raise ParseError("%s: embedded space disagrees with the supplied one" % what)
+        elif isinstance(obj, dict) and "space" in obj:
+            if space_from_obj(obj["space"], what + ".space") != space:
+                raise ParseError("%s: embedded space disagrees with the supplied one" % what)
         return table_type(space, _need_list(obj, field, what))
 
 
@@ -202,10 +203,7 @@ def diagram_to_obj(d):
             {
                 "lo": _atom_to_json(i),
                 "hi": _atom_to_json(j),
-                "assign": {
-                    str(a): _atom_to_json(b)
-                    for a, b in d.connect[(i, j)].assign.items()
-                },
+                "assign": {str(a): _atom_to_json(b) for a, b in d.connect[(i, j)].assign.items()},
             }
             for (i, j) in pairs
         ],

@@ -14,7 +14,7 @@ from . import scalar
 from .diagram import FiltrationDiagram
 from .errors import NotMeasurePreserving
 from .finmeas import FiniteMeasure
-from .finprob import FiniteProbSpace, MeasurePreservingMap, _pushed_weights
+from .finprob import FiniteProbSpace, MeasurePreservingMap, _pushed_weights, compose
 from .finrv import FiniteRandomVariable
 
 _DENOMS = (4, 8, 16, 32, 64, 12, 24, 48, 60)
@@ -58,10 +58,10 @@ def rand_quotient(rng, src, max_classes=None):
     used = sorted(set(assign.values()))
     relabel = {c: t for t, c in enumerate(used)}
     assign = {a: relabel[c] for a, c in assign.items()}
-    targets = range(len(used))
+    targets = range(len(used))  # labels that are their own positions
     dst = FiniteProbSpace(
         targets,
-        _pushed_weights(src, assign, targets),
+        _pushed_weights(src, list(assign.values()), len(used)),
         backend=src.backend,
         tol=src.tol or None,
     )
@@ -93,22 +93,18 @@ def rand_parallel_map(rng, f, attempts=40):
     sampling of raw assignments; falls back to f itself (distance 0 is a
     legitimate sample).
     """
-    choices = []
-    tau = rand_automorphism(rng, f.src)
-    choices.append({a: f.assign[tau.assign[a]] for a in f.src.atoms})
-    sigma = rand_automorphism(rng, f.dst)
-    choices.append({a: sigma.assign[f.assign[a]] for a in f.src.atoms})
+    choices = [compose(rand_automorphism(rng, f.src), f), compose(f, rand_automorphism(rng, f.dst))]
     rng.shuffle(choices)
-    for assign in choices:
-        if assign != f.assign:
-            return MeasurePreservingMap(f.src, f.dst, assign)
+    for h in choices:
+        if h != f:
+            return h
     for _ in range(attempts):
         assign = {a: rng.choice(f.dst.atoms) for a in f.src.atoms}
         try:
             return MeasurePreservingMap(f.src, f.dst, assign)
         except NotMeasurePreserving:
             continue
-    return MeasurePreservingMap(f.src, f.dst, dict(f.assign))
+    return f
 
 
 def rand_refining_chain(rng, top_space, levels):
@@ -130,10 +126,7 @@ def rand_commuting_triangle(rng, omega):
     """Maps fine: omega -> A and coarse: omega -> B with step: A -> B closing it."""
     fine = rand_quotient(rng, omega)
     step = rand_quotient(rng, fine.dst)
-    coarse = MeasurePreservingMap(
-        omega, step.dst, {a: step.assign[fine.assign[a]] for a in omega.atoms}
-    )
-    return fine, coarse, step
+    return fine, compose(fine, step), step
 
 
 # -- finite pseudometric sampling ---------------------------------------------------

@@ -4,28 +4,33 @@ These stay deliberately literal: enumerate partitions, enumerate subsets,
 integrate by refinement.  They share no code path with the library versions,
 except the old composite fill and the copies of the old family constructors
 near the end, which call the library's `compose` and kernels as they did,
-and the copies of the old random-variable and measure constructors at the
-end, which call `scalar.coerce` and `scalar.scaled` as they did.
+the copies of the old random-variable and measure constructors, which call
+`scalar.coerce` and `scalar.scaled` as they did, and the copies of the old
+label-keyed maps and their kernels at the end, which build the library's
+spaces and value types as they did.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 
 from catprob import scalar
 from catprob.diagram import is_martingale
 from catprob.errors import (
+    DomainMismatch,
     IndexMismatch,
     Inconsistent,
     NegativeValue,
     NotAbsolutelyContinuous,
+    NotMeasurePreserving,
     SpaceMismatch,
 )
-from catprob.finmeas import _density_bound, bound_check, pushforward, tv_distance
-from catprob.finprob import compose, identity_map
-from catprob.finrv import max_value
+from catprob.finmeas import FiniteMeasure, _density_bound, bound_check, pushforward, tv_distance
+from catprob.finprob import FiniteProbSpace, compose, identity_map
+from catprob.finrv import FiniteRandomVariable, max_value
 
 
 def set_partitions(items):
@@ -623,3 +628,123 @@ def rv_from_scaled_literal(space, den, nums):
 def measure_from_scaled_literal(space, den, nums):
     _old_check(space, den, nums, "mass", False)
     return _old_read(_old_lowest(den, nums, space.backend))
+
+
+# -- measure-preserving maps before they stored image positions --------------------
+# Copies of the old label-keyed `MeasurePreservingMap`, `_valid_map`,
+# `identity_map`, `compose`, `uniform_space`, `_fiber_sums` and
+# `_check_pushforward`, and of the old `cond_exp`, `pullback` and
+# `pushforward`, which read a map's `assign` by label.
+
+
+def uniform_space_literal(atoms, backend=scalar.EXACT):
+    if isinstance(atoms, int):
+        atoms = range(atoms)
+    atoms = tuple(atoms)
+    n = len(atoms)
+    weights = [scalar.divider(backend)(1, n)] * n if n else []  # no atoms: sum 0, rejected
+    return FiniteProbSpace(atoms, weights, backend=backend)
+
+
+def _old_fiber_sums(src, assign, values, targets):
+    sums = dict.fromkeys(targets, 0)
+    for a, v in zip(src.atoms, values):
+        sums[assign[a]] += v
+    return [sums[b] for b in targets]
+
+
+def _old_check_pushforward(src, dst, assign):
+    (sden, sws), (dden, dws) = src._scaled, dst._scaled
+    pushed = _old_fiber_sums(src, assign, sws, dst.atoms)
+    for b, p, w in zip(dst.atoms, pushed, dws):
+        if not scalar.eq(p * dden, w * sden, dst.tol):
+            raise NotMeasurePreserving(
+                "atom %r receives mass %s, target weight is %s"
+                % (b, scalar.divider(src.backend)(p, sden), dst.weight(b))
+            )
+
+
+def _old_valid_map(src, dst, assign):
+    h = object.__new__(OldMap)
+    h.src, h.dst, h.assign = src, dst, MappingProxyType(assign)
+    return h
+
+
+class OldMap:
+    __slots__ = ("src", "dst", "assign")
+
+    def __init__(self, src, dst, assign):
+        scalar.same_backend(src, dst)
+        assign = dict(assign)
+        missing = [a for a in src.atoms if a not in assign]
+        if missing:
+            raise DomainMismatch("assignment missing source atoms %r" % (missing[:4],))
+        extra = [a for a in assign if a not in src._index]
+        if extra:
+            raise DomainMismatch("assignment mentions unknown atoms %r" % (extra[:4],))
+        try:
+            for a, b in assign.items():
+                if b not in dst._index:
+                    raise DomainMismatch("image atom %r not in target space" % (b,))
+        except TypeError:  # an unhashable image
+            raise DomainMismatch("image atom %r not in target space" % (b,)) from None
+        _old_check_pushforward(src, dst, assign)
+        self.src = src
+        self.dst = dst
+        self.assign = MappingProxyType({a: assign[a] for a in src.atoms})
+
+    def __eq__(self, other):
+        if not isinstance(other, OldMap):
+            return NotImplemented
+        return (
+            self.src == other.src
+            and self.dst == other.dst
+            and self.assign == other.assign
+        )
+
+    def __hash__(self):
+        return hash((self.src, self.dst, tuple(self.assign[a] for a in self.src.atoms)))
+
+    def __repr__(self):
+        return "MeasurePreservingMap(%r)" % (dict(self.assign),)
+
+
+def identity_map_literal(space):
+    return _old_valid_map(space, space, {a: a for a in space.atoms})
+
+
+def compose_literal(f, g):
+    if f.dst != g.src:
+        raise DomainMismatch("codomain of the first map differs from domain of the second")
+    assign = {a: g.assign[f.assign[a]] for a in f.src.atoms}
+    if f.src.backend != scalar.EXACT:  # within-tol drift adds up along a path
+        return OldMap(f.src, g.dst, assign)
+    # exact pushforward is functorial, so the composite preserves measure
+    return _old_valid_map(f.src, g.dst, assign)
+
+
+def old_cond_exp(g, s):
+    if g.space != s.src:
+        raise SpaceMismatch("random variable does not live on the map's source")
+    src, dst = s.src, s.dst
+    # per target atom: sum of w * x over the fiber / the target weight
+    (wden, ws), (qden, qs), (den, xs) = src._scaled, dst._scaled, g._scaled
+    moment = _old_fiber_sums(src, s.assign, map(mul, ws, xs), dst.atoms)
+    dens = [den * wden * q if q else 1 for q in qs]
+    out = scalar.ratios([mx * qden for mx in moment], dens, src.backend)
+    return FiniteRandomVariable._from_scaled(dst, *out)
+
+
+def old_pullback(f, s):
+    if f.space != s.dst:
+        raise SpaceMismatch("random variable does not live on the map's target")
+    (den, nums), index = f._scaled, f.space._index
+    out = [nums[index[s.assign[a]]] for a in s.src.atoms]
+    return FiniteRandomVariable._from_scaled(s.src, den, out)
+
+
+def old_pushforward(mu, s):
+    if mu.space != s.src:
+        raise SpaceMismatch("measure does not live on the map's source")
+    den, ms = mu._scaled
+    return FiniteMeasure._from_scaled(s.dst, den, _old_fiber_sums(s.src, s.assign, ms, s.dst.atoms))

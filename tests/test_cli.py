@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -170,6 +171,18 @@ def _exit_and_error(tmp_path, capsys, name, obj, *argv):
     return code, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [5, None, True, [], 1.5, "space"])
+def test_condexp_rv_document_that_is_not_an_object(tmp_path, capsys, doc):
+    # no field of a document that is not an object is read, so a string is not searched
+    u4, u2 = uniform_space(4), uniform_space(2)
+    jsonio.write_json(jsonio.map_to_obj(make_map(u4, u2, {0: 0, 1: 0, 2: 1, 3: 1})), str(tmp_path / "m.json"))
+    code, err = _exit_and_error(
+        tmp_path, capsys, "r.json", doc, "condexp", "--rv", "FILE", "--map", str(tmp_path / "m.json")
+    )
+    assert code == 2
+    assert err == "error: rv: missing field 'values'\n"
+
+
 def test_metcat_tol_true_is_parse_error(tmp_path, capsys):
     obj = {"points": ["a", "b"], "dist": [["0", "1"], ["2", "0"]], "tol": True}
     code, err = _exit_and_error(tmp_path, capsys, "space.json", obj, "metcat", "--space", "FILE")
@@ -326,3 +339,22 @@ def test_foreign_option_exits_2(command, option, capsys):
         main([command, *_REQUIRED[command], option, "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: %s" % option in capsys.readouterr().err
+
+
+#: sha256 of the `martingale --depth 12` report per ground and format, as
+#: the label-keyed maps gave it
+_MARTINGALE_REPORTS = {
+    ("identity", "json"): "05260a10fb581369e911202074db0e3adf36bde2232e88ad704c1431076ea049",
+    ("identity", "csv"): "3fe48689cf6db3cb3b09b309e5eee17683656cff60c615284ffc2631df8b2fda",
+    ("tent", "json"): "8a3274fcbe5201c25a4c0f2d0615c3c153de5a8c9463dce864b45d13df86ed4b",
+    ("tent", "csv"): "ef4040faa26ff702f2d795abcbf78c2be2d7ae6fda6de9f7a54e608794868052",
+    ("constant", "json"): "89b33d2a3139e2e76659cdda3ffb77bd92edb11993831b09511b590b1b983012",
+    ("constant", "csv"): "d16b8a3f51afec4c0266e513e9bc8020c4a5b398cd93cead34147055d2add083",
+}
+
+
+@pytest.mark.parametrize("ground, fmt", sorted(_MARTINGALE_REPORTS))
+def test_martingale_report_bytes_are_pinned(capsys, ground, fmt):
+    code, out = run(capsys, "martingale", "--ground", ground, "--depth", "12", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _MARTINGALE_REPORTS[(ground, fmt)]

@@ -1,13 +1,12 @@
 import random
 from fractions import Fraction as F
-from operator import itemgetter
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catprob import diagram, errors, scalar
+from catprob import diagram, errors, finprob, scalar
 from catprob.diagram import (
     MAX_DYADIC_DEPTH,
     ConsistentMeasureFamily,
@@ -335,21 +334,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _count_cover_reads(monkeypatch):
-    """A counter of the image-tuple reads of the cover-triple scan: one per
-    covering pair, then two per triple it compares."""
-    calls = {"n": 0}
-
-    def counting_itemgetter(*keys):
-        get = itemgetter(*keys)
-
-        def counted(obj):
-            calls["n"] += 1
-            return get(obj)
-
-        return counted
-
-    monkeypatch.setattr(diagram, "itemgetter", counting_itemgetter)
-    return calls
+    """A counter of the triples the cover-triple scan compares: it composes
+    the image positions of f_il and f_lk once for each."""
+    return _count_calls(monkeypatch, diagram, "_then")
 
 
 def _dyadic_steps(depth):
@@ -379,17 +366,18 @@ class TestDerivedComposites:
     def test_chain_build_work_per_depth(self, monkeypatch, depth):
         # steps only: no composite built and no cover triple compared; with
         # every composite given, each of the depth(depth - 1)/2 triples is
+        # compared, through one composition of image positions
         calls = _count_calls(monkeypatch, diagram, "compose")
         reads = _count_cover_reads(monkeypatch)
         spaces, steps = _dyadic_steps(depth)
         d = FiltrationDiagram.chain(spaces, steps)
-        assert (calls["n"], reads["n"]) == (0, depth)
+        assert (calls["n"], reads["n"]) == (0, 0)
         full = dict(d.connect)
         assert calls["n"] == depth * (depth - 1) // 2
         calls["n"] = reads["n"] = 0
         FiltrationDiagram(range(depth + 1), list(d.covers), dict(enumerate(spaces)), full, top=depth)
         assert calls["n"] == 0
-        assert reads["n"] == depth + 2 * (depth * (depth - 1) // 2)
+        assert reads["n"] == depth * (depth - 1) // 2
 
     def test_missing_cover_map_is_reported_not_recursed(self):
         u1, u2, u4 = uniform_space(1), uniform_space(2), uniform_space(4)
@@ -445,7 +433,7 @@ class TestDerivedComposites:
         reads = _count_cover_reads(monkeypatch)
         d = FiltrationDiagram("blrt", order, spaces, {**steps, ("b", "t"): to1}, top="t")
         assert d.connect.via == {}
-        assert reads["n"] == 4 + 2 * 2
+        assert reads["n"] == 2
 
     def test_float_chain_rejects_a_derived_composite_drifting_past_tol(self):
         # each step is within tol, the composite read through both is not
@@ -1161,3 +1149,22 @@ class TestLevelFamiliesMatchTheOldConstructors:
             with pytest.raises(errors.CatprobError) as err:
                 call()
             assert str(err.value) == message
+
+
+def test_dyadic_runs_read_no_step_map_table(monkeypatch, capsys):
+    """The dyadic engine and `catprob martingale` check each step map's
+    pushforward and read the maps by image position: no `assign` is built."""
+    from catprob.cli import main
+
+    built = []
+    table = MeasurePreservingMap.assign
+    monkeypatch.setattr(MeasurePreservingMap, "assign", property(lambda m: built.append(m) or table.fget(m)))
+    checks = _count_calls(monkeypatch, finprob, "_check_pushforward")
+    tent = DyadicGround([0, F(1, 2), 1], [0, 1, 0])
+    diagram.dyadic_experiment(tent, 8)
+    assert checks["n"] == 8  # each step map's pushforward is checked
+    assert main(["martingale", "--ground", "tent", "--depth", "8"]) == 0
+    assert built == [] and checks["n"] == 16
+    d, _ = make_dyadic(tent, 2)
+    assert dict(d.connect[(1, 2)].assign) == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert built == [d.connect[(1, 2)]]  # the counter sees a read

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from catprob import errors, scalar
+from catprob.finmeas import pushforward
 from catprob.finprob import (
     MeasurePreservingMap,
     as_equal,
@@ -16,9 +18,11 @@ from catprob.finprob import (
     map_distance,
     uniform_space,
 )
+from catprob.finrv import cond_exp, pullback
 from catprob.sampling import rand_parallel_map, rand_quotient, rand_space
 
 from oracles import map_distance_literal
+from strategies import cases
 
 
 @st.composite
@@ -333,3 +337,137 @@ class TestMapDistance:
         f = rand_quotient(rng, space, max_classes=4)
         g = rand_parallel_map(rng, f)
         assert (map_distance(f, g) == 0) == as_equal(f, g)
+
+
+# -- positional maps against copies of the old label-keyed ones ---------------------
+
+
+def _built(build, *args):
+    """What a construction gives: its error by type and text, or the object."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _typed(pairs):
+    return [(type(a), a, type(b), b) for a, b in pairs]
+
+
+def _bits(x):
+    """A float by its exact bits, anything else by type and value."""
+    return x.hex() if type(x) is float else (type(x), x)
+
+
+def _scaled_bits(x):
+    """A value's or space's scaled form, each entry by `_bits`."""
+    den, nums = x._scaled
+    return den, type(nums), [_bits(n) for n in nums]
+
+
+def _same_map(new, old):
+    """The same table, in order and by type, and the same repr."""
+    assert _typed(new.assign.items()) == _typed(old.assign.items())
+    assert repr(new) == repr(old)
+    assert new.assign == dict(old.assign)
+
+
+def _same_kernels(new, old, case):
+    f, g, mu = case.f, case.g, case.mu
+    assert _scaled_bits(cond_exp(f, new)) == _scaled_bits(oracles.old_cond_exp(f, old))
+    lifted = pullback(cond_exp(g, new), new)
+    assert _scaled_bits(lifted) == _scaled_bits(oracles.old_pullback(oracles.old_cond_exp(g, old), old))
+    assert _scaled_bits(pushforward(mu, new)) == _scaled_bits(oracles.old_pushforward(mu, old))
+
+
+_FAULTS = ["missing", "unknown", "unhashable", "unhashable-inside", "outside", "moved"]
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_positional_maps_match_the_old_label_maps(backend, data):
+    """A map built from an assignment, with up to three faults, raises or
+    stores what the old label-keyed map did; identities and composites equal
+    and hash as validated maps do; the kernels read them to the same bits."""
+    draw, case = data.draw, data.draw(cases(backend))
+    src, dst = case.map.src, case.map.dst
+    order = draw(st.permutations(src.atoms))
+    assign = {a: case.map.assign[a] for a in order}  # any key order
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=3)):
+        a = draw(st.sampled_from(src.atoms))
+        if fault == "missing":
+            assign.pop(a, None)
+        elif fault == "unknown":
+            assign[draw(st.sampled_from(["zz", -1, (1,)]))] = dst.atoms[0]
+        elif fault == "unhashable":
+            assign[a] = [0]
+        elif fault == "unhashable-inside":
+            assign[a] = (0, [1])
+        elif fault == "outside":
+            assign[a] = draw(st.sampled_from(["nowhere", dst.size]))
+        else:  # another target atom: mass is preserved only by chance
+            assign[a] = draw(st.sampled_from(dst.atoms))
+    new = _built(MeasurePreservingMap, src, dst, assign)
+    old = _built(oracles.OldMap, src, dst, assign)
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    _same_map(new, old)
+    _same_kernels(new, old, case)
+    # equal maps from every route are equal and hash alike
+    for space in (src, dst):
+        ident = identity_map(space)
+        _same_map(ident, oracles.identity_map_literal(space))
+        again = MeasurePreservingMap(space, space, {a: a for a in space.atoms})
+        assert ident == again and again == ident and hash(ident) == hash(again)
+    for h in (compose(identity_map(src), new), compose(new, identity_map(dst))):
+        assert h == new and new == h and hash(h) == hash(new)
+        _same_map(h, old)
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    step = rand_quotient(rng, dst)
+    old_step = oracles.OldMap(dst, step.dst, dict(step.assign))
+    both = compose(new, step)
+    old_both = oracles.compose_literal(old, old_step)
+    _same_map(both, old_both)
+    _same_kernels(both, old_both, case)
+    validated = MeasurePreservingMap(src, step.dst, dict(old_both.assign))
+    assert both == validated and hash(both) == hash(validated)
+    other = rand_parallel_map(rng, new)
+    old_other = oracles.OldMap(src, dst, dict(other.assign))
+    assert (new == other) is (old == old_other)
+    if new == other:
+        assert hash(new) == hash(other)
+
+
+_LABELS = st.one_of(st.integers(-3, 9), st.text(max_size=2), st.booleans())
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(atoms=st.one_of(st.integers(0, 70), st.lists(_LABELS, max_size=12)))
+def test_uniform_space_matches_the_old_route(backend, atoms):
+    """The same space, or the same error, as the per-atom route gave:
+    duplicates (True is 1), no atoms, and every stored field."""
+    new = _built(uniform_space, atoms, backend)
+    old = _built(oracles.uniform_space_literal, atoms, backend)
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert new == old and hash(new) == hash(old) and repr(new) == repr(old)
+    assert _scaled_bits(new) == _scaled_bits(old)
+    for name in ("atoms", "backend", "tol", "_nulls", "_index"):
+        assert getattr(new, name) == getattr(old, name), name
+    assert [_bits(w) for w in new.weights] == [_bits(w) for w in old.weights]
+    assert type(new.weights) is tuple
+
+
+def test_an_image_is_read_back_as_the_target_atom():
+    """`assign` reads image positions back through the target's labels, so
+    an image given as an equal label of another type (True for 1) reads as
+    the target's own label; equality and hash see no difference."""
+    u2 = uniform_space(2)
+    h = MeasurePreservingMap(u2, u2, {0: False, 1: True})
+    assert _typed(h.assign.items()) == _typed([(0, 0), (1, 1)])
+    assert h == identity_map(u2) and hash(h) == hash(identity_map(u2))
+    assert h(True) == 1 and repr(h) == "MeasurePreservingMap({0: 0, 1: 1})"

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -277,3 +278,12 @@ def test_parse_error_keeps_the_invalid_diagram_as_its_cause():
     assert len(cause.problems) == 10
     assert all(p.startswith("no upper bound for ") for p in cause.problems)
     assert str(err.value).count("no upper bound") == 6
+
+
+def test_dyadic_diagram_encoding_is_pinned():
+    """The JSON of the tent ground's depth-6 dyadic diagram, byte for byte,
+    as the label-keyed maps wrote it."""
+    d, _ = make_dyadic(DyadicGround([0, F(1, 2), 1], [0, 1, 0]), 6)
+    text = json.dumps(jsonio.diagram_to_obj(d), indent=2, sort_keys=True) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "46e912b7b29f4a77796a24fa7d7d33738b5098b5c906d75658282cd9b2c9bd26"

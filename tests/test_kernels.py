@@ -30,7 +30,7 @@ from catprob.finmeas import (
     rn_derivative,
     tv_distance,
 )
-from catprob.finprob import FiniteProbSpace, MeasurePreservingMap, as_equal
+from catprob.finprob import FiniteProbSpace, MeasurePreservingMap, as_equal, uniform_space
 from catprob.finrv import (
     FiniteRandomVariable,
     _cross_moment,
@@ -251,6 +251,27 @@ def test_dyadic_levels_compare_a_constant_number_of_fractions():
             make_dyadic(DyadicGround.affine(0, 1), depth)
         counts.append(count[0])
     assert counts[2] - counts[1] == counts[1] - counts[0] <= 16, counts
+
+
+def test_uniform_space_scales_its_one_weight_once(monkeypatch):
+    """A uniform space builds the same Fractions and coerces the same
+    number of scalars, whatever its size: none per atom."""
+    coerced = [0]
+    coerce = scalar.coerce
+
+    def counting_coerce(value, backend):
+        coerced[0] += 1
+        return coerce(value, backend)
+
+    monkeypatch.setattr(scalar, "coerce", counting_coerce)
+    counts = []
+    for n in (2**6, 2**7, 2**8):
+        coerced[0] = 0
+        with fractions_built() as count:
+            uniform_space(n)
+        counts.append((count[0], coerced[0]))
+    assert counts[0] == counts[1] == counts[2], counts
+    assert counts[0][1] == 1, counts
 
 
 def test_dyadic_levels_build_a_constant_number_of_fractions():

@@ -168,6 +168,11 @@ class TestTableShape:
         with pytest.raises(errors.SpaceMismatch, match="a list or a dict by atom, not a string"):
             cls(uniform_space(2), "12")
 
+    @pytest.mark.parametrize("table", [5, None, 1.5, True])
+    def test_a_non_iterable_is_a_space_mismatch(self, cls, table):
+        with pytest.raises(errors.SpaceMismatch, match=r"a list or a dict by atom, not %r$" % (table,)):
+            cls(uniform_space(2), table)
+
     def test_missing_atoms_come_first(self, cls):
         with pytest.raises(errors.SpaceMismatch, match=r"missing for atoms \['b'\]$"):
             cls(uniform_space(["a", "b"]), {"a": 0, "zz": 0})
