@@ -46,9 +46,8 @@ def _inject_tol(obj, tol):
     """Attach a tolerance to every embedded float space lacking one."""
     if isinstance(obj, dict):
         if "atoms" in obj and "weights" in obj and obj.get("tol") is None:
-            if obj.get("backend") == scalar.FLOAT or any(
-                isinstance(w, float) for w in obj.get("weights", [])
-            ):
+            weights = obj["weights"] if isinstance(obj["weights"], list) else ()  # a decoder words it
+            if obj.get("backend") == scalar.FLOAT or any(isinstance(w, float) for w in weights):
                 obj["tol"] = tol
         for v in obj.values():
             _inject_tol(v, tol)

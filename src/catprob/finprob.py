@@ -164,62 +164,64 @@ def _then(first, second):
     return tuple(map(second.__getitem__, first))
 
 
-def _from_images(src, dst, images, check=True):
-    """The map sending source atom k to target atom images[k], from positions the library
-    computed: only the pushforward is checked, if the caller does not know it holds."""
-    if check:
-        _check_pushforward(src, dst, images)
-    h = object.__new__(MeasurePreservingMap)
-    h.src, h.dst, h._images, h._assign = src, dst, images, None
-    return h
-
-
-class MeasurePreservingMap:
-    """Atom assignment src -> dst whose pushforward matches the dst weights.
-
-    It stores `_images`, the target position of each source atom in source
-    order (`range(n)` for an identity), which the kernels read; `assign`, the
-    read-only table by label, is built on first read and kept.
-    """
+class _Map:
+    """An assignment src -> dst, stored as `_images`, the target position of
+    each source label in source order (`range(n)` for an identity); labels
+    come from each space's `_index`, and `assign` is built on first read.  A
+    subclass names its messages' nouns (`_words`) and its check on the
+    positions (`_check`), which runs unless the caller knows it holds."""
 
     __slots__ = ("src", "dst", "_images", "_assign")
 
     def __init__(self, src, dst, assign):
-        scalar.same_backend(src, dst)
-        assign = dict(assign)
+        try:
+            assign = dict(assign)
+        except (TypeError, ValueError):
+            raise DomainMismatch("assignment must be a mapping, not %r" % (assign,)) from None
         try:
             index = dst._index
-            images = tuple([index[assign[a]] for a in src.atoms])
-        except (KeyError, TypeError):  # a missing atom or a bad image
+            images = tuple([index[assign[a]] for a in src._index])
+        except (KeyError, TypeError):  # a missing label or a bad image
             images = None
         if images is None or len(assign) != len(images):  # word the first fault
-            missing = [a for a in src.atoms if a not in assign]
+            keys, unknown, image, target = self._words
+            missing = [a for a in src._index if a not in assign]
             if missing:
-                raise DomainMismatch("assignment missing source atoms %r" % (missing[:4],))
+                raise DomainMismatch("assignment missing %s %r" % (keys, missing[:4]))
             extra = [a for a in assign if a not in src._index]
             if extra:
-                raise DomainMismatch("assignment mentions unknown atoms %r" % (extra[:4],))
+                raise DomainMismatch("assignment mentions unknown %s %r" % (unknown, extra[:4]))
             try:
                 for a, b in assign.items():
                     if b not in dst._index:
-                        raise DomainMismatch("image atom %r not in target space" % (b,))
+                        raise DomainMismatch("image %s %r not in %s" % (image, b, target))
             except TypeError:  # an unhashable image
-                raise DomainMismatch("image atom %r not in target space" % (b,)) from None
-        _check_pushforward(src, dst, images)
+                raise DomainMismatch("image %s %r not in %s" % (image, b, target)) from None
+        self._check(src, dst, images)
         self.src, self.dst, self._images, self._assign = src, dst, images, None
+
+    @classmethod
+    def _from_images(cls, src, dst, images, check=True):
+        """The map sending source label k to target label images[k], from
+        positions the library computed: the labels are not looked up."""
+        if check:
+            cls._check(src, dst, images)
+        h = object.__new__(cls)
+        h.src, h.dst, h._images, h._assign = src, dst, images, None
+        return h
 
     @property
     def assign(self):
         if self._assign is None:
-            images = map(self.dst.atoms.__getitem__, self._images)
-            self._assign = MappingProxyType(dict(zip(self.src.atoms, images)))
+            images = map(tuple(self.dst._index).__getitem__, self._images)
+            self._assign = MappingProxyType(dict(zip(self.src._index, images)))
         return self._assign
 
-    def __call__(self, atom):
-        return self.dst.atoms[self._images[self.src._index[atom]]]
+    def __call__(self, label):
+        return self.assign[label]
 
     def __eq__(self, other):
-        if not isinstance(other, MeasurePreservingMap):
+        if not isinstance(other, type(self)):
             return NotImplemented
         # an identity holds a range
         return (self.src, self.dst, tuple(self._images)) == (other.src, other.dst, tuple(other._images))
@@ -228,7 +230,22 @@ class MeasurePreservingMap:
         return hash((self.src, self.dst, tuple(self._images)))
 
     def __repr__(self):
-        return "MeasurePreservingMap(%r)" % (dict(self.assign),)
+        return "%s(%r)" % (type(self).__name__, dict(self.assign))
+
+
+class MeasurePreservingMap(_Map):
+    """Atom assignment src -> dst whose pushforward matches the dst weights."""
+
+    __slots__ = ()
+    _words = ("source atoms", "atoms", "atom", "target space")
+
+    @staticmethod
+    def _check(src, dst, images):
+        _check_pushforward(src, dst, images)  # looked up by name at each call, so a patch runs
+
+    def __init__(self, src, dst, assign):
+        scalar.same_backend(src, dst)
+        _Map.__init__(self, src, dst, assign)
 
 
 def make_map(src, dst, assign):
@@ -238,7 +255,7 @@ def make_map(src, dst, assign):
 
 def identity_map(space):
     """The identity on `space`; it preserves measure by definition, so no fiber is summed."""
-    return _from_images(space, space, range(space.size), check=False)
+    return MeasurePreservingMap._from_images(space, space, range(space.size), check=False)
 
 
 def compose(f, g):
@@ -247,7 +264,8 @@ def compose(f, g):
         raise DomainMismatch("codomain of the first map differs from domain of the second")
     # exact pushforward is functorial, so the composite preserves measure;
     # within-tol drift adds up along a path, so a float one is checked
-    return _from_images(f.src, g.dst, _then(f._images, g._images), f.src.backend != scalar.EXACT)
+    images = _then(f._images, g._images)
+    return MeasurePreservingMap._from_images(f.src, g.dst, images, f.src.backend != scalar.EXACT)
 
 
 def _require_parallel(f, g):

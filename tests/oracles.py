@@ -7,7 +7,9 @@ near the end, which call the library's `compose` and kernels as they did,
 the copies of the old random-variable and measure constructors, which call
 `scalar.coerce` and `scalar.scaled` as they did, and the copies of the old
 label-keyed maps and their kernels at the end, which build the library's
-spaces and value types as they did.
+spaces and value types as they did, and the copies of the old label-keyed
+Lipschitz maps and the constructions' maps, which call the library's metric
+helpers as they did.
 """
 from __future__ import annotations
 
@@ -25,12 +27,14 @@ from catprob.errors import (
     Inconsistent,
     NegativeValue,
     NotAbsolutelyContinuous,
+    NotLipschitz,
     NotMeasurePreserving,
     SpaceMismatch,
 )
 from catprob.finmeas import FiniteMeasure, _density_bound, bound_check, pushforward, tv_distance
 from catprob.finprob import FiniteProbSpace, compose, identity_map
 from catprob.finrv import FiniteRandomVariable, max_value
+from catprob.metcat import FinPseudometricSpace, _partition, tensor
 
 
 def set_partitions(items):
@@ -748,3 +752,148 @@ def old_pushforward(mu, s):
         raise SpaceMismatch("measure does not live on the map's source")
     den, ms = mu._scaled
     return FiniteMeasure._from_scaled(s.dst, den, _old_fiber_sums(s.src, s.assign, ms, s.dst.atoms))
+
+
+# -- Lipschitz maps before they stored image positions ----------------------------
+# Copies of the old label-keyed `LipschitzMap`, `identity_lipschitz` and
+# `compose_lipschitz`, and of the maps `equalizer`, `coequalizer`,
+# `metric_reflection`, `curry` and `uncurry` built by label.  Each
+# construction takes the old maps; the quotients take the library's quotient
+# space, whose table other tests pin, and return the old classes with it.
+
+
+class OldLipschitzMap:
+    __slots__ = ("src", "dst", "assign")
+
+    def __init__(self, src, dst, assign):
+        assign = dict(assign)
+        missing = [p for p in src.points if p not in assign]
+        if missing:
+            raise DomainMismatch("assignment missing points %r" % (missing[:4],))
+        if len(assign) > src.size:
+            extra = [p for p in assign if p not in src._index]
+            raise DomainMismatch("assignment mentions unknown points %r" % (extra[:4],))
+        position = {}
+        for p, q in assign.items():
+            try:
+                position[p] = dst._index[q]
+            except (KeyError, TypeError):
+                raise DomainMismatch("image point %r not in target" % (q,)) from None
+        tol = max(src.tol, dst.tol)
+        image = [position[x] for x in src.points]
+        for i, x in enumerate(src.points):
+            image_row = dst.dist[image[i]]
+            for j, y in enumerate(src.points):
+                dxy = src.dist[i][j]
+                dfxy = image_row[image[j]]
+                if not scalar.le(dfxy, dxy, tol):
+                    raise NotLipschitz(
+                        "pair (%r,%r): image distance %s > source distance %s"
+                        % (x, y, dfxy, dxy)
+                    )
+        self.src = src
+        self.dst = dst
+        self.assign = MappingProxyType({p: assign[p] for p in src.points})
+
+    def __call__(self, point):
+        return self.assign[point]
+
+    def __eq__(self, other):
+        if not isinstance(other, OldLipschitzMap):
+            return NotImplemented
+        return (
+            self.src == other.src
+            and self.dst == other.dst
+            and self.assign == other.assign
+        )
+
+    def __repr__(self):
+        return "LipschitzMap(%r)" % (dict(self.assign),)
+
+
+def identity_lipschitz_literal(space):
+    return OldLipschitzMap(space, space, {p: p for p in space.points})
+
+
+def compose_lipschitz_literal(f, g):
+    if f.dst != g.src:
+        raise DomainMismatch("maps do not compose")
+    return OldLipschitzMap(f.src, g.dst, {p: g.assign[f.assign[p]] for p in f.src.points})
+
+
+def old_equalizer(f, g):
+    src = f.src
+    keep = [p for p in src.points if f.assign[p] == g.assign[p]]
+    pos = [src._index[p] for p in keep]
+    table = [[src.dist[i][j] for j in pos] for i in pos]
+    sub = FinPseudometricSpace(keep, table, tol=src.tol)
+    incl = OldLipschitzMap(sub, src, {p: p for p in keep})
+    return sub, incl
+
+
+def old_coequalizer(f, g, quot):
+    """The classes of the old `coequalizer` and its projection onto `quot`."""
+    Y = f.dst
+    class_of, members = _partition(
+        Y.points, ((Y._index[f.assign[x]], Y._index[g.assign[x]]) for x in f.src.points)
+    )
+    proj = OldLipschitzMap(Y, quot, {p: members[class_of[i]] for i, p in enumerate(Y.points)})
+    return members, proj
+
+
+def old_metric_reflection(space, quot):
+    """The classes of the old `metric_reflection` and its projection onto `quot`."""
+    n = space.size
+    class_of, members = _partition(
+        space.points,
+        (
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if scalar.eq(space.dist[i][j], 0, space.tol)
+        ),
+    )
+    proj = OldLipschitzMap(
+        space, quot, {p: members[class_of[i]] for i, p in enumerate(space.points)}
+    )
+    return members, proj
+
+
+def old_hom_space(maps):
+    """The old `hom` space of a family of old maps."""
+    n = len(maps)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d, _ = hom_distance_literal(maps[i], maps[j])
+            table[i][j] = d
+            table[j][i] = d
+    return FinPseudometricSpace(range(n), table, tol=maps[0].dst.tol)
+
+
+def old_curry(h, x_space, y_space):
+    """The per-point maps, hom space and outer map of the old `curry`."""
+    per = {}
+    for x in x_space.points:
+        per[x] = OldLipschitzMap(
+            y_space, h.dst, {y: h.assign[(x, y)] for y in y_space.points}
+        )
+    space = old_hom_space([per[x] for x in x_space.points])
+    outer = OldLipschitzMap(
+        x_space, space, {x: i for i, x in enumerate(x_space.points)}
+    )
+    return per, space, outer
+
+
+def old_uncurry(per_point, x_space, y_space):
+    if not x_space.points or any(x not in per_point for x in x_space.points):
+        raise DomainMismatch("uncurry needs a map for each point of a nonempty first factor")
+    some = per_point[x_space.points[0]]
+    assign = {}
+    for x in x_space.points:
+        m = per_point[x]
+        if m.src != y_space or m.dst != some.dst:
+            raise DomainMismatch("family members must be parallel maps from the second factor")
+        for y in y_space.points:
+            assign[(x, y)] = m.assign[y]
+    return OldLipschitzMap(tensor(x_space, y_space), some.dst, assign)

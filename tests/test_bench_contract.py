@@ -84,3 +84,18 @@ def test_random_small_item_under_the_tracer(bench):
         "diagram.kolmogorov_extend",
     ):
         assert metrics[name + ".calls"] > 0, name
+
+
+def test_metric_constructions_item_under_the_tracer(bench):
+    workloads, layertrace = bench
+    item = workloads.build_metric(7)[0]
+    metrics = _traced(layertrace, workloads.run_metric, workloads.check_metric, item)
+    # `LipschitzMap` keeps an `__init__` of its own, so maps built from user
+    # assignments are counted; the constructions build theirs from positions
+    for name in (
+        "metcat.LipschitzMap",
+        "metcat.FinPseudometricSpace",
+        "metcat.coequalizer",
+        "metcat.curry",
+    ):
+        assert metrics[name + ".calls"] > 0, name

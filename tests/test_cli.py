@@ -183,6 +183,31 @@ def test_condexp_rv_document_that_is_not_an_object(tmp_path, capsys, doc):
     assert err == "error: rv: missing field 'values'\n"
 
 
+@pytest.mark.parametrize("weights", [5, None])
+@pytest.mark.parametrize("command", ["rn", "condexp --map", "condexp --rv", "extend"])
+def test_weights_that_are_not_an_array_are_a_parse_error(tmp_path, capsys, command, weights):
+    # no space has a tol, so the CLI looks for float weights before a decoder runs
+    bad, good = {"atoms": [0], "weights": weights}, {"atoms": [0], "weights": ["1"]}
+    rv = {"space": good, "values": ["1"]}
+    m = {"src": good, "dst": good, "assign": {"0": 0}}
+    if command == "rn":
+        doc, argv, where = {"space": bad, "mass": ["1"]}, ["rn", "--measure", "FILE"], "measure.space"
+    elif command == "extend":
+        doc = _dyadic_family_obj(["1/8", "1/16", "1/4", "1/8"])
+        doc["diagram"]["spaces"]["0"] = bad
+        argv, where = ["extend", "--family", "FILE"], "measure family.diagram.spaces[0]"
+    else:
+        if command == "condexp --map":
+            m["src"], where = bad, "map.src"
+        else:
+            rv["space"], where = bad, "rv.space"
+        jsonio.write_json(m, str(tmp_path / "m.json"))
+        doc, argv = rv, ["condexp", "--rv", "FILE", "--map", str(tmp_path / "m.json")]
+    code, err = _exit_and_error(tmp_path, capsys, "doc.json", doc, *argv)
+    assert code == 2
+    assert err == "error: %s: field 'weights' must be an array\n" % where
+
+
 def test_metcat_tol_true_is_parse_error(tmp_path, capsys):
     obj = {"points": ["a", "b"], "dist": [["0", "1"], ["2", "0"]], "tol": True}
     code, err = _exit_and_error(tmp_path, capsys, "space.json", obj, "metcat", "--space", "FILE")

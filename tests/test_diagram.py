@@ -145,6 +145,18 @@ class TestValidate:
         with pytest.raises(errors.InvalidDiagram, match="non-elements"):
             FiltrationDiagram([0, 1], [(0, 1), (0, 5)], {0: u2, 1: u2}, {(0, 1): ident})
 
+    def test_constructor_rejects_wrong_endpoint_map_whose_atoms_do_not_read(self):
+        # the full scan cannot read the map on level b's atoms: only its endpoints are reported
+        stray = make_map(uniform_space([5, 6]), uniform_space([0, 1]), {5: 0, 6: 1})
+        with pytest.raises(errors.InvalidDiagram) as exc:
+            FiltrationDiagram(
+                ["a", "b"],
+                [("a", "b")],
+                {"a": uniform_space([0, 1]), "b": uniform_space(["x", "y"])},
+                {("a", "b"): stray},
+            )
+        assert str(exc.value) == "connecting map 'a' <= 'b' has wrong endpoints"
+
     @pytest.mark.parametrize("pair", [(1, 0), (0, 7)])
     def test_constructor_rejects_connect_outside_order(self, pair):
         u2 = uniform_space(2)

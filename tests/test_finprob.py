@@ -471,3 +471,10 @@ def test_an_image_is_read_back_as_the_target_atom():
     assert _typed(h.assign.items()) == _typed([(0, 0), (1, 1)])
     assert h == identity_map(u2) and hash(h) == hash(identity_map(u2))
     assert h(True) == 1 and repr(h) == "MeasurePreservingMap({0: 0, 1: 1})"
+
+
+@pytest.mark.parametrize("assign", [5, None, [1, 2], "ab"])
+def test_a_non_mapping_assignment_is_a_domain_mismatch(assign):
+    u2 = uniform_space(2)
+    with pytest.raises(errors.DomainMismatch, match="assignment must be a mapping, not "):
+        make_map(u2, u2, assign)

@@ -30,6 +30,7 @@ from catprob.metcat import (
 )
 from catprob.sampling import rand_lipschitz_map, rand_metric_space
 
+import oracles
 from oracles import (
     hom_distance_literal,
     metric_axiom_error,
@@ -621,3 +622,147 @@ class TestScaleAndReflection:
     def test_completion_is_identity(self):
         x = two_point(F(1))
         assert completion(x) is x
+
+
+# -- positional maps against copies of the old label-keyed ones ---------------------
+
+
+def _built(build, *args):
+    """What a construction gives: its error by type and text, or the object."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _typed(pairs):
+    return [(type(a), a, type(b), b) for a, b in pairs]
+
+
+def _same_map(new, old):
+    """The same table, in order and by type, and the same repr."""
+    assert _typed(new.assign.items()) == _typed(old.assign.items())
+    assert dict(new.assign) == dict(old.assign) and repr(new) == repr(old)
+    assert (new.src, new.dst) == (old.src, old.dst)
+
+
+def _same_space(new, old):
+    assert (new.points, new.dist, new.tol) == (old.points, old.dist, old.tol)
+
+
+def _old(m):
+    return oracles.OldLipschitzMap(m.src, m.dst, m.assign)
+
+
+_FAULTS = ["missing", "unknown", "unhashable", "unhashable-inside", "outside", "moved"]
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_positional_lipschitz_maps_match_the_old_label_maps(tol, data):
+    """A map built from an assignment, with up to three faults, raises or
+    stores what the old label-keyed map did, and compares as it did; the
+    identity, composites and the constructions' maps are the old ones."""
+    draw = data.draw
+    x, y, z = (draw(metric_spaces(tol)) for _ in "xyz")
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    f = rand_lipschitz_map(rng, x, y)
+    assign = {p: f.assign[p] for p in draw(st.permutations(x.points))}  # any key order
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=3)):
+        p = draw(st.sampled_from(x.points))
+        if fault == "missing":
+            assign.pop(p, None)
+        elif fault == "unknown":
+            assign[draw(st.sampled_from(["zz", -1, (1,)]))] = y.points[0]
+        elif fault == "unhashable":
+            assign[p] = [0]
+        elif fault == "unhashable-inside":
+            assign[p] = (0, [1])
+        elif fault == "outside":
+            assign[p] = draw(st.sampled_from(["nowhere", y.size]))
+        else:  # another target point: 1-Lipschitz only by chance
+            assign[p] = draw(st.sampled_from(y.points))
+    new = _built(LipschitzMap, x, y, assign)
+    old = _built(oracles.OldLipschitzMap, x, y, assign)
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    _same_map(new, old)
+    g = rand_lipschitz_map(rng, x, y)
+    for a, b, old_a, old_b in ((new, g, old, _old(g)), (g, new, _old(g), old)):
+        assert (a == b) is (old_a == old_b)
+    ident = identity_lipschitz(x)
+    _same_map(ident, oracles.identity_lipschitz_literal(x))
+    step = rand_lipschitz_map(rng, y, z)
+    _same_map(compose_lipschitz(new, step), oracles.compose_lipschitz_literal(old, _old(step)))
+    _same_map(compose_lipschitz(ident, new), oracles.compose_lipschitz_literal(_old(ident), old))
+    sub, incl = equalizer(new, g)
+    old_sub, old_incl = oracles.old_equalizer(old, _old(g))
+    _same_space(sub, old_sub)
+    _same_map(incl, old_incl)
+    res = coequalizer(new, g)
+    members, proj = oracles.old_coequalizer(old, _old(g), res.space)
+    assert res.space.points == tuple(members)
+    _same_map(res.projection, proj)
+    # beside y, a space whose classes interleave: (u, p) ~ (v, p) at distance 0
+    pair = FinPseudometricSpace(["u", "v"], [[0, 0], [0, 0]], tol=tol)
+    for space in (y, tensor(pair, y)):
+        quot, proj = metric_reflection(space)
+        members, old_proj = oracles.old_metric_reflection(space, quot)
+        assert quot.points == tuple(members)
+        _same_map(proj, old_proj)
+    h = rand_lipschitz_map(rng, tensor(x, y), z)
+    res = curry(h, x, y)
+    per, space, outer = oracles.old_curry(_old(h), x, y)
+    assert list(res.per_point) == list(per)
+    for p in x.points:
+        _same_map(res.per_point[p], per[p])
+    _same_space(res.hom_result.space, space)
+    _same_map(res.outer, outer)
+    _same_map(uncurry(res.per_point, x, y), oracles.old_uncurry(per, x, y))
+
+
+def test_equal_lipschitz_maps_hash_alike():
+    """A validated map, an identity, composites, an equalizer's inclusion, a
+    quotient's projection and an uncurried family that agree are equal and
+    hash alike; a map that differs is unequal."""
+    x = FinPseudometricSpace(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    ident = identity_lipschitz(x)
+    proj = coequalizer(ident, ident).projection  # onto the classes (p,)
+    one = FinPseudometricSpace(["*"], [[0]])
+    routes = [
+        ident,
+        LipschitzMap(x, x, {"c": "c", "a": "a", "b": "b"}),
+        compose_lipschitz(ident, ident),
+        equalizer(ident, ident)[1],  # its subspace is all of x
+        compose_lipschitz(proj, LipschitzMap(proj.dst, x, {(p,): p for p in x.points})),
+    ]
+    for a in routes:
+        for b in routes:
+            assert a == b and hash(a) == hash(b)
+    from_one = LipschitzMap(tensor(one, x), x, {pt: pt[1] for pt in tensor(one, x).points})
+    assert from_one == uncurry({"*": ident}, one, x)
+    assert len({*routes, from_one, uncurry({"*": ident}, one, x)}) == 2
+    flip = LipschitzMap(x, x, {"a": "c", "b": "b", "c": "a"})
+    shrink = LipschitzMap._from_images(x, scale(x, F(1, 2)), range(3))
+    for other in (flip, shrink):  # other images, or the same ones into another target
+        assert other != ident and ident != other and other not in set(routes)
+
+
+def test_an_image_is_read_back_as_the_target_point():
+    """`assign` reads image positions back through the target's labels, so
+    an image given as an equal label of another type (True for 1) reads as
+    the target's own label; equality and hash see no difference."""
+    y = FinPseudometricSpace([0, 1], [[0, 1], [1, 0]])
+    h = LipschitzMap(y, y, {0: False, 1: True})
+    assert _typed(h.assign.items()) == _typed([(0, 0), (1, 1)])
+    assert h == identity_lipschitz(y) and hash(h) == hash(identity_lipschitz(y))
+    assert h(True) == 1 and repr(h) == "LipschitzMap({0: 0, 1: 1})"
+
+
+@pytest.mark.parametrize("assign", [5, None, [1, 2], "ab"])
+def test_a_non_mapping_assignment_is_a_domain_mismatch(assign):
+    y = two_point(F(1))
+    with pytest.raises(errors.DomainMismatch, match="assignment must be a mapping, not "):
+        LipschitzMap(y, y, assign)
