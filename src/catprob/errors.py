@@ -25,7 +25,7 @@ class NegativeWeight(CatprobError):
 
 
 class WeightSumMismatch(CatprobError):
-    """Weights do not sum to one (within tolerance on the float backend)."""
+    """Weights are not a list, or do not sum to one (within tol on the float backend)."""
 
 
 class NotMeasurePreserving(CatprobError):

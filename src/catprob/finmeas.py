@@ -43,7 +43,7 @@ def make_measure(space, mass):
 
 def base_measure(space):
     """The space's own weights as a measure."""
-    return FiniteMeasure(space, list(space.weights))
+    return FiniteMeasure._from_scaled(space, *space._scaled)
 
 
 def zero_measure(space):

@@ -9,6 +9,8 @@ subset enumeration over the codomain.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
 
 from . import scalar
@@ -29,12 +31,12 @@ class FiniteProbSpace:
     """Ordered finite set of atoms with a probability weight per atom.
 
     Immutable after construction; all derived objects hold a reference and
-    compare spaces by value (atoms, weights, backend).  A space also keeps its
-    weights in scaled form (`scalar.scaled`), as random variables and measures
-    keep their tables: the kernels compute with these stored forms.
+    compare spaces by value (atoms, weights, backend).  A space keeps its
+    weights in scaled form (`scalar.coerce_scaled`), which the kernels, `==`
+    and `hash` read; an exact space builds its `weights` on first read.
     """
 
-    __slots__ = ("atoms", "weights", "backend", "tol", "_index", "_scaled", "_nulls")
+    __slots__ = ("atoms", "_weights", "backend", "tol", "_index", "_scaled", "_nulls")
 
     def __init__(self, atoms, weights, backend=scalar.EXACT, tol=None):
         atoms = tuple(atoms)
@@ -52,27 +54,38 @@ class FiniteProbSpace:
         elif tol is None:
             tol = scalar.DEFAULT_TOL
         if type(weights) is _Equal:  # one weight, coerced and scaled once
-            w = scalar.coerce(weights[0], backend)
-            den, (num,) = scalar.scaled([w], backend)
-            ws, scaled = (w,) * len(atoms), (den, (num,) * len(atoms))
+            den, (num,) = scalar.scaled([scalar.coerce(weights[0], backend)], backend)
+            nums = (num,) * len(atoms)
+        elif type(weights) is _Scaled:  # a scaled form the library computed
+            den, nums = weights
         else:
-            raw = list(weights)
+            if isinstance(weights, str):
+                raise WeightSumMismatch("weights must be a list, not a string")
+            try:
+                raw = list(weights)
+            except TypeError:  # not iterable
+                raise WeightSumMismatch("weights must be a list, not %r" % (weights,)) from None
             if len(raw) != len(atoms):
                 raise ValueError("%d atoms but %d weights" % (len(atoms), len(raw)))
-            ws = tuple([scalar.coerce(w, backend) for w in raw])
-            scaled = scalar.scaled(ws, backend)
-        den, nums = scaled
+            den, nums = scalar.coerce_scaled(raw, backend)
+        div = scalar.divider(backend)
         if min(nums, default=0) < 0:  # one int test; the walk only words the error
-            a, w = next((a, w) for a, w in zip(atoms, ws) if w < 0)
-            raise NegativeWeight("weight of atom %r is %s < 0" % (a, w))
+            a, n = next((a, n) for a, n in zip(atoms, nums) if n < 0)
+            raise NegativeWeight("weight of atom %r is %s < 0" % (a, div(n, den)))
         total = scalar.total(nums)
         if not scalar.eq(total, den, tol):
-            raise WeightSumMismatch(
-                "weights sum to %s, expected 1" % (scalar.divider(backend)(total, den),)
-            )
-        self.atoms, self.weights, self.backend, self.tol, self._scaled = atoms, ws, backend, tol, scaled
+            raise WeightSumMismatch("weights sum to %s, expected 1" % (div(total, den),))
+        self._weights, self._scaled = scalar.lowest(den, nums, backend)
+        self.atoms, self.backend, self.tol, self._index = atoms, backend, tol, index
         self._nulls = tuple([i for i, w in enumerate(nums) if not w]) if 0 in nums else ()
-        self._index = index
+
+    @property
+    def weights(self):
+        """The weights; an exact space builds its Fractions here, once."""
+        if self._weights is None:
+            den, nums = self._scaled
+            self._weights = tuple([Fraction(n, den) for n in nums])
+        return self._weights
 
     @property
     def size(self):
@@ -98,10 +111,10 @@ class FiniteProbSpace:
     def __eq__(self, other):
         if not isinstance(other, FiniteProbSpace):
             return NotImplemented
-        return (self.atoms, self.weights, self.backend) == (other.atoms, other.weights, other.backend)
+        return (self.atoms, self._scaled, self.backend) == (other.atoms, other._scaled, other.backend)
 
     def __hash__(self):
-        return hash((self.atoms, self.weights, self.backend))
+        return hash((self.atoms, self._scaled, self.backend))
 
     def __repr__(self):
         body = ", ".join("%r:%s" % (a, w) for a, w in zip(self.atoms, self.weights))
@@ -115,6 +128,10 @@ def make_space(atoms, weights, backend=scalar.EXACT, tol=None):
 
 class _Equal(tuple):
     """The weights of `uniform_space`: its one entry on every atom."""
+
+
+class _Scaled(tuple):
+    """Weights the library computed, as a scaled form (den, nums) with nums a list."""
 
 
 def uniform_space(atoms, backend=scalar.EXACT):
@@ -134,13 +151,6 @@ def _fiber_sums(images, values, size):
     for b, v in zip(images, values):
         sums[b] += v
     return sums
-
-
-def _pushed_weights(src, images, size):
-    """The weights `images` pushes src's weights onto, one per target position."""
-    den, ws = src._scaled
-    div = scalar.divider(src.backend)
-    return [div(p, den) for p in _fiber_sums(images, ws, size)]
 
 
 def _check_pushforward(src, dst, images):
@@ -167,9 +177,9 @@ def _then(first, second):
 class _Map:
     """An assignment src -> dst, stored as `_images`, the target position of
     each source label in source order (`range(n)` for an identity); labels
-    come from each space's `_index`, and `assign` is built on first read.  A
-    subclass names its messages' nouns (`_words`) and its check on the
-    positions (`_check`), which runs unless the caller knows it holds."""
+    come from each space's `_index` and `_labels`, its label tuple.  `assign`
+    is built on first read.  A subclass names its messages' nouns (`_words`)
+    and its check on the positions (`_check`), run unless known to hold."""
 
     __slots__ = ("src", "dst", "_images", "_assign")
 
@@ -213,12 +223,12 @@ class _Map:
     @property
     def assign(self):
         if self._assign is None:
-            images = map(tuple(self.dst._index).__getitem__, self._images)
+            images = map(self._labels(self.dst).__getitem__, self._images)
             self._assign = MappingProxyType(dict(zip(self.src._index, images)))
         return self._assign
 
     def __call__(self, label):
-        return self.assign[label]
+        return self._labels(self.dst)[self._images[self.src._index[label]]]
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -237,7 +247,7 @@ class MeasurePreservingMap(_Map):
     """Atom assignment src -> dst whose pushforward matches the dst weights."""
 
     __slots__ = ()
-    _words = ("source atoms", "atoms", "atom", "target space")
+    _words, _labels = ("source atoms", "atoms", "atom", "target space"), attrgetter("atoms")
 
     @staticmethod
     def _check(src, dst, images):

@@ -28,7 +28,7 @@ class _AtomTable:
     __slots__ = ("space", "_table", "_scaled")
 
     def __init__(self, space, table):
-        """A list, or a dict by atom, coerced and scaled."""
+        """A list, or a dict by atom, coerced and scaled (`scalar.coerce_scaled`)."""
         if type(table) is not list:
             if isinstance(table, dict):
                 missing = [a for a in space.atoms if a not in table]
@@ -48,13 +48,12 @@ class _AtomTable:
                     raise SpaceMismatch(msg) from None
         if len(table) != len(space.atoms):
             raise SpaceMismatch("%d %s for a %d-atom space" % (len(table), self._words[2], space.size))
-        coerce, backend = scalar.coerce, space.backend
-        den, nums = scalar.scaled(tuple([coerce(v, backend) for v in table]), backend)
-        self._build(space, den, nums)
+        self._build(space, *scalar.coerce_scaled(table, space.backend))
 
     @classmethod
     def _from_scaled(cls, space, den, nums):
-        """Build from a kernel's scaled form, with nums a list."""
+        """Build from a kernel's scaled form: nums a list, or a tuple already
+        in lowest terms (see `scalar.lowest`)."""
         x = object.__new__(cls)
         x._build(space, den, nums)
         return x

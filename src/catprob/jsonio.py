@@ -87,7 +87,7 @@ def _guard(what):
 def space_to_obj(s):
     return {
         "atoms": [_atom_to_json(a) for a in s.atoms],
-        "weights": [scalar.to_json(w) for w in s.weights],
+        "weights": scalar.scaled_to_json(*s._scaled),
         "backend": s.backend,
         "tol": s.tol,
     }

@@ -173,7 +173,7 @@ class LipschitzMap(_Map):
     """
 
     __slots__ = ()
-    _words = ("points", "points", "point", "target")
+    _words, _labels = ("points", "points", "point", "target"), operator.attrgetter("points")
 
     @staticmethod
     def _check(src, dst, images):  # the first expanding pair, in (x, y) order

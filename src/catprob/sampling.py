@@ -14,7 +14,7 @@ from . import scalar
 from .diagram import FiltrationDiagram
 from .errors import NotMeasurePreserving
 from .finmeas import FiniteMeasure
-from .finprob import FiniteProbSpace, MeasurePreservingMap, _pushed_weights, compose
+from .finprob import FiniteProbSpace, MeasurePreservingMap, _fiber_sums, _Scaled, compose, uniform_space
 from .finrv import FiniteRandomVariable
 
 _DENOMS = (4, 8, 16, 32, 64, 12, 24, 48, 60)
@@ -24,29 +24,27 @@ def rand_space(rng, min_atoms=2, max_atoms=8, backend=scalar.EXACT):
     """Random space; roughly half the draws are uniform to seed weight collisions."""
     n = rng.randint(min_atoms, max_atoms)
     atoms = tuple(range(n))
-    div = scalar.divider(backend)
     if rng.random() < 0.5:
-        return FiniteProbSpace(atoms, [div(1, n)] * n, backend=backend)
+        return uniform_space(atoms, backend)
     den = rng.choice(_DENOMS)
     cuts = sorted(rng.randint(0, den) for _ in range(n - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
-    return FiniteProbSpace(atoms, [div(p, den) for p in parts], backend=backend)
+    return FiniteProbSpace(atoms, _Scaled((den, parts)), backend=backend)
 
 
 def rand_rv(rng, space, bound=1):
     """Values in [0, bound] with small denominators; canonical on null atoms."""
-    bound = scalar.coerce(bound, space.backend)
-    div = scalar.divider(space.backend)
-    return FiniteRandomVariable(
-        space, [div(bound * rng.randint(0, 64), 64) for _ in range(space.size)]
-    )
+    bden, (bnum,) = scalar.coerce_scaled([bound], space.backend)
+    nums = [bnum * rng.randint(0, 64) for _ in range(space.size)]
+    return FiniteRandomVariable._from_scaled(space, bden * 64, nums)
 
 
 def rand_measure(rng, space, bound=1):
     """Measure below bound * weights (hence absolutely continuous)."""
-    bound = scalar.coerce(bound, space.backend)
-    div = scalar.divider(space.backend)
-    return FiniteMeasure(space, [div(bound * w * rng.randint(0, 64), 64) for w in space.weights])
+    bden, (bnum,) = scalar.coerce_scaled([bound], space.backend)
+    wden, ws = space._scaled
+    nums = [bnum * w * rng.randint(0, 64) for w in ws]
+    return FiniteMeasure._from_scaled(space, bden * wden * 64, nums)
 
 
 def rand_quotient(rng, src, max_classes=None):
@@ -59,20 +57,17 @@ def rand_quotient(rng, src, max_classes=None):
     relabel = {c: t for t, c in enumerate(used)}
     assign = {a: relabel[c] for a, c in assign.items()}
     targets = range(len(used))  # labels that are their own positions
-    dst = FiniteProbSpace(
-        targets,
-        _pushed_weights(src, list(assign.values()), len(used)),
-        backend=src.backend,
-        tol=src.tol or None,
-    )
+    den, ws = src._scaled
+    pushed = _Scaled((den, _fiber_sums(list(assign.values()), ws, len(used))))
+    dst = FiniteProbSpace(targets, pushed, backend=src.backend, tol=src.tol or None)
     return MeasurePreservingMap(src, dst, assign)
 
 
 def weight_classes(space):
     """Atoms grouped by equal weight (the orbits available to relabelings)."""
     groups = {}
-    for a in space.atoms:
-        groups.setdefault(space.weight(a), []).append(a)
+    for a, w in zip(space.atoms, space._scaled[1]):
+        groups.setdefault(w, []).append(a)
     return [g for g in groups.values() if len(g) > 1]
 
 

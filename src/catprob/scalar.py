@@ -1,19 +1,20 @@
 """Dual numeric backend: exact rationals or floats with a tolerance.
 
 This module is the one home of the number rules.  Every number comes in
-through `coerce` and goes out to JSON through `to_json`, on the probability
-side, on metric tables (whose backend comes from their tol) and on dyadic
-grounds (always exact).  Every probability space picks one backend at
-construction and every object derived from it inherits the choice.  On the
-exact backend all comparisons are decidable equalities on
-`fractions.Fraction`; on the float backend an equality assertion means
-|a - b| <= tol.  Mixing backends in one operation raises BackendMismatch
-instead of coercing.  The probability kernels compute on one scaled form,
-(den, nums), on both backends (`scaled`, `divider`, `total`).  Spaces, random
-variables and measures store that form when built, and kernels read it there.
-An exact random variable or measure holds only its ints (`lowest`); its
-Fractions are built on first read, and `scaled_to_json` writes it out from
-the ints.
+through `coerce` (a user's table or weights through `coerce_scaled`, the
+same rules straight to the scaled form) and goes out to JSON through
+`to_json`, on the probability side, on metric tables (whose backend comes
+from their tol) and on dyadic grounds (always exact).  Every probability
+space picks one backend at construction and every object derived from it
+inherits the choice.  On the exact backend all comparisons are decidable
+equalities on `fractions.Fraction`; on the float backend an equality
+assertion means |a - b| <= tol.  Mixing backends in one operation raises
+BackendMismatch instead of coercing.  The probability kernels compute on one
+scaled form, (den, nums), on both backends (`scaled`, `divider`, `total`).
+Spaces, random variables and measures store that form when built, and
+kernels read it there.  An exact space, random variable or measure holds
+only its ints (`lowest`); its Fractions are built on first read, and
+`scaled_to_json` writes it out from the ints.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ def coerce(value, backend):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
-            return parse_rational(value)
+            return Fraction(*parse_ratio(value))
         if isinstance(value, float):
             raise BackendMismatch(
                 "float %r passed to the exact backend; use Fraction or 'num/den'" % value
@@ -59,7 +60,7 @@ def coerce(value, backend):
             if isinstance(value, bool):
                 raise BackendMismatch("booleans are not scalars")
             if isinstance(value, str):
-                value = parse_rational(value)
+                value = Fraction(*parse_ratio(value))
             elif not isinstance(value, (int, float, Fraction)):
                 raise BackendMismatch("cannot use %r as a float scalar" % (value,))
             value = float(value)
@@ -98,14 +99,17 @@ def check_tol(tol):
         raise ValueError("tol must be a finite real >= 0, not %r" % (tol,))
 
 
-def parse_rational(text):
-    """Parse "num/den" or "num" into a Fraction."""
+def parse_ratio(text):
+    """Parse "num/den" or "num" into ints (num, den) in lowest terms, den > 0,
+    raising the ValueError or ZeroDivisionError `Fraction` would."""
     parts = text.strip().split("/")
-    if len(parts) == 1:
-        return Fraction(int(parts[0]))
-    if len(parts) == 2:
-        return Fraction(int(parts[0]), int(parts[1]))
-    raise ValueError("not a rational literal: %r" % text)
+    if len(parts) > 2:
+        raise ValueError("not a rational literal: %r" % text)
+    num, den = int(parts[0]), (int(parts[1]) if len(parts) == 2 else 1)
+    if not den:
+        raise ZeroDivisionError("Fraction(%s, 0)" % num)
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def scaled(xs, backend=EXACT):
@@ -121,6 +125,22 @@ def scaled(xs, backend=EXACT):
     if backend != EXACT:
         return 1, xs
     pairs = [x.as_integer_ratio() for x in xs]
+    den = lcm(*[d for _, d in pairs])
+    return den, tuple([n * (den // d) for n, d in pairs])
+
+
+def coerce_scaled(values, backend):
+    """`scaled(tuple([coerce(v, backend) for v in values]), backend)`, with no
+    Fraction built on the exact backend: an int is (v, 1), a Fraction its
+    `as_integer_ratio`, a string `parse_ratio`'s ints, and anything else goes
+    through `coerce`, so the accepted values and every error are `coerce`'s."""
+    if backend != EXACT:
+        return 1, tuple([coerce(v, backend) for v in values])
+    pairs = [
+        (v, 1) if type(v) is int else parse_ratio(v) if type(v) is str
+        else (v if type(v) is Fraction else coerce(v, EXACT)).as_integer_ratio()
+        for v in values
+    ]
     den = lcm(*[d for _, d in pairs])
     return den, tuple([n * (den // d) for n, d in pairs])
 
@@ -146,7 +166,7 @@ def lowest(den, nums, backend, zeros=()):
     """(table, (den, nums)): the form with 0 at the indices `zeros`, in lowest
     terms as `scaled` gives it, and the table to store, None on the exact
     backend (the Fractions are built on first read) and nums on the float one.
-    A tuple is a form from `scaled`, already in lowest terms and of floats.  A
+    A tuple is a form from `scaled` or `coerce_scaled`: lowest terms, floats.  A
     list is a kernel's: reduced on the exact backend, and divided out on the
     float one, which also makes floats of the int 0s a kernel may sum to."""
     given, exact = type(nums) is tuple, backend == EXACT

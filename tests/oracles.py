@@ -9,7 +9,9 @@ the copies of the old random-variable and measure constructors, which call
 label-keyed maps and their kernels at the end, which build the library's
 spaces and value types as they did, and the copies of the old label-keyed
 Lipschitz maps and the constructions' maps, which call the library's metric
-helpers as they did.
+helpers as they did, and the copies of the old user-number route, space and
+samplers, which call `scalar.scaled` and build the library's objects as they
+did.
 """
 from __future__ import annotations
 
@@ -22,18 +24,30 @@ from types import MappingProxyType
 from catprob import scalar
 from catprob.diagram import is_martingale
 from catprob.errors import (
+    BackendMismatch,
     DomainMismatch,
+    DuplicateAtom,
     IndexMismatch,
     Inconsistent,
     NegativeValue,
+    NegativeWeight,
     NotAbsolutelyContinuous,
     NotLipschitz,
     NotMeasurePreserving,
     SpaceMismatch,
+    WeightSumMismatch,
 )
 from catprob.finmeas import FiniteMeasure, _density_bound, bound_check, pushforward, tv_distance
-from catprob.finprob import FiniteProbSpace, compose, identity_map
+from catprob.finprob import (
+    FiniteProbSpace,
+    MeasurePreservingMap,
+    _Equal,
+    _fiber_sums,
+    compose,
+    identity_map,
+)
 from catprob.finrv import FiniteRandomVariable, max_value
+from catprob.jsonio import _atom_to_json
 from catprob.metcat import FinPseudometricSpace, _partition, tensor
 
 
@@ -897,3 +911,179 @@ def old_uncurry(per_point, x_space, y_space):
         for y in y_space.points:
             assign[(x, y)] = m.assign[y]
     return OldLipschitzMap(tensor(x_space, y_space), some.dst, assign)
+
+
+# -- user numbers, spaces and samplers before the scaled user route --------------
+# Copies of the old `scalar.coerce` and `scalar.parse_rational`, of the route a
+# user's table took through them (`coerce` per entry, then `scaled`), of the old
+# `FiniteProbSpace`, which stored the coerced weights and compared and hashed
+# them, of the old `jsonio.space_to_obj`, and of the old samplers, which built
+# the library's spaces and tables from Fractions (or floats).
+
+
+def _old_parse_rational(text):
+    parts = text.strip().split("/")
+    if len(parts) == 1:
+        return Fraction(int(parts[0]))
+    if len(parts) == 2:
+        return Fraction(int(parts[0]), int(parts[1]))
+    raise ValueError("not a rational literal: %r" % text)
+
+
+def old_coerce(value, backend):
+    if backend == scalar.EXACT:
+        if type(value) is Fraction:
+            return value
+        if isinstance(value, bool):
+            raise BackendMismatch("booleans are not scalars")
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
+        if isinstance(value, str):
+            return _old_parse_rational(value)
+        if isinstance(value, float):
+            raise BackendMismatch(
+                "float %r passed to the exact backend; use Fraction or 'num/den'" % value
+            )
+        raise BackendMismatch("cannot use %r as an exact scalar" % (value,))
+    if backend == scalar.FLOAT:
+        if type(value) is not float:
+            if isinstance(value, bool):
+                raise BackendMismatch("booleans are not scalars")
+            if isinstance(value, str):
+                value = _old_parse_rational(value)
+            elif not isinstance(value, (int, float, Fraction)):
+                raise BackendMismatch("cannot use %r as a float scalar" % (value,))
+            value = float(value)
+        if not math.isfinite(value):
+            raise ValueError("%r is not a finite scalar" % (value,))
+        return value
+    raise ValueError("unknown backend %r" % backend)
+
+
+def coerce_scaled_literal(xs, backend):
+    return scalar.scaled(tuple(old_coerce(v, backend) for v in xs), backend)
+
+
+class OldSpace:
+    __slots__ = ("atoms", "weights", "backend", "tol", "_index", "_scaled", "_nulls")
+
+    def __init__(self, atoms, weights, backend=scalar.EXACT, tol=None):
+        atoms = tuple(atoms)
+        index = dict(zip(atoms, range(len(atoms))))
+        if len(index) != len(atoms):  # name the first atom seen a second time
+            first = {}
+            dup = next(a for i, a in enumerate(atoms) if first.setdefault(a, i) != i)
+            raise DuplicateAtom("atom %r occurs more than once" % (dup,))
+        if backend not in scalar.BACKENDS:
+            raise ValueError("unknown backend %r" % backend)
+        if tol is not None:
+            scalar.check_tol(tol)
+        if backend == scalar.EXACT:
+            tol = 0
+        elif tol is None:
+            tol = scalar.DEFAULT_TOL
+        if type(weights) is _Equal:  # one weight, coerced and scaled once
+            w = old_coerce(weights[0], backend)
+            den, (num,) = scalar.scaled([w], backend)
+            ws, scaled = (w,) * len(atoms), (den, (num,) * len(atoms))
+        else:
+            raw = list(weights)
+            if len(raw) != len(atoms):
+                raise ValueError("%d atoms but %d weights" % (len(atoms), len(raw)))
+            ws = tuple([old_coerce(w, backend) for w in raw])
+            scaled = scalar.scaled(ws, backend)
+        den, nums = scaled
+        if min(nums, default=0) < 0:  # one int test; the walk only words the error
+            a, w = next((a, w) for a, w in zip(atoms, ws) if w < 0)
+            raise NegativeWeight("weight of atom %r is %s < 0" % (a, w))
+        total = scalar.total(nums)
+        if not scalar.eq(total, den, tol):
+            raise WeightSumMismatch(
+                "weights sum to %s, expected 1" % (scalar.divider(backend)(total, den),)
+            )
+        self.atoms, self.weights, self.backend, self.tol, self._scaled = atoms, ws, backend, tol, scaled
+        self._nulls = tuple([i for i, w in enumerate(nums) if not w]) if 0 in nums else ()
+        self._index = index
+
+    def weight(self, atom):
+        return self.weights[self._index[atom]]
+
+    def __eq__(self, other):
+        if not isinstance(other, OldSpace):
+            return NotImplemented
+        return (self.atoms, self.weights, self.backend) == (other.atoms, other.weights, other.backend)
+
+    def __hash__(self):
+        return hash((self.atoms, self.weights, self.backend))
+
+    def __repr__(self):
+        body = ", ".join("%r:%s" % (a, w) for a, w in zip(self.atoms, self.weights))
+        return "FiniteProbSpace(%s)" % body
+
+
+def old_space_to_obj(s):
+    return {
+        "atoms": [_atom_to_json(a) for a in s.atoms],
+        "weights": [scalar.to_json(w) for w in s.weights],
+        "backend": s.backend,
+        "tol": s.tol,
+    }
+
+
+_OLD_DENOMS = (4, 8, 16, 32, 64, 12, 24, 48, 60)
+
+
+def rand_space_literal(rng, min_atoms=2, max_atoms=8, backend=scalar.EXACT):
+    n = rng.randint(min_atoms, max_atoms)
+    atoms = tuple(range(n))
+    div = scalar.divider(backend)
+    if rng.random() < 0.5:
+        return FiniteProbSpace(atoms, [div(1, n)] * n, backend=backend)
+    den = rng.choice(_OLD_DENOMS)
+    cuts = sorted(rng.randint(0, den) for _ in range(n - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    return FiniteProbSpace(atoms, [div(p, den) for p in parts], backend=backend)
+
+
+def rand_rv_literal(rng, space, bound=1):
+    bound = scalar.coerce(bound, space.backend)
+    div = scalar.divider(space.backend)
+    return FiniteRandomVariable(
+        space, [div(bound * rng.randint(0, 64), 64) for _ in range(space.size)]
+    )
+
+
+def rand_measure_literal(rng, space, bound=1):
+    bound = scalar.coerce(bound, space.backend)
+    div = scalar.divider(space.backend)
+    return FiniteMeasure(space, [div(bound * w * rng.randint(0, 64), 64) for w in space.weights])
+
+
+def _old_pushed_weights(src, images, size):
+    den, ws = src._scaled
+    div = scalar.divider(src.backend)
+    return [div(p, den) for p in _fiber_sums(images, ws, size)]
+
+
+def rand_quotient_literal(rng, src, max_classes=None):
+    n = src.size
+    k = rng.randint(1, max_classes or n)
+    assign = {a: rng.randrange(k) for a in src.atoms}
+    used = sorted(set(assign.values()))
+    relabel = {c: t for t, c in enumerate(used)}
+    assign = {a: relabel[c] for a, c in assign.items()}
+    targets = range(len(used))  # labels that are their own positions
+    dst = FiniteProbSpace(
+        targets,
+        _old_pushed_weights(src, list(assign.values()), len(used)),
+        backend=src.backend,
+        tol=src.tol or None,
+    )
+    return MeasurePreservingMap(src, dst, assign)
+
+
+def weight_classes_literal(space):
+    groups = {}
+    for a in space.atoms:
+        groups.setdefault(space.weight(a), []).append(a)
+    return [g for g in groups.values() if len(g) > 1]

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, scalar
+from catprob import errors, jsonio, scalar
 from catprob.finmeas import pushforward
 from catprob.finprob import (
+    FiniteProbSpace,
     MeasurePreservingMap,
     as_equal,
     compose,
@@ -478,3 +480,120 @@ def test_a_non_mapping_assignment_is_a_domain_mismatch(assign):
     u2 = uniform_space(2)
     with pytest.raises(errors.DomainMismatch, match="assignment must be a mapping, not "):
         make_map(u2, u2, assign)
+
+
+# -- spaces built from a user's numbers straight to the scaled form --------------
+
+
+class _Frac(F):
+    pass
+
+
+def _written(rng, q, backend):
+    """The weight q as a user may write it."""
+    num, den = q.numerator, q.denominator
+    forms = [q, _Frac(q), str(q), "%d/%d" % (3 * num, 3 * den), " %d / %d " % (num, den)]
+    if den == 1:
+        forms += [num, "+%d" % num]
+    if backend == scalar.FLOAT:
+        forms.append(float(q))
+    return rng.choice(forms)
+
+
+_FAULTS = [F(-1, 4), "-1/4", "1/-4", True, None, "1/0", "x", 0.5, "1/2/3", [1]]
+
+
+def _user_weights(rng, backend):
+    """Weights summing to 1 in mixed spellings; a fault or a wrong sum at times."""
+    n = rng.randint(1, 10)
+    raw = [rng.randint(0, 5) for _ in range(n)]
+    raw[0] += not any(raw)
+    qs = [F(r, sum(raw)) for r in raw]
+    if rng.random() < 0.15:
+        qs[rng.randrange(n)] += F(1, 7)
+    weights = [_written(rng, q, backend) for q in qs]
+    if rng.random() < 0.15:
+        weights[rng.randrange(n)] = rng.choice(_FAULTS)
+    return weights
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_spaces_match_the_old_space(backend, seed):
+    """The same error, or a space whose first `weights` read gives what the
+    old space stored (a given Fraction's type and value, a float's bits),
+    with the old `repr`, `weight`, JSON bytes and equality, and hashes that
+    agree wherever spaces are equal."""
+    rng = random.Random(seed)
+    weights = _user_weights(rng, backend)
+    atoms = list("abcdefghij"[: len(weights)])
+    new = _built(FiniteProbSpace, atoms, weights, backend)
+    old = _built(oracles.OldSpace, atoms, weights, backend)
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert new._weights is None or backend == scalar.FLOAT
+    assert [_bits(w) for w in new.weights] == [_bits(w) for w in old.weights]
+    assert type(new.weights) is tuple
+    for w, given_w in zip(new.weights, weights):
+        if isinstance(given_w, F) and backend == scalar.EXACT:
+            assert type(w) is F and w == given_w
+    for name in ("atoms", "backend", "tol", "_nulls", "_index"):
+        assert getattr(new, name) == getattr(old, name), name
+    assert _scaled_bits(new) == _scaled_bits(old)
+    assert repr(new) == repr(old)
+    assert [_bits(new.weight(a)) for a in atoms] == [_bits(old.weight(a)) for a in atoms]
+    assert json.dumps(jsonio.space_to_obj(new)) == json.dumps(oracles.old_space_to_obj(old))
+    # the same weights spelled anew, or another draw
+    again = [_written(rng, F(w), backend) for w in old.weights] if rng.random() < 0.5 else None
+    again = again or _user_weights(rng, backend)
+    new2 = _built(FiniteProbSpace, atoms[: len(again)], again, backend)
+    old2 = _built(oracles.OldSpace, atoms[: len(again)], again, backend)
+    if not isinstance(old2, tuple):
+        assert (new == new2) is (old == old2)
+        assert hash(new) == hash(new2) or new != new2
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@pytest.mark.parametrize(
+    "atoms, weights, message",
+    [
+        ([0], "1", "weights must be a list, not a string"),
+        ([0, 1], "ab", "weights must be a list, not a string"),
+        ([0], 5, "weights must be a list, not 5"),
+        ([0], None, "weights must be a list, not None"),
+    ],
+)
+def test_weights_that_are_not_a_list_are_a_catprob_error(backend, atoms, weights, message):
+    for build in (make_space, FiniteProbSpace):
+        with pytest.raises(errors.WeightSumMismatch) as caught:
+            build(atoms, weights, backend=backend)
+        assert str(caught.value) == message
+
+
+def test_weights_in_any_iterable_are_still_taken():
+    for weights in (("1/2", F(1, 2)), (w for w in ["1/2", "1/2"]), range(1, 2)):
+        atoms = [0] if isinstance(weights, range) else [0, 1]
+        assert make_space(atoms, weights) == make_space(atoms, [F(1, len(atoms))] * len(atoms))
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_call_reads_one_image_and_builds_no_assign(backend, data):
+    """`f(a)` is `f.assign[a]`, for every source label and by type, without
+    building `assign`; an unknown label is a KeyError naming it."""
+    s = data.draw(cases(backend)).map
+    identity = identity_map(s.dst)
+    fresh = MeasurePreservingMap(s.src, s.dst, dict(zip(s.src.atoms, map(s, s.src.atoms))))
+    for f in (s, identity, compose(s, identity), fresh):
+        calls = [f(a) for a in f.src.atoms]
+        assert f._assign is None
+        with pytest.raises(KeyError) as caught:
+            f("nowhere")
+        assert caught.value.args == ("nowhere",) and f._assign is None
+        assert _typed(zip(f.src.atoms, calls)) == _typed(f.assign.items())
+    u2 = uniform_space(2)
+    h = MeasurePreservingMap(u2, u2, {0: False, 1: True})
+    assert [(type(h(a)), h(a)) for a in (0, 1)] == [(int, 0), (int, 1)]

@@ -11,6 +11,7 @@ value types keep their tables in scaled form, whichever path built them, and
 their one construction route stores or raises what the old two did.
 """
 import contextlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, sampling, scalar
+from catprob import errors, jsonio, sampling, scalar
 from catprob.diagram import DyadicGround, make_dyadic
 from catprob.finmeas import (
     FiniteMeasure,
@@ -402,3 +403,35 @@ def test_one_route_matches_the_old_constructors(backend, data):
         den *= k if backend == scalar.EXACT else 1
         got = _outcome(cls._from_scaled, space, den, list(nums))
         assert got == _outcome(old_from_scaled, space, den, list(nums))
+
+
+def test_string_tables_build_no_fraction():
+    """An exact space and tables built from "num/den" strings, then compared,
+    hashed and JSON-encoded, build no Fraction at any size."""
+    for n in (8, 16, 32):
+        raw = [1 + i % 3 for i in range(n)]
+        weights = ["%d/%d" % (2 * r, 2 * sum(raw)) for r in raw]
+        values = ["%d/%d" % (i, 1 + i % 5) for i in range(n)]
+        with fractions_built() as count:
+            space, twin = FiniteProbSpace(range(n), weights), FiniteProbSpace(range(n), weights)
+            x, y = FiniteRandomVariable(space, values), FiniteRandomVariable(twin, values)
+            mu, nu = FiniteMeasure(space, weights), FiniteMeasure(twin, dict(enumerate(weights)))
+            assert space == twin and hash(space) == hash(twin)
+            assert x == y and hash(x) == hash(y) and mu == nu and hash(mu) == hash(nu)
+            for obj in (jsonio.space_to_obj(space), jsonio.rv_to_obj(x), jsonio.measure_to_obj(mu)):
+                json.dumps(obj)
+        assert count[0] == 0, n
+
+
+def test_samplers_build_the_same_fractions_at_every_size():
+    """`rand_rv`, `rand_measure` and `rand_quotient` build no Fraction per atom."""
+    counts = []
+    for n in (8, 16, 32):
+        rng = random.Random(n)
+        space = sampling.rand_space(rng, n, n)
+        with fractions_built() as count:
+            sampling.rand_rv(rng, space, bound=F(5, 3))
+            sampling.rand_measure(rng, space, bound="5/3")
+            sampling.rand_quotient(rng, space)
+        counts.append(count[0])
+    assert counts[0] == counts[1] == counts[2], counts

@@ -766,3 +766,19 @@ def test_a_non_mapping_assignment_is_a_domain_mismatch(assign):
     y = two_point(F(1))
     with pytest.raises(errors.DomainMismatch, match="assignment must be a mapping, not "):
         LipschitzMap(y, y, assign)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_lipschitz_call_reads_one_image_and_builds_no_assign(seed):
+    """`f(p)` is `f.assign[p]` for every point, without building `assign`;
+    an unknown point is a KeyError naming it."""
+    rng = random.Random(seed)
+    x, y = rand_metric_space(rng), rand_metric_space(rng)
+    f = rand_lipschitz_map(rng, x, y)
+    for h in (f, identity_lipschitz(x), compose_lipschitz(identity_lipschitz(x), f)):
+        calls = [h(p) for p in h.src.points]
+        with pytest.raises(KeyError) as caught:
+            h("nowhere")
+        assert caught.value.args == ("nowhere",) and h._assign is None
+        assert calls == [h.assign[p] for p in h.src.points]

@@ -1,13 +1,17 @@
-"""One numeric model: every number enters through `scalar.coerce` and leaves
-through `scalar.to_json`, on the probability side, the metric side and the
-dyadic grounds alike."""
+"""One numeric model: every number enters through `scalar.coerce` (a user's
+table or weights through `scalar.coerce_scaled`, under the same rules) and
+leaves through `scalar.to_json`, on the probability side, the metric side and
+the dyadic grounds alike."""
 import ast
 import inspect
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from catprob import errors, finmeas, finprob, finrv, sampling, scalar
 from catprob.diagram import DyadicGround
 from catprob.finprob import make_space
@@ -184,3 +188,102 @@ def _backend_tests(module):
 def test_kernels_have_one_body_for_both_backends():
     tests = [t for m in (finprob, finrv, finmeas, sampling) for t in _backend_tests(m)]
     assert sorted(tests) == sorted(_BACKEND_TESTS)
+
+
+# -- the user route: a user's numbers straight to the scaled form ------------------
+
+
+class _Int(int):
+    pass
+
+
+class _Frac(F):
+    pass
+
+
+_TEXTS = [
+    "1/2", " 3 / 4 ", "+7", " -9 ", "-2/6", "-0/5", "0/-5", "3/-4", "-3/-4", "1_000/3",
+    "1/0", "0/0", "-4/0", "1/2/3", "", " ", "x", "2/x", "/3", "1/", "1.5", "1e3",
+]
+
+_USER_NUMBERS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.fractions(),
+    st.builds(_Frac, st.integers(-50, 50), st.integers(1, 50)),
+    st.builds(_Int, st.integers(-50, 50)),
+    st.floats(),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from(_TEXTS),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-99, 99)),
+    st.text(alphabet=" +-_/0123456789", max_size=8),
+)
+
+
+def _outcome(route, *args):
+    """An error by type and message, or a scaled form by its types and bits."""
+    try:
+        den, nums = route(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return den, type(den), type(nums), [(type(n), n.hex() if type(n) is float else n) for n in nums]
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_USER_NUMBERS, max_size=6))
+def test_coerce_scaled_is_coerce_then_scaled(backend, values):
+    """The same error, type and message, or the same form; an exact one of ints."""
+    new = _outcome(scalar.coerce_scaled, values, backend)
+    assert new == _outcome(oracles.coerce_scaled_literal, values, backend)
+    if new[0] != "raised" and backend == scalar.EXACT:
+        assert new[1] is int and all(kind is int for kind, _ in new[3])
+
+
+def _coerced(coerce, value, backend):
+    """An error by type and message, or the scalar by type and bits."""
+    try:
+        x = coerce(value, backend)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return type(x), x.hex() if type(x) is float else x
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=300, deadline=None)
+@given(value=_USER_NUMBERS)
+def test_coerce_keeps_its_accept_set_and_messages(backend, value):
+    assert _coerced(scalar.coerce, value, backend) == _coerced(oracles.old_coerce, value, backend)
+
+
+@pytest.mark.parametrize(
+    "text, ratio",
+    [
+        ("1/2", (1, 2)),
+        (" -2/6 ", (-1, 3)),
+        ("-0/5", (0, 1)),
+        ("3/-4", (-3, 4)),
+        ("1_0/4", (5, 2)),
+        ("7", (7, 1)),
+    ],
+)
+def test_parse_ratio_reduces_with_the_sign_on_the_numerator(text, ratio):
+    out = scalar.parse_ratio(text)
+    assert out == ratio and all(type(x) is int for x in out)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("1/0", ZeroDivisionError, "Fraction(1, 0)"),
+        (" -4 /0", ZeroDivisionError, "Fraction(-4, 0)"),
+        ("1/2/3", ValueError, "not a rational literal: '1/2/3'"),
+        ("x", ValueError, "invalid literal for int() with base 10: 'x'"),
+        ("", ValueError, "invalid literal for int() with base 10: ''"),
+    ],
+)
+def test_parse_ratio_raises_what_fraction_raised(text, error, message):
+    with pytest.raises(error) as caught:
+        scalar.parse_ratio(text)
+    assert str(caught.value) == message

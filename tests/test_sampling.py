@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from catprob import sampling, scalar
 
 _BOUND = Fraction(5, 3)
@@ -67,3 +68,48 @@ def test_samplers_match_their_formulas(backend, seed):
     assert _bits(mu.mass) == _bits(mass)
     assert [q.assign[a] for a in space.atoms] == assign
     assert _bits(q.dst.weights) == _bits(pushed)
+
+
+def _same_table(new, old):
+    """Equal objects, and equal tables and scaled forms by type and bits."""
+    assert new == old and hash(new) == hash(old)
+    assert _bits(new._read()) == _bits(old._read())
+    assert new._scaled[0] == old._scaled[0] and _bits(new._scaled[1]) == _bits(old._scaled[1])
+
+
+def _same_space(new, old):
+    assert new == old and hash(new) == hash(old) and repr(new) == repr(old)
+    assert (new.atoms, new.tol, new._nulls) == (old.atoms, old.tol, old._nulls)
+    assert new._scaled[0] == old._scaled[0] and _bits(new._scaled[1]) == _bits(old._scaled[1])
+    assert _bits(new.weights) == _bits(old.weights)
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@pytest.mark.parametrize("seed", range(40))
+def test_samplers_match_their_old_code(backend, seed):
+    """Each sampler against a literal copy of its old code, fed the same
+    draws: the same objects and tables, and the generator left in the same
+    state.  Sizes reach 24 atoms, and a quotient is quotiented again."""
+    bounds = [1, 3, Fraction(5, 3), "7/4"] + ([0.75] if backend == scalar.FLOAT else [])
+    new_rng, old_rng = random.Random(seed), random.Random(seed)
+    for max_atoms in (1, 8, 24):
+        size = dict(min_atoms=1, max_atoms=max_atoms, backend=backend)
+        space = sampling.rand_space(new_rng, **size)
+        old_space = oracles.rand_space_literal(old_rng, **size)
+        _same_space(space, old_space)
+        for bound in bounds:
+            f = sampling.rand_rv(new_rng, space, bound)
+            _same_table(f, oracles.rand_rv_literal(old_rng, space, bound))
+            mu = sampling.rand_measure(new_rng, space, bound)
+            _same_table(mu, oracles.rand_measure_literal(old_rng, space, bound))
+        q = space
+        for k in (None, 3):
+            old_q = oracles.rand_quotient_literal(old_rng, q, k)
+            q = sampling.rand_quotient(new_rng, q, k)
+            assert q == old_q and hash(q) == hash(old_q)
+            assert list(q.assign.items()) == list(old_q.assign.items())
+            _same_space(q.dst, old_q.dst)
+            q = q.dst
+        for s in (space, q):
+            assert sampling.weight_classes(s) == oracles.weight_classes_literal(s)
+        assert new_rng.getstate() == old_rng.getstate()
