@@ -3,11 +3,17 @@
 Every subcommand is a thin binding over the library; no numerical logic
 lives here.  Identical configuration and seed produce byte-identical
 reports (sorted JSON keys, ordered CSV rows, no timestamps).
+
+`main` parses with one parser per process, built on its first call and
+reused by every later one; `build_parser` still returns a fresh parser.
+Argparse formats help, usage and errors when it prints them, so they still
+follow the terminal width and the current `sys.stdout`/`sys.stderr`.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -314,9 +320,11 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CatprobError as exc:

@@ -57,26 +57,49 @@ from .scalar import EXACT
 MAX_DYADIC_DEPTH = 18
 
 
-def _covers(elements, leq, ordered):
-    """The pairs i < j of `leq` with nothing strictly between, in the order of `ordered`."""
+def _up_sets(elements, leq):
+    """The order `leq` as up-sets: each element -> the set of elements above it."""
+    above = {e: set() for e in elements}
+    for i, j in leq:
+        above[i].add(j)
+    return above
+
+
+def _covers(above, ordered):
+    """The pairs i < j of `ordered` with nothing strictly between, in its order."""
     return tuple(
         (i, j)
         for (i, j) in ordered
-        if i != j
-        and not any(k not in (i, j) and (i, k) in leq and (k, j) in leq for k in elements)
+        if i != j and not any(k != i and k != j and j in above[k] for k in above[i])
     )
 
 
 def _closure(elements, pairs):
-    """Reflexive-transitive closure of the order pairs: one Warshall pass over k."""
-    above = {e: {e} for e in elements}
-    for i, j in pairs:
-        above[i].add(j)
+    """Up-sets (`_up_sets`) of the reflexive-transitive closure of the order
+    pairs: one Warshall pass over k."""
+    above = _up_sets(elements, chain(zip(elements, elements), pairs))
     for k in elements:
         for i in elements:
             if k in above[i]:
                 above[i] |= above[k]
-    return frozenset((i, j) for i in elements for j in above[i])
+    return above
+
+
+def _derive(elements, above, ordered, have):
+    """`via` of `_Connect`: each pair (i, j) of `ordered` not in `have`, derived
+    through the first k with (i, k) and (k, j) in the order and at hand,
+    sweeping `ordered` until no pair is added; derived pairs join `have`."""
+    via, size = {}, None
+    while size != len(via):
+        size = len(via)
+        for i, j in (p for p in ordered if p not in have):
+            up = above[i]
+            for k in elements:
+                if k in up and j in above[k] and (i, k) in have and (k, j) in have:
+                    via[(i, j)] = k
+                    have.add((i, j))
+                    break
+    return via
 
 
 class _Connect(Mapping):
@@ -129,7 +152,8 @@ class FiltrationDiagram:
         stray = [p for p in leq if p[0] not in elements or p[1] not in elements]
         if stray:
             raise InvalidDiagram("order pairs name non-elements: %r" % (stray[:4],))
-        self.leq = leq = _closure(elements, leq)
+        above = _closure(elements, leq)
+        self.leq = leq = frozenset((i, j) for i in elements for j in above[i])
         missing = [e for e in elements if e not in spaces]
         if missing:
             raise InvalidDiagram("no space for elements %r" % (missing[:4],))
@@ -140,20 +164,10 @@ class FiltrationDiagram:
         for e in elements:
             if (e, e) not in table:
                 table[(e, e)] = identity_map(self.spaces[e])
-        # a missing pair (i, j) is derived through the first k with (i, k) and (k, j) at hand
         rank = {e: t for t, e in enumerate(elements)}
         ordered = sorted(leq, key=lambda p: (rank[p[0]], rank[p[1]]))
-        self.covers = _covers(elements, leq, ordered)
-        have, via, size = set(table), {}, None
-        while size != len(via):
-            size = len(via)
-            for i, j in (p for p in ordered if p not in have):
-                for k in elements:
-                    if (i, k) in have and (k, j) in have and (i, k) in leq and (k, j) in leq:
-                        via[(i, j)] = k
-                        have.add((i, j))
-                        break
-        self.connect = _Connect(table, via)
+        self.covers = _covers(above, ordered)
+        self.connect = _Connect(table, _derive(elements, above, ordered, set(table)))
         if self.backend != EXACT:  # build now: `compose` re-checks floats, as drift adds up
             self.connect = MappingProxyType(dict(self.connect))
         self.top = top
@@ -255,11 +269,10 @@ def validate(d):
     for (i, j) in sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]])):
         if rank[i] < rank[j] and (j, i) in d.leq:
             problems.append("antisymmetry fails: %r <= %r <= %r" % (i, j, i))
+    above = _up_sets(els, d.leq)
     for i in els:
         for j in els:
-            if rank[i] < rank[j] and not any(
-                d.le(i, k) and d.le(j, k) for k in els
-            ):
+            if rank[i] < rank[j] and above[i].isdisjoint(above[j]):
                 problems.append("no upper bound for %r, %r" % (i, j))
     backends = {d.spaces[e].backend for e in els}
     if len(backends) > 1:
@@ -288,7 +301,7 @@ def validate(d):
     if d.top is not None:
         if d.top not in els:
             problems.append("top %r is not an element" % (d.top,))
-        elif not all(d.le(i, d.top) for i in els):
+        elif not all(d.top in above[i] for i in els):
             problems.append("top %r is not the poset maximum" % (d.top,))
     return DiagramReport(ok=not problems, problems=tuple(problems))
 

@@ -10,7 +10,7 @@ subset enumeration over the codomain.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, eq, sub
 from types import MappingProxyType
 
 from . import scalar
@@ -156,16 +156,27 @@ def _fiber_sums(images, values, size):
 def _check_pushforward(src, dst, images):
     """Raise NotMeasurePreserving unless `images` pushes src's weights onto dst's.
 
-    Fiber sums and target weights are compared cross-multiplied, so a valid
-    exact map builds no Fraction.
+    Fiber sums p and target weights w are compared cross-multiplied, as
+    p * dden == w * sden, in one pass.  When dden divides sden (always for a
+    valid exact map, as forms are in lowest terms, and on the float backend,
+    where both are 1) that is p == w * (sden // dden).  Otherwise, or when
+    that pass fails, the atoms are walked and the first that fails is worded
+    from the scaled forms: an exact map builds no Fraction, failing or not
+    (a sampler may reject many draws against one target).
     """
     (sden, sws), (dden, dws) = src._scaled, dst._scaled
-    pushed = _fiber_sums(images, sws, dst.size)
+    pushed, tol = _fiber_sums(images, sws, dst.size), dst.tol
+    k, r = divmod(sden, dden)
+    if not r:
+        want = dws if k == 1 else [w * k for w in dws]
+        # `<=`, not `tol.__ge__`, which gives NotImplemented (true) for an int tol and a float
+        if all(map(eq, pushed, want)) if tol == 0 else max(map(abs, map(sub, pushed, want))) <= tol:
+            return
     for b, p, w in zip(dst.atoms, pushed, dws):
-        if not scalar.eq(p * dden, w * sden, dst.tol):
+        if not scalar.eq(p * dden, w * sden, tol):
+            mass, weight = scalar.ratio_text(p, sden, src.backend), scalar.ratio_text(w, dden, dst.backend)
             raise NotMeasurePreserving(
-                "atom %r receives mass %s, target weight is %s"
-                % (b, scalar.divider(src.backend)(p, sden), dst.weight(b))
+                "atom %r receives mass %s, target weight is %s" % (b, mass, weight)
             )
 
 

@@ -93,6 +93,13 @@ def scaled_to_json(den, nums):
     return out
 
 
+def ratio_text(num, den, backend):
+    """`str(divider(backend)(num, den))`, with no Fraction built on the exact backend."""
+    if backend != EXACT:
+        return str(num / den)
+    return scaled_to_json(den, [num])[0]
+
+
 def check_tol(tol):
     """Raise ValueError unless `tol` is a finite real >= 0 (a bool is not one)."""
     if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)) or not 0 <= tol < inf:

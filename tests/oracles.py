@@ -11,7 +11,8 @@ spaces and value types as they did, and the copies of the old label-keyed
 Lipschitz maps and the constructions' maps, which call the library's metric
 helpers as they did, and the copies of the old user-number route, space and
 samplers, which call `scalar.scaled` and build the library's objects as they
-did.
+did, and the copy of the old pushforward check at the end, which calls the
+library's `_fiber_sums` as it did.
 """
 from __future__ import annotations
 
@@ -1087,3 +1088,58 @@ def weight_classes_literal(space):
     for a in space.atoms:
         groups.setdefault(space.weight(a), []).append(a)
     return [g for g in groups.values() if len(g) > 1]
+
+
+# -- the pushforward check and the order scans, as they were ------------------------
+#
+# A literal copy of `finprob._check_pushforward` from before it compared all
+# fiber sums in one pass and worded its message from the scaled ints, and
+# literal copies of the three order scans of `FiltrationDiagram` from before
+# they read up-sets: `_covers`, the constructor's `via` loop and `validate`'s
+# upper-bound scan.
+
+
+def check_pushforward_literal(src, dst, images):
+    (sden, sws), (dden, dws) = src._scaled, dst._scaled
+    pushed = _fiber_sums(images, sws, dst.size)
+    for b, p, w in zip(dst.atoms, pushed, dws):
+        if not scalar.eq(p * dden, w * sden, dst.tol):
+            raise NotMeasurePreserving(
+                "atom %r receives mass %s, target weight is %s"
+                % (b, scalar.divider(src.backend)(p, sden), dst.weight(b))
+            )
+
+
+def covers_literal(elements, leq, ordered):
+    return tuple(
+        (i, j)
+        for (i, j) in ordered
+        if i != j
+        and not any(k not in (i, j) and (i, k) in leq and (k, j) in leq for k in elements)
+    )
+
+
+def via_literal(elements, leq, table, ordered):
+    have, via, size = set(table), {}, None
+    while size != len(via):
+        size = len(via)
+        for i, j in (p for p in ordered if p not in have):
+            for k in elements:
+                if (i, k) in have and (k, j) in have and (i, k) in leq and (k, j) in leq:
+                    via[(i, j)] = k
+                    have.add((i, j))
+                    break
+    return via
+
+
+def upper_bound_problems_literal(d):
+    problems = []
+    els = d.elements
+    rank = {e: t for t, e in enumerate(els)}
+    for i in els:
+        for j in els:
+            if rank[i] < rank[j] and not any(
+                d.le(i, k) and d.le(j, k) for k in els
+            ):
+                problems.append("no upper bound for %r, %r" % (i, j))
+    return problems

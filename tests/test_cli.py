@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from catprob import jsonio
+from catprob import cli, jsonio
 from catprob.cli import main
 from catprob.diagram import DyadicGround, make_dyadic, restrict_measure
 from catprob.finmeas import make_measure
@@ -383,3 +384,67 @@ def test_martingale_report_bytes_are_pinned(capsys, ground, fmt):
     code, out = run(capsys, "martingale", "--ground", ground, "--depth", "12", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _MARTINGALE_REPORTS[(ground, fmt)]
+
+
+def _counted_parsers(monkeypatch):
+    """A counter of the `argparse.ArgumentParser`s constructed from here on."""
+    built = {"n": 0}
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built["n"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    assert main(["martingale", "--depth", "2"]) == 0
+    built = _counted_parsers(monkeypatch)
+    for ground in ("identity", "tent", "constant"):
+        assert main(["martingale", "--ground", ground, "--depth", "2"]) == 0
+    assert built["n"] == 0
+    fresh = cli.build_parser()  # still a new parser, one per subcommand and the root
+    assert built["n"] == 1 + len(cli._COMMANDS) and fresh is not cli._parser()
+
+
+def test_options_do_not_leak_between_calls(tmp_path, capsys):
+    _, csv_out = run(capsys, "martingale", "--depth", "2", "--format", "csv")
+    _, json_out = run(capsys, "martingale", "--depth", "2")
+    assert csv_out.startswith("depth,") and json.loads(json_out)["depth"] == 2
+    target = tmp_path / "report.json"
+    _, written = run(capsys, "martingale", "--depth", "2", "--out", str(target))
+    _, printed = run(capsys, "martingale", "--depth", "2")
+    assert written == "" and target.read_text() == printed == json_out
+
+
+def _exit(capsys, call, argv):
+    """(exit code, stdout, stderr) of one call that may exit."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["martingale", "--help"], ["martingale", "--depth", "x"], []]
+)
+def test_help_and_usage_errors_repeat(argv, capsys):
+    cli._parser.cache_clear()  # the first call builds the parser
+    first = _exit(capsys, main, argv)
+    assert first[0] in (0, 2) and first[1] + first[2]
+    assert _exit(capsys, main, argv) == first == _exit(capsys, cli.build_parser().parse_args, argv)
+
+
+def test_help_wraps_to_the_width_at_print_time(monkeypatch, capsys):
+    texts = []
+    for columns in ("60", "160"):
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = ["martingale", "--help"]
+        texts.append(_exit(capsys, main, argv))
+        assert texts[-1] == _exit(capsys, cli.build_parser().parse_args, argv)
+    (_, narrow, _), (_, wide, _) = texts
+    assert max(map(len, narrow.splitlines())) <= 60 < max(map(len, wide.splitlines()))

@@ -30,7 +30,14 @@ from catprob.diagram import (
     validate,
 )
 from catprob.finmeas import FiniteMeasure, base_measure, rn_derivative, zero_measure
-from catprob.finprob import MeasurePreservingMap, identity_map, make_map, make_space, uniform_space
+from catprob.finprob import (
+    MeasurePreservingMap,
+    compose,
+    identity_map,
+    make_map,
+    make_space,
+    uniform_space,
+)
 from catprob.finrv import (
     FiniteRandomVariable,
     cond_exp,
@@ -52,12 +59,15 @@ from oracles import (
     bound_check_literal,
     composite_fill_literal,
     covering_pairs_literal,
+    covers_literal,
     diagram_problems_literal,
     dyadic_tables_per_cell,
     integral_abs_by_refinement,
     martingale_literal,
     measure_family_literal,
     pointwise_identities_literal,
+    upper_bound_problems_literal,
+    via_literal,
 )
 
 
@@ -1180,3 +1190,79 @@ def test_dyadic_runs_read_no_step_map_table(monkeypatch, capsys):
     d, _ = make_dyadic(tent, 2)
     assert dict(d.connect[(1, 2)].assign) == {0: 0, 1: 0, 2: 1, 3: 1}
     assert built == [d.connect[(1, 2)]]  # the counter sees a read
+
+
+@st.composite
+def random_relations(draw):
+    """Constructor arguments (elements, generating pairs, spaces, connect, top)
+    on 1-6 elements.  The generators are any relation, so the order may have
+    cycles or pairs without an upper bound.  Every level is the uniform space
+    on m atoms and f_ij = g_i^-1 . g_j, so the maps commute; each pair's map
+    may be left out, and at times one map is corrupted or a stray one added."""
+    n = draw(st.integers(1, 6))
+    elements = tuple(draw(st.permutations(range(n))))
+    gens = draw(st.lists(st.tuples(st.sampled_from(elements), st.sampled_from(elements)), max_size=9))
+    m = draw(st.integers(1, 3))
+    space = uniform_space(m)
+    perms = {e: draw(st.permutations(range(m))) for e in elements}
+    inverse = {e: {b: a for a, b in enumerate(p)} for e, p in perms.items()}
+    connect = {}
+    for i, j in sorted(_closed(elements, gens)):
+        if draw(st.booleans()):
+            connect[(i, j)] = make_map(space, space, {a: inverse[i][perms[j][a]] for a in range(m)})
+    shift = {a: (a + 1) % m for a in range(m)}
+    if connect and draw(st.booleans()):
+        connect[draw(st.sampled_from(sorted(connect)))] = make_map(space, space, shift)
+    if draw(st.booleans()):
+        connect[(draw(st.sampled_from(elements)), draw(st.sampled_from(elements)))] = make_map(
+            space, space, shift
+        )
+    top = draw(st.sampled_from(elements + (None, n)))
+    return elements, gens, {e: space for e in elements}, connect, top
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_relations())
+def test_up_set_scans_match_the_old_scans(case):
+    """The closure, `covers`, the derived pairs `connect.via` and every
+    problem of `validate`, in order, as the old scans over `leq` gave them;
+    the constructor raises the old message, or builds the old diagram."""
+    elements, gens, spaces, connect, top = case
+    leq = _closed(elements, gens)
+    rank = {e: t for t, e in enumerate(elements)}
+    ordered = sorted(leq, key=lambda p: (rank[p[0]], rank[p[1]]))
+    above = diagram._closure(elements, gens)
+    assert frozenset((i, j) for i in elements for j in above[i]) == leq
+    assert diagram._covers(above, ordered) == covers_literal(elements, leq, ordered)
+    table = dict(connect)
+    for e in elements:
+        table.setdefault((e, e), identity_map(spaces[e]))
+    via = via_literal(elements, leq, table, ordered)
+    derived = diagram._derive(elements, above, ordered, set(table))
+    assert list(derived.items()) == list(via.items())
+    full = dict(table)
+    for (i, k), l in via.items():  # as `_Connect` builds them, in `via` order
+        full[(i, k)] = compose(full[(l, k)], full[(i, l)])
+    raw = _raw_diagram(elements, leq, spaces, full, top)
+    expected = diagram_problems_literal(raw)
+    assert validate(raw).problems == expected
+    unbounded = [p for p in expected if p.startswith("no upper bound")]
+    assert unbounded == upper_bound_problems_literal(raw)
+    try:
+        built = FiltrationDiagram(elements, gens, spaces, connect, top=top)
+    except errors.InvalidDiagram as exc:
+        assert exc.problems == expected
+        assert str(exc) == "; ".join(expected[:6])
+    else:
+        assert expected == ()
+        assert built.leq == leq
+        assert built.covers == covers_literal(elements, leq, ordered)
+        assert list(built.connect.via.items()) == list(via.items())
+
+
+def test_building_a_chain_calls_no_le(monkeypatch):
+    """The order scans of a chain build read up-sets, never `FiltrationDiagram.le`."""
+    calls = _count_calls(monkeypatch, FiltrationDiagram, "le")
+    d, _ = make_dyadic(IDENTITY, 9)
+    assert len(d.elements) == 10 and calls["n"] == 0
+    assert d.le(0, 9) and calls["n"] == 1  # the counter sees a call

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, jsonio, scalar
+from catprob import errors, finprob, jsonio, scalar
 from catprob.finmeas import pushforward
 from catprob.finprob import (
     FiniteProbSpace,
@@ -597,3 +597,79 @@ def test_a_call_reads_one_image_and_builds_no_assign(backend, data):
     u2 = uniform_space(2)
     h = MeasurePreservingMap(u2, u2, {0: False, 1: True})
     assert [(type(h(a)), h(a)) for a in (0, 1)] == [(int, 0), (int, 1)]
+
+
+_TOLS = [0, 1, 1e-9, 0.03125, 0.05, F(1, 32), F(0)]
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pushforward_check_matches_the_old_check(backend, data):
+    """The one-pass check passes where the old per-atom check passed, and
+    otherwise raises its exception type with its message, on weights in
+    sixteenths and float tolerances given as an int, a float or a Fraction;
+    the target's `weights` are not read."""
+    n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
+    cuts = sorted(data.draw(st.lists(st.integers(0, 16), min_size=n - 1, max_size=n - 1)))
+    qs = [F(b - a, 16) for a, b in zip([0, *cuts], [*cuts, 16])]
+    images = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    pushed = [sum((q for q, b in zip(qs, images) if b == c), F(0)) for c in range(m)]
+    shift = data.draw(st.sampled_from([0, F(1, 64), F(1, 32), F(1, 16), F(1, 8)]))
+    giver, taker = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    if pushed[giver] >= shift:
+        pushed[giver] -= shift
+        pushed[taker] += shift
+    tol = data.draw(st.sampled_from(_TOLS)) if backend == scalar.FLOAT else None
+    spell = float if backend == scalar.FLOAT else str
+    src = make_space(range(n), [spell(q) for q in qs], backend=backend, tol=tol)
+    dst = make_space(["p%d" % c for c in range(m)], [spell(q) for q in pushed], backend, tol)
+    outcomes = []
+    for check in (finprob._check_pushforward, oracles.check_pushforward_literal):
+        try:
+            check(src, dst, images)
+        except errors.CatprobError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append(None)
+        if check is finprob._check_pushforward:
+            assert dst._weights is None or backend == scalar.FLOAT
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize(
+    "src_weights, dst_weights, tol, message",
+    [
+        ([3.0], [0.0, 1.0], 2, "atom 'p0' receives mass 3.0, target weight is 0.0"),
+        ([3.0], [1.0, 0.0], 2, None),
+        ([2.5], [0.5, 0.5], 2, None),
+        ([2.5], [0.5, 0.5], 1.9, "atom 'p0' receives mass 2.5, target weight is 0.5"),
+    ],
+)
+def test_an_int_tol_bounds_the_gap_by_value(src_weights, dst_weights, tol, message):
+    """A float check with an int tol compares the largest gap by value: with
+    weights summing to 1 within a wide tol, a gap can exceed it."""
+    src = make_space(range(len(src_weights)), src_weights, scalar.FLOAT, tol)
+    dst = make_space(["p0", "p1"], dst_weights, scalar.FLOAT, tol)
+    for check in (finprob._check_pushforward, oracles.check_pushforward_literal):
+        try:
+            check(src, dst, (0,))
+        except errors.NotMeasurePreserving as exc:
+            assert str(exc) == message
+        else:
+            assert message is None
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_valid_map_is_decided_in_one_pass(backend, data):
+    """Checking a valid map walks no atom: `scalar.eq` is not called."""
+    s = data.draw(cases(backend)).map
+    u4, u2 = uniform_space(4, backend), uniform_space(2, backend)
+    skew = make_space("xy", ["1/4", "3/4"], backend)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scalar, "eq", lambda *args: pytest.fail("an atom was walked"))
+        MeasurePreservingMap(s.src, s.dst, s.assign)
+        MeasurePreservingMap(u4, skew, {0: "x", 1: "y", 2: "y", 3: "y"})  # sden // dden == 1
+        MeasurePreservingMap(u4, u2, {0: 0, 1: 0, 2: 1, 3: 1})  # 2 on the exact backend

@@ -435,3 +435,21 @@ def test_samplers_build_the_same_fractions_at_every_size():
             sampling.rand_quotient(rng, space)
         counts.append(count[0])
     assert counts[0] == counts[1] == counts[2], counts
+
+
+def test_a_failing_check_builds_no_fraction():
+    """A map that fails its pushforward check words the failing atom from the
+    scaled ints: no Fraction at any size, and the exact target's `weights`
+    are not built."""
+    counts = []
+    for n in (8, 16, 32):
+        raw = [1 + i % 3 for i in range(n)]
+        dst = FiniteProbSpace(range(n), ["%d/%d" % (r, sum(raw)) for r in raw])
+        src = uniform_space(n)
+        with fractions_built() as count:
+            with pytest.raises(errors.NotMeasurePreserving) as caught:
+                MeasurePreservingMap(src, dst, {a: a for a in range(n)})
+        assert str(caught.value).startswith("atom 0 receives mass 1/%d" % n)
+        assert dst._weights is None
+        counts.append(count[0])
+    assert counts == [0, 0, 0], counts

@@ -287,3 +287,17 @@ def test_parse_ratio_raises_what_fraction_raised(text, error, message):
     with pytest.raises(error) as caught:
         scalar.parse_ratio(text)
     assert str(caught.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.one_of(st.integers(-(10**12), 10**12), st.floats(-5, 5, allow_nan=False)),
+    den=st.integers(1, 10**6),
+    backend=st.sampled_from(scalar.BACKENDS),
+)
+def test_ratio_text_is_the_text_of_the_ratio(num, den, backend):
+    """The text a message gives n / den, with an int 0 on the float backend
+    (an empty fiber's sum) and no float on the exact one."""
+    if backend == scalar.EXACT and type(num) is float:
+        num = int(num)
+    assert scalar.ratio_text(num, den, backend) == str(scalar.divider(backend)(num, den))
