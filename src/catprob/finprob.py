@@ -131,7 +131,8 @@ class _Equal(tuple):
 
 
 class _Scaled(tuple):
-    """Weights the library computed, as a scaled form (den, nums) with nums a list."""
+    """A scaled form the library computed: weights (den, nums) with nums a
+    list, or a metric table (den, rows), rows a tuple of tuples."""
 
 
 def uniform_space(atoms, backend=scalar.EXACT):

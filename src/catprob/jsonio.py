@@ -165,9 +165,10 @@ def rv_from_obj(obj, space=None, what="rv"):
 
 
 def metspace_to_obj(x):
+    den, rows = x._scaled
     return {
         "points": [_atom_to_json(p) for p in x.points],
-        "dist": [[scalar.to_json(d) for d in row] for row in x.dist],
+        "dist": [scalar.scaled_to_json(den, row) for row in rows],
         "tol": x.tol,
     }
 

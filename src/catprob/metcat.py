@@ -4,20 +4,28 @@ Constructions: sup-metric product, equalizer subspace, infinity-separated
 coproduct, chain-infimum coequalizer, sum-metric tensor, sup-metric hom over
 a supplied family of maps, currying both ways, scaling, metric reflection.
 Distances may be infinite; every table holds infinity as the one object
-`INF` (`math.inf`).  Comparisons, `max` and `min` use Python's exact
-ordering against it, also for Fractions.  Sums saturate there through
-`_sat_add` (the closure skips INF edges), since Fraction + INF goes through
-a float and overflows.
+`INF` (`math.inf`).
 
 Distances follow the numeric model of `scalar`, the one the probability
 side and the dyadic grounds use.  The backend comes from `tol`: tol == 0
-makes an exact table, which `scalar.coerce` fills with Fractions from ints,
-Fractions and "num/den" strings; tol > 0 makes a float table, which holds
-floats.  Infinity (`math.inf` or "inf") is taken on both; bools, None, nan,
--inf, finite floats in an exact table and anything else raise InvalidMetric.
-One axiom scan serves both backends: on ints over an exact table's common
-denominator, with infinity as 2*max + 1, and on a float table as it is,
-with tol slack.  `tol` must be a finite real >= 0.
+makes an exact table, tol > 0 a float table.  A space stores its table once,
+as the scaled form `_scaled = (den, rows)`: on an exact table, rows of ints
+over one den in lowest terms, so equal tables have equal forms; on a float
+table, den 1 and rows of floats.  INF stays INF in both.  `dist` is a
+read-only property: an exact table builds its Fractions on first read, and
+`distance` builds only its one entry.  A user's table enters by
+`scalar.coerce_scaled`'s rules (ints, Fractions and "num/den" strings on
+both backends, floats on the float one); infinity (`math.inf` or "inf") is
+taken on both; bools, None, nan, -inf, finite floats in an exact table and
+anything else raise InvalidMetric.  `tol` must be a finite real >= 0.
+
+The constructions compute on the rows, with one body for both backends, and
+hand their forms to the one validating constructor through the private
+`finprob._Scaled` marker.  Ints and INF compare exactly, and `max` and `min`
+mix them freely.  Sums test for INF first: int + INF converts the int to a
+float, which overflows above about 1.8e308.  One axiom scan serves both
+backends, on the stored rows: on an exact table with INF read as
+2*max + 1, on a float table as it is, with tol slack.
 
 `product`, `tensor` and `coproduct` take one backend, as the probability
 side does, and raise BackendMismatch on mixed inputs.  A hom space holds
@@ -32,6 +40,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import scalar
 from .errors import (
@@ -42,7 +51,7 @@ from .errors import (
     NotParallel,
     ProductTooLarge,
 )
-from .finprob import _Map, _then
+from .finprob import _Map, _Scaled, _then
 
 INF = math.inf
 
@@ -51,12 +60,54 @@ MAX_PRODUCT_POINTS = 10 ** 6
 
 
 def _coerce_dist(value, backend):
+    """One entry of a user's table by `scalar.coerce_scaled`'s rules, as
+    (num, den), or INF for infinity."""
     try:
-        return scalar.coerce(value, backend)
+        den, (num,) = scalar.coerce_scaled((value,), backend)
     except (ValueError, ZeroDivisionError, BackendMismatch) as exc:
         if value == INF or value == "inf":
             return INF
         raise InvalidMetric("not a distance: %r (%s)" % (value, exc)) from None
+    return num, den
+
+
+def _coerce_table(dist, n, backend):
+    """The scaled form of a user's n x n table, its entries coerced in row order."""
+    try:
+        rows = [list(r) for r in dist]
+    except TypeError:  # the table, or one of its rows, is not iterable
+        raise InvalidMetric("distance table is not a list of rows: %r" % (dist,)) from None
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise InvalidMetric("distance table is not %d x %d" % (n, n))
+    ratios = None
+    if backend == scalar.EXACT:  # coerce_scaled's rules inline, in one pass
+        try:
+            ratios = [
+                [
+                    (v, 1) if type(v) is int else v.as_integer_ratio() if type(v) is Fraction
+                    else INF if v is INF or v == "inf"
+                    else scalar.parse_ratio(v) if type(v) is str else _coerce_dist(v, backend)
+                    for v in r
+                ]
+                for r in rows
+            ]
+        except (ValueError, ZeroDivisionError):  # a malformed string: the walk words it
+            pass
+    if ratios is None:
+        ratios = [[INF if v is INF else _coerce_dist(v, backend) for v in r] for r in rows]
+    den = math.lcm(*[p[1] for r in ratios for p in r if p is not INF])
+    return den, tuple([tuple([p if p is INF else p[0] * (den // p[1]) for p in r]) for r in ratios])
+
+
+def _lowest(den, rows):
+    """An exact form in lowest terms, the least den, as every exact table is
+    stored; a form over den 1 (every float form) is returned as it is."""
+    if den == 1:
+        return den, rows
+    g = math.gcd(den, *filter(INF.__ne__, itertools.chain.from_iterable(rows)))
+    if g == 1:
+        return den, rows
+    return den // g, tuple([tuple([v if v is INF else v // g for v in r]) for r in rows])
 
 
 class FinPseudometricSpace:
@@ -64,10 +115,11 @@ class FinPseudometricSpace:
 
     The backend comes from `tol`: the default tol=0 gives an exact table of
     Fractions with exact checks, tol > 0 a float table whose axiom checks
-    are relaxed by tol.
+    are relaxed by tol.  The table is stored as its scaled form (see the
+    module docstring); `==` reads the forms, `dist` is built from it.
     """
 
-    __slots__ = ("points", "dist", "tol", "_index")
+    __slots__ = ("points", "tol", "_index", "_scaled", "_dist")
 
     def __init__(self, points, dist, tol=0):
         scalar.check_tol(tol)
@@ -76,22 +128,37 @@ class FinPseudometricSpace:
         index = {p: i for i, p in enumerate(points)}
         if len(index) != len(points):
             raise InvalidMetric("duplicate point labels")
-        n = len(points)
-        rows = [list(r) for r in dist]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise InvalidMetric("distance table is not %d x %d" % (n, n))
         backend = self.backend
-        table = tuple(tuple(_coerce_dist(v, backend) for v in row) for row in rows)
-        _check_axioms(points, table, tol)
-        self.points = points
-        self.dist = table
-        self._index = index
+        exact = backend == scalar.EXACT
+        if type(dist) is not _Scaled:
+            den, rows = _coerce_table(dist, len(points), backend)
+        elif exact:  # a construction's rows: ints and INF, maybe not in lowest terms
+            den, rows = _lowest(*dist)
+        else:  # a construction's rows: floats, and maybe the int 0 of an empty sup
+            den, rows = 1, tuple([tuple(map(float, r)) for r in dist[1]])
+        _check_axioms(points, den, rows, tol, scalar.divider(backend))
+        self.points, self._index, self._scaled = points, index, (den, rows)
+        self._dist = None if exact else rows
+
+    @property
+    def dist(self):
+        """The distance table; an exact table builds its Fractions here, once,
+        one per distinct entry (a symmetric table holds each twice)."""
+        if self._dist is None:
+            den, rows = self._scaled
+            value = {v: _value(v, den, Fraction) for v in set(itertools.chain.from_iterable(rows))}
+            self._dist = tuple([tuple(map(value.__getitem__, r)) for r in rows])
+        return self._dist
 
     def distance(self, x, y):
         try:
-            return self.dist[self._index[x]][self._index[y]]
+            i, j = self._index[x], self._index[y]
         except (KeyError, TypeError):
             raise DomainMismatch("points %r, %r: not both in the space" % (x, y)) from None
+        if self._dist is not None:
+            return self._dist[i][j]
+        den, rows = self._scaled
+        return _value(rows[i][j], den, Fraction)
 
     @property
     def backend(self):
@@ -101,47 +168,65 @@ class FinPseudometricSpace:
     def size(self):
         return len(self.points)
 
+    def _holds(self, form, backend):
+        """Whether this table equals `form`, the scaled form of a table on `backend`."""
+        if self.backend == backend:  # equal forms, as stored
+            return self._scaled == form
+        den, rows = form  # exact against float, by value
+        div = scalar.divider(backend)
+        return self.dist == tuple([tuple([_value(v, den, div) for v in r]) for r in rows])
+
     def __eq__(self, other):
         if not isinstance(other, FinPseudometricSpace):
             return NotImplemented
-        return self.points == other.points and self.dist == other.dist
+        return self.points == other.points and self._holds(other._scaled, other.backend)
 
-    def __hash__(self):
+    def __hash__(self):  # by value, as == compares across backends
         return hash((self.points, self.dist))
 
     def __repr__(self):
         return "FinPseudometricSpace(points=%r)" % (self.points,)
 
 
-def _check_axioms(points, table, tol):
+def _value(v, den, div):
+    """An entry of a scaled form as a distance: INF, or div(v, den)."""
+    return v if v is INF else div(v, den)
+
+
+def _check_axioms(points, den, rows, tol, div):
     """Raise InvalidMetric for the first axiom failure, in scan order: per
     row i, d(i,i) = 0 and then each entry's sign and symmetry; then every
     triangle d(i,j) <= d(i,k) + d(k,j), in (i, j, k) order.
 
-    One table of comparable numbers serves both backends.  An exact table
-    is scaled to ints over its common denominator, with INF as
-    top = 2*max + 1.  Once the entries are known to be non-negative, top
-    keeps the int triangle true exactly when the saturating one holds: a
-    sum with a top term is at least top, which no entry exceeds, and a
-    finite sum is at most 2*max < top.  A float table is read as it is, INF
-    included, with tol slack.  Messages print the entries of `table`.
+    The scan reads the stored rows.  On an exact table, INF is read as
+    top = 2*max + 1 (an int sum never overflows, as int + INF may).  Once
+    the entries are known to be non-negative, top keeps the int triangle
+    true exactly when the saturating one holds: a sum with a top term is at
+    least top, which no entry exceeds, and a finite sum is at most
+    2*max < top.  A float table is read as it is, INF included, with tol
+    slack.  Messages print the entries as `dist` reads them, `div(v, den)`.
     """
-    n = len(table)
+    n = len(rows)
+    table = rows
     if tol == 0:
-        _, nums = scalar.scaled([v for row in table for v in row if v is not INF])
-        top = 2 * max(nums, default=0) + 1  # > 0 past row 0, whose d(0,0) = 0 is in nums
-        finite = iter(nums)
-        rows = [tuple([top if v is INF else next(finite) for v in row]) for row in table]
+        if any(INF in r for r in rows):
+            # > 0 past row 0, whose d(0,0) = 0 is among the finite entries
+            top = 2 * max(filter(INF.__ne__, itertools.chain.from_iterable(rows)), default=0) + 1
+            rows = [tuple([top if v is INF else v for v in r]) for r in rows]
         # slack is the int 0, as a 0.0 tol would make the sums floats.  Once
         # the rows pass, the table is symmetric and triangle (j, i) repeats
         # (i, j), so only the upper triangle is scanned.
         slack, upper = 0, True
     else:  # symmetric only within tol: every j, against the real columns
-        rows, slack, upper = table, tol, False
+        slack, upper = tol, False
+
+    def entry(i, j):
+        return _value(table[i][j], den, div)
+
     cols = list(zip(*rows))
     for i, (ri, ci) in enumerate(zip(rows, cols)):
         if abs(ri[i]) > slack:  # d(i,i) = 0, within tol on a float table
-            raise InvalidMetric("d(%r,%r) = %s != 0" % (points[i], points[i], table[i][i]))
+            raise InvalidMetric("d(%r,%r) = %s != 0" % (points[i], points[i], entry(i, i)))
         if ri != ci or min(ri) < 0:  # the walk only names the failing entry
             for j, (a, b) in enumerate(zip(ri, ci)):
                 if a < 0:
@@ -149,7 +234,7 @@ def _check_axioms(points, table, tol):
                 if not (a == b or scalar.eq(a, b, slack)):  # INF equals only INF
                     raise InvalidMetric(
                         "asymmetry at (%r,%r): %s vs %s"
-                        % (points[i], points[j], table[i][j], table[j][i])
+                        % (points[i], points[j], entry(i, j), entry(j, i))
                     )
     add = operator.add
     for i, ri in enumerate(rows):
@@ -176,7 +261,29 @@ class LipschitzMap(_Map):
     _words, _labels = ("points", "points", "point", "target"), operator.attrgetter("points")
 
     @staticmethod
-    def _check(src, dst, images):  # the first expanding pair, in (x, y) order
+    def _check(src, dst, images):
+        """Raise NotLipschitz for the first expanding pair, in (x, y) order.
+
+        Two exact tables are compared in one pass on their ints: image entry
+        a over dden against source entry b over sden, as a <= b when the dens
+        are equal and as a * sden <= b * dden when not.  An int compares
+        exactly against INF, and INF times a den is INF; a den past the float
+        range overflows there, and the walk decides.  The walk, on the
+        entries as `dist` reads them with the larger tol, checks every other
+        pair of spaces and words the first failing pair of any map that fails.
+        """
+        if src.backend == dst.backend == scalar.EXACT:
+            (sden, srows), (dden, drows) = src._scaled, dst._scaled
+            image = itertools.chain.from_iterable(map(drows[i].__getitem__, images) for i in images)
+            given = itertools.chain.from_iterable(srows)
+            if sden != dden:
+                mul, repeat = operator.mul, itertools.repeat
+                image, given = map(mul, image, repeat(sden)), map(mul, given, repeat(dden))
+            try:
+                if all(map(operator.le, image, given)):
+                    return
+            except OverflowError:
+                pass
         tol = max(src.tol, dst.tol)
         for x, i, row in zip(src.points, images, src.dist):
             image_row = dst.dist[i]
@@ -203,6 +310,24 @@ def compose_lipschitz(f, g):
     return LipschitzMap._from_images(f.src, g.dst, _then(f._images, g._images))
 
 
+def _over_one_den(spaces):
+    """The least common den of the spaces' forms, and each space's rows over it."""
+    den = math.lcm(*[s._scaled[0] for s in spaces])
+    tables = []
+    for s in spaces:
+        d, rows = s._scaled
+        if d != den:
+            k = den // d
+            rows = tuple([tuple([v if v is INF else v * k for v in r]) for r in rows])
+        tables.append(rows)
+    return den, tables
+
+
+def _space(points, den, rows, tol):
+    """A construction's space: its form through the one validating constructor."""
+    return FinPseudometricSpace(points, _Scaled((den, tuple(map(tuple, rows)))), tol=tol)
+
+
 # -- limits ---------------------------------------------------------------------
 
 def product(spaces):
@@ -212,14 +337,14 @@ def product(spaces):
         raise ValueError("product of an empty family is not supported")
     cells, points = _cells("product", spaces)
     _, tol = scalar.same_backend(*spaces)
-    dists = [s.dist for s in spaces]
+    den, tables = _over_one_den(spaces)
     # the product of the factor rows gives each cell's distances in cell
     # order; max from 0, as a loop keeping the first strictly larger one
     table = [
-        [max(0, *ds) for ds in itertools.product(*[d[a] for d, a in zip(dists, xs)])]
+        tuple([max(0, *ds) for ds in itertools.product(*[d[a] for d, a in zip(tables, xs)])])
         for xs in cells
     ]
-    return FinPseudometricSpace(points, table, tol=tol)
+    return _space(points, den, table, tol)
 
 
 def _cells(what, spaces):
@@ -233,12 +358,6 @@ def _cells(what, spaces):
     return cells, tuple(itertools.product(*(s.points for s in spaces)))
 
 
-def _sat_add(a, b):
-    """a + b, saturating at INF.  A Fraction is never added to INF: that
-    converts it to a float, which overflows above about 1.8e308."""
-    return INF if a is INF or b is INF else a + b
-
-
 def projection(prod_space, spaces, i):
     """The i-th projection out of a product built by `product`."""
     return LipschitzMap(prod_space, spaces[i], {p: p[i] for p in prod_space.points})
@@ -250,8 +369,9 @@ def equalizer(f, g):
         raise NotParallel("equalizer needs a parallel pair")
     src = f.src
     pos = tuple([i for i, (u, v) in enumerate(zip(f._images, g._images)) if u == v])
-    table = [[src.dist[i][j] for j in pos] for i in pos]
-    sub = FinPseudometricSpace([src.points[i] for i in pos], table, tol=src.tol)
+    den, rows = src._scaled
+    table = [tuple(map(rows[i].__getitem__, pos)) for i in pos]
+    sub = _space([src.points[i] for i in pos], den, table, src.tol)
     return sub, LipschitzMap._from_images(sub, src, pos)
 
 
@@ -263,13 +383,15 @@ def coproduct(spaces):
     if not spaces:
         raise ValueError("coproduct of an empty family is not supported")
     _, tol = scalar.same_backend(*spaces)
+    den, tables = _over_one_den(spaces)
     cells = [(i, a) for i, s in enumerate(spaces) for a in range(s.size)]
     points = [(i, spaces[i].points[a]) for i, a in cells]
+    far = [(INF,) * s.size for s in spaces]
     table = [
-        [spaces[i].dist[a][b] if i == j else INF for j, b in cells]
+        tuple(itertools.chain(*[tables[i][a] if i == j else f for j, f in enumerate(far)]))
         for i, a in cells
     ]
-    return FinPseudometricSpace(points, table, tol=tol)
+    return _space(points, den, table, tol)
 
 
 def _partition(points, pairs):
@@ -336,29 +458,39 @@ def coequalizer(f, g):
     edge weight min over representatives of the target distance, then close
     under paths (all-pairs shortest path).  The one-step formula
     inf{d(y1',y) + d(y,y2')} is also evaluated; pairs where it is strictly
-    larger than the chain value are reported in `one_step_gaps`.
+    larger than the chain value are reported in `one_step_gaps`, whose two
+    values are distances as `dist` reads them.  Both run on the target's rows.
     """
     if f.src != g.src or f.dst != g.dst:
         raise NotParallel("coequalizer needs a parallel pair")
     Y = f.dst
     class_of, members = _partition(Y.points, zip(f._images, g._images))
     k = len(members)
+    den, rows = Y._scaled
     chain = [[(0 if i == j else INF) for j in range(k)] for i in range(k)]
-    for ci, row in zip(class_of, Y.dist):
+    for ci, row in zip(class_of, rows):
         for cj, d in zip(class_of, row):
             if ci != cj and d < chain[ci][cj]:
                 chain[ci][cj] = chain[cj][ci] = d
     _min_plus_closure(chain)
     # single-intermediate value, for the discrepancy report
-    gaps, dist, via = [], Y.dist, range(Y.size)
-    pos = [[Y._index[p] for p in m] for m in members]
+    gaps, div = [], scalar.divider(Y.backend)
+    pos = [[] for _ in members]
+    for i, c in enumerate(class_of):
+        pos[c].append(i)
     for ci in range(k):
         for cj in range(ci + 1, k):
-            sums = [_sat_add(dist[i][m], dist[m][j]) for i in pos[ci] for m in via for j in pos[cj]]
-            one = min(sums, default=INF)
-            if one != chain[ci][cj]:
-                gaps.append((members[ci], members[cj], one, chain[ci][cj]))
-    quot = FinPseudometricSpace(members, chain, tol=Y.tol)
+            sums = [  # d(i,m) + d(m,j), in (i, m, j) order
+                INF if a is INF or b is INF else a + b
+                for i in pos[ci]
+                for a, row_m in zip(rows[i], rows)
+                for b in map(row_m.__getitem__, pos[cj])
+            ]
+            one, chained = min(sums, default=INF), chain[ci][cj]
+            if one != chained:
+                one, chained = _value(one, den, div), _value(chained, den, div)
+                gaps.append((members[ci], members[cj], one, chained))
+    quot = _space(members, den, chain, Y.tol)
     proj = LipschitzMap._from_images(Y, quot, tuple(class_of))
     return CoequalizerResult(quot, proj, tuple(gaps))
 
@@ -366,30 +498,47 @@ def coequalizer(f, g):
 # -- monoidal structure -----------------------------------------------------------
 
 def _tensor_table(x_space, y_space):
-    """Points and sum-metric rows of the tensor, before validation."""
+    """Points and the sum-metric form (den, rows) of the tensor, before
+    validation; a factor's INF makes the sum INF.  On one backend the form
+    is in lowest terms: adding a zero diagonal entry of one factor gives
+    every entry of the other, so a nonempty table needs the least common den."""
     cells, points = _cells("tensor", [x_space, y_space])
-    dx, dy = x_space.dist, y_space.dist
-    table = tuple(tuple([_sat_add(a, b) for a in dx[i] for b in dy[j]]) for i, j in cells)
-    return points, table
+    den, (dx, dy) = _over_one_den([x_space, y_space])
+    table = tuple([
+        tuple([INF if a is INF or b is INF else a + b for a in dx[i] for b in dy[j]])
+        for i, j in cells
+    ])
+    return points, (den if cells else 1, table)
 
 
 def tensor(x_space, y_space):
     """Pair points with the sum metric."""
     _, tol = scalar.same_backend(x_space, y_space)
-    points, table = _tensor_table(x_space, y_space)
-    return FinPseudometricSpace(points, table, tol=tol)
+    points, (den, table) = _tensor_table(x_space, y_space)
+    return _space(points, den, table, tol)
+
+
+def _hom_sup(f, g):
+    """(sup over source positions of f's target entry between the images,
+    the first position reaching it), on the target's rows; (0, None) on an
+    empty source."""
+    rows = f.dst._scaled[1]
+    best, witness = 0, None
+    for k, i, j in zip(itertools.count(), f._images, g._images):
+        d = rows[i][j]
+        if witness is None or d > best:
+            best, witness = d, k
+    return best, witness
 
 
 def hom_distance(f, g):
     """Sup over source points of the target distance, with a witness point."""
     if f.src != g.src or f.dst != g.dst:
         raise NotParallel("hom distance needs a parallel pair")
-    best, witness = 0, None
-    for p, i, j in zip(f.src.points, f._images, g._images):
-        d = f.dst.dist[i][j]
-        if witness is None or d > best:
-            best, witness = d, p
-    return best, witness  # (0, None) on an empty source, where all maps coincide
+    best, k = _hom_sup(f, g)
+    if k is None:
+        return 0, None  # on an empty source, where all maps coincide
+    return _value(best, f.dst._scaled[0], scalar.divider(f.dst.backend)), f.src.points[k]
 
 
 @dataclass
@@ -406,15 +555,15 @@ def hom(maps):
     for m in maps[1:]:
         if m.src != maps[0].src or m.dst != maps[0].dst:
             raise NotParallel("hom maps must share source and target")
-    tol = maps[0].dst.tol  # the distances are the target's
+    dst = maps[0].dst  # the distances are the target's, and so is the tol
     n = len(maps)
     table = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d, _ = hom_distance(maps[i], maps[j])
+            d, _ = _hom_sup(maps[i], maps[j])
             table[i][j] = d
             table[j][i] = d
-    return HomResult(FinPseudometricSpace(range(n), table, tol=tol), maps)
+    return HomResult(_space(range(n), dst._scaled[0], table, dst.tol), maps)
 
 
 @dataclass
@@ -427,11 +576,15 @@ class CurryResult:
 def curry(h, x_space, y_space):
     """Split h: X tensor Y -> Z into a 1-Lipschitz family of maps Y -> Z.
 
-    Requires h's source to be the tensor of the two given spaces.  Both the
-    per-point maps and the outer assignment into the sup metric are validated
-    1-Lipschitz (they are, by the sum-metric inequality).
+    Requires h's source to be the tensor of the two given spaces, which
+    share a backend.  Both the per-point maps and the outer assignment into
+    the sup metric are validated 1-Lipschitz (they are, by the sum-metric
+    inequality).
     """
-    if (h.src.points, h.src.dist) != _tensor_table(x_space, y_space):
+    if x_space.backend != y_space.backend:  # the two have no tensor
+        raise DomainMismatch("map source is not the tensor of the given spaces")
+    points, form = _tensor_table(x_space, y_space)
+    if h.src.points != points or not h.src._holds(form, x_space.backend):
         raise DomainMismatch("map source is not the tensor of the given spaces")
     n = y_space.size  # h's source points run over y for each x in turn
     per = {
@@ -459,14 +612,12 @@ def uncurry(per_point, x_space, y_space):
 
 def scale(space, r):
     """Multiply every distance by r > 0 (inf stays inf)."""
-    r = scalar.coerce(r, space.backend)
-    if not r > 0:
+    rden, (rnum,) = scalar.coerce_scaled((r,), space.backend)
+    if not rnum > 0:
         raise ValueError("scale factor must be positive")
-    table = [
-        [INF if d is INF else d * r for d in row]
-        for row in space.dist
-    ]
-    return FinPseudometricSpace(space.points, table, tol=space.tol)
+    den, rows = space._scaled
+    table = [tuple([INF if d is INF else d * rnum for d in row]) for row in rows]
+    return _space(space.points, den * rden, table, space.tol)
 
 
 def metric_reflection(space):
@@ -477,18 +628,19 @@ def metric_reflection(space):
     same space (idempotence).
     """
     n = space.size
+    den, rows = space._scaled
     class_of, members = _partition(
         space.points,
         (
             (i, j)
             for i in range(n)
             for j in range(i + 1, n)
-            if scalar.eq(space.dist[i][j], 0, space.tol)
+            if scalar.eq(rows[i][j], 0, space.tol)
         ),
     )
     reps = [space._index[m[0]] for m in members]
-    table = [[space.dist[i][j] for j in reps] for i in reps]
-    quot = FinPseudometricSpace(members, table, tol=space.tol)
+    table = [tuple(map(rows[i].__getitem__, reps)) for i in reps]
+    quot = _space(members, den, table, space.tol)
     return quot, LipschitzMap._from_images(space, quot, tuple(class_of))
 
 

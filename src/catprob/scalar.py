@@ -9,12 +9,14 @@ space picks one backend at construction and every object derived from it
 inherits the choice.  On the exact backend all comparisons are decidable
 equalities on `fractions.Fraction`; on the float backend an equality
 assertion means |a - b| <= tol.  Mixing backends in one operation raises
-BackendMismatch instead of coercing.  The probability kernels compute on one
-scaled form, (den, nums), on both backends (`scaled`, `divider`, `total`).
+BackendMismatch instead of coercing.  The kernels compute on one scaled
+form, (den, nums), on both backends (`scaled`, `divider`, `total`).
 Spaces, random variables and measures store that form when built, and
 kernels read it there.  An exact space, random variable or measure holds
 only its ints (`lowest`); its Fractions are built on first read, and
-`scaled_to_json` writes it out from the ints.
+`scaled_to_json` writes it out from the ints.  A metric table is held the
+same way, one row of the form per point, with infinity kept as `inf`
+itself, which `scaled_to_json` writes as "inf".
 """
 from __future__ import annotations
 
@@ -82,12 +84,16 @@ def to_json(x):
 
 def scaled_to_json(den, nums):
     """`[to_json(n / den) for n in nums]` from a scaled form, building no scalar:
-    per exact entry one gcd and the "num/den" text.  A den of 1 (every float
-    form) writes each entry as `to_json` does."""
+    per exact entry one gcd and the "num/den" text, and "inf" for a metric
+    table's infinity.  A den of 1 (every float form) writes each entry as
+    `to_json` does."""
     if den == 1:
         return [to_json(n) for n in nums]
     out = []
     for n in nums:
+        if n is inf:
+            out.append("inf")
+            continue
         g = gcd(n, den)
         out.append(str(n // g) if g == den else "%d/%d" % (n // g, den // g))
     return out

@@ -11,13 +11,16 @@ spaces and value types as they did, and the copies of the old label-keyed
 Lipschitz maps and the constructions' maps, which call the library's metric
 helpers as they did, and the copies of the old user-number route, space and
 samplers, which call `scalar.scaled` and build the library's objects as they
-did, and the copy of the old pushforward check at the end, which calls the
-library's `_fiber_sums` as it did.
+did, and the copy of the old pushforward check, which calls the library's
+`_fiber_sums` as it did, and the copies of the old metric space and its
+constructions at the end, which call `scalar.coerce` and the library's
+`_partition` and `_min_plus_closure` as they did.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -30,6 +33,7 @@ from catprob.errors import (
     DuplicateAtom,
     IndexMismatch,
     Inconsistent,
+    InvalidMetric,
     NegativeValue,
     NegativeWeight,
     NotAbsolutelyContinuous,
@@ -49,7 +53,7 @@ from catprob.finprob import (
 )
 from catprob.finrv import FiniteRandomVariable, max_value
 from catprob.jsonio import _atom_to_json
-from catprob.metcat import FinPseudometricSpace, _partition, tensor
+from catprob.metcat import FinPseudometricSpace, _min_plus_closure, _partition, tensor
 
 
 def set_partitions(items):
@@ -1143,3 +1147,238 @@ def upper_bound_problems_literal(d):
             ):
                 problems.append("no upper bound for %r, %r" % (i, j))
     return problems
+
+
+# -- metric spaces before their tables were scaled -----------------------------
+# A copy of the old `FinPseudometricSpace` (`OldMetricSpace`), which coerced
+# each entry through `scalar.coerce` and stored its table of Fractions or
+# floats, with its `_coerce_dist` and `_check_axioms`; of the old 1-Lipschitz
+# pair check; and of the old constructions on the stored tables.  A map is
+# its image positions, as the library's maps store them, and a construction
+# returns its spaces and the image positions of its maps, each checked.
+
+_INF = math.inf
+
+
+def _old_coerce_dist(value, backend):
+    try:
+        return scalar.coerce(value, backend)
+    except (ValueError, ZeroDivisionError, BackendMismatch) as exc:
+        if value == _INF or value == "inf":
+            return _INF
+        raise InvalidMetric("not a distance: %r (%s)" % (value, exc)) from None
+
+
+class OldMetricSpace:
+    __slots__ = ("points", "dist", "tol", "_index")
+
+    def __init__(self, points, dist, tol=0):
+        scalar.check_tol(tol)
+        self.tol = tol  # first, since it fixes the backend
+        points = tuple(points)
+        index = {p: i for i, p in enumerate(points)}
+        if len(index) != len(points):
+            raise InvalidMetric("duplicate point labels")
+        n = len(points)
+        rows = [list(r) for r in dist]
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise InvalidMetric("distance table is not %d x %d" % (n, n))
+        backend = self.backend
+        table = tuple(tuple(_old_coerce_dist(v, backend) for v in row) for row in rows)
+        _old_check_axioms(points, table, tol)
+        self.points = points
+        self.dist = table
+        self._index = index
+
+    def distance(self, x, y):
+        try:
+            return self.dist[self._index[x]][self._index[y]]
+        except (KeyError, TypeError):
+            raise DomainMismatch("points %r, %r: not both in the space" % (x, y)) from None
+
+    @property
+    def backend(self):
+        return scalar.EXACT if self.tol == 0 else scalar.FLOAT
+
+    @property
+    def size(self):
+        return len(self.points)
+
+    def __eq__(self, other):
+        if not isinstance(other, OldMetricSpace):
+            return NotImplemented
+        return self.points == other.points and self.dist == other.dist
+
+    def __hash__(self):
+        return hash((self.points, self.dist))
+
+    def __repr__(self):
+        return "FinPseudometricSpace(points=%r)" % (self.points,)
+
+
+def _old_check_axioms(points, table, tol):
+    n = len(table)
+    if tol == 0:
+        _, nums = scalar.scaled([v for row in table for v in row if v is not _INF])
+        top = 2 * max(nums, default=0) + 1  # > 0 past row 0, whose d(0,0) = 0 is in nums
+        finite = iter(nums)
+        rows = [tuple([top if v is _INF else next(finite) for v in row]) for row in table]
+        slack, upper = 0, True
+    else:  # symmetric only within tol: every j, against the real columns
+        rows, slack, upper = table, tol, False
+    cols = list(zip(*rows))
+    for i, (ri, ci) in enumerate(zip(rows, cols)):
+        if abs(ri[i]) > slack:  # d(i,i) = 0, within tol on a float table
+            raise InvalidMetric("d(%r,%r) = %s != 0" % (points[i], points[i], table[i][i]))
+        if ri != ci or min(ri) < 0:  # the walk only names the failing entry
+            for j, (a, b) in enumerate(zip(ri, ci)):
+                if a < 0:
+                    raise InvalidMetric("negative distance at (%r,%r)" % (points[i], points[j]))
+                if not (a == b or scalar.eq(a, b, slack)):  # INF equals only INF
+                    raise InvalidMetric(
+                        "asymmetry at (%r,%r): %s vs %s"
+                        % (points[i], points[j], table[i][j], table[j][i])
+                    )
+    add = operator.add
+    for i, ri in enumerate(rows):
+        for j in range(i + 1 if upper else 0, n):
+            cj = cols[j]
+            if ri[j] > min(map(add, ri, cj)) + slack:
+                k = next(k for k in range(n) if ri[j] > ri[k] + cj[k] + slack)
+                raise InvalidMetric(
+                    "triangle violated: d(%r,%r) > d(%r,%r) + d(%r,%r)"
+                    % (points[i], points[j], points[i], points[k], points[k], points[j])
+                )
+
+
+def old_lipschitz_check(src, dst, images):
+    tol = max(src.tol, dst.tol)
+    for x, i, row in zip(src.points, images, src.dist):
+        image_row = dst.dist[i]
+        for y, j, dxy in zip(src.points, images, row):
+            dfxy = image_row[j]
+            if not scalar.le(dfxy, dxy, tol):
+                raise NotLipschitz(
+                    "pair (%r,%r): image distance %s > source distance %s"
+                    % (x, y, dfxy, dxy)
+                )
+
+
+def _old_sat_add(a, b):
+    return _INF if a is _INF or b is _INF else a + b
+
+
+def old_metric_scale(space, r):
+    r = scalar.coerce(r, space.backend)
+    if not r > 0:
+        raise ValueError("scale factor must be positive")
+    table = [[_INF if d is _INF else d * r for d in row] for row in space.dist]
+    return OldMetricSpace(space.points, table, tol=space.tol)
+
+
+def old_metric_equalizer(src, f_images, g_images):
+    pos = tuple([i for i, (u, v) in enumerate(zip(f_images, g_images)) if u == v])
+    table = [[src.dist[i][j] for j in pos] for i in pos]
+    sub = OldMetricSpace([src.points[i] for i in pos], table, tol=src.tol)
+    old_lipschitz_check(sub, src, pos)
+    return sub, pos
+
+
+def old_metric_coequalizer(Y, f_images, g_images):
+    class_of, members = _partition(Y.points, zip(f_images, g_images))
+    k = len(members)
+    chain = [[(0 if i == j else _INF) for j in range(k)] for i in range(k)]
+    for ci, row in zip(class_of, Y.dist):
+        for cj, d in zip(class_of, row):
+            if ci != cj and d < chain[ci][cj]:
+                chain[ci][cj] = chain[cj][ci] = d
+    _min_plus_closure(chain)
+    gaps, dist, via = [], Y.dist, range(Y.size)
+    pos = [[Y._index[p] for p in m] for m in members]
+    for ci in range(k):
+        for cj in range(ci + 1, k):
+            sums = [
+                _old_sat_add(dist[i][m], dist[m][j]) for i in pos[ci] for m in via for j in pos[cj]
+            ]
+            one = min(sums, default=_INF)
+            if one != chain[ci][cj]:
+                gaps.append((members[ci], members[cj], one, chain[ci][cj]))
+    quot = OldMetricSpace(members, chain, tol=Y.tol)
+    old_lipschitz_check(Y, quot, tuple(class_of))
+    return quot, tuple(class_of), tuple(gaps)
+
+
+def old_metric_reflection_space(space):
+    n = space.size
+    class_of, members = _partition(
+        space.points,
+        (
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if scalar.eq(space.dist[i][j], 0, space.tol)
+        ),
+    )
+    reps = [space._index[m[0]] for m in members]
+    table = [[space.dist[i][j] for j in reps] for i in reps]
+    quot = OldMetricSpace(members, table, tol=space.tol)
+    old_lipschitz_check(space, quot, tuple(class_of))
+    return quot, tuple(class_of)
+
+
+def _old_tensor_table(x_space, y_space):
+    cells = list(itertools.product(range(x_space.size), range(y_space.size)))
+    points = tuple(itertools.product(x_space.points, y_space.points))
+    dx, dy = x_space.dist, y_space.dist
+    table = tuple(tuple([_old_sat_add(a, b) for a in dx[i] for b in dy[j]]) for i, j in cells)
+    return points, table
+
+
+def old_metric_tensor(x_space, y_space):
+    _, tol = scalar.same_backend(x_space, y_space)
+    points, table = _old_tensor_table(x_space, y_space)
+    return OldMetricSpace(points, table, tol=tol)
+
+
+def old_hom_distance(src, dst, f_images, g_images):
+    best, witness = 0, None
+    for p, i, j in zip(src.points, f_images, g_images):
+        d = dst.dist[i][j]
+        if witness is None or d > best:
+            best, witness = d, p
+    return best, witness
+
+
+def old_metric_hom(src, dst, family):
+    """The hom space of the maps src -> dst given by their image positions."""
+    if not family:
+        raise ValueError("hom needs at least one map")
+    n = len(family)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d, _ = old_hom_distance(src, dst, family[i], family[j])
+            table[i][j] = d
+            table[j][i] = d
+    return OldMetricSpace(range(n), table, tol=dst.tol)
+
+
+def old_metric_curry(h_src, h_dst, h_images, x_space, y_space):
+    """The per-point image positions and the hom space of the old `curry`."""
+    if (h_src.points, h_src.dist) != _old_tensor_table(x_space, y_space):
+        raise DomainMismatch("map source is not the tensor of the given spaces")
+    n = y_space.size
+    per = [tuple(h_images[k * n:(k + 1) * n]) for k in range(x_space.size)]
+    for images in per:
+        old_lipschitz_check(y_space, h_dst, images)
+    space = old_metric_hom(y_space, h_dst, per)
+    old_lipschitz_check(x_space, space, range(x_space.size))
+    return per, space
+
+
+def old_metric_uncurry(per, dst, x_space, y_space):
+    """The tensor and the image positions of the old `uncurry`."""
+    images = tuple(itertools.chain.from_iterable(per))
+    src = old_metric_tensor(x_space, y_space)
+    old_lipschitz_check(src, dst, images)
+    return src, images

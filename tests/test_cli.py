@@ -103,6 +103,25 @@ def test_metcat_scan(tmp_path, capsys):
     assert payload["reflection_points"] == 2
 
 
+#: sha256 of the `metcat` report on a space with INF, "num/den" entries and a
+#: distance-0 pair, per format, as the Fraction tables gave it
+_METCAT_REPORTS = {
+    "json": "aabf5e36773a7147b4e5a5dd5e3d6afd3cfeb2d2565154823b408ca828a52a72",
+    "csv": "29a1bfc5f5f0ad8656d6f244ab5b0c10cb8e73482abdbcc509a3b4e650c116b6",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_METCAT_REPORTS))
+def test_metcat_report_bytes_are_pinned(tmp_path, capsys, fmt):
+    row = ["0", "0", "1/3", "inf"]
+    obj = {"points": ["a", "b", "c", "d"],
+           "dist": [row, row, ["1/3", "1/3", "0", "inf"], ["inf", "inf", "inf", "0"]]}
+    jsonio.write_json(obj, str(tmp_path / "space.json"))
+    code, out = run(capsys, "metcat", "--space", str(tmp_path / "space.json"), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _METCAT_REPORTS[fmt]
+
+
 def test_metcat_rejects_bad_table(tmp_path, capsys):
     obj = {"points": ["a", "b"], "dist": [["0", "1"], ["2", "0"]]}
     jsonio.write_json(obj, str(tmp_path / "space.json"))

@@ -287,3 +287,45 @@ def test_dyadic_diagram_encoding_is_pinned():
     text = json.dumps(jsonio.diagram_to_obj(d), indent=2, sort_keys=True) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "46e912b7b29f4a77796a24fa7d7d33738b5098b5c906d75658282cd9b2c9bd26"
+
+
+def _metric_encodings():
+    """The JSON written for the tensor, product, coproduct and a quotient of
+    one exact table with INF and non-integer entries, and for a float table
+    and its tensor."""
+    from catprob.metcat import LipschitzMap, coequalizer, coproduct, product, tensor
+
+    x = FinPseudometricSpace(["a", "b", "c"], [[0, "1/2", INF], ["1/2", 0, INF], [INF, INF, 0]])
+    y = FinPseudometricSpace(
+        ["p", "q", "r"], [[0, F(5, 3), 2], [F(5, 3), 0, F(1, 3)], [2, F(1, 3), 0]]
+    )
+    cop = coproduct([x, y])
+    one = FinPseudometricSpace(["*"], [[0]])
+    quot = coequalizer(
+        LipschitzMap(one, cop, {"*": (0, "a")}), LipschitzMap(one, cop, {"*": (1, "r")})
+    ).space
+    z = FinPseudometricSpace(
+        ["u", "v", "w"], [[0, 0.1, INF], [0.1, 0, INF], [INF, INF, 0]], tol=1e-9
+    )
+    return {
+        "tensor": tensor(x, y), "product": product([x, y]), "coproduct": cop,
+        "quotient": quot, "float": z, "float-tensor": tensor(z, z),
+    }
+
+
+#: sha256 of `write_json(metspace_to_obj(space))`, as the Fraction tables wrote it
+_METRIC_ENCODINGS = {
+    "tensor": "e57ea9534a3edb44ead9ba1054fc802740208d8db10071734cba33846b5c83fb",
+    "product": "777661f3cf8cc889d97dd9d22149e9d4ee8b2f263fca6d47521b6b7af8e2c907",
+    "coproduct": "aaa49a283f67d6bbe1d44a1ec97dc45365e0bf64cd7d785ad494dabf3db291c4",
+    "quotient": "dd98beefff8c5723417866b69cf89a8a9a1915296561c23fcf522a8556d97b2f",
+    "float": "eb291802cbf55451d7f89fdf05168c06ec1cc2e3ec6c3b7e6ba1d8186a97a42f",
+    "float-tensor": "c93ad1f15c40cb83a2bf5d1afff301334bab680c33a2f7aeb7a50d2ff66ed605",
+}
+
+
+def test_metric_space_encodings_are_pinned(tmp_path):
+    for name, space in _metric_encodings().items():
+        path = tmp_path / ("%s.json" % name)
+        jsonio.write_json(jsonio.metspace_to_obj(space), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _METRIC_ENCODINGS[name], name

@@ -8,7 +8,9 @@ entry; one for a scalar; none for a valid map's check or for `as_equal`, at
 most one for `max_value`; and no Fraction comparison at all in a kernel or
 in building a space, random variable or measure from valid input.  The
 value types keep their tables in scaled form, whichever path built them, and
-their one construction route stores or raises what the old two did.
+their one construction route stores or raises what the old two did.  The
+metric constructions on exact tables build no Fraction either, until a
+distance is read.
 """
 import contextlib
 import json
@@ -32,6 +34,18 @@ from catprob.finmeas import (
     tv_distance,
 )
 from catprob.finprob import FiniteProbSpace, MeasurePreservingMap, as_equal, uniform_space
+from catprob.metcat import (
+    INF,
+    FinPseudometricSpace,
+    LipschitzMap,
+    coequalizer,
+    coproduct,
+    curry,
+    metric_reflection,
+    product,
+    tensor,
+    uncurry,
+)
 from catprob.finrv import (
     FiniteRandomVariable,
     _cross_moment,
@@ -453,3 +467,27 @@ def test_a_failing_check_builds_no_fraction():
         assert dst._weights is None
         counts.append(count[0])
     assert counts == [0, 0, 0], counts
+
+
+def test_metric_constructions_build_no_fraction():
+    """Exact spaces from ints, "num/den" strings and Fractions, with INF, and
+    their product, tensor, coproduct, coequalizer, curry and uncurry,
+    reflection, a validated map across dens, `==` and JSON build no Fraction
+    at any size; only a one-step gap builds its two distances."""
+    for n in (2, 3, 4):
+        far = [[abs(i - j) if n - 1 not in (i, j) or i == j else INF for j in range(n)]
+               for i in range(n)]
+        halves = [["%d/2" % abs(i - j) for j in range(n)] for i in range(n)]
+        thirds = [[F(abs(i - j), 3) for j in range(n)] for i in range(n)]
+        with fractions_built() as count:
+            x, y, z = (FinPseudometricSpace(range(n), t) for t in (far, halves, thirds))
+            spaces = [product([x, y]), tensor(x, y), coproduct([x, z]), metric_reflection(y)[0]]
+            f = LipschitzMap(x, y, {i: i for i in range(n)})  # a den of 1 into a den of 2
+            one = FinPseudometricSpace(["*"], [[0]])
+            res = coequalizer(LipschitzMap(one, y, {"*": 0}), LipschitzMap(one, y, {"*": n - 1}))
+            h = LipschitzMap(spaces[1], y, {(i, j): j for i in range(n) for j in range(n)})
+            back = uncurry(curry(h, x, y).per_point, x, y)
+            assert back == h and x == FinPseudometricSpace(range(n), far) and f.dst == y
+            for s in spaces + [res.space, z]:
+                json.dumps(jsonio.metspace_to_obj(s))
+        assert count[0] == 2 * len(res.one_step_gaps), n

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catprob import errors
@@ -238,7 +238,7 @@ class TestConstructorTables:
         got = tensor(x, y)
         assert got.points == tuple(itertools.product(x.points, y.points))
         assert_pinned(got.dist, tensor_table_literal(x, y), tol)
-        assert _tensor_table(x, y) == (got.points, got.dist)
+        assert _tensor_table(x, y) == (got.points, got._scaled)
         # every map out of a space with all distances INF is 1-Lipschitz
         n = data.draw(st.integers(0, 3))
         discrete = [[0 if i == j else INF for j in range(n)] for i in range(n)]
@@ -782,3 +782,247 @@ def test_a_lipschitz_call_reads_one_image_and_builds_no_assign(seed):
             h("nowhere")
         assert caught.value.args == ("nowhere",) and h._assign is None
         assert calls == [h.assign[p] for p in h.src.points]
+
+
+# -- tables held as scaled ints, against a copy of the old space ---------------------
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9])
+@pytest.mark.parametrize(
+    "points, dist", [(["a"], 5), (["a"], None), (["a"], [5]), (["a", "b"], [[0, 1], None])]
+)
+def test_a_table_that_is_not_a_list_of_rows_is_invalid(points, dist, tol):
+    with pytest.raises(errors.InvalidMetric, match="distance table is not a list of rows: "):
+        FinPseudometricSpace(points, dist, tol=tol)
+
+
+_VALUES = st.one_of(
+    st.just(INF),
+    st.integers(0, 6),
+    st.builds(F, st.integers(1, 24), st.sampled_from([2, 3, 4, 8])),
+    st.sampled_from([F(10**400), F(1, 3**700)]),  # past the float range
+)
+_BAD_ENTRIES = st.one_of(
+    _VALUES,
+    st.integers(-3, -1),
+    st.builds(F, st.integers(-6, -1), st.sampled_from([2, 3])),
+    st.sampled_from([None, True, "x", "1/0", " inf", "-inf", float("nan"), -INF, 0.5, [1]]),
+)
+
+
+@st.composite
+def _written(draw, value, tol):
+    """`value` as a user may write it: as it is, as a Fraction, a "num/den"
+    string, an int when whole, a float on a float table; INF also as "inf"
+    or another infinite float."""
+    if value == INF:
+        return draw(st.sampled_from([INF, "inf", float("inf")]))
+    q = F(value)
+    forms = [value, q, "%d/%d" % (q.numerator, q.denominator)]
+    forms += [int(q)] if q.denominator == 1 else []
+    forms += [float(q)] if tol and abs(q) < 2**64 else []
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def user_tables(draw, tol, defects=2, min_points=0):
+    """0-4 point tables written as a user may write them: symmetric draws,
+    sometimes closed under shortest paths (hence valid, unless a defect
+    follows), then up to `defects` entries overwritten, each alone or with
+    its mirror."""
+    n = draw(st.integers(min_points, 4))
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(_VALUES)
+    if not defects or draw(st.booleans()):
+        for m in range(n):
+            for i in range(n):
+                for j in range(n):
+                    if INF not in (d[i][m], d[m][j]):
+                        d[i][j] = min(d[i][j], d[i][m] + d[m][j])
+    table = [[draw(_written(v, tol)) for v in row] for row in d]
+    for _ in range(draw(st.integers(0, defects)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(_BAD_ENTRIES)
+        if draw(st.booleans()):
+            table[j][i] = table[i][j]
+    return table
+
+
+def _bits(x):
+    """A distance by type and value, a float by its bits."""
+    return type(x), x.hex() if type(x) is float else x
+
+
+def _same_table(new, old):
+    """The same reads, one entry or the whole table, by type and bits, and
+    the same points, size and repr; INF is the one object."""
+    for p in old.points:
+        for q in old.points:
+            assert _bits(new.distance(p, q)) == _bits(old.distance(p, q))
+    assert _built(new.distance, "nowhere", 0) == _built(old.distance, "nowhere", 0)
+    assert [list(map(_bits, r)) for r in new.dist] == [list(map(_bits, r)) for r in old.dist]
+    assert all(v is INF for row in new.dist for v in row if v == INF)
+    assert (new.points, new.size, new.tol, repr(new)) == (old.points, old.size, old.tol, repr(old))
+    again = FinPseudometricSpace(old.points, old.dist, tol=old.tol)  # a user's table: lowest terms
+    assert new == again and hash(new) == hash(again) and new._scaled == again._scaled
+
+
+def _both(table, tol, points=None):
+    """A table built by the space and by the old space: each the object, or its error."""
+    points = ["p%d" % i for i in range(len(table))] if points is None else points
+    return (
+        _built(FinPseudometricSpace, points, table, tol),
+        _built(oracles.OldMetricSpace, points, table, tol),
+    )
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_scaled_tables_match_the_old_space(tol, data):
+    """A user's table, with INF, ints, Fractions, "num/den" strings and up to
+    two defects, raises what the old space raised or reads as it read; `==`
+    against a second space, on either backend, agrees with the old `==`, and
+    equal spaces hash alike."""
+    table = data.draw(user_tables(tol))
+    new, old = _both(table, tol)
+    if _failed(old):
+        assert new == old
+        return
+    _same_table(new, old)
+    other_tol = data.draw(st.sampled_from([0, 1e-9]))
+    other = data.draw(st.one_of(st.just(table), user_tables(other_tol, defects=0)))
+    new2, old2 = _both(other, other_tol)
+    if _failed(old2):
+        assert new2 == old2
+        return
+    for a, b, old_a, old_b in ((new, new2, old, old2), (new2, new, old2, old)):
+        assert (a == b) is (old_a == old_b)
+        assert (a != b) is (old_a != old_b)
+    if new == new2:
+        assert hash(new) == hash(new2)
+
+
+def _failed(got):
+    """Whether `_built` gave an error, by type and text."""
+    return isinstance(got, tuple) and isinstance(got[0], type) and issubclass(got[0], Exception)
+
+
+def _valid(draw, tol, min_points=0):
+    """A valid table's space and old space (a float table may overflow, both alike)."""
+    new, old = _both(draw(user_tables(tol, defects=0, min_points=min_points)), tol)
+    assert new == old if _failed(old) else not _failed(new)
+    assume(not _failed(old))
+    return new, old
+
+
+def _images(draw, src, dst):
+    """Image positions of a map src -> dst: random, or a constant one when
+    those expand a pair (a constant map never does)."""
+    images = draw(st.lists(st.integers(0, dst.size - 1), min_size=src.size, max_size=src.size))
+    images = tuple(images)
+    try:
+        oracles.old_lipschitz_check(src, dst, images)
+    except errors.NotLipschitz:
+        return (draw(st.integers(0, dst.size - 1)),) * src.size
+    return images
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_constructions_on_scaled_tables_match_the_old_ones(tol, data):
+    """The pair check on any images (also across backends and across dens),
+    and scale, equalizer, coequalizer (space, projection and gaps),
+    metric_reflection, hom and hom_distance, and curry and uncurry, raise
+    what the old code raised or build the old tables and image positions."""
+    draw = data.draw
+    t, old_t = _valid(draw, tol, min_points=1)
+    s, old_s = _valid(draw, draw(st.sampled_from([tol, 0, 1e-9])))
+    images = tuple(draw(st.lists(st.integers(0, t.size - 1), min_size=s.size, max_size=s.size)))
+    got = _built(LipschitzMap._from_images, s, t, images)
+    old = _built(oracles.old_lipschitz_check, old_s, old_t, images)
+    assert (got if _failed(got) else None) == old
+    r = draw(st.one_of(st.integers(-1, 4), st.sampled_from(["3/2", "0", "x", F(7, 3), 0.5, True])))
+    new, old = _built(scale, t, r), _built(oracles.old_metric_scale, old_t, r)
+    assert new == old if _failed(old) else _same_table(new, old) is None
+    s, old_s = _valid(draw, tol)
+    fi, gi = (_images(draw, old_s, old_t) for _ in "fg")
+    f, g = (LipschitzMap._from_images(s, t, i) for i in (fi, gi))
+    sub, incl = equalizer(f, g)
+    old_sub, pos = oracles.old_metric_equalizer(old_s, fi, gi)
+    _same_table(sub, old_sub)
+    assert incl._images == pos
+    res = coequalizer(f, g)
+    quot, class_of, gaps = oracles.old_metric_coequalizer(old_t, fi, gi)
+    _same_table(res.space, quot)
+    assert res.projection._images == class_of
+    assert [(a, b, _bits(c), _bits(d)) for a, b, c, d in res.one_step_gaps] == [
+        (a, b, _bits(c), _bits(d)) for a, b, c, d in gaps
+    ]
+    assert all(v is INF for gap in res.one_step_gaps for v in gap[2:] if v == INF)
+    quot, proj = metric_reflection(t)
+    old_quot, class_of = oracles.old_metric_reflection_space(old_t)
+    _same_table(quot, old_quot)
+    assert proj._images == class_of
+    family = [fi, gi] + [_images(draw, old_s, old_t) for _ in range(draw(st.integers(0, 2)))]
+    hr = hom([LipschitzMap._from_images(s, t, i) for i in family])
+    _same_table(hr.space, oracles.old_metric_hom(old_s, old_t, family))
+    d, witness = hom_distance(f, g)
+    old_d, old_witness = oracles.old_hom_distance(old_s, old_t, fi, gi)
+    assert (_bits(d), witness) == (_bits(old_d), old_witness)
+    x, old_x = _valid(draw, tol)
+    y, old_y = _valid(draw, tol)
+    xy, old_xy = tensor(x, y), oracles.old_metric_tensor(old_x, old_y)
+    _same_table(xy, old_xy)
+    # h's source: the tensor, the same table on the other backend, or another space
+    other_tol = 1e-9 if tol == 0 else 0
+    sources = [(xy, old_xy), _both(old_xy.dist, other_tol, old_xy.points), _both(old_t.dist, tol)]
+    src, old_src = draw(st.sampled_from(sources))
+    if _failed(old_src):
+        assert src == old_src
+        return
+    hi = _images(draw, old_src, old_t)
+    h = LipschitzMap._from_images(src, t, hi)
+    new = _built(curry, h, x, y)
+    old = _built(oracles.old_metric_curry, old_src, old_t, hi, old_x, old_y)
+    if _failed(old):
+        assert new == old
+        return
+    per, space = old
+    assert [m._images for m in new.per_point.values()] == per
+    _same_table(new.hom_result.space, space)
+    assert new.outer._images == range(x.size)
+    back = _built(uncurry, new.per_point, x, y)
+    old_back = _built(oracles.old_metric_uncurry, per, old_t, old_x, old_y)
+    if _failed(old_back):
+        assert back == old_back
+        return
+    _same_table(back.src, old_back[0])
+    assert back._images == old_back[1]
+
+
+@pytest.mark.parametrize(
+    "src_gap, dst_gap",
+    [(F(1, 2), 1), (1, F(1, 2)), (F(2, 3), F(3, 4)), (F(3, 4), F(2, 3)), (INF, 1), (1, INF)],
+)
+def test_the_pair_check_compares_across_dens(src_gap, dst_gap):
+    """Two exact tables over different dens: a map expands exactly when the
+    old walk says so, with its message."""
+    src, dst = two_point(src_gap), two_point(dst_gap)
+    got = _built(LipschitzMap._from_images, src, dst, (0, 1))
+    old = _built(oracles.old_lipschitz_check, src, dst, (0, 1))
+    assert (got if _failed(got) else None) == old
+    assert _failed(old) is (dst_gap > src_gap)
+
+
+def test_float_reflection_collapses_pairs_within_tol():
+    space = FinPseudometricSpace("abc", [[0, 1e-10, 1], [1e-10, 0, 1], [1, 1, 0]], tol=1e-9)
+    quot, proj = metric_reflection(space)
+    old_quot, class_of = oracles.old_metric_reflection_space(
+        oracles.OldMetricSpace(space.points, space.dist, tol=space.tol)
+    )
+    _same_table(quot, old_quot)
+    assert proj._images == class_of == (0, 0, 1)

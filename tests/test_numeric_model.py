@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, finmeas, finprob, finrv, sampling, scalar
+from catprob import errors, finmeas, finprob, finrv, metcat, sampling, scalar
 from catprob.diagram import DyadicGround
 from catprob.finprob import make_space
 from catprob.metcat import INF, FinPseudometricSpace, scale
@@ -185,9 +185,17 @@ def _backend_tests(module):
     return found
 
 
+#: The only places the metric side may test which backend it is on: the
+#: user route's exact fast path, the constructor's storage rule (float rows
+#: as floats, an exact table's Fractions on first read) and the pair check's
+#: one pass on two exact tables.
+_METCAT_BACKEND_TESTS = ["_coerce_table", "FinPseudometricSpace.__init__", "LipschitzMap._check"]
+
+
 def test_kernels_have_one_body_for_both_backends():
     tests = [t for m in (finprob, finrv, finmeas, sampling) for t in _backend_tests(m)]
     assert sorted(tests) == sorted(_BACKEND_TESTS)
+    assert sorted(_backend_tests(metcat)) == sorted(_METCAT_BACKEND_TESTS)
 
 
 # -- the user route: a user's numbers straight to the scaled form ------------------
