@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import jsonio, scalar, suites
 from .diagram import (
     DyadicGround,
-    dyadic_experiment,
+    dyadic_report,
     kolmogorov_extend,
     martingale_limit,
     rn_family,
@@ -31,7 +31,7 @@ from .diagram import (
 from .errors import CatprobError
 from .finmeas import pushforward, rho, rn_derivative, tv_distance
 from .finprob import as_equal, map_distance
-from .finrv import cond_exp, cond_exp_residuals, l1_distance, second_moment
+from .finrv import cond_exp, cond_exp_residuals, l1_distance
 from .metcat import metric_reflection
 
 _GROUNDS = {
@@ -171,27 +171,11 @@ def cmd_martingale(args):
         ground = _GROUNDS[args.ground]()
     else:
         ground = jsonio.ground_from_obj(jsonio.read_json(args.ground))
-    depth = args.depth
-    _, mart, errors = dyadic_experiment(ground, depth)
-    moments = [second_moment(mart.family[t]) for t in range(depth + 1)]
-    table = []
-    for t in range(depth + 1):
-        gap = moments[t] - moments[t - 1] if t > 0 else Fraction(0)
-        table.append(
-            {
-                "depth": t,
-                "l1_error": scalar.to_json(errors[t]),
-                "second_moment": scalar.to_json(moments[t]),
-                "gap": scalar.to_json(gap),
-            }
-        )
-    telescoped = sum((moments[t] - moments[t - 1] for t in range(1, depth + 1)), Fraction(0))
-    ok = telescoped == moments[-1] - moments[0]
-    payload = {"ground": args.ground, "depth": depth, "rows": table, "ok": ok}
-    rows = [["depth", "l1_error", "second_moment", "gap"]] + [
-        [r["depth"], r["l1_error"], r["second_moment"], r["gap"]] for r in table
-    ]
-    _emit(payload, rows, args)
+    levels, ok = dyadic_report(ground, args.depth)
+    columns = ["depth", "l1_error", "second_moment", "gap"]
+    table = [dict(zip(columns, level)) for level in levels]
+    payload = {"ground": args.ground, "depth": args.depth, "rows": table, "ok": ok}
+    _emit(payload, [columns] + [list(level) for level in levels], args)
     return 0 if ok else 1
 
 

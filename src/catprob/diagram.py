@@ -18,7 +18,8 @@ from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import ceil, floor, lcm
+from math import floor, lcm
+from operator import sub
 from types import MappingProxyType
 
 from . import scalar
@@ -41,6 +42,7 @@ from .finmeas import _density_bound, bound_check, pushforward, rn_derivative, tv
 from .finprob import MeasurePreservingMap, _then, compose, identity_map, uniform_space
 from .finrv import (
     FiniteRandomVariable,
+    _cross_integral,
     _cross_moment,
     _mean_square_diff,
     cond_exp,
@@ -51,9 +53,9 @@ from .finrv import (
 )
 from .scalar import EXACT
 
-#: Depth guard for the dyadic engine (2^depth atoms): `catprob martingale` at
-#: depth 18 takes about 1 s and 150 MB peak RSS on 2 CPUs (Python 3.11), and
-#: each level roughly doubles both.
+#: Depth guard for the dyadic engine (2^depth atoms): `catprob martingale
+#: --ground tent` at depth 18, through `cli.main`, takes 0.6-0.8 s and 136 MB
+#: peak RSS on 2 CPUs (Python 3.11.7), and each level roughly doubles both.
 MAX_DYADIC_DEPTH = 18
 
 
@@ -343,6 +345,13 @@ def _functoriality_problems(d):
 # -- martingales -------------------------------------------------------------------
 
 
+def _same_form(x, y):
+    """Whether two tables on one space hold equal scaled forms.  Every form is
+    canonical (lowest terms, nulls at 0, floats over 1), so equal forms are
+    equal values and their l1 or tv distance is exactly 0, on floats too."""
+    return x._scaled == y._scaled
+
+
 @dataclass
 class MartingaleCheck:
     ok: bool
@@ -355,7 +364,9 @@ def is_martingale(family, d):
 
     Transitivity plus the tower property extends the check to every pair, so
     covering pairs suffice on a validated diagram.  Returns the maximal
-    residual l1(E[X_j | f_ij], X_i) and the pair attaining it.
+    residual l1(E[X_j | f_ij], X_i) and the pair attaining it.  A pair whose
+    two scaled forms are equal has residual 0 (`_same_form`), so only a pair
+    that differs computes it.
     """
     if set(family) != set(d.elements):
         raise IndexMismatch("family is not indexed by the diagram's elements")
@@ -365,7 +376,10 @@ def is_martingale(family, d):
     zero = scalar.zero(d.backend)
     residual, worst = zero, None
     for (i, j) in d.covers:
-        r = l1_distance(cond_exp(family[j], d.connect[(i, j)]), family[i])
+        projected = cond_exp(family[j], d.connect[(i, j)])
+        if _same_form(projected, family[i]):
+            continue
+        r = l1_distance(projected, family[i])
         if r > residual:
             residual, worst = r, (i, j)
     return MartingaleCheck(ok=scalar.eq(residual, zero, d.tol), residual=residual, worst_pair=worst)
@@ -411,8 +425,16 @@ class Martingale(_LevelFamily):
 
     def __init__(self, diagram, family, bound=None):
         family, bound = self._setup(diagram, family, bound, max_value)
+        bden, (bnum,) = scalar.scaled([bound], diagram.backend)
         for i in diagram.elements:
-            if not scalar.le(max_value(family[i]), bound, diagram.tol):
+            den, nums = family[i]._scaled
+            top = max(nums)
+            # two exact forms (tol 0) compare cross-multiplied on their ints
+            if type(top) is int is type(bnum):
+                within = top * bden <= bnum * den
+            else:
+                within = scalar.le(max_value(family[i]), bound, diagram.tol)
+            if not within:
                 raise Inconsistent("level %r exceeds the bound %s" % (i, bound))
         chk = is_martingale(family, diagram)
         if not chk.ok:
@@ -434,7 +456,10 @@ class ConsistentMeasureFamily(_LevelFamily):
             if not bound_check(family[i], bound):
                 raise Inconsistent("level %r exceeds bound * base weights" % (i,))
         for (i, j) in diagram.covers:
-            gap = tv_distance(pushforward(family[j], diagram.connect[(i, j)]), family[i])
+            pushed = pushforward(family[j], diagram.connect[(i, j)])
+            if _same_form(pushed, family[i]):
+                continue
+            gap = tv_distance(pushed, family[i])
             if not scalar.eq(gap, scalar.zero(diagram.backend), diagram.tol):
                 raise Inconsistent(
                     "restriction fails at %r <= %r with residual %s" % (i, j, gap)
@@ -525,10 +550,13 @@ def cauchy_certificate(m, eps):
 
 def _top_level(fam, project, distance, what, miss):
     """The family's top level, after checking that its image on every level
-    (`_levels_from_top`) is the family's level there, within the diagram's tol."""
+    (`_levels_from_top`) is the family's level there, within the diagram's tol;
+    a level with an equal form (`_same_form`) computes no distance."""
     d = fam.diagram
     top = fam.family.get(d.top)  # None without a top, and then _levels_from_top raises
     for i, level in _levels_from_top(top, d, project, what, None).items():
+        if _same_form(level, fam.family[i]):
+            continue
         gap = distance(level, fam.family[i])
         if not scalar.eq(gap, top.space.zero, d.tol):
             raise Inconsistent("%s misses level %r by %s" % (miss, i, gap))
@@ -717,6 +745,9 @@ def _dyadic_tables(ground, depth):
     scaled form (den, nums) for `FiniteRandomVariable._from_scaled`.  A cell of
     width h inside a piece of slope s adds h|f(b) - f(a)|/4 = |s|h^2/4 to the
     l1 error; only cells a breakpoint splits go through `abs_dev_integral`.
+    Each piece's ends and |slope| are read as ints once, so a level counts its
+    inside cells by int floor division and sums their error over one den: one
+    Fraction per level, besides the split cells'.
     """
     if type(depth) is not int or not 0 <= depth <= MAX_DYADIC_DEPTH:
         raise DepthTooLarge("depth must be an int in 0..%d, not %r" % (MAX_DYADIC_DEPTH, depth))
@@ -733,13 +764,19 @@ def _dyadic_tables(ground, depth):
     for a, b, s, coeffs in pieces:
         c0, c1, c2 = (c.numerator * (den // c.denominator) for c in coeffs)
         prefix.extend(c0 + k * (c1 + k * c2) for k in range(len(prefix), floor(b * n) + 1))
+    # per piece: its ends a = an/ad, b = bn/bd, and |slope| over one den
+    ends = [(a.numerator, a.denominator, b.numerator, b.denominator) for a, b, _, _ in pieces]
+    sden = lcm(*(s.denominator for _, _, s, _ in pieces))
+    slopes = [abs(s.numerator) * (sden // s.denominator) for _, _, s, _ in pieces]
+    inner = [(b.numerator, b.denominator) for b in bps[1:-1]]
     levels, errors = [], []
     for t in range(depth + 1):
-        m, ends = 1 << t, prefix[:: n >> t]
-        averages = [(hi - lo) * m for lo, hi in zip(ends, ends[1:])]  # over den
-        inside = [(abs(s), floor(b * m) - ceil(a * m)) for a, b, s, _ in pieces]
-        total = sum((s * cells for s, cells in inside if cells > 0), Fraction(0)) / (4 * m * m)
-        for j in sorted({floor(b * m) for b in bps[1:-1] if (b * m).denominator != 1}):
+        m, grid = 1 << t, prefix[:: n >> t]
+        averages = [(hi - lo) * m for lo, hi in zip(grid, grid[1:])]  # over den
+        # cells inside a piece: floor(b m) - ceil(a m), by int floor division
+        cells = [bn * m // bd + -an * m // ad for an, ad, bn, bd in ends]
+        total = Fraction(sum([s * c for s, c in zip(slopes, cells) if c > 0]), sden * 4 * m * m)
+        for j in sorted({bn * m // bd for bn, bd in inner if bn * m % bd}):  # split cells
             lo, hi = Fraction(j, m), Fraction(j + 1, m)
             total += ground.abs_dev_integral(lo, hi, Fraction(averages[j], den))
         levels.append((den, averages))
@@ -762,6 +799,24 @@ def dyadic_experiment(ground, depth):
     diagram = FiltrationDiagram.chain(spaces, steps, top=True)
     family = {t: FiniteRandomVariable._from_scaled(spaces[t], *levels[t]) for t in range(depth + 1)}
     return diagram, Martingale(diagram, family, bound=ground.bound()), errors
+
+
+def dyadic_report(ground, depth):
+    """`catprob martingale`'s rows and check, from one pass of the dyadic engine.
+
+    Per level t: (t, l1 error, second moment, its gap over level t - 1, 0 at
+    t = 0), each as `scalar.to_json` writes it, and whether the gaps
+    telescope to the last moment minus the first.  The moments are read as
+    scaled pairs (`_cross_integral`, what `second_moment` divides out) and put
+    over one den, so the gaps and the check are int arithmetic."""
+    _, m, errors = dyadic_experiment(ground, depth)
+    moments = [_cross_integral(x, x) for x in m.family.values()]
+    den = lcm(*[d for _, d in moments])
+    nums = [n * (den // d) for n, d in moments]
+    gaps = [0] + list(map(sub, nums[1:], nums))
+    ok = sum(gaps) == nums[-1] - nums[0]
+    texts = scalar.scaled_to_json(den, nums), scalar.scaled_to_json(den, gaps)
+    return list(zip(range(depth + 1), map(scalar.to_json, errors), *texts)), ok
 
 
 def make_dyadic(ground, depth):

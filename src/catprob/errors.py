@@ -16,6 +16,10 @@ class BackendMismatch(CatprobError):
 
 # -- finite probability spaces ------------------------------------------------
 
+class InvalidAtoms(CatprobError):
+    """The atoms are not an iterable of hashable labels."""
+
+
 class DuplicateAtom(CatprobError):
     """An atom label occurs more than once."""
 
@@ -25,7 +29,8 @@ class NegativeWeight(CatprobError):
 
 
 class WeightSumMismatch(CatprobError):
-    """Weights are not a list, or do not sum to one (within tol on the float backend)."""
+    """Weights are not a list, are not one per atom, or do not sum to one
+    (within tol on the float backend)."""
 
 
 class NotMeasurePreserving(CatprobError):

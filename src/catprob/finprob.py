@@ -18,6 +18,7 @@ from .errors import (
     CodomainTooLarge,
     DomainMismatch,
     DuplicateAtom,
+    InvalidAtoms,
     NegativeWeight,
     NotMeasurePreserving,
     WeightSumMismatch,
@@ -39,8 +40,11 @@ class FiniteProbSpace:
     __slots__ = ("atoms", "_weights", "backend", "tol", "_index", "_scaled", "_nulls")
 
     def __init__(self, atoms, weights, backend=scalar.EXACT, tol=None):
-        atoms = tuple(atoms)
-        index = dict(zip(atoms, range(len(atoms))))
+        atoms = _atom_tuple(atoms)
+        try:
+            index = dict(zip(atoms, range(len(atoms))))
+        except TypeError as exc:  # an unhashable label
+            raise InvalidAtoms(str(exc)) from None
         if len(index) != len(atoms):  # name the first atom seen a second time
             first = {}
             dup = next(a for i, a in enumerate(atoms) if first.setdefault(a, i) != i)
@@ -66,7 +70,7 @@ class FiniteProbSpace:
             except TypeError:  # not iterable
                 raise WeightSumMismatch("weights must be a list, not %r" % (weights,)) from None
             if len(raw) != len(atoms):
-                raise ValueError("%d atoms but %d weights" % (len(atoms), len(raw)))
+                raise WeightSumMismatch("%d atoms but %d weights" % (len(atoms), len(raw)))
             den, nums = scalar.coerce_scaled(raw, backend)
         div = scalar.divider(backend)
         if min(nums, default=0) < 0:  # one int test; the walk only words the error
@@ -121,6 +125,14 @@ class FiniteProbSpace:
         return "FiniteProbSpace(%s)" % body
 
 
+def _atom_tuple(atoms):
+    """`tuple(atoms)`; atoms that are not iterable raise InvalidAtoms in TypeError's words."""
+    try:
+        return tuple(atoms)
+    except TypeError as exc:
+        raise InvalidAtoms(str(exc)) from None
+
+
 def make_space(atoms, weights, backend=scalar.EXACT, tol=None):
     """Build a validated space; atom order is preserved."""
     return FiniteProbSpace(atoms, weights, backend=backend, tol=tol)
@@ -137,9 +149,7 @@ class _Scaled(tuple):
 
 def uniform_space(atoms, backend=scalar.EXACT):
     """Equal-weight space over the given labels (or over range(n) for an int)."""
-    if isinstance(atoms, int):
-        atoms = range(atoms)
-    atoms = tuple(atoms)
+    atoms = _atom_tuple(range(atoms) if isinstance(atoms, int) else atoms)
     n = len(atoms)
     weights = _Equal([scalar.divider(backend)(1, n)]) if n else []  # no atoms: sum 0, rejected
     return FiniteProbSpace(atoms, weights, backend=backend)
@@ -154,16 +164,16 @@ def _fiber_sums(images, values, size):
     return sums
 
 
-def _check_pushforward(src, dst, images):
-    """Raise NotMeasurePreserving unless `images` pushes src's weights onto dst's.
+def _pushforward_fault(src, dst, images):
+    """None when `images` pushes src's weights onto dst's, else the first target
+    position b that misses, with its fiber sum p over src's den: (b, p).
 
     Fiber sums p and target weights w are compared cross-multiplied, as
     p * dden == w * sden, in one pass.  When dden divides sden (always for a
     valid exact map, as forms are in lowest terms, and on the float backend,
     where both are 1) that is p == w * (sden // dden).  Otherwise, or when
-    that pass fails, the atoms are walked and the first that fails is worded
-    from the scaled forms: an exact map builds no Fraction, failing or not
-    (a sampler may reject many draws against one target).
+    that pass fails, the atoms are walked.  Nothing is worded here, so a
+    sampler may reject many draws against one target at the cost of the sums.
     """
     (sden, sws), (dden, dws) = src._scaled, dst._scaled
     pushed, tol = _fiber_sums(images, sws, dst.size), dst.tol
@@ -172,13 +182,25 @@ def _check_pushforward(src, dst, images):
         want = dws if k == 1 else [w * k for w in dws]
         # `<=`, not `tol.__ge__`, which gives NotImplemented (true) for an int tol and a float
         if all(map(eq, pushed, want)) if tol == 0 else max(map(abs, map(sub, pushed, want))) <= tol:
-            return
-    for b, p, w in zip(dst.atoms, pushed, dws):
+            return None
+    for b, (p, w) in enumerate(zip(pushed, dws)):
         if not scalar.eq(p * dden, w * sden, tol):
-            mass, weight = scalar.ratio_text(p, sden, src.backend), scalar.ratio_text(w, dden, dst.backend)
-            raise NotMeasurePreserving(
-                "atom %r receives mass %s, target weight is %s" % (b, mass, weight)
-            )
+            return b, p
+    return None
+
+
+def _check_pushforward(src, dst, images):
+    """Raise NotMeasurePreserving unless `images` pushes src's weights onto
+    dst's (`_pushforward_fault`), wording the failing atom from the scaled
+    forms: an exact map builds no Fraction, failing or not."""
+    fault = _pushforward_fault(src, dst, images)
+    if fault is not None:
+        b, p = fault
+        mass = scalar.ratio_text(p, src._scaled[0], src.backend)
+        weight = scalar.ratio_text(dst._scaled[1][b], dst._scaled[0], dst.backend)
+        raise NotMeasurePreserving(
+            "atom %r receives mass %s, target weight is %s" % (dst.atoms[b], mass, weight)
+        )
 
 
 def _then(first, second):

@@ -3,7 +3,10 @@ conditional expectation along a measure-preserving map, truncation.
 
 Values are canonicalized to 0 on weight-zero atoms, so equality of the
 stored tables is exactly almost-sure equality.  `_AtomTable` is the table
-type random variables share with measures (`finmeas`).
+type random variables share with measures (`finmeas`).  Every integral is
+one fold to a scaled pair (num, den) (`_integral`), divided out once
+(`_value`); the second moment's pair (`_cross_integral(f, f)`) can be read
+before that division, as the dyadic report reads it.
 """
 from __future__ import annotations
 
@@ -124,11 +127,15 @@ def _require_same_space(f, g):
 
 def _integral(space, den, terms):
     """Integral from per-atom `terms`, each a scaled weight times scaled
-    values whose denominators multiply to `den`: one fold, one division.
-    The terms come as `map` chains, which keep the per-atom operation order
-    without a Python-level loop."""
-    div = scalar.divider(space.backend)
-    return div(scalar.total(terms), space._scaled[0] * den)
+    values whose denominators multiply to `den`, as the pair (num, den): one
+    fold, and `_value` divides it out.  The terms come as `map` chains, which
+    keep the per-atom operation order without a Python-level loop."""
+    return scalar.total(terms), space._scaled[0] * den
+
+
+def _value(space, pair):
+    """An integral's (num, den) as a scalar of the space's backend: one division."""
+    return scalar.divider(space.backend)(*pair)
 
 
 def l1_distance(f, g):
@@ -136,29 +143,36 @@ def l1_distance(f, g):
     _require_same_space(f, g)
     space = f.space
     den, xs, ys = scalar.common(f._scaled, g._scaled)
-    return _integral(space, den, map(mul, space._scaled[1], map(abs, map(sub, xs, ys))))
+    terms = map(mul, space._scaled[1], map(abs, map(sub, xs, ys)))
+    return _value(space, _integral(space, den, terms))
 
 
 def expectation(f):
     den, xs = f._scaled
-    return _integral(f.space, den, map(mul, f.space._scaled[1], xs))
+    return _value(f.space, _integral(f.space, den, map(mul, f.space._scaled[1], xs)))
 
 
 def second_moment(f):
     return _cross_moment(f, f)
 
 
-def _cross_moment(f, g):
-    """Integral of the product of two random variables on f's space, as (w * x) * y."""
+def _cross_integral(f, g):
+    """Integral of the product of two random variables on f's space, as (w * x) * y,
+    as the pair (num, den) of `_integral`: `_cross_integral(f, f)` is the second
+    moment before its one division."""
     den, xs, ys = scalar.common(f._scaled, g._scaled)
     return _integral(f.space, den * den, map(mul, map(mul, f.space._scaled[1], xs), ys))
+
+
+def _cross_moment(f, g):
+    return _value(f.space, _cross_integral(f, g))
 
 
 def _mean_square_diff(f, g):
     """Integral of the squared difference d of two random variables on f's space, as (w * d) * d."""
     den, xs, ys = scalar.common(f._scaled, g._scaled)
     ws_d = map(mul, f.space._scaled[1], map(sub, xs, ys))
-    return _integral(f.space, den * den, map(mul, ws_d, map(sub, xs, ys)))
+    return _value(f.space, _integral(f.space, den * den, map(mul, ws_d, map(sub, xs, ys))))
 
 
 def max_value(f):
@@ -181,9 +195,12 @@ def cond_exp(g, s):
     # per target atom: sum of w * x over the fiber / the target weight
     (wden, ws), (qden, qs), (den, xs) = src._scaled, dst._scaled, g._scaled
     moment = _fiber_sums(s._images, map(mul, ws, xs), dst.size)
-    dens = [den * wden * q if q else 1 for q in qs]
-    out = scalar.ratios([mx * qden for mx in moment], dens, src.backend)
-    return FiniteRandomVariable._from_scaled(dst, *out)
+    # mx * qden / (q * den * wden) is mx / q over den * (wden // qden): a target
+    # weight is a fiber sum of source weights, so qden divides wden (both are 1
+    # on floats); the ratios run on the small ints q, 1 on a null atom (whose
+    # value `_from_scaled` sets to 0)
+    over, nums = scalar.ratios(moment, [q or 1 for q in qs] if dst._nulls else qs, src.backend)
+    return FiniteRandomVariable._from_scaled(dst, over * den * (wden // qden), nums)
 
 
 def pullback(f, s):

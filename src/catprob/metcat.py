@@ -181,8 +181,11 @@ class FinPseudometricSpace:
             return NotImplemented
         return self.points == other.points and self._holds(other._scaled, other.backend)
 
-    def __hash__(self):  # by value, as == compares across backends
-        return hash((self.points, self.dist))
+    def __hash__(self):
+        """`hash((points, dist))`, by value as == compares across backends,
+        from the stored ints (`scalar.scaled_hashes`): no Fraction is built."""
+        den, rows = self._scaled
+        return hash((self.points, tuple([scalar.scaled_hashes(den, r) for r in rows])))
 
     def __repr__(self):
         return "FinPseudometricSpace(points=%r)" % (self.points,)

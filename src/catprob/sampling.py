@@ -12,9 +12,16 @@ from fractions import Fraction
 
 from . import scalar
 from .diagram import FiltrationDiagram
-from .errors import NotMeasurePreserving
 from .finmeas import FiniteMeasure
-from .finprob import FiniteProbSpace, MeasurePreservingMap, _fiber_sums, _Scaled, compose, uniform_space
+from .finprob import (
+    FiniteProbSpace,
+    MeasurePreservingMap,
+    _fiber_sums,
+    _pushforward_fault,
+    _Scaled,
+    compose,
+    uniform_space,
+)
 from .finrv import FiniteRandomVariable
 
 _DENOMS = (4, 8, 16, 32, 64, 12, 24, 48, 60)
@@ -52,15 +59,14 @@ def rand_quotient(rng, src, max_classes=None):
     so the resulting map is measure preserving by construction."""
     n = src.size
     k = rng.randint(1, max_classes or n)
-    assign = {a: rng.randrange(k) for a in src.atoms}
-    used = sorted(set(assign.values()))
-    relabel = {c: t for t, c in enumerate(used)}
-    assign = {a: relabel[c] for a, c in assign.items()}
-    targets = range(len(used))  # labels that are their own positions
+    draws = [rng.randrange(k) for _ in range(n)]
+    used = sorted(set(draws))
+    images = tuple(map({c: t for t, c in enumerate(used)}.__getitem__, draws))
     den, ws = src._scaled
-    pushed = _Scaled((den, _fiber_sums(list(assign.values()), ws, len(used))))
-    dst = FiniteProbSpace(targets, pushed, backend=src.backend, tol=src.tol or None)
-    return MeasurePreservingMap(src, dst, assign)
+    pushed = _Scaled((den, _fiber_sums(images, ws, len(used))))
+    # target labels are their own positions
+    dst = FiniteProbSpace(range(len(used)), pushed, backend=src.backend, tol=src.tol or None)
+    return MeasurePreservingMap._from_images(src, dst, images)
 
 
 def weight_classes(space):
@@ -73,12 +79,13 @@ def weight_classes(space):
 
 def rand_automorphism(rng, space):
     """Weight-preserving permutation of the atoms (identity if none exists)."""
-    perm = {a: a for a in space.atoms}
+    images, index = list(range(space.size)), space._index
     for group in weight_classes(space):
         shuffled = group[:]
         rng.shuffle(shuffled)
-        perm.update(dict(zip(group, shuffled)))
-    return MeasurePreservingMap(space, space, perm)
+        for a, b in zip(group, shuffled):
+            images[index[a]] = index[b]
+    return MeasurePreservingMap._from_images(space, space, tuple(images))
 
 
 def rand_parallel_map(rng, f, attempts=40):
@@ -93,12 +100,12 @@ def rand_parallel_map(rng, f, attempts=40):
     for h in choices:
         if h != f:
             return h
+    src, dst = f.src, f.dst
+    targets = range(dst.size)  # `choice` draws a position as it draws an atom
     for _ in range(attempts):
-        assign = {a: rng.choice(f.dst.atoms) for a in f.src.atoms}
-        try:
-            return MeasurePreservingMap(f.src, f.dst, assign)
-        except NotMeasurePreserving:
-            continue
+        images = tuple([rng.choice(targets) for _ in range(src.size)])
+        if _pushforward_fault(src, dst, images) is None:
+            return MeasurePreservingMap._from_images(src, dst, images, check=False)
     return f
 
 

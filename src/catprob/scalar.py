@@ -14,9 +14,11 @@ form, (den, nums), on both backends (`scaled`, `divider`, `total`).
 Spaces, random variables and measures store that form when built, and
 kernels read it there.  An exact space, random variable or measure holds
 only its ints (`lowest`); its Fractions are built on first read, and
-`scaled_to_json` writes it out from the ints.  A metric table is held the
-same way, one row of the form per point, with infinity kept as `inf`
-itself, which `scaled_to_json` writes as "inf".
+`scaled_to_json` writes it out from the ints, as it writes an integral read
+as its (num, den) pair (the dyadic report's second moments and gaps, over
+one den).  A metric table is held the same way, one row of the form per
+point, with infinity kept as `inf` itself, which `scaled_to_json` writes as
+"inf" and `scaled_hashes` hashes as the values would hash.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, inf, isfinite, lcm
 from operator import add, truediv
+from sys import hash_info
 
 from .errors import BackendMismatch
 
@@ -99,6 +102,34 @@ def scaled_to_json(den, nums):
     return out
 
 
+def scaled_hashes(den, nums):
+    """`tuple([hash(n / den) for n in nums])` from a scaled form, building no
+    scalar: an exact n / den hashes as the Fraction would, by Python's rule for
+    rationals (|n| times the inverse of den modulo `hash_info.modulus`, signed,
+    with -1 read as -2, and `hash_info.inf` when the reduced den has no
+    inverse); a den of 1 (every float form) hashes each entry itself, and a
+    metric table's infinity hashes as `inf`.  A tuple hashes its items'
+    hashes, so a tuple of these hashes as the tuple of the values."""
+    if den == 1:
+        return tuple(map(hash, nums))
+    p = hash_info.modulus
+    inverse = pow(den, -1, p) if den % p else None
+    out = []
+    for n in nums:
+        if n is inf:
+            out.append(hash(inf))
+            continue
+        if inverse is not None:
+            h = abs(n) * inverse % p
+        else:  # the rule reads the reduced fraction
+            g = gcd(n, den)
+            d = den // g
+            h = abs(n) // g * pow(d, -1, p) % p if d % p else hash_info.inf
+        h = h if n >= 0 else -h
+        out.append(-2 if h == -1 else h)
+    return tuple(out)
+
+
 def ratio_text(num, den, backend):
     """`str(divider(backend)(num, den))`, with no Fraction built on the exact backend."""
     if backend != EXACT:
@@ -168,11 +199,12 @@ def common(a, b):
 
 
 def ratios(nums, dens, backend):
-    """nums[i] / dens[i] as one scaled form (the quotients over 1 on the float backend)."""
+    """nums[i] / dens[i] as one scaled form (the quotients over 1 on the float
+    backend); exact dens that are all 1 give `nums` itself."""
     if backend != EXACT:
         return 1, [n / d for n, d in zip(nums, dens)]
     den = lcm(*dens)
-    return den, [n * (den // d) for n, d in zip(nums, dens)]
+    return den, nums if den == 1 else [n * (den // d) for n, d in zip(nums, dens)]
 
 
 def lowest(den, nums, backend, zeros=()):

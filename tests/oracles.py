@@ -13,8 +13,10 @@ helpers as they did, and the copies of the old user-number route, space and
 samplers, which call `scalar.scaled` and build the library's objects as they
 did, and the copy of the old pushforward check, which calls the library's
 `_fiber_sums` as it did, and the copies of the old metric space and its
-constructions at the end, which call `scalar.coerce` and the library's
-`_partition` and `_min_plus_closure` as they did.
+constructions, which call `scalar.coerce` and the library's `_partition` and
+`_min_plus_closure` as they did, and the copies of the dyadic path's tables,
+checks and report rows and of the map samplers at the end, which call the
+library's kernels and build its maps as they did.
 """
 from __future__ import annotations
 
@@ -26,9 +28,10 @@ from operator import mul
 from types import MappingProxyType
 
 from catprob import scalar
-from catprob.diagram import is_martingale
+from catprob.diagram import MAX_DYADIC_DEPTH, MartingaleCheck, dyadic_experiment, is_martingale
 from catprob.errors import (
     BackendMismatch,
+    DepthTooLarge,
     DomainMismatch,
     DuplicateAtom,
     IndexMismatch,
@@ -39,6 +42,7 @@ from catprob.errors import (
     NotAbsolutelyContinuous,
     NotLipschitz,
     NotMeasurePreserving,
+    NoTopElement,
     SpaceMismatch,
     WeightSumMismatch,
 )
@@ -51,7 +55,7 @@ from catprob.finprob import (
     compose,
     identity_map,
 )
-from catprob.finrv import FiniteRandomVariable, max_value
+from catprob.finrv import FiniteRandomVariable, cond_exp, l1_distance, max_value, second_moment
 from catprob.jsonio import _atom_to_json
 from catprob.metcat import FinPseudometricSpace, _min_plus_closure, _partition, tensor
 
@@ -1382,3 +1386,188 @@ def old_metric_uncurry(per, dst, x_space, y_space):
     src = old_metric_tensor(x_space, y_space)
     old_lipschitz_check(src, dst, images)
     return src, images
+
+
+# -- the dyadic path before it ran on scaled ints ----------------------------------
+#
+# Literal copies of `diagram._dyadic_tables`, `is_martingale`, the bound and cover
+# loops of `Martingale` and `ConsistentMeasureFamily` (with `finmeas.bound_check`),
+# `_top_level` and the rows of `catprob martingale`, from before a check whose
+# projection equals its level skipped the distance, bounds were compared on the
+# ints and the per-level counts came from int floor division.  They call the
+# library's kernels as they did.
+
+
+def dyadic_tables_literal(ground, depth):
+    if type(depth) is not int or not 0 <= depth <= MAX_DYADIC_DEPTH:
+        raise DepthTooLarge("depth must be an int in 0..%d, not %r" % (MAX_DYADIC_DEPTH, depth))
+    n = 1 << depth
+    bps, vals = ground.breakpoints, ground.values
+    pieces, base = [], Fraction(0)  # base: the integral of f up to the piece
+    for a, b, fa, fb in zip(bps, bps[1:], vals, vals[1:]):
+        s = (fb - fa) / (b - a)
+        # F(k/n) = base + fa (x - a) + s (x - a)^2 / 2 = c0 + c1 k + c2 k^2
+        pieces.append((a, b, s, (base - fa * a + s * a * a / 2, (fa - s * a) / n, s / (2 * n * n))))
+        base += (b - a) * (fa + fb) / 2
+    den = math.lcm(*(c.denominator for *_, coeffs in pieces for c in coeffs))
+    prefix = []  # den * F(k/n); a grid point on a breakpoint goes to the left piece
+    for a, b, s, coeffs in pieces:
+        c0, c1, c2 = (c.numerator * (den // c.denominator) for c in coeffs)
+        prefix.extend(c0 + k * (c1 + k * c2) for k in range(len(prefix), math.floor(b * n) + 1))
+    levels, errors = [], []
+    for t in range(depth + 1):
+        m, ends = 1 << t, prefix[:: n >> t]
+        averages = [(hi - lo) * m for lo, hi in zip(ends, ends[1:])]  # over den
+        inside = [(abs(s), math.floor(b * m) - math.ceil(a * m)) for a, b, s, _ in pieces]
+        total = sum((s * cells for s, cells in inside if cells > 0), Fraction(0)) / (4 * m * m)
+        for j in sorted({math.floor(b * m) for b in bps[1:-1] if (b * m).denominator != 1}):
+            lo, hi = Fraction(j, m), Fraction(j + 1, m)
+            total += ground.abs_dev_integral(lo, hi, Fraction(averages[j], den))
+        levels.append((den, averages))
+        errors.append(total)
+    return levels, errors
+
+
+def is_martingale_literal(family, d):
+    if set(family) != set(d.elements):
+        raise IndexMismatch("family is not indexed by the diagram's elements")
+    for i in d.elements:
+        if family[i].space != d.spaces[i]:
+            raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
+    zero = scalar.zero(d.backend)
+    residual, worst = zero, None
+    for (i, j) in d.covers:
+        r = l1_distance(cond_exp(family[j], d.connect[(i, j)]), family[i])
+        if r > residual:
+            residual, worst = r, (i, j)
+    return MartingaleCheck(ok=scalar.eq(residual, zero, d.tol), residual=residual, worst_pair=worst)
+
+
+def _level_setup_literal(diagram, family, bound, peak):
+    if set(family) != set(diagram.elements):
+        raise IndexMismatch("family is not indexed by the diagram's elements")
+    family = MappingProxyType({i: family[i] for i in diagram.elements})
+    if bound is None:
+        bound = max(peak(family[i]) for i in diagram.elements)
+    else:
+        bound = scalar.coerce(bound, diagram.backend)
+    if bound < 0:
+        raise NegativeValue("bound must be nonnegative")
+    return family, bound
+
+
+def bound_check_loop_literal(mu, r):
+    space = mu.space
+    rden, (rnum,) = scalar.scaled([scalar.coerce(r, space.backend)], space.backend)
+    if rnum < 0:
+        raise ValueError("bound must be nonnegative")
+    # m / mden <= (rnum / rden) * (w / wden), cross-multiplied
+    (wden, ws), (mden, ms) = space._scaled, mu._scaled
+    lhs, rhs, tol = wden * rden, mden * rnum, space.tol
+    for w, m in zip(ws, ms):
+        if not scalar.le(m * lhs, w * rhs, tol):
+            return False
+    return True
+
+
+def martingale_checks_literal(diagram, family, bound=None):
+    """`Martingale(diagram, family, bound)` as it was: (family, bound, repr), or its error."""
+    family, bound = _level_setup_literal(diagram, family, bound, max_value)
+    for i in diagram.elements:
+        if not scalar.le(max_value(family[i]), bound, diagram.tol):
+            raise Inconsistent("level %r exceeds the bound %s" % (i, bound))
+    chk = is_martingale_literal(family, diagram)
+    if not chk.ok:
+        raise Inconsistent(
+            "consistency fails at %r with residual %s" % (chk.worst_pair, chk.residual)
+        )
+    return family, bound, "Martingale(levels=%r, bound=%s)" % (list(family), bound)
+
+
+def measure_family_checks_literal(diagram, family, bound=None):
+    """`ConsistentMeasureFamily(diagram, family, bound)` as it was: (family, bound, repr), or its error."""
+    family, bound = _level_setup_literal(diagram, family, bound, _density_bound)
+    for i in diagram.elements:
+        if family[i].space != diagram.spaces[i]:
+            raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
+        if not bound_check_loop_literal(family[i], bound):
+            raise Inconsistent("level %r exceeds bound * base weights" % (i,))
+    for (i, j) in diagram.covers:
+        gap = tv_distance(pushforward(family[j], diagram.connect[(i, j)]), family[i])
+        if not scalar.eq(gap, scalar.zero(diagram.backend), diagram.tol):
+            raise Inconsistent(
+                "restriction fails at %r <= %r with residual %s" % (i, j, gap)
+            )
+    return family, bound, "ConsistentMeasureFamily(levels=%r, bound=%s)" % (list(family), bound)
+
+
+def _levels_from_top_literal(top, d, project, what, noun):
+    if d.top is None:
+        raise NoTopElement("%s needs a designated top element" % what)
+    if top.space != d.spaces[d.top]:
+        raise SpaceMismatch("%s does not live on the top space" % noun)
+    return {i: project(top, d.to_top(i)) for i in d.elements}
+
+
+def top_level_literal(fam, project, distance, what, miss):
+    d = fam.diagram
+    top = fam.family.get(d.top)  # None without a top, and then _levels_from_top raises
+    for i, level in _levels_from_top_literal(top, d, project, what, None).items():
+        gap = distance(level, fam.family[i])
+        if not scalar.eq(gap, top.space.zero, d.tol):
+            raise Inconsistent("%s misses level %r by %s" % (miss, i, gap))
+    return top
+
+
+def martingale_rows_literal(ground, depth):
+    """The rows and `ok` of `catprob martingale`, as the subcommand computed them."""
+    _, mart, errors = dyadic_experiment(ground, depth)
+    moments = [second_moment(mart.family[t]) for t in range(depth + 1)]
+    table = []
+    for t in range(depth + 1):
+        gap = moments[t] - moments[t - 1] if t > 0 else Fraction(0)
+        table.append(
+            {
+                "depth": t,
+                "l1_error": scalar.to_json(errors[t]),
+                "second_moment": scalar.to_json(moments[t]),
+                "gap": scalar.to_json(gap),
+            }
+        )
+    telescoped = sum((moments[t] - moments[t - 1] for t in range(1, depth + 1)), Fraction(0))
+    ok = telescoped == moments[-1] - moments[0]
+    return table, ok
+
+
+# -- the map samplers before they built maps from positions ---------------------------
+#
+# Literal copies of `sampling.rand_automorphism` and `sampling.rand_parallel_map`
+# from before they built their maps through `_from_images`; the parallel map
+# draws its automorphisms through the copy, as it did through the library's.
+
+
+def rand_automorphism_literal(rng, space):
+    perm = {a: a for a in space.atoms}
+    for group in weight_classes_literal(space):
+        shuffled = group[:]
+        rng.shuffle(shuffled)
+        perm.update(dict(zip(group, shuffled)))
+    return MeasurePreservingMap(space, space, perm)
+
+
+def rand_parallel_map_literal(rng, f, attempts=40):
+    choices = [
+        compose(rand_automorphism_literal(rng, f.src), f),
+        compose(f, rand_automorphism_literal(rng, f.dst)),
+    ]
+    rng.shuffle(choices)
+    for h in choices:
+        if h != f:
+            return h
+    for _ in range(attempts):
+        assign = {a: rng.choice(f.dst.atoms) for a in f.src.atoms}
+        try:
+            return MeasurePreservingMap(f.src, f.dst, assign)
+        except NotMeasurePreserving:
+            continue
+    return f

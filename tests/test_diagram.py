@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from catprob.diagram import (
     cauchy_certificate,
     dyadic_error,
     dyadic_experiment,
+    dyadic_report,
     induced_martingale,
     is_martingale,
     isometry_report,
@@ -29,7 +30,7 @@ from catprob.diagram import (
     second_moment_identity_report,
     validate,
 )
-from catprob.finmeas import FiniteMeasure, base_measure, rn_derivative, zero_measure
+from catprob.finmeas import FiniteMeasure, base_measure, pushforward, rn_derivative, tv_distance, zero_measure
 from catprob.finprob import (
     MeasurePreservingMap,
     compose,
@@ -57,6 +58,12 @@ from catprob.sampling import (
 
 from oracles import (
     bound_check_literal,
+    dyadic_tables_literal,
+    is_martingale_literal,
+    martingale_checks_literal,
+    martingale_rows_literal,
+    measure_family_checks_literal,
+    top_level_literal,
     composite_fill_literal,
     covering_pairs_literal,
     covers_literal,
@@ -1266,3 +1273,133 @@ def test_building_a_chain_calls_no_le(monkeypatch):
     d, _ = make_dyadic(IDENTITY, 9)
     assert len(d.elements) == 10 and calls["n"] == 0
     assert d.le(0, 9) and calls["n"] == 1  # the counter sees a call
+
+
+# -- the dyadic path on scaled ints, against today's code before it ---------------
+
+#: every k/q strictly inside (0, 1) for q in 3, 5, 6, 7 (so 1/2 = 3/6 too)
+_INNER_BREAKPOINTS = sorted({F(k, q) for q in (3, 5, 6, 7) for k in range(1, q)})
+
+
+@st.composite
+def non_dyadic_grounds(draw):
+    """Piecewise-affine grounds with 0-4 breakpoints of dens 3, 5, 6 and 7
+    and values of small dens, 0 included."""
+    inner = draw(st.lists(st.sampled_from(_INNER_BREAKPOINTS), unique=True, max_size=4))
+    bps = [F(0)] + sorted(inner) + [F(1)]
+    value = st.one_of(st.just(F(0)), st.fractions(0, 5, max_denominator=12))
+    return DyadicGround(bps, draw(st.lists(value, min_size=len(bps), max_size=len(bps))))
+
+
+def _raised_or(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(non_dyadic_grounds(), st.one_of(st.integers(0, 12), st.sampled_from([-1, MAX_DYADIC_DEPTH + 1, True])))
+def test_dyadic_tables_match_the_old_walk(ground, depth):
+    """Every level's scaled averages, and every l1 error by type and value
+    (split cells included), or the same error, as the old per-level
+    Fraction walk gave them."""
+    got = _raised_or(diagram._dyadic_tables, ground, depth)
+    want = _raised_or(dyadic_tables_literal, ground, depth)
+    assert got == want
+    if isinstance(want[0], list):
+        assert [type(e) for e in got[1]] == [type(e) for e in want[1]] == [F] * (depth + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_dyadic_grounds(), st.integers(0, 9))
+def test_dyadic_report_rows_match_the_old_subcommand(ground, depth):
+    """`dyadic_report`'s rows and check are the strings and `ok` the
+    `martingale` subcommand built from Fraction moments and gaps."""
+    rows, ok = dyadic_report(ground, depth)
+    table, want_ok = martingale_rows_literal(ground, depth)
+    assert ok is want_ok is True
+    assert [dict(zip(["depth", "l1_error", "second_moment", "gap"], r)) for r in rows] == table
+
+
+@st.composite
+def perturbed_families(draw):
+    """(is a martingale, diagram, family): a consistent family of either side
+    over a random chain on either backend, with one level, the top at times,
+    moved on its heaviest atom by 0, a tiny amount (within a float tol) or 1/4."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    backend = draw(st.sampled_from(scalar.BACKENDS))
+    top = rand_space(rng, min_atoms=2, max_atoms=6, backend=backend)
+    d = rand_refining_chain(rng, top, rng.randint(1, 3))
+    martingale = draw(st.booleans())
+    if martingale:
+        family = dict(induced_martingale(rand_rv(rng, top, bound=2), d).family)
+    else:
+        family = dict(restrict_measure(rand_measure(rng, top, bound=2), d).family)
+    i = draw(st.sampled_from(d.elements))
+    delta = scalar.coerce(draw(st.sampled_from(["0", "1/1000000000000", "1/4"])), backend)
+    x = family[i]
+    a = max(range(x.space.size), key=x.space.weights.__getitem__)
+    if martingale:
+        values = list(x.values)
+        values[a] += delta
+        family[i] = FiniteRandomVariable(x.space, values)
+    else:
+        mass = list(x.mass)
+        mass[a] += delta * x.space.weights[a]
+        family[i] = FiniteMeasure(x.space, mass)
+    return martingale, d, family
+
+
+def _check_by_bits(chk):
+    """A MartingaleCheck with its residual by type and bits, or an error by type and text."""
+    if isinstance(chk, tuple):
+        return chk
+    r = chk.residual
+    return chk.ok, type(r), r.hex() if type(r) is float else r, chk.worst_pair
+
+
+class TestChecksSkipOnlyEqualForms:
+    """The checks that skip the distance of a pair with equal forms return and
+    raise what they did when every pair computed it: the same MartingaleCheck
+    (floats by their bits), constructor outcome and top-level outcome."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(perturbed_families())
+    def test_checks_match_todays_code(self, case):
+        martingale, d, family = case
+        if martingale:
+            got = _check_by_bits(_raised_or(is_martingale, family, d))
+            assert got == _check_by_bits(_raised_or(is_martingale_literal, family, d))
+            new, old = Martingale, martingale_checks_literal
+            top = (cond_exp, l1_distance, "martingale limit", "reconstructed limit")
+        else:
+            new, old = ConsistentMeasureFamily, measure_family_checks_literal
+            top = (pushforward, tv_distance, "extension", "extension")
+        assert _outcome(new, d, family, None) == _outcome(old, d, family, None)
+        # the top-level check on the family as given, built or not
+        fam = SimpleNamespace(diagram=d, family=MappingProxyType(family))
+        assert _raised_or(diagram._top_level, fam, *top) == _raised_or(top_level_literal, fam, *top)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doctored_families())
+    def test_constructors_match_todays_code(self, case):
+        martingale, d, family, bound = case
+        new, old = (
+            (Martingale, martingale_checks_literal) if martingale
+            else (ConsistentMeasureFamily, measure_family_checks_literal)
+        )
+        assert _outcome(new, d, family, bound) == _outcome(old, d, family, bound)
+
+
+def test_passing_checks_compute_no_distance(monkeypatch):
+    """A valid dyadic run and its limit compute no l1 distance; a family one
+    level off computes it on the two covers around that level only."""
+    calls = _count_calls(monkeypatch, diagram, "l1_distance")
+    d, m = make_dyadic(DyadicGround([0, F(1, 3), 1], [0, 1, F(1, 2)]), 6)
+    assert martingale_limit(m) is m.family[6]
+    assert calls["n"] == 0
+    family = dict(m.family)
+    family[3] = FiniteRandomVariable(d.spaces[3], [v + 1 for v in family[3].values])
+    chk = is_martingale(family, d)
+    assert not chk.ok and calls["n"] == 2 and chk.worst_pair in ((2, 3), (3, 4))

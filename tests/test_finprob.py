@@ -563,6 +563,8 @@ def test_spaces_match_the_old_space(backend, seed):
         ([0, 1], "ab", "weights must be a list, not a string"),
         ([0], 5, "weights must be a list, not 5"),
         ([0], None, "weights must be a list, not None"),
+        ([0, 1], [], "2 atoms but 0 weights"),
+        ([0], ["1/2", "1/2"], "1 atoms but 2 weights"),
     ],
 )
 def test_weights_that_are_not_a_list_are_a_catprob_error(backend, atoms, weights, message):
@@ -570,6 +572,27 @@ def test_weights_that_are_not_a_list_are_a_catprob_error(backend, atoms, weights
         with pytest.raises(errors.WeightSumMismatch) as caught:
             build(atoms, weights, backend=backend)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda b: make_space(None, ["1"], backend=b), "'NoneType' object is not iterable"),
+        (lambda b: FiniteProbSpace(5, ["1"], backend=b), "'int' object is not iterable"),
+        (lambda b: make_space([[1]], ["1"], backend=b), "unhashable type: 'list'"),
+        (lambda b: make_space([0, {}], ["1/2", "1/2"], backend=b), "unhashable type: 'dict'"),
+        (lambda b: uniform_space(None, b), "'NoneType' object is not iterable"),
+        (lambda b: uniform_space(1.5, b), "'float' object is not iterable"),
+        (lambda b: uniform_space([[0], [1]], b), "unhashable type: 'list'"),
+    ],
+)
+def test_atoms_that_are_not_hashable_labels_are_a_catprob_error(backend, build, message):
+    """Atoms that are not an iterable, or hold an unhashable label, raise
+    InvalidAtoms with the words of the TypeError they raised before."""
+    with pytest.raises(errors.InvalidAtoms) as caught:
+        build(backend)
+    assert str(caught.value) == message
 
 
 def test_weights_in_any_iterable_are_still_taken():

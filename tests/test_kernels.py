@@ -13,6 +13,7 @@ metric constructions on exact tables build no Fraction either, until a
 distance is read.
 """
 import contextlib
+import io
 import json
 import random
 from fractions import Fraction as F
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, jsonio, sampling, scalar
+from catprob import cli, errors, jsonio, sampling, scalar
 from catprob.diagram import DyadicGround, make_dyadic
 from catprob.finmeas import (
     FiniteMeasure,
@@ -39,6 +40,7 @@ from catprob.metcat import (
     FinPseudometricSpace,
     LipschitzMap,
     coequalizer,
+    identity_lipschitz,
     coproduct,
     curry,
     metric_reflection,
@@ -491,3 +493,31 @@ def test_metric_constructions_build_no_fraction():
             for s in spaces + [res.space, z]:
                 json.dumps(jsonio.metspace_to_obj(s))
         assert count[0] == 2 * len(res.one_step_gaps), n
+
+
+@pytest.mark.parametrize("ground", ["identity", "tent", "constant"])
+def test_martingale_runs_build_at_most_two_fractions_per_level(ground):
+    """A `catprob martingale` run adds at most two Fractions per level (its
+    space's weight and its l1 error): tables, bound, checks and report rows
+    stay on ints."""
+    counts = []
+    for depth in (6, 7, 8, 9):
+        with contextlib.redirect_stdout(io.StringIO()), fractions_built() as count:
+            assert cli.main(["martingale", "--ground", ground, "--depth", str(depth)]) == 0
+        counts.append(count[0])
+    steps = [b - a for a, b in zip(counts, counts[1:])]
+    assert max(steps) <= 2, counts
+
+
+def test_hashing_an_exact_metric_space_builds_no_fraction():
+    """`hash` of an exact space, with INF and non-integer entries, and of a
+    map between such spaces reads the ints: no Fraction."""
+    for n in (2, 3, 4):
+        table = [[F(abs(i - j), 7) if n - 1 not in (i, j) or i == j else INF for j in range(n)]
+                 for i in range(n)]
+        space = FinPseudometricSpace(range(n), table)
+        with fractions_built() as count:
+            hash(space)
+            hash(identity_lipschitz(space))
+        assert count[0] == 0, n
+        assert hash(space) == hash((space.points, space.dist))

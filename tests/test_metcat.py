@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -1026,3 +1027,31 @@ def test_float_reflection_collapses_pairs_within_tol():
     )
     _same_table(quot, old_quot)
     assert proj._images == class_of == (0, 0, 1)
+
+
+#: 2^61 - 1 on 64-bit builds: a den it divides has no inverse in the hash rule
+_MODULUS = sys.hash_info.modulus
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 7, 12, _MODULUS, 3 * _MODULUS, _MODULUS**2, 2**61]),
+    st.lists(st.tuples(st.integers(0, 10**20), st.booleans()), min_size=1, max_size=4),
+)
+def test_metric_hashes_are_the_old_hashes(den, points):
+    """`hash(space)` is the parent's `hash((points, dist))` on exact tables
+    (points on a line at k/den, some at infinity) whose den the hash modulus
+    may divide, and on the same tables as floats; equal spaces across
+    backends hash alike."""
+    pos = [INF if far else F(k, den) for k, far in points]
+    n = len(pos)
+    table = [
+        [0 if i == j else INF if INF in (pos[i], pos[j]) else abs(pos[i] - pos[j]) for j in range(n)]
+        for i in range(n)
+    ]
+    exact = FinPseudometricSpace(range(n), table)
+    floats = FinPseudometricSpace(range(n), [[v if v is INF else float(v) for v in r] for r in table], tol=1e-9)
+    for space in (exact, floats):
+        assert hash(space) == hash((space.points, space.dist))
+    if exact == floats:
+        assert hash(exact) == hash(floats)

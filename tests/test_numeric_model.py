@@ -5,6 +5,7 @@ the dyadic grounds alike."""
 import ast
 import inspect
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, finmeas, finprob, finrv, metcat, sampling, scalar
+from catprob import diagram, errors, finmeas, finprob, finrv, metcat, sampling, scalar
 from catprob.diagram import DyadicGround
 from catprob.finprob import make_space
 from catprob.metcat import INF, FinPseudometricSpace, scale
@@ -191,11 +192,36 @@ def _backend_tests(module):
 #: one pass on two exact tables.
 _METCAT_BACKEND_TESTS = ["_coerce_table", "FinPseudometricSpace.__init__", "LipschitzMap._check"]
 
+#: The only place the diagram layer may test which backend it is on: a float
+#: diagram builds its composites at once, as their drift adds up along a path.
+#: The martingale and measure-family checks run one body on both backends.
+_DIAGRAM_BACKEND_TESTS = ["FiltrationDiagram.__init__"]
+
 
 def test_kernels_have_one_body_for_both_backends():
     tests = [t for m in (finprob, finrv, finmeas, sampling) for t in _backend_tests(m)]
     assert sorted(tests) == sorted(_BACKEND_TESTS)
     assert sorted(_backend_tests(metcat)) == sorted(_METCAT_BACKEND_TESTS)
+    assert sorted(_backend_tests(diagram)) == sorted(_DIAGRAM_BACKEND_TESTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10**6).flatmap(
+        lambda k: st.sampled_from([k, k * sys.hash_info.modulus, k * sys.hash_info.modulus**2, k << 61])
+    ),
+    st.lists(
+        st.one_of(st.integers(-(10**30), 10**30), st.sampled_from([0, 1, -1, sys.hash_info.modulus, math.inf])),
+        max_size=6,
+    ),
+)
+def test_scaled_hashes_are_the_hashes_of_the_values(den, nums):
+    """Each entry hashes as `hash(Fraction(n, den))` (or `hash(inf)`) would,
+    dens the hash modulus divides included, from the ints alone."""
+    want = tuple(hash(n) if n is math.inf else hash(F(n, den)) for n in nums)
+    assert scalar.scaled_hashes(den, nums) == want
+    floats = [n if n is math.inf else n / 7 for n in nums]
+    assert scalar.scaled_hashes(1, floats) == tuple(map(hash, floats))
 
 
 # -- the user route: a user's numbers straight to the scaled form ------------------

@@ -113,3 +113,33 @@ def test_samplers_match_their_old_code(backend, seed):
         for s in (space, q):
             assert sampling.weight_classes(s) == oracles.weight_classes_literal(s)
         assert new_rng.getstate() == old_rng.getstate()
+
+
+def _same_map(new, old):
+    assert new == old and hash(new) == hash(old) and type(new) is type(old)
+    assert list(new.assign.items()) == list(old.assign.items())
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@pytest.mark.parametrize("seed", range(40))
+def test_map_samplers_match_their_old_code(backend, seed):
+    """`rand_quotient`, `rand_automorphism` and `rand_parallel_map`, which build
+    their maps from positions, against literal copies of their code from
+    before: the same maps, and the generator in the same state after each
+    call.  Non-uniform sources make the automorphisms trivial at times, so
+    the parallel sampler falls through to its rejection draws."""
+    new_rng, old_rng = random.Random(seed), random.Random(seed)
+    for max_atoms in (1, 4, 8, 16):
+        size = dict(min_atoms=1, max_atoms=max_atoms, backend=backend)
+        space = sampling.rand_space(new_rng, **size)
+        _same_space(space, oracles.rand_space_literal(old_rng, **size))
+        f = sampling.rand_quotient(new_rng, space, 3)
+        _same_map(f, oracles.rand_quotient_literal(old_rng, space, 3))
+        assert new_rng.getstate() == old_rng.getstate()
+        for s in (space, f.dst):
+            _same_map(sampling.rand_automorphism(new_rng, s), oracles.rand_automorphism_literal(old_rng, s))
+            assert new_rng.getstate() == old_rng.getstate()
+        for attempts in (0, 3, 40):
+            g = sampling.rand_parallel_map(new_rng, f, attempts)
+            _same_map(g, oracles.rand_parallel_map_literal(old_rng, f, attempts))
+            assert new_rng.getstate() == old_rng.getstate()
