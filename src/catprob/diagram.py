@@ -428,13 +428,8 @@ class Martingale(_LevelFamily):
         bden, (bnum,) = scalar.scaled([bound], diagram.backend)
         for i in diagram.elements:
             den, nums = family[i]._scaled
-            top = max(nums)
-            # two exact forms (tol 0) compare cross-multiplied on their ints
-            if type(top) is int is type(bnum):
-                within = top * bden <= bnum * den
-            else:
-                within = scalar.le(max_value(family[i]), bound, diagram.tol)
-            if not within:
+            # max / den <= bnum / bden, cross-multiplied (both dens are 1 on floats)
+            if not scalar.le(max(nums) * bden, bnum * den, diagram.tol):
                 raise Inconsistent("level %r exceeds the bound %s" % (i, bound))
         chk = is_martingale(family, diagram)
         if not chk.ok:

@@ -199,12 +199,11 @@ def common(a, b):
 
 
 def ratios(nums, dens, backend):
-    """nums[i] / dens[i] as one scaled form (the quotients over 1 on the float
-    backend); exact dens that are all 1 give `nums` itself."""
+    """nums[i] / dens[i] as one scaled form (the quotients over 1 on the float backend)."""
     if backend != EXACT:
         return 1, [n / d for n, d in zip(nums, dens)]
     den = lcm(*dens)
-    return den, nums if den == 1 else [n * (den // d) for n, d in zip(nums, dens)]
+    return den, [n * (den // d) for n, d in zip(nums, dens)]
 
 
 def lowest(den, nums, backend, zeros=()):
