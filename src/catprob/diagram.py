@@ -39,7 +39,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .finmeas import _density_bound, bound_check, pushforward, rn_derivative, tv_distance
-from .finprob import MeasurePreservingMap, _then, compose, identity_map, uniform_space
+from .finprob import FiniteProbSpace, MeasurePreservingMap, _then, compose, identity_map, uniform_space
 from .finrv import (
     FiniteRandomVariable,
     _cross_integral,
@@ -54,53 +54,50 @@ from .finrv import (
 from .scalar import EXACT
 
 #: Depth guard for the dyadic engine (2^depth atoms): `catprob martingale
-#: --ground tent` at depth 18, through `cli.main`, takes 0.6-0.8 s and 136 MB
-#: peak RSS on 2 CPUs (Python 3.11.7), and each level roughly doubles both.
+#: --ground tent` at depth 18, through `cli.main`, takes 0.56-0.62 s and 94 MB
+#: peak RSS on 2 CPUs (Python 3.11.7), against 0.31 s and 57 MB at depth 17.
 MAX_DYADIC_DEPTH = 18
 
 
-def _up_sets(elements, leq):
-    """The order `leq` as up-sets: each element -> the set of elements above it."""
-    above = {e: set() for e in elements}
-    for i, j in leq:
-        above[i].add(j)
-    return above
-
-
 def _covers(above, ordered):
-    """The pairs i < j of `ordered` with nothing strictly between, in its order."""
-    return tuple(
-        (i, j)
-        for (i, j) in ordered
-        if i != j and not any(k != i and k != j and j in above[k] for k in above[i])
-    )
+    """The pairs i < j of `ordered` with nothing strictly between, in its
+    order: j is strictly above i and above no k strictly above i."""
+    strict = {i: up - {i} for i, up in above.items()}
+    between = {i: set().union(*map(strict.__getitem__, up)) for i, up in strict.items()}
+    return tuple([(i, j) for i, j in ordered if j in strict[i] and j not in between[i]])
 
 
 def _closure(elements, pairs):
-    """Up-sets (`_up_sets`) of the reflexive-transitive closure of the order
-    pairs: one Warshall pass over k."""
-    above = _up_sets(elements, chain(zip(elements, elements), pairs))
+    """The reflexive-transitive closure of the order pairs as up-sets (each
+    element -> the set of elements above it): one Warshall pass over k."""
+    above = {e: {e} for e in elements}
+    for i, j in pairs:
+        above[i].add(j)
     for k in elements:
-        for i in elements:
-            if k in above[i]:
-                above[i] |= above[k]
+        up = above[k]
+        for s in above.values():
+            if k in s:
+                s |= up
     return above
 
 
-def _derive(elements, above, ordered, have):
-    """`via` of `_Connect`: each pair (i, j) of `ordered` not in `have`, derived
-    through the first k with (i, k) and (k, j) in the order and at hand,
-    sweeping `ordered` until no pair is added; derived pairs join `have`."""
-    via, size = {}, None
+def _derive(elements, ordered, have):
+    """`via` of `_Connect`: each pair (i, j) of `ordered` not in `have`, derived through
+    the first k of `elements` with (i, k) and (k, j) in the order and at hand (in
+    `have`, or derived before), sweeping the pairs left until a sweep derives none."""
+    ups, downs = {e: set() for e in elements}, {e: set() for e in elements}  # the pairs at hand
+    for i, j in have.intersection(ordered):
+        ups[i].add(j)
+        downs[j].add(i)
+    via, size, left = {}, None, [p for p in ordered if p not in have]
     while size != len(via):
-        size = len(via)
-        for i, j in (p for p in ordered if p not in have):
-            up = above[i]
-            for k in elements:
-                if k in up and j in above[k] and (i, k) in have and (k, j) in have:
-                    via[(i, j)] = k
-                    have.add((i, j))
-                    break
+        size, left = len(via), [p for p in left if p not in via]
+        for i, j in left:
+            ks = ups[i] & downs[j]
+            if ks:
+                via[(i, j)] = ks.pop() if len(ks) == 1 else min(ks, key=elements.index)
+                ups[i].add(j)
+                downs[j].add(i)
     return via
 
 
@@ -140,36 +137,46 @@ class FiltrationDiagram:
     first element's space and `tol` the largest tolerance over the levels.
     `covers` holds the covering pairs of the closed order, computed once in
     rank order; functoriality on them implies it on every triple (see
-    `validate`), and the martingale and measure checks walk them.
+    `validate`), and the martingale and measure checks walk them.  `_order`
+    holds the up-sets and ranked pairs of the closed order, for `validate`.
     """
 
-    __slots__ = ("elements", "leq", "spaces", "connect", "top", "backend", "tol", "covers")
+    __slots__ = ("elements", "leq", "spaces", "connect", "top", "backend", "tol", "covers", "_order")
 
     def __init__(self, elements, leq, spaces, connect, top=None):
-        elements = tuple(elements)
+        try:
+            elements, leq = tuple(elements), tuple(leq)
+            pairs = [(i, j) for i, j in leq]
+            hash(elements)  # every element is a dict key
+        except (TypeError, ValueError):  # not iterable, an unhashable element, or not pairs
+            raise InvalidDiagram("a diagram takes hashable elements and (i, j) order pairs") from None
         if not elements:
             raise InvalidDiagram("a diagram needs at least one element")
-        self.elements = elements
-        leq = tuple(leq)
-        stray = [p for p in leq if p[0] not in elements or p[1] not in elements]
+        stray = [p for p, (i, j) in zip(leq, pairs) if i not in elements or j not in elements]
         if stray:
             raise InvalidDiagram("order pairs name non-elements: %r" % (stray[:4],))
-        above = _closure(elements, leq)
-        self.leq = leq = frozenset((i, j) for i in elements for j in above[i])
-        missing = [e for e in elements if e not in spaces]
+        above = _closure(elements, pairs)
+        ranked = list(dict.fromkeys(elements[::-1]))[::-1]  # by rank, an element's last position
+        ordered = [(i, j) for i in ranked for j in ranked if j in above[i]]
+        self.elements, self.leq, self._order = elements, frozenset(ordered), (above, ordered)
+        try:
+            missing = [e for e in elements if not (e in spaces and isinstance(spaces[e], FiniteProbSpace))]
+            table = dict(connect)
+        except (TypeError, ValueError):  # not mappings
+            raise InvalidDiagram("a diagram takes mappings of spaces and of maps") from None
         if missing:
             raise InvalidDiagram("no space for elements %r" % (missing[:4],))
         self.spaces = MappingProxyType({e: spaces[e] for e in elements})
         self.backend = self.spaces[elements[0]].backend
         self.tol = max(self.spaces[e].tol for e in elements)
-        table = dict(connect)
+        bad = [p for p, m in table.items() if not isinstance(m, MeasurePreservingMap)]
+        if bad:
+            raise InvalidDiagram("connect holds no MeasurePreservingMap for %r" % (bad[:4],))
         for e in elements:
             if (e, e) not in table:
                 table[(e, e)] = identity_map(self.spaces[e])
-        rank = {e: t for t, e in enumerate(elements)}
-        ordered = sorted(leq, key=lambda p: (rank[p[0]], rank[p[1]]))
         self.covers = _covers(above, ordered)
-        self.connect = _Connect(table, _derive(elements, above, ordered, set(table)))
+        self.connect = _Connect(table, _derive(elements, ordered, set(table)))
         if self.backend != EXACT:  # build now: `compose` re-checks floats, as drift adds up
             self.connect = MappingProxyType(dict(self.connect))
         self.top = top
@@ -180,13 +187,14 @@ class FiltrationDiagram:
     @classmethod
     def chain(cls, spaces_list, step_maps, labels=None, top=True):
         """Chain diagram: spaces coarse to fine, step_maps[t]: level t+1 -> level t."""
-        n = len(spaces_list)
-        if labels is None:
-            labels = tuple(range(n))
-        labels = tuple(labels)
+        try:
+            n, steps = len(spaces_list), len(step_maps)
+            labels = tuple(range(n) if labels is None else labels)
+        except TypeError:  # a non-sequence
+            raise InvalidDiagram("a chain takes sequences of spaces, step maps and labels") from None
         if len(labels) != n:
             raise InvalidDiagram("%d labels for %d spaces" % (len(labels), n))
-        if len(step_maps) != n - 1:
+        if steps != n - 1:
             raise InvalidDiagram("a chain of %d spaces needs %d step maps" % (n, n - 1))
         leq = list(zip(labels, labels[1:]))
         top = labels[-1] if top else None
@@ -200,17 +208,11 @@ class FiltrationDiagram:
         return self.covers
 
     def maximum(self):
-        for m in self.elements:
-            if all(self.le(i, m) for i in self.elements):
-                return m
-        return None
+        return next((m for m in self.elements if all(m in up for up in self._order[0].values())), None)
 
     def is_chain(self):
-        return all(
-            self.le(i, j) or self.le(j, i)
-            for i in self.elements
-            for j in self.elements
-        )
+        # an antisymmetric order is total when it holds every pair of its k elements
+        return 2 * len(self.leq) == len(self._order[0]) * (len(self._order[0]) + 1)
 
     def chain_order(self):
         if not self.is_chain():
@@ -261,21 +263,24 @@ def validate(d):
     endpoints, and its triple (i, l, k) holds by construction, so neither is
     checked: a chain given by its steps has no triple left.  When a check or
     a cover triple fails, every triple of the whole table is scanned atom by
-    atom, so the problems are those of a full scan.
+    atom, so the problems are those of a full scan.  Under an element above
+    all others every pair has an upper bound, and none is scanned for.
     """
+    above, ordered = d._order
     via = getattr(d.connect, "via", {})  # a plain mapping holds given maps only
     problems = []
     els = d.elements
     rank = {e: t for t, e in enumerate(els)}
     # order axioms (closure gives reflexivity and transitivity for free)
-    for (i, j) in sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]])):
+    for (i, j) in ordered:
         if rank[i] < rank[j] and (j, i) in d.leq:
             problems.append("antisymmetry fails: %r <= %r <= %r" % (i, j, i))
-    above = _up_sets(els, d.leq)
-    for i in els:
-        for j in els:
-            if rank[i] < rank[j] and above[i].isdisjoint(above[j]):
-                problems.append("no upper bound for %r, %r" % (i, j))
+    common = set.intersection(*above.values())  # the elements above all others
+    if not common:
+        for i in els:
+            for j in els:
+                if rank[i] < rank[j] and above[i].isdisjoint(above[j]):
+                    problems.append("no upper bound for %r, %r" % (i, j))
     backends = {d.spaces[e].backend for e in els}
     if len(backends) > 1:
         problems.append("mixed numeric backends across levels")
@@ -283,7 +288,7 @@ def validate(d):
     for p in d.connect:
         if p not in d.leq:
             problems.append("connecting map for %r outside the order" % (p,))
-    for (i, j) in sorted(d.leq.difference(via), key=lambda p: (rank[p[0]], rank[p[1]])):
+    for (i, j) in [p for p in ordered if p not in via]:
         m = d.connect.get((i, j))
         if m is None:
             problems.append("missing connecting map for %r <= %r" % (i, j))
@@ -303,7 +308,7 @@ def validate(d):
     if d.top is not None:
         if d.top not in els:
             problems.append("top %r is not an element" % (d.top,))
-        elif not all(d.top in above[i] for i in els):
+        elif d.top not in common:
             problems.append("top %r is not the poset maximum" % (d.top,))
     return DiagramReport(ok=not problems, problems=tuple(problems))
 
@@ -654,8 +659,11 @@ class DyadicGround:
     __slots__ = ("breakpoints", "values")
 
     def __init__(self, breakpoints, values):
-        bps = tuple(scalar.coerce(b, EXACT) for b in breakpoints)
-        vals = tuple(scalar.coerce(v, EXACT) for v in values)
+        for what, xs in (("breakpoints", breakpoints), ("values", values)):
+            if isinstance(xs, str) or not hasattr(xs, "__iter__"):
+                raise BadSegments("%s must be a list, not %r" % (what, xs))
+        bps = tuple([scalar.coerce(b, EXACT) for b in breakpoints])
+        vals = tuple([scalar.coerce(v, EXACT) for v in values])
         if len(bps) < 2 or len(vals) != len(bps):
             raise BadSegments("need n >= 2 breakpoints with one value each")
         if bps[0] != 0 or bps[-1] != 1:
@@ -689,16 +697,13 @@ class DyadicGround:
         raise ValueError("argument %s outside [0,1]" % (x,))
 
     def _pieces(self, lo, hi):
-        """Affine pieces covering [lo,hi]: (a, b, f(a), f(b)) per piece."""
-        cuts = [lo]
-        for b in self.breakpoints:
-            if lo < b < hi:
-                cuts.append(b)
-        cuts.append(hi)
-        return [
-            (a, b, self.value_at(a), self.value_at(b))
-            for a, b in zip(cuts, cuts[1:])
-        ]
+        """Affine pieces covering [lo,hi]: (a, b, f(a), f(b)) per piece, with f
+        read at a breakpoint inside from `values`."""
+        bps, vals = self.breakpoints, self.values
+        inner = [t for t in range(1, len(bps) - 1) if lo < bps[t] < hi]
+        cuts = [lo, *[bps[t] for t in inner], hi]
+        ends = [self.value_at(lo), *[vals[t] for t in inner], self.value_at(hi)]
+        return list(zip(cuts, cuts[1:], ends, ends[1:]))
 
     def integral(self, lo, hi):
         """Exact integral of f over [lo,hi] (sum of trapezoids)."""
@@ -713,16 +718,17 @@ class DyadicGround:
         return self.integral(lo, hi) / (hi - lo)
 
     def abs_dev_integral(self, lo, hi, c):
-        """Exact integral of |f - c| over [lo,hi], splitting each piece at its root."""
+        """Exact integral of |f - c| over [lo,hi], splitting each piece at its root, on ints."""
         lo, hi, c = scalar.coerce(lo, EXACT), scalar.coerce(hi, EXACT), scalar.coerce(c, EXACT)
-        total = Fraction(0)
-        for a, b, fa, fb in self._pieces(lo, hi):
-            ea, eb = fa - c, fb - c
+        (cn, cd), total = c.as_integer_ratio(), Fraction(0)
+        for a, b, fa, fb in self._pieces(lo, hi):  # f - c is ea / e at a and eb / e at b
+            (an, ad), (bn, bd) = fa.as_integer_ratio(), fb.as_integer_ratio()
+            (hn, hd), e = (b - a).as_integer_ratio(), lcm(ad, bd, cd)
+            ea, eb = an * (e // ad) - cn * (e // cd), bn * (e // bd) - cn * (e // cd)
             if ea * eb >= 0:
-                total += abs(ea + eb) * (b - a) / 2
-            else:
-                root = a + (b - a) * ea / (ea - eb)
-                total += abs(ea) * (root - a) / 2 + abs(eb) * (b - root) / 2
+                total += Fraction(abs(ea + eb) * hn, 2 * e * hd)
+            else:  # two triangles, of widths (b - a)|ea| / |ea - eb| and (b - a)|eb| / |ea - eb|
+                total += Fraction((ea * ea + eb * eb) * hn, 2 * e * hd * abs(ea - eb))
         return total
 
 
@@ -786,10 +792,12 @@ def dyadic_experiment(ground, depth):
         raise BadSegments("ground must be a DyadicGround")
     levels, errors = _dyadic_tables(ground, depth)
     spaces = [dyadic_space(t) for t in range(depth + 1)]
-    # atom j of level t + 1 lies in cell j >> 1: level t's own int atoms, each twice in turn
+    # atom j of level t + 1 lies in cell j >> 1; every level's images share one list's ints
+    cells = list(range(1 << depth >> 1))
     steps = [
-        MeasurePreservingMap._from_images(fine, s, tuple(chain.from_iterable(zip(s.atoms, s.atoms))))
+        MeasurePreservingMap._from_images(fine, s, tuple(chain.from_iterable(zip(r, r))))
         for s, fine in zip(spaces, spaces[1:])
+        for r in [cells[: s.size]]
     ]
     diagram = FiltrationDiagram.chain(spaces, steps, top=True)
     family = {t: FiniteRandomVariable._from_scaled(spaces[t], *levels[t]) for t in range(depth + 1)}

@@ -34,21 +34,26 @@ class FiniteProbSpace:
     Immutable after construction; all derived objects hold a reference and
     compare spaces by value (atoms, weights, backend).  A space keeps its
     weights in scaled form (`scalar.coerce_scaled`), which the kernels, `==`
-    and `hash` read; an exact space builds its `weights` on first read.
+    and `hash` read; an exact space builds its `weights` on first read.  A
+    space over `range(n)` keeps its atoms as their positions: it builds its
+    `atoms` tuple and its `_index` dict on first read.
     """
 
-    __slots__ = ("atoms", "_weights", "backend", "tol", "_index", "_scaled", "_nulls")
+    __slots__ = ("_atoms", "_weights", "backend", "tol", "_positions", "_scaled", "_nulls")
 
     def __init__(self, atoms, weights, backend=scalar.EXACT, tol=None):
-        atoms = _atom_tuple(atoms)
-        try:
-            index = dict(zip(atoms, range(len(atoms))))
-        except TypeError as exc:  # an unhashable label
-            raise InvalidAtoms(str(exc)) from None
-        if len(index) != len(atoms):  # name the first atom seen a second time
-            first = {}
-            dup = next(a for i, a in enumerate(atoms) if first.setdefault(a, i) != i)
-            raise DuplicateAtom("atom %r occurs more than once" % (dup,))
+        if type(atoms) is range and atoms.start == 0 and atoms.step == 1:  # labels are positions
+            index = self._atoms = None
+        else:
+            atoms = self._atoms = _atom_tuple(atoms)
+            try:
+                index = dict(zip(atoms, range(len(atoms))))
+            except TypeError as exc:  # an unhashable label
+                raise InvalidAtoms(str(exc)) from None
+            if len(index) != len(atoms):  # name the first atom seen a second time
+                first = {}
+                dup = next(a for i, a in enumerate(atoms) if first.setdefault(a, i) != i)
+                raise DuplicateAtom("atom %r occurs more than once" % (dup,))
         if backend not in scalar.BACKENDS:
             raise ValueError("unknown backend %r" % backend)
         if tol is not None:
@@ -57,31 +62,46 @@ class FiniteProbSpace:
             tol = 0
         elif tol is None:
             tol = scalar.DEFAULT_TOL
-        if type(weights) is _Equal:  # one weight, coerced and scaled once
-            den, (num,) = scalar.scaled([scalar.coerce(weights[0], backend)], backend)
-            nums = (num,) * len(atoms)
-        elif type(weights) is _Scaled:  # a scaled form the library computed
-            den, nums = weights
+        if type(weights) is _Equal:  # one weight: coerced, scaled, checked and summed once
+            den, probe = scalar.scaled((scalar.coerce(weights[0], backend),), backend)  # stays a tuple
+            nums, total = probe * len(atoms), scalar.total_of_copies(probe[0], len(atoms), backend)
         else:
-            if isinstance(weights, str):
+            if type(weights) is _Scaled:  # a scaled form the library computed
+                den, nums = weights
+            elif isinstance(weights, str):
                 raise WeightSumMismatch("weights must be a list, not a string")
-            try:
-                raw = list(weights)
-            except TypeError:  # not iterable
-                raise WeightSumMismatch("weights must be a list, not %r" % (weights,)) from None
-            if len(raw) != len(atoms):
-                raise WeightSumMismatch("%d atoms but %d weights" % (len(atoms), len(raw)))
-            den, nums = scalar.coerce_scaled(raw, backend)
+            else:
+                try:
+                    raw = list(weights)
+                except TypeError:  # not iterable
+                    raise WeightSumMismatch("weights must be a list, not %r" % (weights,)) from None
+                if len(raw) != len(atoms):
+                    raise WeightSumMismatch("%d atoms but %d weights" % (len(atoms), len(raw)))
+                den, nums = scalar.coerce_scaled(raw, backend)
+            probe, total = nums, scalar.total(nums)
         div = scalar.divider(backend)
-        if min(nums, default=0) < 0:  # one int test; the walk only words the error
+        if min(probe, default=0) < 0:  # one int test; the walk only words the error
             a, n = next((a, n) for a, n in zip(atoms, nums) if n < 0)
             raise NegativeWeight("weight of atom %r is %s < 0" % (a, div(n, den)))
-        total = scalar.total(nums)
         if not scalar.eq(total, den, tol):
             raise WeightSumMismatch("weights sum to %s, expected 1" % (div(total, den),))
         self._weights, self._scaled = scalar.lowest(den, nums, backend)
-        self.atoms, self.backend, self.tol, self._index = atoms, backend, tol, index
-        self._nulls = tuple([i for i, w in enumerate(nums) if not w]) if 0 in nums else ()
+        self.backend, self.tol, self._positions = backend, tol, index
+        self._nulls = tuple([i for i, w in enumerate(nums) if not w]) if 0 in probe else ()
+
+    @property
+    def atoms(self):
+        """The atom labels, a tuple; a space over range(n) builds it here, once."""
+        if self._atoms is None:
+            self._atoms = tuple(range(self.size))
+        return self._atoms
+
+    @property
+    def _index(self):
+        """Atom label -> position; a space over range(n) builds it here, once."""
+        if self._positions is None:
+            self._positions = dict(zip(self.atoms, range(self.size)))
+        return self._positions
 
     @property
     def weights(self):
@@ -93,7 +113,7 @@ class FiniteProbSpace:
 
     @property
     def size(self):
-        return len(self.atoms)
+        return len(self._scaled[1])
 
     def index(self, atom):
         return self._index[atom]
@@ -113,9 +133,14 @@ class FiniteProbSpace:
         return atom in self._index
 
     def __eq__(self, other):
+        if self is other:  # a diagram's maps hold its own levels
+            return True
         if not isinstance(other, FiniteProbSpace):
             return NotImplemented
-        return (self.atoms, self._scaled, self.backend) == (other.atoms, other._scaled, other.backend)
+        # spaces over range(n) with equal forms have equal atoms, so no tuple is built
+        return (self._scaled, self.backend) == (other._scaled, other.backend) and (
+            self._atoms is other._atoms or self.atoms == other.atoms
+        )
 
     def __hash__(self):
         return hash((self.atoms, self._scaled, self.backend))
@@ -148,8 +173,8 @@ class _Scaled(tuple):
 
 
 def uniform_space(atoms, backend=scalar.EXACT):
-    """Equal-weight space over the given labels (or over range(n) for an int)."""
-    atoms = _atom_tuple(range(atoms) if isinstance(atoms, int) else atoms)
+    """Equal-weight space over the given labels (or over range(n) for an int, held as positions)."""
+    atoms = range(atoms) if isinstance(atoms, int) else _atom_tuple(atoms)
     n = len(atoms)
     weights = _Equal([scalar.divider(backend)(1, n)]) if n else []  # no atoms: sum 0, rejected
     return FiniteProbSpace(atoms, weights, backend=backend)
@@ -222,14 +247,15 @@ class _Map:
             assign = dict(assign)
         except (TypeError, ValueError):
             raise DomainMismatch("assignment must be a mapping, not %r" % (assign,)) from None
+        labels = self._labels(src)
         try:
             index = dst._index
-            images = tuple([index[assign[a]] for a in src._index])
+            images = tuple([index[assign[a]] for a in labels])
         except (KeyError, TypeError):  # a missing label or a bad image
             images = None
         if images is None or len(assign) != len(images):  # word the first fault
             keys, unknown, image, target = self._words
-            missing = [a for a in src._index if a not in assign]
+            missing = [a for a in labels if a not in assign]
             if missing:
                 raise DomainMismatch("assignment missing %s %r" % (keys, missing[:4]))
             extra = [a for a in assign if a not in src._index]
@@ -258,7 +284,7 @@ class _Map:
     def assign(self):
         if self._assign is None:
             images = map(self._labels(self.dst).__getitem__, self._images)
-            self._assign = MappingProxyType(dict(zip(self.src._index, images)))
+            self._assign = MappingProxyType(dict(zip(self._labels(self.src), images)))
         return self._assign
 
     def __call__(self, label):

@@ -37,7 +37,7 @@ class _AtomTable:
                 missing = [a for a in space.atoms if a not in table]
                 if missing:
                     raise SpaceMismatch("%s missing for atoms %r" % (self._words[1], missing[:4]))
-                if len(table) != len(space.atoms):
+                if len(table) != space.size:
                     unknown = [a for a in table if a not in space._index]
                     raise SpaceMismatch("%s given for unknown atoms %r" % (self._words[1], unknown[:4]))
                 table = [table[a] for a in space.atoms]
@@ -49,7 +49,7 @@ class _AtomTable:
                 except TypeError:  # not iterable
                     msg = "%s must be a list or a dict by atom, not %r" % (self._words[1], table)
                     raise SpaceMismatch(msg) from None
-        if len(table) != len(space.atoms):
+        if len(table) != space.size:
             raise SpaceMismatch("%d %s for a %d-atom space" % (len(table), self._words[2], space.size))
         self._build(space, *scalar.coerce_scaled(table, space.backend))
 

@@ -244,6 +244,12 @@ def total(terms):
     return reduce(add, terms, 0)
 
 
+def total_of_copies(x, n, backend):
+    """`total([x] * n)`: n * x on the exact backend, which equals it, and the
+    fold itself on the float one, whose bits it keeps."""
+    return x * n if backend == EXACT else total([x] * n)
+
+
 _EXACT_ZERO, _EXACT_ONE = Fraction(0), Fraction(1)
 
 

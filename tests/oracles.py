@@ -16,19 +16,30 @@ did, and the copy of the old pushforward check, which calls the library's
 constructions, which call `scalar.coerce` and the library's `_partition` and
 `_min_plus_closure` as they did, and the copies of the dyadic path's tables,
 checks and report rows and of the map samplers at the end, which call the
-library's kernels and build its maps as they did.
+library's kernels and build its maps as they did, and the copies of the
+old order scans and `validate` at the very end, which call the library's
+cover-triple and functoriality scans as they did.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+from copy import copy
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
 
 from catprob import scalar
-from catprob.diagram import MAX_DYADIC_DEPTH, MartingaleCheck, dyadic_experiment, is_martingale
+from catprob.diagram import (
+    MAX_DYADIC_DEPTH,
+    DiagramReport,
+    MartingaleCheck,
+    _cover_triples_commute,
+    _functoriality_problems,
+    dyadic_experiment,
+    is_martingale,
+)
 from catprob.errors import (
     BackendMismatch,
     DepthTooLarge,
@@ -1571,3 +1582,142 @@ def rand_parallel_map_literal(rng, f, attempts=40):
         except NotMeasurePreserving:
             continue
     return f
+
+
+# -- the order scans and `validate`, and the ground's integrals, as they were ------
+#
+# Literal copies of `diagram._closure`, `_covers`, `_derive` and `validate` from
+# before the closed order was ranked once, its covers and derived pairs were
+# read by set algebra, and `validate` took the constructor's up-sets and skipped
+# the upper-bound scan under an element above all others; and of the
+# `DyadicGround` integrals from before a piece's ends were read from its
+# index.  `validate_literal` calls the library's `_cover_triples_commute` and
+# `_functoriality_problems` as it did.
+
+
+def up_sets_literal(elements, leq):
+    above = {e: set() for e in elements}
+    for i, j in leq:
+        above[i].add(j)
+    return above
+
+
+def covers_scan_literal(above, ordered):
+    return tuple(
+        (i, j)
+        for (i, j) in ordered
+        if i != j and not any(k != i and k != j and j in above[k] for k in above[i])
+    )
+
+
+def closure_literal(elements, pairs):
+    above = up_sets_literal(elements, itertools.chain(zip(elements, elements), pairs))
+    for k in elements:
+        for i in elements:
+            if k in above[i]:
+                above[i] |= above[k]
+    return above
+
+
+def derive_literal(elements, above, ordered, have):
+    via, size = {}, None
+    while size != len(via):
+        size = len(via)
+        for i, j in (p for p in ordered if p not in have):
+            up = above[i]
+            for k in elements:
+                if k in up and j in above[k] and (i, k) in have and (k, j) in have:
+                    via[(i, j)] = k
+                    have.add((i, j))
+                    break
+    return via
+
+
+def validate_literal(d):
+    via = getattr(d.connect, "via", {})
+    problems = []
+    els = d.elements
+    rank = {e: t for t, e in enumerate(els)}
+    for (i, j) in sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]])):
+        if rank[i] < rank[j] and (j, i) in d.leq:
+            problems.append("antisymmetry fails: %r <= %r <= %r" % (i, j, i))
+    above = up_sets_literal(els, d.leq)
+    for i in els:
+        for j in els:
+            if rank[i] < rank[j] and above[i].isdisjoint(above[j]):
+                problems.append("no upper bound for %r, %r" % (i, j))
+    backends = {d.spaces[e].backend for e in els}
+    if len(backends) > 1:
+        problems.append("mixed numeric backends across levels")
+    for p in d.connect:
+        if p not in d.leq:
+            problems.append("connecting map for %r outside the order" % (p,))
+    for (i, j) in sorted(d.leq.difference(via), key=lambda p: (rank[p[0]], rank[p[1]])):
+        m = d.connect.get((i, j))
+        if m is None:
+            problems.append("missing connecting map for %r <= %r" % (i, j))
+            continue
+        if m.src != d.spaces[j] or m.dst != d.spaces[i]:
+            problems.append("connecting map %r <= %r has wrong endpoints" % (i, j))
+        if i == j and type(m._images) is not range and tuple(map(m.dst.atoms.__getitem__, m._images)) != m.src.atoms:
+            problems.append("reflexive connect at %r is not the identity" % (i,))
+    if problems or not _cover_triples_commute(d, via):
+        if via:
+            full = copy(d)
+            full.connect = dict(d.connect)
+            return validate_literal(full)
+        problems.extend(_functoriality_problems(d))
+    if d.top is not None:
+        if d.top not in els:
+            problems.append("top %r is not an element" % (d.top,))
+        elif not all(d.top in above[i] for i in els):
+            problems.append("top %r is not the poset maximum" % (d.top,))
+    return DiagramReport(ok=not problems, problems=tuple(problems))
+
+
+def value_at_literal(ground, x):
+    x = scalar.coerce(x, scalar.EXACT)
+    bps, vals = ground.breakpoints, ground.values
+    for t in range(len(bps) - 1):
+        if bps[t] <= x <= bps[t + 1]:
+            lo, hi = bps[t], bps[t + 1]
+            return vals[t] + (vals[t + 1] - vals[t]) * (x - lo) / (hi - lo)
+    raise ValueError("argument %s outside [0,1]" % (x,))
+
+
+def _pieces_literal(ground, lo, hi):
+    cuts = [lo]
+    for b in ground.breakpoints:
+        if lo < b < hi:
+            cuts.append(b)
+    cuts.append(hi)
+    return [
+        (a, b, value_at_literal(ground, a), value_at_literal(ground, b))
+        for a, b in zip(cuts, cuts[1:])
+    ]
+
+
+def integral_literal(ground, lo, hi):
+    lo, hi = scalar.coerce(lo, scalar.EXACT), scalar.coerce(hi, scalar.EXACT)
+    total = Fraction(0)
+    for a, b, fa, fb in _pieces_literal(ground, lo, hi):
+        total += (b - a) * (fa + fb) / 2
+    return total
+
+
+def interval_average_literal(ground, lo, hi):
+    lo, hi = scalar.coerce(lo, scalar.EXACT), scalar.coerce(hi, scalar.EXACT)
+    return integral_literal(ground, lo, hi) / (hi - lo)
+
+
+def abs_dev_integral_literal(ground, lo, hi, c):
+    lo, hi, c = scalar.coerce(lo, scalar.EXACT), scalar.coerce(hi, scalar.EXACT), scalar.coerce(c, scalar.EXACT)
+    total = Fraction(0)
+    for a, b, fa, fb in _pieces_literal(ground, lo, hi):
+        ea, eb = fa - c, fb - c
+        if ea * eb >= 0:
+            total += abs(ea + eb) * (b - a) / 2
+        else:
+            root = a + (b - a) * ea / (ea - eb)
+            total += abs(ea) * (root - a) / 2 + abs(eb) * (b - root) / 2
+    return total

@@ -1,4 +1,5 @@
 import random
+from copy import copy
 from fractions import Fraction as F
 from types import MappingProxyType, SimpleNamespace
 
@@ -66,14 +67,23 @@ from oracles import (
     top_level_literal,
     composite_fill_literal,
     covering_pairs_literal,
+    closure_literal,
     covers_literal,
+    covers_scan_literal,
+    derive_literal,
     diagram_problems_literal,
     dyadic_tables_per_cell,
     integral_abs_by_refinement,
     martingale_literal,
     measure_family_literal,
     pointwise_identities_literal,
+    abs_dev_integral_literal,
+    integral_literal,
+    interval_average_literal,
+    up_sets_literal,
     upper_bound_problems_literal,
+    validate_literal,
+    value_at_literal,
     via_literal,
 )
 
@@ -199,6 +209,8 @@ def _raw_diagram(elements, leq, spaces, connect, top):
     d.spaces, d.connect = MappingProxyType(dict(spaces)), MappingProxyType(dict(connect))
     d.backend, d.tol = d.spaces[d.elements[0]].backend, max(s.tol for s in spaces.values())
     d.covers = covering_pairs_literal(d)
+    rank = {e: t for t, e in enumerate(d.elements)}
+    d._order = up_sets_literal(d.elements, d.leq), sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]]))
     return d
 
 
@@ -1228,33 +1240,82 @@ def random_relations(draw):
     return elements, gens, {e: space for e in elements}, connect, top
 
 
+@st.composite
+def chain_relations(draw):
+    """Constructor arguments on a chain of 2-20 levels given by its steps,
+    its elements listed in order or shuffled, with a few composite pairs
+    given too; or a near-chain: a step left out (two chains), a step doubled
+    back (a cycle), or one more element beside the chain or below a level.
+    Maps as in `random_relations`: a step's map is left out at times, and
+    at times one map is corrupted."""
+    n = draw(st.integers(2, 20))
+    levels = list(range(n))
+    gens = list(zip(levels, levels[1:]))
+    gens += draw(st.lists(st.tuples(st.sampled_from(levels), st.sampled_from(levels)).map(sorted).map(tuple), max_size=3))
+    kind = draw(st.sampled_from(["chain", "chain", "chain", "gap", "cycle", "beside", "below"]))
+    if kind == "gap":
+        gens.remove(draw(st.sampled_from(gens[: n - 1])))
+    elif kind == "cycle":
+        gens.append(draw(st.sampled_from(gens[: n - 1]))[::-1])
+    elif kind != "chain":
+        levels.append(n)
+        if kind == "below":
+            gens.append((n, draw(st.sampled_from(levels[:-1]))))
+    elements = tuple(draw(st.permutations(levels)) if draw(st.booleans()) else levels)
+    m = draw(st.integers(1, 3))
+    space = uniform_space(m)
+    perms = {e: draw(st.permutations(range(m))) for e in elements}
+    inverse = {e: {b: a for a, b in enumerate(p)} for e, p in perms.items()}
+    given_pairs = [p for p in dict.fromkeys(gens) if p[0] != p[1]]
+    dropped = draw(st.sampled_from(given_pairs)) if given_pairs and draw(st.integers(0, 3)) == 0 else None
+    connect = {
+        (i, j): make_map(space, space, {a: inverse[i][perms[j][a]] for a in range(m)})
+        for i, j in given_pairs
+        if (i, j) != dropped
+    }
+    if connect and draw(st.integers(0, 3)) == 0:
+        shift = {a: (a + 1) % m for a in range(m)}
+        connect[draw(st.sampled_from(sorted(connect)))] = make_map(space, space, shift)
+    top = draw(st.sampled_from([max(elements), None, elements[0]]))
+    return elements, gens, {e: space for e in elements}, connect, top
+
+
 @settings(max_examples=400, deadline=None)
-@given(random_relations())
+@given(st.one_of(random_relations(), chain_relations()))
 def test_up_set_scans_match_the_old_scans(case):
-    """The closure, `covers`, the derived pairs `connect.via` and every
-    problem of `validate`, in order, as the old scans over `leq` gave them;
-    the constructor raises the old message, or builds the old diagram."""
+    """The closure, the ranked order, `covers`, the derived pairs
+    `connect.via` and every problem of `validate`, in order, as the old scans
+    over `leq` and the scans before them gave them; the constructor raises
+    the old message, or builds the old diagram, whose maximum and chain test
+    read as the pairs say."""
     elements, gens, spaces, connect, top = case
     leq = _closed(elements, gens)
     rank = {e: t for t, e in enumerate(elements)}
     ordered = sorted(leq, key=lambda p: (rank[p[0]], rank[p[1]]))
     above = diagram._closure(elements, gens)
+    assert above == closure_literal(elements, gens)
     assert frozenset((i, j) for i in elements for j in above[i]) == leq
-    assert diagram._covers(above, ordered) == covers_literal(elements, leq, ordered)
+    covers = diagram._covers(above, ordered)
+    assert covers == covers_literal(elements, leq, ordered) == covers_scan_literal(above, ordered)
     table = dict(connect)
     for e in elements:
         table.setdefault((e, e), identity_map(spaces[e]))
     via = via_literal(elements, leq, table, ordered)
-    derived = diagram._derive(elements, above, ordered, set(table))
+    derived = diagram._derive(elements, ordered, set(table))
     assert list(derived.items()) == list(via.items())
+    assert list(derived.items()) == list(derive_literal(elements, above, ordered, set(table)).items())
     full = dict(table)
     for (i, k), l in via.items():  # as `_Connect` builds them, in `via` order
         full[(i, k)] = compose(full[(l, k)], full[(i, l)])
     raw = _raw_diagram(elements, leq, spaces, full, top)
     expected = diagram_problems_literal(raw)
-    assert validate(raw).problems == expected
+    assert validate(raw).problems == expected == validate_literal(raw).problems
     unbounded = [p for p in expected if p.startswith("no upper bound")]
     assert unbounded == upper_bound_problems_literal(raw)
+    # composites derived on first read, as the constructor holds them
+    lazy, lazy_old = copy(raw), copy(raw)
+    lazy.connect, lazy_old.connect = (diagram._Connect(dict(table), dict(derived)) for _ in "ab")
+    assert validate(lazy) == validate_literal(lazy_old)
     try:
         built = FiltrationDiagram(elements, gens, spaces, connect, top=top)
     except errors.InvalidDiagram as exc:
@@ -1262,7 +1323,9 @@ def test_up_set_scans_match_the_old_scans(case):
         assert str(exc) == "; ".join(expected[:6])
     else:
         assert expected == ()
-        assert built.leq == leq
+        assert built.leq == leq and built._order == (above, ordered)
+        assert built.maximum() == next((m for m in elements if all((i, m) in leq for i in elements)), None)
+        assert built.is_chain() == all((i, j) in leq or (j, i) in leq for i in elements for j in elements)
         assert built.covers == covers_literal(elements, leq, ordered)
         assert list(built.connect.via.items()) == list(via.items())
 
@@ -1309,6 +1372,84 @@ def test_dyadic_tables_match_the_old_walk(ground, depth):
     assert got == want
     if isinstance(want[0], list):
         assert [type(e) for e in got[1]] == [type(e) for e in want[1]] == [F] * (depth + 1)
+
+
+#: arguments of the ground's integrals: grid points, breakpoints, points
+#: outside [0, 1], and spellings `scalar.coerce` takes or rejects
+_GROUND_ARGS = st.one_of(
+    st.sampled_from([0, 1, F(1, 2), "1/3", F(5, 7), F(-1, 3), F(4, 3), 2, True, 0.5]),
+    st.builds(F, st.integers(0, 16), st.sampled_from([1, 2, 4, 8, 16])),
+    st.sampled_from(_INNER_BREAKPOINTS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(non_dyadic_grounds(), dyadic_grounds()), _GROUND_ARGS, _GROUND_ARGS, _GROUND_ARGS)
+def test_ground_integrals_match_the_old_pieces(ground, lo, hi, c):
+    """`value_at`, `integral`, `interval_average` and `abs_dev_integral` give
+    equal Fractions, or raise the same error, as the old per-end `value_at`
+    walk gave them, inside [0, 1] and out, with lo > hi and lo == hi."""
+
+    def typed(call, *args):
+        out = _raised_or(call, *args)
+        return out if isinstance(out, tuple) else (type(out), out)
+
+    assert typed(ground.value_at, lo) == typed(value_at_literal, ground, lo)
+    assert typed(ground.integral, lo, hi) == typed(integral_literal, ground, lo, hi)
+    assert typed(ground.interval_average, lo, hi) == typed(interval_average_literal, ground, lo, hi)
+    assert typed(ground.abs_dev_integral, lo, hi, c) == typed(abs_dev_integral_literal, ground, lo, hi, c)
+
+
+_U1 = uniform_space(1)
+_ORDER_WORDS = "a diagram takes hashable elements and (i, j) order pairs"
+_MAPPING_WORDS = "a diagram takes mappings of spaces and of maps"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: FiltrationDiagram.chain(5, []), errors.InvalidDiagram,
+         "a chain takes sequences of spaces, step maps and labels"),
+        (lambda: FiltrationDiagram.chain([None], []), errors.InvalidDiagram, "no space for elements [0]"),
+        (lambda: FiltrationDiagram(None, [], {}, {}), errors.InvalidDiagram, _ORDER_WORDS),
+        (lambda: FiltrationDiagram([[0]], [], {}, {}), errors.InvalidDiagram, _ORDER_WORDS),
+        (lambda: FiltrationDiagram([0], [None], {0: _U1}, {}), errors.InvalidDiagram, _ORDER_WORDS),
+        (lambda: FiltrationDiagram([0], [(0, 0, 0)], {0: _U1}, {}), errors.InvalidDiagram, _ORDER_WORDS),
+        (lambda: FiltrationDiagram([0], [], 5, {}), errors.InvalidDiagram, _MAPPING_WORDS),
+        (lambda: FiltrationDiagram([0], [], {0: None}, {}), errors.InvalidDiagram, "no space for elements [0]"),
+        (lambda: FiltrationDiagram([0], [], {0: _U1}, "ab"), errors.InvalidDiagram, _MAPPING_WORDS),
+        (lambda: FiltrationDiagram([0], [], {0: _U1}, {(0, 0): 5}), errors.InvalidDiagram,
+         "connect holds no MeasurePreservingMap for [(0, 0)]"),
+        (lambda: DyadicGround(None, [0, 1]), errors.BadSegments, "breakpoints must be a list, not None"),
+        (lambda: DyadicGround("ab", [0, 1]), errors.BadSegments, "breakpoints must be a list, not 'ab'"),
+        (lambda: DyadicGround([0, 1], None), errors.BadSegments, "values must be a list, not None"),
+    ],
+)
+def test_malformed_diagram_and_ground_arguments_raise_library_errors(call, error, message):
+    """Each of these raised a bare TypeError, ValueError or AttributeError."""
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_dyadic_runs_read_no_atom_tuple_or_index(monkeypatch, capsys):
+    """Every level of the dyadic chain is held as positions: neither the
+    engine nor `catprob martingale` reads a space's `atoms` or `_index`, so
+    no atom tuple and no index dict is built."""
+    from catprob.cli import main
+
+    reads = []
+    for name in ("atoms", "_index"):
+        read = getattr(finprob.FiniteProbSpace, name).fget
+        monkeypatch.setattr(
+            finprob.FiniteProbSpace, name, property(lambda s, _r=read, _n=name: reads.append(_n) or _r(s))
+        )
+    tent = DyadicGround([0, F(1, 2), 1], [0, 1, 0])
+    d, m, _ = dyadic_experiment(tent, 12)
+    assert main(["martingale", "--ground", "tent", "--depth", "12"]) == 0
+    assert reads == []
+    assert all(s._atoms is None and s._positions is None for s in d.spaces.values())
+    assert d.spaces[3].atoms == tuple(range(8)) and reads == ["atoms"]  # the counter sees a read
 
 
 @settings(max_examples=30, deadline=None)

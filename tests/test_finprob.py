@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from catprob import errors, finprob, jsonio, scalar
+from catprob.diagram import dyadic_space
 from catprob.finmeas import pushforward
 from catprob.finprob import (
     FiniteProbSpace,
@@ -462,6 +463,78 @@ def test_uniform_space_matches_the_old_route(backend, atoms):
         assert getattr(new, name) == getattr(old, name), name
     assert [_bits(w) for w in new.weights] == [_bits(w) for w in old.weights]
     assert type(new.weights) is tuple
+
+
+#: labels a read may ask a space over range(n) about: its own, equal ones of
+#: other types (True is 1), strangers and an unhashable label
+_PROBES = (0, 1, 2, 69, 70, 1023, 1024, -1, True, False, 1.0, 0.5, "0", None, (0,), [1])
+
+_READS = {
+    "atoms": lambda s: (type(s.atoms), s.atoms),
+    "size": lambda s: s.size,
+    "weights": lambda s: [_bits(w) for w in s.weights],
+    "index": lambda s: [_built(s.index, a) for a in _PROBES],
+    "weight": lambda s: [_bits(_built(s.weight, a)) for a in _PROBES],
+    "in": lambda s: [_built(s.__contains__, a) for a in _PROBES],
+    "hash": hash,
+    "repr": repr,
+    "json": lambda s: json.dumps(jsonio.space_to_obj(s)),
+    "form": _scaled_bits,
+}
+
+
+def _positional_route(route, arg, backend):
+    """(a builder of the space over range(n), a builder of its twin from a
+    tuple of labels) for `uniform_space(n)`, `dyadic_space(t)` (exact only)
+    or a `rand_quotient` target drawn from the seed `arg`."""
+    if route == "uniform":
+        return lambda: uniform_space(arg, backend), lambda: oracles.uniform_space_literal(arg, backend)
+    if route == "dyadic":
+        return lambda: dyadic_space(arg), lambda: oracles.uniform_space_literal(1 << arg)
+
+    def target():
+        rng = random.Random(arg)
+        return rand_quotient(rng, rand_space(rng, 1, 8, backend)).dst
+
+    def twin():
+        new = target()
+        den, nums = new._scaled
+        weights = [scalar.divider(backend)(n, den) for n in nums]
+        return FiniteProbSpace(tuple(range(len(nums))), weights, backend, new.tol or None)
+
+    return target, twin
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=80, deadline=None)
+@given(
+    route=st.one_of(
+        st.tuples(st.just("uniform"), st.integers(0, 70)),
+        st.tuples(st.just("dyadic"), st.integers(0, 10)),
+        st.tuples(st.just("quotient"), st.integers(0, 2**32 - 1)),
+    ),
+    order=st.permutations(sorted(_READS)),
+)
+def test_positional_spaces_read_as_their_tuple_twins(backend, route, order):
+    """A space over range(n) holds no atom tuple and no index, and every
+    public read, in any order from a fresh space, gives what the space built
+    from a tuple of the same labels gives: atoms, size, weights, index,
+    weight and `in` for its own labels, equal ones and strangers, hash, repr,
+    JSON bytes and scaled form; the two are equal both ways, with one hash."""
+    new, old = _positional_route(*route, backend)
+    twin = _built(old)
+    if isinstance(twin, tuple):  # no atoms
+        assert _built(new) == twin
+        return
+    space = new()
+    assert space._atoms is None and space._positions is None
+    for name in order:
+        assert _READS[name](space) == _READS[name](twin), name
+    for a, b in ((new(), twin), (twin, new()), (new(), new())):
+        assert a == b and b == a and not a != b and hash(a) == hash(b)
+    assert new() != uniform_space(space.size + 1, backend)
+    others = [("x", a) for a in range(space.size)]  # the same weights on other labels
+    assert new() != FiniteProbSpace(others, list(twin.weights), backend, twin.tol or None)
 
 
 def test_an_image_is_read_back_as_the_target_atom():

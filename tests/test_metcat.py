@@ -1050,7 +1050,12 @@ def test_metric_hashes_are_the_old_hashes(den, points):
         for i in range(n)
     ]
     exact = FinPseudometricSpace(range(n), table)
-    floats = FinPseudometricSpace(range(n), [[v if v is INF else float(v) for v in r] for r in table], tol=1e-9)
+    rounded = [[v if v is INF else float(v) for v in r] for r in table]
+    # each distance rounds on its own, so the float copy is a pseudometric only within
+    # a few units in the last place of its largest distance: a tol of 1e-9 alone fails
+    # the triangle check on points near 10^8 and beyond
+    largest = max([v for r in rounded for v in r if v is not INF], default=0)
+    floats = FinPseudometricSpace(range(n), rounded, tol=1e-9 * (1 + largest))
     for space in (exact, floats):
         assert hash(space) == hash((space.points, space.dist))
     if exact == floats:

@@ -198,11 +198,43 @@ _METCAT_BACKEND_TESTS = ["_coerce_table", "FinPseudometricSpace.__init__", "Lips
 _DIAGRAM_BACKEND_TESTS = ["FiltrationDiagram.__init__"]
 
 
+#: The route of a space over range(n), held as positions, from its
+#: constructors to its first reads: one body for both backends.
+_POSITIONAL_ROUTE = [
+    (finprob, "FiniteProbSpace.atoms"),
+    (finprob, "FiniteProbSpace._index"),
+    (finprob, "FiniteProbSpace.size"),
+    (finprob, "FiniteProbSpace.__eq__"),
+    (finprob, "uniform_space"),
+    (diagram, "dyadic_space"),
+    (diagram, "dyadic_experiment"),
+    (sampling, "rand_quotient"),
+]
+
+
+def _functions(module):
+    """Qualified name of every function in the module, as `_backend_tests` scopes them."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+            if isinstance(node, ast.FunctionDef):
+                found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(inspect.getsource(module)), [])
+    return found
+
+
 def test_kernels_have_one_body_for_both_backends():
     tests = [t for m in (finprob, finrv, finmeas, sampling) for t in _backend_tests(m)]
     assert sorted(tests) == sorted(_BACKEND_TESTS)
     assert sorted(_backend_tests(metcat)) == sorted(_METCAT_BACKEND_TESTS)
     assert sorted(_backend_tests(diagram)) == sorted(_DIAGRAM_BACKEND_TESTS)
+    for module, name in _POSITIONAL_ROUTE:  # scanned, and with no backend test
+        assert name in _functions(module) and name not in _backend_tests(module), name
 
 
 @settings(max_examples=300, deadline=None)
