@@ -79,33 +79,6 @@ def _emit(report, rows, args):
         sys.stdout.write(text)
 
 
-def _suite_output(report, args):
-    payload = {
-        "command": report.name,
-        "seed": report.seed,
-        "backend": report.backend,
-        "ok": report.ok,
-        "checks": [
-            {
-                "id": c.id,
-                "statement": c.statement,
-                "trials": c.trials,
-                "failures": c.failures,
-                "worst": c.worst,
-            }
-            for c in report.checks
-        ],
-    }
-    rows = [["id", "statement", "trials", "failures", "worst"]] + [
-        [c.id, c.statement, c.trials, c.failures, c.worst] for c in report.checks
-    ]
-    _emit(payload, rows, args)
-    if not report.ok:
-        sys.stderr.write("failing checks: %s\n" % ", ".join(report.failing_ids()))
-        return 1
-    return 0
-
-
 # -- subcommands -------------------------------------------------------------------
 
 
@@ -241,22 +214,23 @@ def cmd_metcat(args):
     return 0
 
 
-def cmd_check_appendix(args):
-    return _suite_output(
-        suites.second_moment_suite(args.seed, args.trials, backend=_backend()), args
-    )
-
-
-def cmd_check_naturality(args):
-    return _suite_output(
-        suites.naturality_suite(args.seed, args.trials, backend=_backend()), args
-    )
-
-
-def cmd_check_lipschitz(args):
-    return _suite_output(
-        suites.lipschitz_suite(args.seed, args.trials, backend=_backend()), args
-    )
+def cmd_check(suite, args):
+    """Run `suites.<suite>`, looked up at call time, and report it."""
+    report = getattr(suites, suite)(args.seed, args.trials, backend=_backend())
+    columns = ["id", "statement", "trials", "failures", "worst"]
+    rows = [[getattr(c, k) for k in columns] for c in report.checks]
+    payload = {
+        "command": report.name,
+        "seed": report.seed,
+        "backend": report.backend,
+        "ok": report.ok,
+        "checks": [dict(zip(columns, row)) for row in rows],
+    }
+    _emit(payload, [columns] + rows, args)
+    if not report.ok:
+        sys.stderr.write("failing checks: %s\n" % ", ".join(report.failing_ids()))
+        return 1
+    return 0
 
 
 _TOL = ("--tol", {"type": float, "default": scalar.DEFAULT_TOL})
@@ -282,9 +256,12 @@ _COMMANDS = {
     ]),
     "metcat": (cmd_metcat, "axiom scan for a finite pseudometric space",
                [("--space", {"required": True})]),
-    "check-appendix": (cmd_check_appendix, "second-moment identity suite", _SUITE),
-    "check-naturality": (cmd_check_naturality, "density/measure correspondence suite", _SUITE),
-    "check-lipschitz": (cmd_check_lipschitz, "map-metric estimate suite", _SUITE),
+    "check-appendix": (functools.partial(cmd_check, "second_moment_suite"),
+                       "second-moment identity suite", _SUITE),
+    "check-naturality": (functools.partial(cmd_check, "naturality_suite"),
+                         "density/measure correspondence suite", _SUITE),
+    "check-lipschitz": (functools.partial(cmd_check, "lipschitz_suite"),
+                        "map-metric estimate suite", _SUITE),
 }
 
 

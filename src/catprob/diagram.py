@@ -17,7 +17,7 @@ from contextlib import suppress
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import floor, lcm
 from operator import sub
 from types import MappingProxyType
@@ -42,6 +42,7 @@ from .finmeas import _density_bound, bound_check, pushforward, rn_derivative, tv
 from .finprob import FiniteProbSpace, MeasurePreservingMap, _then, compose, identity_map, uniform_space
 from .finrv import (
     FiniteRandomVariable,
+    _AtomTable,
     _cross_integral,
     _cross_moment,
     _mean_square_diff,
@@ -137,8 +138,10 @@ class FiltrationDiagram:
     first element's space and `tol` the largest tolerance over the levels.
     `covers` holds the covering pairs of the closed order, computed once in
     rank order; functoriality on them implies it on every triple (see
-    `validate`), and the martingale and measure checks walk them.  `_order`
-    holds the up-sets and ranked pairs of the closed order, for `validate`.
+    `validate`), and the martingale and measure checks walk them.  Elements
+    are distinct.  `_order` holds the up-sets of the closed order and its
+    pairs ranked by the elements' positions, the one ranking that `validate`,
+    `chain_order` and `jsonio`'s writer read.
     """
 
     __slots__ = ("elements", "leq", "spaces", "connect", "top", "backend", "tol", "covers", "_order")
@@ -152,12 +155,13 @@ class FiltrationDiagram:
             raise InvalidDiagram("a diagram takes hashable elements and (i, j) order pairs") from None
         if not elements:
             raise InvalidDiagram("a diagram needs at least one element")
+        if len(set(elements)) != len(elements):
+            raise InvalidDiagram("repeated elements in %r" % (elements,))
         stray = [p for p, (i, j) in zip(leq, pairs) if i not in elements or j not in elements]
         if stray:
             raise InvalidDiagram("order pairs name non-elements: %r" % (stray[:4],))
         above = _closure(elements, pairs)
-        ranked = list(dict.fromkeys(elements[::-1]))[::-1]  # by rank, an element's last position
-        ordered = [(i, j) for i in ranked for j in ranked if j in above[i]]
+        ordered = [(i, j) for i in elements for j in elements if j in above[i]]  # ranked by position
         self.elements, self.leq, self._order = elements, frozenset(ordered), (above, ordered)
         try:
             missing = [e for e in elements if not (e in spaces and isinstance(spaces[e], FiniteProbSpace))]
@@ -217,7 +221,7 @@ class FiltrationDiagram:
     def chain_order(self):
         if not self.is_chain():
             raise NotAChain("the index poset is not totally ordered")
-        return tuple(sorted(self.elements, key=lambda e: sum(1 for i in self.elements if self.le(i, e))))
+        return tuple(sorted(self.elements, key=lambda e: -len(self._order[0][e])))  # fewer above, later
 
     def to_top(self, i):
         """The map f_i from the master space onto level i."""
@@ -270,17 +274,15 @@ def validate(d):
     via = getattr(d.connect, "via", {})  # a plain mapping holds given maps only
     problems = []
     els = d.elements
-    rank = {e: t for t, e in enumerate(els)}
     # order axioms (closure gives reflexivity and transitivity for free)
-    for (i, j) in ordered:
-        if rank[i] < rank[j] and (j, i) in d.leq:
+    for i, j in combinations(els, 2):  # by position
+        if j in above[i] and i in above[j]:
             problems.append("antisymmetry fails: %r <= %r <= %r" % (i, j, i))
     common = set.intersection(*above.values())  # the elements above all others
     if not common:
-        for i in els:
-            for j in els:
-                if rank[i] < rank[j] and above[i].isdisjoint(above[j]):
-                    problems.append("no upper bound for %r, %r" % (i, j))
+        for i, j in combinations(els, 2):
+            if above[i].isdisjoint(above[j]):
+                problems.append("no upper bound for %r, %r" % (i, j))
     backends = {d.spaces[e].backend for e in els}
     if len(backends) > 1:
         problems.append("mixed numeric backends across levels")
@@ -373,10 +375,10 @@ def is_martingale(family, d):
     two scaled forms are equal has residual 0 (`_same_form`), so only a pair
     that differs computes it.
     """
-    if set(family) != set(d.elements):
+    if not isinstance(family, Mapping) or set(family) != set(d.elements):
         raise IndexMismatch("family is not indexed by the diagram's elements")
     for i in d.elements:
-        if family[i].space != d.spaces[i]:
+        if not isinstance(family[i], _AtomTable) or family[i].space != d.spaces[i]:
             raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
     zero = scalar.zero(d.backend)
     residual, worst = zero, None
@@ -404,9 +406,12 @@ class _LevelFamily:
 
     def _setup(self, diagram, family, bound, peak):
         """Store and return the read-only family and its bound (max `peak` if None)."""
-        if set(family) != set(diagram.elements):
+        if not isinstance(family, Mapping) or set(family) != set(diagram.elements):
             raise IndexMismatch("family is not indexed by the diagram's elements")
         family = MappingProxyType({i: family[i] for i in diagram.elements})
+        for i in diagram.elements:  # a member that is no table has no peak
+            if not isinstance(family[i], _AtomTable):
+                raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
         if bound is None:
             bound = max(peak(family[i]) for i in diagram.elements)
         else:

@@ -185,20 +185,11 @@ def metspace_from_obj(obj, what="metric space"):
 
 
 def diagram_to_obj(d):
-    rank = {e: t for t, e in enumerate(d.elements)}
-    pairs = sorted(
-        (p for p in d.connect if p[0] != p[1]),
-        key=lambda p: (rank[p[0]], rank[p[1]]),
-    )
+    # the ranked pairs of the closed order, which on a valid diagram are the connect keys
+    pairs = [(i, j) for i, j in d._order[1] if i != j]
     return {
         "elements": [_atom_to_json(e) for e in d.elements],
-        "leq": [
-            [_atom_to_json(i), _atom_to_json(j)]
-            for (i, j) in sorted(
-                ((i, j) for (i, j) in d.leq if i != j),
-                key=lambda p: (rank[p[0]], rank[p[1]]),
-            )
-        ],
+        "leq": [[_atom_to_json(i), _atom_to_json(j)] for i, j in pairs],
         "spaces": {str(e): space_to_obj(d.spaces[e]) for e in d.elements},
         "connect": [
             {

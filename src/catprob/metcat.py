@@ -124,8 +124,11 @@ class FinPseudometricSpace:
     def __init__(self, points, dist, tol=0):
         scalar.check_tol(tol)
         self.tol = tol  # first, since it fixes the backend
-        points = tuple(points)
-        index = {p: i for i, p in enumerate(points)}
+        try:
+            points = tuple(points)
+            index = {p: i for i, p in enumerate(points)}
+        except TypeError as exc:  # not iterable, or an unhashable label
+            raise InvalidMetric(str(exc)) from None
         if len(index) != len(points):
             raise InvalidMetric("duplicate point labels")
         backend = self.backend

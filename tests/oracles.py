@@ -18,13 +18,16 @@ constructions, which call `scalar.coerce` and the library's `_partition` and
 checks and report rows and of the map samplers at the end, which call the
 library's kernels and build its maps as they did, and the copies of the
 old order scans and `validate` at the very end, which call the library's
-cover-triple and functoriality scans as they did.
+cover-triple and functoriality scans as they did, and the copies of the old
+check suites and diagram writer after them, which call the library's
+kernels, samplers and `space_to_obj` as they did.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+import random
 from copy import copy
 from fractions import Fraction
 from operator import mul
@@ -52,12 +55,13 @@ from catprob.errors import (
     NegativeWeight,
     NotAbsolutelyContinuous,
     NotLipschitz,
+    NotAChain,
     NotMeasurePreserving,
     NoTopElement,
     SpaceMismatch,
     WeightSumMismatch,
 )
-from catprob.finmeas import FiniteMeasure, _density_bound, bound_check, pushforward, tv_distance
+from catprob.finmeas import FiniteMeasure, _density_bound, bound_check, pushforward, rho, rn_derivative, tv_distance
 from catprob.finprob import (
     FiniteProbSpace,
     MeasurePreservingMap,
@@ -65,10 +69,13 @@ from catprob.finprob import (
     _fiber_sums,
     compose,
     identity_map,
+    map_distance,
 )
 from catprob.finrv import FiniteRandomVariable, cond_exp, l1_distance, max_value, second_moment
-from catprob.jsonio import _atom_to_json
+from catprob.jsonio import _atom_to_json, space_to_obj
 from catprob.metcat import FinPseudometricSpace, _min_plus_closure, _partition, tensor
+from catprob.sampling import rand_measure, rand_parallel_map, rand_quotient, rand_rv, rand_space
+from catprob.suites import CheckResult, SuiteReport
 
 
 def set_partitions(items):
@@ -1721,3 +1728,169 @@ def abs_dev_integral_literal(ground, lo, hi, c):
             root = a + (b - a) * ea / (ea - eb)
             total += abs(ea) * (root - a) / 2 + abs(eb) * (b - root) / 2
     return total
+
+
+# -- the check suites, the diagram writer and the order scans, as they were --------
+#
+# Literal copies of `suites._record`, `naturality_suite` and `lipschitz_suite`
+# from before a trial computed each kernel output once and worded only a
+# failing check, of `jsonio.diagram_to_obj` and `FiltrationDiagram.chain_order`
+# from before they read the constructor's ranked pairs and up-sets, and of
+# `validate`'s antisymmetry and upper-bound scans from before they went by
+# position.  The suites call the kernels and samplers bound in this module.
+
+
+_BOUNDS = ("1/2", "1", "2", "3")
+
+
+def _record_literal(check, passed, detail=""):
+    check.trials += 1
+    if not passed:
+        check.failures += 1
+        if not check.worst:
+            check.worst = detail
+
+
+def naturality_suite_literal(seed, trials, backend=scalar.EXACT):
+    rng = random.Random(seed)
+    natural = CheckResult(
+        "rho-naturality", "pushforward(rho(g), s) == rho(cond_exp(g, s))"
+    )
+    roundtrip = CheckResult(
+        "rn-roundtrip", "rho(rn_derivative(mu)) == mu"
+    )
+    isometry = CheckResult(
+        "rho-isometry", "tv(rho(f), rho(g)) == l1(f, g)"
+    )
+    report = SuiteReport("naturality", seed, backend, [natural, roundtrip, isometry])
+    for _ in range(trials):
+        space = rand_space(rng, backend=backend)
+        tol = space.tol
+        s = rand_quotient(rng, space)
+        g = rand_rv(rng, space, bound=scalar.coerce(rng.choice(_BOUNDS), backend))
+        lhs = pushforward(rho(g), s)
+        rhs = rho(cond_exp(g, s))
+        _record_literal(natural, scalar.eq(tv_distance(lhs, rhs), space.zero, tol),
+                        "residual %s" % tv_distance(lhs, rhs))
+        mu = rand_measure(rng, space, bound=scalar.coerce(rng.choice(_BOUNDS), backend))
+        back = rho(rn_derivative(mu))
+        _record_literal(roundtrip, scalar.eq(tv_distance(back, mu), space.zero, tol),
+                        "residual %s" % tv_distance(back, mu))
+        f2 = rand_rv(rng, space, bound=scalar.coerce(rng.choice(_BOUNDS), backend))
+        lhs_d = tv_distance(rho(g), rho(f2))
+        rhs_d = l1_distance(g, f2)
+        _record_literal(isometry, scalar.eq(lhs_d, rhs_d, tol), "%s vs %s" % (lhs_d, rhs_d))
+    return report
+
+
+def lipschitz_suite_literal(seed, trials, backend=scalar.EXACT):
+    rng = random.Random(seed)
+    comp = CheckResult(
+        "compose-additive",
+        "d(g1 o f1, g2 o f2) <= d(g1, g2) + d(f1, f2)",
+    )
+    push = CheckResult(
+        "pushforward-map-lipschitz",
+        "tv(push(mu, f1), push(mu, f2)) <= r * d(f1, f2) for mu <= r * P",
+    )
+    ce = CheckResult(
+        "condexp-map-lipschitz",
+        "l1(E[x|f1], E[x|f2]) <= r * d(f1, f2) for x <= r",
+    )
+    push_c = CheckResult(
+        "pushforward-contraction", "tv(push(mu, s), push(nu, s)) <= tv(mu, nu)"
+    )
+    ce_c = CheckResult(
+        "condexp-contraction", "l1(E[x|s], E[y|s]) <= l1(x, y)"
+    )
+    report = SuiteReport("lipschitz", seed, backend, [comp, push, ce, push_c, ce_c])
+    for _ in range(trials):
+        space = rand_space(rng, backend=backend)
+        tol = space.tol
+        r = scalar.coerce(rng.choice(_BOUNDS), backend)
+        f1 = rand_quotient(rng, space, max_classes=6)
+        f2 = rand_parallel_map(rng, f1)
+        g1 = rand_quotient(rng, f1.dst, max_classes=6)
+        g2 = rand_parallel_map(rng, g1)
+        d_f = map_distance(f1, f2)
+        d_g = map_distance(g1, g2)
+        d_comp = map_distance(compose(f1, g1), compose(f2, g2))
+        _record_literal(comp, scalar.le(d_comp, d_f + d_g, tol),
+                        "%s > %s + %s" % (d_comp, d_g, d_f))
+        mu = rand_measure(rng, space, bound=r)
+        lhs = tv_distance(pushforward(mu, f1), pushforward(mu, f2))
+        _record_literal(push, scalar.le(lhs, r * d_f, tol), "%s > %s" % (lhs, r * d_f))
+        x = rand_rv(rng, space, bound=r)
+        lhs = l1_distance(cond_exp(x, f1), cond_exp(x, f2))
+        _record_literal(ce, scalar.le(lhs, r * d_f, tol), "%s > %s" % (lhs, r * d_f))
+        nu = rand_measure(rng, space, bound=r)
+        _record_literal(
+            push_c,
+            scalar.le(
+                tv_distance(pushforward(mu, f1), pushforward(nu, f1)),
+                tv_distance(mu, nu),
+                tol,
+            ),
+        )
+        y = rand_rv(rng, space, bound=r)
+        _record_literal(
+            ce_c,
+            scalar.le(
+                l1_distance(cond_exp(x, f1), cond_exp(y, f1)),
+                l1_distance(x, y),
+                tol,
+            ),
+        )
+    return report
+
+
+def diagram_to_obj_literal(d):
+    rank = {e: t for t, e in enumerate(d.elements)}
+    pairs = sorted(
+        (p for p in d.connect if p[0] != p[1]),
+        key=lambda p: (rank[p[0]], rank[p[1]]),
+    )
+    return {
+        "elements": [_atom_to_json(e) for e in d.elements],
+        "leq": [
+            [_atom_to_json(i), _atom_to_json(j)]
+            for (i, j) in sorted(
+                ((i, j) for (i, j) in d.leq if i != j),
+                key=lambda p: (rank[p[0]], rank[p[1]]),
+            )
+        ],
+        "spaces": {str(e): space_to_obj(d.spaces[e]) for e in d.elements},
+        "connect": [
+            {
+                "lo": _atom_to_json(i),
+                "hi": _atom_to_json(j),
+                "assign": {str(a): _atom_to_json(b) for a, b in d.connect[(i, j)].assign.items()},
+            }
+            for (i, j) in pairs
+        ],
+        "top": None if d.top is None else _atom_to_json(d.top),
+    }
+
+
+def chain_order_literal(d):
+    if not d.is_chain():
+        raise NotAChain("the index poset is not totally ordered")
+    return tuple(sorted(d.elements, key=lambda e: sum(1 for i in d.elements if d.le(i, e))))
+
+
+def order_scan_problems_literal(d):
+    """`validate`'s antisymmetry and upper-bound problems, in order."""
+    above, ordered = d._order
+    problems = []
+    els = d.elements
+    rank = {e: t for t, e in enumerate(els)}
+    for (i, j) in ordered:
+        if rank[i] < rank[j] and (j, i) in d.leq:
+            problems.append("antisymmetry fails: %r <= %r <= %r" % (i, j, i))
+    common = set.intersection(*above.values())
+    if not common:
+        for i in els:
+            for j in els:
+                if rank[i] < rank[j] and above[i].isdisjoint(above[j]):
+                    problems.append("no upper bound for %r, %r" % (i, j))
+    return problems

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from catprob import cli, jsonio
+from catprob import cli, jsonio, suites
 from catprob.cli import main
 from catprob.diagram import DyadicGround, make_dyadic, restrict_measure
 from catprob.finmeas import make_measure
@@ -143,6 +143,28 @@ def test_check_suites_pass(capsys):
         payload = json.loads(out)
         assert code == 0, cmd
         assert payload["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "command, suite",
+    [("check-appendix", "second_moment_suite"), ("check-naturality", "naturality_suite"),
+     ("check-lipschitz", "lipschitz_suite")],
+)
+def test_check_commands_look_their_suite_up_at_call_time(monkeypatch, capsys, command, suite):
+    """A suite rebound on `suites` after the parser is built is the one that runs."""
+    main([command, "--trials", "1"])  # the cached parser exists before the patch
+    capsys.readouterr()
+    calls, real = [], getattr(suites, suite)
+
+    def patched(seed, trials, backend):
+        calls.append((seed, trials, backend))
+        return real(seed, trials, backend=backend)
+
+    monkeypatch.setattr(suites, suite, patched)
+    monkeypatch.setenv("CATPROB_BACKEND", "float")
+    code, out = run(capsys, command, "--seed", "3", "--trials", "2")
+    assert code == 0 and calls == [(3, 2, "float")]
+    assert json.loads(out)["checks"][0]["trials"] == 2
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 from copy import copy
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catprob import diagram, errors, finprob, scalar
+from catprob import diagram, errors, finprob, jsonio, scalar
 from catprob.diagram import (
     MAX_DYADIC_DEPTH,
     ConsistentMeasureFamily,
@@ -40,6 +41,7 @@ from catprob.finprob import (
     make_space,
     uniform_space,
 )
+from catprob.metcat import FinPseudometricSpace
 from catprob.finrv import (
     FiniteRandomVariable,
     cond_exp,
@@ -59,6 +61,9 @@ from catprob.sampling import (
 
 from oracles import (
     bound_check_literal,
+    chain_order_literal,
+    diagram_to_obj_literal,
+    order_scan_problems_literal,
     dyadic_tables_literal,
     is_martingale_literal,
     martingale_checks_literal,
@@ -1544,3 +1549,87 @@ def test_passing_checks_compute_no_distance(monkeypatch):
     family[3] = FiniteRandomVariable(d.spaces[3], [v + 1 for v in family[3].values])
     chk = is_martingale(family, d)
     assert not chk.ok and calls["n"] == 2 and chk.worst_pair in ((2, 3), (3, 4))
+
+
+# -- the closed order ranked once: writer, chain order and order scans -----------
+
+
+def _order_problems(d):
+    return [p for p in validate(d).problems if p.startswith(("antisymmetry fails", "no upper bound"))]
+
+
+def _writes_as_before(d):
+    new, old = jsonio.diagram_to_obj(d), diagram_to_obj_literal(d)
+    assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(doctored_diagrams().map(lambda case: case[1]), random_relations(), chain_relations()))
+def test_ranked_pairs_write_and_scan_as_before(args):
+    """`validate`'s order scans by position give the old scans' problems, in
+    order; a diagram that builds writes the old JSON bytes from its ranked
+    pairs and gives the old `chain_order`, or its error."""
+    elements, gens, spaces, connect, top = args
+    raw = _raw_diagram(elements, _closed(elements, gens), spaces, connect, top)
+    assert _order_problems(raw) == order_scan_problems_literal(raw)
+    try:
+        d = FiltrationDiagram(*args)
+    except errors.CatprobError:
+        return
+    _writes_as_before(d)
+    assert _raised_or(d.chain_order) == _raised_or(chain_order_literal, d)
+
+
+def test_chains_write_as_before():
+    """Sampled refining chains, dyadic chains at depths 0-6 and a chain of
+    mixed labels write the old bytes and keep their chain order."""
+    built = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        backend = scalar.BACKENDS[seed % 2]
+        built.append(rand_refining_chain(rng, rand_space(rng, backend=backend), rng.randint(1, 4)))
+    built += [make_dyadic(DyadicGround([0, F(1, 3), 1], [0, 1, F(1, 2)]), t)[0] for t in range(7)]
+    d = two_chain_over_uniform4()
+    labels = ["c", (1, "b"), 0.5]
+    built.append(FiltrationDiagram.chain([d.spaces[t] for t in range(3)], [d.connect[(0, 1)], d.connect[(1, 2)]],
+                                         labels=labels))
+    for d in built:
+        _writes_as_before(d)
+        assert d.chain_order() == chain_order_literal(d)
+    assert built[-1].chain_order() == tuple(labels)
+
+
+@pytest.mark.parametrize("elements", [[0, 0], [0, 1, 0], [1, True]])
+def test_repeated_elements_are_rejected(elements):
+    """Each of these built a diagram whose order and ranks read an element twice."""
+    with pytest.raises(errors.InvalidDiagram) as exc:
+        FiltrationDiagram(elements, [], {0: _U1, 1: _U1}, {})
+    assert str(exc.value) == "repeated elements in %r" % (tuple(elements),)
+
+
+_U2_CHAIN = FiltrationDiagram.chain([_U1, _U1], [identity_map(_U1)])
+_WRONG = "family member at 0 lives on the wrong space"
+_NOT_INDEXED = "family is not indexed by the diagram's elements"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: FinPseudometricSpace(None, [[0]]), errors.InvalidMetric, "'NoneType' object is not iterable"),
+        (lambda: FinPseudometricSpace(5, [[0]]), errors.InvalidMetric, "'int' object is not iterable"),
+        (lambda: FinPseudometricSpace([[1]], [[0]]), errors.InvalidMetric, "unhashable type: 'list'"),
+        (lambda: Martingale(_U2_CHAIN, None), errors.IndexMismatch, _NOT_INDEXED),
+        (lambda: Martingale(_U2_CHAIN, [0, 1]), errors.IndexMismatch, _NOT_INDEXED),
+        (lambda: Martingale(_U2_CHAIN, {0: None, 1: None}), errors.SpaceMismatch, _WRONG),
+        (lambda: Martingale(_U2_CHAIN, {0: 0, 1: 0}, bound=1), errors.SpaceMismatch, _WRONG),
+        (lambda: ConsistentMeasureFamily(_U2_CHAIN, [[1]]), errors.IndexMismatch, _NOT_INDEXED),
+        (lambda: ConsistentMeasureFamily(_U2_CHAIN, {0: None, 1: None}), errors.SpaceMismatch, _WRONG),
+        (lambda: is_martingale(None, _U2_CHAIN), errors.IndexMismatch, _NOT_INDEXED),
+        (lambda: is_martingale({0: None, 1: None}, _U2_CHAIN), errors.SpaceMismatch, _WRONG),
+    ],
+)
+def test_malformed_families_and_metric_points_raise_library_errors(call, error, message):
+    """Each of these raised a bare TypeError or AttributeError."""
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import diagram, errors, finmeas, finprob, finrv, metcat, sampling, scalar
+from catprob import diagram, errors, finmeas, finprob, finrv, jsonio, metcat, sampling, scalar, suites
 from catprob.diagram import DyadicGround
 from catprob.finprob import make_space
 from catprob.metcat import INF, FinPseudometricSpace, scale
@@ -233,6 +233,7 @@ def test_kernels_have_one_body_for_both_backends():
     assert sorted(tests) == sorted(_BACKEND_TESTS)
     assert sorted(_backend_tests(metcat)) == sorted(_METCAT_BACKEND_TESTS)
     assert sorted(_backend_tests(diagram)) == sorted(_DIAGRAM_BACKEND_TESTS)
+    assert _backend_tests(suites) == _backend_tests(jsonio) == []  # the suites and the codec never fork
     for module, name in _POSITIONAL_ROUTE:  # scanned, and with no backend test
         assert name in _functions(module) and name not in _backend_tests(module), name
 
