@@ -38,7 +38,7 @@ from .errors import (
     NotAChain,
     SpaceMismatch,
 )
-from .finmeas import _density_bound, bound_check, pushforward, rn_derivative, tv_distance
+from .finmeas import FiniteMeasure, _density_bound, bound_check, pushforward, rn_derivative, tv_distance
 from .finprob import FiniteProbSpace, MeasurePreservingMap, _then, compose, identity_map, uniform_space
 from .finrv import (
     FiniteRandomVariable,
@@ -398,19 +398,19 @@ class _LevelFamily:
     Martingales (random variables under conditional expectation) and
     consistent measure families (measures under pushforward) are the two
     sides of the density isomorphism and share this one construction.  Each
-    subclass passes its peak (`max_value`, `_density_bound`) to `_setup` and
-    runs its own checks, in its own order, in its own `__init__`.
+    subclass passes its level type and its peak (`max_value`, `_density_bound`)
+    to `_setup` and runs its own checks, in its own order, in its own `__init__`.
     """
 
     __slots__ = ("diagram", "family", "bound")
 
-    def _setup(self, diagram, family, bound, peak):
+    def _setup(self, diagram, family, bound, peak, level):
         """Store and return the read-only family and its bound (max `peak` if None)."""
         if not isinstance(family, Mapping) or set(family) != set(diagram.elements):
             raise IndexMismatch("family is not indexed by the diagram's elements")
         family = MappingProxyType({i: family[i] for i in diagram.elements})
-        for i in diagram.elements:  # a member that is no table has no peak
-            if not isinstance(family[i], _AtomTable):
+        for i in diagram.elements:  # a member of the other side, or no table, has no peak
+            if not isinstance(family[i], level):
                 raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
         if bound is None:
             bound = max(peak(family[i]) for i in diagram.elements)
@@ -434,7 +434,7 @@ class Martingale(_LevelFamily):
     __slots__ = ()
 
     def __init__(self, diagram, family, bound=None):
-        family, bound = self._setup(diagram, family, bound, max_value)
+        family, bound = self._setup(diagram, family, bound, max_value, FiniteRandomVariable)
         bden, (bnum,) = scalar.scaled([bound], diagram.backend)
         for i in diagram.elements:
             den, nums = family[i]._scaled
@@ -454,7 +454,7 @@ class ConsistentMeasureFamily(_LevelFamily):
     __slots__ = ()
 
     def __init__(self, diagram, family, bound=None):
-        family, bound = self._setup(diagram, family, bound, _density_bound)
+        family, bound = self._setup(diagram, family, bound, _density_bound, FiniteMeasure)
         for i in diagram.elements:
             if family[i].space != diagram.spaces[i]:
                 raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))

@@ -4,11 +4,12 @@ Exact scalars travel as "num/den" strings, floats as JSON numbers, infinity
 as the literal "inf".  Tables keyed by atoms or poset elements are JSON
 objects keyed by str(label); the declared label arrays keep the original
 (possibly non-string) labels, and loading matches keys back against them.
+Atoms 0..n-1 decode as a space over range(n), `_read_map` reads an `assign`
+object to image positions, and a table parses each distinct literal once.
 """
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 
 from . import scalar
 from .diagram import ConsistentMeasureFamily, DyadicGround, FiltrationDiagram, Martingale
@@ -70,41 +71,51 @@ def _need_list(obj, key, what, rows=None):
     return value
 
 
-@contextmanager
-def _guard(what):
-    """Report any failure other than a ParseError as a ParseError about `what`."""
-    try:
-        yield
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError("%s: %s" % (what, exc)) from exc
+class _guard:
+    """Report any failure other than a ParseError as a ParseError about `what`
+    (a class, not a generator: a document enters one per space, map and level)."""
+
+    __slots__ = ("what",)
+
+    def __init__(self, what):
+        self.what = what
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, Exception) and not issubclass(kind, ParseError):
+            raise ParseError("%s: %s" % (self.what, exc)) from exc
 
 
 # -- spaces ------------------------------------------------------------------------
 
 
+def _labels(space):
+    """Each atom's JSON label, by position; a space over range(n) builds no atom tuple."""
+    return list(range(space.size)) if space._atoms is None else [_atom_to_json(a) for a in space._atoms]
+
+
+def _names(space):
+    """str(label) of each atom, by position: the keys of a JSON object by atom."""
+    return list(map(str, range(space.size) if space._atoms is None else space._atoms))
+
+
 def space_to_obj(s):
-    return {
-        "atoms": [_atom_to_json(a) for a in s.atoms],
-        "weights": scalar.scaled_to_json(*s._scaled),
-        "backend": s.backend,
-        "tol": s.tol,
-    }
+    weights = scalar.scaled_to_json(*s._scaled)
+    return {"atoms": _labels(s), "weights": weights, "backend": s.backend, "tol": s.tol}
 
 
 def space_from_obj(obj, what="space"):
     raw_atoms = _need_list(obj, "atoms", what)
     weights = _need_list(obj, "weights", what)
     with _guard(what):
-        atoms = [_atom_from_json(a) for a in raw_atoms]
+        n = len(raw_atoms)  # the ints 0..n-1 (not true, not 1.0) are positions
+        ints = raw_atoms == list(range(n)) and all(type(a) is int for a in raw_atoms)
+        atoms = range(n) if ints else [_atom_from_json(a) for a in raw_atoms]
         backend = obj.get("backend")
         if backend is None:
-            backend = (
-                scalar.EXACT
-                if all(isinstance(w, (str, int)) for w in weights)
-                else scalar.FLOAT
-            )
+            backend = scalar.EXACT if all(isinstance(w, (str, int)) for w in weights) else scalar.FLOAT
         return FiniteProbSpace(atoms, weights, backend=backend, tol=obj.get("tol"))
 
 
@@ -115,16 +126,36 @@ def map_to_obj(m):
     return {
         "src": space_to_obj(m.src),
         "dst": space_to_obj(m.dst),
-        "assign": {str(a): _atom_to_json(b) for a, b in m.assign.items()},
+        "assign": dict(zip(_names(m.src), map(_labels(m.dst).__getitem__, m._images))),
     }
+
+
+def _read_map(src, dst, table, what, where, names):
+    """The map src -> dst of an `assign` object, its images read by the keys `names`
+    straight to positions; a faulty object, or an image such as `true` that only
+    equals a label, goes through `_key_lookup` and the label-keyed constructor."""
+    images, unique = None, src._atoms is None or len(set(names)) == len(names)  # no two print alike
+    if unique and type(table) is dict and len(table) == len(names):
+        try:
+            raw = list(map(table.__getitem__, names))
+            if dst._atoms is not None:
+                images = tuple([dst._index[_atom_from_json(b)] for b in raw])
+            elif min(raw) >= 0:  # a negative index would count from the end
+                images = tuple(map(range(dst.size).__getitem__, raw))
+        except (KeyError, TypeError, IndexError):
+            images = None
+    with _guard(where):
+        if images is None:
+            raw = _key_lookup(src.atoms, table, what)
+            return MeasurePreservingMap(src, dst, {a: _atom_from_json(b) for a, b in raw.items()})
+        scalar.same_backend(src, dst)
+        return MeasurePreservingMap._from_images(src, dst, images)
 
 
 def map_from_obj(obj, what="map"):
     src = space_from_obj(_need(obj, "src", what), what + ".src")
     dst = space_from_obj(_need(obj, "dst", what), what + ".dst")
-    raw = _key_lookup(src.atoms, _need(obj, "assign", what), what + ".assign")
-    with _guard(what):
-        return MeasurePreservingMap(src, dst, {a: _atom_from_json(b) for a, b in raw.items()})
+    return _read_map(src, dst, _need(obj, "assign", what), what + ".assign", what, _names(src))
 
 
 # -- measures and random variables ---------------------------------------------------
@@ -187,6 +218,8 @@ def metspace_from_obj(obj, what="metric space"):
 def diagram_to_obj(d):
     # the ranked pairs of the closed order, which on a valid diagram are the connect keys
     pairs = [(i, j) for i, j in d._order[1] if i != j]
+    names = {e: _names(d.spaces[e]) for e in d.elements}  # a pair's assign object, by position
+    labels = {e: _labels(d.spaces[e]) for e in d.elements}
     return {
         "elements": [_atom_to_json(e) for e in d.elements],
         "leq": [[_atom_to_json(i), _atom_to_json(j)] for i, j in pairs],
@@ -195,7 +228,7 @@ def diagram_to_obj(d):
             {
                 "lo": _atom_to_json(i),
                 "hi": _atom_to_json(j),
-                "assign": {str(a): _atom_to_json(b) for a, b in d.connect[(i, j)].assign.items()},
+                "assign": dict(zip(names[j], map(labels[i].__getitem__, d.connect[(i, j)]._images))),
             }
             for (i, j) in pairs
         ],
@@ -214,18 +247,15 @@ def diagram_from_obj(obj, what="diagram"):
             (_atom_from_json(i), _atom_from_json(j))
             for i, j in _need_list(obj, "leq", what, rows=2)
         ]
-        connect = {}
+        connect, names = {}, {}
         for entry in _need_list(obj, "connect", what):
             i = _atom_from_json(_need(entry, "lo", what + ".connect"))
             j = _atom_from_json(_need(entry, "hi", what + ".connect"))
             if j not in spaces or i not in spaces:
                 raise ParseError("%s.connect: unknown pair (%r, %r)" % (what, i, j))
-            raw = _key_lookup(
-                spaces[j].atoms, _need(entry, "assign", what + ".connect"), what + ".connect"
-            )
-            assign = {a: _atom_from_json(b) for a, b in raw.items()}
-            with _guard("%s.connect (%r, %r)" % (what, i, j)):
-                connect[(i, j)] = MeasurePreservingMap(spaces[j], spaces[i], assign)
+            keys = names.get(j) or names.setdefault(j, _names(spaces[j]))  # once per space
+            table, where = _need(entry, "assign", what + ".connect"), "%s.connect (%r, %r)" % (what, i, j)
+            connect[(i, j)] = _read_map(spaces[j], spaces[i], table, what + ".connect", where, keys)
         top = obj.get("top")
         top = None if top is None else _atom_from_json(top)
         return FiltrationDiagram(elements, leq, spaces, connect, top=top)
@@ -252,16 +282,11 @@ def _family_from_obj(obj, what, family_type, level_type):
         return family_type(d, family, bound=obj.get("bound"))
 
 
-def martingale_to_obj(m):
-    return _family_to_obj(m)
+martingale_to_obj = measure_family_to_obj = _family_to_obj
 
 
 def martingale_from_obj(obj, what="martingale"):
     return _family_from_obj(obj, what, Martingale, FiniteRandomVariable)
-
-
-def measure_family_to_obj(fam):
-    return _family_to_obj(fam)
 
 
 def measure_family_from_obj(obj, what="measure family"):

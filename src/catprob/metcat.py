@@ -79,14 +79,15 @@ def _coerce_table(dist, n, backend):
         raise InvalidMetric("distance table is not a list of rows: %r" % (dist,)) from None
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidMetric("distance table is not %d x %d" % (n, n))
-    ratios = None
-    if backend == scalar.EXACT:  # coerce_scaled's rules inline, in one pass
+    ratios, memo = None, {}
+    if backend == scalar.EXACT:  # coerce_scaled's rules inline, in one pass, one parse per literal
         try:
             ratios = [
                 [
                     (v, 1) if type(v) is int else v.as_integer_ratio() if type(v) is Fraction
                     else INF if v is INF or v == "inf"
-                    else scalar.parse_ratio(v) if type(v) is str else _coerce_dist(v, backend)
+                    else memo.get(v) or memo.setdefault(v, scalar.parse_ratio(v)) if type(v) is str
+                    else _coerce_dist(v, backend)
                     for v in r
                 ]
                 for r in rows

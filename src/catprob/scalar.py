@@ -176,12 +176,13 @@ def scaled(xs, backend=EXACT):
 def coerce_scaled(values, backend):
     """`scaled(tuple([coerce(v, backend) for v in values]), backend)`, with no
     Fraction built on the exact backend: an int is (v, 1), a Fraction its
-    `as_integer_ratio`, a string `parse_ratio`'s ints, and anything else goes
-    through `coerce`, so the accepted values and every error are `coerce`'s."""
+    `as_integer_ratio`, a string `parse_ratio`'s ints (once per distinct string),
+    and anything else goes through `coerce`: the values and errors are `coerce`'s."""
     if backend != EXACT:
         return 1, tuple([coerce(v, backend) for v in values])
+    memo = {}
     pairs = [
-        (v, 1) if type(v) is int else parse_ratio(v) if type(v) is str
+        (v, 1) if type(v) is int else memo.get(v) or memo.setdefault(v, parse_ratio(v)) if type(v) is str
         else (v if type(v) is Fraction else coerce(v, EXACT)).as_integer_ratio()
         for v in values
     ]

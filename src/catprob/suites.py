@@ -141,9 +141,11 @@ def lipschitz_suite(seed, trials, backend=scalar.EXACT):
         lhs = l1_distance(x_f1, cond_exp(x, f2))
         _record(ce, scalar.le(lhs, r_d_f, tol), "%s > %s", lhs, r_d_f)
         nu = rand_measure(rng, space, bound=r)
-        _record(push_c, scalar.le(tv_distance(mu_f1, pushforward(nu, f1)), tv_distance(mu, nu), tol))
+        lhs, rhs = tv_distance(mu_f1, pushforward(nu, f1)), tv_distance(mu, nu)
+        _record(push_c, scalar.le(lhs, rhs, tol), "%s > %s", lhs, rhs)
         y = rand_rv(rng, space, bound=r)
-        _record(ce_c, scalar.le(l1_distance(x_f1, cond_exp(y, f1)), l1_distance(x, y), tol))
+        lhs, rhs = l1_distance(x_f1, cond_exp(y, f1)), l1_distance(x, y)
+        _record(ce_c, scalar.le(lhs, rhs, tol), "%s > %s", lhs, rhs)
     return report
 
 
@@ -165,6 +167,7 @@ def second_moment_suite(seed, trials, backend=scalar.EXACT):
         fine, coarse, step = rand_commuting_triangle(rng, omega)
         x = rand_rv(rng, omega, bound=rng.choice(_BOUNDS[backend]))
         result = second_moment_identity_report(x, fine, coarse, step)
+        words = (result.fine_moment, result.coarse_moment, result.mean_square_increment)
         for key, passed in result.items():
-            _record(checks[key], passed)
+            _record(checks[key], passed, "fine moment %s, coarse moment %s, increment %s", *words)
     return report

@@ -20,7 +20,10 @@ library's kernels and build its maps as they did, and the copies of the
 old order scans and `validate` at the very end, which call the library's
 cover-triple and functoriality scans as they did, and the copies of the old
 check suites and diagram writer after them, which call the library's
-kernels, samplers and `space_to_obj` as they did.
+kernels, samplers and `space_to_obj` as they did, and the copies of the
+label-keyed JSON readers and writers and of the per-entry literal parse last
+of all, which call the library's JSON helpers, constructors, `parse_ratio`
+and metric coercion as they did.
 """
 from __future__ import annotations
 
@@ -37,6 +40,9 @@ from catprob import scalar
 from catprob.diagram import (
     MAX_DYADIC_DEPTH,
     DiagramReport,
+    ConsistentMeasureFamily,
+    FiltrationDiagram,
+    Martingale,
     MartingaleCheck,
     _cover_triples_commute,
     _functoriality_problems,
@@ -58,6 +64,7 @@ from catprob.errors import (
     NotAChain,
     NotMeasurePreserving,
     NoTopElement,
+    ParseError,
     SpaceMismatch,
     WeightSumMismatch,
 )
@@ -72,8 +79,23 @@ from catprob.finprob import (
     map_distance,
 )
 from catprob.finrv import FiniteRandomVariable, cond_exp, l1_distance, max_value, second_moment
-from catprob.jsonio import _atom_to_json, space_to_obj
-from catprob.metcat import FinPseudometricSpace, _min_plus_closure, _partition, tensor
+from catprob.jsonio import (
+    _atom_from_json,
+    _atom_to_json,
+    _guard,
+    _key_lookup,
+    _need,
+    _need_list,
+    space_to_obj,
+)
+from catprob.metcat import (
+    INF,
+    FinPseudometricSpace,
+    _coerce_dist,
+    _min_plus_closure,
+    _partition,
+    tensor,
+)
 from catprob.sampling import rand_measure, rand_parallel_map, rand_quotient, rand_rv, rand_space
 from catprob.suites import CheckResult, SuiteReport
 
@@ -1894,3 +1916,165 @@ def order_scan_problems_literal(d):
                 if rank[i] < rank[j] and above[i].isdisjoint(above[j]):
                     problems.append("no upper bound for %r, %r" % (i, j))
     return problems
+
+
+# -- JSON read and written by label, literals parsed per entry ---------------------
+# Copies of `jsonio`'s space, map, diagram and family readers and writers from
+# before they read and wrote by position: every space gets an atom tuple, every
+# `assign` object goes through `_key_lookup` and `MeasurePreservingMap`, every
+# writer walks a map's `assign` view.  The copies of `scalar.coerce_scaled` and
+# `metcat._coerce_table` parse every string entry, repeats included.
+
+
+def space_to_obj_by_label(s):
+    return {
+        "atoms": [_atom_to_json(a) for a in s.atoms],
+        "weights": scalar.scaled_to_json(*s._scaled),
+        "backend": s.backend,
+        "tol": s.tol,
+    }
+
+
+def space_from_obj_by_label(obj, what="space"):
+    raw_atoms = _need_list(obj, "atoms", what)
+    weights = _need_list(obj, "weights", what)
+    with _guard(what):
+        atoms = [_atom_from_json(a) for a in raw_atoms]
+        backend = obj.get("backend")
+        if backend is None:
+            backend = (
+                scalar.EXACT
+                if all(isinstance(w, (str, int)) for w in weights)
+                else scalar.FLOAT
+            )
+        return FiniteProbSpace(atoms, weights, backend=backend, tol=obj.get("tol"))
+
+
+def map_to_obj_by_label(m):
+    return {
+        "src": space_to_obj_by_label(m.src),
+        "dst": space_to_obj_by_label(m.dst),
+        "assign": {str(a): _atom_to_json(b) for a, b in m.assign.items()},
+    }
+
+
+def map_from_obj_by_label(obj, what="map"):
+    src = space_from_obj_by_label(_need(obj, "src", what), what + ".src")
+    dst = space_from_obj_by_label(_need(obj, "dst", what), what + ".dst")
+    raw = _key_lookup(src.atoms, _need(obj, "assign", what), what + ".assign")
+    with _guard(what):
+        return MeasurePreservingMap(src, dst, {a: _atom_from_json(b) for a, b in raw.items()})
+
+
+def diagram_to_obj_by_label(d):
+    pairs = [(i, j) for i, j in d._order[1] if i != j]
+    return {
+        "elements": [_atom_to_json(e) for e in d.elements],
+        "leq": [[_atom_to_json(i), _atom_to_json(j)] for i, j in pairs],
+        "spaces": {str(e): space_to_obj_by_label(d.spaces[e]) for e in d.elements},
+        "connect": [
+            {
+                "lo": _atom_to_json(i),
+                "hi": _atom_to_json(j),
+                "assign": {str(a): _atom_to_json(b) for a, b in d.connect[(i, j)].assign.items()},
+            }
+            for (i, j) in pairs
+        ],
+        "top": None if d.top is None else _atom_to_json(d.top),
+    }
+
+
+def diagram_from_obj_by_label(obj, what="diagram"):
+    with _guard(what):
+        elements = [_atom_from_json(e) for e in _need_list(obj, "elements", what)]
+        spaces_raw = _key_lookup(elements, _need(obj, "spaces", what), what + ".spaces")
+        spaces = {
+            e: space_from_obj_by_label(spaces_raw[e], "%s.spaces[%s]" % (what, e)) for e in elements
+        }
+        leq = [
+            (_atom_from_json(i), _atom_from_json(j))
+            for i, j in _need_list(obj, "leq", what, rows=2)
+        ]
+        connect = {}
+        for entry in _need_list(obj, "connect", what):
+            i = _atom_from_json(_need(entry, "lo", what + ".connect"))
+            j = _atom_from_json(_need(entry, "hi", what + ".connect"))
+            if j not in spaces or i not in spaces:
+                raise ParseError("%s.connect: unknown pair (%r, %r)" % (what, i, j))
+            raw = _key_lookup(
+                spaces[j].atoms, _need(entry, "assign", what + ".connect"), what + ".connect"
+            )
+            assign = {a: _atom_from_json(b) for a, b in raw.items()}
+            with _guard("%s.connect (%r, %r)" % (what, i, j)):
+                connect[(i, j)] = MeasurePreservingMap(spaces[j], spaces[i], assign)
+        top = obj.get("top")
+        top = None if top is None else _atom_from_json(top)
+        return FiltrationDiagram(elements, leq, spaces, connect, top=top)
+
+
+def family_to_obj_by_label(fam):
+    return {
+        "diagram": diagram_to_obj_by_label(fam.diagram),
+        "family": {
+            str(i): scalar.scaled_to_json(*fam.family[i]._scaled) for i in fam.diagram.elements
+        },
+        "bound": scalar.to_json(fam.bound),
+    }
+
+
+def _family_from_obj_by_label(obj, what, family_type, level_type):
+    d = diagram_from_obj_by_label(_need(obj, "diagram", what), what + ".diagram")
+    fam_raw = _key_lookup(d.elements, _need(obj, "family", what), what + ".family")
+    family = {}
+    for i in d.elements:
+        with _guard("%s.family[%s]" % (what, i)):
+            family[i] = level_type(d.spaces[i], _need_list(fam_raw, i, what + ".family"))
+    with _guard(what):
+        return family_type(d, family, bound=obj.get("bound"))
+
+
+def martingale_from_obj_by_label(obj, what="martingale"):
+    return _family_from_obj_by_label(obj, what, Martingale, FiniteRandomVariable)
+
+
+def measure_family_from_obj_by_label(obj, what="measure family"):
+    return _family_from_obj_by_label(obj, what, ConsistentMeasureFamily, FiniteMeasure)
+
+
+def coerce_scaled_per_entry(values, backend):
+    if backend != scalar.EXACT:
+        return 1, tuple([scalar.coerce(v, backend) for v in values])
+    pairs = [
+        (v, 1) if type(v) is int else scalar.parse_ratio(v) if type(v) is str
+        else (v if type(v) is Fraction else scalar.coerce(v, scalar.EXACT)).as_integer_ratio()
+        for v in values
+    ]
+    den = math.lcm(*[d for _, d in pairs])
+    return den, tuple([n * (den // d) for n, d in pairs])
+
+
+def coerce_table_per_entry(dist, n, backend):
+    try:
+        rows = [list(r) for r in dist]
+    except TypeError:  # the table, or one of its rows, is not iterable
+        raise InvalidMetric("distance table is not a list of rows: %r" % (dist,)) from None
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise InvalidMetric("distance table is not %d x %d" % (n, n))
+    ratios = None
+    if backend == scalar.EXACT:  # coerce_scaled's rules inline, in one pass
+        try:
+            ratios = [
+                [
+                    (v, 1) if type(v) is int else v.as_integer_ratio() if type(v) is Fraction
+                    else INF if v is INF or v == "inf"
+                    else scalar.parse_ratio(v) if type(v) is str else _coerce_dist(v, backend)
+                    for v in r
+                ]
+                for r in rows
+            ]
+        except (ValueError, ZeroDivisionError):  # a malformed string: the walk words it
+            pass
+    if ratios is None:
+        ratios = [[INF if v is INF else _coerce_dist(v, backend) for v in r] for r in rows]
+    den = math.lcm(*[p[1] for r in ratios for p in r if p is not INF])
+    return den, tuple([tuple([p if p is INF else p[0] * (den // p[1]) for p in r]) for r in ratios])

@@ -1,9 +1,13 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from catprob import cli, jsonio, suites
 from catprob.cli import main
@@ -11,6 +15,7 @@ from catprob.diagram import DyadicGround, make_dyadic, restrict_measure
 from catprob.finmeas import make_measure
 from catprob.finprob import make_map, make_space, uniform_space
 from catprob.finrv import make_rv
+from test_jsonio import mutated
 
 
 @pytest.fixture
@@ -489,3 +494,47 @@ def test_help_wraps_to_the_width_at_print_time(monkeypatch, capsys):
         assert texts[-1] == _exit(capsys, cli.build_parser().parse_args, argv)
     (_, narrow, _), (_, wide, _) = texts
     assert max(map(len, narrow.splitlines())) <= 60 < max(map(len, wide.splitlines()))
+
+
+# -- fuzzing: a mutated input file ends in a report or an `error:` line ----------------
+
+_U4, _U2 = uniform_space(4), uniform_space(2)
+_PAIR = make_map(_U4, _U2, {0: 0, 1: 0, 2: 1, 3: 1})
+_SWAP = make_map(_U4, _U2, {0: 1, 1: 1, 2: 0, 3: 0})
+_DYADIC, _ = make_dyadic(DyadicGround([0, F(1, 2), 1], [0, 1, 0]), 2)
+
+#: subcommand -> (file option -> its valid document)
+_SKEW = make_measure(make_space(["a", "b"], ["1/4", "3/4"]), ["1/8", "1/2"])
+_FAMILY = restrict_measure(make_measure(_DYADIC.spaces[2], ["1/8", "1/4", "1/2", "3/8"]), _DYADIC)
+_TABLE = [[0, "1/2", "inf"], ["1/2", 0, "inf"], ["inf", "inf", 0]]
+_FUZZED = {
+    "rn": {"--measure": jsonio.measure_to_obj(_SKEW)},
+    "condexp": {"--rv": jsonio.rv_to_obj(make_rv(_U4, [0, 1, 2, 3])), "--map": jsonio.map_to_obj(_PAIR)},
+    "extend": {"--family": jsonio.measure_family_to_obj(_FAMILY)},
+    "mapdist": {"--first": jsonio.map_to_obj(_PAIR), "--second": jsonio.map_to_obj(_SWAP)},
+    "metcat": {"--space": {"points": ["a", "b", "c"], "dist": _TABLE}},
+    "martingale": {"--ground": {"breakpoints": [0, "1/2", 1], "values": [0, 1, "1/2"]}},
+}
+
+
+@pytest.mark.parametrize("command", _FUZZED)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_input_files_end_in_a_report_or_an_error_line(command, data, tmp_path):
+    """No exception escapes `cli.main`; the status is 0 or 1 with a report, or
+    2 with stderr starting `error:`."""
+    docs = _FUZZED[command]
+    bad = data.draw(st.sampled_from(sorted(docs)))
+    argv = [command] + (["--depth", "4"] if command == "martingale" else [])
+    for option, doc in docs.items():
+        path = tmp_path / ("%s.json" % option.strip("-"))
+        path.write_text(json.dumps(data.draw(mutated(doc)) if option == bad else doc))
+        argv += [option, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert out.getvalue()

@@ -1633,3 +1633,20 @@ def test_malformed_families_and_metric_points_raise_library_errors(call, error, 
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bound", [None, "-1"])
+def test_levels_of_the_other_side_are_rejected(bound):
+    """A measure is no martingale level and a random variable no measure-family
+    level, though both are atom tables on the level's space: each raises
+    SpaceMismatch before any bound is taken (a negative one included)."""
+    d, m = make_dyadic(DyadicGround.affine(0, 1), 2)
+    fam = restrict_measure(base_measure(d.spaces[2]), d)
+    measures = {i: FiniteMeasure(d.spaces[i], list(m.family[i].values)) for i in d.elements}
+    values = {i: FiniteRandomVariable(d.spaces[i], list(fam.family[i].mass)) for i in d.elements}
+    for build, family in ((Martingale, measures), (ConsistentMeasureFamily, values)):
+        with pytest.raises(errors.SpaceMismatch) as exc:
+            build(d, family, bound)
+        assert str(exc.value) == _WRONG
+    assert Martingale(d, dict(m.family)).family == m.family
+    assert ConsistentMeasureFamily(d, dict(fam.family)).family == fam.family

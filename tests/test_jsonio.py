@@ -3,16 +3,37 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catprob import errors, jsonio, scalar
-from catprob.diagram import DyadicGround, make_dyadic, restrict_measure
-from catprob.finprob import make_map, make_space, uniform_space
+import oracles
+from catprob import errors, finprob, jsonio, metcat, scalar
+from catprob.diagram import (
+    DyadicGround,
+    FiltrationDiagram,
+    induced_martingale,
+    make_dyadic,
+    restrict_measure,
+)
+from catprob.finprob import (
+    FiniteProbSpace,
+    MeasurePreservingMap,
+    make_map,
+    make_space,
+    uniform_space,
+)
 from catprob.metcat import INF, FinPseudometricSpace
-from catprob.sampling import rand_measure, rand_rv, rand_space
+from catprob.sampling import (
+    rand_measure,
+    rand_metric_space,
+    rand_quotient,
+    rand_refining_chain,
+    rand_rv,
+    rand_space,
+)
 
 
 def roundtrip(obj, to_obj, from_obj):
@@ -329,3 +350,226 @@ def test_metric_space_encodings_are_pinned(tmp_path):
         path = tmp_path / ("%s.json" % name)
         jsonio.write_json(jsonio.metspace_to_obj(space), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == _METRIC_ENCODINGS[name], name
+
+
+# -- read and written by position: the label-keyed copies as the yardstick ------------
+
+#: kind -> (new decoder, new encoder, the label-keyed copies of both)
+_KINDS = {
+    "space": (jsonio.space_from_obj, jsonio.space_to_obj,
+              oracles.space_from_obj_by_label, oracles.space_to_obj_by_label),
+    "map": (jsonio.map_from_obj, jsonio.map_to_obj,
+            oracles.map_from_obj_by_label, oracles.map_to_obj_by_label),
+    "diagram": (jsonio.diagram_from_obj, jsonio.diagram_to_obj,
+                oracles.diagram_from_obj_by_label, oracles.diagram_to_obj_by_label),
+    "martingale": (jsonio.martingale_from_obj, jsonio.martingale_to_obj,
+                   oracles.martingale_from_obj_by_label, oracles.family_to_obj_by_label),
+    "measure family": (jsonio.measure_family_from_obj, jsonio.measure_family_to_obj,
+                       oracles.measure_family_from_obj_by_label, oracles.family_to_obj_by_label),
+    "metric": (jsonio.metspace_from_obj, jsonio.metspace_to_obj,
+               jsonio.metspace_from_obj, jsonio.metspace_to_obj),
+}
+
+#: label kinds for n atoms, points or elements; "range" keeps a space over range(n)
+_LABELS = {
+    "range": lambda n: range(n),
+    "int tuple": lambda n: tuple(range(n)),
+    "str": lambda n: ["a%d" % k for k in range(n)],
+    "tuple": lambda n: [(k, "x") for k in range(n)],
+    "reversed": lambda n: list(range(n))[::-1],
+    "bool": lambda n: [0, True, *range(2, n)][:n],
+}
+
+
+def _relabel_space(s, labels):
+    return FiniteProbSpace(labels(s.size), s.weights, backend=s.backend)
+
+
+def _relabel_map(m, src, dst):
+    images = map(dst.atoms.__getitem__, m._images)
+    return MeasurePreservingMap(src, dst, dict(zip(src.atoms, images)))
+
+
+def _relabel_chain(d, labels):
+    order = d.chain_order()  # coarse to fine
+    spaces = [_relabel_space(d.spaces[e], labels) for e in order]
+    pairs = zip(order, order[1:])
+    steps = [_relabel_map(d.connect[p], spaces[t + 1], spaces[t]) for t, p in enumerate(pairs)]
+    return FiltrationDiagram.chain(spaces, steps, labels=labels(len(order)), top=True)
+
+
+@st.composite
+def labelled_values(draw, kinds=tuple(_KINDS)):
+    """(kind, value): a sampled space, map, chain, family or metric space on
+    either backend, its atoms, points and elements labelled by one of _LABELS."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind, backend = draw(st.sampled_from(kinds)), draw(st.sampled_from(scalar.BACKENDS))
+    labels = _LABELS[draw(st.sampled_from(sorted(_LABELS)))]
+    if kind == "metric":
+        x = rand_metric_space(rng)
+        table = x.dist if backend == scalar.EXACT else [[float(v) for v in r] for r in x.dist]
+        tol = 0 if backend == scalar.EXACT else 1e-9
+        return kind, FinPseudometricSpace(labels(x.size), table, tol=tol)
+    top = _relabel_space(rand_space(rng, min_atoms=1, max_atoms=12, backend=backend), labels)
+    if kind == "space":
+        return kind, top
+    if kind == "map":
+        q = rand_quotient(rng, top)
+        return kind, _relabel_map(q, top, _relabel_space(q.dst, labels))
+    d = _relabel_chain(rand_refining_chain(rng, top, rng.randint(0, 3)), labels)
+    if kind == "diagram":
+        return kind, d
+    top = d.spaces[d.top]
+    if kind == "martingale":
+        return kind, induced_martingale(rand_rv(rng, top, bound=2), d)
+    return kind, restrict_measure(rand_measure(rng, top, bound=2), d)
+
+
+def _comparable(x):
+    return (x.diagram, dict(x.family), x.bound) if hasattr(x, "family") else x
+
+
+def _by_label(decode, doc):
+    """`decode(doc)` with every user table parsed per entry, as before."""
+    with mock.patch.object(scalar, "coerce_scaled", oracles.coerce_scaled_per_entry), \
+            mock.patch.object(metcat, "_coerce_table", oracles.coerce_table_per_entry):
+        return decode(doc)
+
+
+def _outcome(decode, encode, doc, by_label=False):
+    """("error", text, type of the cause), or ("value", the value, its encoding)."""
+    try:
+        x = _by_label(decode, copy.deepcopy(doc)) if by_label else decode(copy.deepcopy(doc))
+    except errors.ParseError as exc:
+        return "error", str(exc), type(exc.__cause__)
+    return "value", _comparable(x), json.dumps(encode(x), indent=2, sort_keys=True)
+
+
+@settings(max_examples=250, deadline=None)
+@given(labelled_values())
+def test_valid_documents_read_and_write_as_before(case):
+    kind, x = case
+    decode, encode, old_decode, old_encode = _KINDS[kind]
+    text = json.dumps(encode(x), indent=2, sort_keys=True)
+    assert text == json.dumps(old_encode(x), indent=2, sort_keys=True)
+    doc = json.loads(text)
+    new = _outcome(decode, encode, doc)
+    assert new == _outcome(old_decode, old_encode, doc, by_label=True)
+    assert new == ("value", _comparable(x), text)
+    if kind == "metric":  # the table's literals, parsed once each and per entry
+        n, backend = len(doc["points"]), x.backend
+        got = metcat._coerce_table(doc["dist"], n, backend)
+        assert got == oracles.coerce_table_per_entry(doc["dist"], n, backend)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_faulty_documents_fail_as_before(data):
+    """A document with one value replaced reads to an equal value with the same
+    bytes, or fails with the copy's text and cause."""
+    kind, x = data.draw(labelled_values())
+    decode, encode, old_decode, old_encode = _KINDS[kind]
+    doc = data.draw(mutated(json.loads(json.dumps(encode(x)))))
+    assert _outcome(decode, encode, doc) == _outcome(old_decode, old_encode, doc, by_label=True)
+
+
+#: images that are not a target label as written, or only equal to one
+_ODD_IMAGES = st.one_of(
+    st.integers(-2, 12),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, -1.0, "0", "1", "a0", None, [0, "x"], [1, "x"], [], {}]),
+)
+
+
+@st.composite
+def faulty_assign_documents(draw):
+    """(kind, document): a map, diagram or family document with one `assign`
+    object given an odd image, a key fewer or an extra key, or one space
+    switched to the other backend."""
+    kind, x = draw(labelled_values(("map", "diagram", "measure family")))
+    doc = json.loads(json.dumps(_KINDS[kind][1](x)))
+    d = doc["diagram"] if kind == "measure family" else doc
+    tables = [doc["assign"]] if kind == "map" else [entry["assign"] for entry in d["connect"]]
+    spaces = [doc["src"], doc["dst"]] if kind == "map" else list(d["spaces"].values())
+    fault = draw(st.sampled_from(["image", "drop", "extra", "backend"] if tables else ["backend"]))
+    if fault == "backend":
+        space = draw(st.sampled_from(spaces))
+        space["backend"] = scalar.FLOAT if space["backend"] == scalar.EXACT else scalar.EXACT
+        return kind, doc
+    table = draw(st.sampled_from(tables))
+    key = draw(st.sampled_from(sorted(table)))
+    if fault == "image":
+        table[key] = draw(_ODD_IMAGES)
+    elif fault == "drop":
+        del table[key]
+    else:
+        table[draw(st.sampled_from(["x", "-1", "99", key + " "]))] = table[key]
+    return kind, doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_assign_documents())
+def test_faulty_assign_objects_fail_as_before(case):
+    """Each fault an `assign` object can hold reads as the label route read it."""
+    kind, doc = case
+    decode, encode, old_decode, old_encode = _KINDS[kind]
+    assert _outcome(decode, encode, doc) == _outcome(old_decode, old_encode, doc, by_label=True)
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+def test_literal_tables_parse_each_literal_once(monkeypatch, backend):
+    calls = []
+
+    def counted(text, _parse=scalar.parse_ratio):
+        calls.append(text)
+        return _parse(text)
+
+    monkeypatch.setattr(scalar, "parse_ratio", counted)
+    doc = {"atoms": list(range(64)), "weights": ["1/64"] * 64, "backend": scalar.EXACT}
+    assert jsonio.space_from_obj(doc) == uniform_space(64)
+    assert calls == ["1/64"]
+    calls.clear()
+    table = [["0", "1/2", "inf"], ["1/2", "0", "inf"], ["inf", "inf", "0"]]
+    x = jsonio.metspace_from_obj({"points": ["a", "b", "c"], "dist": table})
+    assert x.dist[0][1] == F(1, 2)
+    assert calls == ["0", "1/2"]
+
+
+def test_range_labelled_family_reads_by_position(monkeypatch):
+    """No decoded space builds its atom tuple or label index, no map is built
+    from a label dict, and `_key_lookup` reads only the objects keyed by element."""
+    d, _ = make_dyadic(DyadicGround([0, "1/2", 1], [0, 1, "1/2"]), 4)
+    mu = rand_measure(random.Random(3), d.spaces[4], bound=2)
+    text = json.dumps(jsonio.measure_family_to_obj(restrict_measure(mu, d)))
+    looked_up = []
+
+    def key_lookup(labels, table, what, _lookup=jsonio._key_lookup):
+        looked_up.append(what)
+        return _lookup(labels, table, what)
+
+    def by_label(*args):
+        raise AssertionError("a map was read through its label dict")
+
+    monkeypatch.setattr(jsonio, "_key_lookup", key_lookup)
+    monkeypatch.setattr(finprob._Map, "__init__", by_label)
+    fam = jsonio.measure_family_from_obj(json.loads(text))
+    assert looked_up == ["measure family.diagram.spaces", "measure family.family"]
+    assert all(s._atoms is None and s._positions is None for s in fam.diagram.spaces.values())
+    assert json.dumps(jsonio.measure_family_to_obj(fam)) == text
+    assert all(s._atoms is None and s._positions is None for s in fam.diagram.spaces.values())
+
+
+@pytest.mark.parametrize("extra", [None, "x"])
+def test_labels_that_print_alike_fail_as_before(extra):
+    """Atoms 1 and "1" are two labels, but one key: the map's object is
+    ambiguous, also when a third key makes up the count."""
+    src = make_space([0, 1, "1"], ["1/4", "1/4", "1/2"])
+    m = make_map(src, uniform_space(1), {0: 0, 1: 0, "1": 0})
+    doc = jsonio.map_to_obj(m)
+    assert doc == oracles.map_to_obj_by_label(m)
+    if extra:
+        doc["assign"][extra] = 0
+    new = _outcome(jsonio.map_from_obj, jsonio.map_to_obj, doc)
+    old = _outcome(oracles.map_from_obj_by_label, oracles.map_to_obj_by_label, doc, by_label=True)
+    assert new == old
+    assert new == ("error", "map.assign: ambiguous label '1'", type(None))

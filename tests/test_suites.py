@@ -1,10 +1,13 @@
 """The check suites against literal copies of their bodies from before a
 trial computed each kernel output once and worded only failing checks: the
 same reports, fewer kernel calls."""
+import re
+from fractions import Fraction
+
 import pytest
 
 import oracles
-from catprob import scalar, suites
+from catprob import diagram, scalar, suites
 from catprob.suites import CheckResult
 
 _PAIRS = [
@@ -90,3 +93,50 @@ def test_record_words_only_the_first_failure():
     suites._record(check, False, "%s", _Unprintable())
     suites._record(check, False)
     assert (check.trials, check.failures, check.worst) == (4, 3, "1 > 2")
+
+
+def _rows_unworded(report):
+    return [(c.id, c.trials, c.failures) for c in report.checks]
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@pytest.mark.parametrize("kernel, check", [
+    ("tv_distance", "pushforward-contraction"),
+    ("l1_distance", "condexp-contraction"),
+])
+def test_failing_contractions_word_both_sides(monkeypatch, kernel, check, backend):
+    """A distance tripled on spaces under 4 atoms breaks a contraction; its
+    first failure names the two sides, `lhs > rhs`, which read the old empty
+    text, and the counts are the old ones."""
+    def perturbed(x, y, _distance=getattr(suites, kernel)):
+        d = _distance(x, y)
+        return 3 * d if x.space.size < 4 else d
+
+    monkeypatch.setattr(suites, kernel, perturbed)
+    monkeypatch.setattr(oracles, kernel, perturbed)
+    new, old = suites.lipschitz_suite(0, 50, backend), oracles.lipschitz_suite_literal(0, 50, backend)
+    assert _rows_unworded(new) == _rows_unworded(old)
+    (worded,) = [c for c in new.checks if c.id == check]
+    (was,) = [c for c in old.checks if c.id == check]
+    assert worded.failures and was.worst == ""
+    lhs, rhs = map(Fraction, worded.worst.split(" > "))
+    assert lhs > rhs
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+def test_failing_identities_word_the_moments(monkeypatch, backend):
+    """A mean-square increment shifted by 1/64 breaks the gap identity; its
+    first failure names the two moments and the increment, whose gap is off."""
+    def shifted(f, g, _diff=diagram._mean_square_diff):
+        return _diff(f, g) + scalar.coerce("1/64", f.space.backend)
+
+    assert all(c.worst == "" for c in suites.second_moment_suite(0, 20, backend).checks)
+    monkeypatch.setattr(diagram, "_mean_square_diff", shifted)
+    report = suites.second_moment_suite(0, 20, backend)
+    assert report.failing_ids() == ["gap-identity"]
+    (gap,) = [c for c in report.checks if c.id == "gap-identity"]
+    assert gap.failures == 20
+    fine, coarse, increment = map(
+        Fraction, re.fullmatch(r"fine moment (\S+), coarse moment (\S+), increment (\S+)", gap.worst).groups()
+    )
+    assert abs(fine - coarse + Fraction(1, 64) - increment) < Fraction(1, 10**6)
