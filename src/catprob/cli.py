@@ -216,6 +216,8 @@ def cmd_metcat(args):
 
 def cmd_check(suite, args):
     """Run `suites.<suite>`, looked up at call time, and report it."""
+    if args.trials < 0:
+        raise CatprobError("--trials must be an int >= 0, not %r" % (args.trials,))
     report = getattr(suites, suite)(args.seed, args.trials, backend=_backend())
     columns = ["id", "statement", "trials", "failures", "worst"]
     rows = [[getattr(c, k) for k in columns] for c in report.checks]

@@ -17,7 +17,7 @@ from contextlib import suppress
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import floor, lcm
 from operator import sub
 from types import MappingProxyType
@@ -55,8 +55,8 @@ from .finrv import (
 from .scalar import EXACT
 
 #: Depth guard for the dyadic engine (2^depth atoms): `catprob martingale
-#: --ground tent` at depth 18, through `cli.main`, takes 0.56-0.62 s and 94 MB
-#: peak RSS on 2 CPUs (Python 3.11.7), against 0.31 s and 57 MB at depth 17.
+#: --ground tent` at depth 18, through `cli.main`, takes 0.51-0.54 s and 88 MB
+#: peak RSS on 2 CPUs (Python 3.11.7), against 0.18-0.19 s and 52 MB at depth 17.
 MAX_DYADIC_DEPTH = 18
 
 
@@ -797,10 +797,11 @@ def dyadic_experiment(ground, depth):
         raise BadSegments("ground must be a DyadicGround")
     levels, errors = _dyadic_tables(ground, depth)
     spaces = [dyadic_space(t) for t in range(depth + 1)]
-    # atom j of level t + 1 lies in cell j >> 1; every level's images share one list's ints
+    # atom j of level t + 1 lies in cell j >> 1, so a step's images are the cells
+    # 0, 0, 1, 1, ...: each cell twice, sorted; every level's share one list's ints
     cells = list(range(1 << depth >> 1))
     steps = [
-        MeasurePreservingMap._from_images(fine, s, tuple(chain.from_iterable(zip(r, r))))
+        MeasurePreservingMap._from_images(fine, s, tuple(sorted(r * 2)))
         for s, fine in zip(spaces, spaces[1:])
         for r in [cells[: s.size]]
     ]

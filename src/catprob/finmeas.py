@@ -34,7 +34,8 @@ class FiniteMeasure(_AtomTable):
         return self.mass[self.space.index(atom)]
 
     def total(self):
-        return scalar.divider(self.space.backend)(scalar.total(self._scaled[1]), self._scaled[0])
+        backend = self.space.backend
+        return scalar.divider(backend)(scalar.total(self._scaled[1], backend), self._scaled[0])
 
 
 def make_measure(space, mass):
@@ -55,7 +56,8 @@ def tv_distance(mu, nu):
     if mu.space != nu.space:
         raise SpaceMismatch("measures live on different spaces")
     den, xs, ys = scalar.common(mu._scaled, nu._scaled)
-    return scalar.divider(mu.space.backend)(scalar.total(map(abs, map(sub, xs, ys))), den)
+    backend = mu.space.backend
+    return scalar.divider(backend)(scalar.total(map(abs, map(sub, xs, ys)), backend), den)
 
 
 def pushforward(mu, s):

@@ -78,7 +78,7 @@ class FiniteProbSpace:
                 if len(raw) != len(atoms):
                     raise WeightSumMismatch("%d atoms but %d weights" % (len(atoms), len(raw)))
                 den, nums = scalar.coerce_scaled(raw, backend)
-            probe, total = nums, scalar.total(nums)
+            probe, total = nums, scalar.total(nums, backend)
         div = scalar.divider(backend)
         if min(probe, default=0) < 0:  # one int test; the walk only words the error
             a, n = next((a, n) for a, n in zip(atoms, nums) if n < 0)
@@ -348,7 +348,7 @@ def as_equal(f, g):
     _require_parallel(f, g)
     src = f.src
     mass = scalar.total(
-        w for w, u, v in zip(src._scaled[1], f._images, g._images) if u != v
+        (w for w, u, v in zip(src._scaled[1], f._images, g._images) if u != v), src.backend
     )
     return scalar.eq(mass, 0, src.tol)
 

@@ -130,7 +130,13 @@ def _integral(space, den, terms):
     values whose denominators multiply to `den`, as the pair (num, den): one
     fold, and `_value` divides it out.  The terms come as `map` chains, which
     keep the per-atom operation order without a Python-level loop."""
-    return scalar.total(terms), space._scaled[0] * den
+    return scalar.total(terms, space.backend), space._scaled[0] * den
+
+
+def _unit(ws):
+    """Whether every scaled weight is 1 (an exact uniform space's, or a float
+    one-atom space's 1.0), so `w * x` is `x` itself, bits and -0.0 included."""
+    return ws.count(1) == len(ws)
 
 
 def _value(space, pair):
@@ -161,7 +167,8 @@ def _cross_integral(f, g):
     as the pair (num, den) of `_integral`: `_cross_integral(f, f)` is the second
     moment before its one division."""
     den, xs, ys = scalar.common(f._scaled, g._scaled)
-    return _integral(f.space, den * den, map(mul, map(mul, f.space._scaled[1], xs), ys))
+    ws = f.space._scaled[1]
+    return _integral(f.space, den * den, map(mul, xs if _unit(ws) else map(mul, ws, xs), ys))
 
 
 def _cross_moment(f, g):
@@ -194,7 +201,7 @@ def cond_exp(g, s):
     src, dst = s.src, s.dst
     # per target atom: sum of w * x over the fiber / the target weight
     (wden, ws), (qden, qs), (den, xs) = src._scaled, dst._scaled, g._scaled
-    moment = _fiber_sums(s._images, map(mul, ws, xs), dst.size)
+    moment = _fiber_sums(s._images, xs if _unit(ws) else map(mul, ws, xs), dst.size)
     # mx * qden / (q * den * wden) is mx / q over den * (wden // qden): a target
     # weight is a fiber sum of source weights, so qden divides wden (both are 1
     # on floats); the ratios run on the small ints q, 1 on a null atom (whose

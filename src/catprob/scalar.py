@@ -10,7 +10,9 @@ inherits the choice.  On the exact backend all comparisons are decidable
 equalities on `fractions.Fraction`; on the float backend an equality
 assertion means |a - b| <= tol.  Mixing backends in one operation raises
 BackendMismatch instead of coercing.  The kernels compute on one scaled
-form, (den, nums), on both backends (`scaled`, `divider`, `total`).
+form, (den, nums), on both backends (`scaled`, `divider`, `total`); `total`
+sums an exact form's ints with builtin `sum`, exact in any order, and folds
+a float one from 0 in order, which keeps its bits on every Python version.
 Spaces, random variables and measures store that form when built, and
 kernels read it there.  An exact space, random variable or measure holds
 only its ints (`lowest`); its Fractions are built on first read, and
@@ -200,10 +202,14 @@ def common(a, b):
 
 
 def ratios(nums, dens, backend):
-    """nums[i] / dens[i] as one scaled form (the quotients over 1 on the float backend)."""
+    """nums[i] / dens[i] as one scaled form (the quotients over 1 on the float
+    backend).  When every den is their lcm (a uniform target's), the form is
+    `nums` itself, not a rescaled copy."""
     if backend != EXACT:
         return 1, [n / d for n, d in zip(nums, dens)]
     den = lcm(*dens)
+    if dens.count(den) == len(dens):
+        return den, nums
     return den, [n * (den // d) for n, d in zip(nums, dens)]
 
 
@@ -235,14 +241,17 @@ def divider(backend):
     return Fraction if backend == EXACT else truediv
 
 
-def total(terms):
-    """Left fold of `terms` from the int 0, in order.
+def total(terms, backend=None):
+    """Sum of `terms` from the int 0, in order.
 
-    Builtin `sum` is not used: from Python 3.12 it compensates float sums,
-    which would change the bits the kernels promise.  0 + x equals 0.0 + x
-    for every x >= 0, so a float fold gives the bits of a loop from 0.0.
+    On the exact backend the terms are ints (or Fractions), whose sum is
+    exact in any order, so builtin `sum` folds them.  Otherwise (a float
+    backend, or none given) it is a left fold with `add`: from Python 3.12
+    `sum` compensates float sums, which would change the bits the kernels
+    promise.  0 + x equals 0.0 + x for every x >= 0, so a float fold gives
+    the bits of a loop from 0.0.
     """
-    return reduce(add, terms, 0)
+    return sum(terms) if backend == EXACT else reduce(add, terms, 0)
 
 
 def total_of_copies(x, n, backend):

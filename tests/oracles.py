@@ -23,10 +23,13 @@ check suites and diagram writer after them, which call the library's
 kernels, samplers and `space_to_obj` as they did, and the copies of the
 label-keyed JSON readers and writers and of the per-entry literal parse last
 of all, which call the library's JSON helpers, constructors, `parse_ratio`
-and metric coercion as they did.
+and metric coercion as they did.  The copies of the dyadic path's fold,
+ratios, weighting and step images close the file; they call the library's
+`_fiber_sums`, `scalar.common` and `_from_scaled` as they did.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -2078,3 +2081,40 @@ def coerce_table_per_entry(dist, n, backend):
         ratios = [[INF if v is INF else _coerce_dist(v, backend) for v in r] for r in rows]
     den = math.lcm(*[p[1] for r in ratios for p in r if p is not INF])
     return den, tuple([tuple([p if p is INF else p[0] * (den // p[1]) for p in r]) for r in ratios])
+
+
+# -- the fold, ratios, weighting and step images before the dyadic path skipped them --
+# Copies from before an exact fold used builtin `sum`, a one-den `ratios` returned
+# its nums, unit weights skipped their products and step images were sorted: every
+# fold is `reduce(add)` from 0, every ratio is rescaled, every term is weighted and
+# a step's images are each cell twice by `zip`.
+
+
+def total_fold_literal(terms):
+    return functools.reduce(operator.add, terms, 0)
+
+
+def ratios_rescale_literal(nums, dens, backend):
+    if backend != scalar.EXACT:
+        return 1, [n / d for n, d in zip(nums, dens)]
+    den = math.lcm(*dens)
+    return den, [n * (den // d) for n, d in zip(nums, dens)]
+
+
+def cond_exp_weighted_literal(g, s):
+    src, dst = s.src, s.dst
+    (wden, ws), (qden, qs), (den, xs) = src._scaled, dst._scaled, g._scaled
+    moment = _fiber_sums(s._images, map(mul, ws, xs), dst.size)
+    over, nums = ratios_rescale_literal(moment, [q or 1 for q in qs] if dst._nulls else qs, src.backend)
+    return FiniteRandomVariable._from_scaled(dst, over * den * (wden // qden), nums)
+
+
+def cross_integral_weighted_literal(f, g):
+    den, xs, ys = scalar.common(f._scaled, g._scaled)
+    terms = map(mul, map(mul, f.space._scaled[1], xs), ys)
+    return total_fold_literal(terms), f.space._scaled[0] * den * den
+
+
+def step_images_literal(size):
+    r = list(range(size))
+    return tuple(itertools.chain.from_iterable(zip(r, r)))

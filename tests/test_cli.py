@@ -150,6 +150,21 @@ def test_check_suites_pass(capsys):
         assert payload["ok"] is True
 
 
+@pytest.mark.parametrize("command", ["check-appendix", "check-naturality", "check-lipschitz"])
+@pytest.mark.parametrize("trials", ["-1", "-3"])
+def test_negative_trials_is_error(monkeypatch, capsys, command, trials):
+    """No suite runs and no report is written; zero trials is still a report."""
+    monkeypatch.setattr(suites, "naturality_suite", None)  # any suite call would raise
+    monkeypatch.setattr(suites, "second_moment_suite", None)
+    monkeypatch.setattr(suites, "lipschitz_suite", None)
+    assert main([command, "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --trials must be an int >= 0, not %s\n" % trials
+    monkeypatch.undo()
+    code, out = run(capsys, command, "--trials", "0")
+    assert code == 0 and all(c["trials"] == 0 for c in json.loads(out)["checks"])
+
+
 @pytest.mark.parametrize(
     "command, suite",
     [("check-appendix", "second_moment_suite"), ("check-naturality", "naturality_suite"),

@@ -10,7 +10,9 @@ in building a space, random variable or measure from valid input.  The
 value types keep their tables in scaled form, whichever path built them, and
 their one construction route stores or raises what the old two did.  The
 metric constructions on exact tables build no Fraction either, until a
-distance is read.
+distance is read.  The dyadic path's shortcuts (an exact fold by `sum`, a
+one-den `ratios`, unit weights left out, step images by sorting) give the
+old fold's, rescale's, weighting's and `zip` build's values to the bit.
 """
 import contextlib
 import io
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 import oracles
 from catprob import cli, errors, jsonio, sampling, scalar
-from catprob.diagram import DyadicGround, make_dyadic
+from catprob.diagram import DyadicGround, dyadic_experiment, make_dyadic
 from catprob.finmeas import (
     FiniteMeasure,
     _density_bound,
@@ -50,6 +52,7 @@ from catprob.metcat import (
 )
 from catprob.finrv import (
     FiniteRandomVariable,
+    _cross_integral,
     _cross_moment,
     _mean_square_diff,
     cond_exp,
@@ -164,20 +167,31 @@ def test_as_equal_matches_literal_loop(backend, data):
 
 @contextlib.contextmanager
 def fractions_built():
-    """Count every Fraction constructed in the block (arithmetic included)."""
+    """Count every Fraction constructed in the block (arithmetic included).
+    From Python 3.12 arithmetic builds its results through `_from_coprime_ints`,
+    not `__new__`, so that is counted too where it exists."""
     count = [0]
     saved = F.__dict__["__new__"]
     new = saved.__func__
+    coprime = F.__dict__.get("_from_coprime_ints")
 
     def counting_new(cls, *args, **kwargs):
         count[0] += 1
         return new(cls, *args, **kwargs)
 
+    def counting_coprime(cls, *args):
+        count[0] += 1
+        return coprime.__func__(cls, *args)
+
     F.__new__ = staticmethod(counting_new)
+    if coprime is not None:
+        F._from_coprime_ints = classmethod(counting_coprime)
     try:
         yield count
     finally:
         F.__new__ = saved
+        if coprime is not None:
+            F._from_coprime_ints = coprime
 
 
 def test_fraction_counter_sees_arithmetic():
@@ -521,3 +535,99 @@ def test_hashing_an_exact_metric_space_builds_no_fraction():
             hash(identity_lipschitz(space))
         assert count[0] == 0, n
         assert hash(space) == hash((space.points, space.dist))
+
+
+# -- the dyadic path's shortcuts against the old fold, ratios, weighting and images --
+
+#: floats whose sums a compensated `sum` would round otherwise, and both zeros
+_FLOATS = st.sampled_from([-0.0, 0.0, 0.1, 1 / 3, 0.5, 1.0, 2.5, 7.0, 1e-300, 1e16, -1e16])
+
+
+def _form_bits(form):
+    """A scaled form or an integral's pair, by its entries' bits."""
+    first, rest = form
+    return _bits(first), type(rest), [_bits(x) for x in rest] if isinstance(rest, (list, tuple)) else _bits(rest)
+
+
+@pytest.mark.parametrize("backend", [scalar.EXACT, scalar.FLOAT, None])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_total_matches_the_left_fold(backend, data):
+    """Ints and Fractions on the exact backend; floats, -0.0 among them, otherwise."""
+    if backend == scalar.EXACT:
+        term = st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=12))
+    else:
+        term = st.one_of(_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+    terms = data.draw(st.lists(term, max_size=40))
+    assert _bits(scalar.total(iter(terms), backend)) == _bits(oracles.total_fold_literal(terms))
+
+
+def test_float_total_is_the_uncompensated_fold():
+    """From Python 3.12 `sum` would give 1.0 here."""
+    for backend in (scalar.FLOAT, None):
+        assert _bits(scalar.total([1e16, 1.0, -1e16], backend)) == _bits(0.0)
+        assert scalar.total([], backend) == 0 and type(scalar.total([], backend)) is int
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ratios_match_the_rescale(backend, data):
+    """Dens all equal to their lcm, or differing under one lcm (2, 3 and 6 under 6)."""
+    top = data.draw(st.sampled_from([1, 6, 12, 64]))
+    size = data.draw(st.integers(1, 12))
+    divisors = st.sampled_from([d for d in range(1, top + 1) if top % d == 0])
+    dens = data.draw(st.one_of(st.just([top] * size), st.lists(divisors, min_size=size, max_size=size)))
+    num = st.integers(0, 10**9) if backend == scalar.EXACT else _FLOATS
+    nums = data.draw(st.lists(num, min_size=size, max_size=size))
+    got = scalar.ratios(nums, dens, backend)
+    assert _form_bits(got) == _form_bits(oracles.ratios_rescale_literal(nums, dens, backend))
+    if backend == scalar.EXACT and len(set(dens)) == 1:
+        assert got[1] is nums  # one den: no rescaled copy
+
+
+@st.composite
+def unit_weight_cases(draw, backend):
+    """(map, f, g): a map out of a uniform space, onto its halves (a uniform
+    target, as a dyadic step) or onto a lumped target whose weights have
+    different dens under one lcm, with two random variables on the source.
+    Every scaled weight is 1 on an exact space and on a one-atom float space
+    (1.0); a float space of 2 or more atoms keeps its weighting.  Float values
+    take -0.0 among others."""
+    exact = backend == scalar.EXACT
+    n = draw(st.integers(1, 64) if exact else st.sampled_from([1, 1, 1, 2, 3, 8]))
+    src = uniform_space(n, backend)
+    if n % 2 == 0 and draw(st.booleans()):
+        images, k = [a >> 1 for a in range(n)], n // 2
+    else:
+        k = draw(st.integers(1, min(n, 8)))
+        images = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    pushed = [src.zero] * k  # a target atom no image reaches has weight 0
+    for a, b in enumerate(images):
+        pushed[b] += src.weights[a]
+    s = MeasurePreservingMap(src, FiniteProbSpace(range(k), pushed, backend=backend), dict(enumerate(images)))
+    value = st.fractions(0, 40, max_denominator=12) if exact else _FLOATS.filter(lambda x: x >= 0)  # -0.0 too
+    f, g = (FiniteRandomVariable(src, draw(st.lists(value, min_size=n, max_size=n))) for _ in "fg")
+    return s, f, g
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_unit_weights_and_one_den_ratios_match_the_weighted_bodies(backend, data):
+    """`cond_exp` and `_cross_integral` give the old weighted bodies' forms, to the bit."""
+    s, f, g = data.draw(unit_weight_cases(backend))
+    ws = s.src._scaled[1]
+    assert (ws.count(1) == len(ws)) is (backend == scalar.EXACT or s.src.size == 1)
+    for x in (f, g):
+        got, want = cond_exp(x, s), oracles.cond_exp_weighted_literal(x, s)
+        assert _form_bits(got._scaled) == _form_bits(want._scaled)
+    for x, y in ((f, f), (f, g), (g, f)):
+        assert _form_bits(_cross_integral(x, y)) == _form_bits(oracles.cross_integral_weighted_literal(x, y))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 5, 9, 12])
+def test_dyadic_step_images_match_the_zip_build(depth):
+    d, _, _ = dyadic_experiment(DyadicGround([0, F(1, 2), 1], [0, 1, 0]), depth)
+    for t in range(depth):
+        assert d.connect[(t, t + 1)]._images == oracles.step_images_literal(1 << t)
