@@ -411,7 +411,8 @@ class _LevelFamily:
         family = MappingProxyType({i: family[i] for i in diagram.elements})
         for i in diagram.elements:  # a member of the other side, or no table, has no peak
             if not isinstance(family[i], level):
-                raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
+                kind = type(family[i]).__name__
+                raise SpaceMismatch("family member at %r is a %s, not a %s" % (i, kind, level.__name__))
         if bound is None:
             bound = max(peak(family[i]) for i in diagram.elements)
         else:

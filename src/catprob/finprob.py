@@ -214,20 +214,6 @@ def _pushforward_fault(src, dst, images):
     return None
 
 
-def _check_pushforward(src, dst, images):
-    """Raise NotMeasurePreserving unless `images` pushes src's weights onto
-    dst's (`_pushforward_fault`), wording the failing atom from the scaled
-    forms: an exact map builds no Fraction, failing or not."""
-    fault = _pushforward_fault(src, dst, images)
-    if fault is not None:
-        b, p = fault
-        mass = scalar.ratio_text(p, src._scaled[0], src.backend)
-        weight = scalar.ratio_text(dst._scaled[1][b], dst._scaled[0], dst.backend)
-        raise NotMeasurePreserving(
-            "atom %r receives mass %s, target weight is %s" % (dst.atoms[b], mass, weight)
-        )
-
-
 def _then(first, second):
     """The image positions of one map followed by another, from theirs."""
     return tuple(map(second.__getitem__, first))
@@ -311,7 +297,17 @@ class MeasurePreservingMap(_Map):
 
     @staticmethod
     def _check(src, dst, images):
-        _check_pushforward(src, dst, images)  # looked up by name at each call, so a patch runs
+        """Raise NotMeasurePreserving unless `images` pushes src's weights onto
+        dst's (`_pushforward_fault`), wording the failing atom from the scaled
+        forms: an exact map builds no Fraction, failing or not."""
+        fault = _pushforward_fault(src, dst, images)
+        if fault is not None:
+            b, p = fault
+            mass = scalar.ratio_text(p, src._scaled[0], src.backend)
+            weight = scalar.ratio_text(dst._scaled[1][b], dst._scaled[0], dst.backend)
+            raise NotMeasurePreserving(
+                "atom %r receives mass %s, target weight is %s" % (dst.atoms[b], mass, weight)
+            )
 
     def __init__(self, src, dst, assign):
         scalar.same_backend(src, dst)

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -15,6 +14,7 @@ from catprob.diagram import DyadicGround, make_dyadic, restrict_measure
 from catprob.finmeas import make_measure
 from catprob.finprob import make_map, make_space, uniform_space
 from catprob.finrv import make_rv
+import contract
 from test_jsonio import mutated
 
 
@@ -106,25 +106,6 @@ def test_metcat_scan(tmp_path, capsys):
     assert code == 0
     assert payload["axioms_ok"] is True
     assert payload["reflection_points"] == 2
-
-
-#: sha256 of the `metcat` report on a space with INF, "num/den" entries and a
-#: distance-0 pair, per format, as the Fraction tables gave it
-_METCAT_REPORTS = {
-    "json": "aabf5e36773a7147b4e5a5dd5e3d6afd3cfeb2d2565154823b408ca828a52a72",
-    "csv": "29a1bfc5f5f0ad8656d6f244ab5b0c10cb8e73482abdbcc509a3b4e650c116b6",
-}
-
-
-@pytest.mark.parametrize("fmt", sorted(_METCAT_REPORTS))
-def test_metcat_report_bytes_are_pinned(tmp_path, capsys, fmt):
-    row = ["0", "0", "1/3", "inf"]
-    obj = {"points": ["a", "b", "c", "d"],
-           "dist": [row, row, ["1/3", "1/3", "0", "inf"], ["inf", "inf", "inf", "0"]]}
-    jsonio.write_json(obj, str(tmp_path / "space.json"))
-    code, out = run(capsys, "metcat", "--space", str(tmp_path / "space.json"), "--format", fmt)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _METCAT_REPORTS[fmt]
 
 
 def test_metcat_rejects_bad_table(tmp_path, capsys):
@@ -428,23 +409,10 @@ def test_foreign_option_exits_2(command, option, capsys):
     assert "unrecognized arguments: %s" % option in capsys.readouterr().err
 
 
-#: sha256 of the `martingale --depth 12` report per ground and format, as
-#: the label-keyed maps gave it
-_MARTINGALE_REPORTS = {
-    ("identity", "json"): "05260a10fb581369e911202074db0e3adf36bde2232e88ad704c1431076ea049",
-    ("identity", "csv"): "3fe48689cf6db3cb3b09b309e5eee17683656cff60c615284ffc2631df8b2fda",
-    ("tent", "json"): "8a3274fcbe5201c25a4c0f2d0615c3c153de5a8c9463dce864b45d13df86ed4b",
-    ("tent", "csv"): "ef4040faa26ff702f2d795abcbf78c2be2d7ae6fda6de9f7a54e608794868052",
-    ("constant", "json"): "89b33d2a3139e2e76659cdda3ffb77bd92edb11993831b09511b590b1b983012",
-    ("constant", "csv"): "d16b8a3f51afec4c0266e513e9bc8020c4a5b398cd93cead34147055d2add083",
-}
-
-
-@pytest.mark.parametrize("ground, fmt", sorted(_MARTINGALE_REPORTS))
-def test_martingale_report_bytes_are_pinned(capsys, ground, fmt):
-    code, out = run(capsys, "martingale", "--ground", ground, "--depth", "12", "--format", fmt)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _MARTINGALE_REPORTS[(ground, fmt)]
+def test_reports_match_the_committed_corpus():
+    """Every case of `tests/contract.py`: its exit status and the digests of its
+    stdout and stderr, as committed in `tests/contract/digests.txt`."""
+    assert contract.table() == contract.committed()
 
 
 def _counted_parsers(monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from copy import copy
@@ -32,10 +33,9 @@ from catprob.diagram import (
     second_moment_identity_report,
     validate,
 )
-from catprob.finmeas import FiniteMeasure, base_measure, pushforward, rn_derivative, tv_distance, zero_measure
+from catprob.finmeas import FiniteMeasure, base_measure, rn_derivative, tv_distance, zero_measure
 from catprob.finprob import (
     MeasurePreservingMap,
-    compose,
     identity_map,
     make_map,
     make_space,
@@ -60,37 +60,22 @@ from catprob.sampling import (
 )
 
 from oracles import (
-    bound_check_literal,
     chain_order_literal,
-    diagram_to_obj_literal,
-    order_scan_problems_literal,
-    dyadic_tables_literal,
-    is_martingale_literal,
-    martingale_checks_literal,
-    martingale_rows_literal,
-    measure_family_checks_literal,
-    top_level_literal,
     composite_fill_literal,
     covering_pairs_literal,
-    closure_literal,
-    covers_literal,
-    covers_scan_literal,
-    derive_literal,
     diagram_problems_literal,
     dyadic_tables_per_cell,
     integral_abs_by_refinement,
-    martingale_literal,
-    measure_family_literal,
+    is_martingale_literal,
+    level_family_literal,
     pointwise_identities_literal,
     abs_dev_integral_literal,
     integral_literal,
     interval_average_literal,
-    up_sets_literal,
-    upper_bound_problems_literal,
-    validate_literal,
+    top_level_literal,
     value_at_literal,
-    via_literal,
 )
+from test_jsonio import _diagram_document
 
 
 @st.composite
@@ -215,7 +200,8 @@ def _raw_diagram(elements, leq, spaces, connect, top):
     d.backend, d.tol = d.spaces[d.elements[0]].backend, max(s.tol for s in spaces.values())
     d.covers = covering_pairs_literal(d)
     rank = {e: t for t, e in enumerate(d.elements)}
-    d._order = up_sets_literal(d.elements, d.leq), sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]]))
+    above = {e: {j for i, j in d.leq if i == e} for e in d.elements}
+    d._order = above, sorted(d.leq, key=lambda p: (rank[p[0]], rank[p[1]]))
     return d
 
 
@@ -306,7 +292,7 @@ class TestCoverTriples:
         # raises what the old fill raised
         elements, _, spaces, connect, top = args
         try:
-            table = composite_fill_literal(elements, d.leq, spaces, connect)
+            table, _ = composite_fill_literal(elements, d.leq, spaces, connect)
         except errors.CatprobError as exc:
             with pytest.raises(errors.CatprobError) as info:
                 FiltrationDiagram(*args)
@@ -366,16 +352,17 @@ class TestCoverTriples:
         ) == diagram_problems_literal(bad)
 
 
-def _count_calls(monkeypatch, module, name):
-    """A counter of the calls of `module.name` from here on."""
+def _count_calls(monkeypatch, owner, name):
+    """A counter of the calls of `owner.name` from here on; a static method stays one."""
     calls = {"n": 0}
-    original = getattr(module, name)
+    static = isinstance(inspect.getattr_static(owner, name), staticmethod)
+    original = getattr(owner, name)
 
     def counted(*args):
         calls["n"] += 1
         return original(*args)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(owner, name, staticmethod(counted) if static else counted)
     return calls
 
 
@@ -434,7 +421,7 @@ class TestDerivedComposites:
         expected = ("missing connecting map for 0 <= 1", "missing connecting map for 0 <= 2")
         assert info.value.problems == expected
         assert str(info.value) == "; ".join(expected)
-        table = composite_fill_literal(args[0], _closed(args[0], args[1]), args[2], args[3])
+        table, _ = composite_fill_literal(args[0], _closed(args[0], args[1]), args[2], args[3])
         raw = _raw_diagram(args[0], _closed(args[0], args[1]), args[2], table, 2)
         assert diagram_problems_literal(raw) == expected
 
@@ -466,7 +453,7 @@ class TestDerivedComposites:
         steps = {("b", "l"): ident, ("b", "r"): ident, ("l", "t"): ident, ("r", "t"): swap}
         for given in ({}, {("b", "t"): ident}):
             connect = {**steps, **given}
-            table = composite_fill_literal(["b", "l", "r", "t"], _closed("blrt", order), spaces, connect)
+            table, _ = composite_fill_literal(["b", "l", "r", "t"], _closed("blrt", order), spaces, connect)
             raw = _raw_diagram("blrt", _closed("blrt", order), spaces, table, "t")
             with pytest.raises(errors.InvalidDiagram) as info:
                 FiltrationDiagram("blrt", order, spaces, connect, top="t")
@@ -1140,6 +1127,11 @@ def doctored_families(draw):
     return martingale, d, family, bound
 
 
+def _defined(martingale):
+    """The definition of a martingale (a measure family unless `martingale`), as a constructor."""
+    return lambda d, family, bound: level_family_literal(martingale, d, family, bound)
+
+
 def _outcome(build, d, family, bound):
     """(type, message) of the exception, else (family, bound type, bound, repr)."""
     try:
@@ -1153,25 +1145,16 @@ def _outcome(build, d, family, bound):
     return dict(family), type(bound), bound, text
 
 
-class TestLevelFamiliesMatchTheOldConstructors:
-    """Both family types against literal copies of their constructors from
-    before the two sides shared one construction: the same exception type and
-    message, or the same family, bound and repr.  The one intended change is
-    a bound of 0, which the measure side now checks like any other."""
+class TestLevelFamiliesHoldWhatTheDefinitionGives:
+    """Both family types against `oracles.level_family_literal`: the same
+    exception type and message, or the same family, bound and repr."""
 
     @settings(max_examples=300, deadline=None)
     @given(doctored_families())
     def test_constructors_match(self, case):
         martingale, d, family, bound = case
-        if martingale:
-            new, old = Martingale, martingale_literal
-        else:
-            new, old = ConsistentMeasureFamily, measure_family_literal
-        got, want = _outcome(new, d, family, bound), _outcome(old, d, family, bound)
-        if got != want and not martingale and bound == "0":
-            first = next(i for i in d.elements if not bound_check_literal(family[i], 0))
-            want = (errors.Inconsistent, "level %r exceeds bound * base weights" % (first,))
-        assert got == want
+        new = Martingale if martingale else ConsistentMeasureFamily
+        assert _outcome(new, d, family, bound) == _outcome(_defined(martingale), d, family, bound)
 
     def test_top_to_levels_and_back_keep_their_messages(self):
         d = two_chain_over_uniform4()
@@ -1205,7 +1188,7 @@ def test_dyadic_runs_read_no_step_map_table(monkeypatch, capsys):
     built = []
     table = MeasurePreservingMap.assign
     monkeypatch.setattr(MeasurePreservingMap, "assign", property(lambda m: built.append(m) or table.fget(m)))
-    checks = _count_calls(monkeypatch, finprob, "_check_pushforward")
+    checks = _count_calls(monkeypatch, MeasurePreservingMap, "_check")
     tent = DyadicGround([0, F(1, 2), 1], [0, 1, 0])
     diagram.dyadic_experiment(tent, 8)
     assert checks["n"] == 8  # each step map's pushforward is checked
@@ -1287,40 +1270,32 @@ def chain_relations(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(random_relations(), chain_relations()))
-def test_up_set_scans_match_the_old_scans(case):
-    """The closure, the ranked order, `covers`, the derived pairs
-    `connect.via` and every problem of `validate`, in order, as the old scans
-    over `leq` and the scans before them gave them; the constructor raises
-    the old message, or builds the old diagram, whose maximum and chain test
-    read as the pairs say."""
+def test_up_set_scans_match_the_definitions(case):
+    """The closure's up-sets, the ranked order, `covers`, the derived pairs
+    `connect.via` and every problem of `validate`, in order, as the closed
+    order, the covering pairs, the composite fill and the diagram problems
+    define them; the constructor raises those problems, or builds the
+    diagram, whose maximum and chain test read as the pairs say."""
     elements, gens, spaces, connect, top = case
     leq = _closed(elements, gens)
     rank = {e: t for t, e in enumerate(elements)}
     ordered = sorted(leq, key=lambda p: (rank[p[0]], rank[p[1]]))
     above = diagram._closure(elements, gens)
-    assert above == closure_literal(elements, gens)
-    assert frozenset((i, j) for i in elements for j in above[i]) == leq
-    covers = diagram._covers(above, ordered)
-    assert covers == covers_literal(elements, leq, ordered) == covers_scan_literal(above, ordered)
+    assert above == {i: {j for j in elements if (i, j) in leq} for i in elements}
     table = dict(connect)
     for e in elements:
         table.setdefault((e, e), identity_map(spaces[e]))
-    via = via_literal(elements, leq, table, ordered)
+    full, via = composite_fill_literal(elements, leq, spaces, table)
+    raw = _raw_diagram(elements, leq, spaces, full, top)
+    assert diagram._covers(above, ordered) == covering_pairs_literal(raw)
     derived = diagram._derive(elements, ordered, set(table))
     assert list(derived.items()) == list(via.items())
-    assert list(derived.items()) == list(derive_literal(elements, above, ordered, set(table)).items())
-    full = dict(table)
-    for (i, k), l in via.items():  # as `_Connect` builds them, in `via` order
-        full[(i, k)] = compose(full[(l, k)], full[(i, l)])
-    raw = _raw_diagram(elements, leq, spaces, full, top)
     expected = diagram_problems_literal(raw)
-    assert validate(raw).problems == expected == validate_literal(raw).problems
-    unbounded = [p for p in expected if p.startswith("no upper bound")]
-    assert unbounded == upper_bound_problems_literal(raw)
+    assert validate(raw).problems == expected
     # composites derived on first read, as the constructor holds them
-    lazy, lazy_old = copy(raw), copy(raw)
-    lazy.connect, lazy_old.connect = (diagram._Connect(dict(table), dict(derived)) for _ in "ab")
-    assert validate(lazy) == validate_literal(lazy_old)
+    lazy = copy(raw)
+    lazy.connect = diagram._Connect(dict(table), dict(derived))
+    assert validate(lazy).problems == expected
     try:
         built = FiltrationDiagram(elements, gens, spaces, connect, top=top)
     except errors.InvalidDiagram as exc:
@@ -1331,7 +1306,7 @@ def test_up_set_scans_match_the_old_scans(case):
         assert built.leq == leq and built._order == (above, ordered)
         assert built.maximum() == next((m for m in elements if all((i, m) in leq for i in elements)), None)
         assert built.is_chain() == all((i, j) in leq or (j, i) in leq for i in elements for j in elements)
-        assert built.covers == covers_literal(elements, leq, ordered)
+        assert built.covers == covering_pairs_literal(built)
         assert list(built.connect.via.items()) == list(via.items())
 
 
@@ -1368,15 +1343,18 @@ def _raised_or(call, *args):
 
 @settings(max_examples=80, deadline=None)
 @given(non_dyadic_grounds(), st.one_of(st.integers(0, 12), st.sampled_from([-1, MAX_DYADIC_DEPTH + 1, True])))
-def test_dyadic_tables_match_the_old_walk(ground, depth):
-    """Every level's scaled averages, and every l1 error by type and value
-    (split cells included), or the same error, as the old per-level
-    Fraction walk gave them."""
+def test_dyadic_tables_match_the_per_cell_tables(ground, depth):
+    """Every level's averages, read over the level's den, and every l1 error
+    by type and value (split cells included) are the per-cell tables'; a
+    depth that is no int in 0..MAX_DYADIC_DEPTH raises DepthTooLarge."""
     got = _raised_or(diagram._dyadic_tables, ground, depth)
-    want = _raised_or(dyadic_tables_literal, ground, depth)
-    assert got == want
-    if isinstance(want[0], list):
-        assert [type(e) for e in got[1]] == [type(e) for e in want[1]] == [F] * (depth + 1)
+    if type(depth) is not int or not 0 <= depth <= MAX_DYADIC_DEPTH:
+        assert got == (errors.DepthTooLarge, "depth must be an int in 0..%d, not %r" % (MAX_DYADIC_DEPTH, depth))
+        return
+    levels, errors_ = got
+    want_levels, want_errors = dyadic_tables_per_cell(ground, depth)
+    assert [[F(a, den) for a in averages] for den, averages in levels] == want_levels
+    assert [(type(e), e) for e in errors_] == [(F, e) for e in want_errors]
 
 
 #: arguments of the ground's integrals: grid points, breakpoints, points
@@ -1392,8 +1370,9 @@ _GROUND_ARGS = st.one_of(
 @given(st.one_of(non_dyadic_grounds(), dyadic_grounds()), _GROUND_ARGS, _GROUND_ARGS, _GROUND_ARGS)
 def test_ground_integrals_match_the_old_pieces(ground, lo, hi, c):
     """`value_at`, `integral`, `interval_average` and `abs_dev_integral` give
-    equal Fractions, or raise the same error, as the old per-end `value_at`
-    walk gave them, inside [0, 1] and out, with lo > hi and lo == hi."""
+    equal Fractions, or raise the same error, as the trapezoids over the
+    pieces, each end read through `value_at`, inside [0, 1] and out, with
+    lo > hi and lo == hi."""
 
     def typed(call, *args):
         out = _raised_or(call, *args)
@@ -1459,13 +1438,19 @@ def test_dyadic_runs_read_no_atom_tuple_or_index(monkeypatch, capsys):
 
 @settings(max_examples=30, deadline=None)
 @given(non_dyadic_grounds(), st.integers(0, 9))
-def test_dyadic_report_rows_match_the_old_subcommand(ground, depth):
-    """`dyadic_report`'s rows and check are the strings and `ok` the
-    `martingale` subcommand built from Fraction moments and gaps."""
+def test_dyadic_report_rows_match_the_per_cell_tables(ground, depth):
+    """`dyadic_report`'s rows are the per-cell l1 errors, the second moments
+    (each level's mean square average, its cells of weight 2^-t) and their
+    gaps, as `scalar.to_json` writes them, and its check holds."""
     rows, ok = dyadic_report(ground, depth)
-    table, want_ok = martingale_rows_literal(ground, depth)
-    assert ok is want_ok is True
-    assert [dict(zip(["depth", "l1_error", "second_moment", "gap"], r)) for r in rows] == table
+    averages, l1 = dyadic_tables_per_cell(ground, depth)
+    moments = [sum((a * a for a in level), F(0)) / len(level) for level in averages]
+    gaps = [F(0)] + [b - a for a, b in zip(moments, moments[1:])]
+    text = scalar.to_json
+    assert ok is True
+    assert [list(r) for r in rows] == [
+        [t, text(l1[t]), text(moments[t]), text(gaps[t])] for t in range(depth + 1)
+    ]
 
 
 @st.composite
@@ -1507,35 +1492,33 @@ def _check_by_bits(chk):
 
 class TestChecksSkipOnlyEqualForms:
     """The checks that skip the distance of a pair with equal forms return and
-    raise what they did when every pair computed it: the same MartingaleCheck
-    (floats by their bits), constructor outcome and top-level outcome."""
+    raise what the definitions, which compute every pair, give: the same
+    MartingaleCheck (floats by their bits), constructor outcome and top-level
+    outcome."""
 
     @settings(max_examples=150, deadline=None)
     @given(perturbed_families())
-    def test_checks_match_todays_code(self, case):
+    def test_checks_match_the_definitions(self, case):
         martingale, d, family = case
         if martingale:
             got = _check_by_bits(_raised_or(is_martingale, family, d))
             assert got == _check_by_bits(_raised_or(is_martingale_literal, family, d))
-            new, old = Martingale, martingale_checks_literal
-            top = (cond_exp, l1_distance, "martingale limit", "reconstructed limit")
+            limit = martingale_limit
         else:
-            new, old = ConsistentMeasureFamily, measure_family_checks_literal
-            top = (pushforward, tv_distance, "extension", "extension")
-        assert _outcome(new, d, family, None) == _outcome(old, d, family, None)
+            limit = kolmogorov_extend
+        assert _outcome(Martingale if martingale else ConsistentMeasureFamily, d, family, None) == _outcome(
+            _defined(martingale), d, family, None
+        )
         # the top-level check on the family as given, built or not
         fam = SimpleNamespace(diagram=d, family=MappingProxyType(family))
-        assert _raised_or(diagram._top_level, fam, *top) == _raised_or(top_level_literal, fam, *top)
+        assert _raised_or(limit, fam) == _raised_or(top_level_literal, d, family, martingale)
 
     @settings(max_examples=150, deadline=None)
     @given(doctored_families())
-    def test_constructors_match_todays_code(self, case):
+    def test_constructors_match_the_definitions(self, case):
         martingale, d, family, bound = case
-        new, old = (
-            (Martingale, martingale_checks_literal) if martingale
-            else (ConsistentMeasureFamily, measure_family_checks_literal)
-        )
-        assert _outcome(new, d, family, bound) == _outcome(old, d, family, bound)
+        new = Martingale if martingale else ConsistentMeasureFamily
+        assert _outcome(new, d, family, bound) == _outcome(_defined(martingale), d, family, bound)
 
 
 def test_passing_checks_compute_no_distance(monkeypatch):
@@ -1554,35 +1537,40 @@ def test_passing_checks_compute_no_distance(monkeypatch):
 # -- the closed order ranked once: writer, chain order and order scans -----------
 
 
+_ORDER_PROBLEMS = ("antisymmetry fails", "no upper bound")
+
+
 def _order_problems(d):
-    return [p for p in validate(d).problems if p.startswith(("antisymmetry fails", "no upper bound"))]
+    return [p for p in validate(d).problems if p.startswith(_ORDER_PROBLEMS)]
 
 
-def _writes_as_before(d):
-    new, old = jsonio.diagram_to_obj(d), diagram_to_obj_literal(d)
-    assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+def _writes_the_schema(d):
+    """The diagram's document is the schema's, and reads back to it."""
+    text = json.dumps(jsonio.diagram_to_obj(d), sort_keys=True)
+    assert text == json.dumps(_diagram_document(d), sort_keys=True)
+    assert jsonio.diagram_from_obj(json.loads(text)) == d
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(doctored_diagrams().map(lambda case: case[1]), random_relations(), chain_relations()))
-def test_ranked_pairs_write_and_scan_as_before(args):
-    """`validate`'s order scans by position give the old scans' problems, in
-    order; a diagram that builds writes the old JSON bytes from its ranked
-    pairs and gives the old `chain_order`, or its error."""
+def test_ranked_pairs_write_and_scan_as_defined(args):
+    """`validate`'s order scans by position give the diagram problems' order
+    problems, in order; a diagram that builds writes the schema's document
+    from its ranked pairs and gives the chain order by rank, or its error."""
     elements, gens, spaces, connect, top = args
     raw = _raw_diagram(elements, _closed(elements, gens), spaces, connect, top)
-    assert _order_problems(raw) == order_scan_problems_literal(raw)
+    assert _order_problems(raw) == [p for p in diagram_problems_literal(raw) if p.startswith(_ORDER_PROBLEMS)]
     try:
         d = FiltrationDiagram(*args)
     except errors.CatprobError:
         return
-    _writes_as_before(d)
+    _writes_the_schema(d)
     assert _raised_or(d.chain_order) == _raised_or(chain_order_literal, d)
 
 
-def test_chains_write_as_before():
+def test_chains_write_as_defined():
     """Sampled refining chains, dyadic chains at depths 0-6 and a chain of
-    mixed labels write the old bytes and keep their chain order."""
+    mixed labels write the schema's document and keep their chain order."""
     built = []
     for seed in range(20):
         rng = random.Random(seed)
@@ -1594,7 +1582,7 @@ def test_chains_write_as_before():
     built.append(FiltrationDiagram.chain([d.spaces[t] for t in range(3)], [d.connect[(0, 1)], d.connect[(1, 2)]],
                                          labels=labels))
     for d in built:
-        _writes_as_before(d)
+        _writes_the_schema(d)
         assert d.chain_order() == chain_order_literal(d)
     assert built[-1].chain_order() == tuple(labels)
 
@@ -1609,6 +1597,7 @@ def test_repeated_elements_are_rejected(elements):
 
 _U2_CHAIN = FiltrationDiagram.chain([_U1, _U1], [identity_map(_U1)])
 _WRONG = "family member at 0 lives on the wrong space"
+_NONE_RV = "family member at 0 is a NoneType, not a FiniteRandomVariable"
 _NOT_INDEXED = "family is not indexed by the diagram's elements"
 
 
@@ -1620,10 +1609,12 @@ _NOT_INDEXED = "family is not indexed by the diagram's elements"
         (lambda: FinPseudometricSpace([[1]], [[0]]), errors.InvalidMetric, "unhashable type: 'list'"),
         (lambda: Martingale(_U2_CHAIN, None), errors.IndexMismatch, _NOT_INDEXED),
         (lambda: Martingale(_U2_CHAIN, [0, 1]), errors.IndexMismatch, _NOT_INDEXED),
-        (lambda: Martingale(_U2_CHAIN, {0: None, 1: None}), errors.SpaceMismatch, _WRONG),
-        (lambda: Martingale(_U2_CHAIN, {0: 0, 1: 0}, bound=1), errors.SpaceMismatch, _WRONG),
+        (lambda: Martingale(_U2_CHAIN, {0: None, 1: None}), errors.SpaceMismatch, _NONE_RV),
+        (lambda: Martingale(_U2_CHAIN, {0: 0, 1: 0}, bound=1), errors.SpaceMismatch,
+         "family member at 0 is a int, not a FiniteRandomVariable"),
         (lambda: ConsistentMeasureFamily(_U2_CHAIN, [[1]]), errors.IndexMismatch, _NOT_INDEXED),
-        (lambda: ConsistentMeasureFamily(_U2_CHAIN, {0: None, 1: None}), errors.SpaceMismatch, _WRONG),
+        (lambda: ConsistentMeasureFamily(_U2_CHAIN, {0: None, 1: None}), errors.SpaceMismatch,
+         "family member at 0 is a NoneType, not a FiniteMeasure"),
         (lambda: is_martingale(None, _U2_CHAIN), errors.IndexMismatch, _NOT_INDEXED),
         (lambda: is_martingale({0: None, 1: None}, _U2_CHAIN), errors.SpaceMismatch, _WRONG),
     ],
@@ -1639,14 +1630,26 @@ def test_malformed_families_and_metric_points_raise_library_errors(call, error, 
 def test_levels_of_the_other_side_are_rejected(bound):
     """A measure is no martingale level and a random variable no measure-family
     level, though both are atom tables on the level's space: each raises
-    SpaceMismatch before any bound is taken (a negative one included)."""
+    SpaceMismatch, naming both types, before any bound is taken (a negative
+    one included).  A level of the right type on another space is worded by
+    its space."""
     d, m = make_dyadic(DyadicGround.affine(0, 1), 2)
     fam = restrict_measure(base_measure(d.spaces[2]), d)
     measures = {i: FiniteMeasure(d.spaces[i], list(m.family[i].values)) for i in d.elements}
     values = {i: FiniteRandomVariable(d.spaces[i], list(fam.family[i].mass)) for i in d.elements}
-    for build, family in ((Martingale, measures), (ConsistentMeasureFamily, values)):
+    for build, family, words in (
+        (Martingale, measures, "a FiniteMeasure, not a FiniteRandomVariable"),
+        (ConsistentMeasureFamily, values, "a FiniteRandomVariable, not a FiniteMeasure"),
+    ):
         with pytest.raises(errors.SpaceMismatch) as exc:
             build(d, family, bound)
+        assert str(exc.value) == "family member at 0 is %s" % words
+    elsewhere = uniform_space(1, scalar.FLOAT)
+    for build, level in ((Martingale, make_rv(elsewhere, [0.0])), (ConsistentMeasureFamily, base_measure(elsewhere))):
+        family = dict((m if build is Martingale else fam).family)
+        family[0] = level
+        with pytest.raises(errors.SpaceMismatch) as exc:
+            build(d, family)
         assert str(exc.value) == _WRONG
     assert Martingale(d, dict(m.family)).family == m.family
     assert ConsistentMeasureFamily(d, dict(fam.family)).family == fam.family

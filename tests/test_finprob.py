@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, finprob, jsonio, scalar
+from catprob import errors, jsonio, scalar
 from catprob.diagram import dyadic_space
 from catprob.finmeas import pushforward
 from catprob.finprob import (
@@ -342,7 +342,7 @@ class TestMapDistance:
         assert (map_distance(f, g) == 0) == as_equal(f, g)
 
 
-# -- positional maps against copies of the old label-keyed ones ---------------------
+# -- positional maps against the definition of a map --------------------------------
 
 
 def _built(build, *args):
@@ -368,19 +368,21 @@ def _scaled_bits(x):
     return den, type(nums), [_bits(n) for n in nums]
 
 
-def _same_map(new, old):
-    """The same table, in order and by type, and the same repr."""
-    assert _typed(new.assign.items()) == _typed(old.assign.items())
-    assert repr(new) == repr(old)
-    assert new.assign == dict(old.assign)
+def _holds(m, table):
+    """`m` holds `table` ({source label: target label}), in source order and by
+    type, with the repr that names it."""
+    assert _typed(m.assign.items()) == _typed(table.items())
+    assert repr(m) == "MeasurePreservingMap(%r)" % (table,)
 
 
-def _same_kernels(new, old, case):
+def _reads_as_defined(m, case):
+    """The kernels on `m` give the per-atom loops' values, to the bit."""
     f, g, mu = case.f, case.g, case.mu
-    assert _scaled_bits(cond_exp(f, new)) == _scaled_bits(oracles.old_cond_exp(f, old))
-    lifted = pullback(cond_exp(g, new), new)
-    assert _scaled_bits(lifted) == _scaled_bits(oracles.old_pullback(oracles.old_cond_exp(g, old), old))
-    assert _scaled_bits(pushforward(mu, new)) == _scaled_bits(oracles.old_pushforward(mu, old))
+    assert [_bits(x) for x in cond_exp(f, m).values] == [_bits(x) for x in oracles.cond_exp_literal(f, m)]
+    coarse = cond_exp(g, m)
+    lifted = oracles.atom_table_literal(m.src, [coarse.values[m.dst.index(m.assign[a])] for a in m.src.atoms])
+    assert [_bits(x) for x in pullback(coarse, m).values] == [_bits(x) for x in lifted]
+    assert [_bits(x) for x in pushforward(mu, m).mass] == [_bits(x) for x in oracles.pushforward_literal(mu.mass, m)]
 
 
 _FAULTS = ["missing", "unknown", "unhashable", "unhashable-inside", "outside", "moved"]
@@ -389,10 +391,11 @@ _FAULTS = ["missing", "unknown", "unhashable", "unhashable-inside", "outside", "
 @pytest.mark.parametrize("backend", scalar.BACKENDS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_positional_maps_match_the_old_label_maps(backend, data):
-    """A map built from an assignment, with up to three faults, raises or
-    stores what the old label-keyed map did; identities and composites equal
-    and hash as validated maps do; the kernels read them to the same bits."""
+def test_positional_maps_hold_what_the_definition_gives(backend, data):
+    """A map built from an assignment, with up to three faults, raises the
+    first fault of `oracles.map_literal` or holds its table; identities and
+    composites hold the composed tables and equal and hash as validated maps
+    do; the kernels read them as the per-atom loops do."""
     draw, case = data.draw, data.draw(cases(backend))
     src, dst = case.map.src, case.map.dst
     order = draw(st.permutations(src.atoms))
@@ -412,33 +415,31 @@ def test_positional_maps_match_the_old_label_maps(backend, data):
         else:  # another target atom: mass is preserved only by chance
             assign[a] = draw(st.sampled_from(dst.atoms))
     new = _built(MeasurePreservingMap, src, dst, assign)
-    old = _built(oracles.OldMap, src, dst, assign)
-    if isinstance(old, tuple):
-        assert new == old
+    table = _built(oracles.map_literal, src, dst, assign)
+    if isinstance(table, tuple):
+        assert new == table
         return
-    _same_map(new, old)
-    _same_kernels(new, old, case)
+    _holds(new, table)
+    _reads_as_defined(new, case)
     # equal maps from every route are equal and hash alike
     for space in (src, dst):
         ident = identity_map(space)
-        _same_map(ident, oracles.identity_map_literal(space))
+        _holds(ident, {a: a for a in space.atoms})
         again = MeasurePreservingMap(space, space, {a: a for a in space.atoms})
         assert ident == again and again == ident and hash(ident) == hash(again)
     for h in (compose(identity_map(src), new), compose(new, identity_map(dst))):
         assert h == new and new == h and hash(h) == hash(new)
-        _same_map(h, old)
+        _holds(h, table)
     rng = random.Random(draw(st.integers(0, 2**16)))
     step = rand_quotient(rng, dst)
-    old_step = oracles.OldMap(dst, step.dst, dict(step.assign))
     both = compose(new, step)
-    old_both = oracles.compose_literal(old, old_step)
-    _same_map(both, old_both)
-    _same_kernels(both, old_both, case)
-    validated = MeasurePreservingMap(src, step.dst, dict(old_both.assign))
+    composed = {a: step.assign[table[a]] for a in src.atoms}
+    _holds(both, composed)
+    _reads_as_defined(both, case)
+    validated = MeasurePreservingMap(src, step.dst, composed)
     assert both == validated and hash(both) == hash(validated)
     other = rand_parallel_map(rng, new)
-    old_other = oracles.OldMap(src, dst, dict(other.assign))
-    assert (new == other) is (old == old_other)
+    assert (new == other) is (dict(other.assign) == table)
     if new == other:
         assert hash(new) == hash(other)
 
@@ -590,41 +591,44 @@ def _user_weights(rng, backend):
     return weights
 
 
+def _space_document(atoms, weights, backend, tol):
+    return {"atoms": atoms, "weights": [scalar.to_json(w) for w in weights], "backend": backend, "tol": tol}
+
+
 @pytest.mark.parametrize("backend", scalar.BACKENDS)
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_spaces_match_the_old_space(backend, seed):
-    """The same error, or a space whose first `weights` read gives what the
-    old space stored (a given Fraction's type and value, a float's bits),
-    with the old `repr`, `weight`, JSON bytes and equality, and hashes that
-    agree wherever spaces are equal."""
+def test_spaces_hold_what_the_definition_gives(backend, seed):
+    """The first fault of `oracles.space_literal`, or a space whose first
+    `weights` read gives its weights (a given Fraction's type and value, a
+    float's bits), with their `repr`, `weight`, JSON document and equality,
+    and hashes that agree wherever spaces are equal."""
     rng = random.Random(seed)
     weights = _user_weights(rng, backend)
     atoms = list("abcdefghij"[: len(weights)])
     new = _built(FiniteProbSpace, atoms, weights, backend)
-    old = _built(oracles.OldSpace, atoms, weights, backend)
-    if isinstance(old, tuple):
-        assert new == old
+    want = _built(oracles.space_literal, atoms, weights, backend)
+    if isinstance(want[0], type):
+        assert new == want
         return
     assert new._weights is None or backend == scalar.FLOAT
-    assert [_bits(w) for w in new.weights] == [_bits(w) for w in old.weights]
+    assert [_bits(w) for w in new.weights] == [_bits(w) for w in want]
     assert type(new.weights) is tuple
     for w, given_w in zip(new.weights, weights):
         if isinstance(given_w, F) and backend == scalar.EXACT:
             assert type(w) is F and w == given_w
-    for name in ("atoms", "backend", "tol", "_nulls", "_index"):
-        assert getattr(new, name) == getattr(old, name), name
-    assert _scaled_bits(new) == _scaled_bits(old)
-    assert repr(new) == repr(old)
-    assert [_bits(new.weight(a)) for a in atoms] == [_bits(old.weight(a)) for a in atoms]
-    assert json.dumps(jsonio.space_to_obj(new)) == json.dumps(oracles.old_space_to_obj(old))
+    assert (new.atoms, new.backend, new.tol) == (tuple(atoms), backend, 0 if backend == scalar.EXACT else scalar.DEFAULT_TOL)
+    assert new._nulls == tuple(i for i, w in enumerate(want) if w == 0)
+    assert repr(new) == "FiniteProbSpace(%s)" % ", ".join("%r:%s" % (a, w) for a, w in zip(atoms, want))
+    assert [_bits(new.weight(a)) for a in atoms] == [_bits(w) for w in want]
+    assert json.dumps(jsonio.space_to_obj(new)) == json.dumps(_space_document(atoms, want, backend, new.tol))
     # the same weights spelled anew, or another draw
-    again = [_written(rng, F(w), backend) for w in old.weights] if rng.random() < 0.5 else None
+    again = [_written(rng, F(w), backend) for w in want] if rng.random() < 0.5 else None
     again = again or _user_weights(rng, backend)
     new2 = _built(FiniteProbSpace, atoms[: len(again)], again, backend)
-    old2 = _built(oracles.OldSpace, atoms[: len(again)], again, backend)
-    if not isinstance(old2, tuple):
-        assert (new == new2) is (old == old2)
+    want2 = _built(oracles.space_literal, atoms[: len(again)], again, backend)
+    if not isinstance(want2[0], type):
+        assert (new == new2) is (len(again) == len(atoms) and want2 == want)
         assert hash(new) == hash(new2) or new != new2
 
 
@@ -698,14 +702,33 @@ def test_a_call_reads_one_image_and_builds_no_assign(backend, data):
 _TOLS = [0, 1, 1e-9, 0.03125, 0.05, F(1, 32), F(0)]
 
 
+def _checked(src, dst, images):
+    """The message `MeasurePreservingMap._check` raises, or None."""
+    try:
+        MeasurePreservingMap._check(src, dst, images)
+    except errors.NotMeasurePreserving as exc:
+        return str(exc)
+    return None
+
+
+def _fiber_fault(src, dst, images):
+    """The message for the first target atom whose fiber misses its weight, or None."""
+    assign = {a: dst.atoms[b] for a, b in zip(src.atoms, images)}
+    miss = oracles.pushforward_mismatch_literal(src, dst, assign)
+    if miss is None:
+        return None
+    b, mass = miss
+    return "atom %r receives mass %s, target weight is %s" % (b, mass, dst.weight(b))
+
+
 @pytest.mark.parametrize("backend", scalar.BACKENDS)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_pushforward_check_matches_the_old_check(backend, data):
-    """The one-pass check passes where the old per-atom check passed, and
-    otherwise raises its exception type with its message, on weights in
-    sixteenths and float tolerances given as an int, a float or a Fraction;
-    the target's `weights` are not read."""
+def test_pushforward_check_matches_the_fiber_loop(backend, data):
+    """The one-pass check passes where the per-atom fiber loop finds no
+    missed weight, and otherwise names the atom and mass it finds, on
+    weights in sixteenths and float tolerances given as an int, a float or a
+    Fraction; the target's `weights` are not read."""
     n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
     cuts = sorted(data.draw(st.lists(st.integers(0, 16), min_size=n - 1, max_size=n - 1)))
     qs = [F(b - a, 16) for a, b in zip([0, *cuts], [*cuts, 16])]
@@ -720,17 +743,9 @@ def test_pushforward_check_matches_the_old_check(backend, data):
     spell = float if backend == scalar.FLOAT else str
     src = make_space(range(n), [spell(q) for q in qs], backend=backend, tol=tol)
     dst = make_space(["p%d" % c for c in range(m)], [spell(q) for q in pushed], backend, tol)
-    outcomes = []
-    for check in (finprob._check_pushforward, oracles.check_pushforward_literal):
-        try:
-            check(src, dst, images)
-        except errors.CatprobError as exc:
-            outcomes.append((type(exc), str(exc)))
-        else:
-            outcomes.append(None)
-        if check is finprob._check_pushforward:
-            assert dst._weights is None or backend == scalar.FLOAT
-    assert outcomes[0] == outcomes[1]
+    got = _checked(src, dst, images)
+    assert dst._weights is None or backend == scalar.FLOAT
+    assert got == _fiber_fault(src, dst, images)
 
 
 @pytest.mark.parametrize(
@@ -747,13 +762,7 @@ def test_an_int_tol_bounds_the_gap_by_value(src_weights, dst_weights, tol, messa
     weights summing to 1 within a wide tol, a gap can exceed it."""
     src = make_space(range(len(src_weights)), src_weights, scalar.FLOAT, tol)
     dst = make_space(["p0", "p1"], dst_weights, scalar.FLOAT, tol)
-    for check in (finprob._check_pushforward, oracles.check_pushforward_literal):
-        try:
-            check(src, dst, (0,))
-        except errors.NotMeasurePreserving as exc:
-            assert str(exc) == message
-        else:
-            assert message is None
+    assert _checked(src, dst, (0,)) == _fiber_fault(src, dst, (0,)) == message
 
 
 @pytest.mark.parametrize("backend", scalar.BACKENDS)

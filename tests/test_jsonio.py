@@ -3,7 +3,6 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -352,23 +351,70 @@ def test_metric_space_encodings_are_pinned(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == _METRIC_ENCODINGS[name], name
 
 
-# -- read and written by position: the label-keyed copies as the yardstick ------------
+# -- read and written by position, against the schema written out -------------------
 
-#: kind -> (new decoder, new encoder, the label-keyed copies of both)
+#: kind -> (decoder, encoder)
 _KINDS = {
-    "space": (jsonio.space_from_obj, jsonio.space_to_obj,
-              oracles.space_from_obj_by_label, oracles.space_to_obj_by_label),
-    "map": (jsonio.map_from_obj, jsonio.map_to_obj,
-            oracles.map_from_obj_by_label, oracles.map_to_obj_by_label),
-    "diagram": (jsonio.diagram_from_obj, jsonio.diagram_to_obj,
-                oracles.diagram_from_obj_by_label, oracles.diagram_to_obj_by_label),
-    "martingale": (jsonio.martingale_from_obj, jsonio.martingale_to_obj,
-                   oracles.martingale_from_obj_by_label, oracles.family_to_obj_by_label),
-    "measure family": (jsonio.measure_family_from_obj, jsonio.measure_family_to_obj,
-                       oracles.measure_family_from_obj_by_label, oracles.family_to_obj_by_label),
-    "metric": (jsonio.metspace_from_obj, jsonio.metspace_to_obj,
-               jsonio.metspace_from_obj, jsonio.metspace_to_obj),
+    "space": (jsonio.space_from_obj, jsonio.space_to_obj),
+    "map": (jsonio.map_from_obj, jsonio.map_to_obj),
+    "diagram": (jsonio.diagram_from_obj, jsonio.diagram_to_obj),
+    "martingale": (jsonio.martingale_from_obj, jsonio.martingale_to_obj),
+    "measure family": (jsonio.measure_family_from_obj, jsonio.measure_family_to_obj),
+    "metric": (jsonio.metspace_from_obj, jsonio.metspace_to_obj),
 }
+
+
+def _label(a):
+    """A label as JSON writes it: a tuple as an array."""
+    return [_label(x) for x in a] if isinstance(a, tuple) else a
+
+
+def _read_label(j):
+    """A label as JSON reads it back: an array as a tuple."""
+    return tuple(_read_label(x) for x in j) if isinstance(j, list) else j
+
+
+def _space_document(s):
+    weights = [scalar.to_json(w) for w in s.weights]
+    return {"atoms": [_label(a) for a in s.atoms], "weights": weights, "backend": s.backend, "tol": s.tol}
+
+
+def _assign_document(m):
+    return {str(a): _label(m.assign[a]) for a in m.src.atoms}
+
+
+def _diagram_document(d):
+    rank = {e: t for t, e in enumerate(d.elements)}
+    pairs = sorted(((i, j) for i, j in d.leq if i != j), key=lambda p: (rank[p[0]], rank[p[1]]))
+    return {
+        "elements": [_label(e) for e in d.elements],
+        "leq": [[_label(i), _label(j)] for i, j in pairs],
+        "spaces": {str(e): _space_document(d.spaces[e]) for e in d.elements},
+        "connect": [{"lo": _label(i), "hi": _label(j), "assign": _assign_document(d.connect[(i, j)])} for i, j in pairs],
+        "top": None if d.top is None else _label(d.top),
+    }
+
+
+def _document(kind, x):
+    """The document the schema gives for `x`, from its public attributes: each
+    label as written, each scalar by `scalar.to_json`, a diagram's pairs of the
+    closed order ranked by element position, reflexive ones left out."""
+    if kind == "space":
+        return _space_document(x)
+    if kind == "map":
+        return {"src": _space_document(x.src), "dst": _space_document(x.dst), "assign": _assign_document(x)}
+    if kind == "diagram":
+        return _diagram_document(x)
+    if kind == "metric":
+        return {"points": [_label(p) for p in x.points], "dist": [[scalar.to_json(v) for v in r] for r in x.dist],
+                "tol": x.tol}
+    tables = {i: x.family[i].values if kind == "martingale" else x.family[i].mass for i in x.diagram.elements}
+    return {
+        "diagram": _diagram_document(x.diagram),
+        "family": {str(i): [scalar.to_json(v) for v in t] for i, t in tables.items()},
+        "bound": scalar.to_json(x.bound),
+    }
+
 
 #: label kinds for n atoms, points or elements; "range" keeps a space over range(n)
 _LABELS = {
@@ -429,17 +475,10 @@ def _comparable(x):
     return (x.diagram, dict(x.family), x.bound) if hasattr(x, "family") else x
 
 
-def _by_label(decode, doc):
-    """`decode(doc)` with every user table parsed per entry, as before."""
-    with mock.patch.object(scalar, "coerce_scaled", oracles.coerce_scaled_per_entry), \
-            mock.patch.object(metcat, "_coerce_table", oracles.coerce_table_per_entry):
-        return decode(doc)
-
-
-def _outcome(decode, encode, doc, by_label=False):
+def _outcome(decode, encode, doc):
     """("error", text, type of the cause), or ("value", the value, its encoding)."""
     try:
-        x = _by_label(decode, copy.deepcopy(doc)) if by_label else decode(copy.deepcopy(doc))
+        x = decode(copy.deepcopy(doc))
     except errors.ParseError as exc:
         return "error", str(exc), type(exc.__cause__)
     return "value", _comparable(x), json.dumps(encode(x), indent=2, sort_keys=True)
@@ -447,30 +486,57 @@ def _outcome(decode, encode, doc, by_label=False):
 
 @settings(max_examples=250, deadline=None)
 @given(labelled_values())
-def test_valid_documents_read_and_write_as_before(case):
+def test_valid_documents_write_the_schema_and_read_back(case):
     kind, x = case
-    decode, encode, old_decode, old_encode = _KINDS[kind]
+    decode, encode = _KINDS[kind]
     text = json.dumps(encode(x), indent=2, sort_keys=True)
-    assert text == json.dumps(old_encode(x), indent=2, sort_keys=True)
+    assert text == json.dumps(_document(kind, x), indent=2, sort_keys=True)
     doc = json.loads(text)
-    new = _outcome(decode, encode, doc)
-    assert new == _outcome(old_decode, old_encode, doc, by_label=True)
-    assert new == ("value", _comparable(x), text)
-    if kind == "metric":  # the table's literals, parsed once each and per entry
+    assert _outcome(decode, encode, doc) == ("value", _comparable(x), text)
+    if kind == "metric":  # the table's literals, parsed once each, by value
         n, backend = len(doc["points"]), x.backend
-        got = metcat._coerce_table(doc["dist"], n, backend)
-        assert got == oracles.coerce_table_per_entry(doc["dist"], n, backend)
+        den, rows = metcat._coerce_table(doc["dist"], n, backend)
+        for row, entries in zip(rows, doc["dist"]):
+            for v, entry in zip(row, entries):
+                assert v is INF if entry == "inf" else scalar.divider(backend)(v, den) == scalar.coerce(entry, backend)
+
+
+def _maps_of(kind, x, doc):
+    """Each map a decoded value holds, with the `assign` object it was read from."""
+    if kind == "map":
+        return [(x, doc["assign"])]
+    d, diagram_doc = (x, doc) if kind == "diagram" else (x.diagram, doc["diagram"])
+    return [
+        (d.connect[(_read_label(e["lo"]), _read_label(e["hi"]))], e["assign"]) for e in diagram_doc["connect"]
+    ]
+
+
+def _reads_as_written(kind, x, doc):
+    """A decoded map holds what its `assign` object says, key by key and image
+    by image (an image equal to its label, as `true` is to 1), on spaces of
+    one backend, and preserves measure."""
+    for m, table in _maps_of(kind, x, doc):
+        assert m.src.backend == m.dst.backend
+        assert sorted(table) == sorted(map(str, m.src.atoms))
+        for a in m.src.atoms:
+            assert _read_label(table[str(a)]) == m.assign[a]
+        assert oracles.pushforward_mismatch_literal(m.src, m.dst, m.assign) is None
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_faulty_documents_fail_as_before(data):
-    """A document with one value replaced reads to an equal value with the same
-    bytes, or fails with the copy's text and cause."""
+def test_faulty_documents_fail_or_read_back(data):
+    """A document with one value replaced fails with a ParseError, or reads to
+    a value that writes a document reading back to it, with the same bytes,
+    whose maps hold what their `assign` objects say."""
     kind, x = data.draw(labelled_values())
-    decode, encode, old_decode, old_encode = _KINDS[kind]
+    decode, encode = _KINDS[kind]
     doc = data.draw(mutated(json.loads(json.dumps(encode(x)))))
-    assert _outcome(decode, encode, doc) == _outcome(old_decode, old_encode, doc, by_label=True)
+    got = _outcome(decode, encode, doc)
+    if got[0] == "value":
+        assert _outcome(decode, encode, json.loads(got[2])) == got
+        if kind not in ("space", "metric"):
+            _reads_as_written(kind, decode(copy.deepcopy(doc)), doc)
 
 
 #: images that are not a target label as written, or only equal to one
@@ -509,11 +575,14 @@ def faulty_assign_documents(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(faulty_assign_documents())
-def test_faulty_assign_objects_fail_as_before(case):
-    """Each fault an `assign` object can hold reads as the label route read it."""
+def test_faulty_assign_objects_fail_or_read_as_written(case):
+    """Each fault an `assign` object can hold fails with a ParseError, or the
+    document reads to maps that hold what their `assign` objects say."""
     kind, doc = case
-    decode, encode, old_decode, old_encode = _KINDS[kind]
-    assert _outcome(decode, encode, doc) == _outcome(old_decode, old_encode, doc, by_label=True)
+    decode, encode = _KINDS[kind]
+    got = _outcome(decode, encode, doc)
+    if got[0] == "value":
+        _reads_as_written(kind, decode(copy.deepcopy(doc)), doc)
 
 
 @pytest.mark.parametrize("backend", scalar.BACKENDS)
@@ -560,16 +629,15 @@ def test_range_labelled_family_reads_by_position(monkeypatch):
 
 
 @pytest.mark.parametrize("extra", [None, "x"])
-def test_labels_that_print_alike_fail_as_before(extra):
+def test_labels_that_print_alike_are_ambiguous(extra):
     """Atoms 1 and "1" are two labels, but one key: the map's object is
     ambiguous, also when a third key makes up the count."""
     src = make_space([0, 1, "1"], ["1/4", "1/4", "1/2"])
     m = make_map(src, uniform_space(1), {0: 0, 1: 0, "1": 0})
     doc = jsonio.map_to_obj(m)
-    assert doc == oracles.map_to_obj_by_label(m)
+    assert doc == _document("map", m)
     if extra:
         doc["assign"][extra] = 0
-    new = _outcome(jsonio.map_from_obj, jsonio.map_to_obj, doc)
-    old = _outcome(oracles.map_from_obj_by_label, oracles.map_to_obj_by_label, doc, by_label=True)
-    assert new == old
-    assert new == ("error", "map.assign: ambiguous label '1'", type(None))
+    assert _outcome(jsonio.map_from_obj, jsonio.map_to_obj, doc) == (
+        "error", "map.assign: ambiguous label '1'", type(None)
+    )

@@ -8,15 +8,16 @@ entry; one for a scalar; none for a valid map's check or for `as_equal`, at
 most one for `max_value`; and no Fraction comparison at all in a kernel or
 in building a space, random variable or measure from valid input.  The
 value types keep their tables in scaled form, whichever path built them, and
-their one construction route stores or raises what the old two did.  The
-metric constructions on exact tables build no Fraction either, until a
+their one construction route stores or raises what the definition gives.
+The metric constructions on exact tables build no Fraction either, until a
 distance is read.  The dyadic path's shortcuts (an exact fold by `sum`, a
 one-den `ratios`, unit weights left out, step images by sorting) give the
-old fold's, rescale's, weighting's and `zip` build's values to the bit.
+left fold's, the ratios' and the per-atom loops' values to the bit.
 """
 import contextlib
 import io
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -52,7 +53,6 @@ from catprob.metcat import (
 )
 from catprob.finrv import (
     FiniteRandomVariable,
-    _cross_integral,
     _cross_moment,
     _mean_square_diff,
     cond_exp,
@@ -73,8 +73,12 @@ KERNELS = {
         lambda c: pushforward(c.mu, c.map),
         lambda c: oracles.pushforward_literal(c.mu.mass, c.map),
     ),
-    "l1_distance": (lambda c: l1_distance(c.f, c.g), lambda c: oracles.l1_literal(c.f, c.g)),
-    "tv_distance": (lambda c: tv_distance(c.mu, c.nu), lambda c: oracles.tv_literal(c.mu, c.nu)),
+    "l1_distance": (
+        lambda c: l1_distance(c.f, c.g), lambda c: oracles.l1_literal(c.space, c.f.values, c.g.values)
+    ),
+    "tv_distance": (
+        lambda c: tv_distance(c.mu, c.nu), lambda c: oracles.tv_literal(c.space, c.mu.mass, c.nu.mass)
+    ),
     "expectation": (lambda c: expectation(c.f), lambda c: oracles.expectation_literal(c.f)),
     "second_moment": (
         lambda c: second_moment(c.f),
@@ -375,39 +379,35 @@ def test_both_constructors_word_a_bad_entry_alike(backend, data):
             assert str(info.value) == want
 
 
-def _outcome(build, space, *args):
-    """A construction's error by type and text, or what it stores: the scaled
-    form and the table, each entry by type and value (a float by its bits)."""
+def _outcome(build, space, entries, measure):
+    """A construction's error by type and text, or its table, each entry by
+    type and value (a float by its bits); a built table's scaled form must
+    be the canonical form of that table."""
     try:
-        got = build(space, *args)
+        got = build(space, entries)
     except Exception as exc:
         return type(exc), str(exc)
-    if isinstance(got, tuple):  # an oracle's (table, scaled form)
-        table, (den, nums) = got
-    else:
-        table, (den, nums) = _table(got), got._scaled
-    return type(table), [_bits(x) for x in table], den, type(nums), [_bits(n) for n in nums]
-
-
-#: type -> (its old `__init__`, its old `_from_scaled`), copied in `oracles.py`
-_OLD_ROUTES = {
-    FiniteRandomVariable: (oracles.rv_init_literal, oracles.rv_from_scaled_literal),
-    FiniteMeasure: (oracles.measure_init_literal, oracles.measure_from_scaled_literal),
-}
+    if isinstance(got, list):  # the oracle's table
+        return [_bits(x) for x in got]
+    table = _table(got)
+    _keeps_scaled_form(got, table)
+    return [_bits(x) for x in table]
 
 
 @pytest.mark.parametrize("backend", scalar.BACKENDS)
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_one_route_matches_the_old_constructors(backend, data):
+def test_one_route_builds_what_the_definition_gives(backend, data):
     """`__init__` on a list or a dict, and `_from_scaled` on a kernel's form,
-    store or raise what the old constructors did: with null atoms, a negative
-    entry, mass on a null atom, -0.0, and every input type a scalar may have."""
+    store what `oracles.atom_table_literal` reads, or raise its first fault:
+    with null atoms, a negative entry, mass on a null atom, -0.0, and every
+    input type a scalar may have."""
     case = data.draw(cases(backend))
     space, draw = case.space, data.draw
     idx = st.integers(0, space.size - 1)
-    nulls = [i for i, w in enumerate(space._scaled[1]) if not w]
+    nulls = [i for i, w in enumerate(space.weights) if not w]
     for cls, given_ in ((FiniteRandomVariable, case.f.values), (FiniteMeasure, case.mu.mass)):
+        measure = cls is FiniteMeasure
         table = list(given_)
         for fault in draw(st.lists(st.sampled_from(["negative", "null", "-0.0", "text"]), max_size=3)):
             i = draw(idx)
@@ -420,19 +420,20 @@ def test_one_route_matches_the_old_constructors(backend, data):
             elif fault == "text":  # "num/den", or an int, as a user may write it
                 q = F(table[i])
                 table[i] = "%d/%d" % (q.numerator, q.denominator) if q.denominator > 1 else int(q)
+        entries = table
         if draw(st.booleans()):
             table = dict(zip(space.atoms, table))
-        old_init, old_from_scaled = _OLD_ROUTES[cls]
-        assert _outcome(cls, space, table) == _outcome(old_init, space, table)
-        values = table.values() if isinstance(table, dict) else table
-        den, nums = scalar.scaled([scalar.coerce(v, backend) for v in values], backend)
+        want = _outcome(lambda sp, t: oracles.atom_table_literal(sp, t, measure), space, entries, measure)
+        assert _outcome(cls, space, table, measure) == want
+        den, nums = scalar.scaled([scalar.coerce(v, backend) for v in entries], backend)
         k = draw(st.integers(1, 6))  # a kernel's form need not be in lowest terms
         nums = [n * k for n in nums] if backend == scalar.EXACT else [
             0 if n == 0 and draw(st.booleans()) else n for n in nums  # the int 0 of an empty fiber
         ]
         den *= k if backend == scalar.EXACT else 1
-        got = _outcome(cls._from_scaled, space, den, list(nums))
-        assert got == _outcome(old_from_scaled, space, den, list(nums))
+        ratios = [scalar.divider(backend)(n, den) for n in nums]
+        want = _outcome(lambda sp, t: oracles.atom_table_literal(sp, t, measure), space, ratios, measure)
+        assert _outcome(lambda sp, t: cls._from_scaled(sp, den, list(nums)), space, None, measure) == want
 
 
 def test_string_tables_build_no_fraction():
@@ -537,16 +538,10 @@ def test_hashing_an_exact_metric_space_builds_no_fraction():
         assert hash(space) == hash((space.points, space.dist))
 
 
-# -- the dyadic path's shortcuts against the old fold, ratios, weighting and images --
+# -- the dyadic path's shortcuts against the fold, the ratios and the per-atom loops --
 
 #: floats whose sums a compensated `sum` would round otherwise, and both zeros
 _FLOATS = st.sampled_from([-0.0, 0.0, 0.1, 1 / 3, 0.5, 1.0, 2.5, 7.0, 1e-300, 1e16, -1e16])
-
-
-def _form_bits(form):
-    """A scaled form or an integral's pair, by its entries' bits."""
-    first, rest = form
-    return _bits(first), type(rest), [_bits(x) for x in rest] if isinstance(rest, (list, tuple)) else _bits(rest)
 
 
 @pytest.mark.parametrize("backend", [scalar.EXACT, scalar.FLOAT, None])
@@ -572,18 +567,23 @@ def test_float_total_is_the_uncompensated_fold():
 @pytest.mark.parametrize("backend", scalar.BACKENDS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_ratios_match_the_rescale(backend, data):
-    """Dens all equal to their lcm, or differing under one lcm (2, 3 and 6 under 6)."""
+def test_ratios_are_the_ratios_over_the_lcm(backend, data):
+    """Dens all equal to their lcm, or differing under one lcm (2, 3 and 6
+    under 6): each num over its den, exact over the lcm, floats by bits."""
     top = data.draw(st.sampled_from([1, 6, 12, 64]))
     size = data.draw(st.integers(1, 12))
     divisors = st.sampled_from([d for d in range(1, top + 1) if top % d == 0])
     dens = data.draw(st.one_of(st.just([top] * size), st.lists(divisors, min_size=size, max_size=size)))
     num = st.integers(0, 10**9) if backend == scalar.EXACT else _FLOATS
     nums = data.draw(st.lists(num, min_size=size, max_size=size))
-    got = scalar.ratios(nums, dens, backend)
-    assert _form_bits(got) == _form_bits(oracles.ratios_rescale_literal(nums, dens, backend))
-    if backend == scalar.EXACT and len(set(dens)) == 1:
-        assert got[1] is nums  # one den: no rescaled copy
+    den, got = scalar.ratios(nums, dens, backend)
+    if backend == scalar.EXACT:
+        assert den == math.lcm(*dens) and all(type(n) is int for n in got)
+        assert [F(n, den) for n in got] == [F(n, d) for n, d in zip(nums, dens)]
+        if len(set(dens)) == 1:
+            assert got is nums  # one den: no rescaled copy
+    else:
+        assert den == 1 and [_bits(x) for x in got] == [_bits(n / d) for n, d in zip(nums, dens)]
 
 
 @st.composite
@@ -606,7 +606,9 @@ def unit_weight_cases(draw, backend):
     for a, b in enumerate(images):
         pushed[b] += src.weights[a]
     s = MeasurePreservingMap(src, FiniteProbSpace(range(k), pushed, backend=backend), dict(enumerate(images)))
-    value = st.fractions(0, 40, max_denominator=12) if exact else _FLOATS.filter(lambda x: x >= 0)  # -0.0 too
+    # the fractions in [0, 40] with dens up to 12, drawn without `st.fractions`' slow flatmap
+    fraction = st.builds(lambda n, d: F(n % (40 * d + 1), d), st.integers(0, 480), st.integers(1, 12))
+    value = fraction if exact else _FLOATS.filter(lambda x: x >= 0)  # -0.0 too
     f, g = (FiniteRandomVariable(src, draw(st.lists(value, min_size=n, max_size=n))) for _ in "fg")
     return s, f, g
 
@@ -614,20 +616,19 @@ def unit_weight_cases(draw, backend):
 @pytest.mark.parametrize("backend", scalar.BACKENDS)
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_unit_weights_and_one_den_ratios_match_the_weighted_bodies(backend, data):
-    """`cond_exp` and `_cross_integral` give the old weighted bodies' forms, to the bit."""
+def test_unit_weights_and_one_den_ratios_match_the_literal_loops(backend, data):
+    """`cond_exp` and the cross moments give the per-atom loops' values, to the bit."""
     s, f, g = data.draw(unit_weight_cases(backend))
     ws = s.src._scaled[1]
     assert (ws.count(1) == len(ws)) is (backend == scalar.EXACT or s.src.size == 1)
     for x in (f, g):
-        got, want = cond_exp(x, s), oracles.cond_exp_weighted_literal(x, s)
-        assert _form_bits(got._scaled) == _form_bits(want._scaled)
+        assert _same(list(cond_exp(x, s).values), oracles.cond_exp_literal(x, s))
     for x, y in ((f, f), (f, g), (g, f)):
-        assert _form_bits(_cross_integral(x, y)) == _form_bits(oracles.cross_integral_weighted_literal(x, y))
+        assert _same(_cross_moment(x, y), oracles.cross_moment_literal(s.src, x.values, y.values))
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 5, 9, 12])
-def test_dyadic_step_images_match_the_zip_build(depth):
+def test_dyadic_step_images_send_each_cell_to_its_parent(depth):
     d, _, _ = dyadic_experiment(DyadicGround([0, F(1, 2), 1], [0, 1, 0]), depth)
     for t in range(depth):
-        assert d.connect[(t, t + 1)]._images == oracles.step_images_literal(1 << t)
+        assert d.connect[(t, t + 1)]._images == tuple(k // 2 for k in range(2 << t))

@@ -2,12 +2,13 @@ import itertools
 import random
 import sys
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catprob import errors
+from catprob import errors, metcat, scalar
 from catprob.metcat import (
     INF,
     FinPseudometricSpace,
@@ -291,6 +292,25 @@ class TestProduct:
         p = product([two_point(F(1)), two_point(F(3))])
         d = p.distance(("p", "p"), ("q", "q"))
         assert d == F(3)
+
+    def test_too_many_points_raise_before_any_cell_is_built(self, monkeypatch):
+        """Seven 10-point factors would give 10**7 points: the guard raises
+        first, so `itertools.product` is never reached."""
+        line = FinPseudometricSpace(range(10), [[abs(i - j) for j in range(10)] for i in range(10)])
+        monkeypatch.setattr(metcat, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("a cell was built")))
+        with pytest.raises(errors.ProductTooLarge) as caught:
+            product([line] * 7)
+        assert str(caught.value) == "product would have more than 1000000 points"
+
+    def test_product_and_tensor_share_the_guard(self, monkeypatch):
+        monkeypatch.setattr(metcat, "MAX_PRODUCT_POINTS", 3)
+        x, one = two_point(F(1)), FinPseudometricSpace(["*"], [[0]])
+        three = FinPseudometricSpace("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        assert product([three, one]).size == tensor(three, one).size == 3
+        for build, what in ((lambda: product([x, x]), "product"), (lambda: tensor(x, x), "tensor")):
+            with pytest.raises(errors.ProductTooLarge) as caught:
+                build()
+            assert str(caught.value) == "%s would have more than 3 points" % what
 
     def test_one_point_factor_is_isometric(self):
         x = two_point(F(2))
@@ -625,7 +645,7 @@ class TestScaleAndReflection:
         assert completion(x) is x
 
 
-# -- positional maps against copies of the old label-keyed ones ---------------------
+# -- positional maps against the definition of a map --------------------------------
 
 
 def _built(build, *args):
@@ -640,19 +660,16 @@ def _typed(pairs):
     return [(type(a), a, type(b), b) for a, b in pairs]
 
 
-def _same_map(new, old):
-    """The same table, in order and by type, and the same repr."""
-    assert _typed(new.assign.items()) == _typed(old.assign.items())
-    assert dict(new.assign) == dict(old.assign) and repr(new) == repr(old)
-    assert (new.src, new.dst) == (old.src, old.dst)
+def _holds(m, table, src, dst):
+    """`m` maps `src` to `dst` and holds `table` ({source point: target
+    point}), in source order and by type, with the repr that names it."""
+    assert (m.src, m.dst) == (src, dst)
+    assert _typed(m.assign.items()) == _typed(table.items())
+    assert dict(m.assign) == table and repr(m) == "LipschitzMap(%r)" % (table,)
 
 
-def _same_space(new, old):
-    assert (new.points, new.dist, new.tol) == (old.points, old.dist, old.tol)
-
-
-def _old(m):
-    return oracles.OldLipschitzMap(m.src, m.dst, m.assign)
+def _class_of(classes):
+    return {p: c for c in classes for p in c}
 
 
 _FAULTS = ["missing", "unknown", "unhashable", "unhashable-inside", "outside", "moved"]
@@ -661,10 +678,11 @@ _FAULTS = ["missing", "unknown", "unhashable", "unhashable-inside", "outside", "
 @pytest.mark.parametrize("tol", [0, 1e-9])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_positional_lipschitz_maps_match_the_old_label_maps(tol, data):
-    """A map built from an assignment, with up to three faults, raises or
-    stores what the old label-keyed map did, and compares as it did; the
-    identity, composites and the constructions' maps are the old ones."""
+def test_positional_lipschitz_maps_hold_what_the_definition_gives(tol, data):
+    """A map built from an assignment, with up to three faults, raises the
+    first fault of `oracles.map_literal` or holds its table, and compares by
+    it; the identity, composites and the constructions' maps hold the tables
+    their definitions give."""
     draw = data.draw
     x, y, z = (draw(metric_spaces(tol)) for _ in "xyz")
     rng = random.Random(draw(st.integers(0, 2**16)))
@@ -685,43 +703,51 @@ def test_positional_lipschitz_maps_match_the_old_label_maps(tol, data):
         else:  # another target point: 1-Lipschitz only by chance
             assign[p] = draw(st.sampled_from(y.points))
     new = _built(LipschitzMap, x, y, assign)
-    old = _built(oracles.OldLipschitzMap, x, y, assign)
-    if isinstance(old, tuple):
-        assert new == old
+    table = _built(oracles.map_literal, x, y, assign, oracles.LIPSCHITZ_WORDS)
+    if isinstance(table, tuple):
+        assert new == table
         return
-    _same_map(new, old)
+    _holds(new, table, x, y)
     g = rand_lipschitz_map(rng, x, y)
-    for a, b, old_a, old_b in ((new, g, old, _old(g)), (g, new, _old(g), old)):
-        assert (a == b) is (old_a == old_b)
+    assert (new == g) is (g == new) is (dict(g.assign) == table)
     ident = identity_lipschitz(x)
-    _same_map(ident, oracles.identity_lipschitz_literal(x))
+    _holds(ident, {p: p for p in x.points}, x, x)
     step = rand_lipschitz_map(rng, y, z)
-    _same_map(compose_lipschitz(new, step), oracles.compose_lipschitz_literal(old, _old(step)))
-    _same_map(compose_lipschitz(ident, new), oracles.compose_lipschitz_literal(_old(ident), old))
+    _holds(compose_lipschitz(new, step), {p: step.assign[table[p]] for p in x.points}, x, z)
+    _holds(compose_lipschitz(ident, new), table, x, y)
     sub, incl = equalizer(new, g)
-    old_sub, old_incl = oracles.old_equalizer(old, _old(g))
-    _same_space(sub, old_sub)
-    _same_map(incl, old_incl)
+    keep = [p for p in x.points if table[p] == g.assign[p]]
+    assert (sub.points, sub.tol) == (tuple(keep), x.tol)
+    assert sub.dist == tuple(tuple(x.distance(p, q) for q in keep) for p in keep)
+    _holds(incl, {p: p for p in keep}, sub, x)
     res = coequalizer(new, g)
-    members, proj = oracles.old_coequalizer(old, _old(g), res.space)
-    assert res.space.points == tuple(members)
-    _same_map(res.projection, proj)
+    classes = oracles.classes_literal(y.points, [(y.points.index(table[p]), y.points.index(g.assign[p])) for p in x.points])
+    assert res.space.points == tuple(classes)
+    _holds(res.projection, {q: _class_of(classes)[q] for q in y.points}, y, res.space)
     # beside y, a space whose classes interleave: (u, p) ~ (v, p) at distance 0
     pair = FinPseudometricSpace(["u", "v"], [[0, 0], [0, 0]], tol=tol)
     for space in (y, tensor(pair, y)):
         quot, proj = metric_reflection(space)
-        members, old_proj = oracles.old_metric_reflection(space, quot)
-        assert quot.points == tuple(members)
-        _same_map(proj, old_proj)
-    h = rand_lipschitz_map(rng, tensor(x, y), z)
+        n = space.size
+        zero = [(i, j) for i in range(n) for j in range(i + 1, n) if scalar.eq(space.dist[i][j], 0, space.tol)]
+        classes = oracles.classes_literal(space.points, zero)
+        assert quot.points == tuple(classes)
+        _holds(proj, {q: _class_of(classes)[q] for q in space.points}, space, quot)
+    xy = tensor(x, y)
+    h = rand_lipschitz_map(rng, xy, z)
     res = curry(h, x, y)
-    per, space, outer = oracles.old_curry(_old(h), x, y)
-    assert list(res.per_point) == list(per)
+    assert list(res.per_point) == list(x.points)
     for p in x.points:
-        _same_map(res.per_point[p], per[p])
-    _same_space(res.hom_result.space, space)
-    _same_map(res.outer, outer)
-    _same_map(uncurry(res.per_point, x, y), oracles.old_uncurry(per, x, y))
+        _holds(res.per_point[p], {q: h.assign[(p, q)] for q in y.points}, y, z)
+    maps = [res.per_point[p] for p in x.points]
+    hom_space = res.hom_result.space
+    assert (hom_space.points, hom_space.tol) == (tuple(range(x.size)), z.tol)
+    assert hom_space.dist == tuple(
+        tuple(0 if i == j else oracles.hom_distance_literal(f_i, f_j)[0] for j, f_j in enumerate(maps))
+        for i, f_i in enumerate(maps)
+    )
+    _holds(res.outer, {p: i for i, p in enumerate(x.points)}, x, hom_space)
+    _holds(uncurry(res.per_point, x, y), dict(h.assign), xy, z)
 
 
 def test_equal_lipschitz_maps_hash_alike():
@@ -785,7 +811,7 @@ def test_a_lipschitz_call_reads_one_image_and_builds_no_assign(seed):
         assert calls == [h.assign[p] for p in h.src.points]
 
 
-# -- tables held as scaled ints, against a copy of the old space ---------------------
+# -- tables held as scaled ints, against the definition of a metric space ----------
 
 
 @pytest.mark.parametrize("tol", [0, 1e-9])
@@ -856,54 +882,22 @@ def _bits(x):
     return type(x), x.hex() if type(x) is float else x
 
 
-def _same_table(new, old):
-    """The same reads, one entry or the whole table, by type and bits, and
-    the same points, size and repr; INF is the one object."""
-    for p in old.points:
-        for q in old.points:
-            assert _bits(new.distance(p, q)) == _bits(old.distance(p, q))
-    assert _built(new.distance, "nowhere", 0) == _built(old.distance, "nowhere", 0)
-    assert [list(map(_bits, r)) for r in new.dist] == [list(map(_bits, r)) for r in old.dist]
+def _same_table(new, points, table, tol):
+    """`new` is the space on `points` with `table`: the same reads, one entry
+    or the whole table, by type and bits, its size and repr; INF is the one
+    object.  The table's entries are read as distances on tol's backend."""
+    backend = scalar.EXACT if tol == 0 else scalar.FLOAT
+    table = [[INF if d == INF else scalar.coerce(d, backend) for d in row] for row in table]
+    for p, row in zip(points, table):
+        for q, d in zip(points, row):
+            assert _bits(new.distance(p, q)) == _bits(d)
+    assert _built(new.distance, "nowhere", 0) == (errors.DomainMismatch, "points 'nowhere', 0: not both in the space")
+    assert [list(map(_bits, r)) for r in new.dist] == [list(map(_bits, r)) for r in table]
     assert all(v is INF for row in new.dist for v in row if v == INF)
-    assert (new.points, new.size, new.tol, repr(new)) == (old.points, old.size, old.tol, repr(old))
-    again = FinPseudometricSpace(old.points, old.dist, tol=old.tol)  # a user's table: lowest terms
+    assert (new.points, new.size, new.tol) == (tuple(points), len(points), tol)
+    assert repr(new) == "FinPseudometricSpace(points=%r)" % (tuple(points),)
+    again = FinPseudometricSpace(points, table, tol=tol)  # a user's table: lowest terms
     assert new == again and hash(new) == hash(again) and new._scaled == again._scaled
-
-
-def _both(table, tol, points=None):
-    """A table built by the space and by the old space: each the object, or its error."""
-    points = ["p%d" % i for i in range(len(table))] if points is None else points
-    return (
-        _built(FinPseudometricSpace, points, table, tol),
-        _built(oracles.OldMetricSpace, points, table, tol),
-    )
-
-
-@pytest.mark.parametrize("tol", [0, 1e-9])
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_scaled_tables_match_the_old_space(tol, data):
-    """A user's table, with INF, ints, Fractions, "num/den" strings and up to
-    two defects, raises what the old space raised or reads as it read; `==`
-    against a second space, on either backend, agrees with the old `==`, and
-    equal spaces hash alike."""
-    table = data.draw(user_tables(tol))
-    new, old = _both(table, tol)
-    if _failed(old):
-        assert new == old
-        return
-    _same_table(new, old)
-    other_tol = data.draw(st.sampled_from([0, 1e-9]))
-    other = data.draw(st.one_of(st.just(table), user_tables(other_tol, defects=0)))
-    new2, old2 = _both(other, other_tol)
-    if _failed(old2):
-        assert new2 == old2
-        return
-    for a, b, old_a, old_b in ((new, new2, old, old2), (new2, new, old2, old)):
-        assert (a == b) is (old_a == old_b)
-        assert (a != b) is (old_a != old_b)
-    if new == new2:
-        assert hash(new) == hash(new2)
 
 
 def _failed(got):
@@ -911,98 +905,176 @@ def _failed(got):
     return isinstance(got, tuple) and isinstance(got[0], type) and issubclass(got[0], Exception)
 
 
+def _both(table, tol, points=None):
+    """A table's space and the definition's table: each the object, or its error."""
+    points = ["p%d" % i for i in range(len(table))] if points is None else points
+    return (
+        _built(FinPseudometricSpace, points, table, tol),
+        _built(oracles.metric_space_literal, points, table, tol),
+    )
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_scaled_tables_hold_what_the_definition_gives(tol, data):
+    """A user's table, with INF, ints, Fractions, "num/den" strings and up to
+    two defects, raises the first fault of `oracles.metric_space_literal` or
+    reads as its table; `==` against a second space, on either backend,
+    compares points and values, and equal spaces hash alike."""
+    table = data.draw(user_tables(tol))
+    new, want = _both(table, tol)
+    if _failed(want):
+        assert new == want
+        return
+    _same_table(new, new.points, want, tol)
+    other_tol = data.draw(st.sampled_from([0, 1e-9]))
+    other = data.draw(st.one_of(st.just(table), user_tables(other_tol, defects=0)))
+    new2, want2 = _both(other, other_tol)
+    if _failed(want2):
+        assert new2 == want2
+        return
+    equal = new.points == new2.points and want == want2
+    for a, b in ((new, new2), (new2, new)):
+        assert (a == b) is equal and (a != b) is not equal
+    if equal:
+        assert hash(new) == hash(new2)
+
+
 def _valid(draw, tol, min_points=0):
-    """A valid table's space and old space (a float table may overflow, both alike)."""
-    new, old = _both(draw(user_tables(tol, defects=0, min_points=min_points)), tol)
-    assert new == old if _failed(old) else not _failed(new)
-    assume(not _failed(old))
-    return new, old
+    """A valid table's space and its table (a float table may overflow, both alike)."""
+    new, table = _both(draw(user_tables(tol, defects=0, min_points=min_points)), tol)
+    assert new == table if _failed(table) else not _failed(new)
+    assume(not _failed(table))
+    return new, table
 
 
 def _images(draw, src, dst):
     """Image positions of a map src -> dst: random, or a constant one when
     those expand a pair (a constant map never does)."""
-    images = draw(st.lists(st.integers(0, dst.size - 1), min_size=src.size, max_size=src.size))
-    images = tuple(images)
-    try:
-        oracles.old_lipschitz_check(src, dst, images)
-    except errors.NotLipschitz:
+    images = tuple(draw(st.lists(st.integers(0, dst.size - 1), min_size=src.size, max_size=src.size)))
+    if _failed(_pair_check(src, dst, images)):
         return (draw(st.integers(0, dst.size - 1)),) * src.size
     return images
+
+
+def _pair_check(src, dst, images):
+    """None, or the first expanding pair's error as `oracles.map_literal` words it."""
+    table = {p: dst.points[i] for p, i in zip(src.points, images)}
+    got = _built(oracles.map_literal, src, dst, table, oracles.LIPSCHITZ_WORDS)
+    return got if _failed(got) else None
+
+
+def _shortest(table):
+    """Shortest-path distances over a table whose INF is no edge."""
+    d = [list(r) for r in table]
+    n = len(d)
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                if INF not in (d[i][m], d[m][j]) and d[i][m] + d[m][j] < d[i][j]:
+                    d[i][j] = d[i][m] + d[m][j]
+    return d
 
 
 @pytest.mark.parametrize("tol", [0, 1e-9])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_constructions_on_scaled_tables_match_the_old_ones(tol, data):
+def test_constructions_on_scaled_tables_hold_what_the_definitions_give(tol, data):
     """The pair check on any images (also across backends and across dens),
     and scale, equalizer, coequalizer (space, projection and gaps),
-    metric_reflection, hom and hom_distance, and curry and uncurry, raise
-    what the old code raised or build the old tables and image positions."""
+    metric_reflection, hom and hom_distance, and curry and uncurry, raise the
+    definition's first fault or build the tables and image positions their
+    definitions give."""
     draw = data.draw
-    t, old_t = _valid(draw, tol, min_points=1)
-    s, old_s = _valid(draw, draw(st.sampled_from([tol, 0, 1e-9])))
+    t, _ = _valid(draw, tol, min_points=1)
+    s, _ = _valid(draw, draw(st.sampled_from([tol, 0, 1e-9])))
     images = tuple(draw(st.lists(st.integers(0, t.size - 1), min_size=s.size, max_size=s.size)))
     got = _built(LipschitzMap._from_images, s, t, images)
-    old = _built(oracles.old_lipschitz_check, old_s, old_t, images)
-    assert (got if _failed(got) else None) == old
+    assert (got if _failed(got) else None) == _pair_check(s, t, images)
     r = draw(st.one_of(st.integers(-1, 4), st.sampled_from(["3/2", "0", "x", F(7, 3), 0.5, True])))
-    new, old = _built(scale, t, r), _built(oracles.old_metric_scale, old_t, r)
-    assert new == old if _failed(old) else _same_table(new, old) is None
-    s, old_s = _valid(draw, tol)
-    fi, gi = (_images(draw, old_s, old_t) for _ in "fg")
+    new = _built(scale, t, r)
+    factor = _built(scalar.coerce, r, t.backend)
+    if _failed(factor) or factor <= 0:
+        assert new == (factor if _failed(factor) else (ValueError, "scale factor must be positive"))
+    else:
+        want = _built(oracles.metric_space_literal, t.points,
+                      [[INF if d is INF else d * factor for d in row] for row in t.dist], t.tol)
+        assert new == want if _failed(want) else _same_table(new, t.points, want, t.tol) is None
+    s, _ = _valid(draw, tol)
+    fi, gi = (_images(draw, s, t) for _ in "fg")
     f, g = (LipschitzMap._from_images(s, t, i) for i in (fi, gi))
     sub, incl = equalizer(f, g)
-    old_sub, pos = oracles.old_metric_equalizer(old_s, fi, gi)
-    _same_table(sub, old_sub)
+    pos = tuple(i for i, (u, v) in enumerate(zip(fi, gi)) if u == v)
+    _same_table(sub, [s.points[i] for i in pos], [[s.dist[i][j] for j in pos] for i in pos], s.tol)
     assert incl._images == pos
     res = coequalizer(f, g)
-    quot, class_of, gaps = oracles.old_metric_coequalizer(old_t, fi, gi)
-    _same_table(res.space, quot)
-    assert res.projection._images == class_of
+    classes = oracles.classes_literal(t.points, zip(fi, gi))
+    where = {p: k for k, c in enumerate(classes) for p in c}
+    k = len(classes)
+    step = [[0 if a == b else INF for b in range(k)] for a in range(k)]
+    for p, row in zip(t.points, t.dist):
+        for q, d in zip(t.points, row):
+            a, b = where[p], where[q]
+            if a != b and d < step[a][b]:
+                step[a][b] = d
+    chain = _shortest(step)
+    _same_table(res.space, classes, chain, t.tol)
+    assert res.projection._images == tuple(where[p] for p in t.points)
+    gaps = oracles.one_step_gaps_literal(t, classes, chain)
     assert [(a, b, _bits(c), _bits(d)) for a, b, c, d in res.one_step_gaps] == [
         (a, b, _bits(c), _bits(d)) for a, b, c, d in gaps
     ]
     assert all(v is INF for gap in res.one_step_gaps for v in gap[2:] if v == INF)
     quot, proj = metric_reflection(t)
-    old_quot, class_of = oracles.old_metric_reflection_space(old_t)
-    _same_table(quot, old_quot)
-    assert proj._images == class_of
-    family = [fi, gi] + [_images(draw, old_s, old_t) for _ in range(draw(st.integers(0, 2)))]
-    hr = hom([LipschitzMap._from_images(s, t, i) for i in family])
-    _same_table(hr.space, oracles.old_metric_hom(old_s, old_t, family))
+    n = t.size
+    zero = [(i, j) for i in range(n) for j in range(i + 1, n) if scalar.eq(t.dist[i][j], 0, t.tol)]
+    classes = oracles.classes_literal(t.points, zero)
+    first = [t.points.index(c[0]) for c in classes]
+    _same_table(quot, classes, [[t.dist[i][j] for j in first] for i in first], t.tol)
+    where = {p: k for k, c in enumerate(classes) for p in c}
+    assert proj._images == tuple(where[p] for p in t.points)
+    family = [fi, gi] + [_images(draw, s, t) for _ in range(draw(st.integers(0, 2)))]
+    maps = [LipschitzMap._from_images(s, t, i) for i in family]
+    hr = hom(maps)
+    _same_table(hr.space, range(len(maps)), [
+        [0 if a is b else oracles.hom_distance_literal(a, b)[0] for b in maps] for a in maps
+    ], t.tol)
     d, witness = hom_distance(f, g)
-    old_d, old_witness = oracles.old_hom_distance(old_s, old_t, fi, gi)
-    assert (_bits(d), witness) == (_bits(old_d), old_witness)
-    x, old_x = _valid(draw, tol)
-    y, old_y = _valid(draw, tol)
-    xy, old_xy = tensor(x, y), oracles.old_metric_tensor(old_x, old_y)
-    _same_table(xy, old_xy)
+    want_d, want_witness = oracles.hom_distance_literal(f, g)
+    assert (_bits(d), witness) == (_bits(want_d), want_witness)
+    x, _ = _valid(draw, tol)
+    y, _ = _valid(draw, tol)
+    xy = tensor(x, y)
+    _same_table(xy, list(itertools.product(x.points, y.points)), oracles.tensor_table_literal(x, y), tol)
     # h's source: the tensor, the same table on the other backend, or another space
     other_tol = 1e-9 if tol == 0 else 0
-    sources = [(xy, old_xy), _both(old_xy.dist, other_tol, old_xy.points), _both(old_t.dist, tol)]
-    src, old_src = draw(st.sampled_from(sources))
-    if _failed(old_src):
-        assert src == old_src
+    sources = [xy, _both(xy.dist, other_tol, xy.points)[0], _both(t.dist, tol)[0]]
+    src = draw(st.sampled_from(sources))
+    if _failed(src):
         return
-    hi = _images(draw, old_src, old_t)
+    hi = _images(draw, src, t)
     h = LipschitzMap._from_images(src, t, hi)
     new = _built(curry, h, x, y)
-    old = _built(oracles.old_metric_curry, old_src, old_t, hi, old_x, old_y)
-    if _failed(old):
-        assert new == old
+    if src.points != xy.points or src.dist != xy.dist:
+        assert new == (errors.DomainMismatch, "map source is not the tensor of the given spaces")
         return
-    per, space = old
-    assert [m._images for m in new.per_point.values()] == per
-    _same_table(new.hom_result.space, space)
+    m = y.size
+    per = [tuple(hi[i * m:(i + 1) * m]) for i in range(x.size)]
+    faults = [_pair_check(y, t, images) for images in per]
+    if any(faults) or not x.size:
+        assert new == next((fault for fault in faults if fault), (ValueError, "hom needs at least one map"))
+        return
+    assert [p._images for p in new.per_point.values()] == per
+    members = list(new.per_point.values())
+    _same_table(new.hom_result.space, range(x.size), [
+        [0 if a is b else oracles.hom_distance_literal(a, b)[0] for b in members] for a in members
+    ], t.tol)
     assert new.outer._images == range(x.size)
     back = _built(uncurry, new.per_point, x, y)
-    old_back = _built(oracles.old_metric_uncurry, per, old_t, old_x, old_y)
-    if _failed(old_back):
-        assert back == old_back
-        return
-    _same_table(back.src, old_back[0])
-    assert back._images == old_back[1]
+    images = tuple(itertools.chain.from_iterable(per))
+    fault = _pair_check(xy, t, images)
+    assert back == fault if fault else (back.src, back._images) == (xy, images)
 
 
 @pytest.mark.parametrize(
@@ -1011,22 +1083,19 @@ def test_constructions_on_scaled_tables_match_the_old_ones(tol, data):
 )
 def test_the_pair_check_compares_across_dens(src_gap, dst_gap):
     """Two exact tables over different dens: a map expands exactly when the
-    old walk says so, with its message."""
+    pair loop says so, with its message."""
     src, dst = two_point(src_gap), two_point(dst_gap)
     got = _built(LipschitzMap._from_images, src, dst, (0, 1))
-    old = _built(oracles.old_lipschitz_check, src, dst, (0, 1))
-    assert (got if _failed(got) else None) == old
-    assert _failed(old) is (dst_gap > src_gap)
+    want = _pair_check(src, dst, (0, 1))
+    assert (got if _failed(got) else None) == want
+    assert _failed(want) is (dst_gap > src_gap)
 
 
 def test_float_reflection_collapses_pairs_within_tol():
     space = FinPseudometricSpace("abc", [[0, 1e-10, 1], [1e-10, 0, 1], [1, 1, 0]], tol=1e-9)
     quot, proj = metric_reflection(space)
-    old_quot, class_of = oracles.old_metric_reflection_space(
-        oracles.OldMetricSpace(space.points, space.dist, tol=space.tol)
-    )
-    _same_table(quot, old_quot)
-    assert proj._images == class_of == (0, 0, 1)
+    _same_table(quot, [("a", "b"), ("c",)], [[0, 1], [1, 0]], 1e-9)
+    assert proj._images == (0, 0, 1)
 
 
 #: 2^61 - 1 on 64-bit builds: a den it divides has no inverse in the hash rule

@@ -1,6 +1,8 @@
-"""The check suites against literal copies of their bodies from before a
-trial computed each kernel output once and worded only failing checks: the
-same reports, fewer kernel calls."""
+"""The check suites: fewer kernel calls than their bodies from before a trial
+computed each kernel output once and worded only failing checks, and, with a
+distance kernel perturbed, the same failures and texts as those bodies
+(`tests/oracles.py` keeps them for this).  Passing reports are pinned by the
+corpus of `tests/contract.py`."""
 import re
 from fractions import Fraction
 
@@ -20,13 +22,6 @@ def _rows(report):
     return report.name, report.seed, report.backend, [
         (c.id, c.statement, c.trials, c.failures, c.worst) for c in report.checks
     ]
-
-
-@pytest.mark.parametrize("backend", scalar.BACKENDS)
-@pytest.mark.parametrize("new, old", _PAIRS, ids=["naturality", "lipschitz"])
-def test_reports_match_the_old_suites(new, old, backend):
-    for seed in range(40):
-        assert _rows(new(seed, 5, backend)) == _rows(old(seed, 5, backend))
 
 
 #: the checks a doubled and shifted kernel makes fail, per suite
