@@ -122,13 +122,15 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def line(name, backend, argv):
+    """The digest line of one case, as this tree gives it."""
+    status, out, err = _run(backend, argv)
+    return "%d %s %s %s" % (status, _sha(out), _sha(err), name)
+
+
 def table():
     """The digest line of every case, as this tree gives them."""
-    lines = []
-    for name, backend, argv in CASES:
-        status, out, err = _run(backend, argv)
-        lines.append("%d %s %s %s" % (status, _sha(out), _sha(err), name))
-    return lines
+    return [line(*case) for case in CASES]
 
 
 def committed():

@@ -409,10 +409,17 @@ def test_foreign_option_exits_2(command, option, capsys):
     assert "unrecognized arguments: %s" % option in capsys.readouterr().err
 
 
-def test_reports_match_the_committed_corpus():
-    """Every case of `tests/contract.py`: its exit status and the digests of its
+def test_the_committed_corpus_pins_every_case_in_order():
+    """`tests/contract/digests.txt` holds one line per case of `tests/contract.py`."""
+    assert [line.split(" ", 3)[3] for line in contract.committed()] == [name for name, _, _ in contract.CASES]
+
+
+@pytest.mark.parametrize("name, backend, argv", contract.CASES, ids=[name for name, _, _ in contract.CASES])
+def test_reports_match_the_committed_corpus(name, backend, argv):
+    """One case of `tests/contract.py`: its exit status and the digests of its
     stdout and stderr, as committed in `tests/contract/digests.txt`."""
-    assert contract.table() == contract.committed()
+    pinned = {line.split(" ", 3)[3]: line for line in contract.committed()}
+    assert contract.line(name, backend, argv) == pinned.get(name)
 
 
 def _counted_parsers(monkeypatch):
