@@ -297,11 +297,9 @@ class MeasurePreservingMap(_Map):
 
     @staticmethod
     def _check(src, dst, images):
-        """Raise NotMeasurePreserving unless `images` pushes src's weights onto
-        dst's (`_pushforward_fault`), wording the failing atom from the scaled
-        forms: an exact map builds no Fraction, failing or not."""
-        fault = _pushforward_fault(src, dst, images)
-        if fault is not None:
+        """Raise NotMeasurePreserving unless `images` pushes src's weights onto dst's,
+        wording the failing atom from the scaled forms: an exact map builds no Fraction."""
+        if (fault := _pushforward_fault(src, dst, images)) is not None:
             b, p = fault
             mass = scalar.ratio_text(p, src._scaled[0], src.backend)
             weight = scalar.ratio_text(dst._scaled[1][b], dst._scaled[0], dst.backend)

@@ -149,10 +149,14 @@ def parse_ratio(text):
     """Parse "num/den" or "num" into ints (num, den) in lowest terms, den > 0, raising
     ValueError naming a malformed literal, or ZeroDivisionError as `Fraction` would."""
     parts = text.strip().split("/")
+    if len(parts) > 2:
+        raise ValueError("not a rational literal: %r" % text)
     try:
-        num, den = map(int, parts if len(parts) == 2 else parts + ["1"])
-    except ValueError:  # a part that is no int, or a third part
-        raise ValueError("not a rational literal: %r" % text) from None
+        num, den = int(parts[0]), (int(parts[1]) if len(parts) == 2 else 1)
+    except ValueError as e:  # past int()'s digit limit a well-formed part keeps int()'s error
+        if str(e).startswith("invalid literal"):
+            raise ValueError("not a rational literal: %r" % text) from None
+        raise
     if not den:
         raise ZeroDivisionError("Fraction(%s, 0)" % num)
     g = gcd(num, den) if den > 0 else -gcd(num, den)

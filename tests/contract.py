@@ -60,7 +60,8 @@ def _cases():
             "--format", fmt)
         add("metcat", "--space", "inputs/inf_table.json", "--format", fmt)
         add("metcat", "--space", "inputs/float_table.json", "--format", fmt)
-    add("rn", "--measure", "inputs/float_measure.json", "--tol", "1e-3")
+    add("rn", "--measure", "inputs/loose_measure.json")  # weights 1e-6 off 1: exit 2 at the default tol
+    add("rn", "--measure", "inputs/loose_measure.json", "--tol", "1e-3")
     for backend in ("exact", "float"):
         for suite in _SUITES:
             for seed in ("0", "7"):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -275,6 +276,20 @@ def density_bound_literal(mu):
 # -- what a constructor holds, or the first fault it raises ------------------------------
 
 
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def ratio_literal(text):
+    """A "num" or "num/den" string as a Fraction, by the grammar of Python's int
+    literals (a sign, digits with single underscores between them, spaces
+    around) rather than by what int() rejects: anything else raises the
+    README's ValueError, and a zero den what `Fraction` raises."""
+    parts = text.strip().split("/")
+    if len(parts) > 2 or not all(_INT_LITERAL.fullmatch(part) for part in parts):
+        raise ValueError("not a rational literal: %r" % text)
+    return Fraction(*map(int, parts))
+
+
 def coerce_literal(value, backend):
     """A user's number as the backend's scalar: the accept set and the
     messages the README documents.  Exact: a Fraction as it is, an int or a
@@ -286,12 +301,12 @@ def coerce_literal(value, backend):
         if isinstance(value, (int, Fraction)):
             return value if type(value) is Fraction else Fraction(value)
         if isinstance(value, str):
-            return Fraction(*scalar.parse_ratio(value))
+            return ratio_literal(value)
         if isinstance(value, float):
             raise BackendMismatch("float %r passed to the exact backend; use Fraction or 'num/den'" % value)
         raise BackendMismatch("cannot use %r as an exact scalar" % (value,))
     if isinstance(value, str):
-        value = Fraction(*scalar.parse_ratio(value))
+        value = ratio_literal(value)
     elif not isinstance(value, (int, float, Fraction)):
         raise BackendMismatch("cannot use %r as a float scalar" % (value,))
     value = float(value)

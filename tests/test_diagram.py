@@ -1,4 +1,3 @@
-import inspect
 import json
 import random
 from copy import copy
@@ -352,10 +351,9 @@ class TestCoverTriples:
         ) == diagram_problems_literal(bad)
 
 
-def _count_calls(monkeypatch, owner, name):
-    """A counter of the calls of `owner.name` from here on; a static method stays one."""
+def _count_calls(monkeypatch, owner, name, static=False):
+    """A counter of the calls of `owner.name` from here on; `static` patches a static method."""
     calls = {"n": 0}
-    static = isinstance(inspect.getattr_static(owner, name), staticmethod)
     original = getattr(owner, name)
 
     def counted(*args):
@@ -1188,7 +1186,7 @@ def test_dyadic_runs_read_no_step_map_table(monkeypatch, capsys):
     built = []
     table = MeasurePreservingMap.assign
     monkeypatch.setattr(MeasurePreservingMap, "assign", property(lambda m: built.append(m) or table.fget(m)))
-    checks = _count_calls(monkeypatch, MeasurePreservingMap, "_check")
+    checks = _count_calls(monkeypatch, MeasurePreservingMap, "_check", static=True)
     tent = DyadicGround([0, F(1, 2), 1], [0, 1, 0])
     diagram.dyadic_experiment(tent, 8)
     assert checks["n"] == 8  # each step map's pushforward is checked

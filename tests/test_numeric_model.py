@@ -273,6 +273,12 @@ _TEXTS = [
     "1/0", "0/0", "-4/0", "1/2/3", "", " ", "x", "2/x", "/3", "1/", "1.5", "1e3",
 ]
 
+_LITERALS = st.one_of(
+    st.sampled_from(_TEXTS),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-99, 99)),
+    st.text(alphabet=" +-_/0123456789", max_size=8),
+)
+
 _USER_NUMBERS = st.one_of(
     st.integers(-(10**20), 10**20),
     st.booleans(),
@@ -282,9 +288,7 @@ _USER_NUMBERS = st.one_of(
     st.floats(),
     st.none(),
     st.lists(st.integers(0, 3), max_size=2),
-    st.sampled_from(_TEXTS),
-    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-99, 99)),
-    st.text(alphabet=" +-_/0123456789", max_size=8),
+    _LITERALS,
 )
 
 
@@ -324,6 +328,28 @@ def test_coerce_keeps_its_accept_set_and_messages(backend, value):
     assert _coerced(scalar.coerce, value, backend) == _coerced(oracles.coerce_literal, value, backend)
 
 
+def _ratio(parse, text):
+    """An error by type and message, or the pair `parse` gives."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _literal_ratio(text):
+    f = oracles.ratio_literal(text)
+    return f.numerator, f.denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_LITERALS)
+def test_parse_ratio_is_the_literal_in_lowest_terms(text):
+    """The ints (num, den) of the literal's value with den > 0, or the same error."""
+    out = _ratio(scalar.parse_ratio, text)
+    assert out == _ratio(_literal_ratio, text)
+    assert out[0] == "raised" or all(type(x) is int for x in out)
+
+
 @pytest.mark.parametrize(
     "text, ratio",
     [
@@ -357,6 +383,19 @@ def test_parse_ratio_names_a_malformed_literal(text, error, message):
     with pytest.raises(error) as caught:
         scalar.parse_ratio(text)
     assert str(caught.value) == message
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="int() has no digit limit here")
+@pytest.mark.parametrize("form", ["{}", "1/{}", "{}/7"])
+def test_parse_ratio_leaves_a_long_literal_to_int(form):
+    """A well-formed part past int()'s digit limit is no malformed literal:
+    parse_ratio raises int()'s own ValueError, as `Fraction` does."""
+    text = form.format("1" * (sys.get_int_max_str_digits() + 1))
+    with pytest.raises(ValueError) as caught:
+        scalar.parse_ratio(text)
+    with pytest.raises(ValueError) as expected:
+        F(text)
+    assert str(caught.value) == str(expected.value) and "not a rational literal" not in str(caught.value)
 
 
 @settings(max_examples=300, deadline=None)
