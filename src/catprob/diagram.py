@@ -378,7 +378,10 @@ def is_martingale(family, d):
     if not isinstance(family, Mapping) or set(family) != set(d.elements):
         raise IndexMismatch("family is not indexed by the diagram's elements")
     for i in d.elements:
-        if not isinstance(family[i], _AtomTable) or family[i].space != d.spaces[i]:
+        if not isinstance(family[i], _AtomTable):  # worded as `_LevelFamily._setup` words it
+            kind = type(family[i]).__name__
+            raise SpaceMismatch("family member at %r is a %s, not an atom table" % (i, kind))
+        if family[i].space != d.spaces[i]:
             raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
     zero = scalar.zero(d.backend)
     residual, worst = zero, None

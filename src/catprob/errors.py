@@ -38,7 +38,7 @@ class NotMeasurePreserving(CatprobError):
 
 
 class DomainMismatch(CatprobError):
-    """Maps do not share the required (co)domains."""
+    """Maps do not share the required (co)domains, or an argument is no space or map."""
 
 
 class CodomainTooLarge(CatprobError):

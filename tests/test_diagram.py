@@ -1614,11 +1614,15 @@ _NOT_INDEXED = "family is not indexed by the diagram's elements"
         (lambda: ConsistentMeasureFamily(_U2_CHAIN, {0: None, 1: None}), errors.SpaceMismatch,
          "family member at 0 is a NoneType, not a FiniteMeasure"),
         (lambda: is_martingale(None, _U2_CHAIN), errors.IndexMismatch, _NOT_INDEXED),
-        (lambda: is_martingale({0: None, 1: None}, _U2_CHAIN), errors.SpaceMismatch, _WRONG),
+        (lambda: is_martingale({0: None, 1: None}, _U2_CHAIN), errors.SpaceMismatch,
+         "family member at 0 is a NoneType, not an atom table"),
+        (lambda: is_martingale({0: make_rv(uniform_space(2), [0, 0]), 1: None}, _U2_CHAIN),
+         errors.SpaceMismatch, _WRONG),
     ],
 )
 def test_malformed_families_and_metric_points_raise_library_errors(call, error, message):
-    """Each of these raised a bare TypeError or AttributeError."""
+    """Each of these raised a bare TypeError or AttributeError, but the last,
+    a table on another space, which is worded by its space."""
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message

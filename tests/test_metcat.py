@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catprob import errors, metcat, scalar
+from catprob import cli, errors, jsonio, metcat, scalar
+from catprob.finprob import _Scaled
 from catprob.metcat import (
     INF,
     FinPseudometricSpace,
@@ -90,10 +91,10 @@ def on_backend(table, tol):
 
 
 @st.composite
-def metric_spaces(draw, tol, min_points=1):
-    """0-3 point spaces on tol's backend: symmetric draws closed under
-    shortest paths, with INF as no edge."""
-    n = draw(st.integers(min_points, 3))
+def metric_spaces(draw, tol, min_points=1, max_points=3):
+    """0-3 point spaces (by default) on tol's backend: symmetric draws closed
+    under shortest paths, with INF as no edge."""
+    n = draw(st.integers(min_points, max_points))
     d = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -507,12 +508,11 @@ class TestTensor:
     @settings(max_examples=15, deadline=None)
     @given(seeded_rng())
     def test_constructions_pass_axiom_scan(self, rng):
-        # the constructor runs the full triple scan on every build
+        # exact, so not scanned: the axioms follow from the factors' (see the README)
         x = rand_metric_space(rng, max_points=3)
         y = rand_metric_space(rng, max_points=3)
-        tensor(x, y)
-        product([x, y])
-        coproduct([x, y])
+        for z in (tensor(x, y), product([x, y]), coproduct([x, y])):
+            assert metric_axiom_error(z.points, z.dist) is None
 
 
     def test_mixed_backends_raise(self):
@@ -977,6 +977,37 @@ def _shortest(table):
     return d
 
 
+def _quotient(t, pairs):
+    """The coequalizer's definition on `t` with the position `pairs` glued:
+    its classes, each point's class, and the chain infimum between classes."""
+    classes = oracles.classes_literal(t.points, pairs)
+    where = {p: k for k, c in enumerate(classes) for p in c}
+    k = len(classes)
+    step = [[0 if a == b else INF for b in range(k)] for a in range(k)]
+    for p, row in zip(t.points, t.dist):
+        for q, d in zip(t.points, row):
+            a, b = where[p], where[q]
+            if a != b and d < step[a][b]:
+                step[a][b] = d
+    return classes, where, _shortest(step)
+
+
+def _reflection(t):
+    """The metric reflection's definition on `t`: its classes, each point's
+    class, and the table on each class's first point."""
+    n = t.size
+    zero = [(i, j) for i in range(n) for j in range(i + 1, n) if scalar.eq(t.dist[i][j], 0, t.tol)]
+    classes = oracles.classes_literal(t.points, zero)
+    first = [t.points.index(c[0]) for c in classes]
+    where = {p: k for k, c in enumerate(classes) for p in c}
+    return classes, where, [[t.dist[i][j] for j in first] for i in first]
+
+
+def _hom_table(maps):
+    """The hom space's definition on a family of parallel maps."""
+    return [[0 if a is b else oracles.hom_distance_literal(a, b)[0] for b in maps] for a in maps]
+
+
 @pytest.mark.parametrize("tol", [0, 1e-9])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
@@ -1009,16 +1040,7 @@ def test_constructions_on_scaled_tables_hold_what_the_definitions_give(tol, data
     _same_table(sub, [s.points[i] for i in pos], [[s.dist[i][j] for j in pos] for i in pos], s.tol)
     assert incl._images == pos
     res = coequalizer(f, g)
-    classes = oracles.classes_literal(t.points, zip(fi, gi))
-    where = {p: k for k, c in enumerate(classes) for p in c}
-    k = len(classes)
-    step = [[0 if a == b else INF for b in range(k)] for a in range(k)]
-    for p, row in zip(t.points, t.dist):
-        for q, d in zip(t.points, row):
-            a, b = where[p], where[q]
-            if a != b and d < step[a][b]:
-                step[a][b] = d
-    chain = _shortest(step)
+    classes, where, chain = _quotient(t, zip(fi, gi))
     _same_table(res.space, classes, chain, t.tol)
     assert res.projection._images == tuple(where[p] for p in t.points)
     gaps = oracles.one_step_gaps_literal(t, classes, chain)
@@ -1027,19 +1049,13 @@ def test_constructions_on_scaled_tables_hold_what_the_definitions_give(tol, data
     ]
     assert all(v is INF for gap in res.one_step_gaps for v in gap[2:] if v == INF)
     quot, proj = metric_reflection(t)
-    n = t.size
-    zero = [(i, j) for i in range(n) for j in range(i + 1, n) if scalar.eq(t.dist[i][j], 0, t.tol)]
-    classes = oracles.classes_literal(t.points, zero)
-    first = [t.points.index(c[0]) for c in classes]
-    _same_table(quot, classes, [[t.dist[i][j] for j in first] for i in first], t.tol)
-    where = {p: k for k, c in enumerate(classes) for p in c}
+    classes, where, table = _reflection(t)
+    _same_table(quot, classes, table, t.tol)
     assert proj._images == tuple(where[p] for p in t.points)
     family = [fi, gi] + [_images(draw, s, t) for _ in range(draw(st.integers(0, 2)))]
     maps = [LipschitzMap._from_images(s, t, i) for i in family]
     hr = hom(maps)
-    _same_table(hr.space, range(len(maps)), [
-        [0 if a is b else oracles.hom_distance_literal(a, b)[0] for b in maps] for a in maps
-    ], t.tol)
+    _same_table(hr.space, range(len(maps)), _hom_table(maps), t.tol)
     d, witness = hom_distance(f, g)
     want_d, want_witness = oracles.hom_distance_literal(f, g)
     assert (_bits(d), witness) == (_bits(want_d), want_witness)
@@ -1067,9 +1083,7 @@ def test_constructions_on_scaled_tables_hold_what_the_definitions_give(tol, data
         return
     assert [p._images for p in new.per_point.values()] == per
     members = list(new.per_point.values())
-    _same_table(new.hom_result.space, range(x.size), [
-        [0 if a is b else oracles.hom_distance_literal(a, b)[0] for b in members] for a in members
-    ], t.tol)
+    _same_table(new.hom_result.space, range(x.size), _hom_table(members), t.tol)
     assert new.outer._images == range(x.size)
     back = _built(uncurry, new.per_point, x, y)
     images = tuple(itertools.chain.from_iterable(per))
@@ -1129,3 +1143,144 @@ def test_metric_hashes_are_the_old_hashes(den, points):
         assert hash(space) == hash((space.points, space.dist))
     if exact == floats:
         assert hash(exact) == hash(floats)
+
+
+# -- exact constructions are metrics by proof ----------------------------------------
+
+
+@st.composite
+def near_metric_spaces(draw, tol, max_points=3):
+    """`metric_spaces` on tol's backend; on a float one each finite distance
+    moves by up to 0.4 tol, so a triangle may fail by up to 1.2 tol (drawn
+    only when the scan still passes), and a tensor or a scale by more."""
+    x = draw(metric_spaces(tol, max_points=max_points))
+    if not tol:
+        return x
+    d = [list(row) for row in x.dist]
+    for i, j in itertools.combinations(range(x.size), 2):
+        if d[i][j] != INF:
+            d[i][j] = d[j][i] = max(0.0, d[i][j] + draw(st.sampled_from([0, 0.4, -0.4])) * tol)
+    x = _built(FinPseudometricSpace, x.points, d, tol)
+    assume(not _failed(x))
+    return x
+
+
+def _by_definition(draw, tol):
+    """(name, build, points, table) for each construction whose exact axioms
+    the README proves, on random spaces and maps of tol's backend: `build()`
+    constructs it, and `table` is what its definition gives."""
+    x, y, s = (draw(near_metric_spaces(tol)) for _ in "xys")
+    t = draw(near_metric_spaces(tol, max_points=5))  # a quotient of 3 classes needs 4 points
+    f, g, h = (LipschitzMap._from_images(s, t, _images(draw, s, t)) for _ in "fgh")
+    r = draw(st.sampled_from([2, 3, F(1, 3)]))
+    pairs = list(itertools.product(x.points, y.points))
+    cells = [(0, a) for a in range(x.size)] + [(1, b) for b in range(y.size)]
+    blocks = [[(x, y)[i].dist[a][b] if i == j else INF for j, b in cells] for i, a in cells]
+    pos = [i for i, (u, v) in enumerate(zip(f._images, g._images)) if u == v]
+    classes, _, chain = _quotient(t, zip(f._images, g._images))
+    reflected, _, table = _reflection(x)
+    factor = scalar.coerce(r, x.backend)
+    return [
+        ("product", lambda: product([x, y]), pairs, oracles.product_table_literal([x, y])),
+        ("coproduct", lambda: coproduct([x, y]), [(i, (x, y)[i].points[a]) for i, a in cells], blocks),
+        ("tensor", lambda: tensor(x, y), pairs, oracles.tensor_table_literal(x, y)),
+        ("equalizer", lambda: equalizer(f, g)[0], [s.points[i] for i in pos],
+         [[s.dist[i][j] for j in pos] for i in pos]),
+        ("metric_reflection", lambda: metric_reflection(x)[0], reflected, table),
+        ("coequalizer", lambda: coequalizer(f, g).space, classes, chain),
+        ("hom", lambda: hom([f, g, h]).space, range(3), _hom_table([f, g, h])),
+        ("scale", lambda: scale(x, r), x.points, [[d if d == INF else d * factor for d in row] for row in x.dist]),
+    ]
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exact_constructions_are_metrics_by_proof(tol, data):
+    """The README proves each exact construction a metric from its inputs'
+    axioms, so none is scanned: on exact spaces each builds its definition's
+    table, which `oracles.metric_axiom_error` accepts.  Float spaces here are
+    metrics only within tol, so a float construction may fail: it gives what
+    the scan gives its definition's table, the space or the first fault."""
+    for name, build, points, table in _by_definition(data.draw, tol):
+        fault = metric_axiom_error(points, table, tol)
+        got = _built(build)
+        if fault:
+            assert tol and got == (errors.InvalidMetric, fault), name
+        else:
+            assert metric_axiom_error(got.points, got.dist, tol) is None, name
+            _same_table(got, points, table, tol)
+
+
+def test_only_tables_no_proof_covers_are_scanned(monkeypatch, tmp_path):
+    """An exact construction never runs the axiom scan; a user's table, a
+    bare scaled form, a JSON table, `catprob metcat` on an exact file and
+    every float construction run it once."""
+    calls = []
+    scan = metcat._check_axioms
+    monkeypatch.setattr(metcat, "_check_axioms", lambda *args: calls.append(args) or scan(*args))
+
+    def scans(build):
+        calls.clear()
+        build()
+        return len(calls)
+
+    for tol in (0, 1e-9):
+        x = two_point(1, tol)
+        xx = tensor(x, x)
+        f, g = identity_lipschitz(x), LipschitzMap(x, x, {"p": "p", "q": "p"})
+        h = LipschitzMap(xx, x, {(a, b): b for a, b in xx.points})
+        per_point = curry(h, x, x).per_point
+        constructions = {
+            "product": lambda: product([x, x]),
+            "coproduct": lambda: coproduct([x, x]),
+            "tensor": lambda: tensor(x, x),
+            "equalizer": lambda: equalizer(f, g),
+            "coequalizer": lambda: coequalizer(f, g),
+            "hom": lambda: hom([f, g]),
+            "curry": lambda: curry(h, x, x),
+            "uncurry": lambda: uncurry(per_point, x, x),
+            "scale": lambda: scale(x, 2),
+            "metric_reflection": lambda: metric_reflection(x),
+        }
+        for name, build in constructions.items():
+            assert (name, scans(build)) == (name, 0 if tol == 0 else 1)
+        assert scans(lambda: FinPseudometricSpace("pq", [[0, 1], [1, 0]], tol=tol)) == 1
+        assert scans(lambda: FinPseudometricSpace("pq", _Scaled((1, ((0, 1), (1, 0)))), tol=tol)) == 1
+        assert scans(lambda: jsonio.metspace_from_obj(jsonio.metspace_to_obj(x))) == 1
+    path = tmp_path / "space.json"
+    path.write_text('{"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}')
+    assert scans(lambda: cli.main(["metcat", "--space", str(path)])) == 1
+
+
+_ONE = FinPseudometricSpace(["*"], [[0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: product(None), "spaces is a NoneType, not an iterable"),
+        (lambda: product([None]), "spaces[0] is a NoneType, not a FinPseudometricSpace"),
+        (lambda: product([_ONE, "ab"]), "spaces[1] is a str, not a FinPseudometricSpace"),
+        (lambda: coproduct([None]), "spaces[0] is a NoneType, not a FinPseudometricSpace"),
+        (lambda: tensor(None, None), "x_space is a NoneType, not a FinPseudometricSpace"),
+        (lambda: tensor(_ONE, 2), "y_space is a int, not a FinPseudometricSpace"),
+        (lambda: equalizer(None, None), "f is a NoneType, not a LipschitzMap"),
+        (lambda: coequalizer(identity_lipschitz(_ONE), None), "g is a NoneType, not a LipschitzMap"),
+        (lambda: hom([None]), "maps[0] is a NoneType, not a LipschitzMap"),
+        (lambda: hom(None), "maps is a NoneType, not an iterable"),
+        (lambda: scale(None, 2), "space is a NoneType, not a FinPseudometricSpace"),
+        (lambda: metric_reflection(None), "space is a NoneType, not a FinPseudometricSpace"),
+        (lambda: curry(None, None, None), "h is a NoneType, not a LipschitzMap"),
+        (lambda: curry(identity_lipschitz(_ONE), _ONE, None), "y_space is a NoneType, not a FinPseudometricSpace"),
+        (lambda: uncurry(None, None, None), "per_point is a NoneType, not a Mapping"),
+        (lambda: uncurry({}, None, _ONE), "x_space is a NoneType, not a FinPseudometricSpace"),
+        (lambda: uncurry({"*": None}, _ONE, _ONE), "family members must be parallel maps from the second factor"),
+    ],
+)
+def test_constructions_name_an_input_that_is_no_space_or_map(call, message):
+    """Each of these raised a bare TypeError or AttributeError; a construction
+    now reads only spaces and maps, the precondition of its proof."""
+    with pytest.raises(errors.DomainMismatch) as exc:
+        call()
+    assert str(exc.value) == message
