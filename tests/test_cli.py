@@ -12,8 +12,8 @@ from catprob import cli, jsonio, suites
 from catprob.cli import main
 from catprob.diagram import DyadicGround, make_dyadic, restrict_measure
 from catprob.finmeas import make_measure
-from catprob.finprob import make_map, make_space, uniform_space
-from catprob.finrv import make_rv
+from catprob.finprob import identity_map, make_map, make_space, uniform_space
+from catprob.finrv import MAX_RESIDUAL_TARGET, make_rv
 import contract
 from test_jsonio import mutated
 
@@ -224,6 +224,20 @@ def test_condexp_rv_document_that_is_not_an_object(tmp_path, capsys, doc):
     )
     assert code == 2
     assert err == "error: rv: missing field 'values'\n"
+
+
+def test_condexp_caps_the_subset_report(tmp_path, capsys):
+    """A target past the library's cap is refused, after the conditional
+    expectation is taken, with the report's own words."""
+    n = MAX_RESIDUAL_TARGET + 1
+    u = uniform_space(n)
+    jsonio.write_json(jsonio.map_to_obj(identity_map(u)), str(tmp_path / "m.json"))
+    code, err = _exit_and_error(
+        tmp_path, capsys, "r.json", jsonio.rv_to_obj(make_rv(u, [1] * n)),
+        "condexp", "--rv", "FILE", "--map", str(tmp_path / "m.json"),
+    )
+    assert code == 2
+    assert err == "error: target has %d atoms; subset report capped at %d\n" % (n, n - 1)
 
 
 @pytest.mark.parametrize("weights", [5, None])

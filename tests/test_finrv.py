@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from catprob import errors
 from catprob.finprob import identity_map, make_map, make_space, uniform_space
 from catprob.finrv import (
+    MAX_RESIDUAL_TARGET,
     cond_exp,
+    cond_exp_residuals,
     constant_rv,
     expectation,
     l1_distance,
@@ -141,6 +143,18 @@ class TestCondExp:
         s = rand_quotient(rng, space)
         g = rand_rv(rng, space, bound=F(3, 2))
         assert max_value(cond_exp(g, s)) <= F(3, 2)
+
+
+    def test_residuals_refuse_a_target_past_the_cap(self):
+        """2^n subsets: one more atom than the cap is refused before any
+        conditional expectation is taken; the cap's own size is not."""
+        n = MAX_RESIDUAL_TARGET + 1
+        u = uniform_space(n)
+        with pytest.raises(errors.CodomainTooLarge) as exc:
+            cond_exp_residuals(constant_rv(u, 1), identity_map(u))
+        assert str(exc.value) == "target has %d atoms; subset residuals capped at %d" % (n, n - 1)
+        small = uniform_space(3)
+        assert len(cond_exp_residuals(constant_rv(small, 1), identity_map(small))) == 2 ** 3
 
 
 class TestTruncate:

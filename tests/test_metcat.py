@@ -543,6 +543,13 @@ class TestHom:
         assert d == F(1)
         assert witness == "q"
 
+    @pytest.mark.parametrize("tol, zero", [(0, F(0)), (1e-9, 0.0)])
+    def test_distance_on_an_empty_source_is_the_backends_zero(self, tol, zero):
+        empty = FinPseudometricSpace([], [])
+        f = LipschitzMap(empty, two_point(1, tol=tol), {})
+        d, witness = hom_distance(f, f)
+        assert (type(d), d, witness) == (type(zero), zero, None)
+
 
     def test_tol_is_the_targets(self):
         exact, floaty = two_point(F(1)), two_point(1.0, tol=1e-6)
@@ -596,6 +603,17 @@ class TestCurry:
         x, y = two_point(F(1)), two_point(F(2))
         with pytest.raises(errors.DomainMismatch):
             uncurry({"p": identity_lipschitz(y)}, x, y)
+
+    def test_source_on_another_backend_is_not_the_tensor(self):
+        """A float copy of the exact tensor passes its pair check within tol,
+        but its curried outer map would expand: it is refused as a source."""
+        t = two_point(F(1, 10**12))
+        x, y = FinPseudometricSpace("pq", [[0, 0], [0, 0]]), FinPseudometricSpace("r", [[0]])
+        xy = tensor(x, y)
+        src = FinPseudometricSpace(xy.points, xy.dist, tol=1e-9)
+        h = LipschitzMap(src, t, {("p", "r"): "p", ("q", "r"): "q"})
+        with pytest.raises(errors.DomainMismatch, match="map source is not the tensor of the given spaces"):
+            curry(h, x, y)
 
     def test_exact_factors_float_target(self):
         x, y = two_point(F(1)), two_point(F(2))
@@ -1072,7 +1090,7 @@ def test_constructions_on_scaled_tables_hold_what_the_definitions_give(tol, data
     hi = _images(draw, src, t)
     h = LipschitzMap._from_images(src, t, hi)
     new = _built(curry, h, x, y)
-    if src.points != xy.points or src.dist != xy.dist:
+    if src.points != xy.points or src.dist != xy.dist or src.backend != xy.backend:
         assert new == (errors.DomainMismatch, "map source is not the tensor of the given spaces")
         return
     m = y.size
@@ -1271,6 +1289,8 @@ _ONE = FinPseudometricSpace(["*"], [[0]])
         (lambda: hom(None), "maps is a NoneType, not an iterable"),
         (lambda: scale(None, 2), "space is a NoneType, not a FinPseudometricSpace"),
         (lambda: metric_reflection(None), "space is a NoneType, not a FinPseudometricSpace"),
+        (lambda: hom_distance(None, None), "f is a NoneType, not a LipschitzMap"),
+        (lambda: hom_distance(identity_lipschitz(_ONE), _ONE), "g is a FinPseudometricSpace, not a LipschitzMap"),
         (lambda: curry(None, None, None), "h is a NoneType, not a LipschitzMap"),
         (lambda: curry(identity_lipschitz(_ONE), _ONE, None), "y_space is a NoneType, not a FinPseudometricSpace"),
         (lambda: uncurry(None, None, None), "per_point is a NoneType, not a Mapping"),

@@ -238,25 +238,6 @@ def test_kernels_have_one_body_for_both_backends():
         assert name in _functions(module) and name not in _backend_tests(module), name
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 10**6).flatmap(
-        lambda k: st.sampled_from([k, k * sys.hash_info.modulus, k * sys.hash_info.modulus**2, k << 61])
-    ),
-    st.lists(
-        st.one_of(st.integers(-(10**30), 10**30), st.sampled_from([0, 1, -1, sys.hash_info.modulus, math.inf])),
-        max_size=6,
-    ),
-)
-def test_scaled_hashes_are_the_hashes_of_the_values(den, nums):
-    """Each entry hashes as `hash(Fraction(n, den))` (or `hash(inf)`) would,
-    dens the hash modulus divides included, from the ints alone."""
-    want = tuple(hash(n) if n is math.inf else hash(F(n, den)) for n in nums)
-    assert scalar.scaled_hashes(den, nums) == want
-    floats = [n if n is math.inf else n / 7 for n in nums]
-    assert scalar.scaled_hashes(1, floats) == tuple(map(hash, floats))
-
-
 # -- the user route: a user's numbers straight to the scaled form ------------------
 
 
@@ -396,17 +377,3 @@ def test_parse_ratio_leaves_a_long_literal_to_int(form):
     with pytest.raises(ValueError) as expected:
         F(text)
     assert str(caught.value) == str(expected.value) and "not a rational literal" not in str(caught.value)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    num=st.one_of(st.integers(-(10**12), 10**12), st.floats(-5, 5, allow_nan=False)),
-    den=st.integers(1, 10**6),
-    backend=st.sampled_from(scalar.BACKENDS),
-)
-def test_ratio_text_is_the_text_of_the_ratio(num, den, backend):
-    """The text a message gives n / den, with an int 0 on the float backend
-    (an empty fiber's sum) and no float on the exact one."""
-    if backend == scalar.EXACT and type(num) is float:
-        num = int(num)
-    assert scalar.ratio_text(num, den, backend) == str(scalar.divider(backend)(num, den))
