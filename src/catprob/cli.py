@@ -31,7 +31,7 @@ from .diagram import (
 from .errors import CatprobError
 from .finmeas import pushforward, rho, rn_derivative, tv_distance
 from .finprob import as_equal, map_distance
-from .finrv import MAX_RESIDUAL_TARGET, cond_exp, cond_exp_residuals, l1_distance
+from .finrv import cond_exp, cond_exp_residuals, l1_distance
 from .metcat import metric_reflection
 
 _GROUNDS = {
@@ -117,9 +117,6 @@ def cmd_condexp(args):
     g = jsonio.rv_from_obj(rv_obj, space=None if embedded else s.src)
     result = cond_exp(g, s)
     dst = s.dst
-    if dst.size > MAX_RESIDUAL_TARGET:
-        msg = "target has %d atoms; subset report capped at %d" % (dst.size, MAX_RESIDUAL_TARGET)
-        raise CatprobError(msg)
     subsets = []
     ok = True
     for combo, residual in cond_exp_residuals(g, s, result):

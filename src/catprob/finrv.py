@@ -244,7 +244,7 @@ def cond_exp_residuals(g, s, result=None):
     dst = s.dst
     if dst.size > MAX_RESIDUAL_TARGET:
         raise CodomainTooLarge(
-            "target has %d atoms; subset residuals capped at %d" % (dst.size, MAX_RESIDUAL_TARGET)
+            "target has %d atoms; subset report capped at %d" % (dst.size, MAX_RESIDUAL_TARGET)
         )
     if result is None:
         result = cond_exp(g, s)

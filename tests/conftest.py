@@ -1,10 +1,4 @@
 import os
 import sys
 
-from hypothesis import settings
-
 sys.path.insert(0, os.path.dirname(__file__))
-
-# CI prints a `@reproduce_failure` line for any failing example; select with HYPOTHESIS_PROFILE=ci
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

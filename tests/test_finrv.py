@@ -152,7 +152,7 @@ class TestCondExp:
         u = uniform_space(n)
         with pytest.raises(errors.CodomainTooLarge) as exc:
             cond_exp_residuals(constant_rv(u, 1), identity_map(u))
-        assert str(exc.value) == "target has %d atoms; subset residuals capped at %d" % (n, n - 1)
+        assert str(exc.value) == "target has %d atoms; subset report capped at %d" % (n, n - 1)
         small = uniform_space(3)
         assert len(cond_exp_residuals(constant_rv(small, 1), identity_map(small))) == 2 ** 3
 
