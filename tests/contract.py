@@ -4,7 +4,9 @@ A CLI report is byte-identical for a given configuration and seed, and so is
 each demo's output.  Each case below runs in-process from `tests/contract/`,
 whose `inputs/` hold its documents, and its exit status and the sha256 of its
 stdout and stderr are committed, one line per case, in
-`tests/contract/digests.txt`.  Stdlib only, so it runs on any installed Python:
+`tests/contract/digests.txt`.  A case that writes its report with `--out FILE`
+runs it into a temporary directory, and the file's sha256 takes the place of
+stdout's, which must be empty.  Stdlib only, so it runs on any installed Python:
 
     python tests/contract.py
 
@@ -20,6 +22,7 @@ import io
 import os
 import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,6 +92,12 @@ def _cases():
     add("check-appendix", "--trials", "1", backend="nonsense")
     for demo in sorted((ROOT / "demos").glob("*.py")):
         add("demos/" + demo.name)
+    # 1,024 subsets each, on 20 source atoms of unequal weight (the exact one with a null target atom)
+    add("condexp", "--rv", "inputs/wide_values.json", "--map", "inputs/wide_map.json", "--format", "json")
+    add("condexp", "--rv", "inputs/wide_float_values.json", "--map", "inputs/wide_float_map.json",
+        "--format", "json")
+    for fmt in ("json", "csv"):  # the same bytes as the report on stdout
+        add("martingale", "--ground", "tent", "--depth", "12", "--format", fmt, "--out", "FILE")
     return cases
 
 
@@ -96,27 +105,33 @@ CASES = _cases()
 
 
 def _run(backend, argv):
-    """Exit status, stdout and stderr of one case, run in `tests/contract/`."""
+    """Exit status, stdout and stderr of one case, run in `tests/contract/`; for
+    an `--out FILE` case, the file's text in place of stdout, when stdout is empty."""
     from catprob import cli
 
     out, err = io.StringIO(), io.StringIO()
     cwd, env = os.getcwd(), os.environ.pop("CATPROB_BACKEND", None)
-    try:
-        os.chdir(HERE)
-        if backend is not None:
-            os.environ["CATPROB_BACKEND"] = backend
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            if argv[0].startswith("demos/"):
-                runpy.run_path(str(ROOT / argv[0]), run_name="__main__")
-                status = 0
-            else:
-                status = cli.main(argv)
-    finally:
-        os.chdir(cwd)
-        os.environ.pop("CATPROB_BACKEND", None)
-        if env is not None:
-            os.environ["CATPROB_BACKEND"] = env
-    return status, out.getvalue(), err.getvalue()
+    with tempfile.TemporaryDirectory() if "FILE" in argv else contextlib.nullcontext() as tmp:
+        path = tmp and os.path.join(tmp, "report")
+        try:
+            os.chdir(HERE)
+            if backend is not None:
+                os.environ["CATPROB_BACKEND"] = backend
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                if argv[0].startswith("demos/"):
+                    runpy.run_path(str(ROOT / argv[0]), run_name="__main__")
+                    status = 0
+                else:
+                    status = cli.main([path if a == "FILE" else a for a in argv])
+        finally:
+            os.chdir(cwd)
+            os.environ.pop("CATPROB_BACKEND", None)
+            if env is not None:
+                os.environ["CATPROB_BACKEND"] = env
+        text = out.getvalue()
+        if path:  # a report on stdout as well moves the line
+            text = Path(path).read_bytes().decode() if not text else "stdout: " + text
+    return status, text, err.getvalue()
 
 
 def _sha(text):
