@@ -328,7 +328,15 @@ def compose(f, g):
     return MeasurePreservingMap._from_images(f.src, g.dst, images, f.src.backend != scalar.EXACT)
 
 
+def _given(kind, *named):
+    """Raise DomainMismatch at the first (name, value) whose value is not a `kind`."""
+    for name, value in named:
+        if not isinstance(value, kind):
+            raise DomainMismatch("%s is a %s, not a %s" % (name, type(value).__name__, kind.__name__))
+
+
 def _require_parallel(f, g):
+    _given(MeasurePreservingMap, ("f", f), ("g", g))
     if f.src != g.src or f.dst != g.dst:
         raise DomainMismatch("maps are not a parallel pair")
 

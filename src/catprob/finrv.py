@@ -11,15 +11,16 @@ before that division, as the dyadic report reads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from operator import mul, sub
 
 from . import scalar
 from .errors import CodomainTooLarge, NegativeValue, NotAbsolutelyContinuous, SpaceMismatch
-from .finprob import _fiber_sums
+from .finprob import MeasurePreservingMap, _fiber_sums, _given
 
-#: Cap on the target atoms of `cond_exp_residuals` (2^n subsets).  At the cap, 16
-#: target atoms of 2 source atoms each, the table takes 6.4 s exact (2 CPUs, Python 3.11).
+#: Cap on the target atoms of `cond_exp_residuals` (2^n subsets).  At the cap, 16 target
+#: atoms of 2 source atoms each, exact, the table takes 0.3 s, and `catprob condexp` 1.2 s
+#: for its 11 MB JSON report (2 CPUs, Python 3.11.7).
 MAX_RESIDUAL_TARGET = 16
 
 
@@ -194,6 +195,18 @@ def max_value(f):
     return scalar.divider(f.space.backend)(best, den) if best > 0 else f.space.zero
 
 
+def _along(g, s):
+    """(s.src, s.dst) once g lives on s's source; `_given` names a g or s of another type."""
+    try:
+        if g.space == s.src:
+            return s.src, s.dst
+    except AttributeError:
+        _given(FiniteRandomVariable, ("g", g))
+        _given(MeasurePreservingMap, ("s", s))
+        raise
+    raise SpaceMismatch("random variable does not live on the map's source")
+
+
 def cond_exp(g, s):
     """Conditional expectation of g along s: weight-averaged fiber sums.
 
@@ -201,9 +214,7 @@ def cond_exp(g, s):
     the result over B equals the integral of g over the preimage of B.
     Atoms of weight zero in the target get the canonical value 0.
     """
-    if g.space != s.src:
-        raise SpaceMismatch("random variable does not live on the map's source")
-    src, dst = s.src, s.dst
+    src, dst = _along(g, s)
     # per target atom: sum of w * x over the fiber / the target weight
     (wden, ws), (qden, qs), (den, xs) = src._scaled, dst._scaled, g._scaled
     moment = _fiber_sums(s._images, xs if _unit(ws) else map(mul, ws, xs), dst.size)
@@ -241,23 +252,23 @@ def cond_exp_residuals(g, s, result=None):
     auditable evidence.  Enumeration over 2^|target| subsets, so a target
     of more than MAX_RESIDUAL_TARGET atoms raises CodomainTooLarge.
     """
-    dst = s.dst
+    src, dst = _along(g, s)
     if dst.size > MAX_RESIDUAL_TARGET:
         raise CodomainTooLarge(
             "target has %d atoms; subset report capped at %d" % (dst.size, MAX_RESIDUAL_TARGET)
         )
     if result is None:
         result = cond_exp(g, s)
-    rows = []
+    elif not isinstance(result, FiniteRandomVariable) or result.space != dst:
+        _given(FiniteRandomVariable, ("result", result))
+        raise SpaceMismatch("conditional expectation does not live on the map's target")
+    # each atom's integrand once, over one den: w * E[g|s] on the target, w * g on the source
+    (qden, qs), (eden, es), (wden, ws), (xden, xs) = dst._scaled, result._scaled, src._scaled, g._scaled
+    lterms, rterms, lden, rden = list(map(mul, qs, es)), list(map(mul, ws, xs)), qden * eden, wden * xden
+    div, backend, rows = scalar.divider(dst.backend), dst.backend, []
     for k in range(dst.size + 1):
-        for combo in combinations(dst.atoms, k):
-            chosen = set(combo)
-            lhs = dst.zero
-            for b in combo:
-                lhs += dst.weight(b) * result.value(b)
-            rhs = dst.zero
-            for a in s.src.atoms:
-                if s.assign[a] in chosen:
-                    rhs += s.src.weight(a) * g.value(a)
-            rows.append((combo, abs(lhs - rhs)))
+        for combo, chosen in zip(combinations(dst.atoms, k), combinations(range(dst.size), k)):
+            lhs = scalar.total(map(lterms.__getitem__, chosen), backend)
+            rhs = scalar.total(compress(rterms, map(set(chosen).__contains__, s._images)), backend)
+            rows.append((combo, div(abs(lhs * rden - rhs * lden), lden * rden)))
     return rows

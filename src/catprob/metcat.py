@@ -52,7 +52,7 @@ from .errors import (
     NotParallel,
     ProductTooLarge,
 )
-from .finprob import _Map, _Scaled, _then
+from .finprob import _Map, _Scaled, _given, _then
 
 INF = math.inf
 
@@ -330,13 +330,6 @@ class _Built(_Scaled):
 def _space(points, den, rows, tol):
     """A construction's space: its form through the one constructor."""
     return FinPseudometricSpace(points, _Built((den, tuple(map(tuple, rows)))), tol=tol)
-
-
-def _given(kind, *named):
-    """Raise DomainMismatch at the first (name, value) whose value is not a `kind`."""
-    for name, value in named:
-        if not isinstance(value, kind):
-            raise DomainMismatch("%s is a %s, not a %s" % (name, type(value).__name__, kind.__name__))
 
 
 def _family(kind, name, family):

@@ -146,6 +146,27 @@ def cond_exp_literal(g, s):
     return out
 
 
+def cond_exp_residuals_literal(g, s, result=None):
+    """The defining property written out: per target subset B in `combinations`
+    order, (B, |sum over b in B of q(b) * E[g|s](b) - sum over the preimage of B
+    of w(a) * g(a)|), each sum a loop from the backend's zero."""
+    dst = s.dst
+    if result is None:
+        result = cond_exp(g, s)
+    rows = []
+    for k in range(dst.size + 1):
+        for combo in itertools.combinations(dst.atoms, k):
+            lhs = dst.zero
+            for b in combo:
+                lhs += dst.weight(b) * result.value(b)
+            rhs = dst.zero
+            for a in s.src.atoms:
+                if s.assign[a] in combo:
+                    rhs += s.src.weight(a) * g.value(a)
+            rows.append((combo, abs(lhs - rhs)))
+    return rows
+
+
 def l1_literal(space, xs, ys):
     """The integral of |x - y|: two random variables' l1 distance."""
     total = space.zero

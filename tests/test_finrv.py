@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catprob import errors
-from catprob.finprob import identity_map, make_map, make_space, uniform_space
+from catprob.finprob import as_equal, identity_map, make_map, make_space, map_distance, uniform_space
 from catprob.finrv import (
     MAX_RESIDUAL_TARGET,
     cond_exp,
@@ -155,6 +155,39 @@ class TestCondExp:
         assert str(exc.value) == "target has %d atoms; subset report capped at %d" % (n, n - 1)
         small = uniform_space(3)
         assert len(cond_exp_residuals(constant_rv(small, 1), identity_map(small))) == 2 ** 3
+
+
+_U2 = uniform_space(2)
+_ONE = constant_rv(_U2, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: cond_exp(None, None), errors.DomainMismatch, "g is a NoneType, not a FiniteRandomVariable"),
+        (lambda: cond_exp(_ONE, None), errors.DomainMismatch, "s is a NoneType, not a MeasurePreservingMap"),
+        (lambda: cond_exp_residuals(None, None), errors.DomainMismatch,
+         "g is a NoneType, not a FiniteRandomVariable"),
+        (lambda: cond_exp_residuals(_ONE, 2), errors.DomainMismatch, "s is a int, not a MeasurePreservingMap"),
+        (lambda: cond_exp_residuals(_ONE, identity_map(_U2), [1, 1]), errors.DomainMismatch,
+         "result is a list, not a FiniteRandomVariable"),
+        (lambda: cond_exp_residuals(_ONE, identity_map(_U2), constant_rv(uniform_space(3), 1)),
+         errors.SpaceMismatch, "conditional expectation does not live on the map's target"),
+        (lambda: cond_exp_residuals(constant_rv(uniform_space(3), 1), identity_map(_U2)),
+         errors.SpaceMismatch, "random variable does not live on the map's source"),
+        (lambda: map_distance(None, None), errors.DomainMismatch, "f is a NoneType, not a MeasurePreservingMap"),
+        (lambda: map_distance(identity_map(_U2), _ONE), errors.DomainMismatch,
+         "g is a FiniteRandomVariable, not a MeasurePreservingMap"),
+        (lambda: as_equal(identity_map(_U2), "id"), errors.DomainMismatch,
+         "g is a str, not a MeasurePreservingMap"),
+    ],
+)
+def test_kernels_name_an_input_that_is_no_table_or_map(call, error, message):
+    """Each of these raised a bare AttributeError; a kernel names the first
+    argument that is no random variable or map, or the table on another space."""
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestTruncate:

@@ -56,6 +56,7 @@ from catprob.finrv import (
     _cross_moment,
     _mean_square_diff,
     cond_exp,
+    cond_exp_residuals,
     expectation,
     l1_distance,
     max_value,
@@ -132,6 +133,31 @@ def test_kernels_match_literal_loops(backend, data):
     for name, (kernel, literal) in KERNELS.items():
         got, want = _table(kernel(case)), literal(case)
         assert _same(got, want), (name, got, want)
+
+
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cond_exp_residuals_match_the_defining_sums(backend, data):
+    """Every row's subset labels, and its residual by type and float bits, as
+    the defining sums give them: on a case's map (null atoms, up to 9 target
+    atoms) or a copy with labelled atoms, with `result` omitted, the
+    conditional expectation, or any table on the target (nonzero rows)."""
+    case = data.draw(cases(backend))
+    s, f = case.map, case.f
+    if data.draw(st.booleans()):
+        src = FiniteProbSpace(["a%d" % i for i in range(s.src.size)], s.src.weights, backend=backend)
+        dst = FiniteProbSpace([("b", j) for j in range(s.dst.size)], s.dst.weights, backend=backend)
+        s = MeasurePreservingMap(src, dst, {src.atoms[i]: dst.atoms[b] for i, b in enumerate(s._images)})
+        f = FiniteRandomVariable(src, f.values)
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    result = data.draw(st.sampled_from([
+        None, cond_exp(f, s), sampling.rand_rv(rng, s.dst, bound=2) if backend == scalar.EXACT
+        else FiniteRandomVariable(s.dst, [rng.random() * 2 for _ in range(s.dst.size)]),
+    ]))
+    got, want = cond_exp_residuals(f, s, result), oracles.cond_exp_residuals_literal(f, s, result)
+    assert [combo for combo, _ in got] == [combo for combo, _ in want]
+    assert _same([r for _, r in got], [r for _, r in want])
 
 
 @pytest.mark.parametrize("backend", scalar.BACKENDS)
@@ -233,6 +259,21 @@ def test_exact_kernels_build_one_fraction_per_entry(data):
     with fractions_built() as count:
         case.mu.total()
     assert count[0] == 1
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_exact_residuals_build_one_fraction_per_row(k):
+    """k target atoms of 2 source atoms each, of unequal weight: the 2^k rows
+    are folded on ints, and each row's residual is the one Fraction it builds."""
+    total = (2 * k) * (2 * k + 1) // 2
+    src = FiniteProbSpace(range(2 * k), [F(i + 1, total) for i in range(2 * k)])
+    dst = FiniteProbSpace(range(k), [F(4 * j + 3, total) for j in range(k)])
+    s = MeasurePreservingMap(src, dst, {i: i // 2 for i in range(2 * k)})
+    g = FiniteRandomVariable(src, [F(i, 3) for i in range(2 * k)])
+    for result in (None, cond_exp(g, s)):
+        with fractions_built() as count:
+            rows = cond_exp_residuals(g, s, result)
+        assert len(rows) == count[0] == 2 ** k and not any(r for _, r in rows)
 
 
 @contextlib.contextmanager
