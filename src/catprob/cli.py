@@ -124,13 +124,9 @@ def cmd_condexp(args):
         subsets.append(
             {"subset": [str(b) for b in combo], "residual": scalar.to_json(residual)}
         )
-    payload = {
-        "values": scalar.scaled_to_json(*result._scaled),
-        "atoms": [str(b) for b in dst.atoms],
-        "subset_residuals": subsets,
-        "ok": ok,
-    }
-    rows = [["subset", "residual"]] + [
+    values, atoms = scalar.scaled_to_json(*result._scaled), [str(b) for b in dst.atoms]
+    payload = {"values": values, "atoms": atoms, "subset_residuals": subsets, "ok": ok}
+    rows = [["atom", "value"], *zip(atoms, values), ["subset", "residual"]] + [
         ["|".join(d["subset"]), d["residual"]] for d in subsets
     ]
     _emit(payload, rows, args)
@@ -164,14 +160,15 @@ def cmd_extend(args):
     right = martingale_limit(rn_family(fam))
     square = l1_distance(left, right)
     ok = scalar.eq(square, mu.space.zero, mu.space.tol)
+    extension, atoms = scalar.scaled_to_json(*mu._scaled), [str(a) for a in mu.space.atoms]
     payload = {
-        "extension": scalar.scaled_to_json(*mu._scaled),
-        "atoms": [str(a) for a in mu.space.atoms],
+        "extension": extension,
+        "atoms": atoms,
         "restriction_residuals": residuals,
         "density_square_residual": scalar.to_json(square),
         "ok": ok,
     }
-    rows = [["level", "restriction_residual"]] + [
+    rows = [["atom", "extension"], *zip(atoms, extension), ["level", "restriction_residual"]] + [
         [k, v] for k, v in residuals.items()
     ] + [["density_square_residual", scalar.to_json(square)]]
     _emit(payload, rows, args)

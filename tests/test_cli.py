@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 from fractions import Fraction as F
@@ -79,6 +80,27 @@ def test_extend_roundtrip(tmp_path, capsys):
     assert code == 0
     assert payload["extension"] == ["1/8", "1/16", "1/4", "1/8"]
     assert payload["density_square_residual"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (["condexp", "--rv", "inputs/labelled_values.json", "--map", "inputs/labelled_map.json"], "value"),
+        (["condexp", "--rv", "inputs/float_rv.json", "--map", "inputs/float_map.json"], "value"),
+        (["extend", "--family", "inputs/labelled_family.json"], "extension"),
+        (["extend", "--family", "inputs/float_family.json"], "extension"),
+    ],
+)
+def test_csv_leads_with_the_computed_table(capsys, monkeypatch, argv, column):
+    """In CSV, condexp and extend write what they compute first, one row per
+    atom with the JSON report's text, and then their residual rows."""
+    monkeypatch.chdir(contract.HERE)
+    payload = json.loads(run(capsys, *argv)[1])
+    rows = list(csv.reader(io.StringIO(run(capsys, *argv, "--format", "csv")[1])))
+    table = payload["values" if column == "value" else column]
+    n = len(payload["atoms"])
+    assert rows[: n + 1] == [["atom", column]] + [[a, str(v)] for a, v in zip(payload["atoms"], table)]
+    assert rows[n + 1] in (["subset", "residual"], ["level", "restriction_residual"])
 
 
 def test_mapdist_worked_example(tmp_path, capsys):
