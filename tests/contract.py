@@ -111,25 +111,26 @@ def _run(backend, argv):
 
     out, err = io.StringIO(), io.StringIO()
     cwd, env = os.getcwd(), os.environ.pop("CATPROB_BACKEND", None)
-    with tempfile.TemporaryDirectory() if "FILE" in argv else contextlib.nullcontext() as tmp:
-        path = tmp and os.path.join(tmp, "report")
-        try:
-            os.chdir(HERE)
-            if backend is not None:
-                os.environ["CATPROB_BACKEND"] = backend
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                if argv[0].startswith("demos/"):
-                    runpy.run_path(str(ROOT / argv[0]), run_name="__main__")
-                    status = 0
-                else:
-                    status = cli.main([path if a == "FILE" else a for a in argv])
-        finally:
-            os.chdir(cwd)
-            os.environ.pop("CATPROB_BACKEND", None)
-            if env is not None:
-                os.environ["CATPROB_BACKEND"] = env
-        text = out.getvalue()
-        if path:  # a report on stdout as well moves the line
+    tmp = tempfile.TemporaryDirectory() if "FILE" in argv else None
+    path = tmp and os.path.join(tmp.name, "report")
+    try:
+        os.chdir(HERE)
+        if backend is not None:
+            os.environ["CATPROB_BACKEND"] = backend
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if argv[0].startswith("demos/"):
+                runpy.run_path(str(ROOT / argv[0]), run_name="__main__")
+                status = 0
+            else:
+                status = cli.main([path if a == "FILE" else a for a in argv])
+    finally:
+        os.chdir(cwd)
+        os.environ.pop("CATPROB_BACKEND", None)
+        if env is not None:
+            os.environ["CATPROB_BACKEND"] = env
+    text = out.getvalue()
+    if tmp is not None:  # a report on stdout as well moves the line
+        with tmp:
             text = Path(path).read_bytes().decode() if not text else "stdout: " + text
     return status, text, err.getvalue()
 

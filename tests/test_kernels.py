@@ -4,8 +4,8 @@ On the exact backend every kernel must equal its oracle in `oracles.py`
 exactly; on the float backend it must match the same loop to the bit.  The
 count pins check that the exact kernels work on ints: no Fraction for a
 random variable or measure until its table is read, then at most one per
-entry; one for a scalar; none for a valid map's check or for `as_equal`, at
-most one for `max_value`; and no Fraction comparison at all in a kernel or
+entry; one for a scalar, and one per row of `cond_exp_residuals`; none for a
+valid map's check or for `as_equal`, at most one for `max_value`; and no Fraction comparison at all in a kernel or
 in building a space, random variable or measure from valid input.  The
 value types keep their tables in scaled form, whichever path built them, and
 their one construction route stores or raises what the definition gives.
