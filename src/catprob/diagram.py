@@ -5,7 +5,8 @@ maps (finer level -> coarser level).  An optional designated top element is
 the master space and the poset maximum; its maps to the levels induce
 martingales by conditional expectation, and the engine inverts that
 construction: reading the top-level data off a consistent family (martingale
-limit / measure extension) after checking it against every level, certifying
+limit / measure extension), as an exact family's construction proved it or,
+on floats, after checking it against every level, certifying
 convergence through second-moment gaps, and running the dyadic ground-truth
 experiments where every quantity has a closed form.  Every diagram and
 family is validated when it is built.
@@ -39,7 +40,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .finmeas import FiniteMeasure, _density_bound, bound_check, pushforward, rn_derivative, tv_distance
-from .finprob import FiniteProbSpace, MeasurePreservingMap, _then, compose, identity_map, uniform_space
+from .finprob import FiniteProbSpace, MeasurePreservingMap, _given, _then, compose, identity_map, uniform_space
 from .finrv import (
     FiniteRandomVariable,
     _AtomTable,
@@ -125,6 +126,12 @@ class _Connect(Mapping):
 
     def __len__(self):
         return len(self._keys)
+
+
+def _composes_exactly(d):
+    """Whether `d`'s paths compose exactly: only an exact diagram keeps its
+    `_Connect` (`__init__` builds and re-checks float composites at once)."""
+    return type(d.connect) is _Connect
 
 
 class FiltrationDiagram:
@@ -444,12 +451,11 @@ class Martingale(_LevelFamily):
             den, nums = family[i]._scaled
             # max / den <= bnum / bden, cross-multiplied (both dens are 1 on floats)
             if not scalar.le(max(nums) * bden, bnum * den, diagram.tol):
-                raise Inconsistent("level %r exceeds the bound %s" % (i, bound))
+                raise Inconsistent("level %r exceeds the bound %s" % (i, bound), level=i)
         chk = is_martingale(family, diagram)
         if not chk.ok:
-            raise Inconsistent(
-                "consistency fails at %r with residual %s" % (chk.worst_pair, chk.residual)
-            )
+            msg = "consistency fails at %r with residual %s" % (chk.worst_pair, chk.residual)
+            raise Inconsistent(msg, pair=chk.worst_pair, residual=chk.residual)
 
 
 class ConsistentMeasureFamily(_LevelFamily):
@@ -463,35 +469,39 @@ class ConsistentMeasureFamily(_LevelFamily):
             if family[i].space != diagram.spaces[i]:
                 raise SpaceMismatch("family member at %r lives on the wrong space" % (i,))
             if not bound_check(family[i], bound):
-                raise Inconsistent("level %r exceeds bound * base weights" % (i,))
+                raise Inconsistent("level %r exceeds bound * base weights" % (i,), level=i)
         for (i, j) in diagram.covers:
             pushed = pushforward(family[j], diagram.connect[(i, j)])
             if _same_form(pushed, family[i]):
                 continue
             gap = tv_distance(pushed, family[i])
             if not scalar.eq(gap, scalar.zero(diagram.backend), diagram.tol):
-                raise Inconsistent(
-                    "restriction fails at %r <= %r with residual %s" % (i, j, gap)
-                )
+                msg = "restriction fails at %r <= %r with residual %s" % (i, j, gap)
+                raise Inconsistent(msg, pair=(i, j), residual=gap)
 
 
 def _levels_from_top(top, d, project, what, noun):
-    """Every level's image of a top-level value: level i is project(top, f_i)."""
+    """Every level's image of a top-level value: level i is project(top, f_i),
+    and the top's own is the top where paths compose exactly (E[x | id] = x,
+    id_*mu = mu); a float (w * x) / w need not give back x's bits."""
     if d.top is None:
         raise NoTopElement("%s needs a designated top element" % what)
     if top.space != d.spaces[d.top]:
         raise SpaceMismatch("%s does not live on the top space" % noun)
-    return {i: project(top, d.to_top(i)) for i in d.elements}
+    exact = _composes_exactly(d)
+    return {i: top if exact and i == d.top else project(top, d.to_top(i)) for i in d.elements}
 
 
 def induced_martingale(x, d, bound=None):
     """Condition a top-level random variable down every level: X_i = E[X | f_i]."""
+    _given(FiniteRandomVariable, ("x", x))
     family = _levels_from_top(x, d, cond_exp, "induced martingale", "random variable")
     return Martingale(d, family, bound=max_value(x) if bound is None else bound)
 
 
 def restrict_measure(mu, d, bound=None):
     """Push a top-level measure onto every level: the induced consistent family."""
+    _given(FiniteMeasure, ("mu", mu))
     family = _levels_from_top(mu, d, pushforward, "restriction", "measure")
     return ConsistentMeasureFamily(d, family, bound=bound)
 
@@ -557,37 +567,44 @@ def cauchy_certificate(m, eps):
     )
 
 
-def _top_level(fam, project, distance, what, miss):
-    """The family's top level, after checking that its image on every level
-    (`_levels_from_top`) is the family's level there, within the diagram's tol;
+def _top_level(fam, kind, project, distance, what, miss):
+    """The family's top level.  A constructed `kind` (the side of `project`)
+    whose paths compose exactly returns it as construction proved it: its covers hold at tol 0,
+    `validate` proved functoriality, and the tower property carries the
+    covers to every path.  Any other family's top image on every level
+    (`_levels_from_top`) must be the family's level within the diagram's tol;
     a level with an equal form (`_same_form`) computes no distance."""
     d = fam.diagram
+    if d.top is not None and isinstance(fam, kind) and _composes_exactly(d):
+        return fam.family[d.top]
     top = fam.family.get(d.top)  # None without a top, and then _levels_from_top raises
     for i, level in _levels_from_top(top, d, project, what, None).items():
         if _same_form(level, fam.family[i]):
             continue
         gap = distance(level, fam.family[i])
         if not scalar.eq(gap, top.space.zero, d.tol):
-            raise Inconsistent("%s misses level %r by %s" % (miss, i, gap))
+            raise Inconsistent("%s misses level %r by %s" % (miss, i, gap), level=i, residual=gap)
     return top
 
 
 def martingale_limit(m):
     """The unique top-level random variable inducing the martingale: its top level.
 
-    Requires a designated top.  The top level is conditioned down onto every
-    level and compared with the family there: on the float backend the
+    Requires a designated top.  An exact `Martingale` returns it as its
+    construction proved it.  Otherwise the top level is conditioned down onto
+    every level and compared with the family there: on the float backend the
     constructor's covering-pair check lets drift add up along a path.
     """
-    return _top_level(m, cond_exp, l1_distance, "martingale limit", "reconstructed limit")
+    return _top_level(m, Martingale, cond_exp, l1_distance, "martingale limit", "reconstructed limit")
 
 
 def kolmogorov_extend(fam):
     """The unique top-level measure restricting to every level: the family's top level.
 
-    The top level is pushed onto every level and compared with the family there.
+    An exact `ConsistentMeasureFamily` returns it as construction proved it;
+    otherwise the top level is pushed onto every level and compared there.
     """
-    return _top_level(fam, pushforward, tv_distance, "extension", "extension")
+    return _top_level(fam, ConsistentMeasureFamily, pushforward, tv_distance, "extension", "extension")
 
 
 def rn_family(fam):

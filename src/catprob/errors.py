@@ -38,7 +38,7 @@ class NotMeasurePreserving(CatprobError):
 
 
 class DomainMismatch(CatprobError):
-    """Maps do not share the required (co)domains, or an argument is no space or map."""
+    """Maps do not share the required (co)domains, or an argument is not of the type taken."""
 
 
 class CodomainTooLarge(CatprobError):
@@ -77,7 +77,12 @@ class NoTopElement(CatprobError):
 
 
 class Inconsistent(CatprobError):
-    """A candidate family fails the consistency (martingale/measure) check."""
+    """A candidate family fails the consistency (martingale/measure) check;
+    carries the failing `level` or `pair` and its `residual` (None where unset)."""
+
+    def __init__(self, message, *, level=None, pair=None, residual=None):
+        super().__init__(message)
+        self.level, self.pair, self.residual = level, pair, residual
 
 
 class IndexMismatch(CatprobError):

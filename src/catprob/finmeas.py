@@ -14,7 +14,7 @@ from operator import mul, sub
 
 from . import scalar
 from .errors import SpaceMismatch
-from .finprob import _fiber_sums
+from .finprob import _fiber_sums, _given
 from .finrv import FiniteRandomVariable, _AtomTable
 
 
@@ -53,6 +53,8 @@ def zero_measure(space):
 
 def tv_distance(mu, nu):
     """Atomwise sum of |mu_a - nu_a| (equals the partition supremum)."""
+    if not (isinstance(mu, FiniteMeasure) and isinstance(nu, FiniteMeasure)):
+        _given(FiniteMeasure, ("mu", mu), ("nu", nu))
     if mu.space != nu.space:
         raise SpaceMismatch("measures live on different spaces")
     den, xs, ys = scalar.common(mu._scaled, nu._scaled)
@@ -62,6 +64,8 @@ def tv_distance(mu, nu):
 
 def pushforward(mu, s):
     """Image measure along s: each target atom collects its fiber's mass."""
+    if not isinstance(mu, FiniteMeasure):
+        _given(FiniteMeasure, ("mu", mu))
     if mu.space != s.src:
         raise SpaceMismatch("measure does not live on the map's source")
     den, ms = mu._scaled
@@ -70,6 +74,8 @@ def pushforward(mu, s):
 
 def bound_check(mu, r):
     """True iff mu_a <= r * p_a at every atom (atomwise suffices here)."""
+    if not isinstance(mu, FiniteMeasure):
+        _given(FiniteMeasure, ("mu", mu))
     space = mu.space
     rden, (rnum,) = scalar.scaled([scalar.coerce(r, space.backend)], space.backend)
     if rnum < 0:
@@ -123,8 +129,10 @@ def rn_derivative(mu):
     """Measure to density: g_a = mu_a / p_a, canonical 0 on null atoms.
 
     rho(rn_derivative(mu)) == mu holds exactly; absolute continuity is a type
-    invariant of FiniteMeasure so no error case remains here.
+    invariant of FiniteMeasure, so only a `mu` of another type is an error.
     """
+    if not isinstance(mu, FiniteMeasure):
+        _given(FiniteMeasure, ("mu", mu))
     space = mu.space
     (wden, ws), (mden, ms) = space._scaled, mu._scaled
     out = scalar.ratios([m * wden for m in ms], [mden * w if w else 1 for w in ws], space.backend)

@@ -127,6 +127,8 @@ def constant_rv(space, c):
 
 
 def _require_same_space(f, g):
+    if not (isinstance(f, FiniteRandomVariable) and isinstance(g, FiniteRandomVariable)):
+        _given(FiniteRandomVariable, ("f", f), ("g", g))
     if f.space != g.space:
         raise SpaceMismatch("random variables live on different spaces")
 
@@ -160,6 +162,8 @@ def l1_distance(f, g):
 
 
 def expectation(f):
+    if not isinstance(f, FiniteRandomVariable):
+        _given(FiniteRandomVariable, ("f", f))
     den, xs = f._scaled
     return _value(f.space, _integral(f.space, den, map(mul, f.space._scaled[1], xs)))
 
@@ -198,12 +202,12 @@ def max_value(f):
 def _along(g, s):
     """(s.src, s.dst) once g lives on s's source; `_given` names a g or s of another type."""
     try:
-        if g.space == s.src:
+        if isinstance(g, FiniteRandomVariable) and g.space == s.src:
             return s.src, s.dst
     except AttributeError:
-        _given(FiniteRandomVariable, ("g", g))
         _given(MeasurePreservingMap, ("s", s))
         raise
+    _given(FiniteRandomVariable, ("g", g))
     raise SpaceMismatch("random variable does not live on the map's source")
 
 

@@ -32,7 +32,7 @@ from catprob.diagram import (
     second_moment_identity_report,
     validate,
 )
-from catprob.finmeas import FiniteMeasure, base_measure, rn_derivative, tv_distance, zero_measure
+from catprob.finmeas import FiniteMeasure, base_measure, make_measure, rn_derivative, tv_distance, zero_measure
 from catprob.finprob import (
     MeasurePreservingMap,
     identity_map,
@@ -1530,6 +1530,129 @@ def test_passing_checks_compute_no_distance(monkeypatch):
     family[3] = FiniteRandomVariable(d.spaces[3], [v + 1 for v in family[3].values])
     chk = is_martingale(family, d)
     assert not chk.ok and calls["n"] == 2 and chk.worst_pair in ((2, 3), (3, 4))
+
+
+def _top_by_bits(top):
+    """A top level by type, space and table (floats by their bits), or an error by type and text."""
+    if isinstance(top, tuple):
+        return top
+    table = top.values if isinstance(top, FiniteRandomVariable) else top.mass
+    return type(top), top.space, [v.hex() if type(v) is float else v for v in table]
+
+
+class TestTopLevelsOfConstructedFamilies:
+    """A constructed family's limit or extension, on either backend, is the
+    top level `oracles.top_level_literal` gives, which conditions or pushes
+    it down to every level and compares: by value and by float bits, and
+    the very object the family holds."""
+
+    @staticmethod
+    def _matches_the_literal(martingale, d, family, bound):
+        new, limit = (Martingale, martingale_limit) if martingale else (ConsistentMeasureFamily, kolmogorov_extend)
+        try:
+            built = new(d, family, bound)
+        except errors.CatprobError:
+            return  # only the families a constructor accepts
+        got = _raised_or(limit, built)
+        assert _top_by_bits(got) == _top_by_bits(_raised_or(top_level_literal, d, dict(built.family), martingale))
+        assert isinstance(got, tuple) or got is built.family[d.top]
+
+    @settings(max_examples=150, deadline=None)
+    @given(perturbed_families())
+    def test_perturbed_families(self, case):
+        self._matches_the_literal(*case, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doctored_families())
+    def test_doctored_families(self, case):
+        self._matches_the_literal(*case)
+
+
+def _count_projections(monkeypatch):
+    """Counters of the projections and distances `diagram` calls, by name."""
+    names = ("cond_exp", "pushforward", "l1_distance", "tv_distance")
+    return {name: _count_calls(monkeypatch, diagram, name) for name in names}
+
+
+def test_exact_top_levels_take_no_projection_or_distance(monkeypatch):
+    """On an exact diagram a family induced from a top holds that top, taken
+    along no identity, and an exact constructed family's limit and extension
+    are its top level, with no conditional expectation, pushforward or
+    distance computed; a float family is conditioned onto every level."""
+    d = two_chain_over_uniform4()
+    x, mu = make_rv(d.spaces[2], [0, 1, 2, 3]), make_measure(d.spaces[2], ["1/8", "1/8", "1/4", "1/2"])
+    calls = _count_projections(monkeypatch)
+    m, fam = induced_martingale(x, d), restrict_measure(mu, d)
+    assert m.family[d.top] is x and fam.family[d.top] is mu
+    # one projection per level below the top, then one per covering pair to check
+    assert calls["cond_exp"]["n"] == calls["pushforward"]["n"] == len(d.elements) - 1 + len(d.covers)
+    calls = _count_projections(monkeypatch)
+    assert martingale_limit(m) is x and kolmogorov_extend(fam) is mu
+    assert {name: c["n"] for name, c in calls.items()} == dict.fromkeys(calls, 0)
+    u4, u2, u1 = (uniform_space(n, scalar.FLOAT) for n in (4, 2, 1))
+    fd = FiltrationDiagram.chain([u1, u2, u4], [make_map(u2, u1, {0: 0, 1: 0}), make_map(u4, u2, {0: 0, 1: 0, 2: 1, 3: 1})])
+    fm = induced_martingale(make_rv(u4, [0.0, 1.0, 2.0, 3.0]), fd)
+    calls = _count_projections(monkeypatch)
+    assert martingale_limit(fm) is fm.family[fd.top]
+    assert calls["cond_exp"]["n"] == len(fd.elements)
+
+
+def _drifting_float_martingale():
+    """A float martingale on a chain of three one-atom levels whose covering
+    pairs each differ by 6e-10, within the tol of 1e-9, so its top misses
+    the bottom level by about 1.2e-9."""
+    v = uniform_space(1, scalar.FLOAT)
+    step = make_map(v, v, {0: 0})
+    d = FiltrationDiagram.chain([v, v, v], [step, step])
+    return Martingale(d, {t: make_rv(v, [1.0 + t * 6e-10]) for t in d.elements})
+
+
+def test_float_limit_rechecks_drift_along_a_path():
+    """The constructor checks covering pairs within the tol, so float drift
+    can add up along a path past it: the limit still checks every level and
+    names the level it misses and by how much."""
+    m = _drifting_float_martingale()
+    gap = l1_distance(m.family[2], m.family[0])
+    assert gap > m.diagram.tol
+    with pytest.raises(errors.Inconsistent) as err:
+        martingale_limit(m)
+    assert str(err.value) == "reconstructed limit misses level 0 by %s" % gap
+    assert (err.value.level, err.value.pair, err.value.residual) == (0, None, gap)
+
+
+def _moved(table, i, values):
+    """`table` (a dict of levels) with level i replaced by a table of its type."""
+    return {**table, i: type(table[i])(table[i].space, values)}
+
+
+_X4 = [0, 1, 2, 3]
+_MU4 = ["1/8", "1/8", "1/4", "1/2"]
+
+
+@pytest.mark.parametrize(
+    "build, message, fields",
+    [
+        (lambda d: Martingale(d, dict(induced_martingale(make_rv(d.spaces[2], _X4), d).family), 1),
+         "level 0 exceeds the bound 1", (0, None, None)),
+        (lambda d: Martingale(d, _moved(dict(induced_martingale(make_rv(d.spaces[2], _X4), d).family), 1, [1, 2])),
+         "consistency fails at (1, 2) with residual 1/2", (None, (1, 2), F(1, 2))),
+        (lambda d: ConsistentMeasureFamily(d, dict(restrict_measure(make_measure(d.spaces[2], _MU4), d).family), 1),
+         "level 1 exceeds bound * base weights", (1, None, None)),
+        (lambda d: ConsistentMeasureFamily(
+            d, _moved(dict(restrict_measure(make_measure(d.spaces[2], _MU4), d).family), 2, ["1/4"] * 4)),
+         "restriction fails at 1 <= 2 with residual 1/2", (None, (1, 2), F(1, 2))),
+    ],
+    ids=["martingale-bound", "martingale-consistency", "measure-bound", "measure-restriction"],
+)
+def test_inconsistent_names_its_level_pair_and_residual(build, message, fields):
+    """Each constructor's raise of Inconsistent keeps its message and carries
+    the failing level or covering pair and the residual there (None where
+    the check has none); the limit's raise is read in
+    `test_float_limit_rechecks_drift_along_a_path`."""
+    with pytest.raises(errors.Inconsistent) as err:
+        build(two_chain_over_uniform4())
+    assert str(err.value) == message
+    assert (err.value.level, err.value.pair, err.value.residual) == fields
 
 
 # -- the closed order ranked once: writer, chain order and order scans -----------

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catprob import errors
+from catprob.diagram import FiltrationDiagram, induced_martingale, kolmogorov_extend, martingale_limit, restrict_measure
+from catprob.finmeas import bound_check, make_measure, pushforward, rn_derivative, tv_distance
 from catprob.finprob import as_equal, identity_map, make_map, make_space, map_distance, uniform_space
 from catprob.finrv import (
     MAX_RESIDUAL_TARGET,
@@ -159,6 +161,10 @@ class TestCondExp:
 
 _U2 = uniform_space(2)
 _ONE = constant_rv(_U2, 1)
+_MU = make_measure(_U2, ["1/4", "3/4"])
+_CHAIN = FiltrationDiagram.chain([uniform_space(1), _U2], [make_map(_U2, uniform_space(1), {0: 0, 1: 0})])
+_NOT_RV = "%s is a FiniteMeasure, not a FiniteRandomVariable"
+_NOT_MEASURE = "%s is a FiniteRandomVariable, not a FiniteMeasure"
 
 
 @pytest.mark.parametrize(
@@ -180,11 +186,25 @@ _ONE = constant_rv(_U2, 1)
          "g is a FiniteRandomVariable, not a MeasurePreservingMap"),
         (lambda: as_equal(identity_map(_U2), "id"), errors.DomainMismatch,
          "g is a str, not a MeasurePreservingMap"),
+        # a table of the other type: its masses were read as values, or the reverse
+        (lambda: cond_exp(_MU, identity_map(_U2)), errors.DomainMismatch, _NOT_RV % "g"),
+        (lambda: cond_exp_residuals(_MU, identity_map(_U2)), errors.DomainMismatch, _NOT_RV % "g"),
+        (lambda: expectation(_MU), errors.DomainMismatch, _NOT_RV % "f"),
+        (lambda: l1_distance(_ONE, _MU), errors.DomainMismatch, _NOT_RV % "g"),
+        (lambda: pushforward(_ONE, identity_map(_U2)), errors.DomainMismatch, _NOT_MEASURE % "mu"),
+        (lambda: tv_distance(_MU, _ONE), errors.DomainMismatch, _NOT_MEASURE % "nu"),
+        (lambda: rn_derivative(_ONE), errors.DomainMismatch, _NOT_MEASURE % "mu"),
+        (lambda: bound_check(_ONE, 1), errors.DomainMismatch, _NOT_MEASURE % "mu"),
+        (lambda: induced_martingale(_MU, _CHAIN), errors.DomainMismatch, _NOT_RV % "x"),
+        (lambda: restrict_measure(_ONE, _CHAIN), errors.DomainMismatch, _NOT_MEASURE % "mu"),
+        (lambda: martingale_limit(restrict_measure(_MU, _CHAIN)), errors.DomainMismatch, _NOT_RV % "g"),
+        (lambda: kolmogorov_extend(induced_martingale(_ONE, _CHAIN)), errors.DomainMismatch, _NOT_MEASURE % "mu"),
     ],
 )
 def test_kernels_name_an_input_that_is_no_table_or_map(call, error, message):
-    """Each of these raised a bare AttributeError; a kernel names the first
-    argument that is no random variable or map, or the table on another space."""
+    """Each of these raised a bare AttributeError, or read a table of the
+    other type as its own; a kernel names the first argument that is no
+    random variable, measure or map, or the table on another space."""
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
