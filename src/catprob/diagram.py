@@ -147,8 +147,8 @@ class FiltrationDiagram:
     rank order; functoriality on them implies it on every triple (see
     `validate`), and the martingale and measure checks walk them.  Elements
     are distinct.  `_order` holds the up-sets of the closed order and its
-    pairs ranked by the elements' positions, the one ranking that `validate`,
-    `chain_order` and `jsonio`'s writer read.
+    pairs ranked by the elements' positions, the one ranking that `validate`
+    and `chain_order` read; `jsonio` writes a diagram by its covers.
     """
 
     __slots__ = ("elements", "leq", "spaces", "connect", "top", "backend", "tol", "covers", "_order")

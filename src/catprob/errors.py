@@ -135,6 +135,10 @@ class NotLipschitz(CatprobError):
     """A point assignment expands some distance."""
 
 
+class EmptyFamily(CatprobError, ValueError):
+    """A product, coproduct or hom of no factor (a ValueError too, as it was)."""
+
+
 # -- serialization ---------------------------------------------------------------
 
 class ParseError(CatprobError):

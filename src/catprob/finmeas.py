@@ -109,6 +109,8 @@ def _density_bound(mu):
 
 def truncate_measure(mu, n):
     """Meet with n times the base weights: atomwise min(mu_a, n * p_a)."""
+    if not isinstance(mu, FiniteMeasure):
+        _given(FiniteMeasure, ("mu", mu))
     space = mu.space
     nden, (num,) = scalar.scaled([scalar.coerce(n, space.backend)], space.backend)
     if num <= 0:
@@ -120,6 +122,8 @@ def truncate_measure(mu, n):
 
 def rho(g):
     """Density to measure: mass_a = g_a * p_a."""
+    if not isinstance(g, FiniteRandomVariable):
+        _given(FiniteRandomVariable, ("g", g))
     space = g.space
     (wden, ws), (den, xs) = space._scaled, g._scaled
     return FiniteMeasure._from_scaled(space, den * wden, list(map(mul, xs, ws)))

@@ -35,11 +35,11 @@ class FiniteProbSpace:
     compare spaces by value (atoms, weights, backend).  A space keeps its
     weights in scaled form (`scalar.coerce_scaled`), which the kernels, `==`
     and `hash` read; an exact space builds its `weights` on first read.  A
-    space over `range(n)` keeps its atoms as their positions: it builds its
-    `atoms` tuple and its `_index` dict on first read.
+    space over `range(n)` keeps its atoms as their positions (`_positional`, which
+    stays true): it builds its `atoms` tuple and its `_index` dict on first read.
     """
 
-    __slots__ = ("_atoms", "_weights", "backend", "tol", "_positions", "_scaled", "_nulls")
+    __slots__ = ("_atoms", "_weights", "backend", "tol", "_positions", "_positional", "_scaled", "_nulls")
 
     def __init__(self, atoms, weights, backend=scalar.EXACT, tol=None):
         if type(atoms) is range and atoms.start == 0 and atoms.step == 1:  # labels are positions
@@ -86,7 +86,7 @@ class FiniteProbSpace:
         if not scalar.eq(total, den, tol):
             raise WeightSumMismatch("weights sum to %s, expected 1" % (div(total, den),))
         self._weights, self._scaled = scalar.lowest(den, nums, backend)
-        self.backend, self.tol, self._positions = backend, tol, index
+        self.backend, self.tol, self._positions, self._positional = backend, tol, index, index is None
         self._nulls = tuple([i for i, w in enumerate(nums) if not w]) if 0 in probe else ()
 
     @property

@@ -169,6 +169,8 @@ def expectation(f):
 
 
 def second_moment(f):
+    if not isinstance(f, FiniteRandomVariable):
+        _given(FiniteRandomVariable, ("f", f))
     return _cross_moment(f, f)
 
 
@@ -194,6 +196,8 @@ def _mean_square_diff(f, g):
 
 def max_value(f):
     """Largest value on positive-weight atoms (the least bound r with f <= r)."""
+    if not isinstance(f, FiniteRandomVariable):
+        _given(FiniteRandomVariable, ("f", f))
     den, nums = f._scaled
     best = max(nums)  # null atoms carry 0, so they never win
     return scalar.divider(f.space.backend)(best, den) if best > 0 else f.space.zero
@@ -232,6 +236,8 @@ def cond_exp(g, s):
 
 def pullback(f, s):
     """Precompose f (on the map's target) with the map: values f(s(a))."""
+    if not isinstance(f, FiniteRandomVariable):
+        _given(FiniteRandomVariable, ("f", f))
     if f.space != s.dst:
         raise SpaceMismatch("random variable does not live on the map's target")
     den, nums = f._scaled
@@ -240,6 +246,8 @@ def pullback(f, s):
 
 def truncate_rv(f, n):
     """Pointwise minimum with the level n > 0."""
+    if not isinstance(f, FiniteRandomVariable):
+        _given(FiniteRandomVariable, ("f", f))
     backend = f.space.backend
     den, xs, (cap,) = scalar.common(f._scaled, scalar.scaled([scalar.coerce(n, backend)], backend))
     if cap <= 0:

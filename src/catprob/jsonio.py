@@ -5,7 +5,10 @@ as the literal "inf".  Tables keyed by atoms or poset elements are JSON
 objects keyed by str(label); the declared label arrays keep the original
 (possibly non-string) labels, and loading matches keys back against them.
 Atoms 0..n-1 decode as a space over range(n), `_read_map` reads an `assign`
-object to image positions, and a table parses each distinct literal once.
+object to image positions, and `scalar.parse_ratio` parses each distinct
+literal once per process.  A diagram is written by its covering pairs, from
+which the reader derives every composite; a document that also lists the
+composites of the closed order reads to the same diagram.
 """
 from __future__ import annotations
 
@@ -92,13 +95,14 @@ class _guard:
 
 
 def _labels(space):
-    """Each atom's JSON label, by position; a space over range(n) builds no atom tuple."""
-    return list(range(space.size)) if space._atoms is None else [_atom_to_json(a) for a in space._atoms]
+    """Each atom's JSON label, by position; a space over range(n) writes its positions,
+    also once its atom tuple is built."""
+    return list(range(space.size)) if space._positional else [_atom_to_json(a) for a in space._atoms]
 
 
 def _names(space):
     """str(label) of each atom, by position: the keys of a JSON object by atom."""
-    return list(map(str, range(space.size) if space._atoms is None else space._atoms))
+    return list(map(str, range(space.size) if space._positional else space._atoms))
 
 
 def space_to_obj(s):
@@ -134,11 +138,11 @@ def _read_map(src, dst, table, what, where, names):
     """The map src -> dst of an `assign` object, its images read by the keys `names`
     straight to positions; a faulty object, or an image such as `true` that only
     equals a label, goes through `_key_lookup` and the label-keyed constructor."""
-    images, unique = None, src._atoms is None or len(set(names)) == len(names)  # no two print alike
+    images, unique = None, src._positional or len(set(names)) == len(names)  # no two print alike
     if unique and type(table) is dict and len(table) == len(names):
         try:
             raw = list(map(table.__getitem__, names))
-            if dst._atoms is not None:
+            if not dst._positional:
                 images = tuple([dst._index[_atom_from_json(b)] for b in raw])
             elif min(raw) >= 0:  # a negative index would count from the end
                 images = tuple(map(range(dst.size).__getitem__, raw))
@@ -216,13 +220,13 @@ def metspace_from_obj(obj, what="metric space"):
 
 
 def diagram_to_obj(d):
-    # the ranked pairs of the closed order, which on a valid diagram are the connect keys
-    pairs = [(i, j) for i, j in d._order[1] if i != j]
+    # the covering pairs, ranked by position: on a valid diagram they generate the
+    # order and fix every other map, which the reader derives (it also reads composites)
     names = {e: _names(d.spaces[e]) for e in d.elements}  # a pair's assign object, by position
     labels = {e: _labels(d.spaces[e]) for e in d.elements}
     return {
         "elements": [_atom_to_json(e) for e in d.elements],
-        "leq": [[_atom_to_json(i), _atom_to_json(j)] for i, j in pairs],
+        "leq": [[_atom_to_json(i), _atom_to_json(j)] for i, j in d.covers],
         "spaces": {str(e): space_to_obj(d.spaces[e]) for e in d.elements},
         "connect": [
             {
@@ -230,7 +234,7 @@ def diagram_to_obj(d):
                 "hi": _atom_to_json(j),
                 "assign": dict(zip(names[j], map(labels[i].__getitem__, d.connect[(i, j)]._images))),
             }
-            for (i, j) in pairs
+            for (i, j) in d.covers
         ],
         "top": None if d.top is None else _atom_to_json(d.top),
     }

@@ -47,6 +47,7 @@ from . import scalar
 from .errors import (
     BackendMismatch,
     DomainMismatch,
+    EmptyFamily,
     InvalidMetric,
     NotLipschitz,
     NotParallel,
@@ -81,14 +82,14 @@ def _coerce_table(dist, n, backend):
         raise InvalidMetric("distance table is not a list of rows: %r" % (dist,)) from None
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidMetric("distance table is not %d x %d" % (n, n))
-    ratios, memo = None, {}
-    if backend == scalar.EXACT:  # coerce_scaled's rules inline, in one pass, one parse per literal
+    ratios = None
+    if backend == scalar.EXACT:  # coerce_scaled's rules inline, in one pass
         try:
             ratios = [
                 [
                     (v, 1) if type(v) is int else v.as_integer_ratio() if type(v) is Fraction
                     else INF if v is INF or v == "inf"
-                    else memo.get(v) or memo.setdefault(v, scalar.parse_ratio(v)) if type(v) is str
+                    else scalar.parse_ratio(v) if type(v) is str
                     else _coerce_dist(v, backend)
                     for v in r
                 ]
@@ -347,7 +348,7 @@ def product(spaces):
     """Product with the sup metric; points are tuples of factor points."""
     spaces = _family(FinPseudometricSpace, "spaces", spaces)
     if not spaces:
-        raise ValueError("product of an empty family is not supported")
+        raise EmptyFamily("product of an empty family is not supported")
     cells, points = _cells("product", spaces)
     _, tol = scalar.same_backend(*spaces)
     den, tables = _over_one_den(spaces)
@@ -395,7 +396,7 @@ def coproduct(spaces):
     """Disjoint union; points are (component index, point), cross distances inf."""
     spaces = _family(FinPseudometricSpace, "spaces", spaces)
     if not spaces:
-        raise ValueError("coproduct of an empty family is not supported")
+        raise EmptyFamily("coproduct of an empty family is not supported")
     _, tol = scalar.same_backend(*spaces)
     den, tables = _over_one_den(spaces)
     cells = [(i, a) for i, s in enumerate(spaces) for a in range(s.size)]
@@ -567,7 +568,7 @@ def hom(maps):
     """Sup metric on a finite family of parallel 1-Lipschitz maps."""
     maps = _family(LipschitzMap, "maps", maps)
     if not maps:
-        raise ValueError("hom needs at least one map")
+        raise EmptyFamily("hom needs at least one map")
     for m in maps[1:]:
         if m.src != maps[0].src or m.dst != maps[0].dst:
             raise NotParallel("hom maps must share source and target")

@@ -20,12 +20,14 @@ only its ints (`lowest`); its Fractions are built on first read, and
 as its (num, den) pair (the dyadic report's second moments and gaps, over
 one den).  A metric table is held the same way, one row of the form per
 point, with infinity kept as `inf` itself, which `scaled_to_json` writes as
-"inf".
+"inf".  A "num/den" literal is parsed once per process (`parse_ratio` keeps
+a bounded cache of short literals), and `scaled_to_json` formats a row of
+equal exact entries once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, inf, isfinite, lcm
 from operator import add, truediv
 
@@ -89,10 +91,14 @@ def to_json(x):
 def scaled_to_json(den, nums):
     """`[to_json(n / den) for n in nums]` from a scaled form, building no scalar:
     per exact entry one gcd and the "num/den" text, and "inf" for a metric
-    table's infinity.  A den of 1 (every float form) writes each entry as
+    table's infinity; a row whose entries one `count` finds all equal (a
+    uniform space's weights) is formatted once.  A den of 1 (every float
+    form, whose 0.0 and -0.0 are equal but write apart) writes each entry as
     `to_json` does."""
     if den == 1:
         return [to_json(n) for n in nums]
+    if len(nums) > 1 and nums.count(nums[0]) == len(nums):
+        return scaled_to_json(den, nums[:1]) * len(nums)
     out = []
     for n in nums:
         if n is inf:
@@ -111,7 +117,12 @@ def check_tol(tol):
 
 def parse_ratio(text):
     """Parse "num/den" or "num" into ints (num, den) in lowest terms, den > 0, raising
-    ValueError naming a malformed literal, or ZeroDivisionError as `Fraction` would."""
+    ValueError naming a malformed literal, or ZeroDivisionError as `Fraction` would.
+    A literal of at most `_CACHED_CHARS` characters is parsed once per process."""
+    return _cached_ratio(text) if len(text) <= _CACHED_CHARS else _ratio(text)
+
+
+def _ratio(text):
     parts = text.strip().split("/")
     if len(parts) > 2:
         raise ValueError("not a rational literal: %r" % text)
@@ -125,6 +136,14 @@ def parse_ratio(text):
         raise ZeroDivisionError("Fraction(%s, 0)" % num)
     g = gcd(num, den) if den > 0 else -gcd(num, den)
     return num // g, den // g
+
+
+#: `parse_ratio` keeps the ints of its 4,096 latest distinct literals of at most 64
+#: characters; a longer one (int() reads up to 4,300 digits, and any whitespace
+#: around them) is parsed on each call.  Full, the cache holds about 1.4 MB: 330
+#: bytes an entry for 64-character literals, by tracemalloc on CPython 3.11.
+_CACHED_CHARS = 64
+_cached_ratio = lru_cache(maxsize=4096)(_ratio)
 
 
 def scaled(xs, backend=EXACT):
@@ -147,13 +166,12 @@ def scaled(xs, backend=EXACT):
 def coerce_scaled(values, backend):
     """`scaled(tuple([coerce(v, backend) for v in values]), backend)`, with no
     Fraction built on the exact backend: an int is (v, 1), a Fraction its
-    `as_integer_ratio`, a string `parse_ratio`'s ints (once per distinct string),
-    and anything else goes through `coerce`: the values and errors are `coerce`'s."""
+    `as_integer_ratio`, a string `parse_ratio`'s ints, and anything else goes
+    through `coerce`: the values and errors are `coerce`'s."""
     if backend != EXACT:
         return 1, tuple([coerce(v, backend) for v in values])
-    memo = {}
     pairs = [
-        (v, 1) if type(v) is int else memo.get(v) or memo.setdefault(v, parse_ratio(v)) if type(v) is str
+        (v, 1) if type(v) is int else parse_ratio(v) if type(v) is str
         else (v if type(v) is Fraction else coerce(v, EXACT)).as_integer_ratio()
         for v in values
     ]

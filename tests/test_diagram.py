@@ -1655,7 +1655,7 @@ def test_inconsistent_names_its_level_pair_and_residual(build, message, fields):
     assert (err.value.level, err.value.pair, err.value.residual) == fields
 
 
-# -- the closed order ranked once: writer, chain order and order scans -----------
+# -- the closed order ranked once: chain order and order scans; the covers' writer
 
 
 _ORDER_PROBLEMS = ("antisymmetry fails", "no upper bound")
@@ -1677,7 +1677,8 @@ def _writes_the_schema(d):
 def test_ranked_pairs_write_and_scan_as_defined(args):
     """`validate`'s order scans by position give the diagram problems' order
     problems, in order; a diagram that builds writes the schema's document
-    from its ranked pairs and gives the chain order by rank, or its error."""
+    from its covering pairs, reads back equal, and gives the chain order by
+    rank, or its error."""
     elements, gens, spaces, connect, top = args
     raw = _raw_diagram(elements, _closed(elements, gens), spaces, connect, top)
     assert _order_problems(raw) == [p for p in diagram_problems_literal(raw) if p.startswith(_ORDER_PROBLEMS)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from catprob import errors
 from catprob.diagram import FiltrationDiagram, induced_martingale, kolmogorov_extend, martingale_limit, restrict_measure
-from catprob.finmeas import bound_check, make_measure, pushforward, rn_derivative, tv_distance
+from catprob.finmeas import bound_check, make_measure, pushforward, rho, rn_derivative, truncate_measure, tv_distance
 from catprob.finprob import as_equal, identity_map, make_map, make_space, map_distance, uniform_space
 from catprob.finrv import (
     MAX_RESIDUAL_TARGET,
@@ -206,6 +206,30 @@ def test_kernels_name_an_input_that_is_no_table_or_map(call, error, message):
     other type as its own; a kernel names the first argument that is no
     random variable, measure or map, or the table on another space."""
     with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+_U4 = uniform_space(4)
+_MU4 = make_measure(_U4, ["1/8", "1/8", "1/4", "1/2"])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: truncate_rv(_MU4, "1/4"), _NOT_RV % "f"),
+        (lambda: rho(_MU4), _NOT_RV % "g"),
+        (lambda: max_value(_MU4), _NOT_RV % "f"),
+        (lambda: second_moment(_MU4), _NOT_RV % "f"),
+        (lambda: truncate_measure(make_rv(_U4, [1, 2, 3, 4]), 1), _NOT_MEASURE % "mu"),
+        (lambda: pullback(_MU, make_map(_U4, _U2, {0: 0, 1: 0, 2: 1, 3: 1})), _NOT_RV % "f"),
+    ],
+    ids=["truncate_rv", "rho", "max_value", "second_moment", "truncate_measure", "pullback"],
+)
+def test_kernels_reject_a_table_of_the_other_type(call, message):
+    """These read a measure's masses as values, or the reverse: `truncate_rv` of
+    a measure gave a random variable, and `pullback` of one another."""
+    with pytest.raises(errors.DomainMismatch) as exc:
         call()
     assert str(exc.value) == message
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catprob import errors, finprob, jsonio, metcat, scalar
+from catprob import diagram, errors, finprob, jsonio, metcat, scalar
 from catprob.diagram import (
     DyadicGround,
     FiltrationDiagram,
@@ -301,12 +301,36 @@ def test_parse_error_keeps_the_invalid_diagram_as_its_cause():
 
 
 def test_dyadic_diagram_encoding_is_pinned():
-    """The JSON of the tent ground's depth-6 dyadic diagram, byte for byte,
-    as the label-keyed maps wrote it."""
+    """The JSON of the tent ground's depth-6 dyadic diagram, byte for byte, as
+    written by its covers; the document of every pair of the closed order,
+    which the writer gave before, still reads back to the same diagram."""
     d, _ = make_dyadic(DyadicGround([0, F(1, 2), 1], [0, 1, 0]), 6)
     text = json.dumps(jsonio.diagram_to_obj(d), indent=2, sort_keys=True) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "049aefd0f24e7ff738f348503162436cea22dd11a941fbdf171aec60b067076c"
+    closed = json.dumps(_diagram_document(d, _ranked_pairs), indent=2, sort_keys=True) + "\n"
+    digest = hashlib.sha256(closed.encode()).hexdigest()
     assert digest == "46e912b7b29f4a77796a24fa7d7d33738b5098b5c906d75658282cd9b2c9bd26"
+    assert jsonio.diagram_from_obj(json.loads(closed)) == d
+
+
+def test_deep_dyadic_diagram_writes_only_its_covers(monkeypatch):
+    """A depth-12 dyadic chain writes its 12 steps, builds no composite to
+    write, stays under 0.25 MB and reads back equal."""
+    d, _ = make_dyadic(DyadicGround([0, F(1, 2), 1], [0, 1, 0]), 12)
+    composed = []
+
+    def compose(*maps, _compose=diagram.compose):
+        composed.append(maps)
+        return _compose(*maps)
+
+    monkeypatch.setattr(diagram, "compose", compose)
+    doc = jsonio.diagram_to_obj(d)
+    assert composed == []
+    assert len(doc["connect"]) == len(doc["leq"]) == 12
+    text = json.dumps(doc)
+    assert len(text) <= 250_000
+    assert jsonio.diagram_from_obj(json.loads(text)) == d
 
 
 def _metric_encodings():
@@ -383,9 +407,22 @@ def _assign_document(m):
     return {str(a): _label(m.assign[a]) for a in m.src.atoms}
 
 
-def _diagram_document(d):
+def _ranked_pairs(d):
+    """The pairs i < j of the closed order, ranked by the elements' positions."""
     rank = {e: t for t, e in enumerate(d.elements)}
-    pairs = sorted(((i, j) for i, j in d.leq if i != j), key=lambda p: (rank[p[0]], rank[p[1]]))
+    return sorted(((i, j) for i, j in d.leq if i != j), key=lambda p: (rank[p[0]], rank[p[1]]))
+
+
+def _cover_pairs(d):
+    """The ranked pairs i < j with no element strictly between."""
+    return [
+        (i, j) for i, j in _ranked_pairs(d)
+        if not any((i, k) in d.leq and (k, j) in d.leq for k in d.elements if k not in (i, j))
+    ]
+
+
+def _diagram_document(d, pairs=_cover_pairs):
+    pairs = pairs(d)
     return {
         "elements": [_label(e) for e in d.elements],
         "leq": [[_label(i), _label(j)] for i, j in pairs],
@@ -397,8 +434,8 @@ def _diagram_document(d):
 
 def _document(kind, x):
     """The document the schema gives for `x`, from its public attributes: each
-    label as written, each scalar by `scalar.to_json`, a diagram's pairs of the
-    closed order ranked by element position, reflexive ones left out."""
+    label as written, each scalar by `scalar.to_json`, a diagram's covering
+    pairs ranked by element position."""
     if kind == "space":
         return _space_document(x)
     if kind == "map":
@@ -586,22 +623,38 @@ def test_faulty_assign_objects_fail_or_read_as_written(case):
 
 
 @pytest.mark.parametrize("backend", scalar.BACKENDS)
-def test_literal_tables_parse_each_literal_once(monkeypatch, backend):
-    calls = []
+def test_literal_tables_parse_each_literal_once(backend):
+    """Each distinct literal is parsed once per process (a miss of the cache),
+    so a second decode of the same documents parses nothing."""
+    scalar._cached_ratio.cache_clear()
 
-    def counted(text, _parse=scalar.parse_ratio):
-        calls.append(text)
-        return _parse(text)
+    def parses():
+        return scalar._cached_ratio.cache_info().misses
 
-    monkeypatch.setattr(scalar, "parse_ratio", counted)
-    doc = {"atoms": list(range(64)), "weights": ["1/64"] * 64, "backend": scalar.EXACT}
-    assert jsonio.space_from_obj(doc) == uniform_space(64)
-    assert calls == ["1/64"]
-    calls.clear()
+    doc = {"atoms": list(range(64)), "weights": ["1/64"] * 64, "backend": backend}
     table = [["0", "1/2", "inf"], ["1/2", "0", "inf"], ["inf", "inf", "0"]]
-    x = jsonio.metspace_from_obj({"points": ["a", "b", "c"], "dist": table})
-    assert x.dist[0][1] == F(1, 2)
-    assert calls == ["0", "1/2"]
+    metric = {"points": ["a", "b", "c"], "dist": table}
+    space = jsonio.space_from_obj(doc)
+    assert space == uniform_space(64, backend) and parses() == 1  # "1/64"
+    x = jsonio.metspace_from_obj(metric)
+    assert x.dist[0][1] == F(1, 2) and parses() == 3  # "0" and "1/2"
+    assert (jsonio.space_from_obj(doc), jsonio.metspace_from_obj(metric)) == (space, x)
+    assert parses() == 3
+
+
+def test_range_labels_stay_positions_once_the_atoms_are_built(monkeypatch):
+    """A space over range(n) whose atom tuple and label index were read
+    writes its atoms as positions, walking no label."""
+    s = uniform_space(5)
+    m = make_map(s, uniform_space(1), {a: 0 for a in s.atoms})
+    assert s.index(4) == 4 and s._atoms is not None and s._positions is not None
+
+    def walked(a):
+        raise AssertionError("a label was walked")
+
+    monkeypatch.setattr(jsonio, "_atom_to_json", walked)
+    assert jsonio.space_to_obj(s)["atoms"] == list(range(5))
+    assert jsonio.map_to_obj(m)["assign"] == {str(a): 0 for a in range(5)}
 
 
 def test_range_labelled_family_reads_by_position(monkeypatch):

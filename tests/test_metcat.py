@@ -1097,7 +1097,7 @@ def test_constructions_on_scaled_tables_hold_what_the_definitions_give(tol, data
     per = [tuple(hi[i * m:(i + 1) * m]) for i in range(x.size)]
     faults = [_pair_check(y, t, images) for images in per]
     if any(faults) or not x.size:
-        assert new == next((fault for fault in faults if fault), (ValueError, "hom needs at least one map"))
+        assert new == next((fault for fault in faults if fault), (errors.EmptyFamily, "hom needs at least one map"))
         return
     assert [p._images for p in new.per_point.values()] == per
     members = list(new.per_point.values())
@@ -1303,4 +1303,20 @@ def test_constructions_name_an_input_that_is_no_space_or_map(call, message):
     now reads only spaces and maps, the precondition of its proof."""
     with pytest.raises(errors.DomainMismatch) as exc:
         call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (product, "product of an empty family is not supported"),
+        (coproduct, "coproduct of an empty family is not supported"),
+        (hom, "hom needs at least one map"),
+    ],
+)
+def test_empty_families_raise_a_library_error(build, message):
+    """An empty family is a CatprobError, and still the ValueError it was."""
+    with pytest.raises(errors.EmptyFamily) as exc:
+        build({})
+    assert isinstance(exc.value, errors.CatprobError) and isinstance(exc.value, ValueError)
     assert str(exc.value) == message

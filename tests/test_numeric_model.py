@@ -4,6 +4,7 @@ leaves through `scalar.to_json`, on the probability side, the metric side and
 the dyadic grounds alike."""
 import ast
 import inspect
+import json
 import math
 import sys
 from fractions import Fraction as F
@@ -153,6 +154,38 @@ def test_scaled_to_json_passes_floats_through():
     nums = (0.25, 0.0, 1 / 3, -0.0, 5.0)
     out = scalar.scaled_to_json(1, nums)
     assert [x.hex() for x in out] == [x.hex() for x in nums]
+
+
+#: a row's entries: exact ones, or floats with both zeros; infinity on both
+_ROW_ENTRIES = {
+    scalar.EXACT: st.one_of(st.fractions(min_value=0, max_value=4, max_denominator=12), st.just(INF)),
+    scalar.FLOAT: st.one_of(st.floats(0, 4), st.sampled_from([0.0, -0.0, INF])),
+}
+
+
+@st.composite
+def scaled_rows(draw):
+    """(values, (den, nums)): a row of 0-6 entries drawn from at most three, so
+    that many rows repeat one entry, and its scaled form, INF kept, over an
+    exact den that may exceed the least, as a list or a tuple."""
+    backend = draw(st.sampled_from(scalar.BACKENDS))
+    pool = draw(st.lists(_ROW_ENTRIES[backend], min_size=1, max_size=3))
+    size = draw(st.sampled_from([0, 1, 2, 3, 6]))
+    values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    box = draw(st.sampled_from([list, tuple]))
+    if backend == scalar.FLOAT:
+        return values, (1, box(values))
+    den = math.lcm(*[v.denominator for v in values if v is not INF]) * draw(st.integers(1, 3))
+    return values, (den, box(v if v is INF else v.numerator * (den // v.denominator) for v in values))
+
+
+@settings(max_examples=400, deadline=None)
+@given(scaled_rows())
+def test_scaled_to_json_is_to_json_of_each_value(row):
+    """The same JSON, float bits and -0.0 included, for rows of equal entries too."""
+    values, (den, nums) = row
+    out = scalar.scaled_to_json(den, nums)
+    assert json.dumps(out) == json.dumps([scalar.to_json(v) for v in values])
 
 
 #: The only places the probability side may test which backend it is on:
@@ -327,7 +360,7 @@ def _literal_ratio(text):
 def test_parse_ratio_is_the_literal_in_lowest_terms(text):
     """The ints (num, den) of the literal's value with den > 0, or the same error."""
     out = _ratio(scalar.parse_ratio, text)
-    assert out == _ratio(_literal_ratio, text)
+    assert out == _ratio(_literal_ratio, text) == _ratio(scalar.parse_ratio, text)  # parsed, then cached
     assert out[0] == "raised" or all(type(x) is int for x in out)
 
 
