@@ -129,20 +129,19 @@ class _Connect(Mapping):
 
 
 def _composes_exactly(d):
-    """Whether `d`'s paths compose exactly: only an exact diagram keeps its
-    `_Connect` (`__init__` builds and re-checks float composites at once)."""
-    return type(d.connect) is _Connect
+    """Whether `d`'s paths compose exactly: those of an exact diagram do."""
+    return d.backend == EXACT
 
 
 class FiltrationDiagram:
     """Poset of finite spaces with connecting maps f_ij: space_j -> space_i.
 
     `leq` may be any generating set of order pairs; the reflexive-transitive
-    closure is taken.  `connect` may omit composite and reflexive pairs:
-    reflexive entries are filled with identities, composites by composition
-    on first read, on floats at once (any path is equivalent; `validate` checks).
-    `spaces` and `connect` are read-only mappings.  `backend` is that of the
-    first element's space and `tol` the largest tolerance over the levels.
+    closure is taken.  `connect`, a read-only `_Connect` on both backends, may
+    omit composite and reflexive pairs: identities fill the reflexive ones, and
+    each composite is derived (`connect.via`) and built on first read, on floats
+    at once, as `compose` re-checks drift.  `spaces` is read-only too.  `backend`
+    is that of the first element's space and `tol` the largest tolerance over the levels.
     `covers` holds the covering pairs of the closed order, computed once in
     rank order; functoriality on them implies it on every triple (see
     `validate`), and the martingale and measure checks walk them.  Elements
@@ -189,7 +188,7 @@ class FiltrationDiagram:
         self.covers = _covers(above, ordered)
         self.connect = _Connect(table, _derive(elements, ordered, set(table)))
         if self.backend != EXACT:  # build now: `compose` re-checks floats, as drift adds up
-            self.connect = MappingProxyType(dict(self.connect))
+            list(map(self.connect.__getitem__, self.connect.via))
         self.top = top
         report = validate(self)
         if not report.ok:
@@ -270,15 +269,16 @@ def validate(d):
     Otherwise pick a covering pair (l, k) with j < l: the shorter triple
     (i, j, l) and the cover triples (i, l, k) and (j, l, k) give
     f_ik = f_il . f_lk = f_ij . f_jl . f_lk = f_ij . f_jk.  A composite
-    derived on first read (`d.connect.via`) as f_il . f_lk has its factors'
+    derived (`d.connect.via`, on both backends) as f_il . f_lk has its factors'
     endpoints, and its triple (i, l, k) holds by construction, so neither is
     checked: a chain given by its steps has no triple left.  When a check or
     a cover triple fails, every triple of the whole table is scanned atom by
     atom, so the problems are those of a full scan.  Under an element above
     all others every pair has an upper bound, and none is scanned for.
     """
+    _given(FiltrationDiagram, ("d", d))
     above, ordered = d._order
-    via = getattr(d.connect, "via", {})  # a plain mapping holds given maps only
+    via = getattr(d.connect, "via", {})  # the rescan's plain mapping derives nothing
     problems = []
     els = d.elements
     # order axioms (closure gives reflexivity and transitivity for free)
@@ -382,6 +382,7 @@ def is_martingale(family, d):
     two scaled forms are equal has residual 0 (`_same_form`), so only a pair
     that differs computes it.
     """
+    _given(FiltrationDiagram, ("d", d))
     if not isinstance(family, Mapping) or set(family) != set(d.elements):
         raise IndexMismatch("family is not indexed by the diagram's elements")
     for i in d.elements:
@@ -416,6 +417,7 @@ class _LevelFamily:
 
     def _setup(self, diagram, family, bound, peak, level):
         """Store and return the read-only family and its bound (max `peak` if None)."""
+        _given(FiltrationDiagram, ("diagram", diagram))
         if not isinstance(family, Mapping) or set(family) != set(diagram.elements):
             raise IndexMismatch("family is not indexed by the diagram's elements")
         family = MappingProxyType({i: family[i] for i in diagram.elements})
@@ -484,6 +486,7 @@ def _levels_from_top(top, d, project, what, noun):
     """Every level's image of a top-level value: level i is project(top, f_i),
     and the top's own is the top where paths compose exactly (E[x | id] = x,
     id_*mu = mu); a float (w * x) / w need not give back x's bits."""
+    _given(FiltrationDiagram, ("d", d))
     if d.top is None:
         raise NoTopElement("%s needs a designated top element" % what)
     if top.space != d.spaces[d.top]:
@@ -574,10 +577,14 @@ def _top_level(fam, kind, project, distance, what, miss):
     covers to every path.  Any other family's top image on every level
     (`_levels_from_top`) must be the family's level within the diagram's tol;
     a level with an equal form (`_same_form`) computes no distance."""
-    d = fam.diagram
+    try:
+        d = fam.diagram
+        top = fam.family.get(d.top)  # None without a top, and then _levels_from_top raises
+    except AttributeError:  # tested only once a read fails, so a valid call pays nothing
+        _given(kind, ("family", fam))
+        raise
     if d.top is not None and isinstance(fam, kind) and _composes_exactly(d):
-        return fam.family[d.top]
-    top = fam.family.get(d.top)  # None without a top, and then _levels_from_top raises
+        return top
     for i, level in _levels_from_top(top, d, project, what, None).items():
         if _same_form(level, fam.family[i]):
             continue

@@ -135,7 +135,7 @@ class FiniteProbSpace:
             return NotImplemented
         # spaces over range(n) with equal forms have equal atoms, so no tuple is built
         return (self._scaled, self.backend) == (other._scaled, other.backend) and (
-            self._atoms is other._atoms or self.atoms == other.atoms
+            self._positional and other._positional or self.atoms == other.atoms
         )
 
     def __hash__(self):

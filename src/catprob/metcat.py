@@ -296,8 +296,7 @@ class LipschitzMap(_Map):
                         % (x, y, dfxy, dxy)
                     )
 
-    def __init__(self, src, dst, assign):  # its own, so the benchmark tracer counts it
-        _Map.__init__(self, src, dst, assign)
+    __init__ = _Map.__init__  # its own entry, so the benchmark tracer counts it
 
 
 def identity_lipschitz(space):

@@ -466,8 +466,25 @@ class TestDerivedComposites:
         assert d.connect.via == {}
         assert reads["n"] == 2
 
+    def test_float_chain_derives_as_the_exact_one_and_compares_no_triple(self, monkeypatch):
+        # the composites are built at construction, each once, through the
+        # factors the exact chain derives, and `validate` compares none of them
+        spaces, steps = _dyadic_steps(4)
+        exact = FiltrationDiagram.chain(spaces, steps)
+        floats = [uniform_space(s.size, backend=scalar.FLOAT) for s in spaces]
+        steps = [make_map(floats[t + 1], floats[t], dict(f.assign)) for t, f in enumerate(steps)]
+        calls = _count_calls(monkeypatch, diagram, "compose")
+        reads = _count_cover_reads(monkeypatch)
+        d = FiltrationDiagram.chain(floats, steps)
+        assert (calls["n"], reads["n"]) == (6, 0)
+        assert type(d.connect) is diagram._Connect and d.connect.via == exact.connect.via
+        assert validate(d).ok and (calls["n"], reads["n"]) == (6, 0)
+        assert list(d.connect) == list(exact.connect)
+        assert all(d.connect[p].assign == exact.connect[p].assign for p in exact.connect)
+
     def test_float_chain_rejects_a_derived_composite_drifting_past_tol(self):
         # each step is within tol, the composite read through both is not
+        # `validate` reads no derived composite, so only the build at construction sees it
         tol, drift = 1e-9, 0.8e-9
         a = make_space([0, 1], [0.5 + drift, 0.5 - drift], backend=scalar.FLOAT, tol=tol)
         b = make_space([0, 1], [0.5, 0.5], backend=scalar.FLOAT, tol=tol)
@@ -1748,6 +1765,31 @@ def test_malformed_families_and_metric_points_raise_library_errors(call, error, 
     """Each of these raised a bare TypeError or AttributeError, but the last,
     a table on another space, which is worded by its space."""
     with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+_NOT_A_DIAGRAM = "%s is a NoneType, not a FiltrationDiagram"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: validate(None), _NOT_A_DIAGRAM % "d"),
+        (lambda: is_martingale({}, None), _NOT_A_DIAGRAM % "d"),
+        (lambda: Martingale(None, {}), _NOT_A_DIAGRAM % "diagram"),
+        (lambda: ConsistentMeasureFamily(None, {}), _NOT_A_DIAGRAM % "diagram"),
+        (lambda: induced_martingale(constant_rv(_U1, 1), None), _NOT_A_DIAGRAM % "d"),
+        (lambda: restrict_measure(base_measure(_U1), None), _NOT_A_DIAGRAM % "d"),
+        (lambda: martingale_limit(None), "family is a NoneType, not a Martingale"),
+        (lambda: kolmogorov_extend(None), "family is a NoneType, not a ConsistentMeasureFamily"),
+        (lambda: martingale_limit(SimpleNamespace(diagram=None, family={})),
+         "family is a SimpleNamespace, not a Martingale"),
+    ],
+)
+def test_a_wrong_typed_diagram_or_family_is_a_domain_mismatch(call, message):
+    """Each of these raised a bare AttributeError."""
+    with pytest.raises(errors.DomainMismatch) as exc:
         call()
     assert str(exc.value) == message
 

@@ -538,6 +538,17 @@ def test_positional_spaces_read_as_their_tuple_twins(backend, route, order):
     assert new() != FiniteProbSpace(others, list(twin.weights), backend, twin.tol or None)
 
 
+@pytest.mark.parametrize("backend", scalar.BACKENDS)
+def test_positional_spaces_compare_without_an_atom_tuple(backend):
+    """Two spaces over range(n) compare equal without building the second's
+    atom tuple, once the first's has been read too."""
+    a, b = uniform_space(8, backend), uniform_space(8, backend)
+    a.atoms
+    assert a == b and b == a
+    assert b._atoms is None and b._positions is None
+    assert a != uniform_space(range(1, 9), backend) and b._atoms is None
+
+
 def test_an_image_is_read_back_as_the_target_atom():
     """`assign` reads image positions back through the target's labels, so
     an image given as an equal label of another type (True for 1) reads as

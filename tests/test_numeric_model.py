@@ -190,12 +190,14 @@ def test_scaled_to_json_is_to_json_of_each_value(row):
 
 #: The only places the probability side may test which backend it is on:
 #: the tol rule, the float re-check of a composite (drift adds up along a
-#: path) and the float maximum of the density bound.
-_BACKEND_TESTS = ["FiniteProbSpace.__init__", "compose", "_density_bound"]
+#: path), the float maximum of the density bound and the pushforward check's
+#: one pass at tol 0.
+_BACKEND_TESTS = ["FiniteProbSpace.__init__", "compose", "_density_bound", "_pushforward_fault"]
 
 
 def _backend_tests(module):
-    """Qualified name of the function around each comparison against a backend."""
+    """Qualified name of the function around each comparison against a
+    backend, or of a `tol` against 0, which tells the backends apart too."""
     found = []
 
     def names_backend(node):
@@ -205,12 +207,17 @@ def _backend_tests(module):
             return node.id in ("EXACT", "FLOAT")
         return isinstance(node, ast.Constant) and node.value in scalar.BACKENDS
 
+    def names_tol(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "tol"  # `tol` or `x.tol`
+
+    def zero(node):
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0
+
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + [node.name]
-        if isinstance(node, ast.Compare) and any(
-            names_backend(x) for x in [node.left] + node.comparators
-        ):
+        sides = [node.left] + node.comparators if isinstance(node, ast.Compare) else []
+        if any(map(names_backend, sides)) or (any(map(names_tol, sides)) and any(map(zero, sides))):
             found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -221,14 +228,19 @@ def _backend_tests(module):
 
 #: The only places the metric side may test which backend it is on: the
 #: user route's exact fast path, the constructor's storage rule (float rows
-#: as floats, an exact table's Fractions on first read) and the pair check's
-#: one pass on two exact tables.
-_METCAT_BACKEND_TESTS = ["_coerce_table", "FinPseudometricSpace.__init__", "LipschitzMap._check"]
+#: as floats, an exact table's Fractions on first read), the backend read
+#: off the tol, the axiom scan's int reading of an exact table and the pair
+#: check's one pass on two exact tables.
+_METCAT_BACKEND_TESTS = [
+    "_coerce_table", "FinPseudometricSpace.__init__", "FinPseudometricSpace.backend", "_check_axioms",
+    "LipschitzMap._check",
+]
 
-#: The only place the diagram layer may test which backend it is on: a float
-#: diagram builds its composites at once, as their drift adds up along a path.
-#: The martingale and measure-family checks run one body on both backends.
-_DIAGRAM_BACKEND_TESTS = ["FiltrationDiagram.__init__"]
+#: The only places the diagram layer may test which backend it is on: a float
+#: diagram builds its composites at once, as their drift adds up along a path,
+#: and only an exact diagram's paths compose exactly.  The martingale and
+#: measure-family checks run one body on both backends.
+_DIAGRAM_BACKEND_TESTS = ["FiltrationDiagram.__init__", "_composes_exactly"]
 
 
 #: The route of a space over range(n), held as positions, from its
